@@ -23,7 +23,11 @@ from repro.common.errors import AuctionError
 from repro.common.rng import block_evidence_rng
 from repro.common.timing import PhaseTimer, resolve
 from repro.obs import ObservabilityLike, resolve as resolve_obs
-from repro.core.cluster_allocation import ClusterAllocation, allocate_cluster
+from repro.core.cluster_allocation import (
+    ClusterAllocation,
+    PairChecks,
+    allocate_cluster,
+)
 from repro.core.clustering import build_clusters
 from repro.core.config import AuctionConfig
 from repro.core.miniauctions import build_mini_auctions
@@ -124,6 +128,9 @@ class DecloudAuction:
             timer = resolve(caller_timer)
         request_by_id = _index_requests(requests)
         offer_by_id = _index_offers(offers)
+        # Owned by this run alone: never stored on the instance, never
+        # shipped to a pool worker.
+        pairs = PairChecks()
 
         with obs.tracer.span("match"):
             clusters, orphans = build_clusters(
@@ -163,7 +170,7 @@ class DecloudAuction:
             allocations: List[ClusterAllocation] = [
                 allocate_cluster(
                     cluster, cluster_requests, cluster_offers, self.config,
-                    economics=economics,
+                    economics=economics, pairs=pairs,
                 )
                 for (cluster, cluster_requests, cluster_offers), economics
                 in zip(populated, economics_list)
@@ -190,6 +197,7 @@ class DecloudAuction:
                     self.config,
                     evidence,
                     obs=obs,
+                    pairs=pairs,
                 )
             else:
                 rng = block_evidence_rng(evidence)
@@ -203,6 +211,7 @@ class DecloudAuction:
                         consumed_offers,
                         self.config,
                         rng,
+                        pairs=pairs,
                     )
                     results.append(result)
                     consumed_requests |= result.participant_requests

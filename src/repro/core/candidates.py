@@ -429,7 +429,6 @@ class CandidateGenerator:
         pair_rows: List[np.ndarray] = []
         pair_cols: List[np.ndarray] = []
         pair_scores: List[np.ndarray] = []
-        pair_feasible: List[np.ndarray] = []
         certificates: List[Optional[SafetyCertificate]] = [
             None for _ in requests
         ]
@@ -439,7 +438,7 @@ class CandidateGenerator:
             reason, bounds = self._resolve_chunk(
                 chunk, start, groups, keys, group_stats, group_sizes,
                 breadth, scorer, stats,
-                pair_rows, pair_cols, pair_scores, pair_feasible,
+                pair_rows, pair_cols, pair_scores,
             )
             for local, request in enumerate(chunk):
                 row = reason[local]
@@ -458,7 +457,7 @@ class CandidateGenerator:
 
         best_sets, thresholds = self._rank_admitted(
             requests, offers, breadth,
-            pair_rows, pair_cols, pair_scores, pair_feasible,
+            pair_rows, pair_cols, pair_scores,
         )
         for certificate, threshold in zip(certificates, thresholds):
             certificate.threshold = threshold
@@ -492,10 +491,10 @@ class CandidateGenerator:
         pair_rows: List[np.ndarray],
         pair_cols: List[np.ndarray],
         pair_scores: List[np.ndarray],
-        pair_feasible: List[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Screen + admit one chunk; returns the (R_c, G) reason and
-        score-bound matrices."""
+        score-bound matrices, and appends the chunk's contending pairs
+        (see :meth:`_rank_admitted`) to the ``pair_*`` lists."""
         n_req, n_groups = len(chunk), len(groups)
         reason = np.zeros((n_req, n_groups), dtype=np.int8)
         ub = np.zeros((n_req, n_groups))
@@ -542,6 +541,7 @@ class CandidateGenerator:
         order = np.argsort(priority, axis=1, kind="stable")
         pointer = np.zeros(n_req, dtype=np.int64)
         topk = np.full((n_req, breadth), -math.inf)
+        scored: List[Tuple[np.ndarray, ...]] = []
         batch = 1
         while True:
             threshold = topk[:, breadth - 1]
@@ -570,17 +570,30 @@ class CandidateGenerator:
                 scores, feasible = scorer(
                     [chunk[row] for row in rows.tolist()], groups[g]
                 )
-                pair_rows.append(
-                    np.repeat(rows + chunk_start, len(groups[g]))
-                )
-                pair_cols.append(np.tile(groups[g], len(rows)))
-                pair_scores.append(scores.ravel())
-                pair_feasible.append(feasible.ravel())
+                scored.append((
+                    np.repeat(rows, len(groups[g])),
+                    np.tile(groups[g], len(rows)),
+                    scores.ravel(),
+                    feasible.ravel(),
+                ))
                 ranked = np.where(feasible, scores, -math.inf)
                 merged = np.concatenate([topk[rows], ranked], axis=1)
                 merged.partition(merged.shape[1] - breadth, axis=1)
                 topk[rows] = merged[:, -breadth:][:, ::-1]
             batch = min(batch * 2, n_groups)
+
+        if scored:
+            # ``topk`` is final: a feasible pair scoring strictly below
+            # its request's ``breadth``-th best ranks after ``breadth``
+            # others whatever the tie rule says, so only pairs at or
+            # above that score go on to the global ranking.
+            rows, cols, scores, feasible = (
+                np.concatenate(part) for part in zip(*scored)
+            )
+            contender = feasible & (scores >= topk[rows, breadth - 1])
+            pair_rows.append(rows[contender] + chunk_start)
+            pair_cols.append(cols[contender])
+            pair_scores.append(scores[contender])
 
         for code, name in (
             (ADMITTED, "pairs_admitted"),
@@ -601,13 +614,16 @@ class CandidateGenerator:
         pair_rows: List[np.ndarray],
         pair_cols: List[np.ndarray],
         pair_scores: List[np.ndarray],
-        pair_feasible: List[np.ndarray],
     ) -> Tuple[List[frozenset], List[Optional[Tuple[float, float, str]]]]:
-        """Rank every request's admitted pairs under the §IV-D tie rule.
+        """Rank every request's contending pairs under the §IV-D tie rule.
 
-        One global lexsort over the flattened feasible pairs replaces a
+        One global lexsort over the flattened pairs replaces a
         per-request sort: pairs order by (request, -score, offer rank)
-        where the offer rank encodes ``(submit_time, offer_id)``.
+        where the offer rank encodes ``(submit_time, offer_id)``.  The
+        pairs are each request's admitted feasible pairs at or above its
+        ``breadth``-th best score — every member of ``best_r``, the
+        threshold pair, and all their score ties, which this sort
+        resolves exactly as it would among all admitted pairs.
         """
         best_sets: List[frozenset] = [frozenset() for _ in requests]
         thresholds: List[Optional[Tuple[float, float, str]]] = [
@@ -618,7 +634,6 @@ class CandidateGenerator:
         rows = np.concatenate(pair_rows)
         cols = np.concatenate(pair_cols)
         scores = np.concatenate(pair_scores)
-        feasible = np.concatenate(pair_feasible)
 
         perm = sorted(
             range(len(offers)),
@@ -627,9 +642,6 @@ class CandidateGenerator:
         rank = np.empty(len(offers), dtype=np.int64)
         rank[perm] = np.arange(len(offers))
 
-        rows = rows[feasible]
-        cols = cols[feasible]
-        scores = scores[feasible]
         order = np.lexsort((rank[cols], -scores, rows))
         rows, cols, scores = rows[order], cols[order], scores[order]
 

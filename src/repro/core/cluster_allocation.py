@@ -89,6 +89,37 @@ class OfferCapacity:
             remaining[key] = min(ceiling[key], remaining[key] + amount)
 
 
+class PairChecks:
+    """The capacity-independent checks of :func:`greedy_fit`, evaluated
+    once per distinct (request, offer) pair.
+
+    ``is_feasible`` and ``resource_fraction`` depend on the two bids
+    alone, yet one clear fits the same pairs several times over (the
+    tentative fit, each mini-auction's live re-fit, the final fit and its
+    randomized re-draw).  An instance belongs to the one clear that
+    created it — ``DecloudAuction.run``, or a pooled worker task, which
+    builds its own — and is keyed by the bid ids that clear indexed.
+    """
+
+    def __init__(self) -> None:
+        self._feasible: Dict[Tuple[str, str], bool] = {}
+        self._fraction: Dict[Tuple[str, str], float] = {}
+
+    def feasible(self, request: Request, offer: Offer) -> bool:
+        key = (request.request_id, offer.offer_id)
+        known = self._feasible.get(key)
+        if known is None:
+            known = self._feasible[key] = is_feasible(request, offer)
+        return known
+
+    def fraction(self, request: Request, offer: Offer) -> float:
+        key = (request.request_id, offer.offer_id)
+        known = self._fraction.get(key)
+        if known is None:
+            known = self._fraction[key] = resource_fraction(request, offer)
+        return known
+
+
 @dataclass
 class ClusterAllocation:
     """Tentative greedy allocation of one cluster with McAfee indices."""
@@ -155,6 +186,7 @@ def greedy_fit(
     max_cost: Optional[float] = None,
     epsilon: float = 1e-9,
     uniform_price: bool = False,
+    pairs: Optional[PairChecks] = None,
 ) -> List[Tuple[Request, Offer]]:
     """Assign requests (given order) to offers (given order).
 
@@ -168,7 +200,11 @@ def greedy_fit(
     winners >= ``max c_hat`` of used offers), so a single clearing price
     in ``[c_hat_z', v_hat_z]`` supports all trades — the assumption of
     the paper's IR proof (§IV-E).
+
+    ``pairs`` is the enclosing clear's :class:`PairChecks`.
     """
+    if pairs is None:
+        pairs = PairChecks()
     matches: List[Tuple[Request, Offer]] = []
     max_used_cost = -math.inf
     for request in requests:
@@ -191,12 +227,12 @@ def greedy_fit(
                 # Offers are cost-ascending: no later offer can be
                 # profitable either.
                 break
-            if not is_feasible(request, offer):
+            if not pairs.feasible(request, offer):
                 continue
             if not capacity.can_host(request, offer):
                 continue
             # Const. (9): value covers the cost of the consumed fraction.
-            if request.bid < resource_fraction(request, offer) * offer.bid - epsilon:
+            if request.bid < pairs.fraction(request, offer) * offer.bid - epsilon:
                 continue
             capacity.consume(request, offer)
             taken_requests.add(request.request_id)
@@ -215,6 +251,7 @@ def allocate_cluster(
     capacity: Optional[OfferCapacity] = None,
     taken_requests: Optional[Set[str]] = None,
     economics: Optional[ClusterEconomics] = None,
+    pairs: Optional[PairChecks] = None,
 ) -> ClusterAllocation:
     """Greedy-fit one cluster and derive its z / z' / z'+1 indices.
 
@@ -239,6 +276,7 @@ def allocate_cluster(
         taken_requests,
         epsilon=config.price_epsilon,
         uniform_price=config.enforce_price_consistency,
+        pairs=pairs,
     )
 
     allocation = ClusterAllocation(

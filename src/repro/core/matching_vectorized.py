@@ -27,9 +27,20 @@ therefore mirrors the reference's IEEE-754 operation order exactly:
   accumulation would round differently;
 * each term is computed as ``(sigma * rho_o) / (gap * gap + 1.0)`` —
   the same multiply/divide sequence as the scalar code;
-* pairs whose resource type is absent on the request side contribute an
-  exact ``+0.0`` (adding ``0.0`` is the identity on non-negative
-  floats), so masking cannot perturb low bits.
+* each type touches only the sub-block (requests that declare it) x
+  (offers that carry a non-zero amount of it), so a block costs
+  ``sum_t R_t * O_t`` element operations rather than ``K * R * O``.
+  The pairs a type skips are exactly those whose term the reference
+  either never adds (the request does not declare the type, so it is
+  outside ``K_(r,o)``) or adds as ``sigma * 0 / (gap^2 + 1) = +0.0``
+  (the offer lacks the type or declares it at amount 0).  ``Request``/
+  ``Offer`` construction validates ``sigma`` in (0, 1] and finite
+  non-negative amounts, so that quotient is an exact ``+0.0``, and adding
+  ``+0.0`` is the identity on the non-negative running sum: skipping it
+  cannot move a bit, and the types a pair does accumulate still arrive in
+  sorted order.  Which pairs a type touches depends only on the block's
+  declaration pattern; a type every request declares and every offer
+  carries is one in-place pass over the whole matrix.
 """
 
 from __future__ import annotations
@@ -112,32 +123,39 @@ def _score_from_arrays(
     maxima: Dict[str, float],
 ) -> np.ndarray:
     """Eq. (18) for all pairs, accumulated in sorted-type order."""
-    shape = (req.amount.shape[0], off.amount.shape[0])
-    scores = np.zeros(shape)
-    # Two reusable (R, O) scratch buffers shared across all types: ``gap``
-    # is squared and offset in place to become the denominator, the
-    # numerator is divided in place, and the masked accumulation uses
-    # ``where=`` (skipping a pair leaves the sum untouched — the same
-    # result as adding the reference's exact ``+0.0``).  Reuse keeps the
-    # kernel from allocating two R x O temporaries per resource type.
-    gap = np.empty(shape)
-    term = np.empty(shape)
+    n_req, n_off = req.amount.shape[0], off.amount.shape[0]
+    scores = np.zeros((n_req, n_off))
+    # Two reusable scratch buffers shared across all types, viewed at
+    # each type's sub-block shape: ``gap`` is squared and offset in place
+    # to become the denominator and the numerator is divided in place.
+    # Reuse keeps the kernel from allocating two temporaries per type,
+    # and only the pages a sub-block reaches are ever touched.
+    gap_buf = np.empty(n_req * n_off)
+    term_buf = np.empty(n_req * n_off)
     for col, t in enumerate(types):
         top = maxima.get(t, 0.0)
         if top <= 0:
             continue
-        rho_o = off.amount[:, col] / top
-        rho_r = req.amount[:, col] / top
+        # Everything outside this sub-block is outside K_(r,o) or adds
+        # an exact +0.0 (see the module docstring).
+        rows = np.flatnonzero(req.present[:, col])
+        cols = np.flatnonzero(off.amount[:, col] > 0)
+        size = len(rows) * len(cols)
+        if not size:
+            continue
+        gap = gap_buf[:size].reshape(len(rows), len(cols))
+        term = term_buf[:size].reshape(len(rows), len(cols))
+        rho_o = off.amount[cols, col] / top
+        rho_r = req.amount[rows, col] / top
         np.subtract(rho_o[None, :], rho_r[:, None], out=gap)
         np.multiply(gap, gap, out=gap)
         np.add(gap, 1.0, out=gap)
-        np.multiply(req.sigma[:, col][:, None], rho_o[None, :], out=term)
+        np.multiply(req.sigma[rows, col][:, None], rho_o[None, :], out=term)
         np.divide(term, gap, out=term)
-        # A type the request does not declare is outside K_(r,o): the
-        # reference skips it entirely.  (Types absent from the *offer*
-        # zero-fill to rho_o == 0, which already yields a 0.0 term.)
-        np.add(scores, term, out=scores,
-               where=req.present[:, col][:, None])
+        if size == scores.size:
+            np.add(scores, term, out=scores)
+        else:
+            scores[np.ix_(rows, cols)] += term
     return scores
 
 
@@ -151,37 +169,39 @@ def _feasibility_from_arrays(
         return np.zeros((n_req, n_off), dtype=bool)
 
     # Constraints (10)-(11): the offer window contains the request window.
-    temporal = (off.win_start[None, :] <= req.win_start[:, None]) & (
+    feasible = (off.win_start[None, :] <= req.win_start[:, None]) & (
         off.win_end[None, :] >= req.win_end[:, None]
     )
 
-    # At least one shared resource type (else Eq. 18 is undefined).
-    req_present = req.present.astype(np.float64)
-    off_present = off.present.astype(np.float64)
-    shared = (req_present @ off_present.T) > 0
-
-    # Constraint (8a): a strict, positive-amount resource missing from
-    # the offer is fatal.
-    strict_demand = (req.present & req.strict & req.positive).astype(
-        np.float64
-    )
-    strict_missing = (strict_demand @ (1.0 - off_present).T) > 0
-
-    feasible = temporal & shared & ~strict_missing
-
-    # Constraint (8b): where the offer declares the type, its amount must
-    # cover the (flexibility-discounted) requirement.  One (R, O)
-    # comparison per resource type: K is small (a handful of types), so
-    # K passes over an R x O matrix beat a single (R, O, K) broadcast —
-    # less peak memory and several times faster.  Pure boolean logic, so
-    # the mask is trivially identical to the 3-D formulation.
-    violated = np.zeros((n_req, n_off), dtype=bool)
-    k_types = req.amount.shape[1]
-    for col in range(k_types):
-        short = off.amount[:, col][None, :] < req.needed[:, col][:, None]
-        relevant = req.positive[:, col][:, None] & off.present[:, col][None, :]
-        violated |= short & relevant
-    feasible &= ~violated
+    # The resource constraints only ever look at a type both sides
+    # declare, so each type visits the sub-block (requests declaring it)
+    # x (offers declaring it, at any amount).  There it clears the pairs
+    # whose offer falls short of the flexibility-discounted requirement
+    # (constraint (8b)) and counts, per pair, the types that ``counted``
+    # marks: a request's strict, positive-amount types — the offer must
+    # have every one of them (constraint (8a)), which also gives the pair
+    # a shared type — or, for a request with no such type, every type it
+    # declares, of which the offer must have at least one (else Eq. 18
+    # is undefined).  Pure boolean/integer logic, so the mask is
+    # trivially identical to a pass over every type for every pair.
+    strict_demand = req.present & req.strict & req.positive
+    wanted = strict_demand.sum(axis=1)
+    counted = np.where((wanted > 0)[:, None], strict_demand, req.present)
+    n_types = req.amount.shape[1]
+    met = np.zeros((n_req, n_off), dtype=np.min_scalar_type(n_types))
+    for col in range(n_types):
+        rows = np.flatnonzero(req.present[:, col])
+        cols = np.flatnonzero(off.present[:, col])
+        size = len(rows) * len(cols)
+        if not size:
+            continue
+        block = ... if size == met.size else np.ix_(rows, cols)
+        short = (
+            off.amount[cols, col][None, :] < req.needed[rows, col][:, None]
+        ) & req.positive[rows, col][:, None]
+        feasible[block] &= ~short
+        met[block] += counted[rows, col][:, None]
+    feasible &= met >= np.maximum(wanted, 1).astype(met.dtype)[:, None]
     return feasible
 
 
@@ -231,57 +251,46 @@ def best_offer_sets(
     if feasible is None:
         feasible = feasibility_matrix(requests, offers)
 
-    # Secondary permutation: offers by (submit_time, offer_id).  Under
-    # the permutation, the reference's (-quality, submit_time, offer_id)
-    # total order becomes (key, permuted column index) with
-    # key = -score (infeasible -> +inf): exactly what a stable argsort
-    # would produce.  ``best_r`` is a *set*, though, so the full argsort
-    # can be replaced by top-``breadth`` membership selection:
-    # ``np.partition`` yields each row's boundary value (the take-th
-    # smallest key), every key strictly below the boundary is in, and
-    # ties *at* the boundary are filled in ascending permuted index —
-    # the same elements the stable argsort prefix would select.
-    perm = sorted(
-        range(len(offers)),
-        key=lambda j: (offers[j].submit_time, offers[j].offer_id),
-    )
-    permuted_scores = scores[:, perm]
-    permuted_feasible = feasible[:, perm]
-    sort_key = np.where(permuted_feasible, -permuted_scores, np.inf)
-    counts = permuted_feasible.sum(axis=1)
-    take = np.minimum(breadth, counts)
-
-    n_req, n_off = sort_key.shape
+    # ``best_r`` is a *set*, so the reference's full sort by
+    # (-quality, submit_time, offer_id) reduces to top-``breadth``
+    # membership: ``np.partition`` yields each row's boundary value (its
+    # ``breadth``-th smallest key = -score; ``inf`` with fewer feasible
+    # offers), and only the *contenders* — feasible pairs at or below
+    # the boundary — can be members.  Everything after that is sparse:
+    # contenders strictly below the boundary are in, and the ties *at*
+    # it fill the remaining places in ascending (submit_time, offer_id).
+    n_req, n_off = scores.shape
     if breadth >= n_off:
-        members = permuted_feasible
+        contender = feasible
+        boundary = np.full(n_req, np.inf)
     else:
-        part = np.partition(sort_key, np.arange(breadth), axis=1)
-        # Rows with no feasible offer have an all-inf key row; their
-        # boundary is inf and ``need`` is 0, selecting nothing.
-        boundary = part[np.arange(n_req), np.maximum(take, 1) - 1]
-        below = sort_key < boundary[:, None]
-        at = sort_key == boundary[:, None]
-        need = take - below.sum(axis=1)
-        # Fill the first ``need`` boundary ties per row in ascending
-        # permuted index.  ``np.nonzero`` walks the (sparse) tie mask in
-        # row-major order, so ranking ties by their position within the
-        # row replaces a full R x O cumsum with work linear in the number
-        # of ties.
-        at &= (need > 0)[:, None]
-        members = below
-        tie_rows, tie_cols = np.nonzero(at)
-        if len(tie_rows):
-            starts = np.searchsorted(tie_rows, np.arange(n_req))
-            rank = np.arange(len(tie_rows)) - starts[tie_rows]
-            keep = rank < need[tie_rows]
-            members[tie_rows[keep], tie_cols[keep]] = True
+        key = np.where(feasible, -scores, np.inf)
+        boundary = np.partition(key, breadth - 1, axis=1)[:, breadth - 1]
+        contender = (key <= boundary[:, None]) & feasible
+    # Walking the mask with its columns in (submit_time, offer_id) order
+    # makes ``np.nonzero``'s row-major output list each request's ties
+    # in exactly the order the tie rule admits them.
+    perm = np.array(
+        sorted(
+            range(n_off),
+            key=lambda j: (offers[j].submit_time, offers[j].offer_id),
+        )
+    )
+    rows, ranked_cols = np.nonzero(contender[:, perm])
+    cols = perm[ranked_cols]
+    chosen = -scores[rows, cols] < boundary[rows]
+    places = np.minimum(breadth, np.bincount(rows, minlength=n_req))
+    need = places - np.bincount(rows[chosen], minlength=n_req)
+    ties = np.flatnonzero(~chosen)
+    tie_rows = rows[ties]
+    starts = np.searchsorted(tie_rows, np.arange(n_req))
+    position = np.arange(len(ties)) - starts[tie_rows]
+    chosen[ties[position < need[tie_rows]]] = True
 
-    ids = [offers[j].offer_id for j in perm]
     out: List[List[str]] = [[] for _ in requests]
-    rows_idx, cols_idx = np.nonzero(members)
-    for i, j in zip(rows_idx.tolist(), cols_idx.tolist()):
-        out[i].append(ids[j])
-    return [frozenset(chosen) for chosen in out]
+    for i, j in zip(rows[chosen].tolist(), cols[chosen].tolist()):
+        out[i].append(offers[j].offer_id)
+    return [frozenset(members) for members in out]
 
 
 def _request_fingerprint(request: Request) -> Tuple:

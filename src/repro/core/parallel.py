@@ -44,6 +44,7 @@ from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.rng import block_evidence_rng
+from repro.core.cluster_allocation import PairChecks
 from repro.core.config import AuctionConfig
 from repro.core.miniauctions import MiniAuction
 from repro.core.pricing import pooled_prices_batch
@@ -184,18 +185,24 @@ def _clear_task(
         bytes,
         int,
     ],
+    pairs: Optional[PairChecks] = None,
 ) -> ClearingResult:
-    """Worker body: clear one auction with its derived RNG stream."""
+    """Worker body: clear one auction with its derived RNG stream.
+
+    ``pairs`` is passed by in-process callers only; a pooled task gets
+    none and builds its own.
+    """
     (auction, requests, offers, consumed_requests, consumed_offers,
      config, evidence, index) = args
     return clear_mini_auction(
         auction, requests, offers, consumed_requests, consumed_offers,
-        config, derive_auction_rng(evidence, index),
+        config, derive_auction_rng(evidence, index), pairs=pairs,
     )
 
 
 def _clear_task_captured(
     args: tuple,
+    pairs: Optional[PairChecks] = None,
 ) -> Tuple[Optional[ClearingResult], TelemetryPayload, Optional[BaseException]]:
     """Worker body under a local telemetry bundle (never observably dark).
 
@@ -206,11 +213,13 @@ def _clear_task_captured(
     """
     index = args[7]
     with capture_task(f"mini:{index}", "mini_auction") as cap:
-        cap.set_value(_clear_task(args))
+        cap.set_value(_clear_task(args, pairs))
     return cap.value, cap.payload, cap.error
 
 
-def _clear_wave_batched(tasks: Sequence[tuple]) -> List[ClearingResult]:
+def _clear_wave_batched(
+    tasks: Sequence[tuple], pairs: Optional[PairChecks]
+) -> List[ClearingResult]:
     """In-process wave clearing with SBBA pricing batched over the wave.
 
     Auctions in a wave are participant-disjoint, so their live re-fits
@@ -220,13 +229,15 @@ def _clear_wave_batched(tasks: Sequence[tuple]) -> List[ClearingResult]:
     Bit-identical to clearing the wave one auction at a time.
     """
     lives = [
-        _live_allocations(t[0], t[1], t[2], t[3], t[4], t[5]) for t in tasks
+        _live_allocations(t[0], t[1], t[2], t[3], t[4], t[5], pairs)
+        for t in tasks
     ]
     pooled = pooled_prices_batch(lives)
     return [
         clear_mini_auction(
             t[0], t[1], t[2], t[3], t[4], t[5],
             derive_auction_rng(t[6], t[7]), live=live, pooled=price,
+            pairs=pairs,
         )
         for t, live, price in zip(tasks, lives, pooled)
     ]
@@ -241,6 +252,7 @@ def clear_auctions_scheduled(
     config: AuctionConfig,
     evidence: bytes,
     obs: object = None,
+    pairs: Optional[PairChecks] = None,
 ) -> List[ClearingResult]:
     """Clear every auction with per-auction RNG streams, wave by wave.
 
@@ -260,6 +272,10 @@ def clear_auctions_scheduled(
     capture decision depends only on the bundle and the schedule, never
     on the worker count or whether a pool actually spawned, so the
     merged trace is byte-identical across ``miniauction_workers`` >= 1.
+
+    ``pairs`` is the enclosing clear's
+    :class:`~repro.core.cluster_allocation.PairChecks`; it serves the
+    in-process tasks only and never crosses the pickle boundary.
     """
     capture = (
         obs is not None
@@ -309,9 +325,11 @@ def clear_auctions_scheduled(
                         captured = list(pool.map(_clear_task_captured, tasks))
                     except (OSError, PermissionError):  # pragma: no cover
                         lease.fail()
-                        captured = [_clear_task_captured(t) for t in tasks]
+                        captured = [
+                            _clear_task_captured(t, pairs) for t in tasks
+                        ]
                 else:
-                    captured = [_clear_task_captured(t) for t in tasks]
+                    captured = [_clear_task_captured(t, pairs) for t in tasks]
                 first_error: Optional[BaseException] = None
                 wave_results = []
                 for value, payload, error in captured:
@@ -327,15 +345,15 @@ def clear_auctions_scheduled(
                     wave_results = list(pool.map(_clear_task, tasks))
                 except (OSError, PermissionError):  # pragma: no cover
                     lease.fail()
-                    wave_results = [_clear_task(task) for task in tasks]
+                    wave_results = [_clear_task(task, pairs) for task in tasks]
             elif (
                 config.engine == "vectorized"
                 and config.enable_trade_reduction
                 and tasks
             ):
-                wave_results = _clear_wave_batched(tasks)
+                wave_results = _clear_wave_batched(tasks, pairs)
             else:
-                wave_results = [_clear_task(task) for task in tasks]
+                wave_results = [_clear_task(task, pairs) for task in tasks]
             for index, result in zip(wave, wave_results):
                 results[index] = result
                 consumed_requests |= result.participant_requests

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.cluster_allocation import (
     ClusterAllocation,
     OfferCapacity,
+    PairChecks,
     allocate_cluster,
     greedy_fit,
 )
@@ -56,6 +57,7 @@ def _live_allocations(
     consumed_requests: Set[str],
     consumed_offers: Set[str],
     config: AuctionConfig,
+    pairs: Optional[PairChecks] = None,
 ) -> List[ClusterAllocation]:
     """Re-run greedy allocation on still-available participants.
 
@@ -111,7 +113,7 @@ def _live_allocations(
         live.append(
             allocate_cluster(
                 cluster, requests, offers, config, capacity=capacity,
-                taken_requests=taken, economics=economics,
+                taken_requests=taken, economics=economics, pairs=pairs,
             )
         )
     return live
@@ -126,6 +128,7 @@ def _final_fit(
     taken: Set[str],
     config: AuctionConfig,
     rng: random.Random,
+    pairs: PairChecks,
 ) -> List[Tuple[Request, Offer]]:
     """Re-fit one cluster at the clearing price (with randomization)."""
     epsilon = config.price_epsilon
@@ -148,6 +151,7 @@ def _final_fit(
         min_value=price,
         max_cost=price,
         epsilon=epsilon,
+        pairs=pairs,
     )
     if not config.enable_randomization:
         return matches
@@ -200,6 +204,7 @@ def _final_fit(
         min_value=price,
         max_cost=price,
         epsilon=epsilon,
+        pairs=pairs,
     )
 
 
@@ -213,6 +218,7 @@ def clear_mini_auction(
     rng: random.Random,
     live: Optional[List[ClusterAllocation]] = None,
     pooled: Optional[PriceResult] = None,
+    pairs: Optional[PairChecks] = None,
 ) -> ClearingResult:
     """Run Alg. 4 for one mini-auction against live participants.
 
@@ -220,12 +226,16 @@ def clear_mini_auction(
     a wave the auctions are participant-disjoint, so the vectorized
     engine re-fits all their clusters and prices every auction in one
     batched pass (``pooled_prices_batch``) before clearing each one.
+    ``pairs`` is the enclosing clear's :class:`PairChecks`; a call
+    without one (a pooled worker task) builds its own.
     """
     result = ClearingResult()
+    if pairs is None:
+        pairs = PairChecks()
     if live is None:
         live = _live_allocations(
             auction, request_by_id, offer_by_id, consumed_requests,
-            consumed_offers, config,
+            consumed_offers, config, pairs,
         )
     tentative: List[Tuple[ClusterAllocation, Request, Offer]] = [
         (allocation, request, offer)
@@ -277,7 +287,7 @@ def clear_mini_auction(
             capacity = OfferCapacity([])
         for request, offer in _final_fit(
             allocation, price, excluded_client, excluded_provider,
-            capacity, taken, config, rng,
+            capacity, taken, config, rng, pairs,
         ):
             final.append((allocation, request, offer))
 

@@ -74,7 +74,15 @@ def sign(secret: int, message: bytes) -> Tuple[int, int]:
 
 
 def verify(public: int, message: bytes, signature: Tuple[int, int]) -> bool:
-    """Check a signature against ``public`` and ``message``."""
+    """Check a signature against ``public`` and ``message``.
+
+    A ``public`` outside ``(1, P)`` is rejected outright: 0 and the
+    multiples of ``P`` make the recomputed commitment 0 whatever the
+    response, and 1 is the key of the known secret 0 — each verifies a
+    signature anyone can compute without a secret.
+    """
+    if not (isinstance(public, int) and 1 < public < P):
+        return False
     try:
         challenge, response = signature
     except (TypeError, ValueError):

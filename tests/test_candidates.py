@@ -330,6 +330,46 @@ class TestNetworkZones:
         assert priority[0, eu_col] < priority[0, us_col]
 
 
+class TestBoundaryTies:
+    """Only contenders reach the global ranking; score ties at the
+    ``breadth``-th place must all stay in for the §IV-D rule to settle."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 2048])
+    def test_tie_across_groups_resolved_by_submission_order(self, chunk_size):
+        # One clear winner, then three offers tying for second place —
+        # spread over both zone groups, with the earliest submission in
+        # the group examined *last* — and one offer strictly below.
+        spec = [
+            ("a-top", "za", 5.0, 8.0),
+            ("a-tie", "za", 3.0, 4.0),
+            ("b-tie-late", "zb", 2.0, 4.0),
+            ("b-tie-early", "zb", 1.0, 4.0),
+            ("b-low", "zb", 0.0, 2.0),
+        ]
+        offers = [
+            make_offer(offer_id=oid, location=zone, submit_time=t,
+                       resources={"cpu": cpu})
+            for oid, zone, t, cpu in spec
+        ]
+        requests = [
+            make_request(request_id=f"r{i}", location="za",
+                         resources={"cpu": 2.0})
+            for i in range(3)
+        ]
+        maxima = block_maxima(requests, offers)
+        generator = NetworkZoneGenerator(verify="full", chunk_size=chunk_size)
+        result = generator.generate(requests, offers, maxima, 2)
+
+        assert len(result.groups) == 2
+        assert result.best_sets == _reference_sets(requests, offers, maxima, 2)
+        assert result.best_sets[0] == frozenset({"a-top", "b-tie-early"})
+        for request, certificate in zip(requests, result.certificates):
+            assert len(certificate.admitted_groups) == 2  # ties never pruned
+            ranked = sorted(tie_rank_key(request, o, maxima) for o in offers)
+            assert ranked[1] == ranked[2][:1] + (1.0, "b-tie-early")  # a tie
+            assert certificate.threshold == (-ranked[1][0], 1.0, "b-tie-early")
+
+
 class TestTieRankKey:
     def test_matches_reference_order(self):
         requests, offers = _market(n_requests=1, n_offers=6)

@@ -1,11 +1,15 @@
 """Unit tests for capacity tracking and greedy in-cluster allocation."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from repro.core import cluster_allocation
+from repro.core.auction import DecloudAuction
 from repro.core.cluster_allocation import (
     OfferCapacity,
+    PairChecks,
     allocate_cluster,
     greedy_fit,
     sorted_offers,
@@ -14,7 +18,11 @@ from repro.core.cluster_allocation import (
 from repro.core.clustering import Cluster
 from repro.core.config import AuctionConfig
 from repro.core.normalization import compute_economics
+from repro.core.outcome import canonical_outcome
+from repro.core.welfare import resource_fraction
 from repro.common.timewindow import TimeWindow
+from repro.market.feasibility import is_feasible
+from repro.workloads.generators import generate_market
 from tests.conftest import make_offer, make_request
 
 CONFIG = AuctionConfig()
@@ -243,3 +251,70 @@ class TestAllocateCluster:
             _cluster_for(requests, offers), requests, offers, CONFIG
         )
         assert allocation.tentative_welfare > 0
+
+
+class TestPairChecks:
+    """The per-clear memo of ``greedy_fit``'s capacity-independent checks."""
+
+    @staticmethod
+    def _record_calls(monkeypatch):
+        asked = Counter()
+
+        def feasible(request, offer):
+            asked["feasible", request.request_id, offer.offer_id] += 1
+            return is_feasible(request, offer)
+
+        def fraction(request, offer):
+            asked["fraction", request.request_id, offer.offer_id] += 1
+            return resource_fraction(request, offer)
+
+        monkeypatch.setattr(cluster_allocation, "is_feasible", feasible)
+        monkeypatch.setattr(cluster_allocation, "resource_fraction", fraction)
+        return asked
+
+    def test_answers_are_the_direct_ones_for_every_pair_a_refit_asks(
+        self, monkeypatch
+    ):
+        requests, offers = generate_market(40, seed=5)
+        request_by_id = {r.request_id: r for r in requests}
+        offer_by_id = {o.offer_id: o for o in offers}
+        economics = compute_economics(requests, offers, CONFIG)
+        asked = self._record_calls(monkeypatch)
+        pairs = PairChecks()
+        fits = [
+            greedy_fit(
+                sorted_requests(requests, economics),
+                sorted_offers(offers, economics),
+                economics, OfferCapacity(offers), set(), pairs=pairs,
+            )
+            for _ in range(3)
+        ]
+        assert fits[0] and fits[0] == fits[1] == fits[2]
+        assert set(asked.values()) == {1}  # the re-fits asked the memo
+        for check, request_id, offer_id in asked:
+            request, offer = request_by_id[request_id], offer_by_id[offer_id]
+            if check == "feasible":
+                assert pairs.feasible(request, offer) is is_feasible(request, offer)
+            else:
+                assert pairs.fraction(request, offer) == resource_fraction(
+                    request, offer
+                )
+        assert set(asked.values()) == {1}  # ... and so did the loop above
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_one_evaluation_per_pair_per_run_and_runs_share_nothing(
+        self, monkeypatch, engine, workers
+    ):
+        requests, offers = generate_market(60, seed=11)
+        asked = self._record_calls(monkeypatch)
+        auction = DecloudAuction(
+            AuctionConfig(engine=engine, miniauction_workers=workers)
+        )
+        first = auction.run(requests, offers)
+        once = dict(asked)
+        assert first.matches and once
+        assert set(once.values()) == {1}
+        second = auction.run(requests, offers)
+        assert asked == {key: 2 for key in once}
+        assert canonical_outcome(second) == canonical_outcome(first)

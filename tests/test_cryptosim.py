@@ -78,6 +78,33 @@ class TestSchnorrSignatures:
         assert not schnorr.verify(keypair.public, b"m", "garbage")  # type: ignore[arg-type]
         assert not schnorr.verify(keypair.public, b"m", (-1, 5))
 
+    @pytest.mark.parametrize(
+        "public", [0, 1, schnorr.P, 2 * schnorr.P], ids=["0", "1", "P", "2P"]
+    )
+    def test_degenerate_public_key_cannot_forge(self, public):
+        # With public in {0, P, 2P} the recomputed commitment is 0 whatever
+        # the response; with public = 1 it is G^response.  Either way the
+        # matching challenge is computable with no secret at all.
+        response = 12345
+        commitment = 0 if public != 1 else pow(schnorr.G, response, schnorr.P)
+        challenge = (
+            schnorr._hash_to_int(
+                b"chal",
+                commitment.to_bytes(160, "big"),
+                public.to_bytes(160, "big"),
+                b"any message",
+            )
+            % schnorr.Q
+        )
+        assert not schnorr.verify(public, b"any message", (challenge, response))
+
+    def test_out_of_range_public_key_rejected_not_raised(self):
+        signature = schnorr.sign(schnorr.KeyPair.generate(seed=b"k1").secret, b"m")
+        assert not schnorr.verify(-5, b"m", signature)  # no OverflowError escapes
+        assert not schnorr.verify(schnorr.P + 4, b"m", signature)
+        for public in (None, "4", 4.0, b"\x04"):
+            assert not schnorr.verify(public, b"m", signature)  # type: ignore[arg-type]
+
     def test_require_valid_raises(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
         with pytest.raises(SignatureError):

@@ -233,3 +233,23 @@ class TestMempool:
         bad = dataclasses.replace(tx, sender_id="mallory")
         with pytest.raises(SignatureError):
             pool.submit(bad)
+
+    def test_forged_signature_under_degenerate_key_rejected(self):
+        # public = 0 makes the verifier's commitment 0 for any response,
+        # so this "signature" needs no secret; admission must refuse it.
+        tx, _ = _tx()
+        unsigned = dataclasses.replace(tx, sender_id="mallory", sender_public=0)
+        challenge = (
+            schnorr._hash_to_int(
+                b"chal",
+                (0).to_bytes(160, "big"),
+                (0).to_bytes(160, "big"),
+                unsigned.signing_payload(),
+            )
+            % schnorr.Q
+        )
+        forged = dataclasses.replace(unsigned, signature=(challenge, 7))
+        pool = Mempool()
+        with pytest.raises(SignatureError):
+            pool.submit(forged)
+        assert len(pool) == 0
