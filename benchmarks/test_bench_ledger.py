@@ -1,10 +1,16 @@
-"""Ledger-layer benchmarks: PoW solving and a full protocol round.
+"""Ledger-layer benchmarks: PoW solving, admission crypto and a full
+protocol round.
 
 ``test_bench_pow_naive_rebuild`` times the pre-optimization mining loop
 (re-concatenating ``payload + nonce.to_bytes(8, "big")`` every attempt)
 against the same puzzle, so the benchmark report shows what the hoisted
 payload buffer in :func:`repro.ledger.pow.solve` buys; the speedup test
 pins that win and asserts both loops find the identical nonce.
+
+The Schnorr benches time one ``sign`` and one ``verify`` of a sealed-bid
+sized payload with the generator table already built (a node builds it
+once); the admission bench is what one miner pays to admit a 200-bid
+block's worth of gossip, every bid arriving twice.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import hashlib
 import time
 
 from repro.common.timewindow import TimeWindow
+from repro.cryptosim import schnorr
 from repro.ledger import pow as pow_mod
+from repro.ledger.miner import Miner, make_sealed_bid
 from repro.market.bids import Offer, Request
 from repro.protocol.exposure import Participant, build_miner_network
 
@@ -67,6 +75,46 @@ def test_pow_hoisted_payload_speedup():
         f"hoisted PoW loop is not faster than the naive rebuild "
         f"({speedup:.2f}x)"
     )
+
+
+SIGN_MESSAGE = hashlib.sha256(b"sealed-bid-payload").digest()
+ADMISSION_BIDS = 200
+
+
+def test_bench_schnorr_sign(benchmark):
+    keypair = schnorr.KeyPair.generate(seed=b"bench-signer")
+    signature = benchmark(schnorr.sign, keypair.secret, SIGN_MESSAGE)
+    assert schnorr.verify(keypair.public, SIGN_MESSAGE, signature)
+
+
+def test_bench_schnorr_verify(benchmark):
+    keypair = schnorr.KeyPair.generate(seed=b"bench-signer")
+    signature = schnorr.sign(keypair.secret, SIGN_MESSAGE)
+    assert benchmark(schnorr.verify, keypair.public, SIGN_MESSAGE, signature)
+
+
+def test_bench_mempool_admission(benchmark):
+    bids = [
+        make_sealed_bid(
+            sender_id=f"bidder-{i}",
+            keypair=schnorr.KeyPair.generate(seed=f"bidder-{i}".encode()),
+            plaintext=b"x" * 256,
+            temp_key=bytes([i]) * 32,
+            nonce=bytes([i]) * 16,
+            blind=bytes([i]) * 32,
+        )[0]
+        for i in range(ADMISSION_BIDS)
+    ]
+
+    def admit():
+        # a fresh node each round: nothing is verified before it arrives
+        miner = Miner(miner_id="bench", allocate=lambda plaintexts, evidence: {})
+        for tx in bids + bids:  # each bid is gossiped twice
+            miner.mempool.submit(tx)
+        return miner
+
+    miner = benchmark.pedantic(admit, rounds=3, iterations=1)
+    assert len(miner.mempool) == len(miner.signatures) == ADMISSION_BIDS
 
 
 def test_bench_protocol_round(benchmark):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.common.errors import ValidationError
 
@@ -37,6 +36,10 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> Summary:
     mean = float(arr.mean())
     if arr.size == 1:
         return Summary(mean=mean, std=0.0, ci_low=mean, ci_high=mean, count=1)
+    # imported here: node processes import this package through
+    # ``repro.sim`` and never summarize, so they should not load scipy
+    from scipy import stats as scipy_stats
+
     std = float(arr.std(ddof=1))
     sem = std / math.sqrt(arr.size)
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2, df=arr.size - 1))

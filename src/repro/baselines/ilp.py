@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.common.errors import AuctionError
 from repro.core.welfare import pair_welfare, resource_fraction
@@ -62,6 +61,10 @@ def optimal_allocation_ilp(
     the heuristics).  Raises :class:`AuctionError` only when no feasible
     solution was found at all.
     """
+    # imported here: ``repro.sim`` imports this package on behalf of
+    # node processes that never solve the ILP and should not load scipy
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     pairs = _candidate_pairs(requests, offers)
     if not pairs:
         return 0.0, []

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from repro.common.errors import InvalidBlockError
+from repro.cryptosim import schnorr
 from repro.ledger.block import GENESIS_PARENT, Block
 from repro.ledger.pow import DEFAULT_DIFFICULTY_BITS
 
@@ -24,6 +25,10 @@ class Blockchain:
         #: type): every append is logged *before* it takes effect, so a
         #: crashed node recovers exactly the blocks it durably committed
         self.journal = None
+        #: signatures already verified here; a ``Miner`` replaces it with
+        #: the node's own cache, so bids it verified at admission are not
+        #: verified again per block
+        self.signatures = schnorr.SignatureCache()
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -63,7 +68,7 @@ class Blockchain:
         if not preamble.check_pow(self.difficulty_bits):
             raise InvalidBlockError("proof-of-work check failed")
         for tx in preamble.transactions:
-            if not tx.verify_signature():
+            if not tx.verify_signature(self.signatures):
                 raise InvalidBlockError(
                     f"transaction from {tx.sender_id} in block "
                     f"{preamble.height} has an invalid signature"

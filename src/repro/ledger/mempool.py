@@ -12,6 +12,7 @@ from collections import OrderedDict
 from typing import List
 
 from repro.common.errors import SignatureError
+from repro.cryptosim import schnorr
 from repro.ledger.transaction import SealedBidTransaction
 
 
@@ -25,6 +26,10 @@ class Mempool:
         #: type): admissions are logged before insertion so a crashed
         #: node's pending bids survive a restart
         self.journal = None
+        #: signatures already verified here; a ``Miner`` replaces it with
+        #: the node's own cache, so a signature verified at admission is
+        #: not verified again in the block
+        self.signatures = schnorr.SignatureCache()
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -37,7 +42,7 @@ class Mempool:
 
         Re-submission of an identical transaction is idempotent.
         """
-        tx.require_valid()
+        tx.require_valid(self.signatures)
         txid = tx.txid()
         if txid not in self._pending:
             if len(self._pending) >= self.max_size:

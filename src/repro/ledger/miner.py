@@ -45,6 +45,10 @@ class Miner:
     clock: Callable[[], float] = time.monotonic
     #: preambles seen this node, by preamble hash (idempotent ingestion)
     preamble_inbox: Dict[str, BlockPreamble] = field(default_factory=dict)
+    #: each seen preamble's transactions by txid (what a reveal must open)
+    _preamble_txs: Dict[str, Dict[str, SealedBidTransaction]] = field(
+        default_factory=dict
+    )
     #: screened key reveals per preamble hash, keyed by txid
     reveal_inbox: Dict[str, Dict[str, KeyReveal]] = field(default_factory=dict)
     #: reveals rejected at admission: (reveal, reason) — Byzantine evidence
@@ -55,6 +59,9 @@ class Miner:
     #: and mempool admissions journal through it, making this node
     #: crash-recoverable via ``store.recover()``
     store: Optional[object] = None
+    #: signatures this node has verified; its mempool and chain consult
+    #: it so a sealed bid costs one verification per node, not three
+    signatures: schnorr.SignatureCache = field(init=False)
 
     def __post_init__(self) -> None:
         if self.keypair is None:
@@ -63,6 +70,9 @@ class Miner:
             )
         if self.chain is None:
             self.chain = Blockchain(difficulty_bits=self.difficulty_bits)
+        # always a fresh one: no two nodes can be built around one cache
+        self.signatures = schnorr.SignatureCache()
+        self.mempool.signatures = self.chain.signatures = self.signatures
         if self.store is not None:
             self.store.attach(chain=self.chain, mempool=self.mempool)
 
@@ -99,6 +109,10 @@ class Miner:
         if phash in self.preamble_inbox:
             return False
         self.preamble_inbox[phash] = preamble
+        # first occurrence wins, as a scan of the preamble would find it
+        self._preamble_txs[phash] = {
+            tx.txid(): tx for tx in reversed(preamble.transactions)
+        }
         self.reveal_inbox.setdefault(phash, {})
         for reveal in self._unscreened.pop(phash, {}).values():
             self.accept_reveal(phash, reveal)
@@ -113,8 +127,8 @@ class Miner:
         as if the key had been withheld (the bid drops out; the round
         survives).  Returns True when the reveal is newly admitted.
         """
-        preamble = self.preamble_inbox.get(preamble_hash)
-        if preamble is None:
+        transactions = self._preamble_txs.get(preamble_hash)
+        if transactions is None:
             # Reveal raced ahead of its preamble: stash for later screening.
             self._unscreened.setdefault(preamble_hash, {}).setdefault(
                 reveal.txid, reveal
@@ -123,10 +137,7 @@ class Miner:
         inbox = self.reveal_inbox.setdefault(preamble_hash, {})
         if reveal.txid in inbox:
             return False
-        tx = next(
-            (t for t in preamble.transactions if t.txid() == reveal.txid),
-            None,
-        )
+        tx = transactions.get(reveal.txid)
         if tx is None:
             self.rejected_reveals.append((reveal, "unknown txid"))
             return False

@@ -10,7 +10,7 @@ what is inside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.common.errors import SignatureError
 from repro.cryptosim import hashing, schnorr
@@ -53,14 +53,21 @@ class SealedBidTransaction:
         """Cached canonical byte encoding (the signed payload)."""
         return self.signing_payload()
 
-    def verify_signature(self) -> bool:
-        """Check the Schnorr signature over the sealed payload."""
-        return schnorr.verify(
-            self.sender_public, self.signing_payload(), self.signature
-        )
+    def verify_signature(
+        self, cache: Optional[schnorr.SignatureCache] = None
+    ) -> bool:
+        """Check the Schnorr signature over the sealed payload.
 
-    def require_valid(self) -> None:
-        if not self.verify_signature():
+        A node passes its own ``cache`` so that it verifies the
+        transaction once, however often it meets it.
+        """
+        check = schnorr.verify if cache is None else cache.verify
+        return check(self.sender_public, self.signing_payload(), self.signature)
+
+    def require_valid(
+        self, cache: Optional[schnorr.SignatureCache] = None
+    ) -> None:
+        if not self.verify_signature(cache):
             raise SignatureError(
                 f"transaction from {self.sender_id} has an invalid signature"
             )

@@ -29,6 +29,7 @@ from repro.common.errors import (
     ContractError,
     LedgerError,
     RecoveryError,
+    SignatureError,
     StoreError,
 )
 from repro.cryptosim import hashing
@@ -399,8 +400,13 @@ class NodeStore:
                 raise RecoveryError(
                     f"snapshot chain failed validation: {exc}"
                 ) from exc
-            for tx_data in state["mempool"]:
-                mempool.submit(records.decode_tx({"tx": tx_data}))
+            try:
+                for tx_data in state["mempool"]:
+                    mempool.submit(records.decode_tx({"tx": tx_data}))
+            except SignatureError as exc:
+                raise RecoveryError(
+                    f"snapshot mempool failed validation: {exc}"
+                ) from exc
             ledger.balances.update(state["ledger"]["balances"])
             for entry in state["ledger"]["escrows"]:
                 ledger._restore_escrow(
@@ -421,9 +427,13 @@ class NodeStore:
                 round_phases[last_round["round"]] = dict(last_round)
         else:
             chain = Blockchain(difficulty_bits=difficulty_bits)
+        # One recovery is one node: every signature is verified from the
+        # logged bytes, once — a bid's admission record and the block
+        # that includes it share the verification.
+        chain.signatures = mempool.signatures
 
         replayed = 0
-        for record in self.wal.records(after_seq=last_seq):
+        for record in self.wal.replay(after_seq=last_seq):
             replayed += 1
             last_round = self._replay_record(
                 record,
@@ -499,7 +509,7 @@ class NodeStore:
                 raise RecoveryError(
                     f"unknown record type {rtype!r} at seq {record['seq']}"
                 )
-        except (LedgerError, ContractError) as exc:
+        except (LedgerError, ContractError, SignatureError) as exc:
             raise RecoveryError(
                 f"replaying {rtype} record seq {record['seq']} failed: {exc}"
             ) from exc

@@ -33,7 +33,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import CorruptRecordError, StoreError
 
@@ -82,81 +82,90 @@ class ScanResult:
         return self.tail_error is None
 
 
-def scan_frames(data: bytes) -> ScanResult:
-    """Decode the longest valid frame prefix of ``data``.
+def iter_frames(data) -> Iterator[Tuple[Dict[str, Any], int, int]]:
+    """Yield ``(record, start, end)`` for each valid frame of ``data``.
 
-    Stops at the first torn or corrupt frame and reports it via
-    ``tail_error`` — by design there is no resynchronization: a frame at
-    or after the first bad byte could be a half-written record, so
+    ``data`` is any bytes-like buffer; nothing but the current frame's
+    payload is copied out of it.  It is held through a ``memoryview``
+    until the iterator finishes or is closed, so a ``bytearray`` that is
+    appended to or truncated meanwhile raises ``BufferError`` instead of
+    moving under the scan.  The first torn or corrupt frame raises
+    :class:`CorruptRecordError`, whose ``offset`` is the byte length of
+    the valid prefix — by design there is no resynchronization: a frame
+    at or after the first bad byte could be a half-written record, so
     trusting anything beyond it could resurrect state that was never
     durably committed.
     """
-    records: List[Dict[str, Any]] = []
-    frames: List[bytes] = []
-    offset = 0
-    error: Optional[CorruptRecordError] = None
-    total = len(data)
-    while offset < total:
-        if total - offset < HEADER_SIZE:
-            error = CorruptRecordError(
-                f"torn frame header at offset {offset}",
-                offset=offset,
-                reason="torn header",
-            )
-            break
-        magic, length, crc = _HEADER.unpack_from(data, offset)
-        if magic != MAGIC:
-            error = CorruptRecordError(
-                f"bad frame magic at offset {offset}",
-                offset=offset,
-                reason="bad magic",
-            )
-            break
-        if length > MAX_RECORD_BYTES:
-            error = CorruptRecordError(
-                f"implausible frame length {length} at offset {offset}",
-                offset=offset,
-                reason="bad length",
-            )
-            break
-        start = offset + HEADER_SIZE
-        end = start + length
-        if end > total:
-            error = CorruptRecordError(
-                f"torn frame payload at offset {offset}",
-                offset=offset,
-                reason="torn payload",
-            )
-            break
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            error = CorruptRecordError(
-                f"CRC mismatch at offset {offset}",
-                offset=offset,
-                reason="crc mismatch",
-            )
-            break
-        try:
-            envelope = json.loads(payload.decode("utf-8"))
-            seq = envelope["seq"]
-            record_type = envelope["type"]
-            record_data = envelope["data"]
-        except (ValueError, KeyError, TypeError):
-            error = CorruptRecordError(
-                f"undecodable record envelope at offset {offset}",
-                offset=offset,
-                reason="bad envelope",
-            )
-            break
-        records.append({"seq": seq, "type": record_type, "data": record_data})
-        frames.append(data[offset:end])
-        offset = end
-    return ScanResult(
-        records=records,
-        good_length=offset,
-        tail_error=error,
-        frames=frames,
-    )
+    with memoryview(data) as view:
+        offset = 0
+        total = len(view)
+        while offset < total:
+            if total - offset < HEADER_SIZE:
+                raise CorruptRecordError(
+                    f"torn frame header at offset {offset}",
+                    offset=offset,
+                    reason="torn header",
+                )
+            magic, length, crc = _HEADER.unpack_from(view, offset)
+            if magic != MAGIC:
+                raise CorruptRecordError(
+                    f"bad frame magic at offset {offset}",
+                    offset=offset,
+                    reason="bad magic",
+                )
+            if length > MAX_RECORD_BYTES:
+                raise CorruptRecordError(
+                    f"implausible frame length {length} at offset {offset}",
+                    offset=offset,
+                    reason="bad length",
+                )
+            start = offset + HEADER_SIZE
+            end = start + length
+            if end > total:
+                raise CorruptRecordError(
+                    f"torn frame payload at offset {offset}",
+                    offset=offset,
+                    reason="torn payload",
+                )
+            payload = bytes(view[start:end])
+            if zlib.crc32(payload) != crc:
+                raise CorruptRecordError(
+                    f"CRC mismatch at offset {offset}",
+                    offset=offset,
+                    reason="crc mismatch",
+                )
+            try:
+                envelope = json.loads(payload.decode("utf-8"))
+                record = {
+                    "seq": envelope["seq"],
+                    "type": envelope["type"],
+                    "data": envelope["data"],
+                }
+            except (ValueError, KeyError, TypeError):
+                raise CorruptRecordError(
+                    f"undecodable record envelope at offset {offset}",
+                    offset=offset,
+                    reason="bad envelope",
+                ) from None
+            yield record, offset, end
+            offset = end
+
+
+def scan_frames(data) -> ScanResult:
+    """Decode the longest valid frame prefix of ``data``.
+
+    Stops at the first torn or corrupt frame (see :func:`iter_frames`)
+    and reports it via ``tail_error`` instead of raising.
+    """
+    result = ScanResult(records=[], good_length=0)
+    try:
+        for record, start, end in iter_frames(data):
+            result.records.append(record)
+            result.frames.append(bytes(data[start:end]))
+            result.good_length = end
+    except CorruptRecordError as error:
+        result.tail_error = error
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +182,12 @@ class MemoryLogBackend:
 
     def read(self) -> bytes:
         return bytes(self._data)
+
+    def view(self) -> bytearray:
+        """The log's own buffer, lent for reading: no copy is made, and
+        while :func:`iter_frames` holds it an append or a truncate raises
+        ``BufferError``."""
+        return self._data
 
     def truncate_to(self, length: int) -> None:
         del self._data[length:]
@@ -217,6 +232,10 @@ class FileLogBackend:
         self._handle.flush()
         with open(self.path, "rb") as handle:
             return handle.read()
+
+    def view(self) -> bytes:
+        """Bytes to scan (see :meth:`MemoryLogBackend.view`): one read."""
+        return self.read()
 
     def truncate_to(self, length: int) -> None:
         self._handle.flush()
@@ -267,11 +286,8 @@ class WriteAheadLog:
     ) -> None:
         self.backend = backend if backend is not None else MemoryLogBackend()
         self.crash_point = crash_point
-        existing = self.scan()
-        self._next_seq = (
-            existing.records[-1]["seq"] + 1 if existing.records else 0
-        )
-        self._tail_damaged = not existing.clean
+        self._next_seq, good_length = self._survey()
+        self._tail_damaged = good_length != self.backend.size()
         #: appends performed through *this* handle (crash-matrix sizing)
         self.append_count = 0
 
@@ -307,31 +323,51 @@ class WriteAheadLog:
         self._next_seq = seq + 1
         return seq
 
+    def _survey(self) -> Tuple[int, int]:
+        """One streaming pass over the log: the next ``seq`` and the byte
+        length of the valid prefix (anything beyond it is damage)."""
+        next_seq = good_length = 0
+        try:
+            for record, _start, end in iter_frames(self.backend.view()):
+                next_seq = record["seq"] + 1
+                good_length = end
+        except CorruptRecordError:
+            pass
+        return next_seq, good_length
+
     def scan(self, strict: bool = False) -> ScanResult:
         """Decode the longest valid prefix; ``strict`` raises on damage."""
-        result = scan_frames(self.backend.read())
+        result = scan_frames(self.backend.view())
         if strict and result.tail_error is not None:
             raise result.tail_error
         return result
 
+    def replay(self, after_seq: int = -1) -> Iterator[Dict[str, Any]]:
+        """Stream the valid records with ``seq > after_seq`` in order.
+
+        What :meth:`records` returns, decoded one frame at a time from
+        the backend's bytes: recovery never holds the whole log twice.
+        Nothing may append to or truncate the log while the iterator is
+        open; the in-memory backend refuses with ``BufferError``.
+        """
+        try:
+            for record, _start, _end in iter_frames(self.backend.view()):
+                if record["seq"] > after_seq:
+                    yield record
+        except CorruptRecordError:
+            return  # a torn tail ends the replay, as it ends a scan
+
     def records(self, after_seq: int = -1) -> List[Dict[str, Any]]:
         """Valid records with ``seq > after_seq`` (tolerates a torn tail)."""
-        return [
-            record
-            for record in self.scan().records
-            if record["seq"] > after_seq
-        ]
+        return list(self.replay(after_seq))
 
     def truncate_tail(self) -> int:
         """Discard any torn/corrupt tail; returns the bytes dropped."""
-        result = self.scan()
-        dropped = self.backend.size() - result.good_length
+        self._next_seq, good_length = self._survey()
+        dropped = self.backend.size() - good_length
         if dropped:
-            self.backend.truncate_to(result.good_length)
+            self.backend.truncate_to(good_length)
         self._tail_damaged = False
-        self._next_seq = (
-            result.records[-1]["seq"] + 1 if result.records else 0
-        )
         return dropped
 
     def compact(self, upto_seq: int) -> int:

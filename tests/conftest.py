@@ -68,3 +68,21 @@ def request_factory():
 @pytest.fixture
 def offer_factory():
     return make_offer
+
+
+@pytest.fixture
+def schnorr_verify_calls(monkeypatch):
+    """Every ``schnorr.verify`` call made while the test runs, as
+    ``(public, message, signature)`` — what a ``SignatureCache`` hit
+    must never add to."""
+    from repro.cryptosim import schnorr
+
+    calls = []
+    real = schnorr.verify
+
+    def counting(public, message, signature):
+        calls.append((public, message, signature))
+        return real(public, message, signature)
+
+    monkeypatch.setattr(schnorr, "verify", counting)
+    return calls

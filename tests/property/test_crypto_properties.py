@@ -67,6 +67,141 @@ class TestSchnorrProperties:
         assert not schnorr.verify(keypair.public, other, signature)
 
 
+# ----------------------------------------------------------------------
+# The textbook formulas ``repro.cryptosim.schnorr`` computed before the
+# fixed-base table and the negative-exponent inverse.  They live here
+# only: the oracle the production kernel must agree with bit for bit.
+# ----------------------------------------------------------------------
+P, Q, G = schnorr.P, schnorr.Q, schnorr.G
+
+
+def _challenge(commitment: int, public: int, message: bytes) -> int:
+    return (
+        schnorr._hash_to_int(
+            b"chal",
+            commitment.to_bytes(160, "big"),
+            public.to_bytes(160, "big"),
+            message,
+        )
+        % Q
+    )
+
+
+def oracle_sign(secret: int, message: bytes):
+    nonce = (
+        schnorr._hash_to_int(b"nonce", secret.to_bytes(160, "big"), message)
+        % (Q - 1)
+        + 1
+    )
+    challenge = _challenge(pow(G, nonce, P), pow(G, secret, P), message)
+    return challenge, (nonce + challenge * secret) % Q
+
+
+def oracle_verify(public: int, message: bytes, signature) -> bool:
+    if not (isinstance(public, int) and 1 < public < P):
+        return False
+    challenge, response = signature
+    if not (0 <= challenge < Q and 0 <= response < Q):
+        return False
+    commitment = (
+        pow(G, response, P) * pow(pow(public, challenge, P), P - 2, P)
+    ) % P
+    return _challenge(commitment, public, message) == challenge
+
+
+seeds = st.binary(min_size=1, max_size=16)
+messages = st.binary(min_size=0, max_size=256)
+bit = st.integers(min_value=0, max_value=10_000)
+
+
+class TestSchnorrAgainstTextbookFormulas:
+    @given(seed=seeds, message=messages)
+    @settings(max_examples=25, deadline=None)
+    def test_sign_bit_identical(self, seed, message):
+        keypair = schnorr.KeyPair.generate(seed=seed)
+        assert keypair.public == pow(G, keypair.secret, P)
+        assert schnorr.sign(keypair.secret, message) == oracle_sign(
+            keypair.secret, message
+        )
+
+    def test_sign_bit_identical_for_full_width_secrets(self):
+        # seeded keys are 256-bit; ``KeyPair.generate()`` draws up to Q-1
+        for secret in (1, Q - 1, Q // 3, (1 << 1022) + 12345):
+            assert schnorr.sign(secret, b"m") == oracle_sign(secret, b"m")
+
+    @given(seed=seeds, message=st.binary(min_size=1, max_size=64),
+           flips=st.tuples(bit, bit, bit, bit))
+    @settings(max_examples=25, deadline=None)
+    def test_verify_agrees_on_valid_and_bit_flipped(self, seed, message, flips):
+        keypair = schnorr.KeyPair.generate(seed=seed)
+        challenge, response = oracle_sign(keypair.secret, message)
+        flipped_message = bytearray(message)
+        flipped_message[flips[0] % len(message)] ^= 1 << (flips[0] % 8)
+        cases = [
+            (keypair.public, message, (challenge, response)),
+            (keypair.public, bytes(flipped_message), (challenge, response)),
+            (keypair.public, message, (challenge ^ (1 << flips[1] % 256), response)),
+            (keypair.public, message, (challenge, response ^ (1 << flips[2] % 512))),
+            (keypair.public ^ (1 << flips[3] % 1024), message, (challenge, response)),
+        ]
+        verdicts = [schnorr.verify(*case) for case in cases]
+        assert verdicts == [oracle_verify(*case) for case in cases]
+        assert verdicts[0] is True and not any(verdicts[1:4])
+
+    @given(seed=seeds, message=messages)
+    @settings(max_examples=10, deadline=None)
+    def test_verify_agrees_on_out_of_range_inputs(self, seed, message):
+        keypair = schnorr.KeyPair.generate(seed=seed)
+        challenge, response = oracle_sign(keypair.secret, message)
+        for signature in (
+            (challenge + Q, response),
+            (challenge, response + Q),
+            (Q, response),
+            (challenge, Q),
+            (-1, response),
+            (challenge, -1),
+            (0, 0),
+        ):
+            assert (
+                schnorr.verify(keypair.public, message, signature)
+                == oracle_verify(keypair.public, message, signature)
+                is False
+            )
+        for public in (0, 1, P, 2 * P, -1):
+            assert (
+                schnorr.verify(public, message, (challenge, response))
+                == oracle_verify(public, message, (challenge, response))
+                is False
+            )
+
+    @given(message=messages, public=st.integers(min_value=2, max_value=P - 1),
+           challenge=st.integers(min_value=0, max_value=Q - 1),
+           response=st.integers(min_value=0, max_value=Q - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_verify_agrees_on_arbitrary_in_range_triples(
+        self, message, public, challenge, response
+    ):
+        # includes keys outside the order-Q subgroup, where inverting by
+        # the subgroup order would differ from the true inverse
+        assert schnorr.verify(public, message, (challenge, response)) == (
+            oracle_verify(public, message, (challenge, response))
+        )
+
+    def test_fixed_base_power_edges_and_window_boundaries(self):
+        width = schnorr._WINDOW_BITS
+        exponents = {0, 1, Q - 1, Q, Q + 1, 2 * Q + 5}
+        for shift in range(0, Q.bit_length() + width, width):
+            exponents.update({(1 << shift) - 1, 1 << shift, (1 << shift) + 1})
+        exponents.add(((1 << width) - 1) << (Q.bit_length() - width))  # top row
+        for exponent in exponents:
+            assert schnorr._g_pow(exponent) == pow(G, exponent, P), exponent
+
+    @given(exponent=st.integers(min_value=0, max_value=Q - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_fixed_base_power_random(self, exponent):
+        assert schnorr._g_pow(exponent) == pow(G, exponent, P)
+
+
 class TestCommitmentProperties:
     @given(value=payloads)
     @settings(max_examples=50, deadline=None)

@@ -19,7 +19,7 @@ from repro.ledger.mempool import Mempool
 from repro.ledger.miner import make_sealed_bid
 from repro.cryptosim import schnorr
 from repro.protocol.settlement import TokenLedger
-from repro.store import NodeStore
+from repro.store import NodeStore, WriteAheadLog
 
 ACCOUNTS = ("alice", "bob", "carol")
 
@@ -43,6 +43,22 @@ def sealed_bid(i):
         blind=bytes([i % 256]) * 32,
     )
     return tx
+
+
+def assert_streaming_equals_scan(wal):
+    """The streaming passes recovery uses agree with the full ``scan``
+    on whatever bytes the backend holds right now."""
+    scan = wal.scan()
+    assert list(wal.replay()) == scan.records
+    middle = scan.records[len(scan.records) // 2]["seq"] if scan.records else 0
+    assert list(wal.replay(after_seq=middle)) == [
+        r for r in scan.records if r["seq"] > middle
+    ]
+    reopened = WriteAheadLog(wal.backend)
+    assert reopened.next_seq == (
+        scan.records[-1]["seq"] + 1 if scan.records else 0
+    )
+    return scan
 
 
 def apply_ops(store, ops, snapshot_at=frozenset()):
@@ -150,8 +166,11 @@ class TestTailCorruptionFuzz:
         for offset, mask in flips:
             raw[offset] ^= mask
         store.wal.backend.replace(bytes(raw))
+        scan = assert_streaming_equals_scan(store.wal)
 
         recovered = store.recover(difficulty_bits=4)  # must not raise
+        assert recovered.truncated_bytes == len(raw) - scan.good_length
+        assert recovered.replayed_records == len(scan.records)
         surviving = [
             (r["seq"], r["type"], r["data"]) for r in store.wal.records()
         ]
@@ -172,8 +191,11 @@ class TestTailCorruptionFuzz:
         size = store.wal.backend.size()
         cut = data.draw(st.integers(min_value=0, max_value=size - 1))
         store.wal.backend.truncate_to(cut)
+        scan = assert_streaming_equals_scan(store.wal)
 
         recovered = store.recover(difficulty_bits=4)  # must not raise
+        assert recovered.truncated_bytes == cut - scan.good_length
+        assert recovered.replayed_records == len(scan.records)
         surviving = [
             (r["seq"], r["type"], r["data"]) for r in store.wal.records()
         ]

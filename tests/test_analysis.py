@@ -130,3 +130,33 @@ class TestStats:
 
     def test_ratio_zero_denominator(self):
         assert ratio_of_sums([1.0], [0.0]) == 0.0
+
+
+class TestNodeProcessImports:
+    def test_node_layers_import_without_scipy(self):
+        # A miner/round process imports these and never summarizes runs
+        # or solves the ILP; scipy was 66 MiB and 0.8 s of its start-up.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "import repro.ledger, repro.protocol, repro.runtime, repro.store\n"
+            "import repro.sim.sustained\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded[:5]\n"
+            "from repro.analysis.stats import summarize\n"
+            "from repro.baselines.ilp import optimal_allocation_ilp\n"
+            "assert 'scipy' not in sys.modules\n"
+            "summarize([1.0, 2.0, 3.0])\n"
+            "assert 'scipy.stats' in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

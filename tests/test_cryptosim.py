@@ -105,10 +105,74 @@ class TestSchnorrSignatures:
         for public in (None, "4", 4.0, b"\x04"):
             assert not schnorr.verify(public, b"m", signature)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "signature",
+        [(1.0, 2.0), ("1", "2"), (None, None), (True, False), (1, 2.0), "ab"],
+        ids=["floats", "strings", "nones", "bools", "mixed", "2-char str"],
+    )
+    def test_non_integer_components_rejected_not_raised(self, signature):
+        # A frame off the wire can carry anything: each of these used to
+        # reach ``pow`` or the range comparison and raise TypeError.
+        keypair = schnorr.KeyPair.generate(seed=b"k1")
+        assert not schnorr.verify(keypair.public, b"m", signature)
+        assert not schnorr.SignatureCache().verify(keypair.public, b"m", signature)
+
     def test_require_valid_raises(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
         with pytest.raises(SignatureError):
             schnorr.require_valid(keypair.public, b"m", (1, 1))
+
+
+class TestSignatureCache:
+    def _signed(self, seed=b"k1", message=b"message"):
+        keypair = schnorr.KeyPair.generate(seed=seed)
+        return keypair.public, message, schnorr.sign(keypair.secret, message)
+
+    def test_hit_never_enters_verify(self, schnorr_verify_calls):
+        calls = schnorr_verify_calls
+        cache = schnorr.SignatureCache()
+        triple = self._signed()
+        assert cache.verify(*triple) and cache.verify(*triple)
+        assert len(calls) == 1 and len(cache) == 1
+
+    def test_every_part_of_the_triple_is_in_the_key(self, schnorr_verify_calls):
+        cache = schnorr.SignatureCache()
+        public, message, (challenge, response) = self._signed()
+        assert cache.verify(public, message, (challenge, response))
+        calls = schnorr_verify_calls
+        calls.clear()
+        other_public = schnorr.KeyPair.generate(seed=b"k2").public
+        tampered = [
+            (other_public, message, (challenge, response)),
+            (public, b"other", (challenge, response)),
+            (public, message, (challenge ^ 1, response)),
+            (public, message, (challenge, response ^ 1)),
+        ]
+        for triple in tampered:
+            assert not cache.verify(*triple)
+        assert len(calls) == len(tampered)  # none was answered from the cache
+
+    def test_failures_are_never_cached(self, schnorr_verify_calls):
+        calls = schnorr_verify_calls
+        cache = schnorr.SignatureCache()
+        public, message, (challenge, response) = self._signed()
+        forged = (public, message, (challenge, (response + 1) % schnorr.Q))
+        assert not cache.verify(*forged) and not cache.verify(*forged)
+        assert len(calls) == 2 and len(cache) == 0
+
+    def test_size_bound_evicts_oldest_first(self, monkeypatch, schnorr_verify_calls):
+        monkeypatch.setattr(schnorr.SignatureCache, "MAX_ENTRIES", 2)
+        cache = schnorr.SignatureCache()
+        triples = [self._signed(message=bytes([i])) for i in range(3)]
+        for triple in triples:
+            assert cache.verify(*triple)
+        assert len(cache) == 2
+        calls = schnorr_verify_calls
+        calls.clear()
+        assert cache.verify(*triples[2]) and cache.verify(*triples[1])
+        assert calls == []
+        assert cache.verify(*triples[0])  # evicted: verified afresh
+        assert len(calls) == 1 and len(cache) == 2
 
 
 class TestSymmetric:

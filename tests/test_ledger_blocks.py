@@ -234,6 +234,17 @@ class TestMempool:
         with pytest.raises(SignatureError):
             pool.submit(bad)
 
+    @pytest.mark.parametrize(
+        "signature", [(1.0, 2.0), ("1", "2"), (None, None), (True, True)]
+    )
+    def test_non_integer_signature_rejected_not_raised(self, signature):
+        # a hostile frame must be a typed rejection, not a TypeError
+        pool = Mempool()
+        tx, _ = _tx()
+        with pytest.raises(SignatureError):
+            pool.submit(dataclasses.replace(tx, signature=signature))
+        assert len(pool) == 0
+
     def test_forged_signature_under_degenerate_key_rejected(self):
         # public = 0 makes the verifier's commitment 0 for any response,
         # so this "signature" needs no secret; admission must refuse it.

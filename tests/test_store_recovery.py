@@ -150,6 +150,71 @@ class TestChainAndMempoolRecovery:
         )
         assert digest_before != with_suffix.state_digest()
 
+    def _committed_store(self):
+        store, miner = self._mined_store()
+        preamble = miner.build_preamble()
+        from repro.ledger.block import Block
+
+        miner.commit_block(
+            Block(preamble=preamble, body=miner.build_body(preamble, ()))
+        )
+        return store, miner
+
+    def test_recovery_verifies_each_logged_signature_once(
+        self, schnorr_verify_calls
+    ):
+        store, miner = self._committed_store()
+        schnorr_verify_calls.clear()
+        recovered = store.recover(difficulty_bits=4)
+        assert recovered.state_digest() == store.state_digest()
+        bids = [tx.signing_payload() for tx in miner.chain[0].preamble.transactions]
+        # the admission record and the block carry the same three bids:
+        # one verification each, from the logged bytes, plus the body's
+        verified = [message for _public, message, _sig in schnorr_verify_calls]
+        assert sorted(m for m in verified if m in bids) == sorted(bids)
+        assert len(verified) == len(bids) + 1
+
+    @pytest.mark.parametrize("record_type", ["mempool.admit", "chain.append"])
+    def test_tampered_logged_signature_fails_recovery(self, record_type):
+        # Re-frame the log with one signature bit flipped in one record
+        # (CRCs valid, so this is not tail damage).  The txid and the
+        # block hash do not cover signatures, and the honest copy of the
+        # same bid sits in the other record type — recovery must still
+        # check the tampered bytes themselves.
+        from repro.store.wal import encode_envelope, encode_frame
+
+        store, _miner = self._committed_store()
+        assert store.recover(difficulty_bits=4).committed_height == 1
+        records = store.wal.records()
+        target = [r for r in records if r["type"] == record_type][-1]
+        tx = (
+            target["data"]["tx"]
+            if record_type == "mempool.admit"
+            else target["data"]["block"]["preamble"]["transactions"][0]
+        )
+        tx["signature"][1] = hex(int(tx["signature"][1], 16) ^ 1)
+        store.wal.backend.replace(
+            b"".join(
+                encode_frame(encode_envelope(r["seq"], r["type"], r["data"]))
+                for r in records
+            )
+        )
+        assert store.wal.scan().clean
+        with pytest.raises(RecoveryError, match="invalid signature"):
+            store.recover(difficulty_bits=4)
+
+    def test_tampered_snapshot_signature_fails_recovery(self):
+        from repro.store.snapshot import decode_snapshot, encode_snapshot
+
+        store, _miner = self._mined_store()
+        store.snapshot()
+        state, last_seq = decode_snapshot(store.snapshots.latest())
+        signature = state["mempool"][0]["signature"]
+        signature[1] = hex(int(signature[1], 16) ^ 1)
+        store.snapshots.save(last_seq, encode_snapshot(state, last_seq))
+        with pytest.raises(RecoveryError, match="invalid signature"):
+            store.recover(difficulty_bits=4)
+
     def test_round_phase_markers_tracked(self):
         store, _miner = self._mined_store()
         store.log("round.phase", round=0, phase="reveal")

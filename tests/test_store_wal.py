@@ -87,6 +87,98 @@ class TestFraming:
             log.scan(strict=True)
 
 
+class TestStreamingReplay:
+    """``replay``/``truncate_tail``/reopen read frames off the backend's
+    own bytes; ``scan`` (which keeps its full result) is the reference."""
+
+    DAMAGE = {
+        "clean": lambda raw: raw,
+        "torn header": lambda raw: raw + raw[:4],
+        "torn payload": lambda raw: raw[:-3],
+        "crc mismatch": lambda raw: raw[:-1] + bytes([raw[-1] ^ 0xFF]),
+        "bad magic mid-log": lambda raw: (
+            raw[: len(raw) // 2] + b"\x00" + raw[len(raw) // 2 + 1 :]
+        ),
+        "bad envelope": lambda raw: raw + encode_frame(b"[1, 2]"),
+        "garbage only": lambda raw: b"garbage",
+        "empty": lambda raw: b"",
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_streaming_passes_equal_scan(self, damage):
+        log = make_log()
+        for i in range(6):
+            log.append("t", {"i": i, "pad": "x" * (7 * i)})
+        backend = MemoryLogBackend(self.DAMAGE[damage](log.backend.read()))
+        reopened = WriteAheadLog(backend)
+        scan = reopened.scan()
+        assert scan.clean == (damage in ("clean", "empty"))
+        assert list(reopened.replay()) == scan.records
+        assert list(reopened.replay(after_seq=2)) == [
+            r for r in scan.records if r["seq"] > 2
+        ]
+        assert reopened.records() == scan.records
+        expected_next = scan.records[-1]["seq"] + 1 if scan.records else 0
+        assert reopened.next_seq == expected_next
+        size_before = backend.size()
+        assert reopened.truncate_tail() == size_before - scan.good_length
+        assert backend.size() == scan.good_length
+        assert reopened.next_seq == expected_next
+        assert reopened.append("t", {}) == expected_next
+
+    def test_replay_and_truncate_never_copy_the_whole_log(self, monkeypatch):
+        log = make_log()
+        for i in range(3):
+            log.append("t", {"i": i})
+        log.backend.append(b"\xd7\xca\x00")
+
+        def no_copy():
+            raise AssertionError("whole-log copy requested")
+
+        monkeypatch.setattr(log.backend, "read", no_copy)
+        assert [r["seq"] for r in log.replay()] == [0, 1, 2]
+        assert log.truncate_tail() == 3
+        assert [r["seq"] for r in WriteAheadLog(log.backend).replay(0)] == [1, 2]
+
+    def test_log_cannot_change_under_an_open_replay(self):
+        log = make_log()
+        for i in range(3):
+            log.append("t", {"i": i})
+        replay = log.replay()
+        assert next(replay)["seq"] == 0
+        with pytest.raises(BufferError):
+            log.append("t", {"i": 3})
+        with pytest.raises(BufferError):
+            log.backend.truncate_to(0)
+        assert [r["seq"] for r in replay] == [1, 2]
+        # exhausted (or closed), the iterator has handed the buffer back
+        assert log.append("t", {"i": 3}) == 3
+        abandoned = log.replay()
+        next(abandoned)
+        abandoned.close()
+        assert log.append("t", {"i": 4}) == 4
+
+    def test_damaged_scan_result_does_not_pin_the_buffer(self):
+        log = make_log()
+        log.append("t", {})
+        log.backend.append(b"\xd7\xca\x00")
+        result = log.scan()  # keeps the CorruptRecordError and its traceback
+        assert not result.clean
+        assert log.truncate_tail() == 3
+        assert log.append("t", {}) == 1
+
+    def test_compact_keeps_frames_verbatim_from_a_view(self):
+        log = make_log()
+        for i in range(4):
+            log.append("t", {"i": i})
+        before = log.backend.read()
+        frames = log.scan().frames
+        assert all(isinstance(frame, bytes) for frame in frames)
+        assert b"".join(frames) == before
+        log.compact(upto_seq=1)
+        assert log.backend.read() == b"".join(frames[2:])
+
+
 class TestTruncateAndCompact:
     def test_truncate_tail_repairs_and_reports_bytes(self):
         log = make_log()
