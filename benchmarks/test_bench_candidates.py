@@ -10,9 +10,8 @@ carried by the differential + property suites, not by the benches.
 
 ``test_candidate_scaling_subquadratic`` fits a log-log slope across the
 measured sizes and asserts the candidate path stays clearly below the
-all-pairs exponent (slope 2.0): the committed full-block curve on the
-baseline machine is 0.10s / 1.23s / 73.8s for 1k / 10k / 100k bids,
-slope ~1.43.
+all-pairs exponent (slope 2.0): the committed full-block curve on one
+core is 0.04s / 0.44s / 32.4s for 1k / 10k / 100k bids, slope ~1.45.
 
 Env knobs (CI smoke mirrors the other benches):
 
@@ -43,7 +42,7 @@ SIZES = tuple(
     ).split()
 )
 STRIDE = int(os.environ.get("DECLOUD_CAND_STRIDE", "1"))
-#: All-pairs is slope 2.0; the committed full-block curve sits at ~1.43
+#: All-pairs is slope 2.0; the committed full-block curve sits at ~1.45
 #: and leaves headroom for runner noise without letting a quadratic
 #: regression through.
 MAX_SLOPE = 1.8

@@ -8,9 +8,9 @@ three ways through the vectorized engine:
 * **global** — the unsharded baseline, one auction over the whole block;
 * **sequential sharding** (``shard_workers=0``) — the fabric's partition
   + per-shard pipeline + spillover, all on one core.  This is where the
-  structural win lives: clustering and matching are superlinear in block
-  size, so clearing Z zone-local slices beats one global clear long
-  before any parallelism;
+  structural win lives: all-pairs matching is quadratic in block size
+  (95% of the global 10k clear), so clearing Z zone-local slices beats
+  one global clear long before any parallelism;
 * **pooled sharding** (``shard_workers=4``) — the same digest computed
   across a process pool (bit-identity is the differential suite's
   contract, not re-asserted here).
@@ -22,11 +22,11 @@ logs.  ``test_sharding_zone_scaling`` prints the clear-time curve over
 zone counts and asserts more shards never makes the fabric slower than
 its coarsest split.
 
-Committed full-size curve (10k bids, 20 zones, baseline machine):
-global 21.8s, sequential sharding 5.6s (3.9x), pooled 6.9s; sharded
-welfare ~2.0x the global clear's (the global mega-mini-auction reduces
-far more trades).  CI runs a 4000-bid smoke via ``DECLOUD_SHARD_SIZES``
-(2.2x speedup at that size).
+Committed full-size curve (10k bids, 20 zones, one core): global 4.7s
+(4.47s of it ``match``), sequential sharding 0.71s (6.6x); sharded
+welfare 1.37x the global clear's (the global price-compatible
+mini-auction reduces more trades).  CI runs a 4000-bid smoke via
+``DECLOUD_SHARD_SIZES`` (0.79s vs 0.19s, 4.1x, at that size).
 
 Env knobs:
 

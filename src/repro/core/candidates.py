@@ -82,6 +82,7 @@ from repro.market.location import (
     zone_prefix,
 )
 from repro.core.matching import quality_of_match
+from repro.core.matching_vectorized import BlockArrays
 
 #: Resolution codes of the (request, group) state matrix.
 UNRESOLVED = 0
@@ -283,71 +284,20 @@ def check_certificate(
     return checks
 
 
-def _direct_scorer(
-    offers: Sequence[Offer], maxima: Dict[str, float]
-) -> Scorer:
-    """Exact (scores, feasibility) on offer subsets via the NumPy kernel.
-
-    Both kernels are elementwise per pair, so a submatrix computed over a
-    subset (with the subset's own type universe but the *block* maxima)
-    is bit-identical to the corresponding slice of the full matrices.
-    """
-    from repro.core.matching_vectorized import (
-        _OfferArrays,
-        _RequestArrays,
-        _feasibility_from_arrays,
-        _score_from_arrays,
-        _type_universe,
-    )
-
-    def scorer(
-        requests: Sequence[Request], cols: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        subset = [offers[j] for j in cols.tolist()]
-        types = _type_universe(requests, subset)
-        req = _RequestArrays(requests, types)
-        off = _OfferArrays(subset, types)
-        return (
-            _score_from_arrays(req, off, types, maxima),
-            _feasibility_from_arrays(req, off),
-        )
-
-    return scorer
-
-
 class _GroupStats:
-    """Per-group screening statistics, keyed by resource type."""
+    """Per-group screening statistics, one column per type of the
+    block's universe, reduced from the block's offer entries."""
 
-    def __init__(
-        self,
-        groups: List[np.ndarray],
-        offers: Sequence[Offer],
-        maxima: Dict[str, float],
-    ) -> None:
-        n_groups = len(groups)
-        self.raw_max: Dict[str, np.ndarray] = {}
-        self.rho_max: Dict[str, np.ndarray] = {}
-        self.win_start_min = np.full(n_groups, math.inf)
-        self.win_end_max = np.full(n_groups, -math.inf)
+    def __init__(self, groups: List[np.ndarray], block: BlockArrays) -> None:
+        off = block.off
+        self.raw_max = np.zeros((len(groups), len(block.types)))
+        self.win_start_min = np.empty(len(groups))
+        self.win_end_max = np.empty(len(groups))
         for g, indices in enumerate(groups):
-            for j in indices.tolist():
-                offer = offers[j]
-                for t, amount in offer.resources.items():
-                    row = self.raw_max.get(t)
-                    if row is None:
-                        row = self.raw_max[t] = np.zeros(n_groups)
-                    if amount > row[g]:
-                        row[g] = amount
-                self.win_start_min[g] = min(
-                    self.win_start_min[g], offer.window.start
-                )
-                self.win_end_max[g] = max(
-                    self.win_end_max[g], offer.window.end
-                )
-        for t, row in self.raw_max.items():
-            top = maxima.get(t, 0.0)
-            if top > 0:
-                self.rho_max[t] = row / top
+            _, pos = off.gather(indices)
+            np.maximum.at(self.raw_max[g], off.type[pos], off.amount[pos])
+            self.win_start_min[g] = off.win_start[indices].min()
+            self.win_end_max[g] = off.win_end[indices].max()
 
 
 class CandidateGenerator:
@@ -389,6 +339,27 @@ class CandidateGenerator:
         bound first, which is pure top-k pruning."""
         return -ub
 
+    @staticmethod
+    def _spread_rows(
+        priority: np.ndarray,
+        requests: Sequence[Request],
+        label_of: Callable[[Optional[str]], object],
+        row_of: Callable[[object], Sequence[float]],
+    ) -> np.ndarray:
+        """Overwrite the rows of located requests with their label's
+        examination order: ``label_of`` runs once per distinct location
+        tag and ``row_of`` once per distinct label (zone, cell); a
+        ``None`` label keeps the row's bound-descending order."""
+        labels = {tag: label_of(tag) for tag in {r.location for r in requests}}
+        members: Dict[object, List[int]] = {}
+        for local, request in enumerate(requests):
+            label = labels[request.location]
+            if label is not None:
+                members.setdefault(label, []).append(local)
+        for label, rows in members.items():
+            priority[rows] = row_of(label)
+        return priority
+
     # -- the certified admission loop -----------------------------------
 
     def generate(
@@ -399,8 +370,14 @@ class CandidateGenerator:
         breadth: int,
         scorer: Optional[Scorer] = None,
     ) -> CandidateResult:
+        # The block's tensors are built here once; screens, group
+        # statistics and the default scorer all read index subsets.
+        block = BlockArrays(requests, offers, maxima)
         if scorer is None:
-            scorer = _direct_scorer(offers, maxima)
+            score = block.score
+        else:
+            def score(rows: np.ndarray, cols: np.ndarray):
+                return scorer([requests[i] for i in rows.tolist()], cols)
         grouped = [
             (key, np.asarray(indices, dtype=np.int64))
             for key, indices in self._group_offers(offers)
@@ -424,36 +401,44 @@ class CandidateGenerator:
             "rounds": 0,
             "certificate_checks": 0,
         }
-        group_stats = _GroupStats(groups, offers, maxima)
+        group_stats = _GroupStats(groups, block)
 
         pair_rows: List[np.ndarray] = []
         pair_cols: List[np.ndarray] = []
         pair_scores: List[np.ndarray] = []
-        certificates: List[Optional[SafetyCertificate]] = [
-            None for _ in requests
-        ]
+        certificates: List[SafetyCertificate] = []
 
         for start in range(0, len(requests), self.chunk_size):
             chunk = list(requests[start : start + self.chunk_size])
             reason, bounds = self._resolve_chunk(
-                chunk, start, groups, keys, group_stats, group_sizes,
-                breadth, scorer, stats,
+                chunk, start, block, groups, keys, group_stats,
+                group_sizes, breadth, score, stats,
                 pair_rows, pair_cols, pair_scores,
             )
-            for local, request in enumerate(chunk):
-                row = reason[local]
-                admitted_groups = np.nonzero(row == ADMITTED)[0]
-                pruned_mask = (row != ADMITTED) & (row != UNRESOLVED)
-                pruned_groups = np.nonzero(pruned_mask)[0]
-                certificates[start + local] = SafetyCertificate(
+            # One mask pass per chunk; np.nonzero and boolean indexing
+            # both walk row-major, so each request's certificate is a
+            # run of the same flat arrays.
+            admitted = reason == ADMITTED
+            pruned = ~admitted & (reason != UNRESOLVED)
+            admitted_groups = np.nonzero(admitted)[1]
+            pruned_groups = np.nonzero(pruned)[1]
+            reasons, pruned_bounds = reason[pruned], bounds[pruned]
+            a0 = p0 = 0
+            for request, a1, p1 in zip(
+                chunk,
+                np.cumsum(admitted.sum(axis=1)).tolist(),
+                np.cumsum(pruned.sum(axis=1)).tolist(),
+            ):
+                certificates.append(SafetyCertificate(
                     request_id=request.request_id,
                     breadth=breadth,
-                    admitted_groups=admitted_groups,
-                    pruned_groups=pruned_groups,
-                    reasons=row[pruned_groups].copy(),
-                    bounds=bounds[local, pruned_groups].copy(),
+                    admitted_groups=admitted_groups[a0:a1],
+                    pruned_groups=pruned_groups[p0:p1],
+                    reasons=reasons[p0:p1],
+                    bounds=pruned_bounds[p0:p1],
                     threshold=None,
-                )
+                ))
+                a0, p0 = a1, p1
 
         best_sets, thresholds = self._rank_admitted(
             requests, offers, breadth,
@@ -465,7 +450,7 @@ class CandidateGenerator:
         result = CandidateResult(
             groups=groups,
             best_sets=best_sets,
-            certificates=certificates,  # type: ignore[arg-type]
+            certificates=certificates,
             stats=stats,
         )
         if self.verify != "off":
@@ -481,12 +466,13 @@ class CandidateGenerator:
         self,
         chunk: List[Request],
         chunk_start: int,
+        block: BlockArrays,
         groups: List[np.ndarray],
         keys: List[object],
         group_stats: _GroupStats,
         group_sizes: np.ndarray,
         breadth: int,
-        scorer: Scorer,
+        score: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
         stats: Dict[str, int],
         pair_rows: List[np.ndarray],
         pair_cols: List[np.ndarray],
@@ -498,42 +484,31 @@ class CandidateGenerator:
         n_req, n_groups = len(chunk), len(groups)
         reason = np.zeros((n_req, n_groups), dtype=np.int8)
         ub = np.zeros((n_req, n_groups))
+        req = block.req
+        in_chunk = slice(chunk_start, chunk_start + n_req)
 
         # Feasibility screens: window hull, then strict per-type maxima.
-        r_start = np.array([r.window.start for r in chunk])
-        r_end = np.array([r.window.end for r in chunk])
-        window_pruned = (group_stats.win_start_min[None, :] > r_start[:, None]) | (
-            group_stats.win_end_max[None, :] < r_end[:, None]
-        )
+        window_pruned = (
+            group_stats.win_start_min[None, :] > req.win_start[in_chunk, None]
+        ) | (group_stats.win_end_max[None, :] < req.win_end[in_chunk, None])
         reason[window_pruned] = PRUNED_WINDOW
 
-        # Group requests by declared type so each type costs one
-        # (rows_t, G) pass instead of a dense (R, K, G) broadcast.
-        sigma_by_type: Dict[str, List[Tuple[int, float]]] = {}
-        strict_by_type: Dict[str, List[Tuple[int, float]]] = {}
-        for local, request in enumerate(chunk):
-            for t, amount in request.resources.items():
-                sigma = request.sigma(t)
-                sigma_by_type.setdefault(t, []).append((local, sigma))
-                if sigma >= 1.0 and amount > 0:
-                    strict_by_type.setdefault(t, []).append((local, amount))
-        zero_row = np.zeros(n_groups)
-        for t in sorted(strict_by_type):
-            raw = group_stats.raw_max.get(t, zero_row)
-            rows, needed = zip(*strict_by_type[t])
-            short = raw[None, :] < np.array(needed)[:, None]
-            sub = reason[np.array(rows)]
-            sub[short & (sub == UNRESOLVED)] = PRUNED_RESOURCE
-            reason[np.array(rows)] = sub
-
-        # Score upper bound, accumulated in sorted-type order so IEEE
-        # monotonicity makes it dominate every exact Eq. (18) score.
-        for t in sorted(sigma_by_type):
-            rho = group_stats.rho_max.get(t)
-            if rho is None:
-                continue
-            rows, sigmas = zip(*sigma_by_type[t])
-            ub[np.array(rows)] += np.array(sigmas)[:, None] * rho[None, :]
+        # One (rows_t, G) pass per type over the requests that declare
+        # it, instead of a dense (R, K, G) broadcast.  The score upper
+        # bound accumulates in sorted-type order so IEEE monotonicity
+        # makes it dominate every exact Eq. (18) score.
+        for t, rows, pos in req.by_type(chunk_start, chunk_start + n_req):
+            raw = group_stats.raw_max[:, t]
+            amount, sigma = req.amount[pos], req.sigma[pos]
+            strict = (sigma >= 1.0) & (amount > 0)
+            if strict.any():
+                short = raw[None, :] < amount[strict][:, None]
+                sub = reason[rows[strict]]
+                sub[short & (sub == UNRESOLVED)] = PRUNED_RESOURCE
+                reason[rows[strict]] = sub
+            top = block.maxima.get(block.types[t], 0.0)
+            if top > 0:
+                ub[rows] += sigma[:, None] * (raw / top)[None, :]
 
         priority = np.asarray(
             self._priority_rows(chunk, keys, ub), dtype=np.float64
@@ -567,19 +542,18 @@ class CandidateGenerator:
                 pointer[row] = p
             for g in sorted(by_group):
                 rows = np.array(by_group[g], dtype=np.int64)
-                scores, feasible = scorer(
-                    [chunk[row] for row in rows.tolist()], groups[g]
-                )
-                scored.append((
-                    np.repeat(rows, len(groups[g])),
-                    np.tile(groups[g], len(rows)),
-                    scores.ravel(),
-                    feasible.ravel(),
-                ))
+                scores, feasible = score(rows + chunk_start, groups[g])
                 ranked = np.where(feasible, scores, -math.inf)
                 merged = np.concatenate([topk[rows], ranked], axis=1)
                 merged.partition(merged.shape[1] - breadth, axis=1)
                 topk[rows] = merged[:, -breadth:][:, ::-1]
+                # A request's ``breadth``-th best only ever rises, so a
+                # pair below it now is below the final one: only pairs
+                # at or above the running value are kept for ranking.
+                hit, col = np.nonzero(
+                    feasible & (scores >= topk[rows, breadth - 1][:, None])
+                )
+                scored.append((rows[hit], groups[g][col], scores[hit, col]))
             batch = min(batch * 2, n_groups)
 
         if scored:
@@ -587,10 +561,10 @@ class CandidateGenerator:
             # its request's ``breadth``-th best ranks after ``breadth``
             # others whatever the tie rule says, so only pairs at or
             # above that score go on to the global ranking.
-            rows, cols, scores, feasible = (
+            rows, cols, scores = (
                 np.concatenate(part) for part in zip(*scored)
             )
-            contender = feasible & (scores >= topk[rows, breadth - 1])
+            contender = scores >= topk[rows, breadth - 1]
             pair_rows.append(rows[contender] + chunk_start)
             pair_cols.append(cols[contender])
             pair_scores.append(scores[contender])
@@ -752,30 +726,27 @@ class GeoBucketGenerator(CandidateGenerator):
 
     def _priority_rows(self, requests, keys, ub):
         n_cols = grid_columns(self.cell_deg)
-        priority = -ub.copy()
-        cells = [key for key in keys if key is not None]
-        if not cells:
-            return priority
-        cell_rows = np.array([c[0] for c in keys if c is not None])
-        cell_cols = np.array([c[1] for c in keys if c is not None])
-        located_columns = np.array(
-            [k for k, key in enumerate(keys) if key is not None]
-        )
-        for local, request in enumerate(requests):
-            location = self._resolve(request.location)
+        located = np.array([key is not None for key in keys], dtype=bool)
+        if not located.any():
+            return -ub
+        cell_rows = np.array([key[0] for key in keys if key is not None])
+        cell_cols = np.array([key[1] for key in keys if key is not None])
+
+        def cell_of(tag):
+            location = self._resolve(tag)
             if location is None:
-                continue  # keep the bound-descending fallback order
-            row, col = grid_cell(location, self.cell_deg)
-            d_row = np.abs(cell_rows - row)
-            d_col = np.abs(cell_cols - col)
-            d_col = np.minimum(d_col, n_cols - d_col)
-            priority[local, located_columns] = np.maximum(d_row, d_col)
-            if len(located_columns) != len(keys):
-                fallback = [
-                    k for k, key in enumerate(keys) if key is None
-                ]
-                priority[local, fallback] = -1.0
-        return priority
+                return None  # keep the bound-descending fallback order
+            return grid_cell(location, self.cell_deg)
+
+        def rings(cell):
+            row = np.full(len(keys), -1.0)  # the fallback bucket goes first
+            d_col = np.abs(cell_cols - cell[1])
+            row[located] = np.maximum(
+                np.abs(cell_rows - cell[0]), np.minimum(d_col, n_cols - d_col)
+            )
+            return row
+
+        return self._spread_rows(-ub, requests, cell_of, rings)
 
 
 class NetworkZoneGenerator(CandidateGenerator):
@@ -819,15 +790,16 @@ class NetworkZoneGenerator(CandidateGenerator):
             return None
 
     def _group_offers(self, offers):
+        def bucket_of(tag):
+            zone = self._resolve(tag)
+            if zone is None:
+                return self.FALLBACK
+            return zone_prefix(zone, self.depth)
+
+        keys = {tag: bucket_of(tag) for tag in {o.location for o in offers}}
         buckets: Dict[object, List[int]] = {}
         for j, offer in enumerate(offers):
-            zone = self._resolve(offer.location)
-            key = (
-                zone_prefix(zone, self.depth)
-                if zone is not None
-                else self.FALLBACK
-            )
-            buckets.setdefault(key, []).append(j)
+            buckets.setdefault(keys[offer.location], []).append(j)
         ordered = sorted(
             (key for key in buckets if key is not None)
         ) + ([self.FALLBACK] if self.FALLBACK in buckets else [])
@@ -836,23 +808,23 @@ class NetworkZoneGenerator(CandidateGenerator):
         ]
 
     def _priority_rows(self, requests, keys, ub):
-        priority = -ub.copy()
         prefix_parts = [
             key.split("/") if key is not None else None for key in keys
         ]
-        for local, request in enumerate(requests):
-            zone = self._resolve(request.location)
-            if zone is None:
-                continue
+
+        def hops(zone):
             mine = zone.split("/")
-            for k, parts in enumerate(prefix_parts):
+            row = []
+            for parts in prefix_parts:
                 if parts is None:
-                    priority[local, k] = -1.0
+                    row.append(-1.0)
                     continue
                 common = 0
                 for a, b in zip(mine, parts):
                     if a != b:
                         break
                     common += 1
-                priority[local, k] = float(self.depth - common)
-        return priority
+                row.append(float(self.depth - common))
+            return row
+
+        return self._spread_rows(-ub, requests, self._resolve, hops)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.clustering import Cluster
@@ -94,16 +95,30 @@ class PairChecks:
     once per distinct (request, offer) pair.
 
     ``is_feasible`` and ``resource_fraction`` depend on the two bids
-    alone, yet one clear fits the same pairs several times over (the
-    tentative fit, each mini-auction's live re-fit, the final fit and its
-    randomized re-draw).  An instance belongs to the one clear that
-    created it — ``DecloudAuction.run``, or a pooled worker task, which
-    builds its own — and is keyed by the bid ids that clear indexed.
+    alone, and a request's per-type amounts on the request alone, yet
+    one clear fits the same pairs several times over (the tentative fit,
+    each mini-auction's live re-fit, the final fit and its randomized
+    re-draw).  An instance belongs to the one clear that created it —
+    ``DecloudAuction.run``, or a pooled worker task, which builds its
+    own — and is keyed by the bid ids that clear indexed.
     """
 
     def __init__(self) -> None:
         self._feasible: Dict[Tuple[str, str], bool] = {}
         self._fraction: Dict[Tuple[str, str], float] = {}
+        self._amounts: Dict[str, Tuple[Tuple[str, float, float], ...]] = {}
+
+    def amounts(self, request: Request) -> Tuple[Tuple[str, float, float], ...]:
+        """``(type, required_amount, declared amount)`` per declared type:
+        what :meth:`OfferCapacity.can_host` admits on and what
+        :meth:`OfferCapacity.consume` books."""
+        known = self._amounts.get(request.request_id)
+        if known is None:
+            known = self._amounts[request.request_id] = tuple(
+                (key, required_amount(request, key), amount)
+                for key, amount in request.resources.items()
+            )
+        return known
 
     def feasible(self, request: Request, offer: Offer) -> bool:
         key = (request.request_id, offer.offer_id)
@@ -142,8 +157,11 @@ class ClusterAllocation:
     def has_trades(self) -> bool:
         return bool(self.matches)
 
-    @property
+    @cached_property
     def tentative_welfare(self) -> float:
+        """Summed once: ``matches`` is final when the allocation is
+        built (:func:`allocate_cluster` fills it in from the fractions
+        its fit already memoised)."""
         return sum(pair_welfare(r, o) for r, o in self.matches)
 
     @property
@@ -205,6 +223,22 @@ def greedy_fit(
     """
     if pairs is None:
         pairs = PairChecks()
+    # Everything the inner loop reads of an offer, extracted once per
+    # call.  ``remaining`` is the capacity's own mutable row, so booking
+    # a match below is :meth:`OfferCapacity.consume` and is seen by every
+    # later fit that shares ``capacity``; ``None`` (an offer the capacity
+    # never saw) hosts nothing, as in :meth:`OfferCapacity.can_host`.
+    rows = []
+    for offer in offers:
+        c_hat = economics.c_hat(offer.offer_id)
+        if not math.isfinite(c_hat):
+            continue
+        if max_cost is not None and c_hat > max_cost + epsilon:
+            continue
+        rows.append((
+            c_hat, c_hat - epsilon, offer.span, offer.resources,
+            capacity._remaining.get(offer.offer_id), offer,
+        ))
     matches: List[Tuple[Request, Offer]] = []
     max_used_cost = -math.inf
     for request in requests:
@@ -217,29 +251,41 @@ def greedy_fit(
             # Admitting this winner would push the price band below an
             # offer already in use; no common price could support both.
             continue
-        for offer in offers:
-            c_hat = economics.c_hat(offer.offer_id)
-            if not math.isfinite(c_hat):
-                continue
-            if max_cost is not None and c_hat > max_cost + epsilon:
-                continue
-            if v_hat < c_hat - epsilon:
+        amounts = pairs.amounts(request)
+        for c_hat, c_floor, span, resources, remaining, offer in rows:
+            if v_hat < c_floor:
                 # Offers are cost-ascending: no later offer can be
                 # profitable either.
                 break
-            if not pairs.feasible(request, offer):
+            if remaining is None:
                 continue
-            if not capacity.can_host(request, offer):
-                continue
-            # Const. (9): value covers the cost of the consumed fraction.
-            if request.bid < pairs.fraction(request, offer) * offer.bid - epsilon:
-                continue
-            capacity.consume(request, offer)
-            taken_requests.add(request.request_id)
-            matches.append((request, offer))
-            if uniform_price:
-                max_used_cost = max(max_used_cost, c_hat)
-            break
+            # Const. (7) goes first: it is the check most pairs fail.  It
+            # admits on the flexibility-discounted amount and books
+            # min(request, offer) clamped at zero — the asymmetry of
+            # ROADMAP item 2(b), kept bit for bit.
+            time_share = request.duration / span
+            for key, needed, _ in amounts:
+                if key in resources and remaining[key] + 1e-12 < time_share * needed:
+                    break
+            else:
+                if not pairs.feasible(request, offer):
+                    continue
+                # Const. (9): value covers the cost of the consumed
+                # fraction.
+                if request.bid < pairs.fraction(request, offer) * offer.bid - epsilon:
+                    continue
+                for key, _, amount in amounts:
+                    if key in resources:
+                        remaining[key] = max(
+                            0.0,
+                            remaining[key]
+                            - time_share * min(amount, resources[key]),
+                        )
+                taken_requests.add(request.request_id)
+                matches.append((request, offer))
+                if uniform_price:
+                    max_used_cost = max(max_used_cost, c_hat)
+                break
     return matches
 
 
@@ -261,6 +307,8 @@ def allocate_cluster(
     """
     if economics is None:
         economics = compute_economics(list(requests), list(offers), config)
+    if pairs is None:
+        pairs = PairChecks()
     request_order = sorted_requests(requests, economics)
     offer_order = sorted_offers(offers, economics)
     if capacity is None:
@@ -285,6 +333,10 @@ def allocate_cluster(
         offers=offer_order,
         economics=economics,
         matches=matches,
+    )
+    # pair_welfare(), with the Eq. (6) fraction Const. (9) just asked for.
+    allocation.tentative_welfare = sum(
+        r.bid - pairs.fraction(r, o) * o.bid for r, o in matches
     )
     if matches:
         allocation.v_z = min(

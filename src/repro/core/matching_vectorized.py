@@ -65,55 +65,113 @@ def _type_universe(
     return sorted(types)
 
 
-class _RequestArrays:
-    """Column-aligned per-request tensors over a type universe."""
+class _Entries:
+    """One side of a block as flat CSR rows: per bid, its declared
+    ``(type id, amount[, sigma])`` entries, read off the bids in one pass.
 
-    def __init__(self, requests: Sequence[Request], types: List[str]) -> None:
+    Type ids index the sorted ``types``, so ascending id *is* sorted-type
+    order.  Dense tensors for any subset of the bids are scattered from
+    these rows, so a bid's resource dict is walked once per block however
+    many subsets it is scored in, and memory stays O(entries) where a
+    dense bids x types tensor would grow with the number of zones.
+    """
+
+    def __init__(
+        self, bids: Sequence, types: List[str], sigma: bool = False
+    ) -> None:
         index = {t: k for k, t in enumerate(types)}
-        n, k = len(requests), len(types)
-        self.amount = np.zeros((n, k))
-        self.present = np.zeros((n, k), dtype=bool)
-        self.sigma = np.ones((n, k))
-        self.strict = np.ones((n, k), dtype=bool)
-        self.win_start = np.empty(n)
-        self.win_end = np.empty(n)
-        for i, request in enumerate(requests):
-            for t, amount in request.resources.items():
-                col = index[t]
-                self.amount[i, col] = amount
-                self.present[i, col] = True
-                sigma = request.significance[t]
-                self.sigma[i, col] = sigma
-                self.strict[i, col] = sigma >= 1.0
-            self.win_start[i] = request.window.start
-            self.win_end[i] = request.window.end
-        flex = np.array([r.flexibility for r in requests])
-        # required_amount(): strict resources need the full amount,
-        # flexible ones ``amount * flexibility`` (same float multiply as
-        # the scalar code).
-        self.needed = np.where(
-            self.strict, self.amount, self.amount * flex[:, None]
+        self.ptr = np.zeros(len(bids) + 1, dtype=np.intp)
+        self.ptr[1:] = np.cumsum([len(b.resources) for b in bids])
+        self.type = np.array(
+            [index[t] for b in bids for t in b.resources], dtype=np.intp
         )
-        self.positive = self.amount > 0
+        self.amount = np.array(
+            [a for b in bids for a in b.resources.values()], dtype=float
+        )
+        self.win_start = np.array([b.window.start for b in bids], dtype=float)
+        self.win_end = np.array([b.window.end for b in bids], dtype=float)
+        if sigma:  # the request side
+            self.sigma = np.array(
+                [b.significance[t] for b in bids for t in b.resources],
+                dtype=float,
+            )
+            self.flex = np.array([b.flexibility for b in bids], dtype=float)
+
+    def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(local row, entry position)`` of every entry of bids ``rows``."""
+        starts = self.ptr[rows]
+        counts = self.ptr[rows + 1] - starts
+        shift = np.cumsum(counts) - counts - starts
+        return (
+            np.repeat(np.arange(len(rows)), counts),
+            np.arange(counts.sum()) - np.repeat(shift, counts),
+        )
+
+    def by_type(self, start: int, stop: int):
+        """Yield ``(type id, local rows, entry positions)`` per distinct
+        type the bids ``start..stop`` declare, in ascending type order."""
+        lo = self.ptr[start]
+        types = self.type[lo : self.ptr[stop]]
+        local = np.repeat(
+            np.arange(stop - start), np.diff(self.ptr[start : stop + 1])
+        )
+        order = np.argsort(types, kind="stable")
+        cuts = np.flatnonzero(np.diff(types[order])) + 1
+        for part in np.split(order, cuts):
+            if len(part):
+                yield int(types[part[0]]), local[part], part + lo
 
 
 class _OfferArrays:
     """Column-aligned per-offer tensors over a type universe."""
 
-    def __init__(self, offers: Sequence[Offer], types: List[str]) -> None:
-        index = {t: k for k, t in enumerate(types)}
-        n, k = len(offers), len(types)
-        self.amount = np.zeros((n, k))
-        self.present = np.zeros((n, k), dtype=bool)
-        self.win_start = np.empty(n)
-        self.win_end = np.empty(n)
-        for j, offer in enumerate(offers):
-            for t, amount in offer.resources.items():
-                col = index[t]
-                self.amount[j, col] = amount
-                self.present[j, col] = True
-            self.win_start[j] = offer.window.start
-            self.win_end[j] = offer.window.end
+    _sigma = False
+
+    def __init__(self, bids: Sequence, types: List[str]) -> None:
+        entries = _Entries(bids, types, sigma=self._sigma)
+        rows = np.arange(len(bids))
+        self._fill(entries, rows, entries.gather(rows), np.arange(len(types)))
+
+    @classmethod
+    def of(cls, entries: _Entries, rows, gathered, universe: np.ndarray):
+        """Tensors of bids ``rows`` (``gathered`` from ``entries``) over
+        the sorted type ids ``universe``, which must cover every type
+        those bids declare."""
+        self = object.__new__(cls)
+        self._fill(entries, rows, gathered, universe)
+        return self
+
+    def _fill(self, entries, rows, gathered, universe):
+        local, pos = gathered
+        cells = (local, np.searchsorted(universe, entries.type[pos]))
+        shape = (len(rows), len(universe))
+        self.amount = np.zeros(shape)
+        self.amount[cells] = entries.amount[pos]
+        self.present = np.zeros(shape, dtype=bool)
+        self.present[cells] = True
+        self.win_start = entries.win_start[rows]
+        self.win_end = entries.win_end[rows]
+        return cells, pos
+
+
+class _RequestArrays(_OfferArrays):
+    """Column-aligned per-request tensors over a type universe."""
+
+    _sigma = True
+
+    def _fill(self, entries, rows, gathered, universe):
+        cells, pos = super()._fill(entries, rows, gathered, universe)
+        self.sigma = np.ones(self.amount.shape)
+        self.sigma[cells] = entries.sigma[pos]
+        self.strict = self.sigma >= 1.0
+        # required_amount(): strict resources need the full amount,
+        # flexible ones ``amount * flexibility`` (same float multiply as
+        # the scalar code).
+        self.needed = np.where(
+            self.strict, self.amount, self.amount * entries.flex[rows][:, None]
+        )
+        self.positive = self.amount > 0
+        return cells, pos
 
 
 def _score_from_arrays(
@@ -203,6 +261,45 @@ def _feasibility_from_arrays(
         met[block] += counted[rows, col][:, None]
     feasible &= met >= np.maximum(wanted, 1).astype(met.dtype)[:, None]
     return feasible
+
+
+class BlockArrays:
+    """A block's bids as CSR entries, built once; :meth:`score` runs the
+    kernels on any subset of them.
+
+    The tensors :meth:`score` hands the kernels span exactly the types
+    the subset's own bids declare, in sorted order — element for element
+    the arrays ``_RequestArrays(subset, _type_universe(subset))`` would
+    build by walking the bids again, so the floats are bit-identical to
+    the corresponding slice of the full matrices.
+    """
+
+    def __init__(
+        self,
+        requests: Sequence[Request],
+        offers: Sequence[Offer],
+        maxima: Dict[str, float],
+    ) -> None:
+        self.types = _type_universe(requests, offers)
+        self.maxima = maxima
+        self.req = _Entries(requests, self.types, sigma=True)
+        self.off = _Entries(offers, self.types)
+
+    def score(
+        self, rows: np.ndarray, cols: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact (scores, feasible) of request ``rows`` x offer ``cols``."""
+        of_rows, of_cols = self.req.gather(rows), self.off.gather(cols)
+        universe = np.union1d(
+            self.req.type[of_rows[1]], self.off.type[of_cols[1]]
+        )
+        req = _RequestArrays.of(self.req, rows, of_rows, universe)
+        off = _OfferArrays.of(self.off, cols, of_cols, universe)
+        types = [self.types[k] for k in universe.tolist()]
+        return (
+            _score_from_arrays(req, off, types, self.maxima),
+            _feasibility_from_arrays(req, off),
+        )
 
 
 def score_matrix(

@@ -66,6 +66,7 @@ def _live_allocations(
     of capacity, and a request wins at most once (Const. 5).
     """
     survivors = []
+    economics_list: List[Optional[ClusterEconomics]] = []
     for allocation in auction.allocations:
         cluster = allocation.cluster
         requests = [
@@ -81,23 +82,28 @@ def _live_allocations(
         if not requests or not offers:
             continue
         survivors.append((cluster, requests, offers))
+        # §IV-C economics are a pure function of membership: a cluster
+        # that lost no member keeps its tentative allocation's.
+        intact = len(requests) == len(allocation.requests) and len(
+            offers
+        ) == len(allocation.offers)
+        economics_list.append(allocation.economics if intact else None)
 
-    economics_list: List[Optional[ClusterEconomics]]
-    if config.engine == "vectorized" and survivors:
-        # Batch §IV-C over the auction's surviving clusters at once —
+    changed = [i for i, known in enumerate(economics_list) if known is None]
+    if config.engine == "vectorized" and changed:
+        # Batch §IV-C over the clusters that did lose a member at once —
         # bit-identical to the per-cluster scalar computation.
         from repro.core.normalization_vectorized import (
             compute_economics_batch,
         )
 
-        economics_list = list(
+        for i, economics in zip(
+            changed,
             compute_economics_batch(
-                [(requests, offers) for _, requests, offers in survivors],
-                config,
-            )
-        )
-    else:
-        economics_list = [None] * len(survivors)
+                [survivors[i][1:] for i in changed], config
+            ),
+        ):
+            economics_list[i] = economics
 
     live: List[ClusterAllocation] = []
     capacity: Optional[OfferCapacity] = None
@@ -303,17 +309,16 @@ def clear_mini_auction(
 
     final_request_ids = {r.request_id for _, r, _ in final}
     final_offer_ids = {o.offer_id for _, _, o in final}
-    seen_reduced: Set[str] = set()
+    # Ids are unique per side only: a request and an offer may share one.
+    seen_requests: Set[str] = set(final_request_ids)
+    seen_offers: Set[str] = set(final_offer_ids)
     for _, request, offer in tentative:
-        if (
-            request.request_id not in final_request_ids
-            and request.request_id not in seen_reduced
-        ):
+        if request.request_id not in seen_requests:
             result.reduced_requests.append(request)
-            seen_reduced.add(request.request_id)
-        if offer.offer_id not in final_offer_ids and offer.offer_id not in seen_reduced:
+            seen_requests.add(request.request_id)
+        if offer.offer_id not in seen_offers:
             result.reduced_offers.append(offer)
-            seen_reduced.add(offer.offer_id)
+            seen_offers.add(offer.offer_id)
 
     # Alg. 1 removes the auction's participants from the remaining
     # auctions.  We consume the participants whose allocation this

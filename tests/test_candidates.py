@@ -19,7 +19,17 @@ from repro.core.candidates import (
 )
 from repro.core.config import AuctionConfig
 from repro.core.matching import best_offer_set, block_maxima, quality_of_match
-from repro.market.location import GeoLocation
+from repro.core.matching_vectorized import (
+    BlockArrays,
+    feasibility_matrix,
+    score_matrix,
+)
+from repro.market.location import (
+    GeoLocation,
+    NetworkLocation,
+    grid_cell,
+    grid_columns,
+)
 
 from tests.conftest import make_offer, make_request
 
@@ -330,6 +340,198 @@ class TestNetworkZones:
         assert priority[0, eu_col] < priority[0, us_col]
 
 
+def _geo_rows_per_request(generator, requests, keys, ub):
+    """``GeoBucketGenerator._priority_rows`` as the per-request loop it
+    replaced — kept here only, as the oracle."""
+    n_cols = grid_columns(generator.cell_deg)
+    priority = -ub.copy()
+    if not [key for key in keys if key is not None]:
+        return priority
+    cell_rows = np.array([c[0] for c in keys if c is not None])
+    cell_cols = np.array([c[1] for c in keys if c is not None])
+    located_columns = np.array(
+        [k for k, key in enumerate(keys) if key is not None]
+    )
+    for local, request in enumerate(requests):
+        location = generator._resolve(request.location)
+        if location is None:
+            continue
+        row, col = grid_cell(location, generator.cell_deg)
+        d_row = np.abs(cell_rows - row)
+        d_col = np.abs(cell_cols - col)
+        d_col = np.minimum(d_col, n_cols - d_col)
+        priority[local, located_columns] = np.maximum(d_row, d_col)
+        if len(located_columns) != len(keys):
+            fallback = [k for k, key in enumerate(keys) if key is None]
+            priority[local, fallback] = -1.0
+    return priority
+
+
+def _zone_rows_per_request(generator, requests, keys, ub):
+    """``NetworkZoneGenerator._priority_rows`` as the request x group
+    loop it replaced — kept here only, as the oracle."""
+    priority = -ub.copy()
+    prefix_parts = [
+        key.split("/") if key is not None else None for key in keys
+    ]
+    for local, request in enumerate(requests):
+        zone = generator._resolve(request.location)
+        if zone is None:
+            continue
+        mine = zone.split("/")
+        for k, parts in enumerate(prefix_parts):
+            if parts is None:
+                priority[local, k] = -1.0
+                continue
+            common = 0
+            for a, b in zip(mine, parts):
+                if a != b:
+                    break
+                common += 1
+            priority[local, k] = float(generator.depth - common)
+    return priority
+
+
+class TestPriorityRowsPerLabel:
+    """One examination-order row per distinct zone or cell, broadcast to
+    its requests, equals the row computed request by request."""
+
+    @staticmethod
+    def _bound(n_requests, n_keys):
+        return np.random.default_rng(5).random((n_requests, n_keys))
+
+    @pytest.mark.parametrize("cell_deg", [5.0, 10.0, 45.0])
+    @pytest.mark.parametrize("with_fallback", [True, False])
+    def test_geo_cells(self, cell_deg, with_fallback):
+        locations = {
+            "hel": GeoLocation(60.17, 24.94),
+            "hel-2": GeoLocation(60.2, 24.9),  # same cell, another tag
+            "syd": GeoLocation(-33.87, 151.21),
+            "fiji-east": GeoLocation(-17.5, 179.5),
+            "fiji-west": GeoLocation(-17.5, -179.5),
+            "not-geo": NetworkLocation("eu/hel"),
+        }
+        generator = GeoBucketGenerator(locations, cell_deg=cell_deg)
+        tags = list(locations) + ["unknown", None]
+        requests = [
+            make_request(request_id=f"r{i}", location=tags[i % len(tags)])
+            for i in range(3 * len(tags))
+        ]
+        offers = [
+            make_offer(offer_id=f"o{j}", location=tag)
+            for j, tag in enumerate(
+                tags if with_fallback else list(locations)[:5]
+            )
+        ]
+        keys = [key for key, _ in generator._group_offers(offers)]
+        assert (None in keys) == with_fallback
+        ub = self._bound(len(requests), len(keys))
+        expected = _geo_rows_per_request(generator, requests, keys, ub)
+        np.testing.assert_array_equal(
+            generator._priority_rows(requests, keys, ub), expected
+        )
+        # the seam: east and west of the antimeridian are ring-1 apart
+        east = next(i for i, r in enumerate(requests) if r.location == "fiji-east")
+        west = grid_cell(locations["fiji-west"], cell_deg)
+        assert expected[east, keys.index(west)] <= 1.0
+
+    def test_geo_without_any_located_bucket(self):
+        generator = GeoBucketGenerator({"hel": GeoLocation(60.17, 24.94)})
+        requests = [make_request(location="hel"), make_request(location=None)]
+        ub = self._bound(2, 1)
+        np.testing.assert_array_equal(
+            generator._priority_rows(requests, [None], ub),
+            _geo_rows_per_request(generator, requests, [None], ub),
+        )
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_network_zones(self, depth, mapped):
+        zones = ["eu/hel/c1", "eu/hel/c2", "eu/ber/c1", "us/nyc/c1", "edge"]
+        locations = (
+            {f"tag{i}": NetworkLocation(z) for i, z in enumerate(zones)}
+            | {"geo": GeoLocation(0.0, 0.0)}
+            if mapped
+            else None
+        )
+        generator = NetworkZoneGenerator(locations, depth=depth)
+        tags = (list(locations) if mapped else zones) + [
+            "unknown" if mapped else "/malformed", "", None,
+        ]
+        requests = [
+            make_request(request_id=f"r{i}", location=tags[i % len(tags)])
+            for i in range(3 * len(tags))
+        ]
+        offers = [
+            make_offer(offer_id=f"o{j}", location=tag)
+            for j, tag in enumerate(tags)
+        ]
+        keys = [key for key, _ in generator._group_offers(offers)]
+        assert None in keys  # the fallback bucket
+        ub = self._bound(len(requests), len(keys))
+        np.testing.assert_array_equal(
+            generator._priority_rows(requests, keys, ub),
+            _zone_rows_per_request(generator, requests, keys, ub),
+        )
+
+    def test_zone_rows_are_derived_once_per_zone(self, monkeypatch):
+        generator = NetworkZoneGenerator()
+        resolved = []
+        real = generator._resolve
+        monkeypatch.setattr(
+            generator, "_resolve",
+            lambda tag: resolved.append(tag) or real(tag),
+        )
+        requests = [
+            make_request(request_id=f"r{i}", location=("eu/a", "us/b")[i % 2])
+            for i in range(40)
+        ]
+        generator._priority_rows(requests, ["eu", "us", None], np.zeros((40, 3)))
+        assert sorted(resolved) == ["eu/a", "us/b"]
+
+
+class TestBlockArrays:
+    def test_subsets_gathered_from_the_block_score_like_the_subset(self):
+        # A subset scored from the block's once-built entries must give
+        # the floats of walking the subset's own bids again.
+        requests = [
+            make_request(
+                request_id=f"r{i}", submit_time=float(i),
+                resources=({"cpu": 1.0 + i, "gpu": 1.0}, {"ram": 2.0 + i})[i % 2],
+                significance=({"gpu": 0.5}, {})[i % 2],
+            )
+            for i in range(7)
+        ]
+        offers = [
+            make_offer(
+                offer_id=f"o{j}", submit_time=float(j),
+                resources=(
+                    {"cpu": 2.0 + j, "ram": 4.0},
+                    {"gpu": 2.0, "disk": 9.0},
+                    {"ram": 3.0 + j, "cpu": 0.0},
+                )[j % 3],
+            )
+            for j in range(9)
+        ]
+        maxima = block_maxima(requests, offers)
+        block = BlockArrays(requests, offers, maxima)
+        for rows, cols in (
+            (np.array([0, 2, 4]), np.array([1, 4, 7])),  # no shared type
+            (np.array([1, 3]), np.array([0, 2, 8])),
+            (np.array([6, 0, 5]), np.arange(9)),
+            (np.arange(7), np.array([3])),
+        ):
+            subset_requests = np.array(requests, dtype=object)[rows].tolist()
+            subset_offers = np.array(offers, dtype=object)[cols].tolist()
+            scores, feasible = block.score(rows, cols)
+            np.testing.assert_array_equal(
+                scores, score_matrix(subset_requests, subset_offers, maxima)
+            )
+            np.testing.assert_array_equal(
+                feasible, feasibility_matrix(subset_requests, subset_offers)
+            )
+
+
 class TestBoundaryTies:
     """Only contenders reach the global ranking; score ties at the
     ``breadth``-th place must all stay in for the §IV-D rule to settle."""
@@ -368,6 +570,61 @@ class TestBoundaryTies:
             ranked = sorted(tie_rank_key(request, o, maxima) for o in offers)
             assert ranked[1] == ranked[2][:1] + (1.0, "b-tie-early")  # a tie
             assert certificate.threshold == (-ranked[1][0], 1.0, "b-tie-early")
+
+
+    @pytest.mark.parametrize("chunk_size", [1, 2048])
+    def test_tie_with_the_final_threshold_survives_the_running_filter(
+        self, chunk_size, monkeypatch
+    ):
+        # The request's own zone is scored first: "a-mid" and "a-low"
+        # fill the two places and the running threshold is a-low's score.
+        # Zone zb then brings a better offer and one that *ties* a-mid,
+        # so the final threshold is the a-mid/b-tie score — reached only
+        # after a-mid was filtered against the lower running value.  It
+        # must still be a contender, and wins the tie on submission time.
+        spec = [
+            ("a-mid", "za", 1.0, 4.0),
+            ("a-low", "za", 0.0, 2.0),
+            ("b-top", "zb", 3.0, 8.0),
+            ("b-tie", "zb", 2.0, 4.0),
+        ]
+        offers = [
+            make_offer(offer_id=oid, location=zone, submit_time=t,
+                       resources={"cpu": cpu})
+            for oid, zone, t, cpu in spec
+        ]
+        requests = [
+            make_request(request_id=f"r{i}", location="za",
+                         resources={"cpu": 2.0})
+            for i in range(3)
+        ]
+        maxima = block_maxima(requests, offers)
+        generator = NetworkZoneGenerator(verify="full", chunk_size=chunk_size)
+        ranked = []
+        real = generator._rank_admitted
+
+        def spy(requests_, offers_, breadth, rows, cols, scores):
+            ranked.extend(
+                (int(i), offers_[int(j)].offer_id)
+                for part_rows, part_cols in zip(rows, cols)
+                for i, j in zip(part_rows, part_cols)
+            )
+            return real(requests_, offers_, breadth, rows, cols, scores)
+
+        monkeypatch.setattr(generator, "_rank_admitted", spy)
+        result = generator.generate(requests, offers, maxima, 2)
+
+        assert result.best_sets == _reference_sets(requests, offers, maxima, 2)
+        assert result.best_sets[0] == frozenset({"b-top", "a-mid"})
+        score = {o.offer_id: quality_of_match(requests[0], o, maxima) for o in offers}
+        assert score["b-top"] > score["a-mid"] == score["b-tie"] > score["a-low"]
+        for i, certificate in enumerate(result.certificates):
+            assert certificate.threshold == (score["a-mid"], 1.0, "a-mid")
+            # the final filter still drops what only the running one kept
+            assert sorted(oid for row, oid in ranked if row == i) == [
+                "a-mid", "b-tie", "b-top",
+            ]
+        assert generator.last_stats["certificate_checks"] > 0
 
 
 class TestTieRankKey:

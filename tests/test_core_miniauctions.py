@@ -1,8 +1,14 @@
 """Unit tests for mini-auction formation (Alg. 3)."""
 
+from collections import Counter
+
+import pytest
+
+from repro.core import cluster_allocation
 from repro.core.cluster_allocation import allocate_cluster
 from repro.core.clustering import Cluster
 from repro.core.config import AuctionConfig
+from repro.core.welfare import pair_welfare
 from repro.core.miniauctions import (
     build_mini_auctions,
     price_compatible,
@@ -118,3 +124,54 @@ class TestBuildMiniAuctions:
         a = _allocation([8.0, 6.0], [2.0], tag="a")
         auctions = build_mini_auctions([a], CONFIG)
         assert auctions[0].num_tentative_trades == len(a.matches)
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_tentative_welfare_is_summed_once_per_allocation(
+        self, monkeypatch, engine
+    ):
+        # Root selection, the attach order and the final auction order
+        # all read ``tentative_welfare``.  Each allocation sums it once,
+        # when it is built, from the Eq. (6) fractions its fit already
+        # derived — reading it derives nothing again.
+        asked = Counter()
+        real = cluster_allocation.resource_fraction
+
+        def counting(request, offer):
+            asked[request.request_id, offer.offer_id] += 1
+            return real(request, offer)
+
+        monkeypatch.setattr(cluster_allocation, "resource_fraction", counting)
+        allocations = [
+            _allocation([8.0, 6.0], [2.0], tag="a"),
+            _allocation([7.0, 5.0], [3.0], tag="b"),
+            _allocation([7.5, 5.5, 5.0], [2.5, 2.6], tag="c"),
+            _allocation([200.0], [90.0], tag="d", duration=1.0),
+        ]
+        matched = [(r, o) for a in allocations for r, o in a.matches]
+        assert matched and all(
+            asked[r.request_id, o.offer_id] == 1 for r, o in matched
+        )
+        before = dict(asked)
+        monkeypatch.setattr(
+            cluster_allocation, "pair_welfare",
+            lambda *_: pytest.fail("welfare re-derived on read"),
+        )
+        auctions = build_mini_auctions(allocations, AuctionConfig(engine=engine))
+        for auction in auctions:
+            assert auction.tentative_welfare == sum(
+                a.tentative_welfare for a in auction.allocations
+            )
+        assert dict(asked) == before
+        for allocation in allocations:
+            assert allocation.tentative_welfare == sum(
+                pair_welfare(r, o) for r, o in allocation.matches
+            )
+
+    def test_hand_built_allocation_still_sums_its_welfare(self):
+        built = _allocation([8.0, 6.0], [2.0], tag="a")
+        by_hand = cluster_allocation.ClusterAllocation(
+            cluster=built.cluster, requests=built.requests,
+            offers=built.offers, economics=built.economics,
+            matches=built.matches,
+        )
+        assert by_hand.tentative_welfare == built.tentative_welfare > 0

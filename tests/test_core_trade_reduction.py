@@ -4,12 +4,19 @@ import random
 
 import pytest
 
-from repro.core.auction import _index_offers, _index_requests
+from repro.core import normalization_vectorized
+from repro.core.auction import DecloudAuction, _index_offers, _index_requests
 from repro.core.cluster_allocation import allocate_cluster
 from repro.core.clustering import Cluster
 from repro.core.config import AuctionConfig
 from repro.core.miniauctions import MiniAuction
-from repro.core.trade_reduction import clear_mini_auction, pooled_price
+from repro.core.normalization import compute_economics
+from repro.core.trade_reduction import (
+    _live_allocations,
+    clear_mini_auction,
+    pooled_price,
+)
+from repro.workloads.generators import generate_market
 from tests.conftest import make_offer, make_request
 
 CONFIG = AuctionConfig()
@@ -200,3 +207,103 @@ class TestClearMiniAuction:
         assert [m.request.request_id for m in a.matches] == [
             m.request.request_id for m in b.matches
         ]
+
+    def test_request_and_offer_sharing_an_id_are_both_reduced(self):
+        # Ids are unique per side only.  The lone request sets the price,
+        # so its client leaves and the one tentative trade is reduced on
+        # both sides — the offer must not vanish from ``reduced_offers``
+        # because a request called "x1" was recorded first.
+        requests = [make_request(request_id="x1", bid=9.0, duration=4)]
+        offers = [make_offer(offer_id="x1", bid=0.5)]
+        result = _clear(requests, offers)
+        assert result.tentative_trades == 1 and result.matches == []
+        assert [r.request_id for r in result.reduced_requests] == ["x1"]
+        assert [o.offer_id for o in result.reduced_offers] == ["x1"]
+
+        outcome = DecloudAuction(CONFIG).run(requests, offers)
+        assert [o.offer_id for o in outcome.reduced_offers] == ["x1"]
+        assert outcome.unmatched_offers == []
+
+
+class TestLiveAllocationsReuseEconomics:
+    """§IV-C economics are a pure function of cluster membership, so the
+    live re-fit recomputes them only for clusters that lost a member."""
+
+    @staticmethod
+    def _auction(config):
+        requests, offers = generate_market(30, seed=9)
+        request_by_id = _index_requests(requests)
+        offer_by_id = _index_offers(offers)
+        allocations = []
+        for lo in range(0, 30, 10):
+            members = requests[lo : lo + 10]
+            cluster = Cluster(
+                offer_ids=frozenset(o.offer_id for o in offers),
+                request_ids={r.request_id for r in members},
+            )
+            allocations.append(
+                allocate_cluster(cluster, members, offers, config)
+            )
+        return MiniAuction(allocations=allocations), request_by_id, offer_by_id
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real = normalization_vectorized.compute_economics_batch
+
+        def spy(clusters, config):
+            calls.append([
+                (
+                    [r.request_id for r in requests],
+                    [o.offer_id for o in offers],
+                )
+                for requests, offers in clusters
+            ])
+            return real(clusters, config)
+
+        monkeypatch.setattr(
+            normalization_vectorized, "compute_economics_batch", spy
+        )
+        return calls
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_intact_clusters_keep_the_tentative_object(
+        self, monkeypatch, engine
+    ):
+        config = AuctionConfig(engine=engine)
+        auction, request_by_id, offer_by_id = self._auction(config)
+        calls = self._spy(monkeypatch)
+        live = _live_allocations(
+            auction, request_by_id, offer_by_id, set(), set(), config
+        )
+        assert calls == []
+        for before, after in zip(auction.allocations, live):
+            assert after.economics is before.economics
+
+    def test_only_the_clusters_that_lost_a_member_are_batched(
+        self, monkeypatch
+    ):
+        config = AuctionConfig(engine="vectorized")
+        auction, request_by_id, offer_by_id = self._auction(config)
+        calls = self._spy(monkeypatch)
+        lost = sorted(auction.allocations[1].cluster.request_ids)[0]
+        live = _live_allocations(
+            auction, request_by_id, offer_by_id, {lost}, set(), config
+        )
+        survivors = sorted(auction.allocations[1].cluster.request_ids - {lost})
+        assert calls == [[(survivors, sorted(offer_by_id))]]
+        assert live[0].economics is auction.allocations[0].economics
+        assert live[2].economics is auction.allocations[2].economics
+        assert live[1].economics == compute_economics(
+            [request_by_id[rid] for rid in survivors],
+            [offer_by_id[oid] for oid in sorted(offer_by_id)],
+            config,
+        )
+
+        # A consumed offer is a lost member of every cluster holding it.
+        del calls[:]
+        gone = sorted(offer_by_id)[0]
+        _live_allocations(
+            auction, request_by_id, offer_by_id, set(), {gone}, config
+        )
+        assert [len(batch) for batch in calls] == [3]

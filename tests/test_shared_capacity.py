@@ -12,10 +12,15 @@ import random
 import pytest
 
 from repro.core.auction import DecloudAuction, _index_offers, _index_requests
-from repro.core.cluster_allocation import allocate_cluster
+from repro.core.cluster_allocation import (
+    OfferCapacity,
+    allocate_cluster,
+    greedy_fit,
+)
 from repro.core.clustering import Cluster
 from repro.core.config import AuctionConfig
 from repro.core.miniauctions import MiniAuction
+from repro.core.normalization import compute_economics
 from repro.core.trade_reduction import clear_mini_auction
 from repro.common.timewindow import TimeWindow
 from tests.conftest import make_offer, make_request
@@ -136,6 +141,43 @@ class TestSharedOfferCapacity:
             sum(1 for m in result.matches if m.request.request_id == "hot")
             <= 1
         )
+
+
+class TestAdmissionVersusBooking:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2(b): OfferCapacity.can_host admits on the "
+        "flexibility-discounted required_amount, consume books "
+        "min(request, offer) at the full amount and clamps at 0.0",
+    )
+    def test_a_flexible_request_cannot_overdraw_the_offer(self):
+        # A strict request takes 3 of 8 ram.  A flexible 8-ram request
+        # (flexibility 0.5: it needs 4) is then admitted on the remaining
+        # 5, booked at 8, and the books read 0.0 with 11 of 8 committed.
+        # The fix changes outcomes, so it belongs to item 2's one golden
+        # regeneration; until then greedy_fit reproduces this exactly.
+        offer = make_offer(resources={"ram": 8.0}, window=TimeWindow(0, 10))
+        requests = [
+            make_request(
+                request_id="strict", resources={"ram": 3.0}, bid=9.0,
+                window=TimeWindow(0, 10), duration=10.0,
+            ),
+            make_request(
+                request_id="flexible", resources={"ram": 8.0}, bid=8.0,
+                significance={"ram": 0.5}, flexibility=0.5,
+                window=TimeWindow(0, 10), duration=10.0,
+            ),
+        ]
+        capacity = OfferCapacity([offer])
+        matches = greedy_fit(
+            requests, [offer], compute_economics(requests, [offer], CONFIG),
+            capacity, set(),
+        )
+        committed = sum(
+            (r.duration / o.span) * min(r.resources["ram"], o.resources["ram"])
+            for r, o in matches
+        )
+        assert committed <= offer.resources["ram"]
 
 
 class TestFullAuctionCapacityStress:
