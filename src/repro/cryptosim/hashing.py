@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 
 def sha256(data: bytes) -> bytes:
@@ -31,6 +31,14 @@ def canonical_json(obj: Any) -> bytes:
     return json.dumps(
         obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")
+
+
+def iter_canonical_json_items(items: Iterable[Any]) -> Iterator[bytes]:
+    """:func:`canonical_json` of each item, a comma before all but the
+    first: the inside of a JSON list too long to hold as one text."""
+    for index, item in enumerate(items):
+        piece = canonical_json(item)
+        yield b"," + piece if index else piece
 
 
 def hash_obj(obj: Any) -> str:

@@ -9,24 +9,30 @@ key, and any bit flip in message or signature fails verification.
 Signing is deterministic (RFC-6979 style nonce derivation from the secret
 key and message) so the ledger simulation stays reproducible.
 
-Every power of the generator (``G^secret``, ``G^nonce``, ``G^response``)
-goes through one fixed-base window table built on first use, and
-verification inverts ``public^challenge`` with ``pow(public, -challenge,
-P)`` — a challenge-sized exponent plus one extended-gcd inverse.  Both
+Every exponentiation goes through one Lim-Lee comb: a 256-bit exponent
+is laid out as 8 rows of 32 bits, a 256-entry table holds the product of
+the row bases for every 8-bit column pattern, and evaluation is one
+squaring plus at most one multiply per table for each of the 32 columns.
+``G`` has four such tables (exponents run up to ``Q``, 1023 bits), built
+on first use; each signer's ``Y^(-1)`` has one, a pure function of the
+public key, built on first sight and kept in a bounded LRU.  Verification
+walks the ``G`` tables and the signer's table in a single pass, so
+``G^response * Y^(-challenge)`` shares its 32 squarings.  The tables
 compute the same group elements as plain ``pow``, so signatures and
 verdicts are bit-identical to the textbook formulas
 (``tests/property/test_crypto_properties.py`` keeps those as the oracle).
 A node that sees the same signature several times per round fronts
-:func:`verify` with its own :class:`SignatureCache`.
+:func:`verify` with its own :class:`SignatureCache`; key tables hold no
+verdicts and are shared by every node in the process.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import secrets
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.errors import SignatureError
 
@@ -37,44 +43,80 @@ P = 0xFFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74020BBEA63B
 Q = (P - 1) // 2
 G = 4  # 2^2 is a quadratic residue, hence generates the order-Q subgroup.
 
-#: Fixed-base window: ``G^e`` is a product of one table entry per 5-bit
-#: digit of ``e``.  205 rows x 32 entries of 128 bytes is about 1 MiB and
-#: about 25 ms to build; width 6 costs 1.7x of both for 16 % fewer multiplies.
-_WINDOW_BITS = 5
-_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-_g_table: Optional[List[List[int]]] = None
+#: Comb geometry: an exponent block of ``_ROWS * _COLUMNS`` = 256 bits is
+#: read as 8 rows of 32 bits; a table has one entry per 8-bit column
+#: pattern (256 entries, ~43 KiB), and evaluating costs 32 squarings
+#: shared by every table in the pass plus at most 32 multiplies per table.
+_ROWS = 8
+_COLUMNS = 32
+_BLOCK_BITS = _ROWS * _COLUMNS
+_ROW_MASK = (1 << _ROWS) - 1
+#: blocks covering an exponent below ``Q``: 4 tables, 1,024 entries, ~10 ms
+_G_BLOCKS = -(-Q.bit_length() // _BLOCK_BITS)
+#: signers whose ``Y^(-1)`` table is kept (least recently used goes
+#: first): ~10 MiB when full.  Building one (~1.7 ms) costs about what a
+#: whole verification did before the tables existed, so a flood of
+#: never-seen keys pays a bounded factor per bid and never more.
+_MAX_KEY_TABLES = 256
+
+_Table = Tuple[int, ...]
 
 
-def _build_g_table() -> List[List[int]]:
-    """``table[i][d] = G^(d * 2^(5 i)) mod P`` for every 5-bit digit of
-    an exponent below ``Q`` — a pure function of the group constants."""
-    table = []
-    base = G
-    for _ in range(-(-Q.bit_length() // _WINDOW_BITS)):
-        row = [1]
-        for _ in range(_WINDOW_MASK):
-            row.append(row[-1] * base % P)
-        table.append(row)
-        base = row[-1] * base % P
-    return table
+def _build_comb(base: int, blocks: int) -> Tuple[_Table, ...]:
+    """Comb tables of ``base`` for exponents of ``blocks * 256`` bits.
+
+    Row ``r`` of the exponent weighs ``base^(2^(32 r))``; table ``b``
+    covers rows ``8b .. 8b+7`` and ``table[d]`` is the product of the
+    row bases whose bit is set in ``d`` — a pure function of ``base``.
+    """
+    row_bases = [base]
+    for _ in range(blocks * _ROWS - 1):
+        row_bases.append(pow(row_bases[-1], 1 << _COLUMNS, P))
+    tables = []
+    for block in range(blocks):
+        table = [1]
+        for row_base in row_bases[block * _ROWS : (block + 1) * _ROWS]:
+            table += [entry * row_base % P for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _comb_pow(tables: Tuple[_Table, ...], exponent: int) -> int:
+    """Product over ``b`` of ``base_b ^ (block b of exponent)`` mod ``P``,
+    where ``tables[b]`` is a comb table of ``base_b`` and block ``b`` is
+    bits ``256b .. 256b+255`` of an exponent no wider than the tables —
+    one pass, one squaring per column."""
+    bits = format(exponent, "b").zfill(len(tables) * _BLOCK_BITS)
+    result = 1
+    for column in range(_COLUMNS):
+        result = result * result % P
+        # bit ``column`` (from the top) of every row, lowest row last
+        digits = int(bits[column::_COLUMNS], 2)
+        block = 0
+        while digits:
+            digit = digits & _ROW_MASK
+            if digit:
+                result = result * tables[block][digit] % P
+            digits >>= _ROWS
+            block += 1
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def _g_tables() -> Tuple[_Table, ...]:
+    return _build_comb(G, _G_BLOCKS)
+
+
+@functools.lru_cache(maxsize=_MAX_KEY_TABLES)
+def _key_table(public: int) -> _Table:
+    """Comb table of ``public^(-1)`` (the true inverse mod ``P``, so keys
+    outside the order-``Q`` subgroup are handled exactly)."""
+    return _build_comb(pow(public, -1, P), 1)[0]
 
 
 def _g_pow(exponent: int) -> int:
     """``pow(G, exponent, P)`` for a non-negative exponent, by table."""
-    global _g_table
-    table = _g_table
-    if table is None:
-        table = _g_table = _build_g_table()
-    exponent %= Q  # G has order Q
-    result = 1
-    row = 0
-    while exponent:
-        digit = exponent & _WINDOW_MASK
-        if digit:
-            result = result * table[row][digit] % P
-        exponent >>= _WINDOW_BITS
-        row += 1
-    return result
+    return _comb_pow(_g_tables(), exponent % Q)  # G has order Q
 
 
 def _hash_to_int(*parts: bytes) -> int:
@@ -102,14 +144,19 @@ class KeyPair:
         return cls(secret=secret, public=_g_pow(secret))
 
 
-def sign(secret: int, message: bytes) -> Tuple[int, int]:
+def sign(
+    secret: int, message: bytes, public: Optional[int] = None
+) -> Tuple[int, int]:
     """Produce a Schnorr signature ``(challenge, response)``.
 
     The nonce is derived deterministically from ``(secret, message)``.
+    A caller holding the :class:`KeyPair` passes ``public`` (which must
+    be ``G^secret``) and saves re-deriving it — half the work.
     """
     nonce = _hash_to_int(b"nonce", secret.to_bytes(160, "big"), message) % (Q - 1) + 1
     commitment = _g_pow(nonce)
-    public = _g_pow(secret)
+    if public is None:
+        public = _g_pow(secret)
     challenge = (
         _hash_to_int(
             b"chal",
@@ -156,8 +203,16 @@ def verify(public: int, message: bytes, signature: Tuple[int, int]) -> bool:
     if components is None:
         return False
     challenge, response = components
-    # commitment' = G^response * public^(-challenge) mod P
-    commitment = _g_pow(response) * pow(public, -challenge, P) % P
+    if challenge >> _BLOCK_BITS:
+        # the challenge is a SHA-256 value (< 2^256 < Q): nothing wider
+        # can equal the recomputed one, and one key table covers 256 bits
+        return False
+    # commitment' = G^response * public^(-challenge) mod P, the signer's
+    # table riding as one more block above the G tables
+    commitment = _comb_pow(
+        _g_tables() + (_key_table(public),),
+        response | challenge << (_G_BLOCKS * _BLOCK_BITS),
+    )
     expected = (
         _hash_to_int(
             b"chal",
@@ -189,7 +244,9 @@ class SignatureCache:
     through :func:`verify` like any first sight.  The cache is bounded,
     evicts oldest-first, and belongs to exactly one node (a miner, or one
     recovery); sharing one between nodes would let one node's check stand
-    in for another's.
+    in for another's.  A node drops a bid's entry (:meth:`forget`) when
+    it commits the block that carries the bid — the third meeting was
+    the last — so what it holds follows its pending pool, not its chain.
     """
 
     #: above ``Mempool``'s default capacity, so every bid of a full block
@@ -197,34 +254,43 @@ class SignatureCache:
     MAX_ENTRIES = 1 << 17
 
     def __init__(self) -> None:
-        self._verified: Set[int] = set()
-        self._order: Deque[int] = deque()
+        #: digests of the verified triples, oldest first
+        self._verified: Dict[int, None] = {}
 
     def __len__(self) -> int:
         return len(self._verified)
 
-    def verify(self, public: int, message: bytes, signature: Tuple[int, int]) -> bool:
-        """:func:`verify`, skipped when this exact triple passed before."""
+    @staticmethod
+    def _key(public: int, message: bytes, signature: Tuple[int, int]) -> Optional[int]:
         components = _components(public, signature)
         if components is None:
-            return False
+            return None
         challenge, response = components
-        key = _hash_to_int(
+        return _hash_to_int(
             b"verified",
             public.to_bytes(160, "big"),
             challenge.to_bytes(160, "big"),
             response.to_bytes(160, "big"),
             message,
         )
+
+    def verify(self, public: int, message: bytes, signature: Tuple[int, int]) -> bool:
+        """:func:`verify`, skipped when this exact triple passed before."""
+        key = self._key(public, message, signature)
+        if key is None:
+            return False
         if key in self._verified:
             return True
         if not verify(public, message, signature):
             return False
-        if len(self._order) >= self.MAX_ENTRIES:
-            self._verified.discard(self._order.popleft())
-        self._verified.add(key)
-        self._order.append(key)
+        if len(self._verified) >= self.MAX_ENTRIES:
+            del self._verified[next(iter(self._verified))]
+        self._verified[key] = None
         return True
+
+    def forget(self, public: int, message: bytes, signature: Tuple[int, int]) -> None:
+        """Drop this triple's entry; meeting it again costs a :func:`verify`."""
+        self._verified.pop(self._key(public, message, signature), None)
 
 
 def _self_check() -> None:

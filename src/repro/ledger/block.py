@@ -160,7 +160,7 @@ class BlockBody:
         self, keypair: schnorr.KeyPair, preamble_hash: str
     ) -> "BlockBody":
         signature = schnorr.sign(
-            keypair.secret, self.signing_payload(preamble_hash)
+            keypair.secret, self.signing_payload(preamble_hash), keypair.public
         )
         body = BlockBody(
             reveals=self.reveals,

@@ -83,6 +83,11 @@ class Blockchain:
         if self.journal is not None:
             self.journal.log("chain.append", block=block)
         self._blocks.append(block)
+        # committed: this node does not check these bids again
+        for tx in block.preamble.transactions:
+            self.signatures.forget(
+                tx.sender_public, tx.signing_payload(), tx.signature
+            )
 
     def find_block(self, block_hash: str) -> Optional[Block]:
         """Look up a block by its full hash."""

@@ -9,9 +9,9 @@ ranking ties) is well defined.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
+from typing import List, Optional
 
-from repro.common.errors import SignatureError
+from repro.common.errors import LedgerError
 from repro.cryptosim import schnorr
 from repro.ledger.transaction import SealedBidTransaction
 
@@ -40,17 +40,25 @@ class Mempool:
     def submit(self, tx: SealedBidTransaction) -> str:
         """Verify and enqueue ``tx``; returns its txid.
 
-        Re-submission of an identical transaction is idempotent.
+        Re-submission of an identical transaction is idempotent.  Raises
+        :class:`SignatureError` for a bad signature and
+        :class:`LedgerError` when the pool is full.
         """
         tx.require_valid(self.signatures)
         txid = tx.txid()
         if txid not in self._pending:
             if len(self._pending) >= self.max_size:
-                raise SignatureError("mempool full")  # pragma: no cover
+                raise LedgerError(
+                    f"mempool full ({self.max_size} pending transactions)"
+                )
             if self.journal is not None:
                 self.journal.log("mempool.admit", tx=tx)
             self._pending[txid] = tx
         return txid
+
+    def get(self, txid: str) -> Optional[SealedBidTransaction]:
+        """The pending transaction with this txid, if there is one."""
+        return self._pending.get(txid)
 
     def peek(self, limit: int) -> List[SealedBidTransaction]:
         """The next up-to-``limit`` transactions without removing them."""

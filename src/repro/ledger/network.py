@@ -1,8 +1,10 @@
 """In-memory broadcast network connecting participants and miners.
 
 The overlay is modeled as a synchronous gossip bus: ``broadcast`` delivers
-the message to every subscribed node immediately (and records it, so tests
-can assert on traffic).  This captures what the protocol relies on —
+the message to every subscribed node immediately and records it, so tests
+can assert on traffic.  The record keeps the latest ``LOG_LIMIT``
+messages: a bus that runs for thousands of rounds holds a window of its
+traffic, not a history.  This captures what the protocol relies on —
 everyone sees preambles, reveals, and bodies — without simulating
 latency or partitions; those belong to the consensus layer the paper
 explicitly builds on rather than contributes.
@@ -10,10 +12,14 @@ explicitly builds on rather than contributes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Deque, Dict, List
 
 Handler = Callable[[str, Any], None]
+
+#: messages the traffic log keeps (a lockstep round of 18 bids sends 38)
+LOG_LIMIT = 1024
 
 
 @dataclass
@@ -27,10 +33,12 @@ class Message:
 
 @dataclass
 class BroadcastNetwork:
-    """Synchronous publish/subscribe bus with a full traffic log."""
+    """Synchronous publish/subscribe bus with a log of recent traffic."""
 
     _subscribers: Dict[str, List[Handler]] = field(default_factory=dict)
-    log: List[Message] = field(default_factory=list)
+    log: Deque[Message] = field(
+        default_factory=lambda: deque(maxlen=LOG_LIMIT)
+    )
 
     def subscribe(self, topic: str, handler: Handler) -> None:
         """Register ``handler`` for messages on ``topic``."""
@@ -48,5 +56,5 @@ class BroadcastNetwork:
             handler(sender, payload)
 
     def messages(self, topic: str) -> List[Message]:
-        """All logged messages on ``topic`` in delivery order."""
+        """The logged messages on ``topic`` in delivery order."""
         return [msg for msg in self.log if msg.topic == topic]

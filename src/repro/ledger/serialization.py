@@ -18,10 +18,13 @@ below is the *wire format* and is unchanged.
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any, Dict
+from sys import intern
+from typing import Any, Callable, Dict, Iterator
 
 from repro.common.errors import LedgerError
+from repro.cryptosim import hashing
 from repro.cryptosim.commitments import Commitment
 from repro.cryptosim.symmetric import SealedBox
 from repro.ledger.block import Block, BlockBody, BlockPreamble, KeyReveal
@@ -41,10 +44,18 @@ def tx_to_dict(tx: SealedBidTransaction) -> Dict[str, Any]:
     }
 
 
+@functools.lru_cache(maxsize=256)
+def _public_key(text: str) -> int:
+    return int(text, 16)
+
+
 def tx_from_dict(data: Dict[str, Any]) -> SealedBidTransaction:
+    """A decoded chain names the same few signers block after block:
+    their ids and keys (and, below, a reveal's txid, which its
+    transaction interns too) are shared, not held once per bid."""
     return SealedBidTransaction(
-        sender_id=data["sender_id"],
-        sender_public=int(data["sender_public"], 16),
+        sender_id=intern(data["sender_id"]),
+        sender_public=_public_key(data["sender_public"]),
         box=SealedBox.from_bytes(bytes.fromhex(data["box"])),
         key_commitment=Commitment(
             digest=bytes.fromhex(data["key_commitment"])
@@ -56,7 +67,13 @@ def tx_from_dict(data: Dict[str, Any]) -> SealedBidTransaction:
     )
 
 
-def block_to_dict(block: Block) -> Dict[str, Any]:
+def block_to_dict(
+    block: Block,
+    encode_tx: Callable[[SealedBidTransaction], Dict[str, Any]] = tx_to_dict,
+) -> Dict[str, Any]:
+    """``encode_tx`` lets a journal write a transaction it already holds
+    some other way (see ``repro.store.records``); the audit format and
+    every hash use :func:`tx_to_dict`."""
     preamble = block.preamble
     body = block.body
     out: Dict[str, Any] = {
@@ -65,7 +82,7 @@ def block_to_dict(block: Block) -> Dict[str, Any]:
             "parent_hash": preamble.parent_hash,
             "timestamp": preamble.timestamp,
             "pow_nonce": preamble.pow_nonce,
-            "transactions": [tx_to_dict(tx) for tx in preamble.transactions],
+            "transactions": [encode_tx(tx) for tx in preamble.transactions],
         },
     }
     if body is not None:
@@ -87,12 +104,15 @@ def block_to_dict(block: Block) -> Dict[str, Any]:
     return out
 
 
-def block_from_dict(data: Dict[str, Any]) -> Block:
+def block_from_dict(
+    data: Dict[str, Any],
+    decode_tx: Callable[[Dict[str, Any]], SealedBidTransaction] = tx_from_dict,
+) -> Block:
     pre = data["preamble"]
     preamble = BlockPreamble(
         height=pre["height"],
         parent_hash=pre["parent_hash"],
-        transactions=tuple(tx_from_dict(t) for t in pre["transactions"]),
+        transactions=tuple(decode_tx(t) for t in pre["transactions"]),
         timestamp=pre["timestamp"],
         pow_nonce=pre["pow_nonce"],
     )
@@ -102,8 +122,8 @@ def block_from_dict(data: Dict[str, Any]) -> Block:
         body = BlockBody(
             reveals=tuple(
                 KeyReveal(
-                    sender_id=r["sender_id"],
-                    txid=r["txid"],
+                    sender_id=intern(r["sender_id"]),
+                    txid=intern(r["txid"]),
                     temp_key=bytes.fromhex(r["temp_key"]),
                     blind=bytes.fromhex(r["blind"]),
                 )
@@ -120,16 +140,38 @@ def block_from_dict(data: Dict[str, Any]) -> Block:
     return Block(preamble=preamble, body=body)
 
 
+def _chain_entry(block: Block) -> Dict[str, Any]:
+    return {"hash": block.hash(), **block_to_dict(block)}
+
+
 def chain_to_json(chain: Blockchain) -> str:
     """Serialize the chain (with block hashes for external auditing)."""
     document = {
         "format_version": FORMAT_VERSION,
         "difficulty_bits": chain.difficulty_bits,
-        "blocks": [
-            {"hash": block.hash(), **block_to_dict(block)} for block in chain
-        ],
+        "blocks": [_chain_entry(block) for block in chain],
     }
     return json.dumps(document, sort_keys=True, indent=1)
+
+
+def iter_chain_canonical_json(chain: Blockchain) -> Iterator[bytes]:
+    """The :func:`chain_to_json` document as canonical JSON, in pieces.
+
+    Concatenated, the pieces equal ``canonical_json(json.loads(
+    chain_to_json(chain)))``; no piece is larger than one block, so a
+    digest over a long chain never holds the chain's JSON at once.
+    """
+    yield b'{"blocks":['  # sorts before the two scalar keys
+    yield from hashing.iter_canonical_json_items(
+        _chain_entry(block) for block in chain
+    )
+    scalars = hashing.canonical_json(
+        {
+            "difficulty_bits": chain.difficulty_bits,
+            "format_version": FORMAT_VERSION,
+        }
+    )
+    yield b"]," + scalars[1:]
 
 
 def chain_from_json(document: str, verify: bool = True) -> Blockchain:

@@ -10,6 +10,7 @@ what is inside.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern
 from typing import Optional, Tuple
 
 from repro.common.errors import SignatureError
@@ -76,7 +77,8 @@ class SealedBidTransaction:
         """Deterministic transaction identifier (hash of the payload)."""
         cached = self.__dict__.get("_txid_cache")
         if cached is None:
-            cached = hashing.sha256_hex(self.signing_payload())
+            # interned: a block's reveals name the same txid
+            cached = intern(hashing.sha256_hex(self.signing_payload()))
             object.__setattr__(self, "_txid_cache", cached)
         return cached
 
@@ -96,7 +98,9 @@ class SealedBidTransaction:
             key_commitment=key_commitment,
             signature=(0, 0),
         )
-        signature = schnorr.sign(keypair.secret, unsigned.signing_payload())
+        signature = schnorr.sign(
+            keypair.secret, unsigned.signing_payload(), keypair.public
+        )
         return cls(
             sender_id=sender_id,
             sender_public=keypair.public,

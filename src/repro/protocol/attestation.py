@@ -72,7 +72,9 @@ class AttestationService:
             signature=(0, 0),
         )
         signature = schnorr.sign(
-            self.keypair.secret, unsigned.signing_payload()
+            self.keypair.secret,
+            unsigned.signing_payload(),
+            self.keypair.public,
         )
         return Quote(
             provider_id=provider_id,

@@ -21,9 +21,10 @@ recovering once (property-tested).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import (
     ContractError,
@@ -37,7 +38,12 @@ from repro.ledger.chain import Blockchain
 from repro.ledger.mempool import Mempool
 from repro.ledger.miner import Miner
 from repro.ledger.pow import DEFAULT_DIFFICULTY_BITS
-from repro.ledger.serialization import chain_from_json, chain_to_json, tx_to_dict
+from repro.ledger.serialization import (
+    chain_from_json,
+    chain_to_json,
+    iter_chain_canonical_json,
+    tx_to_dict,
+)
 from repro.obs import ObservabilityLike, resolve as resolve_obs
 from repro.protocol.settlement import (
     EscrowState,
@@ -58,27 +64,28 @@ from repro.store.wal import FileLogBackend, MemoryLogBackend, WriteAheadLog
 TERMINAL_PHASES = frozenset({"committed", "aborted"})
 
 
-def state_to_dict(
-    chain: Blockchain,
+def _escrow_entry(escrow: Any) -> Dict[str, Any]:
+    return {
+        "escrow_id": escrow.escrow_id,
+        "client_id": escrow.client_id,
+        "provider_id": escrow.provider_id,
+        "amount": escrow.amount,
+        "state": escrow.state.value,
+    }
+
+
+def _state_beyond_chain(
     mempool: Mempool,
     ledger: TokenLedger,
     settled_blocks: Dict[str, Dict[str, str]],
     last_round: Optional[Dict[str, Any]],
 ) -> Dict[str, Any]:
-    """Canonical JSON-ready materialization of one node's durable state."""
     return {
-        "chain": json.loads(chain_to_json(chain)),
         "mempool": [tx_to_dict(tx) for tx in mempool.peek(len(mempool))],
         "ledger": {
             "balances": dict(ledger.balances),
             "escrows": [
-                {
-                    "escrow_id": escrow.escrow_id,
-                    "client_id": escrow.client_id,
-                    "provider_id": escrow.provider_id,
-                    "amount": escrow.amount,
-                    "state": escrow.state.value,
-                }
+                _escrow_entry(escrow)
                 for _eid, escrow in sorted(ledger.escrows.items())
             ],
             "counter": ledger._escrow_counter,
@@ -91,9 +98,76 @@ def state_to_dict(
     }
 
 
+def _iter_state_beyond_chain(
+    mempool: Mempool,
+    ledger: TokenLedger,
+    settled_blocks: Dict[str, Dict[str, str]],
+    last_round: Optional[Dict[str, Any]],
+) -> Iterator[bytes]:
+    """``canonical_json(_state_beyond_chain(...))`` after its opening
+    brace, in pieces: the escrows, the pending bids and the settled
+    blocks grow with the node's age, so each goes one entry at a time."""
+    canon = hashing.canonical_json
+    yield b'"ledger":{"balances":' + canon(dict(ledger.balances))
+    yield b',"counter":' + canon(ledger._escrow_counter) + b',"escrows":['
+    yield from hashing.iter_canonical_json_items(
+        _escrow_entry(ledger.escrows[eid]) for eid in sorted(ledger.escrows)
+    )
+    yield b']},"mempool":['
+    yield from hashing.iter_canonical_json_items(
+        tx_to_dict(tx) for tx in mempool.peek(len(mempool))
+    )
+    yield b'],"round":' + canon(last_round) + b',"settled_blocks":{'
+    for index, block_hash in enumerate(sorted(settled_blocks)):
+        yield (
+            (b"," if index else b"") + canon(block_hash) + b":"
+            + canon(settled_blocks[block_hash])
+        )
+    yield b"}}"
+
+
+def state_to_dict(
+    chain: Blockchain,
+    mempool: Mempool,
+    ledger: TokenLedger,
+    settled_blocks: Dict[str, Dict[str, str]],
+    last_round: Optional[Dict[str, Any]],
+) -> Dict[str, Any]:
+    """Canonical JSON-ready materialization of one node's durable state."""
+    return {
+        "chain": json.loads(chain_to_json(chain)),
+        **_state_beyond_chain(mempool, ledger, settled_blocks, last_round),
+    }
+
+
 def state_digest_of(state: Dict[str, Any]) -> str:
     """Exact digest of a materialized state (bit-identical ⇔ equal)."""
     return hashing.sha256_hex(hashing.canonical_json(state))
+
+
+def stream_state_digest(
+    chain: Blockchain,
+    mempool: Mempool,
+    ledger: TokenLedger,
+    settled_blocks: Dict[str, Dict[str, str]],
+    last_round: Optional[Dict[str, Any]],
+) -> str:
+    """``state_digest_of(state_to_dict(...))`` without the state's JSON
+    in memory.
+
+    Everything that grows with a node's age — the chain above all, then
+    the escrows and the settled blocks — is fed to the hash one block or
+    entry at a time; the other keys all sort after ``"chain"``.
+    """
+    hasher = hashlib.sha256(b'{"chain":')
+    for piece in iter_chain_canonical_json(chain):
+        hasher.update(piece)
+    hasher.update(b",")
+    for piece in _iter_state_beyond_chain(
+        mempool, ledger, settled_blocks, last_round
+    ):
+        hasher.update(piece)
+    return hasher.hexdigest()
 
 
 @dataclass
@@ -147,8 +221,8 @@ class RecoveredState:
             if marker.get("phase") not in TERMINAL_PHASES
         )
 
-    def state_dict(self) -> Dict[str, Any]:
-        return state_to_dict(
+    def _state_parts(self) -> Tuple[Any, ...]:
+        return (
             self.chain,
             self.mempool,
             self.ledger,
@@ -156,8 +230,12 @@ class RecoveredState:
             self.last_round,
         )
 
+    def state_dict(self) -> Dict[str, Any]:
+        return state_to_dict(*self._state_parts())
+
     def state_digest(self) -> str:
-        return state_digest_of(self.state_dict())
+        """``state_digest_of(self.state_dict())``, streamed."""
+        return stream_state_digest(*self._state_parts())
 
     def make_miner(
         self,
@@ -288,7 +366,7 @@ class NodeStore:
         Called by attached subsystems immediately *before* they apply
         the transition the record describes.
         """
-        payload = records.encode_data(record_type, data)
+        payload = records.encode_data(record_type, data, self._mempool)
         seq = self.wal.append(record_type, payload)
         if record_type == records.ROUND_PHASE:
             self.last_round_phase = payload
@@ -303,8 +381,7 @@ class NodeStore:
     # ------------------------------------------------------------------
     # Live-state materialization
     # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """Canonical materialization of the attached subsystems now."""
+    def _state_parts(self) -> Tuple[Any, ...]:
         if self._chain is None or self._mempool is None:
             raise StoreError(
                 "state materialization requires an attached chain and "
@@ -312,11 +389,11 @@ class NodeStore:
             )
         ledger = self._ledger if self._ledger is not None else TokenLedger()
         settled = (
-            dict(self._settlement._settled_blocks)
+            self._settlement._settled_blocks
             if self._settlement is not None
             else {}
         )
-        return state_to_dict(
+        return (
             self._chain,
             self._mempool,
             ledger,
@@ -324,9 +401,15 @@ class NodeStore:
             self.last_round_phase,
         )
 
+    def state_dict(self) -> Dict[str, Any]:
+        """Canonical materialization of the attached subsystems now."""
+        return state_to_dict(*self._state_parts())
+
     def state_digest(self) -> str:
-        """Exact digest of the attached state (see :func:`state_digest_of`)."""
-        return state_digest_of(self.state_dict())
+        """Exact digest of the attached state: :func:`state_digest_of`
+        of :meth:`state_dict`, streamed so the chain is never held as
+        JSON."""
+        return stream_state_digest(*self._state_parts())
 
     # ------------------------------------------------------------------
     # Snapshot + compaction
@@ -403,7 +486,7 @@ class NodeStore:
             try:
                 for tx_data in state["mempool"]:
                     mempool.submit(records.decode_tx({"tx": tx_data}))
-            except SignatureError as exc:
+            except (LedgerError, SignatureError) as exc:
                 raise RecoveryError(
                     f"snapshot mempool failed validation: {exc}"
                 ) from exc
@@ -473,7 +556,7 @@ class NodeStore:
             if rtype == records.MEMPOOL_ADMIT:
                 mempool.submit(records.decode_tx(data))
             elif rtype == records.CHAIN_APPEND:
-                block = records.decode_block(data)
+                block = records.decode_block(data, mempool)
                 chain.append(block)
                 mempool.remove(
                     [tx.txid() for tx in block.preamble.transactions]

@@ -15,9 +15,19 @@ Record types and their ``data`` payloads:
     mempool (:func:`repro.ledger.serialization.tx_to_dict` shape).
 ``chain.append``
     ``{"block": <block dict>, "hash": h}`` — a quorum-verified block
-    extending the chain.  Replay re-validates structure and removes the
-    included transactions from the mempool (mirroring
-    :meth:`repro.ledger.miner.Miner.commit_block`).
+    extending the chain.  A sealed bid is journaled once: where the
+    node's attached mempool holds a transaction *equal in every field*
+    to the block's (so its ``mempool.admit`` record, or a snapshot's
+    pending pool, already carries the bytes), the block dict lists
+    ``{"admitted": <txid>}`` in its place.  Equality, not the txid,
+    decides — a txid does not commit to the signature — and a
+    transaction this node never admitted, or admitted under another
+    signature, is embedded in full.  Replay resolves each reference from
+    the recovered mempool (a missing referent is a
+    :class:`~repro.common.errors.RecoveryError`), re-validates structure
+    and then removes the included transactions from the mempool
+    (mirroring :meth:`repro.ledger.miner.Miner.commit_block`).  A log
+    with every transaction embedded replays the same way.
 ``round.phase``
     ``{"round": i, "phase": p, ...}`` — an exposure-protocol round
     entering phase ``p`` (``begin``/``mine``/``reveal``/``propose``/
@@ -42,9 +52,11 @@ Record types and their ``data`` payloads:
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
-from repro.common.errors import StoreError
+from repro.common.errors import RecoveryError, StoreError
+from repro.ledger.block import Block
+from repro.ledger.mempool import Mempool
 from repro.ledger.serialization import (
     block_from_dict,
     block_to_dict,
@@ -77,16 +89,30 @@ RECORD_TYPES = frozenset(
 )
 
 
-def encode_data(record_type: str, data: Dict[str, Any]) -> Dict[str, Any]:
+def encode_data(
+    record_type: str, data: Dict[str, Any], mempool: Optional[Mempool] = None
+) -> Dict[str, Any]:
     """JSON-ready payload for one record: live ledger objects become
-    their canonical dict forms, everything else passes through."""
+    their canonical dict forms, everything else passes through.
+    ``mempool`` is the journaling node's pending pool, which a
+    ``chain.append`` record may refer to (see the module docstring)."""
     if record_type not in RECORD_TYPES:
         raise StoreError(f"unknown WAL record type {record_type!r}")
     if record_type == MEMPOOL_ADMIT:
         return {"tx": tx_to_dict(data["tx"])}
     if record_type == CHAIN_APPEND:
         block = data["block"]
-        return {"block": block_to_dict(block), "hash": block.hash()}
+
+        def refer_or_embed(tx):
+            txid = tx.txid()
+            if mempool is not None and mempool.get(txid) == tx:
+                return {"admitted": txid}
+            return tx_to_dict(tx)
+
+        return {
+            "block": block_to_dict(block, refer_or_embed),
+            "hash": block.hash(),
+        }
     return dict(data)
 
 
@@ -94,5 +120,20 @@ def decode_tx(data: Dict[str, Any]):
     return tx_from_dict(data["tx"])
 
 
-def decode_block(data: Dict[str, Any]):
-    return block_from_dict(data["block"])
+def decode_block(data: Dict[str, Any], mempool: Mempool) -> Block:
+    """The journaled block, references resolved from ``mempool`` — the
+    pool as recovered up to this record."""
+
+    def resolve(entry):
+        if "admitted" not in entry:
+            return tx_from_dict(entry)
+        tx = mempool.get(entry["admitted"])
+        if tx is None:
+            raise RecoveryError(
+                f"chain.append refers to transaction "
+                f"{str(entry['admitted'])[:12]}... which the recovered "
+                "mempool does not hold"
+            )
+        return tx
+
+    return block_from_dict(data["block"], resolve)

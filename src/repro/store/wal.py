@@ -4,12 +4,18 @@ Every durable state transition in a DeCloud node is journaled here
 *before* it takes effect (see ``repro.store.node``).  The log is a flat
 byte stream of self-delimiting frames::
 
-    MAGIC (2B) | payload length (4B BE) | crc32(payload) (4B BE) | payload
+    MAGIC (2B) | stored length (4B BE) | crc32(stored) (4B BE) | stored
 
 The payload is one canonical-JSON *envelope* ``{"seq": n, "type": t,
 "data": {...}}`` — ``seq`` is a monotonically increasing record number
 that survives compaction (snapshots store the last ``seq`` they cover,
-so recovery knows which suffix of the log to replay).
+so recovery knows which suffix of the log to replay).  What a frame
+*stores* is that payload as it is, or — from ``DEFLATE_FROM`` bytes up,
+when it comes out shorter — its zlib stream: a node's log is mostly
+hex-encoded ciphertexts, keys and signatures, which deflate to a little
+over half.  A zlib stream begins with the byte ``0x78`` and no JSON text
+does, so a frame says by its first stored byte which of the two it
+holds, and a log written before frames were deflated reads unchanged.
 
 A crashed writer can leave a **torn tail**: a final frame whose header
 or payload is incomplete, or whose CRC does not match (the write died
@@ -45,6 +51,13 @@ HEADER_SIZE = _HEADER.size  # 10 bytes
 #: diagnosed as corruption instead of a giant allocation
 MAX_RECORD_BYTES = 64 * 1024 * 1024
 
+#: payloads from this size up are stored deflated (a round-phase marker
+#: of 80 bytes would only grow; a sealed bid's 1.4 KB shrinks to 0.8)
+DEFLATE_FROM = 512
+#: first byte of every zlib stream ``zlib.compress`` writes (0x78) —
+#: never the first byte of a JSON text
+_DEFLATED = b"x"
+
 
 def encode_frame(payload: bytes) -> bytes:
     """Frame ``payload`` with magic, length, and CRC32."""
@@ -53,7 +66,24 @@ def encode_frame(payload: bytes) -> bytes:
             f"record of {len(payload)} bytes exceeds the "
             f"{MAX_RECORD_BYTES}-byte frame limit"
         )
-    return _HEADER.pack(MAGIC, len(payload), zlib.crc32(payload)) + payload
+    stored = payload
+    if len(payload) >= DEFLATE_FROM:
+        # level 1: hex has no repeats to search for, only a smaller alphabet
+        deflated = zlib.compress(payload, 1)
+        if len(deflated) < len(payload):
+            stored = deflated
+    return _HEADER.pack(MAGIC, len(stored), zlib.crc32(stored)) + stored
+
+
+def _inflate(stored: bytes) -> bytes:
+    """The payload a frame stores (see the module docstring)."""
+    if not stored.startswith(_DEFLATED):
+        return stored
+    inflater = zlib.decompressobj()
+    payload = inflater.decompress(stored, MAX_RECORD_BYTES)
+    if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
+        raise ValueError("not one whole zlib stream within the frame limit")
+    return payload
 
 
 def encode_envelope(seq: int, record_type: str, data: Dict[str, Any]) -> bytes:
@@ -135,13 +165,13 @@ def iter_frames(data) -> Iterator[Tuple[Dict[str, Any], int, int]]:
                     reason="crc mismatch",
                 )
             try:
-                envelope = json.loads(payload.decode("utf-8"))
+                envelope = json.loads(_inflate(payload).decode("utf-8"))
                 record = {
                     "seq": envelope["seq"],
                     "type": envelope["type"],
                     "data": envelope["data"],
                 }
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, zlib.error):
                 raise CorruptRecordError(
                     f"undecodable record envelope at offset {offset}",
                     offset=offset,

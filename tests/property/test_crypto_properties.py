@@ -69,8 +69,8 @@ class TestSchnorrProperties:
 
 # ----------------------------------------------------------------------
 # The textbook formulas ``repro.cryptosim.schnorr`` computed before the
-# fixed-base table and the negative-exponent inverse.  They live here
-# only: the oracle the production kernel must agree with bit for bit.
+# comb tables.  They live here only: the oracle the production kernel
+# must agree with bit for bit.
 # ----------------------------------------------------------------------
 P, Q, G = schnorr.P, schnorr.Q, schnorr.G
 
@@ -128,6 +128,14 @@ class TestSchnorrAgainstTextbookFormulas:
         # seeded keys are 256-bit; ``KeyPair.generate()`` draws up to Q-1
         for secret in (1, Q - 1, Q // 3, (1 << 1022) + 12345):
             assert schnorr.sign(secret, b"m") == oracle_sign(secret, b"m")
+
+    @given(seed=seeds, message=messages)
+    @settings(max_examples=25, deadline=None)
+    def test_sign_bit_identical_when_handed_the_public_key(self, seed, message):
+        keypair = schnorr.KeyPair.generate(seed=seed)
+        assert schnorr.sign(
+            keypair.secret, message, keypair.public
+        ) == oracle_sign(keypair.secret, message)
 
     @given(seed=seeds, message=st.binary(min_size=1, max_size=64),
            flips=st.tuples(bit, bit, bit, bit))
@@ -187,12 +195,25 @@ class TestSchnorrAgainstTextbookFormulas:
             oracle_verify(public, message, (challenge, response))
         )
 
-    def test_fixed_base_power_edges_and_window_boundaries(self):
-        width = schnorr._WINDOW_BITS
+    def test_fixed_base_power_edges_and_comb_boundaries(self):
+        rows, columns = schnorr._ROWS, schnorr._COLUMNS
+        block_bits = rows * columns
         exponents = {0, 1, Q - 1, Q, Q + 1, 2 * Q + 5}
-        for shift in range(0, Q.bit_length() + width, width):
+        # first and last column of every row of every block
+        for shift in range(0, schnorr._G_BLOCKS * block_bits + 1, columns):
             exponents.update({(1 << shift) - 1, 1 << shift, (1 << shift) + 1})
-        exponents.add(((1 << width) - 1) << (Q.bit_length() - width))  # top row
+        for block in range(schnorr._G_BLOCKS):
+            base = block * block_bits
+            for column in (0, 1, columns - 1):
+                # every row of the block set in one column: table entry 255
+                exponents.add(
+                    sum(1 << (base + row * columns + column) for row in range(rows))
+                )
+            for row in range(rows):  # a whole row: one entry, every column
+                exponents.add(((1 << columns) - 1) << (base + row * columns))
+            exponents.add(((1 << block_bits) - 1) << base)  # the whole block
+        assert len(schnorr._g_tables()) == schnorr._G_BLOCKS
+        assert all(len(table) == 1 << rows for table in schnorr._g_tables())
         for exponent in exponents:
             assert schnorr._g_pow(exponent) == pow(G, exponent, P), exponent
 
@@ -200,6 +221,69 @@ class TestSchnorrAgainstTextbookFormulas:
     @settings(max_examples=100, deadline=None)
     def test_fixed_base_power_random(self, exponent):
         assert schnorr._g_pow(exponent) == pow(G, exponent, P)
+
+    @given(public=st.integers(min_value=2, max_value=P - 1),
+           challenge=st.integers(min_value=0, max_value=(1 << 256) - 1),
+           response=st.integers(min_value=0, max_value=Q - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_single_pass_commitment_equals_two_pows(
+        self, public, challenge, response
+    ):
+        # the value the verdict hashes, for keys in and out of the subgroup
+        tables = schnorr._g_tables() + (schnorr._key_table(public),)
+        assert schnorr._comb_pow(
+            tables, response | challenge << 1024
+        ) == pow(G, response, P) * pow(pow(public, challenge, P), P - 2, P) % P
+
+    def test_key_table_edges_and_comb_boundaries(self):
+        public = schnorr.KeyPair.generate(seed=b"edges").public
+        table = (schnorr._key_table(public),)
+        inverse = pow(public, P - 2, P)
+        challenges = {0, 1, (1 << 256) - 1}
+        for shift in range(0, 256, schnorr._COLUMNS):
+            challenges.update({(1 << shift) - 1, 1 << shift, (1 << shift) + 1})
+        for challenge in challenges:
+            assert schnorr._comb_pow(table, challenge) == pow(
+                inverse, challenge, P
+            ), challenge
+
+    @given(seed=seeds, message=st.binary(min_size=1, max_size=64),
+           flips=st.tuples(bit, bit, bit), twist=st.integers(2, P - 2))
+    @settings(max_examples=15, deadline=None)
+    def test_verify_through_a_cached_table_agrees_on_first_and_second_sight(
+        self, seed, message, flips, twist
+    ):
+        keypair = schnorr.KeyPair.generate(seed=seed)
+        challenge, response = oracle_sign(keypair.secret, message)
+        flipped_message = bytearray(message)
+        flipped_message[flips[0] % len(message)] ^= 1 << (flips[0] % 8)
+        # almost surely outside the order-Q subgroup (half of Z_P* is)
+        outsider = keypair.public * twist % P
+        cases = [
+            (keypair.public, message, (challenge, response)),
+            (keypair.public, bytes(flipped_message), (challenge, response)),
+            (keypair.public, message, (challenge ^ (1 << flips[1] % 256), response)),
+            (keypair.public, message, (challenge, response ^ (1 << flips[2] % 512))),
+            (keypair.public, message, (0, response)),
+            (keypair.public, message, (challenge, 0)),
+            (keypair.public, message, (0, 0)),
+            (P - 1, message, (challenge, response)),  # order 2
+            (outsider, message, (challenge, response)),
+            (keypair.public, message, (1 << 256, response)),
+            (keypair.public, message, (challenge | 1 << 256, response)),
+            (keypair.public, message, (Q - 1, response)),
+        ]
+        expected = [oracle_verify(*case) for case in cases]
+        assert expected[0] is True and not any(expected[1:])
+        schnorr._key_table.cache_clear()
+        first = [schnorr.verify(*case) for case in cases]
+        built = schnorr._key_table.cache_info().misses
+        second = [schnorr.verify(*case) for case in cases]
+        assert first == expected and second == expected
+        # one table per distinct key, none rebuilt on second sight, and a
+        # challenge no SHA-256 value can equal never reaches the tables
+        assert built == len({keypair.public, P - 1, outsider})
+        assert schnorr._key_table.cache_info().misses == built
 
 
 class TestCommitmentProperties:

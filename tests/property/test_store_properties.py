@@ -9,17 +9,22 @@ Two contracts, driven by Hypothesis:
   log and recovery still succeeds, reconstructing a *prefix* of the
   original record sequence: damage can lose the newest records, never
   crash the node, and never resurrect or invent state.
+* **One digest, two routes** — the streamed ``state_digest()`` equals
+  ``state_digest_of(state_dict())`` on chains whose blocks mix bids the
+  node admitted (journaled by reference) with bids it never saw
+  (embedded), across arbitrary snapshot points.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
 from repro.ledger.mempool import Mempool
-from repro.ledger.miner import make_sealed_bid
+from repro.ledger.miner import Miner, make_sealed_bid
 from repro.cryptosim import schnorr
 from repro.protocol.settlement import TokenLedger
-from repro.store import NodeStore, WriteAheadLog
+from repro.store import NodeStore, WriteAheadLog, state_digest_of
 
 ACCOUNTS = ("alice", "bob", "carol")
 
@@ -233,3 +238,53 @@ class TestTailCorruptionFuzz:
             # snapshotted balances exist; post-snapshot records may be
             # lost but the snapshot itself is untouched by log damage
             assert account in recovered.ledger.balances or balance == 0.0
+
+
+#: one block: per bid, did the journaling node admit it beforehand; then
+#: whether the node snapshots (and compacts) before and after the commit
+block_strategy = st.tuples(
+    st.lists(st.booleans(), min_size=0, max_size=4),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+class TestStreamedDigestOnChains:
+    @settings(max_examples=15, deadline=None)
+    @given(blocks=st.lists(block_strategy, min_size=0, max_size=4))
+    def test_streamed_digest_equals_materialised_digest(self, blocks):
+        def miner(miner_id, store=None):
+            return Miner(
+                miner_id=miner_id,
+                allocate=lambda plaintexts, evidence: {"bids": len(plaintexts)},
+                difficulty_bits=4,
+                store=store,
+            )
+
+        store = NodeStore.in_memory()
+        node, leader = miner("node", store), miner("leader")
+        serial = 0
+        for admitted_flags, snapshot_before, snapshot_after in blocks:
+            for admitted in admitted_flags:
+                tx = sealed_bid(serial)
+                serial += 1
+                leader.accept_transaction(tx)
+                if admitted:
+                    node.accept_transaction(tx)
+            if snapshot_before:
+                store.snapshot()
+            preamble = leader.build_preamble()
+            block = Block(
+                preamble=preamble, body=leader.build_body(preamble, ())
+            )
+            leader.commit_block(block)
+            node.commit_block(block)
+            if snapshot_after:
+                store.snapshot()
+        live = store.state_digest()
+        assert live == state_digest_of(store.state_dict())
+        recovered = store.recover(difficulty_bits=4)
+        assert recovered.state_digest() == live
+        assert recovered.state_digest() == state_digest_of(
+            recovered.state_dict()
+        )

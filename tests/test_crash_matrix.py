@@ -8,6 +8,8 @@ state are bit-identical (``canonical_outcome`` / exact digests) to the
 uninterrupted run, with zero monitor violations.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.sim.chaos import (
@@ -16,7 +18,8 @@ from repro.sim.chaos import (
     run_crash_matrix,
     run_durable_scenario,
 )
-from repro.faults.crash import CrashPoint
+from repro.faults.crash import CrashPlan, CrashPoint
+from repro.store import state_digest_of
 
 #: deliberately degraded (one withholder) but network-deterministic —
 #: the differential contract needs the replayed round to see the exact
@@ -71,6 +74,36 @@ class TestCrashMatrix:
         assert any(p.replayed_rounds for p in matrix.points)
         assert any(p.resumed_rounds for p in matrix.points)
         assert any(p.resumed_settlements for p in matrix.points)
+
+
+class TestStreamedDigestOnCrashStates:
+    @pytest.mark.parametrize(
+        "engine, modes",
+        [("lockstep", ("clean", "torn", "corrupt")), ("runtime", ("torn",))],
+    )
+    def test_streamed_digest_equals_materialised_at_every_boundary(
+        self, engine, modes
+    ):
+        # ``state_digest`` is streamed block by block; ``final_state`` is
+        # the materialised state the oracle digests.  A two-round run so
+        # that recovered chains hold a block journaled by reference.
+        spec = dataclasses.replace(MATRIX_SPEC, rounds=2)
+        reference = run_durable_scenario(
+            spec, snapshot_every=1, keep_state=True, engine=engine
+        )
+        assert state_digest_of(reference.final_state) == reference.state_digest
+        plan = CrashPlan(append_count=reference.append_count, modes=modes)
+        for point in plan.points():
+            run = run_durable_scenario(
+                spec,
+                snapshot_every=1,
+                crash_point=point,
+                keep_state=True,
+                engine=engine,
+            )
+            assert run.crashes >= 1
+            assert state_digest_of(run.final_state) == run.state_digest, point
+            assert run.state_digest == reference.state_digest, point
 
 
 class TestSupervisedScenario:

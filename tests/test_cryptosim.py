@@ -175,6 +175,106 @@ class TestSignatureCache:
         assert len(calls) == 1 and len(cache) == 2
 
 
+    def test_forgotten_triple_is_verified_afresh(self, schnorr_verify_calls):
+        calls = schnorr_verify_calls
+        cache = schnorr.SignatureCache()
+        kept, dropped = self._signed(message=b"kept"), self._signed(message=b"dropped")
+        assert cache.verify(*kept) and cache.verify(*dropped)
+        cache.forget(*dropped)
+        cache.forget(*dropped)  # forgetting twice, or the unknown, is harmless
+        cache.forget(kept[0], b"never seen", kept[2])
+        cache.forget(0, b"malformed", (1.0, None))
+        assert len(cache) == 1
+        calls.clear()
+        assert cache.verify(*kept) and calls == []
+        assert cache.verify(*dropped) and len(calls) == 1 and len(cache) == 2
+
+    def test_size_bound_holds_across_forgetting(
+        self, monkeypatch, schnorr_verify_calls
+    ):
+        monkeypatch.setattr(schnorr.SignatureCache, "MAX_ENTRIES", 3)
+        cache = schnorr.SignatureCache()
+        triples = [self._signed(message=bytes([i])) for i in range(8)]
+        for index, triple in enumerate(triples):
+            assert cache.verify(*triple)
+            if index % 3 == 0:
+                cache.forget(*triple)
+            assert len(cache) <= 3
+        # 0, 3, 6 forgotten; of the rest the oldest two made room
+        calls = schnorr_verify_calls
+        calls.clear()
+        assert all(cache.verify(*triples[i]) for i in (4, 5, 7)) and calls == []
+        assert cache.verify(*triples[2]) and len(calls) == 1 and len(cache) == 3
+
+
+class TestKeyTables:
+    """The per-signer ``Y^(-1)`` tables: pure functions of the key,
+    bounded, and no memory of any verdict."""
+
+    def _signed(self, seed, message=b"message"):
+        keypair = schnorr.KeyPair.generate(seed=seed)
+        return keypair.public, message, schnorr.sign(keypair.secret, message)
+
+    def test_table_is_built_once_per_key_and_depends_on_the_key_alone(self):
+        schnorr._key_table.cache_clear()
+        public, message, signature = self._signed(b"k1")
+        assert schnorr.verify(public, message, signature)
+        assert schnorr.verify(public, b"other", schnorr.sign(
+            schnorr.KeyPair.generate(seed=b"k1").secret, b"other"
+        ))
+        info = schnorr._key_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        table = schnorr._key_table(public)
+        inverse = pow(public, -1, schnorr.P)
+        assert len(table) == 256 and table[0] == 1 and table[1] == inverse
+        assert table[3] == inverse * pow(inverse, 1 << 32, schnorr.P) % schnorr.P
+
+    def test_key_first_seen_with_a_forgery_still_verifies_a_good_signature(self):
+        schnorr._key_table.cache_clear()
+        public, message, (challenge, response) = self._signed(b"k1")
+        forged = (challenge, (response + 1) % schnorr.Q)
+        assert not schnorr.verify(public, message, forged)
+        assert schnorr._key_table.cache_info().currsize == 1  # table, no verdict
+        assert schnorr.verify(public, message, (challenge, response))
+        assert not schnorr.verify(public, message, forged)
+        assert schnorr._key_table.cache_info().misses == 1
+
+    def test_malformed_input_builds_no_table(self):
+        schnorr._key_table.cache_clear()
+        public, message, (challenge, response) = self._signed(b"k1")
+        for key, signature in [
+            (0, (challenge, response)),
+            (schnorr.P, (challenge, response)),
+            (public, (challenge, schnorr.Q)),
+            (public, (1 << 256, response)),  # no SHA-256 value is this wide
+            (public, (schnorr.Q - 1, response)),
+            (public, "garbage"),
+        ]:
+            assert not schnorr.verify(key, message, signature)
+        assert schnorr._key_table.cache_info().currsize == 0
+
+    def test_lru_evicts_at_the_bound_and_a_re_seen_key_rebuilds(self):
+        schnorr._key_table.cache_clear()
+        bound = schnorr._MAX_KEY_TABLES
+        assert schnorr._key_table.cache_info().maxsize == bound
+        first = self._signed(b"evicted")
+        assert schnorr.verify(*first)
+        kept = self._signed(b"kept")
+        assert schnorr.verify(*kept)
+        for i in range(bound - 1):
+            assert schnorr.verify(*self._signed(b"filler-%d" % i))
+            if i % 50 == 0:
+                assert schnorr.verify(*kept)  # recently used: stays
+        info = schnorr._key_table.cache_info()
+        assert info.currsize == bound and info.misses == bound + 1
+        assert schnorr.verify(*kept)
+        assert schnorr._key_table.cache_info().misses == bound + 1
+        assert schnorr.verify(*first)  # rebuilt, same verdict
+        assert not schnorr.verify(first[0], b"other", first[2])
+        assert schnorr._key_table.cache_info().misses == bound + 2
+        assert schnorr._key_table.cache_info().currsize == bound
+
+
 class TestSymmetric:
     def test_roundtrip(self):
         key = symmetric.generate_key(seed=b"s")

@@ -178,6 +178,29 @@ class TestRevealScreening:
         assert len(calls) == len(senders)
 
 
+class TestSignatureCacheFollowsThePendingPool:
+    def test_committed_bids_leave_the_cache_pending_ones_stay(
+        self, schnorr_verify_calls
+    ):
+        miner = _miner()
+        committed, reveal = _sealed("alice")
+        pending, _ = _sealed("bob")
+        miner.accept_transaction(committed)
+        preamble = miner.build_preamble()
+        miner.accept_transaction(pending)
+        assert len(miner.signatures) == 2
+        block = Block(preamble=preamble, body=miner.build_body(preamble, (reveal,)))
+        miner.accept_block(block)
+        assert len(miner.signatures) == 1
+        schnorr_verify_calls.clear()
+        miner.accept_transaction(pending)  # still remembered
+        assert schnorr_verify_calls == []
+        miner.accept_transaction(committed)  # a late duplicate: checked again
+        assert [m for _k, m, _s in schnorr_verify_calls] == [
+            committed.signing_payload()
+        ]
+
+
 class TestVerifyOncePerNode:
     """The miner's ``SignatureCache`` saves work and admits nothing new."""
 
@@ -340,3 +363,15 @@ class TestBroadcastNetwork:
         network.broadcast("u", 2, sender="y")
         assert [m.payload for m in network.messages("t")] == [1]
         assert len(network.log) == 2
+
+    def test_log_keeps_a_window_of_recent_traffic(self):
+        from repro.ledger.network import LOG_LIMIT
+
+        network = BroadcastNetwork()
+        seen = []
+        network.subscribe("t", lambda s, p: seen.append(p))
+        for i in range(LOG_LIMIT + 5):
+            network.broadcast("t", i)
+        assert seen == list(range(LOG_LIMIT + 5))  # delivery is not windowed
+        assert [m.payload for m in network.messages("t")] == seen[5:]
+        assert BroadcastNetwork().log is not network.log

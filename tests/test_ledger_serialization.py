@@ -60,6 +60,26 @@ class TestRoundTrip:
         assert len(restored) == len(chain)
 
 
+    def test_decoded_blocks_share_signer_ids_keys_and_txids(self):
+        # equal is the contract; shared is what keeps a decoded chain
+        # from holding every repeat signer's id and key once per bid
+        restored = chain_from_json(chain_to_json(_chain_with_blocks()))
+        first, second = (
+            {tx.sender_id: tx for tx in block.preamble.transactions}
+            for block in restored
+        )
+        assert sorted(first) == sorted(second) == ["alice", "anna", "bob"]
+        for sender, tx in first.items():
+            assert tx.sender_public is second[sender].sender_public
+        for block in restored:
+            by_txid = {tx.txid(): tx for tx in block.preamble.transactions}
+            assert len(block.body.reveals) == 3
+            for reveal in block.body.reveals:
+                tx = by_txid[reveal.txid]
+                assert reveal.txid is tx.txid()
+                assert reveal.sender_id is tx.sender_id
+
+
 class TestTampering:
     def test_recorded_hash_mismatch_rejected(self):
         chain = _chain_with_blocks(rounds=1)

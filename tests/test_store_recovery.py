@@ -1,19 +1,29 @@
 """NodeStore recovery: journaled subsystems rebuild bit-for-bit."""
 
+import dataclasses
+
 import pytest
 
-from repro.common.errors import RecoveryError, StoreError
+from repro.common.errors import (
+    LedgerError,
+    RecoveryError,
+    SignatureError,
+    StoreError,
+)
+from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
 from repro.ledger.mempool import Mempool
 from repro.ledger.miner import Miner, make_sealed_bid
 from repro.cryptosim import schnorr
+from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.settlement import (
     EscrowState,
     SettlementProcessor,
     TokenLedger,
 )
 from repro.sim.chaos import ChaosSpec, run_durable_scenario
-from repro.store import NodeStore
+from repro.store import NodeStore, state_digest_of
+from repro.store.wal import encode_envelope, encode_frame
 
 
 def sealed_bid(i=0):
@@ -27,6 +37,41 @@ def sealed_bid(i=0):
         blind=bytes([i]) * 32,
     )
     return tx
+
+
+def new_miner(miner_id, store=None):
+    return Miner(
+        miner_id=miner_id,
+        allocate=DecloudAllocator(),
+        difficulty_bits=4,
+        store=store,
+    )
+
+
+def leader_block(bids):
+    """A complete block over ``bids`` mined by a node of its own."""
+    leader = new_miner("leader")
+    for tx in bids:
+        leader.accept_transaction(tx)
+    preamble = leader.build_preamble()
+    return Block(preamble=preamble, body=leader.build_body(preamble, ()))
+
+
+def reframe(store, records):
+    """Replace the log with ``records`` re-framed (valid CRCs)."""
+    store.wal.backend.replace(
+        b"".join(
+            encode_frame(encode_envelope(r["seq"], r["type"], r["data"]))
+            for r in records
+        )
+    )
+    assert store.wal.scan().clean
+
+
+def logged_transactions(store):
+    """The transaction entries of the newest ``chain.append`` record."""
+    record = [r for r in store.wal.records() if r["type"] == "chain.append"][-1]
+    return record["data"]["block"]["preamble"]["transactions"]
 
 
 class TestLedgerRecovery:
@@ -102,14 +147,7 @@ class TestLedgerRecovery:
 class TestChainAndMempoolRecovery:
     def _mined_store(self):
         store = NodeStore.in_memory()
-        from repro.protocol.allocator import DecloudAllocator
-
-        miner = Miner(
-            miner_id="m0",
-            allocate=DecloudAllocator(),
-            difficulty_bits=4,
-            store=store,
-        )
+        miner = new_miner("m0", store)
         for i in range(3):
             miner.accept_transaction(sealed_bid(i))
         return store, miner
@@ -150,14 +188,14 @@ class TestChainAndMempoolRecovery:
         )
         assert digest_before != with_suffix.state_digest()
 
-    def _committed_store(self):
-        store, miner = self._mined_store()
-        preamble = miner.build_preamble()
-        from repro.ledger.block import Block
-
-        miner.commit_block(
-            Block(preamble=preamble, body=miner.build_body(preamble, ()))
-        )
+    def _committed_store(self, admitted=(0, 1, 2)):
+        """A journaling miner that committed a block of bids 0-2, having
+        admitted only ``admitted`` itself beforehand."""
+        store = NodeStore.in_memory()
+        miner = new_miner("m0", store)
+        for i in admitted:
+            miner.accept_transaction(sealed_bid(i))
+        miner.commit_block(leader_block([sealed_bid(i) for i in range(3)]))
         return store, miner
 
     def test_recovery_verifies_each_logged_signature_once(
@@ -178,29 +216,44 @@ class TestChainAndMempoolRecovery:
     def test_tampered_logged_signature_fails_recovery(self, record_type):
         # Re-frame the log with one signature bit flipped in one record
         # (CRCs valid, so this is not tail damage).  The txid and the
-        # block hash do not cover signatures, and the honest copy of the
-        # same bid sits in the other record type — recovery must still
-        # check the tampered bytes themselves.
-        from repro.store.wal import encode_envelope, encode_frame
-
-        store, _miner = self._committed_store()
+        # block hash do not cover signatures — recovery must check the
+        # tampered bytes themselves.  Bid 0 reached this node only inside
+        # the block, so the block record embeds it; bids 1 and 2 are
+        # journaled once, in their admission records.
+        store, _miner = self._committed_store(admitted=(1, 2))
         assert store.recover(difficulty_bits=4).committed_height == 1
         records = store.wal.records()
         target = [r for r in records if r["type"] == record_type][-1]
-        tx = (
-            target["data"]["tx"]
-            if record_type == "mempool.admit"
-            else target["data"]["block"]["preamble"]["transactions"][0]
-        )
+        if record_type == "mempool.admit":
+            tx = target["data"]["tx"]
+        else:
+            transactions = target["data"]["block"]["preamble"]["transactions"]
+            assert ["admitted" in entry for entry in transactions] == [
+                False, True, True,
+            ]
+            tx = transactions[0]
         tx["signature"][1] = hex(int(tx["signature"][1], 16) ^ 1)
-        store.wal.backend.replace(
-            b"".join(
-                encode_frame(encode_envelope(r["seq"], r["type"], r["data"]))
-                for r in records
-            )
-        )
-        assert store.wal.scan().clean
+        reframe(store, records)
         with pytest.raises(RecoveryError, match="invalid signature"):
+            store.recover(difficulty_bits=4)
+
+    def test_dangling_reference_fails_recovery(self):
+        store, _miner = self._committed_store()
+        records = store.wal.records()
+        block_record = [r for r in records if r["type"] == "chain.append"][-1]
+        entry = block_record["data"]["block"]["preamble"]["transactions"][1]
+        assert set(entry) == {"admitted"}
+        entry["admitted"] = "0" * 64
+        reframe(store, records)
+        with pytest.raises(RecoveryError, match="does not hold"):
+            store.recover(difficulty_bits=4)
+
+    def test_reference_to_an_admission_the_log_lost_fails_recovery(self):
+        store, _miner = self._committed_store()
+        records = store.wal.records()
+        admit = [r for r in records if r["type"] == "mempool.admit"][0]
+        reframe(store, [r for r in records if r is not admit])
+        with pytest.raises(RecoveryError, match="does not hold"):
             store.recover(difficulty_bits=4)
 
     def test_tampered_snapshot_signature_fails_recovery(self):
@@ -242,6 +295,284 @@ class TestChainAndMempoolRecovery:
         store = NodeStore.in_memory()
         with pytest.raises(StoreError):
             store.snapshot()
+
+
+def other_valid_signature(keypair, message):
+    """A second valid signature on ``message``: textbook Schnorr under a
+    nonce the deterministic signer would not pick."""
+    P, Q, G = schnorr.P, schnorr.Q, schnorr.G
+    nonce = 0xDEC10D
+    challenge = (
+        schnorr._hash_to_int(
+            b"chal",
+            pow(G, nonce, P).to_bytes(160, "big"),
+            keypair.public.to_bytes(160, "big"),
+            message,
+        )
+        % Q
+    )
+    signature = challenge, (nonce + challenge * keypair.secret) % Q
+    assert signature != schnorr.sign(keypair.secret, message)
+    assert schnorr.verify(keypair.public, message, signature)
+    return signature
+
+
+class TestJournalEachBidOnce:
+    """``chain.append`` refers by txid to the bids this node already
+    journaled at admission, and embeds every other one."""
+
+    def _assert_recovers_live_state(self, store):
+        recovered = store.recover(difficulty_bits=4)
+        assert recovered.state_digest() == store.state_digest()
+        assert recovered.state_dict() == store.state_dict()
+        return recovered
+
+    def test_admitted_bids_are_referenced_and_recover(self):
+        store = NodeStore.in_memory()
+        miner = new_miner("m0", store)
+        bids = [sealed_bid(i) for i in range(3)]
+        for tx in bids:
+            miner.accept_transaction(tx)
+        miner.commit_block(leader_block(bids))
+        assert logged_transactions(store) == [
+            {"admitted": tx.txid()} for tx in bids
+        ]
+        recovered = self._assert_recovers_live_state(store)
+        assert recovered.chain[0].preamble.transactions == tuple(bids)
+        assert len(recovered.mempool) == 0
+
+    def test_reference_survives_compaction_between_admission_and_append(self):
+        store = NodeStore.in_memory()
+        miner = new_miner("m0", store)
+        bids = [sealed_bid(i) for i in range(3)]
+        for tx in bids:
+            miner.accept_transaction(tx)
+        store.snapshot(compact=True)  # the admission records are gone
+        assert not [
+            r for r in store.wal.records() if r["type"] == "mempool.admit"
+        ]
+        miner.commit_block(leader_block(bids[:2]))
+        assert all("admitted" in entry for entry in logged_transactions(store))
+        recovered = self._assert_recovers_live_state(store)
+        assert recovered.snapshot_used
+        assert [tx.txid() for tx in recovered.mempool.peek(9)] == [
+            bids[2].txid()
+        ]
+
+    def test_bid_never_admitted_here_is_embedded(self):
+        store = NodeStore.in_memory()
+        miner = new_miner("m0", store)
+        bids = [sealed_bid(i) for i in range(3)]
+        miner.accept_transaction(bids[1])
+        miner.commit_block(leader_block(bids))
+        assert ["admitted" in entry for entry in logged_transactions(store)] == [
+            False, True, False,
+        ]
+        self._assert_recovers_live_state(store)
+
+    def test_same_txid_under_another_signature_is_embedded(self):
+        # A txid commits to the signed payload, not to the signature: the
+        # block's copy carries a second valid signature, so the pending
+        # copy must not stand in for it.
+        store = NodeStore.in_memory()
+        miner = new_miner("m0", store)
+        pending = sealed_bid(0)
+        resigned = dataclasses.replace(
+            pending,
+            signature=other_valid_signature(
+                schnorr.KeyPair.generate(seed=b"sender-0"),
+                pending.signing_payload(),
+            ),
+        )
+        assert resigned.txid() == pending.txid() and resigned != pending
+        miner.accept_transaction(pending)
+        miner.commit_block(leader_block([resigned]))
+        (entry,) = logged_transactions(store)
+        assert "admitted" not in entry
+        assert entry["signature"] == [hex(part) for part in resigned.signature]
+        recovered = self._assert_recovers_live_state(store)
+        assert recovered.chain[0].preamble.transactions == (resigned,)
+
+    def test_log_with_every_transaction_embedded_replays(self):
+        # the shape every log had before references existed: each block
+        # carries its transactions, each frame stores its payload as it is
+        import struct
+        import zlib
+
+        from repro.ledger.serialization import tx_to_dict
+        from repro.store.wal import MAGIC
+
+        store = NodeStore.in_memory()
+        miner = new_miner("m0", store)
+        bids = [sealed_bid(i) for i in range(3)]
+        for tx in bids:
+            miner.accept_transaction(tx)
+        miner.commit_block(leader_block(bids))
+        live = store.state_digest()
+        size_with_references = store.wal.backend.size()
+        records = store.wal.records()
+        block_record = [r for r in records if r["type"] == "chain.append"][-1]
+        block_record["data"]["block"]["preamble"]["transactions"] = [
+            tx_to_dict(tx) for tx in bids
+        ]
+        payloads = [
+            encode_envelope(r["seq"], r["type"], r["data"]) for r in records
+        ]
+        store.wal.backend.replace(
+            b"".join(
+                struct.pack(">2sII", MAGIC, len(p), zlib.crc32(p)) + p
+                for p in payloads
+            )
+        )
+        assert store.wal.scan().clean
+        assert store.wal.backend.size() > 2 * size_with_references
+        assert store.recover(difficulty_bits=4).state_digest() == live
+
+    def test_store_without_a_mempool_embeds_everything(self):
+        store = NodeStore.in_memory()
+        chain = Blockchain(difficulty_bits=4)
+        store.attach(chain=chain)
+        chain.append(leader_block([sealed_bid(0)]))
+        assert "admitted" not in logged_transactions(store)[0]
+        assert store.recover(difficulty_bits=4).chain.tip_hash == chain.tip_hash
+
+
+class TestMempoolFullDuringRecovery:
+    """A full pool is a ledger condition, not a bad signature."""
+
+    def test_submit_to_a_full_pool_raises_ledger_error(self):
+        mempool = Mempool(max_size=1)
+        mempool.submit(sealed_bid(0))
+        mempool.submit(sealed_bid(0))  # idempotent, not "full"
+        with pytest.raises(LedgerError, match="mempool full") as raised:
+            mempool.submit(sealed_bid(1))
+        assert not isinstance(raised.value, SignatureError)
+        assert len(mempool) == 1
+
+    def _recovering_into_a_one_slot_pool(self, monkeypatch):
+        import repro.store.node as node
+
+        monkeypatch.setattr(node, "Mempool", lambda: Mempool(max_size=1))
+
+    def test_wal_replay_into_a_full_pool_is_a_recovery_error(self, monkeypatch):
+        store = NodeStore.in_memory()
+        mempool = Mempool()
+        store.attach(chain=Blockchain(difficulty_bits=4), mempool=mempool)
+        mempool.submit(sealed_bid(0))
+        mempool.submit(sealed_bid(1))
+        self._recovering_into_a_one_slot_pool(monkeypatch)
+        with pytest.raises(RecoveryError, match="mempool full"):
+            store.recover(difficulty_bits=4)
+
+    def test_snapshot_restore_into_a_full_pool_is_a_recovery_error(
+        self, monkeypatch
+    ):
+        store = NodeStore.in_memory()
+        mempool = Mempool()
+        store.attach(chain=Blockchain(difficulty_bits=4), mempool=mempool)
+        mempool.submit(sealed_bid(0))
+        mempool.submit(sealed_bid(1))
+        store.snapshot()
+        self._recovering_into_a_one_slot_pool(monkeypatch)
+        with pytest.raises(RecoveryError, match="mempool full"):
+            store.recover(difficulty_bits=4)
+
+
+class TestStreamedStateDigest:
+    """``state_digest()`` feeds the chain to the hash block by block;
+    ``state_digest_of(state_dict())`` stays the oracle."""
+
+    def _store_with_chain(self, blocks, bids_per_block=3):
+        store = NodeStore.in_memory()
+        miner = new_miner("m0", store)
+        leader = new_miner("leader")
+        for height in range(blocks):
+            for i in range(bids_per_block):
+                tx = sealed_bid((height * bids_per_block + i) % 251)
+                miner.accept_transaction(tx)
+                leader.accept_transaction(tx)
+            preamble = leader.build_preamble()
+            block = Block(
+                preamble=preamble, body=leader.build_body(preamble, ())
+            )
+            leader.commit_block(block)
+            miner.commit_block(block)
+        miner.accept_transaction(sealed_bid(250))  # a pending one, too
+        return store
+
+    def test_equals_the_materialised_digest_live_and_recovered(self):
+        store = NodeStore.in_memory()
+        store.attach(chain=Blockchain(difficulty_bits=4), mempool=Mempool())
+        assert store.state_digest() == state_digest_of(store.state_dict())
+        store = self._store_with_chain(blocks=3)
+        store.log("round.phase", round=2, phase="committed", hash="é")
+        assert store.state_digest() == state_digest_of(store.state_dict())
+        recovered = store.recover(difficulty_bits=4)
+        assert recovered.state_digest() == state_digest_of(
+            recovered.state_dict()
+        )
+        assert recovered.state_digest() == store.state_digest()
+
+    def test_escrows_and_settled_blocks_stream_to_the_same_digest(self):
+        # the keys after "chain" go entry by entry too; several settled
+        # blocks and escrows in more than one state, out of hash order
+        from tests.conftest import make_offer, make_request
+        from repro.core.outcome import Match
+
+        store = self._store_with_chain(blocks=2)
+        ledger = TokenLedger()
+        processor = SettlementProcessor(ledger=ledger)
+        store.attach(ledger=ledger, settlement=processor)
+        for block_hash in ("ff", "00", "é7"):
+            ids = processor.settle_block(
+                [
+                    Match(
+                        request=make_request(
+                            request_id=f"r{block_hash}{i}", client_id=f"c{i}"
+                        ),
+                        offer=make_offer(
+                            offer_id=f"o{block_hash}{i}", provider_id=f"p{i}"
+                        ),
+                        payment=1.0 + i / 3,
+                        unit_price=0.5,
+                    )
+                    for i in range(3)
+                ],
+                auto_fund=True,
+                block_hash=block_hash,
+            )
+        ledger.release(sorted(ids.values())[0])
+        state = store.state_dict()
+        assert len(state["ledger"]["escrows"]) == 9
+        assert list(state["settled_blocks"]) == ["ff", "00", "é7"]
+        assert store.state_digest() == state_digest_of(store.state_dict())
+        recovered = store.recover(difficulty_bits=4)
+        assert recovered.state_digest() == store.state_digest()
+        assert recovered.state_digest() == state_digest_of(
+            recovered.state_dict()
+        )
+
+    def test_peak_memory_is_a_fraction_of_the_materialised_path(self):
+        import tracemalloc
+
+        store = self._store_with_chain(blocks=60, bids_per_block=4)
+
+        def peak_of(digest):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                value = digest()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return value, peak - before
+
+        oracle, materialised = peak_of(
+            lambda: state_digest_of(store.state_dict())
+        )
+        streamed_value, streamed = peak_of(store.state_digest)
+        assert streamed_value == oracle
+        assert streamed < materialised / 4, (streamed, materialised)
 
 
 class TestFileBackedStore:

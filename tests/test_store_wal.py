@@ -1,5 +1,9 @@
 """Unit tests for the write-ahead log, its backends, and snapshots."""
 
+import hashlib
+import struct
+import zlib
+
 import pytest
 
 from repro.common.errors import CorruptRecordError, StoreError
@@ -14,11 +18,23 @@ from repro.store import (
     encode_snapshot,
     scan_frames,
 )
-from repro.store.wal import FileLogBackend, encode_envelope
+from repro.store.wal import (
+    DEFLATE_FROM,
+    HEADER_SIZE,
+    MAGIC,
+    FileLogBackend,
+    encode_envelope,
+)
 
 
 def make_log(**kwargs):
     return WriteAheadLog(MemoryLogBackend(), **kwargs)
+
+
+def stored_as_is(payload: bytes) -> bytes:
+    """A frame holding ``payload`` itself — all a log held before frames
+    were deflated."""
+    return struct.pack(">2sII", MAGIC, len(payload), zlib.crc32(payload)) + payload
 
 
 class TestFraming:
@@ -218,6 +234,73 @@ class TestTruncateAndCompact:
     def test_oversize_record_rejected(self):
         with pytest.raises(StoreError):
             encode_frame(b"x" * (64 * 1024 * 1024 + 1))
+
+
+class TestDeflatedFrames:
+    """Large payloads are stored as zlib streams; the record read back is
+    the record written, whichever way its frame holds it."""
+
+    #: hex, like the ciphertexts, keys and signatures a node journals
+    BIG = {"box": bytes(range(256)).hex() * 3}
+
+    def test_large_payload_is_stored_deflated_and_reads_back(self):
+        payload = encode_envelope(0, "mempool.admit", self.BIG)
+        assert len(payload) >= DEFLATE_FROM
+        frame = encode_frame(payload)
+        assert len(frame) < HEADER_SIZE + len(payload)
+        assert zlib.decompress(frame[HEADER_SIZE:]) == payload
+        assert scan_frames(frame).records == [
+            {"seq": 0, "type": "mempool.admit", "data": self.BIG}
+        ]
+
+    def test_small_or_incompressible_payload_is_stored_as_is(self):
+        small = encode_envelope(0, "round.phase", {"phase": "seal"})
+        assert len(small) < DEFLATE_FROM
+        assert encode_frame(small) == stored_as_is(small)
+        noise = b"".join(
+            hashlib.sha256(bytes([i])).digest() for i in range(DEFLATE_FROM // 16)
+        )
+        assert len(zlib.compress(noise, 1)) >= len(noise)
+        assert encode_frame(noise) == stored_as_is(noise)
+
+    def test_log_of_frames_stored_as_is_reads_unchanged(self):
+        # a log written before frames were deflated, then appended to
+        records = [("mempool.admit", self.BIG), ("round.phase", {"phase": "seal"})]
+        old = b"".join(
+            stored_as_is(encode_envelope(seq, kind, data))
+            for seq, (kind, data) in enumerate(records)
+        )
+        log = WriteAheadLog(MemoryLogBackend(old))
+        assert log.scan().clean and log.next_seq == 2
+        log.append("mempool.admit", self.BIG)
+        assert [(r["type"], r["data"]) for r in log.records()] == records + [
+            ("mempool.admit", self.BIG)
+        ]
+        assert log.backend.size() < len(old) + len(old)
+
+    def test_damaged_stream_under_a_valid_crc_is_a_bad_envelope(self):
+        good = encode_frame(encode_envelope(0, "t", {}))
+        stream = zlib.compress(encode_envelope(1, "mempool.admit", self.BIG), 1)
+        for damaged in (
+            stream[:-6],  # cut short
+            stream[:2] + bytes(len(stream) - 2),  # not a deflate stream
+            stream + b"trailing",
+            zlib.compress(b"[1, 2]" * 200, 1),  # inflates, not an envelope
+        ):
+            result = scan_frames(good + stored_as_is(damaged))
+            assert [r["seq"] for r in result.records] == [0]
+            assert result.good_length == len(good)
+            assert result.tail_error.reason == "bad envelope"
+
+    def test_stream_inflating_past_the_frame_limit_is_refused(self, monkeypatch):
+        from repro.store import wal
+
+        payload = encode_envelope(0, "mempool.admit", self.BIG)
+        frame = encode_frame(payload)
+        assert scan_frames(frame).clean
+        stored = len(frame) - HEADER_SIZE
+        monkeypatch.setattr(wal, "MAX_RECORD_BYTES", (stored + len(payload)) // 2)
+        assert scan_frames(frame).tail_error.reason == "bad envelope"
 
 
 class TestFileBackend:
