@@ -1,32 +1,45 @@
 """Sharded market fabric benches: global clear vs zone-sharded clear.
 
-One strong-locality zone market (``generate_zone_market``, zone count
-growing with the block so zone occupancy stays roughly constant, a 5%
-cross-zone request fraction keeping the spillover round honest) cleared
-three ways through the vectorized engine:
+One zone market (``generate_zone_market``, zone count growing with the
+block so zone occupancy stays roughly constant, a 5% cross-zone request
+fraction keeping the spillover round honest) cleared three ways through
+the vectorized engine:
 
 * **global** — the unsharded baseline, one auction over the whole block;
 * **sequential sharding** (``shard_workers=0``) — the fabric's partition
-  + per-shard pipeline + spillover, all on one core.  This is where the
-  structural win lives: all-pairs matching is quadratic in block size
-  (95% of the global 10k clear), so clearing Z zone-local slices beats
-  one global clear long before any parallelism;
+  + per-shard pipeline + spillover, all on one core;
 * **pooled sharding** (``shard_workers=4``) — the same digest computed
   across a process pool (bit-identity is the differential suite's
   contract, not re-asserted here).
 
-``test_sharding_speedup`` gates the committed claim: sequential sharding
-clears the largest configured block at least 2x faster than the global
-path, and prints the welfare delta so the trade-off stays visible in CI
-logs.  ``test_sharding_zone_scaling`` prints the clear-time curve over
-zone counts and asserts more shards never makes the fabric slower than
-its coarsest split.
+What the fabric buys depends on whether the block's resource types are
+shared.  On a **strong-locality** market every zone has its own types,
+the one-shot match already scores each zone's requests against that
+zone's offers only (:mod:`repro.core.matching_vectorized`, "The pair
+space"), and the global clear ties the sequential fabric on time — what
+sharding still adds there is pooled workers and more trades (one global
+price-compatible mini-auction reduces more of them than many zone-local
+ones).  On a **weak-locality** market every bid declares the same
+types, the block is one component, the global match is quadratic again,
+and clearing Z zone-local slices plus a spillover round beats it long
+before any parallelism.
 
-Committed full-size curve (10k bids, 20 zones, one core): global 4.7s
-(4.47s of it ``match``), sequential sharding 0.71s (6.6x); sharded
-welfare 1.37x the global clear's (the global price-compatible
-mini-auction reduces more trades).  CI runs a 4000-bid smoke via
-``DECLOUD_SHARD_SIZES`` (0.79s vs 0.19s, 4.1x, at that size).
+``test_sharding_speedup`` gates the committed claim on the weak-locality
+market — sequential sharding clears the full 10k-bid block at least 2x
+faster than the global path (any win at reduced sizes) — and prints the
+strong-locality ratio and both welfare ratios ungated, so the trade-off
+stays visible in CI logs.  ``test_sharding_zone_scaling`` prints the
+clear-time curve over zone counts and asserts more shards never makes
+the fabric slower than its coarsest split.
+
+Committed full-size curve (10k bids, 20 zones, one core).  Weak
+locality: global 1.50s, sequential sharding 0.56s (2.7x), sharded
+welfare 11x the global clear's.  Strong locality: global 0.30s (0.07s of
+it ``match``; 4.7s and 4.47s while the match ranked the full matrix),
+sequential sharding 0.38s (0.8x), sharded welfare 1.36x.  CI times the
+three clears at a 4000-bid smoke via ``DECLOUD_SHARD_SIZES`` (strong:
+0.10s vs 0.12s; weak: 0.29s vs 0.18s, 1.6x at that size) and runs the
+speedup gate at the full size.
 
 Env knobs:
 
@@ -55,13 +68,16 @@ ZONE_COUNTS = tuple(
     int(token)
     for token in os.environ.get("DECLOUD_SHARD_ZONES", "2 4 8 16").split()
 )
-#: The committed claim: sequential sharding at least halves the
-#: end-to-end block-clear time of the global vectorized path.
+#: The committed claim: on a market whose types are shared, sequential
+#: sharding at least halves the end-to-end block-clear time of the
+#: global vectorized path.  Enforced at the full size; below it the
+#: per-shard fixed costs eat into the ratio and any win passes.
 MIN_SPEEDUP = 2.0
+FULL_SIZE = 10000
 
-_SECONDS: dict[tuple[str, int], float] = {}
-_WELFARE: dict[tuple[str, int], float] = {}
-_MARKETS: dict[tuple[int, int], tuple] = {}
+_SECONDS: dict[tuple[str, int, str], float] = {}
+_WELFARE: dict[tuple[str, int, str], float] = {}
+_MARKETS: dict[tuple[int, int, str], tuple] = {}
 
 
 def _zones_for(n_bids: int) -> int:
@@ -70,15 +86,15 @@ def _zones_for(n_bids: int) -> int:
     return max(4, n_bids // 500)
 
 
-def _market(n_bids: int, n_zones: int):
-    key = (n_bids, n_zones)
+def _market(n_bids: int, n_zones: int, locality: str = "strong"):
+    key = (n_bids, n_zones, locality)
     if key not in _MARKETS:
         _MARKETS[key] = generate_zone_market(
             n_bids // 2,
             n_zones=n_zones,
             seed=42,
             kind="network",
-            locality="strong",
+            locality=locality,
             cross_zone_fraction=0.05,
         )[:2]
     return _MARKETS[key]
@@ -94,15 +110,17 @@ def _config(mode: str) -> AuctionConfig:
     )
 
 
-def _clear(mode: str, n_bids: int, n_zones: int | None = None):
-    requests, offers = _market(n_bids, n_zones or _zones_for(n_bids))
+def _clear(mode: str, n_bids: int, locality: str = "strong"):
+    requests, offers = _market(n_bids, _zones_for(n_bids), locality)
     start = time.perf_counter()
     outcome = DecloudAuction(_config(mode)).run(
         requests, offers, evidence=b"sharding-bench"
     )
-    _SECONDS[(mode, n_bids)] = time.perf_counter() - start
-    _WELFARE[(mode, n_bids)] = sum(m.welfare for m in outcome.matches)
-    assert outcome.matches, f"no matches ({mode}, n_bids={n_bids})"
+    _SECONDS[(mode, n_bids, locality)] = time.perf_counter() - start
+    _WELFARE[(mode, n_bids, locality)] = sum(
+        m.welfare for m in outcome.matches
+    )
+    assert outcome.matches, f"no matches ({mode}, {locality}, n_bids={n_bids})"
     return outcome
 
 
@@ -110,8 +128,9 @@ def _bench(benchmark, mode: str):
     n_bids = max(SIZES)
     benchmark.pedantic(_clear, args=(mode, n_bids), rounds=1, iterations=1)
     print(
-        f"\n{mode} n_bids={n_bids}: {_SECONDS[(mode, n_bids)]:.2f}s, "
-        f"welfare {_WELFARE[(mode, n_bids)]:.1f}"
+        f"\n{mode} n_bids={n_bids}: "
+        f"{_SECONDS[(mode, n_bids, 'strong')]:.2f}s, "
+        f"welfare {_WELFARE[(mode, n_bids, 'strong')]:.1f}"
     )
 
 
@@ -128,24 +147,30 @@ def test_bench_sharding_pooled(benchmark):
 
 
 def test_sharding_speedup():
-    """Sequential sharding halves the global clear time (committed 2x)."""
+    """Sequential sharding halves the global clear time of a shared-type
+    (weak-locality) block; on strong locality the two tie (printed)."""
     n_bids = max(SIZES)
-    for mode in ("global", "sequential"):
-        if (mode, n_bids) not in _SECONDS:
-            _clear(mode, n_bids)
-    global_s = _SECONDS[("global", n_bids)]
-    sharded_s = _SECONDS[("sequential", n_bids)]
-    welfare_ratio = _WELFARE[("sequential", n_bids)] / max(
-        _WELFARE[("global", n_bids)], 1e-12
-    )
-    print(
-        f"\nsharding speedup at n_bids={n_bids}: global {global_s:.2f}s "
-        f"vs sharded {sharded_s:.2f}s ({global_s / sharded_s:.2f}x), "
-        f"welfare ratio sharded/global {welfare_ratio:.3f}"
-    )
-    assert MIN_SPEEDUP * sharded_s <= global_s, (
-        f"sharded clear is only {global_s / sharded_s:.2f}x faster than "
-        f"global at n_bids={n_bids} (need >= {MIN_SPEEDUP}x)"
+    ratio = {}
+    for locality in ("strong", "weak"):
+        for mode in ("global", "sequential"):
+            if (mode, n_bids, locality) not in _SECONDS:
+                _clear(mode, n_bids, locality)
+        global_s = _SECONDS[("global", n_bids, locality)]
+        sharded_s = _SECONDS[("sequential", n_bids, locality)]
+        ratio[locality] = global_s / sharded_s
+        welfare_ratio = _WELFARE[("sequential", n_bids, locality)] / max(
+            _WELFARE[("global", n_bids, locality)], 1e-12
+        )
+        print(
+            f"\nsharding speedup at n_bids={n_bids}, {locality} locality: "
+            f"global {global_s:.2f}s vs sharded {sharded_s:.2f}s "
+            f"({ratio[locality]:.2f}x), welfare ratio sharded/global "
+            f"{welfare_ratio:.3f}"
+        )
+    floor = MIN_SPEEDUP if n_bids >= FULL_SIZE else 1.0
+    assert ratio["weak"] >= floor, (
+        f"sharded clear is only {ratio['weak']:.2f}x faster than global on "
+        f"the weak-locality market at n_bids={n_bids} (need >= {floor}x)"
     )
 
 

@@ -52,8 +52,12 @@ class DecloudAuction:
             # One matcher per auction instance: the online simulator runs
             # many overlapping blocks through the same instance, and the
             # incremental cache then only recomputes rows touched by new
-            # bids.
+            # bids.  A fresh instance's first block has nothing cached to
+            # reuse (an allocator, a shard, a sweep point never clear a
+            # second one), so it takes the one-shot path and the matcher
+            # engages from the second block on.
             self._matcher = IncrementalMatcher()
+        self._reused = False
 
     def run(
         self,
@@ -131,13 +135,15 @@ class DecloudAuction:
         # Owned by this run alone: never stored on the instance, never
         # shipped to a pool worker.
         pairs = PairChecks()
+        matcher = self._matcher if self._reused else None
+        self._reused = True
 
         with obs.tracer.span("match"):
             clusters, orphans = build_clusters(
                 list(request_by_id.values()),
                 list(offer_by_id.values()),
                 self.config,
-                matcher=self._matcher,
+                matcher=matcher,
                 timer=timer,
             )
         with timer.phase("normalize"), obs.tracer.span("normalize"):
@@ -232,11 +238,11 @@ class DecloudAuction:
             for r in outcome.reduced_requests
             if r.request_id not in matched_requests
         )
-        matched_offer_ids = {m.offer.offer_id for m in outcome.matches}
+        matched_offers = {m.offer.offer_id for m in outcome.matches}
         outcome.reduced_offers = _dedupe_offers(
             o
             for o in outcome.reduced_offers
-            if o.offer_id not in matched_offer_ids
+            if o.offer_id not in matched_offers
         )
         reduced_requests = {r.request_id for r in outcome.reduced_requests}
         outcome.unmatched_requests = [
@@ -257,7 +263,6 @@ class DecloudAuction:
                 deduped.append(request)
         outcome.unmatched_requests = deduped
 
-        matched_offers = {m.offer.offer_id for m in outcome.matches}
         reduced_offers = {o.offer_id for o in outcome.reduced_offers}
         outcome.unmatched_offers = [
             offer

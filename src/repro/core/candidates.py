@@ -82,7 +82,7 @@ from repro.market.location import (
     zone_prefix,
 )
 from repro.core.matching import quality_of_match
-from repro.core.matching_vectorized import BlockArrays
+from repro.core.matching_vectorized import BlockArrays, tie_order
 
 #: Resolution codes of the (request, group) state matrix.
 UNRESOLVED = 0
@@ -609,12 +609,8 @@ class CandidateGenerator:
         cols = np.concatenate(pair_cols)
         scores = np.concatenate(pair_scores)
 
-        perm = sorted(
-            range(len(offers)),
-            key=lambda j: (offers[j].submit_time, offers[j].offer_id),
-        )
         rank = np.empty(len(offers), dtype=np.int64)
-        rank[perm] = np.arange(len(offers))
+        rank[tie_order(offers)] = np.arange(len(offers))
 
         order = np.lexsort((rank[cols], -scores, rows))
         rows, cols, scores = rows[order], cols[order], scores[order]

@@ -9,11 +9,12 @@ computes the same quantities as NumPy array programs:
 * :func:`feasibility_matrix` — the R x O hard-constraint mask
   (time-window containment, shared resource types, strict-resource
   presence, flexibility-discounted amounts);
-* :func:`best_offer_sets` — every request's ``best_r`` of Alg. 2 in one
-  batched ranking;
-* :class:`IncrementalMatcher` — an LRU row cache for the online
-  simulator: across block rounds only rows/columns touched by new bids
-  are recomputed (as long as the block maxima are unchanged).
+* :func:`best_offer_sets` — every request's ``best_r`` of Alg. 2 for a
+  one-shot block, scoring only pairs that can share a resource type;
+* :class:`IncrementalMatcher` — an LRU row cache for an auction
+  instance that clears overlapping blocks (the online simulator): from
+  its second block on, only rows/columns touched by new bids are
+  recomputed (as long as the block maxima are unchanged).
 
 Bit-identity contract
 ---------------------
@@ -41,6 +42,37 @@ therefore mirrors the reference's IEEE-754 operation order exactly:
   sorted order.  Which pairs a type touches depends only on the block's
   declaration pattern; a type every request declares and every offer
   carries is one in-place pass over the whole matrix.
+
+The pair space
+--------------
+
+:func:`best_offer_sets` never forms the R x O matrix.  Resource types
+are arbitrary strings (§II-C), and a pair with no common type is
+infeasible (Eq. 18 is undefined on it), so the block splits into the
+connected components of its types under "some bid declares both"
+(:func:`_bid_components`): each bid's types lie in exactly one
+component, and a request and an offer from different components share
+no type.  Each component's requests are ranked against that
+component's offers only, in row strips of at most ``_STRIP_CELLS``
+cells.  The sets cannot differ from a ranking over the full matrix:
+
+* a cross-component pair is infeasible, and ``best_r`` holds feasible
+  offers only, so no skipped pair is a member of any set or displaces
+  one; a request whose component holds no offer has no feasible offer
+  at all and gets the empty set;
+* the kernels are elementwise per pair, so the floats of a
+  (strip x component offers) sub-block equal that slice of the full
+  matrices (:class:`BlockArrays` carries the argument down to the
+  subset's own type universe);
+* a row's boundary score, its contenders and the
+  (submit_time, offer_id) fill of its boundary ties read only that
+  row's feasible columns — all inside its component, listed there in
+  the same relative tie order as in the whole block — so where a strip
+  or a component ends cannot reach them.
+
+A block whose bids all share types (one machine taxonomy, a
+weak-locality market) is one component and stays quadratic in time;
+the strips still bound its memory.
 """
 
 from __future__ import annotations
@@ -326,36 +358,39 @@ def feasibility_matrix(
     )
 
 
-def best_offer_sets(
-    requests: Sequence[Request],
-    offers: Sequence[Offer],
-    maxima: Dict[str, float],
-    breadth: int,
-    scores: Optional[np.ndarray] = None,
-    feasible: Optional[np.ndarray] = None,
-) -> List[frozenset]:
-    """``best_r`` of Alg. 2 for every request in one batched ranking.
+#: Most (request, offer) cells :func:`best_offer_sets` scores and ranks
+#: at once: a component is walked in strips of this many cells, so peak
+#: memory is a handful of strip-sized temporaries (4 MiB per float64
+#: one) however large the block.  Budgets of 2**18..2**20 measure alike;
+#: from 2**21 up the temporaries fall out of cache (+20-40 %).
+_STRIP_CELLS = 1 << 19
 
-    Equivalent to ``best_offer_set(r, offers, maxima, breadth)`` per
-    request: feasible offers ranked by (-quality, submit_time, offer_id).
-    Precomputed ``scores``/``feasible`` matrices may be passed in (the
-    incremental path does).
+
+def tie_order(offers: Sequence[Offer]) -> List[int]:
+    """Offer positions in ascending (submit_time, offer_id) — the §IV-D
+    tie rule's order."""
+    return sorted(
+        range(len(offers)),
+        key=lambda j: (offers[j].submit_time, offers[j].offer_id),
+    )
+
+
+def _rank_members(
+    scores: np.ndarray, feasible: np.ndarray, breadth: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, column)`` of every member of every row's ``best_r``.
+
+    The columns must already stand in (submit_time, offer_id) order.
+    ``best_r`` is a *set*, so the reference's full sort by
+    (-quality, submit_time, offer_id) reduces to top-``breadth``
+    membership: ``np.partition`` yields each row's boundary value (its
+    ``breadth``-th smallest key = -score; ``inf`` with fewer feasible
+    offers), and only the *contenders* — feasible pairs at or below
+    the boundary — can be members.  Everything after that is sparse:
+    contenders strictly below the boundary are in, and the ties *at*
+    it fill the remaining places in column order, which ``np.nonzero``'s
+    row-major output lists in exactly the order the tie rule admits.
     """
-    if not offers:
-        return [frozenset() for _ in requests]
-    if scores is None:
-        scores = score_matrix(requests, offers, maxima)
-    if feasible is None:
-        feasible = feasibility_matrix(requests, offers)
-
-    # ``best_r`` is a *set*, so the reference's full sort by
-    # (-quality, submit_time, offer_id) reduces to top-``breadth``
-    # membership: ``np.partition`` yields each row's boundary value (its
-    # ``breadth``-th smallest key = -score; ``inf`` with fewer feasible
-    # offers), and only the *contenders* — feasible pairs at or below
-    # the boundary — can be members.  Everything after that is sparse:
-    # contenders strictly below the boundary are in, and the ties *at*
-    # it fill the remaining places in ascending (submit_time, offer_id).
     n_req, n_off = scores.shape
     if breadth >= n_off:
         contender = feasible
@@ -364,17 +399,7 @@ def best_offer_sets(
         key = np.where(feasible, -scores, np.inf)
         boundary = np.partition(key, breadth - 1, axis=1)[:, breadth - 1]
         contender = (key <= boundary[:, None]) & feasible
-    # Walking the mask with its columns in (submit_time, offer_id) order
-    # makes ``np.nonzero``'s row-major output list each request's ties
-    # in exactly the order the tie rule admits them.
-    perm = np.array(
-        sorted(
-            range(n_off),
-            key=lambda j: (offers[j].submit_time, offers[j].offer_id),
-        )
-    )
-    rows, ranked_cols = np.nonzero(contender[:, perm])
-    cols = perm[ranked_cols]
+    rows, cols = np.nonzero(contender)
     chosen = -scores[rows, cols] < boundary[rows]
     places = np.minimum(breadth, np.bincount(rows, minlength=n_req))
     need = places - np.bincount(rows[chosen], minlength=n_req)
@@ -383,10 +408,94 @@ def best_offer_sets(
     starts = np.searchsorted(tie_rows, np.arange(n_req))
     position = np.arange(len(ties)) - starts[tie_rows]
     chosen[ties[position < need[tie_rows]]] = True
+    return rows[chosen], cols[chosen]
 
+
+def _bid_components(block: BlockArrays) -> Tuple[np.ndarray, np.ndarray]:
+    """Per request and per offer, the label of the connected component
+    of resource types (under "some bid declares both") its types lie in.
+
+    Union-find over the distinct (a bid's first type, each of its types)
+    edges: which entry a bid lists first only picks the star that spans
+    its types, never what ends up connected, and a component's label is
+    its smallest sorted-type id — a function of the block's declaration
+    pattern alone, not of dict or hash order.
+    """
+    n_types = len(block.types)
+    parent = list(range(n_types))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    sides = (block.req, block.off)
+    # Every bid declares at least one type (``validate_vector``), so
+    # ``ptr[:-1]`` is each bid's first entry.
+    firsts = [side.type[side.ptr[:-1]] for side in sides]
+    edges = np.unique(
+        np.concatenate(
+            [
+                np.repeat(first, np.diff(side.ptr)) * n_types + side.type
+                for first, side in zip(firsts, sides)
+            ]
+        )
+    )
+    for a, b in zip((edges // n_types).tolist(), (edges % n_types).tolist()):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    label = np.array([find(k) for k in range(n_types)], dtype=np.intp)
+    return label[firsts[0]], label[firsts[1]]
+
+
+def _group_by_label(
+    order: np.ndarray, labels: np.ndarray
+) -> Dict[int, np.ndarray]:
+    """The bids ``order`` (non-empty) split by ``labels``, each group in
+    ``order``'s own sequence, groups in ascending label."""
+    order = order[np.argsort(labels[order], kind="stable")]
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return {int(labels[part[0]]): part for part in np.split(order, cuts)}
+
+
+def best_offer_sets(
+    requests: Sequence[Request],
+    offers: Sequence[Offer],
+    maxima: Dict[str, float],
+    breadth: int,
+) -> List[frozenset]:
+    """``best_r`` of Alg. 2 for every request of a block, one shot.
+
+    Equivalent to ``best_offer_set(r, offers, maxima, breadth)`` per
+    request: feasible offers ranked by (-quality, submit_time, offer_id).
+    Only pairs inside one connected component of resource types are ever
+    scored, in row strips of at most ``_STRIP_CELLS`` cells (see the
+    module docstring for why neither can move a set).
+    """
+    if not (requests and offers):
+        return [frozenset() for _ in requests]
     out: List[List[str]] = [[] for _ in requests]
-    for i, j in zip(rows[chosen].tolist(), cols[chosen].tolist()):
-        out[i].append(offers[j].offer_id)
+    block = BlockArrays(requests, offers, maxima)
+    req_label, off_label = _bid_components(block)
+    # Offers are grouped in tie order, so every strip's columns already
+    # stand the way ``_rank_members`` needs them.
+    offer_groups = _group_by_label(
+        np.array(tie_order(offers), dtype=np.intp), off_label
+    )
+    for label, rows in _group_by_label(
+        np.arange(len(requests)), req_label
+    ).items():
+        cols = offer_groups.get(label)
+        if cols is None:
+            continue  # nobody offers any type these requests declare
+        step = max(1, _STRIP_CELLS // len(cols))
+        for lo in range(0, len(rows), step):
+            strip = rows[lo : lo + step]
+            in_row, in_col = _rank_members(*block.score(strip, cols), breadth)
+            for i, j in zip(strip[in_row].tolist(), cols[in_col].tolist()):
+                out[i].append(offers[j].offer_id)
     return [frozenset(members) for members in out]
 
 
@@ -546,11 +655,14 @@ class IncrementalMatcher:
         registry_size = len(self._registry)
 
         missing: List[Request] = []
+        missing_keys: List[Tuple] = []
         stale: Dict[int, List[Request]] = {}
         for request in requests:
             entry = self._rows.get(request.request_id)
-            if entry is None or entry[0] != _request_fingerprint(request):
+            key = _request_fingerprint(request)
+            if entry is None or entry[0] != key:
                 missing.append(request)
+                missing_keys.append(key)
             elif len(entry[1]) < registry_size:
                 stale.setdefault(len(entry[1]), []).append(request)
             else:
@@ -564,7 +676,7 @@ class IncrementalMatcher:
             )
             for i, request in enumerate(missing):
                 self._rows[request.request_id] = [
-                    _request_fingerprint(request), scores[i], feasible[i],
+                    missing_keys[i], scores[i], feasible[i],
                 ]
                 self._rows.move_to_end(request.request_id)
         for length, group in stale.items():
@@ -610,14 +722,18 @@ class IncrementalMatcher:
         maxima: Dict[str, float],
         breadth: int,
     ) -> List[frozenset]:
-        """Incremental drop-in for :func:`best_offer_sets`."""
+        """Incremental drop-in for :func:`best_offer_sets`: the same
+        ranking over full cached rows, columns asked for in tie order."""
         if not offers:
             return [frozenset() for _ in requests]
-        scores, feasible = self.matrices(requests, offers, maxima)
-        return best_offer_sets(
-            requests, offers, maxima, breadth,
-            scores=scores, feasible=feasible,
+        ranked = [offers[j] for j in tie_order(offers)]
+        in_row, in_col = _rank_members(
+            *self.matrices(requests, ranked, maxima), breadth
         )
+        out: List[List[str]] = [[] for _ in requests]
+        for i, j in zip(in_row.tolist(), in_col.tolist()):
+            out[i].append(ranked[j].offer_id)
+        return [frozenset(members) for members in out]
 
     def prepare(
         self, offers: Sequence[Offer], maxima: Dict[str, float]

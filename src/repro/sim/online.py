@@ -10,6 +10,7 @@ behind the system's online appearance.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -120,8 +121,8 @@ class OnlineSimulator:
         result = OnlineResult()
         pending_requests: List[Request] = []
         pending_offers: List[Offer] = []
-        arrivals_r = sorted(requests, key=lambda r: r.submit_time)
-        arrivals_o = sorted(offers, key=lambda o: o.submit_time)
+        arrivals_r = deque(sorted(requests, key=lambda r: r.submit_time))
+        arrivals_o = deque(sorted(offers, key=lambda o: o.submit_time))
         first_seen: Dict[str, int] = {}
 
         obs = self.obs
@@ -132,12 +133,12 @@ class OnlineSimulator:
             arrived_r = 0
             arrived_o = 0
             while arrivals_r and arrivals_r[0].submit_time <= now:
-                request = arrivals_r.pop(0)
+                request = arrivals_r.popleft()
                 first_seen[request.request_id] = round_index
                 pending_requests.append(request)
                 arrived_r += 1
             while arrivals_o and arrivals_o[0].submit_time <= now:
-                pending_offers.append(arrivals_o.pop(0))
+                pending_offers.append(arrivals_o.popleft())
                 arrived_o += 1
 
             # Expire what can no longer run.

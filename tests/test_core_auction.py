@@ -1,10 +1,17 @@
 """Unit tests for the full auction pipeline (Alg. 1)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import AuctionError
 from repro.core.auction import DecloudAuction
-from repro.core.config import AuctionConfig
+from repro.core.candidates import NetworkZoneGenerator
+from repro.core.config import AuctionConfig, ShardPlan
+from repro.core.matching import block_maxima
+from repro.core.matching_vectorized import IncrementalMatcher, best_offer_sets
+from repro.core.outcome import canonical_outcome
+from repro.workloads.generators import generate_market, generate_zone_market
 from tests.conftest import make_offer, make_request
 
 
@@ -168,3 +175,101 @@ class TestConfigVariants:
         config = AuctionConfig(cluster_breadth=1)
         outcome = DecloudAuction(config).run(requests, offers)
         assert outcome.num_trades >= 1
+
+
+def _zone_market(n_requests, locality="strong", n_zones=6):
+    return generate_zone_market(
+        n_requests, n_zones=n_zones, seed=3, kind="network",
+        locality=locality, cross_zone_fraction=0.05,
+    )[:2]
+
+
+@pytest.fixture
+def cache_calls(monkeypatch):
+    """Names of the ``IncrementalMatcher`` entry points called, in order."""
+    calls = []
+    for name in ("matrices", "gather", "scorer"):
+        def spy(self, *args, _real=getattr(IncrementalMatcher, name),
+                _name=name, **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalMatcher, name, spy)
+    return calls
+
+
+class TestMatchPath:
+    """A fresh instance's first block is a one-shot clear; the row cache
+    engages from the instance's second block on."""
+
+    def test_first_block_one_shot_then_the_row_cache(self, cache_calls):
+        requests, offers = generate_market(40, seed=5)
+        auction = DecloudAuction(AuctionConfig(engine="vectorized"))
+        seen = []
+        for round_index in range(3):
+            block = requests[round_index * 4 : round_index * 4 + 30]
+            evidence = b"path-%d" % round_index
+            outcome = auction.run(block, offers, evidence=evidence)
+            seen.append(list(cache_calls))
+            fresh = DecloudAuction(AuctionConfig(engine="reference")).run(
+                block, offers, evidence=evidence
+            )
+            assert canonical_outcome(outcome) == canonical_outcome(fresh)
+        assert seen[0] == []
+        assert seen[1] == ["matrices"]
+        assert seen[2] == ["matrices", "matrices"]
+
+    def test_candidate_stage_follows_the_same_rule(self, cache_calls):
+        requests, offers = _zone_market(120, n_zones=4)
+        auction = DecloudAuction(
+            AuctionConfig(
+                engine="vectorized", candidates=NetworkZoneGenerator()
+            )
+        )
+        first = auction.run(requests, offers, evidence=b"cand")
+        assert cache_calls == []
+        second = auction.run(requests, offers, evidence=b"cand")
+        assert cache_calls[0] == "scorer" and "gather" in cache_calls
+        assert canonical_outcome(first) == canonical_outcome(second)
+
+    def test_shards_and_spillover_never_touch_the_cache(self, cache_calls):
+        requests, offers = _zone_market(200, n_zones=4)
+        auction = DecloudAuction(
+            AuctionConfig(
+                engine="vectorized",
+                sharding=ShardPlan(kind="network", shard_workers=0),
+            )
+        )
+        for _ in range(2):  # the outer instance holds no block state
+            outcome = auction.run(requests, offers, evidence=b"shards")
+            assert outcome.matches
+            assert auction.last_shard_stats["shards"] == 4
+            assert auction.last_shard_stats["spillover_ran"]
+        assert cache_calls == []
+
+
+def _one_shot_peak(requests, offers):
+    maxima = block_maxima(requests, offers)
+    tracemalloc.start()
+    try:
+        best_offer_sets(requests, offers, maxima, 3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneShotMemory:
+    def test_zone_block_holds_a_fraction_of_one_full_matrix(self):
+        requests, offers = _zone_market(1500)
+        matrix = len(requests) * len(offers) * 8  # one R x O float64
+        # Six components of ~250 x 250: 3.3 MB of an 18 MB matrix (the
+        # full-matrix ranking held several such matrices at once).
+        assert _one_shot_peak(requests, offers) < matrix / 3
+
+    def test_one_component_block_is_bounded_by_the_strip(self):
+        """Weak locality shares every type, so the block is a single
+        component; doubling it quadruples the matrix (8 -> 32 MB) but
+        only lengthens the walk over fixed-size strips (14.0 -> 14.4)."""
+        small = _one_shot_peak(*_zone_market(1000, locality="weak"))
+        large = _one_shot_peak(*_zone_market(2000, locality="weak"))
+        assert large < 1.25 * small
