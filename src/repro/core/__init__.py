@@ -35,7 +35,6 @@ from repro.core.matching import (
     rank_offers,
 )
 from repro.core.matching_vectorized import (
-    IncrementalMatcher,
     best_offer_sets,
     feasibility_matrix,
     score_matrix,
@@ -109,7 +108,6 @@ __all__ = [
     "rank_offers",
     "best_offer_set",
     "block_maxima",
-    "IncrementalMatcher",
     "best_offer_sets",
     "feasibility_matrix",
     "score_matrix",

@@ -45,19 +45,6 @@ class DecloudAuction:
         #: spillover volume, per-shard seconds) — populated by
         #: :mod:`repro.core.sharding` when ``config.sharding`` is set.
         self.last_shard_stats: dict = {}
-        self._matcher = None
-        if self.config.engine == "vectorized":
-            from repro.core.matching_vectorized import IncrementalMatcher
-
-            # One matcher per auction instance: the online simulator runs
-            # many overlapping blocks through the same instance, and the
-            # incremental cache then only recomputes rows touched by new
-            # bids.  A fresh instance's first block has nothing cached to
-            # reuse (an allocator, a shard, a sweep point never clear a
-            # second one), so it takes the one-shot path and the matcher
-            # engages from the second block on.
-            self._matcher = IncrementalMatcher()
-        self._reused = False
 
     def run(
         self,
@@ -135,15 +122,12 @@ class DecloudAuction:
         # Owned by this run alone: never stored on the instance, never
         # shipped to a pool worker.
         pairs = PairChecks()
-        matcher = self._matcher if self._reused else None
-        self._reused = True
 
         with obs.tracer.span("match"):
             clusters, orphans = build_clusters(
                 list(request_by_id.values()),
                 list(offer_by_id.values()),
                 self.config,
-                matcher=matcher,
                 timer=timer,
             )
         with timer.phase("normalize"), obs.tracer.span("normalize"):

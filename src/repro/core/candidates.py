@@ -97,11 +97,6 @@ REASON_NAMES = {
     PRUNED_SCORE: "score-bound",
 }
 
-#: ``scorer(requests, offer_indices) -> (scores, feasible)`` — exact
-#: Eq. (18) scores and constraint-(8)/(10)-(11) feasibility for the
-#: given requests against the given offer columns of the block.
-Scorer = Callable[[Sequence[Request], np.ndarray], Tuple[np.ndarray, np.ndarray]]
-
 
 def tie_rank_key(
     request: Request, offer: Offer, maxima: Dict[str, float]
@@ -368,16 +363,10 @@ class CandidateGenerator:
         offers: Sequence[Offer],
         maxima: Dict[str, float],
         breadth: int,
-        scorer: Optional[Scorer] = None,
     ) -> CandidateResult:
         # The block's tensors are built here once; screens, group
-        # statistics and the default scorer all read index subsets.
+        # statistics and ``block.score`` all read index subsets.
         block = BlockArrays(requests, offers, maxima)
-        if scorer is None:
-            score = block.score
-        else:
-            def score(rows: np.ndarray, cols: np.ndarray):
-                return scorer([requests[i] for i in rows.tolist()], cols)
         grouped = [
             (key, np.asarray(indices, dtype=np.int64))
             for key, indices in self._group_offers(offers)
@@ -412,7 +401,7 @@ class CandidateGenerator:
             chunk = list(requests[start : start + self.chunk_size])
             reason, bounds = self._resolve_chunk(
                 chunk, start, block, groups, keys, group_stats,
-                group_sizes, breadth, score, stats,
+                group_sizes, breadth, stats,
                 pair_rows, pair_cols, pair_scores,
             )
             # One mask pass per chunk; np.nonzero and boolean indexing
@@ -472,7 +461,6 @@ class CandidateGenerator:
         group_stats: _GroupStats,
         group_sizes: np.ndarray,
         breadth: int,
-        score: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
         stats: Dict[str, int],
         pair_rows: List[np.ndarray],
         pair_cols: List[np.ndarray],
@@ -542,7 +530,9 @@ class CandidateGenerator:
                 pointer[row] = p
             for g in sorted(by_group):
                 rows = np.array(by_group[g], dtype=np.int64)
-                scores, feasible = score(rows + chunk_start, groups[g])
+                scores, feasible = block.score(
+                    rows + chunk_start, groups[g]
+                )
                 ranked = np.where(feasible, scores, -math.inf)
                 merged = np.concatenate([topk[rows], ranked], axis=1)
                 merged.partition(merged.shape[1] - breadth, axis=1)

@@ -11,15 +11,13 @@ mini-auction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.common.timing import PhaseTimer, resolve
 from repro.core.config import AuctionConfig
 from repro.core.matching import best_offer_set, block_maxima
+from repro.core.matching_vectorized import best_offer_sets
 from repro.market.bids import Offer, Request
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from repro.core.matching_vectorized import IncrementalMatcher
 
 
 @dataclass
@@ -170,7 +168,6 @@ def build_clusters(
     requests: Sequence[Request],
     offers: Sequence[Offer],
     config: AuctionConfig,
-    matcher: Optional["IncrementalMatcher"] = None,
     timer: Optional[PhaseTimer] = None,
 ) -> tuple[List[Cluster], List[Request]]:
     """Run Alg. 2 over a block.
@@ -181,9 +178,9 @@ def build_clusters(
     everything else in the mechanism — cannot be gamed by delaying.
 
     ``config.engine`` picks how the per-request best-offer sets are
-    computed: the scalar reference, or the batched NumPy kernel (with an
-    optional :class:`~repro.core.matching_vectorized.IncrementalMatcher`
-    reusing rows across blocks).  ``config.candidates`` optionally puts
+    computed: the scalar reference, or the batched NumPy kernel
+    (:func:`~repro.core.matching_vectorized.best_offer_sets`).
+    ``config.candidates`` optionally puts
     a certified candidate-generation stage in front of either engine
     (see :mod:`repro.core.candidates`).  All paths produce bit-identical
     sets, so the cluster structure is engine- and candidate-invariant.
@@ -198,12 +195,10 @@ def build_clusters(
             requests, key=lambda r: (r.submit_time, r.request_id)
         )
         if config.candidates is not None and offers:
-            best_sets = _candidate_best_sets(
-                ordered, offers, maxima, config, matcher
-            )
+            best_sets = _candidate_best_sets(ordered, offers, maxima, config)
         elif config.engine == "vectorized":
-            best_sets = _vectorized_best_sets(
-                ordered, offers, maxima, config, matcher
+            best_sets = best_offer_sets(
+                ordered, offers, maxima, config.cluster_breadth
             )
         else:
             best_sets = [
@@ -223,30 +218,11 @@ def build_clusters(
     return builder.clusters, orphans
 
 
-def _vectorized_best_sets(
-    ordered: Sequence[Request],
-    offers: Sequence[Offer],
-    maxima,
-    config: AuctionConfig,
-    matcher: Optional["IncrementalMatcher"],
-) -> List[frozenset]:
-    from repro.core import matching_vectorized
-
-    if matcher is not None:
-        return matcher.best_offer_sets(
-            ordered, offers, maxima, config.cluster_breadth
-        )
-    return matching_vectorized.best_offer_sets(
-        ordered, offers, maxima, config.cluster_breadth
-    )
-
-
 def _candidate_best_sets(
     ordered: Sequence[Request],
     offers: Sequence[Offer],
     maxima,
     config: AuctionConfig,
-    matcher: Optional["IncrementalMatcher"],
 ) -> List[frozenset]:
     """Best-offer sets through the certified candidate stage.
 
@@ -257,21 +233,8 @@ def _candidate_best_sets(
     differential suite compares two independent ways of consuming the
     same certificates.
     """
-    generator = config.candidates
-    scorer = None
-    if (
-        config.engine == "vectorized"
-        and matcher is not None
-        and len(ordered) <= matcher.max_rows
-    ):
-        # The matcher's partial-row cache costs O(registry) per request
-        # row, which only pays off when the whole round fits in the LRU
-        # and rows survive to the next online round.  A block larger
-        # than ``max_rows`` would evict rows before any reuse, so the
-        # one-shot direct scorer (O(chunk x group) allocations) wins.
-        scorer = matcher.scorer(offers, maxima)
-    result = generator.generate(
-        ordered, offers, maxima, config.cluster_breadth, scorer=scorer
+    result = config.candidates.generate(
+        ordered, offers, maxima, config.cluster_breadth
     )
     if config.engine == "vectorized":
         return result.best_sets

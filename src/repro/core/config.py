@@ -104,7 +104,7 @@ class AuctionConfig:
             bit-identical by contract — ``tests/differential/`` is the
             enforcement.
         candidates: optional candidate generator (an object with a
-            ``generate(requests, offers, maxima, breadth, scorer=...)``
+            ``generate(requests, offers, maxima, breadth)``
             method, see :mod:`repro.core.candidates`) placed in front of
             the matcher.  ``None`` (default) runs the exact all-pairs
             path.  Generators certify their pruning, so any generator

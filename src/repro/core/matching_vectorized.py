@@ -10,11 +10,13 @@ computes the same quantities as NumPy array programs:
   (time-window containment, shared resource types, strict-resource
   presence, flexibility-discounted amounts);
 * :func:`best_offer_sets` — every request's ``best_r`` of Alg. 2 for a
-  one-shot block, scoring only pairs that can share a resource type;
-* :class:`IncrementalMatcher` — an LRU row cache for an auction
-  instance that clears overlapping blocks (the online simulator): from
-  its second block on, only rows/columns touched by new bids are
-  recomputed (as long as the block maxima are unchanged).
+  block, scoring only pairs that can share a resource type;
+* :class:`BlockArrays` — a block's bids read into flat arrays once,
+  scored on any (requests x offers) subset: what the candidate stage
+  (:mod:`repro.core.candidates`) scores its admitted groups with.
+
+Everything here is a function of one block's bids: nothing is kept from
+one block to the next.
 
 Bit-identity contract
 ---------------------
@@ -77,8 +79,7 @@ the strips still bound its memory.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -466,7 +467,7 @@ def best_offer_sets(
     maxima: Dict[str, float],
     breadth: int,
 ) -> List[frozenset]:
-    """``best_r`` of Alg. 2 for every request of a block, one shot.
+    """``best_r`` of Alg. 2 for every request of a block.
 
     Equivalent to ``best_offer_set(r, offers, maxima, breadth)`` per
     request: feasible offers ranked by (-quality, submit_time, offer_id).
@@ -497,333 +498,3 @@ def best_offer_sets(
             for i, j in zip(strip[in_row].tolist(), cols[in_col].tolist()):
                 out[i].append(offers[j].offer_id)
     return [frozenset(members) for members in out]
-
-
-def _request_fingerprint(request: Request) -> Tuple:
-    return (
-        request.submit_time,
-        request.bid,
-        request.duration,
-        request.flexibility,
-        request.window.start,
-        request.window.end,
-        tuple(sorted(request.resources.items())),
-        tuple(sorted(request.significance.items())),
-    )
-
-
-def _offer_fingerprint(offer: Offer) -> Tuple:
-    return (
-        offer.submit_time,
-        offer.bid,
-        offer.window.start,
-        offer.window.end,
-        tuple(sorted(offer.resources.items())),
-    )
-
-
-class IncrementalMatcher:
-    """Incremental score/feasibility rows for repeated (online) blocks.
-
-    The online simulator clears overlapping participant pools every
-    block: most requests and offers persist between rounds.  This cache
-    keeps, per request id, its score and feasibility row against a
-    growing *offer registry*; a new block then only computes
-
-    * rows for requests never seen before,
-    * column suffixes for rows that predate newly registered offers.
-
-    Rows are invalidated wholesale when the block maxima change (every
-    rho in Eq. 18 shifts) and are bounded by an LRU of ``max_rows``.
-    All cached values are bit-identical to a fresh computation: the
-    kernel is elementwise per pair, so computing a column subset later
-    yields exactly the same floats.
-    """
-
-    def __init__(self, max_rows: int = 4096) -> None:
-        self.max_rows = max_rows
-        self.hits = 0
-        self.misses = 0
-        self._maxima_key: Optional[Tuple] = None
-        self._registry: List[Offer] = []
-        self._columns: Dict[str, int] = {}
-        self._offer_keys: Dict[str, Tuple] = {}
-        #: request_id -> [fingerprint, score_row, feasible_row]; rows are
-        #: aligned to a prefix of the registry (their length records how
-        #: many columns they have seen).
-        self._rows: "OrderedDict[str, list]" = OrderedDict()
-        #: request_id -> [fingerprint, score_row, feasible_row, valid];
-        #: rows whose columns were filled piecemeal by the candidate
-        #: path (:meth:`gather`) — ``valid`` marks which registry
-        #: columns actually hold computed values.
-        self._partial: "OrderedDict[str, list]" = OrderedDict()
-
-    def reset(self) -> None:
-        self._maxima_key = None
-        self._registry = []
-        self._columns = {}
-        self._offer_keys = {}
-        self._rows.clear()
-        self._partial.clear()
-
-    def _sync_maxima(self, maxima: Dict[str, float]) -> None:
-        key = tuple(sorted(maxima.items()))
-        if key != self._maxima_key:
-            # Every normalized amount changes; feasibility would survive,
-            # but a shared invalidation keeps the bookkeeping simple.
-            self._rows.clear()
-            self._partial.clear()
-            self._maxima_key = key
-
-    def _sync_offers(self, offers: Sequence[Offer]) -> None:
-        fresh: List[Offer] = []
-        for offer in offers:
-            known = self._offer_keys.get(offer.offer_id)
-            if known is None:
-                fresh.append(offer)
-            elif known != _offer_fingerprint(offer):
-                # Same id, different content: the cache keys no longer
-                # identify bids — start over.
-                self.reset()
-                self._sync_offers(offers)
-                return
-        for offer in fresh:
-            self._columns[offer.offer_id] = len(self._registry)
-            self._registry.append(offer)
-            self._offer_keys[offer.offer_id] = _offer_fingerprint(offer)
-        # Compact when expired offers dominate the registry, so cached
-        # rows stop paying for columns nobody asks about.
-        if len(self._registry) > 2 * len(offers) + 32:
-            self._compact({o.offer_id for o in offers})
-
-    def _compact(self, live_ids: set) -> None:
-        keep = [j for j, o in enumerate(self._registry) if o.offer_id in live_ids]
-        keep_arr = np.array(keep, dtype=int)
-        new_registry = [self._registry[j] for j in keep]
-        for entry in self._rows.values():
-            length = len(entry[1])
-            usable = keep_arr[keep_arr < length]
-            if len(usable) == len(keep_arr):
-                entry[1] = entry[1][keep_arr]
-                entry[2] = entry[2][keep_arr]
-            else:
-                entry[1] = None  # row predates some surviving columns
-        self._rows = OrderedDict(
-            (rid, e) for rid, e in self._rows.items() if e[1] is not None
-        )
-        for entry in self._partial.values():
-            length = len(entry[1])
-            usable = keep_arr[keep_arr < length]
-            if len(usable) == len(keep_arr):
-                entry[1] = entry[1][keep_arr]
-                entry[2] = entry[2][keep_arr]
-                entry[3] = entry[3][keep_arr]
-            else:
-                entry[1] = None
-        self._partial = OrderedDict(
-            (rid, e) for rid, e in self._partial.items() if e[1] is not None
-        )
-        self._registry = new_registry
-        self._columns = {o.offer_id: j for j, o in enumerate(new_registry)}
-        self._offer_keys = {
-            oid: key for oid, key in self._offer_keys.items() if oid in live_ids
-        }
-
-    def _compute_rows(
-        self,
-        requests: List[Request],
-        offers: List[Offer],
-        maxima: Dict[str, float],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        types = _type_universe(requests, offers)
-        req = _RequestArrays(requests, types)
-        off = _OfferArrays(offers, types)
-        return (
-            _score_from_arrays(req, off, types, maxima),
-            _feasibility_from_arrays(req, off),
-        )
-
-    def matrices(
-        self,
-        requests: Sequence[Request],
-        offers: Sequence[Offer],
-        maxima: Dict[str, float],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(scores, feasible) for ``requests`` x ``offers``."""
-        self._sync_maxima(maxima)
-        self._sync_offers(offers)
-        registry_size = len(self._registry)
-
-        missing: List[Request] = []
-        missing_keys: List[Tuple] = []
-        stale: Dict[int, List[Request]] = {}
-        for request in requests:
-            entry = self._rows.get(request.request_id)
-            key = _request_fingerprint(request)
-            if entry is None or entry[0] != key:
-                missing.append(request)
-                missing_keys.append(key)
-            elif len(entry[1]) < registry_size:
-                stale.setdefault(len(entry[1]), []).append(request)
-            else:
-                self.hits += 1
-                self._rows.move_to_end(request.request_id)
-
-        if missing:
-            self.misses += len(missing)
-            scores, feasible = self._compute_rows(
-                missing, self._registry, maxima
-            )
-            for i, request in enumerate(missing):
-                self._rows[request.request_id] = [
-                    missing_keys[i], scores[i], feasible[i],
-                ]
-                self._rows.move_to_end(request.request_id)
-        for length, group in stale.items():
-            # Only the columns added since these rows were computed.
-            self.misses += len(group)
-            scores, feasible = self._compute_rows(
-                group, self._registry[length:], maxima
-            )
-            for i, request in enumerate(group):
-                entry = self._rows[request.request_id]
-                entry[1] = np.concatenate([entry[1], scores[i]])
-                entry[2] = np.concatenate([entry[2], feasible[i]])
-                self._rows.move_to_end(request.request_id)
-
-        cols = np.array(
-            [self._columns[o.offer_id] for o in offers], dtype=int
-        )
-        n_req, n_off = len(requests), len(offers)
-        if n_req == 0 or n_off == 0:
-            while len(self._rows) > self.max_rows:
-                self._rows.popitem(last=False)
-            return (
-                np.empty((n_req, n_off)),
-                np.empty((n_req, n_off), dtype=bool),
-            )
-        # Every requested row was brought to full registry length above,
-        # so the rows stack into one matrix and the live columns are
-        # gathered with a single fancy index instead of one per row.
-        entries = [self._rows[r.request_id] for r in requests]
-        out_scores = np.stack([e[1] for e in entries])[:, cols]
-        out_feasible = np.stack([e[2] for e in entries])[:, cols]
-        # Evict only after assembling the output: one oversized block
-        # (more rows than ``max_rows``) must not drop rows it is about
-        # to serve.
-        while len(self._rows) > self.max_rows:
-            self._rows.popitem(last=False)
-        return out_scores, out_feasible
-
-    def best_offer_sets(
-        self,
-        requests: Sequence[Request],
-        offers: Sequence[Offer],
-        maxima: Dict[str, float],
-        breadth: int,
-    ) -> List[frozenset]:
-        """Incremental drop-in for :func:`best_offer_sets`: the same
-        ranking over full cached rows, columns asked for in tie order."""
-        if not offers:
-            return [frozenset() for _ in requests]
-        ranked = [offers[j] for j in tie_order(offers)]
-        in_row, in_col = _rank_members(
-            *self.matrices(requests, ranked, maxima), breadth
-        )
-        out: List[List[str]] = [[] for _ in requests]
-        for i, j in zip(in_row.tolist(), in_col.tolist()):
-            out[i].append(ranked[j].offer_id)
-        return [frozenset(members) for members in out]
-
-    def prepare(
-        self, offers: Sequence[Offer], maxima: Dict[str, float]
-    ) -> None:
-        """Register a block's offers/maxima without computing any rows."""
-        self._sync_maxima(maxima)
-        self._sync_offers(offers)
-
-    def gather(
-        self,
-        requests: Sequence[Request],
-        cols: np.ndarray,
-        maxima: Dict[str, float],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(scores, feasible) for ``requests`` x registry columns ``cols``.
-
-        The candidate path asks for sparse column subsets, so full
-        registry rows would mostly hold values nobody looks at.  These
-        rows instead carry a per-column validity mask: a request whose
-        requested columns are all valid is a pure cache hit; otherwise
-        the *requested* columns are recomputed in one kernel call
-        (recomputing an already-valid column rewrites the identical
-        float — the kernel is elementwise and deterministic).  Call
-        :meth:`prepare` first so the registry matches the block.
-        """
-        registry_size = len(self._registry)
-        cols = np.asarray(cols, dtype=int)
-        need_compute: List[Request] = []
-        for request in requests:
-            entry = self._partial.get(request.request_id)
-            if entry is None or entry[0] != _request_fingerprint(request):
-                entry = [
-                    _request_fingerprint(request),
-                    np.zeros(registry_size),
-                    np.zeros(registry_size, dtype=bool),
-                    np.zeros(registry_size, dtype=bool),
-                ]
-                self._partial[request.request_id] = entry
-            elif len(entry[1]) < registry_size:
-                grow = registry_size - len(entry[1])
-                entry[1] = np.concatenate([entry[1], np.zeros(grow)])
-                entry[2] = np.concatenate(
-                    [entry[2], np.zeros(grow, dtype=bool)]
-                )
-                entry[3] = np.concatenate(
-                    [entry[3], np.zeros(grow, dtype=bool)]
-                )
-            if entry[3][cols].all():
-                self.hits += 1
-            else:
-                need_compute.append(request)
-            self._partial.move_to_end(request.request_id)
-
-        if need_compute:
-            self.misses += len(need_compute)
-            subset = [self._registry[j] for j in cols.tolist()]
-            scores, feasible = self._compute_rows(
-                need_compute, subset, maxima
-            )
-            for i, request in enumerate(need_compute):
-                entry = self._partial[request.request_id]
-                entry[1][cols] = scores[i]
-                entry[2][cols] = feasible[i]
-                entry[3][cols] = True
-
-        if requests:
-            entries = [self._partial[r.request_id] for r in requests]
-            out_scores = np.stack([e[1] for e in entries])[:, cols]
-            out_feasible = np.stack([e[2] for e in entries])[:, cols]
-        else:
-            out_scores = np.empty((0, len(cols)))
-            out_feasible = np.empty((0, len(cols)), dtype=bool)
-        while len(self._partial) > self.max_rows:
-            self._partial.popitem(last=False)
-        return out_scores, out_feasible
-
-    def scorer(self, offers: Sequence[Offer], maxima: Dict[str, float]):
-        """A candidate-stage scorer backed by this cache.
-
-        Returns ``scorer(requests, offer_indices)`` where
-        ``offer_indices`` index into ``offers`` (the block's offer
-        list); rows persist across blocks like the full-row cache.
-        """
-        self.prepare(offers, maxima)
-        offer_cols = np.array(
-            [self._columns[o.offer_id] for o in offers], dtype=int
-        )
-
-        def scorer(requests, indices):
-            cols = offer_cols[np.asarray(indices, dtype=int)]
-            return self.gather(requests, cols, maxima)
-
-        return scorer

@@ -398,5 +398,3 @@ class TestIncrementalMatcher:
                 )
             )
             assert cached == fresh
-        assert incremental._matcher is not None
-        assert incremental._matcher.hits > 0

@@ -113,8 +113,8 @@ class OverPruningGenerator(ResourceVectorGenerator):
     breadth-th best feasible admitted score no longer matches the record.
     """
 
-    def generate(self, requests, offers, maxima, breadth, scorer=None):
-        result = super().generate(requests, offers, maxima, breadth, scorer)
+    def generate(self, requests, offers, maxima, breadth):
+        result = super().generate(requests, offers, maxima, breadth)
         for certificate in result.certificates:
             if len(certificate.admitted_groups):
                 victim = certificate.admitted_groups[-1:]
@@ -150,8 +150,8 @@ class LyingBoundGenerator(ResourceVectorGenerator):
     low bound.  The threshold stays consistent (the top group survives),
     so only the bound-dominance clause can catch the lie."""
 
-    def generate(self, requests, offers, maxima, breadth, scorer=None):
-        result = super().generate(requests, offers, maxima, breadth, scorer)
+    def generate(self, requests, offers, maxima, breadth):
+        result = super().generate(requests, offers, maxima, breadth)
         for certificate in result.certificates:
             if len(certificate.admitted_groups) > breadth:
                 victim = certificate.admitted_groups[breadth : breadth + 1]

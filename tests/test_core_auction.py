@@ -2,15 +2,17 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.common.errors import AuctionError
 from repro.core.auction import DecloudAuction
-from repro.core.candidates import NetworkZoneGenerator
+from repro.core.candidates import NetworkZoneGenerator, ResourceVectorGenerator
 from repro.core.config import AuctionConfig, ShardPlan
-from repro.core.matching import block_maxima
-from repro.core.matching_vectorized import IncrementalMatcher, best_offer_sets
+from repro.core.matching import best_offer_set, block_maxima
+from repro.core.matching_vectorized import best_offer_sets
 from repro.core.outcome import canonical_outcome
+from repro.market.bids import Offer, Request
 from repro.workloads.generators import generate_market, generate_zone_market
 from tests.conftest import make_offer, make_request
 
@@ -184,68 +186,117 @@ def _zone_market(n_requests, locality="strong", n_zones=6):
     )[:2]
 
 
-@pytest.fixture
-def cache_calls(monkeypatch):
-    """Names of the ``IncrementalMatcher`` entry points called, in order."""
-    calls = []
-    for name in ("matrices", "gather", "scorer"):
-        def spy(self, *args, _real=getattr(IncrementalMatcher, name),
-                _name=name, **kwargs):
-            calls.append(_name)
-            return _real(self, *args, **kwargs)
+def _held_block_data(value, bid_ids, seen=None):
+    """Every bid, array or bid id reachable from ``value`` through
+    containers and instance attributes."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, (Request, Offer, np.ndarray)):
+        return [value]
+    if isinstance(value, str):
+        return [value] if value in bid_ids else []
+    if isinstance(value, dict):
+        children = list(value) + list(value.values())
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = list(value)
+    else:
+        children = list(getattr(value, "__dict__", {}).values())
+    return [
+        found
+        for child in children
+        for found in _held_block_data(child, bid_ids, seen)
+    ]
 
-        monkeypatch.setattr(IncrementalMatcher, name, spy)
-    return calls
+
+_LAYOUTS = {
+    "dense": dict,
+    "candidates": lambda: {"candidates": NetworkZoneGenerator()},
+    "sharded": lambda: {
+        "sharding": ShardPlan(kind="network", shard_workers=0)
+    },
+}
 
 
-class TestMatchPath:
-    """A fresh instance's first block is a one-shot clear; the row cache
-    engages from the instance's second block on."""
+class TestNoBlockState:
+    """``run`` is a function of its arguments: an instance that has
+    cleared other blocks clears a block exactly as a fresh one does."""
 
-    def test_first_block_one_shot_then_the_row_cache(self, cache_calls):
-        requests, offers = generate_market(40, seed=5)
-        auction = DecloudAuction(AuctionConfig(engine="vectorized"))
-        seen = []
-        for round_index in range(3):
-            block = requests[round_index * 4 : round_index * 4 + 30]
-            evidence = b"path-%d" % round_index
-            outcome = auction.run(block, offers, evidence=evidence)
-            seen.append(list(cache_calls))
-            fresh = DecloudAuction(AuctionConfig(engine="reference")).run(
-                block, offers, evidence=evidence
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_overlapping_blocks_on_one_instance(self, layout, engine):
+        requests, offers = _zone_market(150, n_zones=4)
+        bid_ids = {r.request_id for r in requests} | {
+            o.offer_id for o in offers
+        }
+        # A sliding window over both pools: B overlaps A, A' is A again.
+        blocks = {
+            "A": (requests[:100], offers[:120], b"block-a"),
+            "B": (requests[40:150], offers[30:], b"block-b"),
+        }
+
+        def config(engine=engine):
+            return AuctionConfig(engine=engine, **_LAYOUTS[layout]())
+
+        def clear(auction, name):
+            block_requests, block_offers, evidence = blocks[name]
+            outcome = canonical_outcome(
+                auction.run(block_requests, block_offers, evidence=evidence)
             )
-            assert canonical_outcome(outcome) == canonical_outcome(fresh)
-        assert seen[0] == []
-        assert seen[1] == ["matrices"]
-        assert seen[2] == ["matrices", "matrices"]
+            assert _held_block_data(vars(auction), bid_ids) == []
+            return outcome
 
-    def test_candidate_stage_follows_the_same_rule(self, cache_calls):
-        requests, offers = _zone_market(120, n_zones=4)
-        auction = DecloudAuction(
-            AuctionConfig(
-                engine="vectorized", candidates=NetworkZoneGenerator()
-            )
-        )
-        first = auction.run(requests, offers, evidence=b"cand")
-        assert cache_calls == []
-        second = auction.run(requests, offers, evidence=b"cand")
-        assert cache_calls[0] == "scorer" and "gather" in cache_calls
-        assert canonical_outcome(first) == canonical_outcome(second)
+        fresh = {
+            name: clear(DecloudAuction(config("reference")), name)
+            for name in blocks
+        }
+        assert fresh["A"]["matches"] and fresh["A"] != fresh["B"]
+        auction = DecloudAuction(config())
+        for name in ("A", "B", "A"):
+            assert clear(auction, name) == fresh[name]
+        reversed_order = DecloudAuction(config())
+        for name in ("B", "A"):
+            assert clear(reversed_order, name) == fresh[name]
 
-    def test_shards_and_spillover_never_touch_the_cache(self, cache_calls):
-        requests, offers = _zone_market(200, n_zones=4)
-        auction = DecloudAuction(
-            AuctionConfig(
-                engine="vectorized",
-                sharding=ShardPlan(kind="network", shard_workers=0),
-            )
-        )
-        for _ in range(2):  # the outer instance holds no block state
-            outcome = auction.run(requests, offers, evidence=b"shards")
-            assert outcome.matches
-            assert auction.last_shard_stats["shards"] == 4
-            assert auction.last_shard_stats["spillover_ran"]
-        assert cache_calls == []
+    def test_candidate_masks_across_online_rounds(self):
+        """One generator across overlapping rounds (an identical round,
+        then late arrivals on both sides) keeps every best set equal to
+        the stateless scalar computation."""
+        generator = ResourceVectorGenerator(group_size=3, verify="full")
+
+        def round_requests(n):
+            return [
+                make_request(
+                    request_id=f"r{i:02d}",
+                    submit_time=float(i),
+                    resources={"cpu": 1.0 + i % 4, "ram": 2.0 + i % 3},
+                )
+                for i in range(n)
+            ]
+
+        def round_offers(n, prefix="o"):
+            return [
+                make_offer(
+                    offer_id=f"{prefix}{j:02d}",
+                    submit_time=float(j),
+                    resources={"cpu": 8.0 + j % 5, "ram": 16.0 + j % 7},
+                )
+                for j in range(n)
+            ]
+
+        for rnd, n_requests in enumerate((6, 6, 8)):
+            requests = round_requests(n_requests)
+            offers = round_offers(9)
+            if rnd == 2:
+                offers += round_offers(2, prefix="late")
+            maxima = block_maxima(requests, offers)
+            result = generator.generate(requests, offers, maxima, 3)
+            expected = [
+                best_offer_set(request, offers, maxima, 3)
+                for request in requests
+            ]
+            assert result.best_sets == expected, f"round {rnd}"
 
 
 def _one_shot_peak(requests, offers):
