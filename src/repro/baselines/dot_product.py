@@ -26,9 +26,10 @@ from repro.market.resources import common_types
 def dot_product_quality(
     request: Request, offer: Offer, maxima: Dict[str, float]
 ) -> float:
-    """Weighted dot product of normalized resource vectors."""
+    """Weighted dot product of normalized resource vectors, accumulated
+    in sorted type order (a float sum must not follow set order)."""
     score = 0.0
-    for key in common_types(request.resources, offer.resources):
+    for key in sorted(common_types(request.resources, offer.resources)):
         top = maxima.get(key, 0.0)
         if top <= 0:
             continue
@@ -74,7 +75,9 @@ def best_match_fit_error(
         _, best = ranked[0]
         ratios = [
             best.resources[key] / request.resources[key]
-            for key in common_types(request.resources, best.resources)
+            for key in sorted(
+                common_types(request.resources, best.resources)
+            )
             if request.resources[key] > 0 and best.resources.get(key, 0) > 0
         ]
         if ratios:

@@ -25,9 +25,11 @@ def resource_fraction(request: Request, offer: Offer) -> float:
 
     Resource types the offer reports as zero are skipped in the mean (they
     would divide by zero and represent capabilities without capacity,
-    e.g., boolean tags).
+    e.g., boolean tags).  The ratios are summed in sorted type order, so
+    the (non-associative) float sum cannot vary with set iteration order
+    across interpreter runs.
     """
-    shared = common_types(request.resources, offer.resources)
+    shared = sorted(common_types(request.resources, offer.resources))
     if not shared:
         raise InfeasibleMatchError(
             f"request {request.request_id} and offer {offer.offer_id} share "

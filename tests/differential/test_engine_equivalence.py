@@ -15,12 +15,16 @@ compared on every such survivor market.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.common.timewindow import TimeWindow
 from repro.core.auction import DecloudAuction
 from repro.core.config import AuctionConfig
@@ -398,3 +402,39 @@ class TestIncrementalMatcher:
                 )
             )
             assert cached == fresh
+
+
+def test_bids_and_outcomes_do_not_depend_on_the_hash_seed():
+    """Two interpreters with different string hashes must generate the
+    same bid set and clear it to the same outcome on both engines: the
+    float reductions over a pair's shared types walk them sorted, never
+    in set order (three or more shared types are needed to see it)."""
+    code = (
+        "import hashlib, json\n"
+        "from repro.core.auction import DecloudAuction\n"
+        "from repro.core.config import AuctionConfig\n"
+        "from repro.core.outcome import canonical_outcome\n"
+        "from repro.workloads.generators import generate_market\n"
+        "def digest(value):\n"
+        "    text = json.dumps(value, sort_keys=True)\n"
+        "    return hashlib.sha256(text.encode()).hexdigest()\n"
+        "requests, offers = generate_market(400, seed=7)\n"
+        "print(digest([bid.to_payload() for bid in requests + offers]))\n"
+        "for engine in ('vectorized', 'reference'):\n"
+        "    outcome = DecloudAuction(AuctionConfig(engine=engine)).run(\n"
+        "        requests, offers, evidence=b'hash-seed')\n"
+        "    print(digest(canonical_outcome(outcome)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for hash_seed in ("0", "4"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert outputs[0] == outputs[1]
+    _, vectorized, reference = outputs[0]
+    assert vectorized == reference
