@@ -180,9 +180,9 @@ def build_clusters(
     ``config.engine`` picks how the per-request best-offer sets are
     computed: the scalar reference, or the batched NumPy kernel
     (:func:`~repro.core.matching_vectorized.best_offer_sets`).
-    ``config.candidates`` optionally puts
-    a certified candidate-generation stage in front of either engine
-    (see :mod:`repro.core.candidates`).  All paths produce bit-identical
+    ``config.candidates`` optionally puts a certified
+    candidate-generation stage in front of either engine (see
+    :mod:`repro.core.candidates`).  All paths produce bit-identical
     sets, so the cluster structure is engine- and candidate-invariant.
 
     ``timer`` (optional) records the ``match`` (best-offer sets) and

@@ -245,6 +245,9 @@ class TestNoBlockState:
                 auction.run(block_requests, block_offers, evidence=evidence)
             )
             assert _held_block_data(vars(auction), bid_ids) == []
+            if layout == "sharded":
+                assert auction.last_shard_stats["shards"] == 4
+                assert auction.last_shard_stats["spillover_ran"]
             return outcome
 
         fresh = {
