@@ -7,8 +7,9 @@ engine, and assert the differential contract on the produced outcomes.
 The comparison in the benchmark report is the headline number in
 docs/PERFORMANCE.md.
 
-The speedup test additionally runs the vectorized engine under a
-:class:`~repro.common.timing.PhaseTimer` and asserts the back-half
+The speedup test additionally runs the vectorized engine under an
+:class:`~repro.obs.Observability` bundle, reads the phase split off its
+spans (:func:`~repro.obs.trace.span_seconds`) and asserts the back-half
 claim of the vectorization work: normalization + clearing no longer
 dominate the round (the residual match phase does).  Set
 ``DECLOUD_PHASE_REPORT`` to a path to dump the per-phase timing JSON
@@ -20,12 +21,15 @@ runners; the end-to-end floor is only enforced at the full n=800 size.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
-from repro.common.timing import PhaseTimer
 from repro.core.auction import DecloudAuction
 from repro.core.config import AuctionConfig
+from repro.obs import Observability
+from repro.obs.report import summarize
+from repro.obs.trace import span_seconds
 from repro.workloads.generators import generate_market
 
 from tests.differential.conftest import canonical_outcome
@@ -86,7 +90,7 @@ def _best_round_seconds(engine: str, requests, offers, rounds: int) -> float:
 
 def test_end_to_end_speedup_and_phase_profile():
     """The back-half claim: >= 22x end-to-end at n=800, and the phase
-    timer shows normalization + clearing are no longer the bottleneck."""
+    spans show normalization + clearing are no longer the bottleneck."""
     requests, offers = generate_market(SPEEDUP_N, seed=0)
 
     reference_seconds = _best_round_seconds(
@@ -97,24 +101,34 @@ def test_end_to_end_speedup_and_phase_profile():
     )
     speedup = reference_seconds / max(vectorized_seconds, 1e-9)
 
-    timer = PhaseTimer()
+    obs = Observability()
     for _ in range(3):
         outcome = DecloudAuction(AuctionConfig(engine="vectorized")).run(
-            requests, offers, evidence=b"engine-bench", timer=timer
+            requests, offers, evidence=b"engine-bench", obs=obs
         )
     assert outcome.matches
+    phases = span_seconds(obs.tracer.records)
+    del phases["auction"]  # the round itself; its children are the phases
 
     print(
         f"\nend-to-end round at n={SPEEDUP_N}: "
         f"reference {reference_seconds:.3f}s, vectorized "
         f"{vectorized_seconds:.3f}s, speedup {speedup:.1f}x"
     )
-    print(timer.report(f"vectorized phases at n={SPEEDUP_N}"))
+    print(f"vectorized phases at n={SPEEDUP_N}:")
+    print(summarize(obs.tracer.records))
 
     report_path = os.environ.get("DECLOUD_PHASE_REPORT")
     if report_path:
+        document = {
+            "label": f"vectorized-n{SPEEDUP_N}",
+            "phases": {
+                name: {"seconds": phase["seconds"], "count": phase["count"]}
+                for name, phase in phases.items()
+            },
+        }
         with open(report_path, "w") as handle:
-            handle.write(timer.to_json(f"vectorized-n{SPEEDUP_N}"))
+            handle.write(json.dumps(document, sort_keys=True, indent=1))
 
     if SPEEDUP_N >= 800:
         assert speedup >= SPEEDUP_FLOOR, (
@@ -125,15 +139,13 @@ def test_end_to_end_speedup_and_phase_profile():
         # Match cost grows quadratically with market size while the back
         # half is near-linear, so the "no longer dominant" claim is only
         # meaningful (and only asserted) at the full benchmark size.
-        phases = timer.to_dict()
         back_half = sum(
-            phases[name]["seconds"]
-            for name in ("normalize", "clear")
-            if name in phases
+            phases[name]["seconds"] for name in ("normalize", "clear")
         )
-        assert back_half < 0.5 * timer.total_seconds, (
+        total = sum(phase["seconds"] for phase in phases.values())
+        assert back_half < 0.5 * total, (
             "normalization + clearing still dominate the vectorized "
-            f"round: {back_half:.4f}s of {timer.total_seconds:.4f}s"
+            f"round: {back_half:.4f}s of {total:.4f}s"
         )
     else:
         # Reduced sizes (CI smoke) still require a real win.

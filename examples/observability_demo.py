@@ -9,7 +9,7 @@ then renders everything the instruments captured:
   (``seal -> round(mine, reveal, propose, verify, commit)``);
 * the metrics registry (auction, protocol, ledger series) in the
   Prometheus text format;
-* the per-phase wall-time split.
+* the per-phase wall-time split (the summary table: a phase is a span).
 
 Run:  python examples/observability_demo.py
       python examples/observability_demo.py --trace round.jsonl \\
@@ -119,8 +119,6 @@ def main() -> None:
     print()
     print("span tree:")
     print(render_tree(records))
-    print()
-    print(obs.timer.report("phase split"))
 
     if args.trace:
         obs.tracer.write_jsonl(args.trace)

@@ -7,8 +7,7 @@ Three legs, one merged registry story (PR 10's ``repro.obs.telemetry``):
    ``Observability(telemetry=True)``: every shard runs under its own
    worker-local bundle and ships its full metric/trace delta home,
    where it merges deterministically under ``shard=…, worker=…``
-   labels.  The demo proves the shipped phase timings sum to the
-   parent-side totals.
+   labels.  The demo prints the per-shard phase split they shipped.
 2. **Pipeline stall profiler** — the async reactor runs a sustained
    market with a :class:`repro.obs.profile.PipelineProfiler` attached
    (per-round seal-wait / mine / verify / commit attribution on the
@@ -53,7 +52,7 @@ EVIDENCE = b"telemetry-demo"
 
 
 def run_sharded_with_telemetry(obs: Observability) -> None:
-    """Leg 1: shards ship their metrics home and the sums reconcile."""
+    """Leg 1: shards ship their metrics — phase split included — home."""
     requests, offers, _ = generate_zone_market(
         120, n_zones=3, seed=7, kind="network", locality="strong",
         cross_zone_fraction=0.25,
@@ -80,26 +79,18 @@ def run_sharded_with_telemetry(obs: Observability) -> None:
     )
     print(f"worker payloads merged from shards: {', '.join(shards)}")
 
-    parent: dict = {}
     shipped: dict = {}
     for (name, labels), series in obs.registry.histograms.items():
         items = dict(labels)
-        if name == "shard_phase_seconds":
-            parent[items["phase"]] = (
-                parent.get(items["phase"], 0.0) + series.sum
-            )
         if name == "auction_phase_seconds" and items.get("worker") == "shard":
-            shipped[items["phase"]] = (
-                shipped.get(items["phase"], 0.0) + series.sum
-            )
-    drift = max(
-        abs(parent.get(phase, 0.0) - total) for phase, total in shipped.items()
-    )
-    assert drift < 1e-9, "shipped phase totals diverged from parent's"
-    print(
-        f"shipped phase seconds reconcile with parent totals across "
-        f"{len(shipped)} phases (max drift {drift:.1e}s)"
-    )
+            shipped.setdefault(items["shard"], {})[items["phase"]] = series.sum
+    assert sorted(shipped) == shards, "a shard shipped no phase split"
+    for shard in shards:
+        split = ", ".join(
+            f"{phase} {seconds * 1e3:.2f}ms"
+            for phase, seconds in sorted(shipped[shard].items())
+        )
+        print(f"  {shard}: {split}")
 
 
 def run_runtime_with_profiler(out_dir: str | None) -> PipelineProfiler:

@@ -22,7 +22,6 @@ from repro.common.errors import (
 from repro.common.ids import DEFAULT_FACTORY, IdFactory, next_id
 from repro.common.rng import block_evidence_rng, make_generator, spawn_child
 from repro.common.timewindow import TimeWindow
-from repro.common.timing import NULL_TIMER, NullTimer, PhaseTimer
 
 __all__ = [
     "AuctionError",
@@ -46,9 +45,6 @@ __all__ = [
     "DEFAULT_FACTORY",
     "next_id",
     "TimeWindow",
-    "PhaseTimer",
-    "NullTimer",
-    "NULL_TIMER",
     "make_generator",
     "block_evidence_rng",
     "spawn_child",

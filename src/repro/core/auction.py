@@ -13,6 +13,12 @@
 The same class also runs the paper's *non-truthful greedy benchmark*:
 ``AuctionConfig.benchmark()`` disables trade reduction and randomization,
 yielding the best welfare greedy allocation can reach.
+
+Each stage runs inside a tracer span named after it (``match``,
+``cluster``, ``normalize``, ``assemble``, ``clear``) on the caller's
+``obs`` bundle.  Those spans are the only phase clock:
+:func:`~repro.obs.trace.span_seconds` reads the split back, and every
+round feeds ``auction_phase_seconds{phase=...}`` from it.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.common.errors import AuctionError
 from repro.common.rng import block_evidence_rng
-from repro.common.timing import PhaseTimer, resolve
 from repro.obs import ObservabilityLike, resolve as resolve_obs
+from repro.obs.trace import span_seconds
 from repro.core.cluster_allocation import (
     ClusterAllocation,
     PairChecks,
@@ -51,7 +57,6 @@ class DecloudAuction:
         requests: Sequence[Request],
         offers: Sequence[Offer],
         evidence: bytes = b"decloud-default-evidence",
-        timer: Optional[PhaseTimer] = None,
         obs: Optional[ObservabilityLike] = None,
     ) -> AuctionOutcome:
         """Clear one block of requests and offers.
@@ -60,17 +65,14 @@ class DecloudAuction:
         deployment: it seeds the verifiable randomization so that every
         miner recomputes the identical outcome.
 
-        ``timer`` (optional :class:`~repro.common.timing.PhaseTimer`)
-        accumulates per-phase wall time: ``match`` / ``cluster`` (inside
-        :func:`build_clusters`), ``normalize`` (§IV-C economics plus the
-        greedy fits), ``assemble`` (Alg. 3) and ``clear`` (Alg. 4).
-
         ``obs`` (optional :class:`~repro.obs.Observability`) records the
         round's metrics (bids in/matched/clustered, trades before/after
         reduction, welfare, surplus, per-phase durations) and an
-        ``auction`` span with ``match``/``normalize``/``assemble``/
-        ``clear`` children.  Instrumentation is read-only: outcomes are
-        bit-identical with observability on or off (enforced by the
+        ``auction`` span whose children are the phases: ``match`` /
+        ``cluster`` (inside :func:`build_clusters`), ``normalize``
+        (§IV-C economics plus the greedy fits), ``assemble`` (Alg. 3)
+        and ``clear`` (Alg. 4).  Instrumentation is read-only: outcomes
+        are bit-identical with observability on or off (enforced by the
         differential suite, which runs with it on).
 
         With ``config.sharding`` set, the block instead clears through
@@ -91,46 +93,38 @@ class DecloudAuction:
                 offers=len(offers),
                 engine=self.config.engine,
             ):
-                return run_sharded(
-                    self, requests, offers, evidence, timer, obs
-                )
+                return run_sharded(self, requests, offers, evidence, obs)
         with obs.tracer.span(
             "auction",
             requests=len(requests),
             offers=len(offers),
             engine=self.config.engine,
         ):
-            return self._run(requests, offers, evidence, timer, obs)
+            return self._run(requests, offers, evidence, obs)
 
     def _run(
         self,
         requests: Sequence[Request],
         offers: Sequence[Offer],
         evidence: bytes,
-        caller_timer: Optional[PhaseTimer],
         obs: ObservabilityLike,
     ) -> AuctionOutcome:
-        if obs.enabled:
-            # Phase times are measured round-locally so they can be
-            # folded into the registry per round, then merged into the
-            # caller's timer and the bundle's cumulative timer.
-            timer: "PhaseTimer | object" = PhaseTimer()
-        else:
-            timer = resolve(caller_timer)
+        # This round's records start here: the phase split is read back
+        # from them alone, so its cost does not grow with trace length.
+        first_record = len(obs.tracer.records)
         request_by_id = _index_requests(requests)
         offer_by_id = _index_offers(offers)
         # Owned by this run alone: never stored on the instance, never
         # shipped to a pool worker.
         pairs = PairChecks()
 
-        with obs.tracer.span("match"):
-            clusters, orphans = build_clusters(
-                list(request_by_id.values()),
-                list(offer_by_id.values()),
-                self.config,
-                timer=timer,
-            )
-        with timer.phase("normalize"), obs.tracer.span("normalize"):
+        clusters, orphans = build_clusters(
+            list(request_by_id.values()),
+            list(offer_by_id.values()),
+            self.config,
+            tracer=obs.tracer,
+        )
+        with obs.tracer.span("normalize"):
             populated = []
             for cluster in clusters:
                 cluster_requests = [
@@ -166,13 +160,13 @@ class DecloudAuction:
                 in zip(populated, economics_list)
             ]
 
-        with timer.phase("assemble"), obs.tracer.span("assemble"):
+        with obs.tracer.span("assemble"):
             auctions = build_mini_auctions(allocations, self.config)
 
         outcome = AuctionOutcome()
         consumed_requests: Set[str] = set()
         consumed_offers: Set[str] = set()
-        with timer.phase("clear"), obs.tracer.span("clear"):
+        with obs.tracer.span("clear"):
             if self.config.miniauction_workers >= 1:
                 # Per-auction RNG streams; waves of independent auctions
                 # may clear in a process pool (see repro.core.parallel).
@@ -255,7 +249,7 @@ class DecloudAuction:
         ]
         if obs.enabled:
             self._record_round(
-                obs, timer, caller_timer,
+                obs, first_record,
                 len(requests), len(offers),
                 len(clusters), len(orphans), len(auctions),
                 outcome,
@@ -270,8 +264,7 @@ class DecloudAuction:
     def _record_round(
         self,
         obs: ObservabilityLike,
-        round_timer: PhaseTimer,
-        caller_timer: Optional[PhaseTimer],
+        first_record: int,
         n_requests: int,
         n_offers: int,
         n_clusters: int,
@@ -284,6 +277,8 @@ class DecloudAuction:
         Everything recorded here is *derived from* the outcome — the
         metrics-accuracy suite cross-checks each series against the same
         value recomputed independently from :class:`AuctionOutcome`.
+        The phase histograms are the direct children of the round's
+        span among its own records (``first_record`` onward).
         """
         n_trades = len(outcome.matches)
         n_reduced = len(outcome.reduced_requests)
@@ -327,8 +322,11 @@ class DecloudAuction:
         )
         for price in outcome.prices:
             reg.observe("auction_trade_price", price)
-        for name, seconds in round_timer.totals.items():
-            reg.observe("auction_phase_seconds", seconds, phase=name)
+        phases = span_seconds(
+            obs.tracer.records[first_record:], parent=obs.tracer.current_span
+        )
+        for name, phase in phases.items():
+            reg.observe("auction_phase_seconds", phase["seconds"], phase=name)
 
         if self.config.candidates is not None:
             stats = getattr(self.config.candidates, "last_stats", {}) or {}
@@ -362,11 +360,6 @@ class DecloudAuction:
             clusters=n_clusters,
             mini_auctions=n_auctions,
         )
-
-        resolved_caller = resolve(caller_timer)
-        resolved_caller.merge(round_timer)
-        if obs.timer is not resolved_caller:
-            obs.timer.merge(round_timer)
 
 
 def _dedupe_requests(requests) -> List[Request]:

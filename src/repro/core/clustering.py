@@ -6,18 +6,21 @@ invariant that requests propagate into clusters whose offer sets are
 subsets of their best-offer set, and intersection clusters are created so
 that requests agreeing on part of their best offers still compete in one
 mini-auction.
+
+:func:`build_clusters` opens the round's ``match`` and ``cluster`` phase
+spans on the tracer it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
-from repro.common.timing import PhaseTimer, resolve
 from repro.core.config import AuctionConfig
 from repro.core.matching import best_offer_set, block_maxima
 from repro.core.matching_vectorized import best_offer_sets
 from repro.market.bids import Offer, Request
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
 @dataclass
@@ -168,7 +171,7 @@ def build_clusters(
     requests: Sequence[Request],
     offers: Sequence[Offer],
     config: AuctionConfig,
-    timer: Optional[PhaseTimer] = None,
+    tracer: "Tracer | NullTracer" = NULL_TRACER,
 ) -> tuple[List[Cluster], List[Request]]:
     """Run Alg. 2 over a block.
 
@@ -185,11 +188,10 @@ def build_clusters(
     :mod:`repro.core.candidates`).  All paths produce bit-identical
     sets, so the cluster structure is engine- and candidate-invariant.
 
-    ``timer`` (optional) records the ``match`` (best-offer sets) and
-    ``cluster`` (Alg. 2 insertion) phases.
+    ``tracer`` (optional) records the ``match`` (best-offer sets) and
+    ``cluster`` (Alg. 2 insertion) phases as sibling spans.
     """
-    timer = resolve(timer)
-    with timer.phase("match"):
+    with tracer.span("match"):
         maxima = block_maxima(requests, offers)
         ordered = sorted(
             requests, key=lambda r: (r.submit_time, r.request_id)
@@ -207,7 +209,7 @@ def build_clusters(
                 )
                 for request in ordered
             ]
-    with timer.phase("cluster"):
+    with tracer.span("cluster"):
         builder = _IndexedClusters()
         orphans: List[Request] = []
         for request, best in zip(ordered, best_sets):

@@ -43,6 +43,12 @@ engines.  A plan whose partition yields a *single* shard degenerates to
 the global auction exactly — same evidence, same pipeline — so sharding
 only ever changes anything when it actually splits the market.
 
+Phases: under the caller's ``obs`` bundle a sharded round is one
+``sharded_auction`` span whose children ``shard_partition``,
+``shard_clear`` and ``spillover`` are the phase labels of
+``auction_phase_seconds``; the per-shard split ships home with the
+telemetry plane as ``auction_phase_seconds{worker="shard", shard=...}``.
+
 What sharding costs: a cross-zone pair can only trade in the spillover
 round, against leftovers instead of the full book, so welfare may drop
 versus the global auction.  ``examples/sharding_sweep.py`` quantifies
@@ -57,7 +63,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.common.errors import ValidationError
-from repro.common.timing import PhaseTimer, resolve as resolve_timer
 from repro.core.config import AuctionConfig, ShardPlan
 from repro.core.outcome import AuctionOutcome
 from repro.core.parallel import shared_pool
@@ -196,47 +201,45 @@ def _run_shard(
         str, Tuple[Request, ...], Tuple[Offer, ...], AuctionConfig, bytes, bool
     ],
 ) -> Tuple[
-    str, Optional[AuctionOutcome], Dict[str, float], float,
+    str, Optional[AuctionOutcome], float,
     Optional[object], Optional[BaseException],
 ]:
     """Worker body: one shard through the full pipeline.
 
-    Returns ``(key, outcome, phase_totals, elapsed_seconds, payload,
-    error)``; the phase totals and wall time are measured inside the
-    worker so the parent can record per-shard timings without trusting
-    pool overhead.  With ``capture`` set (the parent bundle opted into
-    the telemetry plane) the shard runs under a worker-local
-    ``Observability`` bundle and ships its full metric/trace delta back
-    as a :class:`~repro.obs.telemetry.TelemetryPayload` — even when the
-    shard's pipeline raised, in which case ``outcome`` is ``None``, the
-    payload is tagged ``aborted``, and ``error`` carries the exception
-    for the parent to re-raise *after* merging.
+    Returns ``(key, outcome, elapsed_seconds, payload, error)``; the
+    wall time is measured inside the worker so the parent can record
+    per-shard latency without trusting pool overhead.  With ``capture``
+    set (the parent bundle opted into the telemetry plane) the shard
+    runs under a worker-local ``Observability`` bundle and ships its
+    full metric/trace delta back as a
+    :class:`~repro.obs.telemetry.TelemetryPayload` (the shard's phase
+    split rides in it: its spans and ``auction_phase_seconds``
+    series) — even when the shard's pipeline raised, in which case
+    ``outcome`` is ``None``, the payload is tagged ``aborted``, and
+    ``error`` carries the exception for the parent to re-raise *after*
+    merging.
     """
     from repro.core.auction import DecloudAuction
     from repro.obs.telemetry import capture_task
 
     key, requests, offers, config, evidence, capture = task
-    timer = PhaseTimer()
     start = time.perf_counter()
     if capture:
         with capture_task(f"shard:{key}", "shard") as cap:
             cap.set_value(
                 DecloudAuction(config).run(
                     list(requests), list(offers), evidence=evidence,
-                    timer=timer, obs=cap.obs,
+                    obs=cap.obs,
                 )
             )
         return (
-            key, cap.value, dict(timer.totals),
-            time.perf_counter() - start, cap.payload, cap.error,
+            key, cap.value, time.perf_counter() - start,
+            cap.payload, cap.error,
         )
     outcome = DecloudAuction(config).run(
-        list(requests), list(offers), evidence=evidence, timer=timer
+        list(requests), list(offers), evidence=evidence
     )
-    return (
-        key, outcome, dict(timer.totals), time.perf_counter() - start,
-        None, None,
-    )
+    return key, outcome, time.perf_counter() - start, None, None
 
 
 def run_sharded(
@@ -244,7 +247,6 @@ def run_sharded(
     requests: Sequence[Request],
     offers: Sequence[Offer],
     evidence: bytes,
-    caller_timer: Optional[PhaseTimer],
     obs: "ObservabilityLike",
 ) -> AuctionOutcome:
     """Clear one block through the sharded fabric.
@@ -257,14 +259,9 @@ def run_sharded(
     config = auction.config
     plan = config.sharding
     assert plan is not None
-    if obs.enabled:
-        round_timer: "PhaseTimer | object" = PhaseTimer()
-    else:
-        round_timer = resolve_timer(caller_timer)
+    first_record = len(obs.tracer.records)
 
-    with round_timer.phase("shard_partition"), obs.tracer.span(
-        "partition", kind=plan.kind
-    ):
+    with obs.tracer.span("shard_partition", kind=plan.kind):
         shards = partition_block(requests, offers, plan)
 
     if len(shards) <= 1:
@@ -273,7 +270,6 @@ def run_sharded(
         # bit-identical to no plan at all.
         from repro.core.auction import DecloudAuction
 
-        _fold_timer(round_timer, caller_timer, obs)
         auction.last_shard_stats = {
             "shards": len(shards),
             "cleared_shards": len(shards),
@@ -285,8 +281,7 @@ def run_sharded(
         }
         inner = DecloudAuction(replace(config, sharding=None))
         return inner.run(
-            list(requests), list(offers), evidence=evidence,
-            timer=caller_timer, obs=obs,
+            list(requests), list(offers), evidence=evidence, obs=obs
         )
 
     sub_config = shard_config(config)
@@ -295,11 +290,10 @@ def run_sharded(
     runnable = [s for s in shards if s.requests and s.offers]
     shard_outcomes: Dict[str, AuctionOutcome] = {}
     shard_seconds: Dict[str, float] = {}
-    shard_phases: Dict[str, Dict[str, float]] = {}
 
     with shared_pool(plan.shard_workers) as lease:
-        with round_timer.phase("shard_clear"), obs.tracer.span(
-            "shards", count=len(runnable), total=len(shards)
+        with obs.tracer.span(
+            "shard_clear", count=len(runnable), total=len(shards)
         ):
             # The capture decision depends only on the parent bundle —
             # never on shard_workers or whether a pool spawned — so the
@@ -330,7 +324,7 @@ def run_sharded(
             else:
                 results = [_run_shard(task) for task in tasks]
             first_error: Optional[BaseException] = None
-            for key, outcome, phases, seconds, payload, error in results:
+            for key, outcome, seconds, payload, error in results:
                 if payload is not None:
                     # Merge before anything can raise: an aborted shard
                     # still reports its metrics and trace (tagged so).
@@ -342,7 +336,6 @@ def run_sharded(
                 assert outcome is not None
                 shard_outcomes[key] = outcome
                 shard_seconds[key] = seconds
-                shard_phases[key] = phases
                 obs.tracer.event(
                     "shard.cleared",
                     shard=key,
@@ -376,7 +369,7 @@ def run_sharded(
             # In-parent, so the unclamped worker budget applies and the
             # mini-auction waves reuse this lease's pool (never nest).
             spill_config = replace(config, sharding=None, candidates=None)
-            with round_timer.phase("spillover"), obs.tracer.span(
+            with obs.tracer.span(
                 "spillover",
                 requests=len(spill_requests),
                 offers=len(spill_offers),
@@ -426,9 +419,9 @@ def run_sharded(
 
     if obs.enabled:
         _record_shard_round(
-            auction, obs, round_timer, caller_timer,
+            auction, obs, first_record,
             len(requests), len(offers),
-            shards, runnable, shard_seconds, shard_phases,
+            shards, runnable, shard_seconds,
             spill_requests, spill_offers, spill_outcome, merged,
         )
         if config.enable_trade_reduction:
@@ -436,31 +429,15 @@ def run_sharded(
     return merged
 
 
-def _fold_timer(
-    round_timer: "PhaseTimer | object",
-    caller_timer: Optional[PhaseTimer],
-    obs: "ObservabilityLike",
-) -> None:
-    """Merge a round-local timer into the caller's and the bundle's."""
-    if not obs.enabled or not isinstance(round_timer, PhaseTimer):
-        return
-    resolved = resolve_timer(caller_timer)
-    resolved.merge(round_timer)
-    if obs.timer is not resolved:
-        obs.timer.merge(round_timer)
-
-
 def _record_shard_round(
     auction: "DecloudAuction",
     obs: "ObservabilityLike",
-    round_timer: "PhaseTimer | object",
-    caller_timer: Optional[PhaseTimer],
+    first_record: int,
     n_requests: int,
     n_offers: int,
     shards: Sequence[Shard],
     runnable: Sequence[Shard],
     shard_seconds: Dict[str, float],
-    shard_phases: Dict[str, Dict[str, float]],
     spill_requests: Sequence[Request],
     spill_offers: Sequence[Offer],
     spill_outcome: Optional[AuctionOutcome],
@@ -472,7 +449,7 @@ def _record_shard_round(
     orphan / mini-auction counts are per-shard internals the parent
     never sees and record as zero); the ``shard_*`` series are the
     fabric's own: shards built, spillover volume, and the per-shard
-    clear-latency and phase histograms.
+    clear-latency histogram.
     """
     reg = obs.registry
     reg.inc("shard_blocks_total")
@@ -494,9 +471,6 @@ def _record_shard_round(
     )
     for key in sorted(shard_seconds):
         reg.observe("shard_clear_seconds", shard_seconds[key])
-    for key in sorted(shard_phases):
-        for phase, seconds in sorted(shard_phases[key].items()):
-            reg.observe("shard_phase_seconds", seconds, phase=phase)
     obs.tracer.event(
         "shard.spillover",
         requests=len(spill_requests),
@@ -508,8 +482,7 @@ def _record_shard_round(
     # see the same auction_last_* series regardless of sharding.
     auction._record_round(
         obs,
-        round_timer,  # type: ignore[arg-type]
-        caller_timer,
+        first_record,
         n_requests,
         n_offers,
         0,

@@ -1,15 +1,17 @@
 """``repro.obs`` — zero-dependency market observability.
 
-One :class:`Observability` object bundles the three instruments every
+One :class:`Observability` object bundles the two instruments every
 layer shares:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — labeled counters,
   gauges, and histograms (``obs.registry``);
 * :class:`~repro.obs.trace.Tracer` — the structured per-round span/event
-  trace with deterministic JSONL export (``obs.tracer``);
-* :class:`~repro.common.timing.PhaseTimer` — wall-clock phase totals
-  (``obs.timer``), folded into the registry as
-  ``auction_phase_seconds{phase=...}`` histograms per round.
+  trace with deterministic JSONL export (``obs.tracer``).
+
+Spans are the only wall clock: a phase is a span, and
+:func:`~repro.obs.trace.span_seconds` is the per-phase view every
+report reads — the auction folds it into the registry as
+``auction_phase_seconds{phase=...}`` histograms per round.
 
 The default everywhere is :data:`NULL_OBS`: every write is a no-op, so
 instrumented code costs (nearly) nothing until a caller opts in by
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Union
 
-from repro.common.timing import NULL_TIMER, NullTimer, PhaseTimer
 from repro.obs.monitors import MonitorSuite, Violation
 from repro.obs.registry import (
     LabeledRegistry,
@@ -68,8 +69,7 @@ class Observability:
     enabled = True
 
     __slots__ = (
-        "run_id", "registry", "tracer", "timer", "monitors", "flight",
-        "telemetry",
+        "run_id", "registry", "tracer", "monitors", "flight", "telemetry",
     )
 
     def __init__(
@@ -82,7 +82,6 @@ class Observability:
         self.run_id = run_id
         self.registry: MetricsRegistry = MetricsRegistry()
         self.tracer: Tracer = Tracer()
-        self.timer: PhaseTimer = PhaseTimer()
         #: optional runtime invariant checks (repro.obs.monitors),
         #: evaluated via :meth:`check_outcome` after every cleared block
         self.monitors = monitors
@@ -99,13 +98,12 @@ class Observability:
             flight.bind(self)
 
     def scoped(self, **labels: object) -> "Observability":
-        """A view sharing this tracer/timer but stamping ``labels`` on
-        every metric series (e.g. ``mechanism="decloud"``)."""
+        """A view sharing this tracer but stamping ``labels`` on every
+        metric series (e.g. ``mechanism="decloud"``)."""
         view = Observability.__new__(Observability)
         view.run_id = self.run_id
         view.registry = self.registry.labeled(**labels)  # type: ignore[assignment]
         view.tracer = self.tracer
-        view.timer = self.timer
         view.monitors = self.monitors
         view.flight = self.flight
         view.telemetry = self.telemetry
@@ -172,7 +170,6 @@ class NullObservability:
     run_id = "null"
     registry: NullRegistry = NULL_REGISTRY
     tracer: NullTracer = NULL_TRACER
-    timer: NullTimer = NULL_TIMER
     monitors = None
     flight = None
     telemetry = False

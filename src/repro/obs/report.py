@@ -32,6 +32,7 @@ import sys
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.trace import load_jsonl  # noqa: F401  (re-exported for callers)
+from repro.obs.trace import span_seconds
 
 
 class ReportError(Exception):
@@ -140,32 +141,14 @@ def build_tree(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return roots
 
 
-def _walk(nodes: List[Dict[str, Any]]):
-    for node in nodes:
-        yield node
-        yield from _walk(node["children"])
-
-
 def summarize(records: List[Dict[str, Any]]) -> str:
     """The summary table the CLI prints (also used by tests)."""
-    spans: Dict[str, Dict[str, float]] = {}
+    spans = span_seconds(records)
+    timed = any("wall" in record for record in records)
     events: Dict[str, int] = {}
-    tree = build_tree(records)
-    for node in _walk(tree):
-        if node.get("status") == "event":
-            events[node["name"]] = events.get(node["name"], 0) + 1
-            continue
-        stat = spans.setdefault(
-            node["name"], {"count": 0, "errors": 0, "seconds": 0.0, "timed": 0}
-        )
-        stat["count"] += 1
-        if node["status"] == "error":
-            stat["errors"] += 1
-        if node["seconds"] is not None:
-            stat["seconds"] += node["seconds"]
-            stat["timed"] += 1
-        for event in node["events"]:
-            events[event["name"]] = events.get(event["name"], 0) + 1
+    for record in records:
+        if record.get("type") == "event":
+            events[record["name"]] = events.get(record["name"], 0) + 1
 
     lines = [
         f"trace summary: {len(records)} records, "
@@ -178,12 +161,10 @@ def summarize(records: List[Dict[str, Any]]) -> str:
         lines.append(f"  {'span':<{width}}  {'count':>5}  {'errors':>6}  seconds")
         for name in sorted(spans):
             stat = spans[name]
-            seconds = (
-                f"{stat['seconds']:9.4f}" if stat["timed"] else "        -"
-            )
+            seconds = f"{stat['seconds']:9.4f}" if timed else "        -"
             lines.append(
-                f"  {name:<{width}}  {int(stat['count']):>5}  "
-                f"{int(stat['errors']):>6}  {seconds}"
+                f"  {name:<{width}}  {stat['count']:>5}  "
+                f"{stat['aborted']:>6}  {seconds}"
             )
     if events:
         width = max(len(n) for n in events)

@@ -11,8 +11,8 @@ pieces:
 fresh worker-local :class:`~repro.obs.Observability` bundle.  On exit it
 freezes the bundle into a picklable :class:`TelemetryPayload` — the
 registry's structured series (histograms bucket-exact, which
-``snapshot()`` cannot express), the trace records, the phase-timer
-totals, and an ``ok``/``aborted`` status.  Exceptions are captured, not
+``snapshot()`` cannot express), the trace records (whose spans carry
+the worker's phase times), and an ``ok``/``aborted`` status.  Exceptions are captured, not
 raised: the payload ships home *even when the task failed*, tagged
 ``aborted``, and the parent re-raises after merging — no pooled code
 path can go dark again.
@@ -49,7 +49,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.common.timing import PhaseTimer
 from repro.obs.registry import (
     LabeledRegistry,
     LabelItems,
@@ -79,9 +78,6 @@ class TelemetryPayload:
     gauges: Tuple[Tuple[str, LabelItems, float], ...]
     histograms: Tuple[Tuple[str, LabelItems, HistogramParts], ...]
     trace_records: Tuple[Dict[str, Any], ...]
-    timer_totals: Tuple[Tuple[str, float], ...]
-    timer_counts: Tuple[Tuple[str, int], ...]
-    timer_aborted: Tuple[Tuple[str, int], ...]
     error: Optional[str] = None
 
 
@@ -92,7 +88,7 @@ def capture_payload(
     status: str = "ok",
     error: Optional[BaseException] = None,
 ) -> TelemetryPayload:
-    """Freeze a worker bundle's registry/trace/timer into a payload."""
+    """Freeze a worker bundle's registry and trace into a payload."""
     registry = obs.registry
     while isinstance(registry, LabeledRegistry):
         registry = registry._base
@@ -119,7 +115,6 @@ def capture_payload(
             for (name, items), series in registry.histograms.items()
         )
     )
-    timer = obs.timer
     return TelemetryPayload(
         source=source,
         kind=kind,
@@ -128,9 +123,6 @@ def capture_payload(
         gauges=gauges,
         histograms=histograms,
         trace_records=tuple(dict(r) for r in obs.tracer.records),
-        timer_totals=tuple(sorted(timer.totals.items())),
-        timer_counts=tuple(sorted(timer.counts.items())),
-        timer_aborted=tuple(sorted(timer.aborted.items())),
         error=repr(error) if error is not None else None,
     )
 
@@ -226,12 +218,6 @@ def merge_payload(obs: Any, payload: Optional[TelemetryPayload], **labels: objec
         merged = dict(items)
         merged.update(extra)
         registry.merge_histogram(name, merged, *parts)
-    if payload.timer_totals or payload.timer_aborted:
-        worker_timer = PhaseTimer()
-        worker_timer.totals = dict(payload.timer_totals)
-        worker_timer.counts = dict(payload.timer_counts)
-        worker_timer.aborted = dict(payload.timer_aborted)
-        obs.timer.merge(worker_timer)
     with obs.tracer.span(
         "worker", source=payload.source, status=payload.status, **labels
     ):

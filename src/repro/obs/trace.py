@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: sentinel: "parent this span on the innermost open span"
 _FROM_STACK = object()
@@ -120,7 +120,9 @@ class Tracer:
 
     enabled = True
 
-    __slots__ = ("trace_id", "records", "_seq", "_next_span", "_stack")
+    __slots__ = (
+        "trace_id", "records", "_seq", "_next_span", "_stack", "_anchor",
+    )
 
     def __init__(self, trace_id: str = "trace") -> None:
         self.trace_id = trace_id
@@ -128,10 +130,17 @@ class Tracer:
         self._seq = 0
         self._next_span = 1
         self._stack: List[int] = []
+        # ``wall`` is epoch seconds read off the monotonic clock: every
+        # duration is a difference of two stamps, and a system-clock step
+        # mid-span must not turn it negative or hour-long.
+        self._anchor = time.time() - time.perf_counter()
 
     def _tick(self) -> int:
         self._seq += 1
         return self._seq
+
+    def _wall(self) -> float:
+        return self._anchor + time.perf_counter()
 
     def _merge_clock(self, ctx: "TraceContext") -> None:
         # Lamport merge: the next local tick lands after everything the
@@ -156,7 +165,7 @@ class Tracer:
                 "span": self.current_span,
                 "name": name,
                 "attrs": attrs,
-                "wall": time.time(),
+                "wall": self._wall(),
             }
         )
 
@@ -210,7 +219,7 @@ class Tracer:
                 "span": ctx.span,
                 "name": name,
                 "attrs": attrs,
-                "wall": time.time(),
+                "wall": self._wall(),
             }
         )
 
@@ -232,7 +241,7 @@ class Tracer:
                 ),
                 "name": name,
                 "attrs": attrs,
-                "wall": time.time(),
+                "wall": self._wall(),
             }
         )
         self._stack.append(span_id)
@@ -252,7 +261,7 @@ class Tracer:
                 "span": span_id,
                 "name": name,
                 "status": status,
-                "wall": time.time(),
+                "wall": self._wall(),
             }
         )
 
@@ -324,7 +333,8 @@ class NullTracer:
 
     __slots__ = ()
 
-    records: List[Dict[str, Any]] = []
+    #: immutable: this one object backs every disabled bundle
+    records: Tuple[Dict[str, Any], ...] = ()
     trace_id = "null"
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
@@ -359,6 +369,40 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
+
+
+def span_seconds(
+    records: Iterable[Mapping[str, Any]], parent: Optional[int] = None
+) -> Dict[str, Dict[str, float]]:
+    """Wall time per span name: the one phase-timing view.
+
+    Returns ``{name: {"seconds", "count", "aborted"}}`` over every
+    *closed* span in ``records`` — only the direct children of span id
+    ``parent`` when given.  Repeated spans of one name accumulate; a
+    span that ended with ``status: "error"`` keeps its partial time and
+    counts under ``aborted``; stripped records (no ``wall``) count with
+    zero seconds; a span still open when the records were taken (a
+    flight dump mid-round) is left out.
+    """
+    started: Dict[int, Optional[float]] = {}
+    out: Dict[str, Dict[str, float]] = {}
+    for record in records:
+        kind = record.get("type")
+        if kind == "span_start":
+            if parent is None or record.get("parent") == parent:
+                started[record["span"]] = record.get("wall")
+        elif kind == "span_end" and record["span"] in started:
+            start = started.pop(record["span"])
+            end = record.get("wall")
+            entry = out.setdefault(
+                record["name"], {"seconds": 0.0, "count": 0, "aborted": 0}
+            )
+            if start is not None and end is not None:
+                entry["seconds"] += end - start
+            entry["count"] += 1
+            if record.get("status") == "error":
+                entry["aborted"] += 1
+    return out
 
 
 def load_jsonl(text: str) -> List[Dict[str, Any]]:

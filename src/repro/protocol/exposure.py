@@ -29,7 +29,6 @@ from repro.common.errors import (
     ReproError,
     RevealTimeoutError,
 )
-from repro.common.timing import PhaseTimer, resolve
 from repro.core.config import AuctionConfig
 from repro.obs import ObservabilityLike, resolve as resolve_obs
 from repro.core.outcome import AuctionOutcome
@@ -222,7 +221,6 @@ class ExposureProtocol:
         max_reveal_retries: int = 2,
         reveal_deadline: Optional[float] = None,
         reveal_backoff: float = 2.0,
-        timer: Optional[PhaseTimer] = None,
         obs: Optional[ObservabilityLike] = None,
         store: Optional[object] = None,
         start_round: int = 0,
@@ -241,16 +239,10 @@ class ExposureProtocol:
         #: optional observability bundle: the protocol emits the round
         #: span tree (seal -> round(mine, reveal, propose, verify,
         #: commit)), retry/exclusion/Byzantine events, and the ledger
-        #: metrics (blocks mined, PoW iterations, block sizes)
+        #: metrics (blocks mined, PoW iterations, block sizes).  Those
+        #: spans are the phase clock: ``span_seconds(obs.tracer.records)``
+        #: is the per-phase split across every round this protocol drives
         self.obs = resolve_obs(obs)
-        #: optional phase timer: seal / mine / reveal / propose / verify /
-        #: commit accumulate across every round this protocol drives.
-        #: With observability on and no explicit timer, the bundle's
-        #: timer is used so phases land in one place.
-        if timer is None and self.obs.enabled:
-            self.timer: "PhaseTimer | object" = self.obs.timer
-        else:
-            self.timer = resolve(timer)
         #: optional durable store (``repro.store.NodeStore``): round phase
         #: transitions are journaled through it so recovery knows exactly
         #: how far an in-flight round progressed before a crash.
@@ -342,7 +334,7 @@ class ExposureProtocol:
         ``submit_retries`` times until every live miner's mempool holds
         it (the redundancy a real gossip overlay provides for free).
         """
-        with self.timer.phase("seal"), self.obs.tracer.span(
+        with self.obs.tracer.span(
             "seal", participant=participant.participant_id
         ):
             tx = participant.seal(bid)
@@ -441,9 +433,10 @@ class ExposureProtocol:
         With observability attached the round emits a ``round`` span
         containing ``mine``/``reveal``/``propose``/``verify``/``commit``
         children plus the degradation events (retries, exclusions,
-        Byzantine rejections, fallbacks).  A round that aborts flushes
-        its partial phase timings with an ``aborted`` marker instead of
-        dropping them.
+        Byzantine rejections, fallbacks).  A round that aborts keeps
+        its partial phase times: the phase that raised and the ``round``
+        span itself close with ``status: "error"``, which
+        :func:`~repro.obs.trace.span_seconds` counts under ``aborted``.
         """
         round_index = self._round
         flight = self.obs.flight if self.obs.enabled else None
@@ -454,11 +447,6 @@ class ExposureProtocol:
                 try:
                     result = self._run_round(participants, round_index)
                 except ReproError as exc:
-                    # Partial phase timings are already in the timer;
-                    # mark the round itself so reports show the abort
-                    # instead of silently blending failed rounds into
-                    # the totals.
-                    self.timer.mark_aborted("round")
                     self._journal_phase(
                         round_index, "aborted", error=type(exc).__name__
                     )
@@ -506,9 +494,7 @@ class ExposureProtocol:
 
         # Phase 1 completion: leader mines the preamble over sealed bids.
         self._journal_phase(round_index, "mine", leader=leader.miner_id)
-        with self.timer.phase("mine"), tracer.span(
-            "mine", leader=leader.miner_id
-        ):
+        with tracer.span("mine", leader=leader.miner_id):
             preamble = leader.build_preamble()
         if obs.enabled:
             # Ledger-side metrics: what the miner committed and what the
@@ -539,7 +525,7 @@ class ExposureProtocol:
         self._journal_phase(round_index, "preamble", hash=preamble.hash())
         self._journal_phase(round_index, "reveal")
         rejected_before = [len(m.rejected_reveals) for m in self.miners]
-        with self.timer.phase("reveal"), tracer.span("reveal"):
+        with tracer.span("reveal"):
             reveals = self._collect_reveals(leader, preamble, participants)
         revealed = {r.txid for r in reveals}
         excluded = tuple(
@@ -602,9 +588,7 @@ class ExposureProtocol:
             self._journal_phase(
                 round_index, "propose", proposer=proposer.miner_id
             )
-            with self.timer.phase("propose"), tracer.span(
-                "propose", proposer=proposer.miner_id
-            ):
+            with tracer.span("propose", proposer=proposer.miner_id):
                 body = proposer.build_body(preamble, reveals)
                 block = Block(preamble=preamble, body=body)
                 self.network.broadcast(
@@ -625,7 +609,7 @@ class ExposureProtocol:
             # rejected proposal leaves no chain diverged.
             approving: List[Miner] = []
             self._journal_phase(round_index, "verify")
-            with self.timer.phase("verify"), tracer.span("verify"):
+            with tracer.span("verify"):
                 for miner in self._live_miners():
                     try:
                         miner.verify_block(block)
@@ -644,7 +628,7 @@ class ExposureProtocol:
                     reg.inc("protocol_proposals_rejected_total")
                 continue
             self._journal_phase(round_index, "commit")
-            with self.timer.phase("commit"), tracer.span("commit"):
+            with tracer.span("commit"):
                 for miner in approving:
                     miner.commit_block(block)
             self._journal_phase(

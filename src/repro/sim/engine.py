@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.greedy import GreedyBenchmark
-from repro.common.timing import PhaseTimer
 from repro.core.auction import DecloudAuction
 from repro.core.config import AuctionConfig
 from repro.core.outcome import AuctionOutcome
@@ -56,14 +55,12 @@ def replay_fault_free(
 class MarketSimulator:
     """Runs paired DeCloud/benchmark clearings over blocks of bids.
 
-    ``timer`` (optional) accumulates the auction's per-phase wall time
-    (match / cluster / normalize / assemble / clear) across every block
-    the simulator clears — benchmarks read it to report where rounds
-    spend their time.
-
     ``obs`` (optional :class:`~repro.obs.Observability`) records both
     mechanisms' rounds under ``mechanism=decloud`` / ``=benchmark``
-    label scopes.  When attached, :meth:`run_block` builds its
+    label scopes, and its trace carries the auction's phase spans
+    (match / cluster / normalize / assemble / clear) for every block
+    the simulator clears — :func:`~repro.obs.trace.span_seconds` reads
+    where rounds spend their time.  When attached, :meth:`run_block` builds its
     :class:`BlockMetrics` *from the registry* (see
     :func:`~repro.sim.metrics.block_metrics_from_registry`) — the
     values are bit-identical to the direct outcome comparison, which
@@ -79,7 +76,6 @@ class MarketSimulator:
 
     config: AuctionConfig = field(default_factory=AuctionConfig)
     seed: int = 0
-    timer: Optional[PhaseTimer] = None
     obs: Optional[ObservabilityLike] = None
     history: Optional["TimeSeriesStore"] = None
     _block_index: int = 0
@@ -105,7 +101,6 @@ class MarketSimulator:
                 requests,
                 offers,
                 evidence=evidence,
-                timer=self.timer,
                 obs=obs.scoped(mechanism="decloud"),
             )
             benchmark = self._benchmark.run(
@@ -119,9 +114,7 @@ class MarketSimulator:
                     seed=self.seed,
                 )
         else:
-            decloud = self._auction.run(
-                requests, offers, evidence=evidence, timer=self.timer
-            )
+            decloud = self._auction.run(requests, offers, evidence=evidence)
             benchmark = self._benchmark.run(requests, offers)
             metrics = compare_outcomes(
                 len(requests), len(offers), decloud, benchmark

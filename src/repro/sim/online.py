@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ValidationError
-from repro.common.timing import PhaseTimer
 from repro.core.auction import DecloudAuction
 from repro.core.config import AuctionConfig
 from repro.core.outcome import AuctionOutcome
@@ -81,7 +80,6 @@ class OnlineSimulator:
         config: Optional[AuctionConfig] = None,
         block_interval: float = 1.0,
         seed: int = 0,
-        timer: Optional[PhaseTimer] = None,
         obs: Optional[ObservabilityLike] = None,
         history: Optional[TimeSeriesStore] = None,
     ) -> None:
@@ -90,8 +88,6 @@ class OnlineSimulator:
         self.config = config or AuctionConfig()
         self.block_interval = block_interval
         self.seed = seed
-        #: accumulates auction phase timings across every round
-        self.timer = timer
         #: optional observability: per-epoch queue depth, arrival/expiry
         #: counters, and trade-ratio gauges (plus the auction's own
         #: round instrumentation and any attached monitor suite)
@@ -182,7 +178,6 @@ class OnlineSimulator:
                 pending_requests,
                 pending_offers,
                 evidence=self._evidence(round_index),
-                timer=self.timer,
                 obs=obs,
             )
             result.rounds.append(

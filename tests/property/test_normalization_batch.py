@@ -259,16 +259,19 @@ def _price_hex(result):
     )
 
 
-class TestPhaseTimerIntegration:
+class TestPhaseSpanIntegration:
     def test_auction_reports_all_phases(self):
-        from repro.common.timing import PhaseTimer
+        from repro.obs import Observability
+        from repro.obs.trace import span_seconds
         from repro.workloads.generators import generate_market
 
         requests, offers = generate_market(40, seed=9)
-        timer = PhaseTimer()
+        obs = Observability()
         DecloudAuction(AuctionConfig(engine="vectorized")).run(
-            requests, offers, timer=timer
+            requests, offers, obs=obs
         )
-        phases = set(timer.to_dict())
-        assert {"match", "cluster", "normalize", "assemble", "clear"} <= phases
-        assert timer.total_seconds > 0.0
+        phases = span_seconds(obs.tracer.records)
+        assert {"match", "cluster", "normalize", "assemble", "clear"} <= set(
+            phases
+        )
+        assert phases["auction"]["seconds"] > 0.0

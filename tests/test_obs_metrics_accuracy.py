@@ -15,11 +15,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.auction import DecloudAuction
-from repro.core.config import AuctionConfig
+from repro.core.candidates import NetworkZoneGenerator
+from repro.core.config import AuctionConfig, ShardPlan
 from repro.obs import Observability
+from repro.obs.trace import span_seconds
 from repro.sim.engine import MarketSimulator
 from repro.sim.metrics import block_metrics_from_registry, compare_outcomes
-from repro.workloads.generators import MarketScenario
+from repro.workloads.generators import MarketScenario, generate_zone_market
 from tests.differential.conftest import market_from_payload
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "fixtures" / "golden"
@@ -99,6 +101,53 @@ def test_registry_matches_outcome_on_golden_fixture(path, engine):
 
     phases = reg.histogram_stats("auction_phase_seconds", phase="clear")
     assert phases["count"] == 1
+
+
+_AUCTION_PHASES = {"match", "cluster", "normalize", "assemble", "clear"}
+_PHASE_LAYOUTS = {
+    "dense": (dict, _AUCTION_PHASES),
+    "candidates": (
+        lambda: {"candidates": NetworkZoneGenerator()}, _AUCTION_PHASES,
+    ),
+    "sharded": (
+        lambda: {"sharding": ShardPlan(kind="network", shard_workers=0)},
+        {"shard_partition", "shard_clear", "spillover"},
+    ),
+    # a geo plan resolves no network tag: one fallback shard, which
+    # degenerates to the global auction
+    "one-shard": (
+        lambda: {"sharding": ShardPlan(kind="geo")}, _AUCTION_PHASES,
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
+@pytest.mark.parametrize("layout", sorted(_PHASE_LAYOUTS))
+def test_phase_labels_are_the_round_spans_children(layout, engine):
+    """One name per phase: the ``auction_phase_seconds`` labels of a
+    round are exactly its span's direct children, second for second."""
+    options, expected = _PHASE_LAYOUTS[layout]
+    requests, offers, _ = generate_zone_market(
+        80, n_zones=4, seed=3, kind="network", locality="strong",
+        cross_zone_fraction=0.05,
+    )
+    obs = Observability(f"phases-{layout}")
+    DecloudAuction(AuctionConfig(engine=engine, **options())).run(
+        requests, offers, evidence=b"phase-names", obs=obs
+    )
+    records = obs.tracer.records
+    # the round span is the one ``_record_round`` reported from
+    (cleared,) = [r for r in records if r.get("name") == "auction.cleared"]
+    children = span_seconds(records, parent=cleared["span"])
+    recorded = {
+        dict(labels)["phase"]: series
+        for (name, labels), series in obs.registry.histograms.items()
+        if name == "auction_phase_seconds"
+    }
+    assert set(recorded) == set(children) == expected
+    for phase, series in recorded.items():
+        assert series.count == children[phase]["count"] == 1
+        assert series.sum == children[phase]["seconds"]
 
 
 @pytest.mark.parametrize("seed", [0, 7])

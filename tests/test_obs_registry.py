@@ -176,7 +176,6 @@ class TestObservabilityBundle:
         obs = Observability("run")
         view = obs.scoped(mechanism="decloud")
         assert view.tracer is obs.tracer
-        assert view.timer is obs.timer
         view.registry.inc("rounds")
         assert obs.registry.counter_value(
             "rounds", mechanism="decloud"

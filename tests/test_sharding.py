@@ -347,9 +347,6 @@ def test_shard_metrics_recorded():
     )
     hist = snap["histograms"]["shard_clear_seconds"]
     assert hist["count"] == stats["cleared_shards"]
-    assert any(
-        name.startswith("shard_phase_seconds") for name in snap["histograms"]
-    )
     # the round series mirror the global path
     assert snap["counters"]["auction_rounds_total"] == 1
 
