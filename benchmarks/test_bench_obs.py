@@ -18,9 +18,10 @@ reducible via ``DECLOUD_OBS_N`` / ``DECLOUD_SPEEDUP_N`` for CI smoke):
   :class:`~repro.obs.monitors.MonitorSuite` checking every outcome; its
   committed threshold sits <=10% over the enabled baseline, so CI fails
   if the monitors grow past "a handful of O(matches) passes".
-* ``test_disabled_overhead_within_bound`` — interleaved best-of paired
-  runs, default path vs explicit ``NULL_OBS``; the ratio must stay
-  within ``DECLOUD_OBS_CEILING`` (default 1.05, the <=5% requirement).
+* ``test_disabled_overhead_within_bound`` — the median of seven
+  alternating pair ratios (``benchmarks.conftest.paired_ratio``),
+  default path vs explicit ``NULL_OBS``; it must stay within
+  ``DECLOUD_OBS_CEILING`` (default 1.05, the <=5% requirement).
 * ``test_monitored_overhead_within_bound`` — the same paired protocol
   for monitors: enabled+monitors vs plain enabled must stay within
   ``DECLOUD_MONITOR_CEILING`` (default 1.10).
@@ -32,8 +33,8 @@ reducible via ``DECLOUD_OBS_N`` / ``DECLOUD_SPEEDUP_N`` for CI smoke):
 from __future__ import annotations
 
 import os
-import time
 
+from benchmarks.conftest import paired_ratio
 from repro.core.auction import DecloudAuction
 from repro.core.config import AuctionConfig, ShardPlan
 from repro.obs import NULL_OBS, Observability
@@ -97,33 +98,24 @@ def test_bench_obs_monitored(benchmark):
 
 
 def test_disabled_overhead_within_bound():
-    """Paired interleaved best-of: default path vs explicit NULL_OBS.
+    """Median of alternating pairs: default path vs explicit NULL_OBS.
 
     Both are the disabled path — the comparison pins the cost of
     threading the null bundle through every layer (`resolve`, null
     spans, `obs.enabled` guards) at <= OBS_CEILING of the default.
-    Interleaving and best-of-k make the ratio robust to runner noise.
     """
     requests, offers = _market()
     # warm both paths (matcher caches, numpy JIT-ish first-touch costs)
     _run_round(requests, offers)
     _run_round(requests, offers, obs=NULL_OBS)
 
-    best_default = float("inf")
-    best_null = float("inf")
-    for _ in range(5):
-        start = time.perf_counter()
-        _run_round(requests, offers)
-        best_default = min(best_default, time.perf_counter() - start)
-
-        start = time.perf_counter()
-        _run_round(requests, offers, obs=NULL_OBS)
-        best_null = min(best_null, time.perf_counter() - start)
-
-    ratio = best_null / max(best_default, 1e-9)
+    ratio, default_s, null_s = paired_ratio(
+        lambda: _run_round(requests, offers),
+        lambda: _run_round(requests, offers, obs=NULL_OBS),
+    )
     print(
-        f"\ndisabled-obs overhead at n={OBS_N}: default {best_default:.4f}s, "
-        f"null-obs {best_null:.4f}s, ratio {ratio:.3f} "
+        f"\ndisabled-obs overhead at n={OBS_N}: default {default_s:.4f}s, "
+        f"null-obs {null_s:.4f}s, ratio {ratio:.3f} "
         f"(ceiling {OBS_CEILING})"
     )
     assert ratio <= OBS_CEILING, (
@@ -140,21 +132,13 @@ def test_enabled_overhead_is_bounded():
     requests, offers = _market()
     _run_round(requests, offers)
 
-    best_off = float("inf")
-    best_on = float("inf")
-    for _ in range(5):
-        start = time.perf_counter()
-        _run_round(requests, offers)
-        best_off = min(best_off, time.perf_counter() - start)
-
-        start = time.perf_counter()
-        _run_round(requests, offers, obs=Observability("bench"))
-        best_on = min(best_on, time.perf_counter() - start)
-
-    ratio = best_on / max(best_off, 1e-9)
+    ratio, off_s, on_s = paired_ratio(
+        lambda: _run_round(requests, offers),
+        lambda: _run_round(requests, offers, obs=Observability("bench")),
+    )
     print(
-        f"\nenabled-obs overhead at n={OBS_N}: off {best_off:.4f}s, "
-        f"on {best_on:.4f}s, ratio {ratio:.3f}"
+        f"\nenabled-obs overhead at n={OBS_N}: off {off_s:.4f}s, "
+        f"on {on_s:.4f}s, ratio {ratio:.3f}"
     )
     assert ratio <= 2.0, (
         f"enabled observability costs {ratio:.3f}x a dark round — "
@@ -163,7 +147,7 @@ def test_enabled_overhead_is_bounded():
 
 
 def test_monitored_overhead_within_bound():
-    """Paired interleaved best-of: enabled obs vs enabled obs + monitors.
+    """Median of alternating pairs: enabled obs vs enabled obs + monitors.
 
     The monitor suite replays the outcome (budget regrouping, IR per
     match, capacity replay, bucket checks) — all O(matches) work, tiny
@@ -176,25 +160,17 @@ def test_monitored_overhead_within_bound():
         requests, offers, obs=Observability("warm", monitors=MonitorSuite())
     )
 
-    best_plain = float("inf")
-    best_monitored = float("inf")
-    for _ in range(5):
-        start = time.perf_counter()
-        _run_round(requests, offers, obs=Observability("bench"))
-        best_plain = min(best_plain, time.perf_counter() - start)
-
-        start = time.perf_counter()
-        _run_round(
+    ratio, plain_s, monitored_s = paired_ratio(
+        lambda: _run_round(requests, offers, obs=Observability("bench")),
+        lambda: _run_round(
             requests,
             offers,
             obs=Observability("bench", monitors=MonitorSuite()),
-        )
-        best_monitored = min(best_monitored, time.perf_counter() - start)
-
-    ratio = best_monitored / max(best_plain, 1e-9)
+        ),
+    )
     print(
-        f"\nmonitor overhead at n={OBS_N}: enabled {best_plain:.4f}s, "
-        f"monitored {best_monitored:.4f}s, ratio {ratio:.3f} "
+        f"\nmonitor overhead at n={OBS_N}: enabled {plain_s:.4f}s, "
+        f"monitored {monitored_s:.4f}s, ratio {ratio:.3f} "
         f"(ceiling {MONITOR_CEILING})"
     )
     assert ratio <= MONITOR_CEILING, (

@@ -115,7 +115,7 @@ class DecloudAuction:
         request_by_id = _index_requests(requests)
         offer_by_id = _index_offers(offers)
         # Owned by this run alone: never stored on the instance, never
-        # shipped to a pool worker.
+        # shipped to a pool worker; fed the block's arrays by the match.
         pairs = PairChecks()
 
         clusters, orphans = build_clusters(
@@ -123,6 +123,7 @@ class DecloudAuction:
             list(offer_by_id.values()),
             self.config,
             tracer=obs.tracer,
+            pairs=pairs,
         )
         with obs.tracer.span("normalize"):
             populated = []
@@ -147,6 +148,7 @@ class DecloudAuction:
                     compute_economics_batch(
                         [(reqs, offs) for _, reqs, offs in populated],
                         self.config,
+                        pairs.block,
                     )
                 )
             else:

@@ -171,6 +171,8 @@ class CandidateResult:
     best_sets: List[frozenset]
     certificates: List[SafetyCertificate]
     stats: Dict[str, int] = field(default_factory=dict)
+    #: the block's arrays, as read for the screens (the clear reuses them)
+    block: Optional[BlockArrays] = None
 
     def candidate_indices(self, i: int) -> np.ndarray:
         """Sorted offer indices admitted for the ``i``-th request."""
@@ -441,6 +443,7 @@ class CandidateGenerator:
             best_sets=best_sets,
             certificates=certificates,
             stats=stats,
+            block=block,
         )
         if self.verify != "off":
             stride = 1 if self.verify == "full" else 16

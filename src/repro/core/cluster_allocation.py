@@ -25,8 +25,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.clustering import Cluster
 from repro.core.config import AuctionConfig
+from repro.core.matching_vectorized import segment_sums
 from repro.core.normalization import ClusterEconomics, compute_economics
 from repro.core.welfare import pair_welfare, resource_fraction
 from repro.market.bids import Offer, Request
@@ -101,18 +104,82 @@ class PairChecks:
     re-draw).  An instance belongs to the one clear that created it —
     ``DecloudAuction.run``, or a pooled worker task, which builds its
     own — and is keyed by the bid ids that clear indexed.
+
+    The vectorized match stage :meth:`feed`-s it the block's arrays; a
+    pair it was not fed (the reference engine: all) asks the scalar ones.
     """
 
     def __init__(self) -> None:
+        self.block = None  # the clear's BlockArrays, once fed
+        self._best_sets: Optional[Sequence[frozenset]] = None
+        #: request id -> {offer id: Eq. (6) fraction} over its ``best_r``
+        self._fed: Dict[str, Dict[str, float]] = {}
         self._feasible: Dict[Tuple[str, str], bool] = {}
         self._fraction: Dict[Tuple[str, str], float] = {}
         self._amounts: Dict[str, Tuple[Tuple[str, float, float], ...]] = {}
+
+    def feed(self, block, best_sets: Sequence[frozenset]) -> None:
+        """Take the block's arrays and its best-offer sets (one per
+        request row); the first fit tabulates them (:meth:`tables`)."""
+        self.block, self._best_sets = block, best_sets
+
+    def tables(self):
+        """``(amount rows, fed fractions)`` by request id, first taking
+        the facts of every fed (request, ``best_r`` member) pair from the
+        block in one array pass.  Alg. 2 only puts a request in clusters
+        whose offers are a subset of its ``best_r``, which holds feasible
+        offers only: these are all the pairs the clear's fits visit, each
+        already found feasible by the match stage's mask.  Eq. (6) sums a
+        pair's ratios in sorted-type order and divides ``(time_share *
+        sum) / count`` as :func:`resource_fraction` does.
+        """
+        if self._best_sets is None:
+            return self._amounts, self._fed
+        block, best_sets, self._best_sets = self.block, self._best_sets, None
+        req, off, k_types = block.req, block.off, len(block.types)
+        names = [block.types[k] for k in req.type.tolist()]
+        entries = list(zip(names, req.needed.tolist(), req.amount.tolist()))
+        ptr = req.ptr.tolist()
+        self._amounts = {
+            rid: tuple(entries[lo:hi])
+            for rid, lo, hi in zip(block.req_row, ptr, ptr[1:])
+        }
+        sizes = [len(best) for best in best_sets]
+        members = [oid for best in best_sets for oid in best]
+        pair_req = np.repeat(np.arange(len(sizes)), sizes)
+        pair_off = np.array([block.off_row[oid] for oid in members], dtype=np.intp)
+        # Every request entry of every pair looks its type up among the
+        # offer entries, sorted by (offer, type) key.
+        of, pos = req.gather(pair_req)
+        off_key = np.repeat(np.arange(len(off.bid)), np.diff(off.ptr))
+        off_key = off_key * k_types + off.type
+        by_key = np.argsort(off_key)
+        off_key = off_key[by_key]
+        key = pair_off[of] * k_types + req.type[pos]
+        at = np.minimum(np.searchsorted(off_key, key), len(by_key) - 1)
+        held = off.amount[by_key[at]]
+        counted = ((off_key[at] == key) & (held > 0)).nonzero()[0]
+        counted = counted[np.argsort(req.type[pos[counted]], kind="stable")]
+        total = segment_sums(
+            req.amount[pos[counted]] / held[counted], of[counted], len(members)
+        )
+        count = np.bincount(of[counted], minlength=len(members))
+        time_share = req.duration[pair_req] / (off.win_end - off.win_start)[pair_off]
+        fraction = np.where(
+            count > 0, (time_share * total) / np.maximum(count, 1), 0.0
+        ).tolist()
+        cuts = np.cumsum([0] + sizes).tolist()
+        self._fed = {
+            rid: dict(zip(members[lo:hi], fraction[lo:hi]))
+            for rid, lo, hi in zip(block.req_row, cuts, cuts[1:])
+        }
+        return self._amounts, self._fed
 
     def amounts(self, request: Request) -> Tuple[Tuple[str, float, float], ...]:
         """``(type, required_amount, declared amount)`` per declared type:
         what :meth:`OfferCapacity.can_host` admits on and what
         :meth:`OfferCapacity.consume` books."""
-        known = self._amounts.get(request.request_id)
+        known = self.tables()[0].get(request.request_id)
         if known is None:
             known = self._amounts[request.request_id] = tuple(
                 (key, required_amount(request, key), amount)
@@ -121,6 +188,8 @@ class PairChecks:
         return known
 
     def feasible(self, request: Request, offer: Offer) -> bool:
+        if offer.offer_id in self.tables()[1].get(request.request_id, ()):
+            return True
         key = (request.request_id, offer.offer_id)
         known = self._feasible.get(key)
         if known is None:
@@ -128,6 +197,9 @@ class PairChecks:
         return known
 
     def fraction(self, request: Request, offer: Offer) -> float:
+        known = self.tables()[1].get(request.request_id, {}).get(offer.offer_id)
+        if known is not None:
+            return known
         key = (request.request_id, offer.offer_id)
         known = self._fraction.get(key)
         if known is None:
@@ -174,13 +246,10 @@ def sorted_requests(
     requests: Sequence[Request], economics: ClusterEconomics
 ) -> List[Request]:
     """Descending v_hat; ties by earlier submission then id (§IV-D)."""
+    values = economics.normalized_values
     return sorted(
         requests,
-        key=lambda r: (
-            -economics.v_hat(r.request_id),
-            r.submit_time,
-            r.request_id,
-        ),
+        key=lambda r: (-values[r.request_id], r.submit_time, r.request_id),
     )
 
 
@@ -188,9 +257,9 @@ def sorted_offers(
     offers: Sequence[Offer], economics: ClusterEconomics
 ) -> List[Offer]:
     """Ascending c_hat; ties by earlier submission then id."""
+    costs = economics.normalized_costs
     return sorted(
-        offers,
-        key=lambda o: (economics.c_hat(o.offer_id), o.submit_time, o.offer_id),
+        offers, key=lambda o: (costs[o.offer_id], o.submit_time, o.offer_id)
     )
 
 
@@ -228,9 +297,10 @@ def greedy_fit(
     # a match below is :meth:`OfferCapacity.consume` and is seen by every
     # later fit that shares ``capacity``; ``None`` (an offer the capacity
     # never saw) hosts nothing, as in :meth:`OfferCapacity.can_host`.
+    costs, values = economics.normalized_costs, economics.normalized_values
     rows = []
     for offer in offers:
-        c_hat = economics.c_hat(offer.offer_id)
+        c_hat = costs[offer.offer_id]
         if not math.isfinite(c_hat):
             continue
         if max_cost is not None and c_hat > max_cost + epsilon:
@@ -239,19 +309,25 @@ def greedy_fit(
             c_hat, c_hat - epsilon, offer.span, offer.resources,
             capacity._remaining.get(offer.offer_id), offer,
         ))
+    # The clear's pair tables, read in place; a pair the match stage
+    # did not feed goes through the :class:`PairChecks` methods.
+    amounts_of, fed = pairs.tables()
     matches: List[Tuple[Request, Offer]] = []
     max_used_cost = -math.inf
     for request in requests:
-        if request.request_id in taken_requests:
+        rid = request.request_id
+        if rid in taken_requests:
             continue
-        v_hat = economics.v_hat(request.request_id)
+        v_hat = values[rid]
         if min_value is not None and v_hat < min_value - epsilon:
             continue
         if uniform_price and v_hat < max_used_cost - epsilon:
             # Admitting this winner would push the price band below an
             # offer already in use; no common price could support both.
             continue
-        amounts = pairs.amounts(request)
+        amounts = amounts_of.get(rid) or pairs.amounts(request)
+        best = fed.get(rid, ())
+        duration = request.duration
         for c_hat, c_floor, span, resources, remaining, offer in rows:
             if v_hat < c_floor:
                 # Offers are cost-ascending: no later offer can be
@@ -263,28 +339,34 @@ def greedy_fit(
             # admits on the flexibility-discounted amount and books
             # min(request, offer) clamped at zero — the asymmetry of
             # ROADMAP item 2(b), kept bit for bit.
-            time_share = request.duration / span
+            # (``remaining`` has the offer's keys; min/max are spelt out.)
+            time_share = duration / span
             for key, needed, _ in amounts:
-                if key in resources and remaining[key] + 1e-12 < time_share * needed:
+                left = remaining.get(key)
+                if left is not None and left + 1e-12 < time_share * needed:
                     break
             else:
-                if not pairs.feasible(request, offer):
+                if offer.offer_id in best:
+                    fraction = best[offer.offer_id]
+                elif pairs.feasible(request, offer):
+                    fraction = pairs.fraction(request, offer)
+                else:
                     continue
                 # Const. (9): value covers the cost of the consumed
                 # fraction.
-                if request.bid < pairs.fraction(request, offer) * offer.bid - epsilon:
+                if request.bid < fraction * offer.bid - epsilon:
                     continue
                 for key, _, amount in amounts:
-                    if key in resources:
-                        remaining[key] = max(
-                            0.0,
-                            remaining[key]
-                            - time_share * min(amount, resources[key]),
+                    held = resources.get(key)
+                    if held is not None:
+                        left = remaining[key] - time_share * (
+                            held if held < amount else amount
                         )
-                taken_requests.add(request.request_id)
+                        remaining[key] = left if left > 0.0 else 0.0
+                taken_requests.add(rid)
                 matches.append((request, offer))
-                if uniform_price:
-                    max_used_cost = max(max_used_cost, c_hat)
+                if uniform_price and c_hat > max_used_cost:
+                    max_used_cost = c_hat
                 break
     return matches
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Set
 
 from repro.core.config import AuctionConfig
 from repro.core.matching import best_offer_set, block_maxima
-from repro.core.matching_vectorized import best_offer_sets
+from repro.core.matching_vectorized import BlockArrays, best_offer_sets
 from repro.market.bids import Offer, Request
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
@@ -104,6 +104,10 @@ class _IndexedClusters:
         self.clusters: List[Cluster] = []
         self._by_key: Dict[frozenset, int] = {}
         self._by_offer: Dict[str, List[int]] = {}
+        #: Per distinct ``best``, the clusters a repeat of it adds its
+        #: request to (see :meth:`insert`); dropped by every `_append`.
+        self._plans: Dict[frozenset, List[int]] = {}
+        self.plans_reused = 0
 
     def _append(self, cluster: Cluster) -> None:
         position = len(self.clusters)
@@ -111,14 +115,21 @@ class _IndexedClusters:
         self._by_key[cluster.offer_ids] = position
         for offer_id in cluster.offer_ids:
             self._by_offer.setdefault(offer_id, []).append(position)
+        self._plans.clear()
 
     def insert(self, request_id: str, best: frozenset) -> None:
         if not best:
             return
+        clusters = self.clusters
+        plan = self._plans.get(best)
+        if plan is not None:
+            self.plans_reused += 1
+            for p in plan:
+                clusters[p].request_ids.add(request_id)
+            return
         if best not in self._by_key:
             self._append(Cluster(offer_ids=best))
         best_position = self._by_key[best]
-        clusters = self.clusters
         touched = sorted(
             {
                 position
@@ -148,6 +159,7 @@ class _IndexedClusters:
         # Intersection materialization: the reference iterates a
         # snapshot of the cluster list (clusters appended below are not
         # revisited) but resolves ``existing`` against the live list.
+        size = len(clusters)
         for p in touched:
             cluster = clusters[p]
             if cluster.offer_ids == best:
@@ -165,6 +177,14 @@ class _IndexedClusters:
                     )
                 else:
                     clusters[existing].request_ids.add(request_id)
+        if len(clusters) == size:
+            # Nothing was appended: a repeat of ``best`` meets the same
+            # subsets, and intersections that all exist (each of them a
+            # subset).  Its folds add nothing either — a cluster only
+            # gains requests as a subset of some ``best``, and then all
+            # its subsets gain the same ones, so until the next append
+            # every subset here already holds what its supersets hold.
+            self._plans[best] = subsets
 
 
 def build_clusters(
@@ -172,6 +192,7 @@ def build_clusters(
     offers: Sequence[Offer],
     config: AuctionConfig,
     tracer: "Tracer | NullTracer" = NULL_TRACER,
+    pairs=None,
 ) -> tuple[List[Cluster], List[Request]]:
     """Run Alg. 2 over a block.
 
@@ -190,17 +211,27 @@ def build_clusters(
 
     ``tracer`` (optional) records the ``match`` (best-offer sets) and
     ``cluster`` (Alg. 2 insertion) phases as sibling spans.
+
+    ``pairs`` is the enclosing clear's
+    :class:`~repro.core.cluster_allocation.PairChecks`: the vectorized
+    engine feeds it the block's :class:`BlockArrays` — read once, here
+    or by the candidate stage — and the best-offer sets.
     """
     with tracer.span("match"):
         maxima = block_maxima(requests, offers)
         ordered = sorted(
             requests, key=lambda r: (r.submit_time, r.request_id)
         )
+        block = None
         if config.candidates is not None and offers:
-            best_sets = _candidate_best_sets(ordered, offers, maxima, config)
+            best_sets, block = _candidate_best_sets(
+                ordered, offers, maxima, config
+            )
         elif config.engine == "vectorized":
+            if ordered and offers:
+                block = BlockArrays(ordered, offers, maxima)
             best_sets = best_offer_sets(
-                ordered, offers, maxima, config.cluster_breadth
+                ordered, offers, maxima, config.cluster_breadth, block
             )
         else:
             best_sets = [
@@ -209,6 +240,8 @@ def build_clusters(
                 )
                 for request in ordered
             ]
+        if pairs is not None and config.engine == "vectorized" and ordered and offers:
+            pairs.feed(block or BlockArrays(ordered, offers, maxima), best_sets)
     with tracer.span("cluster"):
         builder = _IndexedClusters()
         orphans: List[Request] = []
@@ -225,8 +258,9 @@ def _candidate_best_sets(
     offers: Sequence[Offer],
     maxima,
     config: AuctionConfig,
-) -> List[frozenset]:
-    """Best-offer sets through the certified candidate stage.
+) -> tuple[List[frozenset], "BlockArrays | None"]:
+    """Best-offer sets through the certified candidate stage, and the
+    block arrays the generator read, if it kept them.
 
     The vectorized engine takes the generator's own ranking (assembled
     from the exact scores it collected while admitting candidates); the
@@ -238,8 +272,9 @@ def _candidate_best_sets(
     result = config.candidates.generate(
         ordered, offers, maxima, config.cluster_breadth
     )
+    block = getattr(result, "block", None)
     if config.engine == "vectorized":
-        return result.best_sets
+        return result.best_sets, block
     return [
         best_offer_set(
             request,
@@ -248,7 +283,7 @@ def _candidate_best_sets(
             config.cluster_breadth,
         )
         for i, request in enumerate(ordered)
-    ]
+    ], block
 
 
 def clusters_by_offer(clusters: Sequence[Cluster]) -> Dict[str, List[Cluster]]:

@@ -123,12 +123,22 @@ class _Entries:
         )
         self.win_start = np.array([b.window.start for b in bids], dtype=float)
         self.win_end = np.array([b.window.end for b in bids], dtype=float)
+        self.bid = np.array([b.bid for b in bids], dtype=float)
         if sigma:  # the request side
+            self.duration = np.array([b.duration for b in bids], dtype=float)
             self.sigma = np.array(
                 [b.significance[t] for b in bids for t in b.resources],
                 dtype=float,
             )
-            self.flex = np.array([b.flexibility for b in bids], dtype=float)
+            # required_amount(): strict resources need the full amount,
+            # flexible ones ``amount * flexibility`` (same float multiply
+            # as the scalar code).
+            flex = np.array([b.flexibility for b in bids], dtype=float)
+            self.needed = np.where(
+                self.sigma >= 1.0,
+                self.amount,
+                self.amount * np.repeat(flex, np.diff(self.ptr)),
+            )
 
     def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(local row, entry position)`` of every entry of bids ``rows``."""
@@ -197,12 +207,8 @@ class _RequestArrays(_OfferArrays):
         self.sigma = np.ones(self.amount.shape)
         self.sigma[cells] = entries.sigma[pos]
         self.strict = self.sigma >= 1.0
-        # required_amount(): strict resources need the full amount,
-        # flexible ones ``amount * flexibility`` (same float multiply as
-        # the scalar code).
-        self.needed = np.where(
-            self.strict, self.amount, self.amount * entries.flex[rows][:, None]
-        )
+        self.needed = np.zeros(self.amount.shape)
+        self.needed[cells] = entries.needed[pos]
         self.positive = self.amount > 0
         return cells, pos
 
@@ -314,9 +320,13 @@ class BlockArrays:
         maxima: Dict[str, float],
     ) -> None:
         self.types = _type_universe(requests, offers)
+        self.type_id = {t: k for k, t in enumerate(self.types)}
         self.maxima = maxima
         self.req = _Entries(requests, self.types, sigma=True)
         self.off = _Entries(offers, self.types)
+        #: bid id -> CSR row: how the back half finds a cluster's bids.
+        self.req_row = {r.request_id: i for i, r in enumerate(requests)}
+        self.off_row = {o.offer_id: j for j, o in enumerate(offers)}
 
     def score(
         self, rows: np.ndarray, cols: np.ndarray
@@ -333,6 +343,18 @@ class BlockArrays:
             _score_from_arrays(req, off, types, self.maxima),
             _feasibility_from_arrays(req, off),
         )
+
+
+def segment_sums(
+    values: np.ndarray, segment: np.ndarray, n_segments: int
+) -> np.ndarray:
+    """Per-segment sums of ``values``, each accumulated in input order:
+    ``np.bincount`` with weights is one sequential C loop,
+    ``out[segment[i]] += values[i]`` from ``0.0``, so a segment whose
+    terms stand in sorted-type order gets the scalar ``sum()`` over
+    sorted types bit for bit (``np.sum``/``np.add.reduceat`` pair terms
+    up).  The ``float.hex`` property suites pin the order."""
+    return np.bincount(segment, weights=values, minlength=n_segments)
 
 
 def score_matrix(
@@ -466,8 +488,10 @@ def best_offer_sets(
     offers: Sequence[Offer],
     maxima: Dict[str, float],
     breadth: int,
+    block: "BlockArrays | None" = None,
 ) -> List[frozenset]:
-    """``best_r`` of Alg. 2 for every request of a block.
+    """``best_r`` of Alg. 2 for every request of a block (``block``:
+    the same bids' arrays, if the caller has built them).
 
     Equivalent to ``best_offer_set(r, offers, maxima, breadth)`` per
     request: feasible offers ranked by (-quality, submit_time, offer_id).
@@ -478,7 +502,8 @@ def best_offer_sets(
     if not (requests and offers):
         return [frozenset() for _ in requests]
     out: List[List[str]] = [[] for _ in requests]
-    block = BlockArrays(requests, offers, maxima)
+    if block is None:
+        block = BlockArrays(requests, offers, maxima)
     req_label, off_label = _bid_components(block)
     # Offers are grouped in tie order, so every strip's columns already
     # stand the way ``_rank_members`` needs them.

@@ -2,214 +2,215 @@
 
 :func:`compute_economics_batch` computes
 :class:`~repro.core.normalization.ClusterEconomics` for *many* clusters
-at once: the participants of all clusters are flattened into
-segment-indexed NumPy arrays over one sorted type universe, and the
-virtual maximum, critical-resource set, ``nu``, ``v_hat`` and ``c_hat``
-of every cluster fall out of masked segment reductions
-(``np.maximum.reduceat`` / ``np.logical_and.reduceat``) plus elementwise
-kernels.
+at once.  It reads the participants through the block's CSR
+:class:`~repro.core.matching_vectorized.BlockArrays` rows: every
+declared ``(type, amount)`` entry of every participant becomes one flat
+element keyed by (cluster, type), and the virtual maximum, critical set,
+``nu``, ``v_hat`` and ``c_hat`` are segmented reductions over those
+elements.  No array has a types-sized axis, so memory and time follow
+the entries, not participants x the block's type universe.
 
 Bit-identity contract
 ---------------------
 
-Like the matching kernel, every float must equal the scalar
+Every float must equal the scalar
 :func:`~repro.core.normalization.compute_economics` bit for bit
 (``tests/differential/`` and ``tests/property/`` enforce it):
 
-* l2 norms accumulate squares column-by-column in sorted-type order
-  (one elementwise add per type, never ``np.sum``), matching the scalar
-  ``sum(v[k] ** 2 for k in sorted(keys))``.  Types outside a cluster's
-  common set contribute an exact ``+0.0``.
+* l2 norms add a row's squares one at a time in sorted-type order
+  (:func:`~repro.core.matching_vectorized.segment_sums`, never
+  ``np.sum``), matching ``sum(v[k] ** 2 for k in sorted(keys))``.  A
+  common type the participant lacks would add an exact ``+0.0``: it is
+  skipped.
 * squares use ``np.float_power(x, 2.0)``: CPython's scalar ``x ** 2``
   goes through libm ``pow``, which is *not* correctly rounded and can
   differ from ``x * x`` in the last bit — and NumPy lowers ``arr ** 2``
-  to ``arr * arr``.  ``np.float_power`` is the ufunc that reproduces the
-  scalar ``pow`` result exactly.
+  to ``arr * arr``.  ``np.float_power`` reproduces the scalar result.
 * every division/multiplication keeps the scalar operand order:
   ``l2 / maxima_norm``, ``bid / (nu * span)``, ``bid / (nu * duration)``.
-* ``nu_cr`` max-accumulates per-type ratios in sorted order from 0.0,
-  and the cap is ``min(max(nu, 0.0), 1.0)`` exactly as written.
+* ``M_CL`` and ``nu_cr`` are maxima from 0.0 (order-free), and the cap
+  is ``min(max(nu, 0.0), 1.0)`` exactly as written.
 
 Degenerate clusters keep their PR 2 semantics: a zero-magnitude virtual
 maximum prices every offer at ``inf`` and values every request at 0.0
 instead of raising; a zero-``nu`` participant is unpriceable on its own.
 Validation errors (empty side, no common types) are raised for the first
-offending cluster in input order — the same error and order a scalar
-loop over the batch would produce.
+offending cluster in input order, as a scalar loop would.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import AuctionError
 from repro.core.config import AuctionConfig
-from repro.core.normalization import ClusterEconomics, cluster_common_types
+from repro.core.matching_vectorized import BlockArrays, _Entries, segment_sums
+from repro.core.normalization import ClusterEconomics
 from repro.market.bids import Offer, Request
 
 ClusterParticipants = Tuple[Sequence[Request], Sequence[Offer]]
 
 
-def _amount_matrix(
-    participants: Sequence, index: Dict[str, int], k_types: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(amounts, presence) rows over the type universe for one side."""
-    n = len(participants)
-    amount = np.zeros((n, k_types))
-    present = np.zeros((n, k_types), dtype=bool)
-    for i, participant in enumerate(participants):
-        for t, value in participant.resources.items():
-            col = index.get(t)
-            if col is not None:
-                amount[i, col] = value
-                present[i, col] = True
-    return amount, present
+class _Side:
+    """One side's participants of every cluster, flattened: per
+    participant its cluster and CSR row, per declared entry its
+    participant, amount and (cluster, type) key."""
+
+    def __init__(
+        self, entries: _Entries, rows: List[int], sizes: List[int], k_types: int
+    ) -> None:
+        self.rows = np.array(rows, dtype=np.intp)
+        self.cluster = np.repeat(np.arange(len(sizes)), sizes)
+        self.of, pos = entries.gather(self.rows)
+        self.type = entries.type[pos]
+        self.amount = entries.amount[pos]
+        self.key = self.cluster[self.of] * k_types + self.type
+
+    def locate(self, common: np.ndarray) -> None:
+        """Each entry's segment of ``common`` (sorted keys), if any."""
+        self.seg = np.minimum(
+            np.searchsorted(common, self.key), len(common) - 1
+        )
+        self.inside = common[self.seg] == self.key
+
+    def l2(self) -> np.ndarray:
+        """Per participant, ``||rho||_2`` over its cluster's common
+        types: squares summed in sorted-type order, as ``l2_norm``."""
+        keep = self.inside.nonzero()[0]
+        keep = keep[np.argsort(self.type[keep], kind="stable")]
+        return np.sqrt(
+            segment_sums(
+                np.float_power(self.amount[keep], 2.0),
+                self.of[keep],
+                len(self.rows),
+            )
+        )
 
 
 def compute_economics_batch(
     clusters: Sequence[ClusterParticipants],
     config: AuctionConfig,
+    block: Optional[BlockArrays] = None,
 ) -> List[ClusterEconomics]:
-    """``compute_economics`` for every ``(requests, offers)`` pair at once."""
+    """``compute_economics`` for every ``(requests, offers)`` pair at once.
+
+    ``block`` is the clear's :class:`BlockArrays` (every participant must
+    be one of its bids); without one the clusters' own bids are read.
+    """
     if not clusters:
         return []
-
-    # Validation and common-type sets, cluster by cluster in input order
-    # (a scalar loop reports the first offending cluster; so do we).
-    commons: List[Set[str]] = []
-    for requests, offers in clusters:
-        if not requests or not offers:
-            raise AuctionError(
-                "cluster economics need at least one of each side"
-            )
-        common = cluster_common_types(requests, offers)
-        if not common:
-            raise AuctionError("cluster has no common resource types")
-        commons.append(common)
-
-    # One sorted type universe over every cluster's common set.  Types a
-    # participant declares outside it are never read by the scalar path.
-    types = sorted(set().union(*commons))
-    index = {t: k for k, t in enumerate(types)}
-    k_types = len(types)
+    empty = next(
+        (c for c, (rs, os) in enumerate(clusters) if not rs or not os), None
+    )
+    if empty is not None:
+        # A scalar loop reports the first offending cluster; so do we:
+        # an earlier cluster without common types raises from here.
+        compute_economics_batch(clusters[:empty], config, block)
+        raise AuctionError("cluster economics need at least one of each side")
+    if block is None:
+        block = BlockArrays(
+            list({r.request_id: r for rs, _ in clusters for r in rs}.values()),
+            list({o.offer_id: o for _, os in clusters for o in os}.values()),
+            {},
+        )
     n_clusters = len(clusters)
-
-    flat_requests: List[Request] = []
-    flat_offers: List[Offer] = []
-    req_starts = np.empty(n_clusters, dtype=np.intp)
-    off_starts = np.empty(n_clusters, dtype=np.intp)
-    for c, (requests, offers) in enumerate(clusters):
-        req_starts[c] = len(flat_requests)
-        off_starts[c] = len(flat_offers)
-        flat_requests.extend(requests)
-        flat_offers.extend(offers)
-    req_cluster = np.repeat(
-        np.arange(n_clusters),
-        [len(requests) for requests, _ in clusters],
+    k_types = len(block.types)
+    req_sizes = [len(requests) for requests, _ in clusters]
+    req = _Side(
+        block.req,
+        [block.req_row[r.request_id] for rs, _ in clusters for r in rs],
+        req_sizes,
+        k_types,
     )
-    off_cluster = np.repeat(
-        np.arange(n_clusters),
+    off = _Side(
+        block.off,
+        [block.off_row[o.offer_id] for _, os in clusters for o in os],
         [len(offers) for _, offers in clusters],
+        k_types,
     )
 
-    req_amount, req_present = _amount_matrix(flat_requests, index, k_types)
-    off_amount, _ = _amount_matrix(flat_offers, index, k_types)
+    # K_CL of every cluster as one sorted run of (cluster, type) keys:
+    # ascending type id is sorted-type order within a cluster.
+    common = np.intersect1d(req.key, off.key)
+    seg_cluster = common // k_types
+    if np.bincount(seg_cluster, minlength=n_clusters).min() == 0:
+        raise AuctionError("cluster has no common resource types")
+    req.locate(common)
+    off.locate(common)
 
-    common_mask = np.zeros((n_clusters, k_types), dtype=bool)
-    for c, common in enumerate(commons):
-        for t in common:
-            common_mask[c, index[t]] = True
-
-    # M_CL: per-type max over the cluster's offers, masked to the common
-    # set.  Amounts are non-negative, so the segment max equals the
-    # scalar's "grow from 0.0" accumulation (only positive values end up
-    # in the dict; zeros read back via .get(k, 0.0) identically).
-    maxima = np.maximum.reduceat(off_amount, off_starts, axis=0)
-    np.copyto(maxima, 0.0, where=~common_mask)
-
-    # ||M_CL||_2 with squares and accumulation order exactly as scalar.
-    maxima_sq = np.float_power(maxima, 2.0)
-    acc = np.zeros(n_clusters)
-    for col in range(k_types):
-        acc = acc + maxima_sq[:, col]
-    maxima_norm = np.sqrt(acc)
+    # M_CL: per-type max over the cluster's offers, from 0.0 as the
+    # scalar grows it (only positive values end up in its dict; zeros
+    # read back via .get(k, 0.0) identically).
+    maxima = np.zeros(len(common))
+    np.maximum.at(maxima, off.seg[off.inside], off.amount[off.inside])
+    maxima_norm = np.sqrt(
+        segment_sums(np.float_power(maxima, 2.0), seg_cluster, n_clusters)
+    )
     degenerate = maxima_norm <= 0
+    safe_norm = np.where(degenerate, 1.0, maxima_norm)
 
     # Offer side: nu_o = ||rho_o||_2 / ||M_CL||_2, c_hat = c / (nu * span).
-    off_sq = np.float_power(off_amount, 2.0)
-    off_common = common_mask[off_cluster]
-    acc = np.zeros(len(flat_offers))
-    for col in range(k_types):
-        acc = acc + np.where(off_common[:, col], off_sq[:, col], 0.0)
-    off_l2 = np.sqrt(acc)
-    safe_norm = np.where(degenerate, 1.0, maxima_norm)
-    nu_off = off_l2 / safe_norm[off_cluster]
-    off_span = np.array([o.span for o in flat_offers])
-    off_bid = np.array([o.bid for o in flat_offers])
-    off_ok = (nu_off > 0) & (off_span > 0) & ~degenerate[off_cluster]
+    nu_off = off.l2() / safe_norm[off.cluster]
+    off_span = (block.off.win_end - block.off.win_start)[off.rows]
+    off_ok = (nu_off > 0) & (off_span > 0) & ~degenerate[off.cluster]
     denom = np.where(off_ok, nu_off * off_span, 1.0)
-    cost = np.where(off_ok, off_bid / denom, math.inf)
+    cost = np.where(off_ok, block.off.bid[off.rows] / denom, math.inf)
     nu_off = np.where(off_ok, nu_off, 0.0)
 
     # K_CR: configured criticals plus types shared by every request.
-    configured = np.array(
-        [t in config.critical_resources for t in types], dtype=bool
+    seg_type = common % k_types
+    configured = np.zeros(len(common), dtype=bool)
+    for t in config.critical_resources:
+        if t in block.type_id:
+            configured |= seg_type == block.type_id[t]
+    shared = (
+        np.bincount(req.seg[req.inside], minlength=len(common))
+        == np.array(req_sizes)[seg_cluster]
     )
-    shared = np.logical_and.reduceat(req_present, req_starts, axis=0)
-    criticals = (configured[None, :] | shared) & common_mask
+    critical = (configured | shared) & (maxima > 0)
 
-    # Request side: nu_cr, nu_r, v_hat.
-    req_sq = np.float_power(req_amount, 2.0)
-    req_common = common_mask[req_cluster]
-    acc = np.zeros(len(flat_requests))
-    nu_cr = np.zeros(len(flat_requests))
-    req_criticals = criticals[req_cluster]
-    req_maxima = maxima[req_cluster]
-    for col in range(k_types):
-        acc = acc + np.where(req_common[:, col], req_sq[:, col], 0.0)
-        top = req_maxima[:, col]
-        ratio_mask = req_criticals[:, col] & (top > 0)
-        ratio = req_amount[:, col] / np.where(ratio_mask, top, 1.0)
-        nu_cr = np.maximum(nu_cr, np.where(ratio_mask, ratio, 0.0))
-    req_l2 = np.sqrt(acc)
-    nu_req = np.maximum(nu_cr, req_l2 / safe_norm[req_cluster])
+    # Request side: nu_cr (a max: order-free), nu_r, v_hat.
+    ratio = (req.inside & critical[req.seg]).nonzero()[0]
+    nu_cr = np.zeros(len(req.rows))
+    np.maximum.at(
+        nu_cr, req.of[ratio], req.amount[ratio] / maxima[req.seg[ratio]]
+    )
+    nu_req = np.maximum(nu_cr, req.l2() / safe_norm[req.cluster])
     nu_req = np.minimum(np.maximum(nu_req, 0.0), 1.0)
-    req_duration = np.array([r.duration for r in flat_requests])
-    req_bid = np.array([r.bid for r in flat_requests])
-    req_ok = (nu_req > 0) & (req_duration > 0) & ~degenerate[req_cluster]
+    req_duration = block.req.duration[req.rows]
+    req_ok = (nu_req > 0) & (req_duration > 0) & ~degenerate[req.cluster]
     denom = np.where(req_ok, nu_req * req_duration, 1.0)
-    value = np.where(req_ok, req_bid / denom, 0.0)
+    value = np.where(req_ok, block.req.bid[req.rows] / denom, 0.0)
     nu_req = np.where(req_ok, nu_req, 0.0)
 
     # Slice the flat arrays back into per-cluster ClusterEconomics.
     results: List[ClusterEconomics] = []
-    req_ends = np.append(req_starts[1:], len(flat_requests))
-    off_ends = np.append(off_starts[1:], len(flat_offers))
-    nu_off_list = nu_off.tolist()
-    cost_list = cost.tolist()
-    nu_req_list = nu_req.tolist()
-    value_list = value.tolist()
-    for c, (requests, offers) in enumerate(clusters):
-        r0, r1 = int(req_starts[c]), int(req_ends[c])
-        o0, o1 = int(off_starts[c]), int(off_ends[c])
-        virtual_max = {
-            t: float(maxima[c, index[t]])
-            for t in commons[c]
-            if maxima[c, index[t]] > 0
-        }
+    seg_ends = np.searchsorted(seg_cluster, np.arange(n_clusters), "right")
+    names = [block.types[k] for k in seg_type.tolist()]
+    maxima_list, nu_off_list, cost_list, nu_req_list, value_list = (
+        flat.tolist() for flat in (maxima, nu_off, cost, nu_req, value)
+    )
+    s0 = r0 = o0 = 0
+    for (requests, offers), s1 in zip(clusters, seg_ends.tolist()):
+        r1, o1 = r0 + len(requests), o0 + len(offers)
         request_ids = [r.request_id for r in requests]
         offer_ids = [o.offer_id for o in offers]
         results.append(
             ClusterEconomics(
-                common_types=frozenset(commons[c]),
-                virtual_maximum=virtual_max,
+                common_types=frozenset(names[s0:s1]),
+                virtual_maximum={
+                    t: top
+                    for t, top in zip(names[s0:s1], maxima_list[s0:s1])
+                    if top > 0
+                },
                 nu_offers=dict(zip(offer_ids, nu_off_list[o0:o1])),
                 nu_requests=dict(zip(request_ids, nu_req_list[r0:r1])),
                 normalized_costs=dict(zip(offer_ids, cost_list[o0:o1])),
                 normalized_values=dict(zip(request_ids, value_list[r0:r1])),
             )
         )
+        s0, r0, o0 = s1, r1, o1
     return results

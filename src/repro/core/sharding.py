@@ -142,16 +142,17 @@ def partition_block(
     sub-auction sees exactly the sub-sequence it would have seen of the
     global block.
     """
+    # One resolution per distinct location tag, for this call only.
+    key_of = {
+        tag: shard_key(tag, plan)
+        for tag in {bid.location for side in (requests, offers) for bid in side}
+    }
     request_buckets: Dict[str, List[Request]] = {}
     offer_buckets: Dict[str, List[Offer]] = {}
     for request in requests:
-        request_buckets.setdefault(
-            shard_key(request.location, plan), []
-        ).append(request)
+        request_buckets.setdefault(key_of[request.location], []).append(request)
     for offer in offers:
-        offer_buckets.setdefault(shard_key(offer.location, plan), []).append(
-            offer
-        )
+        offer_buckets.setdefault(key_of[offer.location], []).append(offer)
     keys = set(request_buckets) | set(offer_buckets)
     ordered = sorted(keys - {FALLBACK_SHARD}) + (
         [FALLBACK_SHARD] if FALLBACK_SHARD in keys else []

@@ -100,7 +100,8 @@ def _live_allocations(
         for i, economics in zip(
             changed,
             compute_economics_batch(
-                [survivors[i][1:] for i in changed], config
+                [survivors[i][1:] for i in changed], config,
+                pairs.block if pairs is not None else None,
             ),
         ):
             economics_list[i] = economics

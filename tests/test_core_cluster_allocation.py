@@ -313,8 +313,11 @@ class TestPairChecks:
         )
         first = auction.run(requests, offers)
         once = dict(asked)
-        assert first.matches and once
-        assert set(once.values()) == {1}
+        # The vectorized clear takes its pairs' facts from the match
+        # stage's arrays (tests/property/test_pair_facts.py) and never
+        # asks the scalar functions; the reference asks them all.
+        assert first.matches and bool(once) == (engine == "reference")
+        assert set(once.values()) <= {1}
         second = auction.run(requests, offers)
         assert asked == {key: 2 for key in once}
         assert canonical_outcome(second) == canonical_outcome(first)

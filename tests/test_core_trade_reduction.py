@@ -251,7 +251,7 @@ class TestLiveAllocationsReuseEconomics:
         calls = []
         real = normalization_vectorized.compute_economics_batch
 
-        def spy(clusters, config):
+        def spy(clusters, config, block=None):
             calls.append([
                 (
                     [r.request_id for r in requests],
@@ -259,7 +259,7 @@ class TestLiveAllocationsReuseEconomics:
                 )
                 for requests, offers in clusters
             ])
-            return real(clusters, config)
+            return real(clusters, config, block)
 
         monkeypatch.setattr(
             normalization_vectorized, "compute_economics_batch", spy

@@ -130,6 +130,43 @@ def test_partition_empty_block():
     assert partition_block([], [], ShardPlan()) == []
 
 
+def test_partition_resolves_each_distinct_tag_once(monkeypatch):
+    """4,000 bids over 16 zones are 16 zone parses, not 4,000: the
+    buckets, their order and the fallback routing are those of a
+    per-bid ``shard_key``."""
+    tags = [f"zone-{i % 5}/cell-{i % 3}" for i in range(15)] + [None, "///"]
+    requests = [
+        make_request(f"r{i}", location=tags[i % len(tags)]) for i in range(60)
+    ]
+    offers = [
+        make_offer(f"o{i}", location=tags[(i * 7) % len(tags)])
+        for i in range(40)
+    ]
+    plan = ShardPlan(kind="network")
+    built = []
+    original = NetworkLocation.__post_init__
+
+    def spy(self):
+        built.append(self.zone)
+        original(self)
+
+    monkeypatch.setattr(NetworkLocation, "__post_init__", spy)
+    shards = partition_block(requests, offers, plan)
+    distinct = {bid.location for bid in requests + offers}
+    assert 0 < len(built) <= len(distinct)
+    assert len(built) == len(set(built))
+    by_key = {s.key: s for s in shards}
+    assert list(by_key) == sorted(set(by_key) - {FALLBACK_SHARD}) + [FALLBACK_SHARD]
+    for key, shard in by_key.items():
+        assert list(shard.requests) == [
+            r for r in requests if shard_key(r.location, plan) == key
+        ]
+        assert list(shard.offers) == [
+            o for o in offers if shard_key(o.location, plan) == key
+        ]
+    assert sum(s.n_bids for s in shards) == len(requests) + len(offers)
+
+
 def test_derive_shard_evidence_is_key_scoped():
     a = derive_shard_evidence(EVIDENCE, "zone:zone-1")
     b = derive_shard_evidence(EVIDENCE, "zone:zone-2")
