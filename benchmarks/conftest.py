@@ -42,24 +42,36 @@ def paired_ratio(
     pairs: int = 7,
 ) -> Tuple[float, float, float]:
     """``(median ratio, median baseline s, median variant s)`` over
-    ``pairs`` alternating baseline/variant runs.
+    ``pairs`` back-to-back baseline/variant runs, alternating which side
+    of a pair runs first.
 
     Each ratio divides two runs taken back to back, so a slow stretch of
     a shared runner scales both sides of it; the median then drops the
-    pairs a stall split.  Best-of-k of each side kept whichever side got
-    the one quiet moment — an overhead gate whose true ratio sits near
-    its ceiling read 1.09-1.13 against 1.10 from run to run.
+    pairs a stall split.  Whatever the first run of a pair leaves the
+    second (warm caches, garbage to collect, allocator state) falls on
+    the variant in even pairs and on the baseline in odd ones, so it
+    does not sit in every ratio with the same sign.  Best-of-k of each
+    side kept whichever side got the one quiet moment — an overhead gate
+    whose true ratio sits near its ceiling read 1.09-1.13 against 1.10
+    from run to run.
     """
-    ratios, base_s, variant_s = [], [], []
-    for _ in range(pairs):
+
+    def timed(run: Callable[[], object]) -> float:
         start = time.perf_counter()
-        baseline()
-        middle = time.perf_counter()
-        variant()
-        end = time.perf_counter()
-        base_s.append(middle - start)
-        variant_s.append(end - middle)
-        ratios.append((end - middle) / max(middle - start, 1e-9))
+        run()
+        return time.perf_counter() - start
+
+    ratios, base_s, variant_s = [], [], []
+    for pair in range(pairs):
+        if pair % 2:
+            variant_t = timed(variant)
+            base_t = timed(baseline)
+        else:
+            base_t = timed(baseline)
+            variant_t = timed(variant)
+        base_s.append(base_t)
+        variant_s.append(variant_t)
+        ratios.append(variant_t / max(base_t, 1e-9))
     return (
         statistics.median(ratios),
         statistics.median(base_s),

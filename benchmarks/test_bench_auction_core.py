@@ -54,12 +54,10 @@ def test_bench_back_half_10k(benchmark):
     )
     request_by_id = {r.request_id: r for r in requests}
     offer_by_id = {o.offer_id: o for o in offers}
-    class Fed:
-        def feed(self, block, best_sets):
-            self.block, self.best_sets = block, best_sets
-
-    fed = Fed()
-    clusters, _ = build_clusters(requests, offers, config, pairs=fed)
+    fed = []  # (block arrays, best-offer sets), as the match stage feeds
+    clusters, _ = build_clusters(
+        requests, offers, config, feed=lambda *facts: fed.extend(facts)
+    )
     populated = [
         (
             cluster,
@@ -71,7 +69,7 @@ def test_bench_back_half_10k(benchmark):
 
     def back_half():
         pairs = PairChecks()
-        pairs.feed(fed.block, fed.best_sets)
+        pairs.feed(*fed)
         economics = compute_economics_batch(
             [(members, machines) for _, members, machines in populated],
             config,

@@ -123,7 +123,7 @@ class DecloudAuction:
             list(offer_by_id.values()),
             self.config,
             tracer=obs.tracer,
-            pairs=pairs,
+            feed=pairs.feed,
         )
         with obs.tracer.span("normalize"):
             populated = []

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.clustering import Cluster
 from repro.core.config import AuctionConfig
-from repro.core.matching_vectorized import segment_sums
+from repro.core.matching_vectorized import BlockArrays, locate, segment_sums
 from repro.core.normalization import ClusterEconomics, compute_economics
 from repro.core.welfare import pair_welfare, resource_fraction
 from repro.market.bids import Offer, Request
@@ -110,7 +110,8 @@ class PairChecks:
     """
 
     def __init__(self) -> None:
-        self.block = None  # the clear's BlockArrays, once fed
+        #: the clear's arrays, once fed: normalize reads its bids there too
+        self.block: Optional[BlockArrays] = None
         self._best_sets: Optional[Sequence[frozenset]] = None
         #: request id -> {offer id: Eq. (6) fraction} over its ``best_r``
         self._fed: Dict[str, Dict[str, float]] = {}
@@ -118,7 +119,7 @@ class PairChecks:
         self._fraction: Dict[Tuple[str, str], float] = {}
         self._amounts: Dict[str, Tuple[Tuple[str, float, float], ...]] = {}
 
-    def feed(self, block, best_sets: Sequence[frozenset]) -> None:
+    def feed(self, block: BlockArrays, best_sets: Sequence[frozenset]) -> None:
         """Take the block's arrays and its best-offer sets (one per
         request row); the first fit tabulates them (:meth:`tables`)."""
         self.block, self._best_sets = block, best_sets
@@ -151,14 +152,14 @@ class PairChecks:
         # Every request entry of every pair looks its type up among the
         # offer entries, sorted by (offer, type) key.
         of, pos = req.gather(pair_req)
-        off_key = np.repeat(np.arange(len(off.bid)), np.diff(off.ptr))
+        off_key = np.repeat(np.arange(len(off.ptr) - 1), np.diff(off.ptr))
         off_key = off_key * k_types + off.type
         by_key = np.argsort(off_key)
-        off_key = off_key[by_key]
-        key = pair_off[of] * k_types + req.type[pos]
-        at = np.minimum(np.searchsorted(off_key, key), len(by_key) - 1)
+        at, found = locate(
+            off_key[by_key], pair_off[of] * k_types + req.type[pos]
+        )
         held = off.amount[by_key[at]]
-        counted = ((off_key[at] == key) & (held > 0)).nonzero()[0]
+        counted = (found & (held > 0)).nonzero()[0]
         counted = counted[np.argsort(req.type[pos[counted]], kind="stable")]
         total = segment_sums(
             req.amount[pos[counted]] / held[counted], of[counted], len(members)
@@ -187,8 +188,13 @@ class PairChecks:
             )
         return known
 
+    def _fed_fraction(self, request: Request, offer: Offer) -> Optional[float]:
+        """The pair's Eq. (6) fraction if the match stage fed it — which
+        also says it is feasible (see :meth:`tables`)."""
+        return self.tables()[1].get(request.request_id, {}).get(offer.offer_id)
+
     def feasible(self, request: Request, offer: Offer) -> bool:
-        if offer.offer_id in self.tables()[1].get(request.request_id, ()):
+        if self._fed_fraction(request, offer) is not None:
             return True
         key = (request.request_id, offer.offer_id)
         known = self._feasible.get(key)
@@ -197,7 +203,7 @@ class PairChecks:
         return known
 
     def fraction(self, request: Request, offer: Offer) -> float:
-        known = self.tables()[1].get(request.request_id, {}).get(offer.offer_id)
+        known = self._fed_fraction(request, offer)
         if known is not None:
             return known
         key = (request.request_id, offer.offer_id)
@@ -326,7 +332,7 @@ def greedy_fit(
             # offer already in use; no common price could support both.
             continue
         amounts = amounts_of.get(rid) or pairs.amounts(request)
-        best = fed.get(rid, ())
+        best = fed.get(rid, {})
         duration = request.duration
         for c_hat, c_floor, span, resources, remaining, offer in rows:
             if v_hat < c_floor:
@@ -346,12 +352,11 @@ def greedy_fit(
                 if left is not None and left + 1e-12 < time_share * needed:
                     break
             else:
-                if offer.offer_id in best:
-                    fraction = best[offer.offer_id]
-                elif pairs.feasible(request, offer):
+                fraction = best.get(offer.offer_id)
+                if fraction is None:  # not fed: the memoised scalar checks
+                    if not pairs.feasible(request, offer):
+                        continue
                     fraction = pairs.fraction(request, offer)
-                else:
-                    continue
                 # Const. (9): value covers the cost of the consumed
                 # fraction.
                 if request.bid < fraction * offer.bid - epsilon:

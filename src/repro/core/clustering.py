@@ -14,7 +14,7 @@ spans on the tracer it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.config import AuctionConfig
 from repro.core.matching import best_offer_set, block_maxima
@@ -192,7 +192,7 @@ def build_clusters(
     offers: Sequence[Offer],
     config: AuctionConfig,
     tracer: "Tracer | NullTracer" = NULL_TRACER,
-    pairs=None,
+    feed: Optional[Callable[[BlockArrays, List[frozenset]], None]] = None,
 ) -> tuple[List[Cluster], List[Request]]:
     """Run Alg. 2 over a block.
 
@@ -212,10 +212,11 @@ def build_clusters(
     ``tracer`` (optional) records the ``match`` (best-offer sets) and
     ``cluster`` (Alg. 2 insertion) phases as sibling spans.
 
-    ``pairs`` is the enclosing clear's
-    :class:`~repro.core.cluster_allocation.PairChecks`: the vectorized
-    engine feeds it the block's :class:`BlockArrays` — read once, here
-    or by the candidate stage — and the best-offer sets.
+    ``feed`` (the enclosing clear's
+    :meth:`~repro.core.cluster_allocation.PairChecks.feed`) is handed
+    the block's :class:`BlockArrays` — read once, here or by the
+    candidate stage — and the best-offer sets, one per request in
+    submission order, when the vectorized engine built them.
     """
     with tracer.span("match"):
         maxima = block_maxima(requests, offers)
@@ -240,8 +241,8 @@ def build_clusters(
                 )
                 for request in ordered
             ]
-        if pairs is not None and config.engine == "vectorized" and ordered and offers:
-            pairs.feed(block or BlockArrays(ordered, offers, maxima), best_sets)
+        if feed is not None and block is not None:
+            feed(block, best_sets)
     with tracer.span("cluster"):
         builder = _IndexedClusters()
         orphans: List[Request] = []
@@ -259,8 +260,8 @@ def _candidate_best_sets(
     maxima,
     config: AuctionConfig,
 ) -> tuple[List[frozenset], "BlockArrays | None"]:
-    """Best-offer sets through the certified candidate stage, and the
-    block arrays the generator read, if it kept them.
+    """Best-offer sets through the certified candidate stage; with the
+    vectorized engine, also the block arrays the generator read.
 
     The vectorized engine takes the generator's own ranking (assembled
     from the exact scores it collected while admitting candidates); the
@@ -272,9 +273,8 @@ def _candidate_best_sets(
     result = config.candidates.generate(
         ordered, offers, maxima, config.cluster_breadth
     )
-    block = getattr(result, "block", None)
     if config.engine == "vectorized":
-        return result.best_sets, block
+        return result.best_sets, result.block
     return [
         best_offer_set(
             request,
@@ -283,7 +283,7 @@ def _candidate_best_sets(
             config.cluster_breadth,
         )
         for i, request in enumerate(ordered)
-    ], block
+    ], None
 
 
 def clusters_by_offer(clusters: Sequence[Cluster]) -> Dict[str, List[Cluster]]:

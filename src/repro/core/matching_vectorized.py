@@ -79,6 +79,7 @@ the strips still bound its memory.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -113,6 +114,7 @@ class _Entries:
         self, bids: Sequence, types: List[str], sigma: bool = False
     ) -> None:
         index = {t: k for k, t in enumerate(types)}
+        self.bids = bids
         self.ptr = np.zeros(len(bids) + 1, dtype=np.intp)
         self.ptr[1:] = np.cumsum([len(b.resources) for b in bids])
         self.type = np.array(
@@ -123,9 +125,7 @@ class _Entries:
         )
         self.win_start = np.array([b.window.start for b in bids], dtype=float)
         self.win_end = np.array([b.window.end for b in bids], dtype=float)
-        self.bid = np.array([b.bid for b in bids], dtype=float)
         if sigma:  # the request side
-            self.duration = np.array([b.duration for b in bids], dtype=float)
             self.sigma = np.array(
                 [b.significance[t] for b in bids for t in b.resources],
                 dtype=float,
@@ -139,6 +139,15 @@ class _Entries:
                 self.amount,
                 self.amount * np.repeat(flex, np.diff(self.ptr)),
             )
+
+    # Read by the back half only, so the match stage does not pay for them.
+    @cached_property
+    def bid(self) -> np.ndarray:
+        return np.array([b.bid for b in self.bids], dtype=float)
+
+    @cached_property
+    def duration(self) -> np.ndarray:
+        return np.array([b.duration for b in self.bids], dtype=float)
 
     def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(local row, entry position)`` of every entry of bids ``rows``."""
@@ -320,13 +329,19 @@ class BlockArrays:
         maxima: Dict[str, float],
     ) -> None:
         self.types = _type_universe(requests, offers)
-        self.type_id = {t: k for k, t in enumerate(self.types)}
         self.maxima = maxima
         self.req = _Entries(requests, self.types, sigma=True)
         self.off = _Entries(offers, self.types)
-        #: bid id -> CSR row: how the back half finds a cluster's bids.
-        self.req_row = {r.request_id: i for i, r in enumerate(requests)}
-        self.off_row = {o.offer_id: j for j, o in enumerate(offers)}
+
+    # bid id -> CSR row: how the back half finds a cluster's bids (built
+    # when it first asks; the match stage goes by position).
+    @cached_property
+    def req_row(self) -> Dict[str, int]:
+        return {r.request_id: i for i, r in enumerate(self.req.bids)}
+
+    @cached_property
+    def off_row(self) -> Dict[str, int]:
+        return {o.offer_id: j for j, o in enumerate(self.off.bids)}
 
     def score(
         self, rows: np.ndarray, cols: np.ndarray
@@ -355,6 +370,13 @@ def segment_sums(
     sorted types bit for bit (``np.sum``/``np.add.reduceat`` pair terms
     up).  The ``float.hex`` property suites pin the order."""
     return np.bincount(segment, weights=values, minlength=n_segments)
+
+
+def locate(sorted_keys: np.ndarray, keys: np.ndarray):
+    """``(position, found)`` of each of ``keys`` in ``sorted_keys``
+    (non-empty); where not found the position is some valid index."""
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return at, sorted_keys[at] == keys
 
 
 def score_matrix(

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.common.errors import AuctionError
 from repro.core.config import AuctionConfig
-from repro.core.matching_vectorized import BlockArrays, _Entries, segment_sums
+from repro.core.matching_vectorized import BlockArrays, _Entries, locate, segment_sums
 from repro.core.normalization import ClusterEconomics
 from repro.market.bids import Offer, Request
 
@@ -71,10 +71,7 @@ class _Side:
 
     def locate(self, common: np.ndarray) -> None:
         """Each entry's segment of ``common`` (sorted keys), if any."""
-        self.seg = np.minimum(
-            np.searchsorted(common, self.key), len(common) - 1
-        )
-        self.inside = common[self.seg] == self.key
+        self.seg, self.inside = locate(common, self.key)
 
     def l2(self) -> np.ndarray:
         """Per participant, ``||rho||_2`` over its cluster's common
@@ -163,9 +160,9 @@ def compute_economics_batch(
     # K_CR: configured criticals plus types shared by every request.
     seg_type = common % k_types
     configured = np.zeros(len(common), dtype=bool)
-    for t in config.critical_resources:
-        if t in block.type_id:
-            configured |= seg_type == block.type_id[t]
+    for k, t in enumerate(block.types):
+        if t in config.critical_resources:
+            configured |= seg_type == k
     shared = (
         np.bincount(req.seg[req.inside], minlength=len(common))
         == np.array(req_sizes)[seg_cluster]

@@ -17,6 +17,8 @@ from repro.core.cluster_allocation import (
 )
 from repro.core.clustering import Cluster
 from repro.core.config import AuctionConfig
+from repro.core.matching import block_maxima
+from repro.core.matching_vectorized import BlockArrays
 from repro.core.normalization import compute_economics
 from repro.core.outcome import canonical_outcome
 from repro.core.welfare import resource_fraction
@@ -313,11 +315,47 @@ class TestPairChecks:
         )
         first = auction.run(requests, offers)
         once = dict(asked)
-        # The vectorized clear takes its pairs' facts from the match
-        # stage's arrays (tests/property/test_pair_facts.py) and never
-        # asks the scalar functions; the reference asks them all.
-        assert first.matches and bool(once) == (engine == "reference")
-        assert set(once.values()) <= {1}
+        assert first.matches
+        if engine == "reference":
+            assert once and set(once.values()) == {1}
+        else:
+            # The vectorized clear is fed its pairs' facts by the match
+            # stage and asks nothing; the pairs a fed instance still has
+            # to ask are the next test's.
+            assert not once
         second = auction.run(requests, offers)
         assert asked == {key: 2 for key in once}
         assert canonical_outcome(second) == canonical_outcome(first)
+
+    def test_a_fed_instance_asks_once_about_each_pair_it_was_not_fed(
+        self, monkeypatch
+    ):
+        """The scalar fallback under the vectorized engine: a pair
+        outside the fed best-offer sets is evaluated once per clear,
+        a fed one never."""
+        requests, offers = generate_market(40, seed=5)
+        economics = compute_economics(requests, offers, CONFIG)
+
+        def fit(pairs):
+            return greedy_fit(
+                sorted_requests(requests, economics),
+                sorted_offers(offers, economics),
+                economics, OfferCapacity(offers), set(), pairs=pairs,
+            )
+
+        expected = fit(PairChecks())
+        # Feed only the pairs the fit ends up matching (feasible, as fed
+        # pairs must be): every other pair it visits was not fed.
+        host = {r.request_id: o.offer_id for r, o in expected}
+        narrow = [
+            frozenset({host[r.request_id]} if r.request_id in host else ())
+            for r in requests
+        ]
+        fed = set(host.items())
+        block = BlockArrays(requests, offers, block_maxima(requests, offers))
+        asked = self._record_calls(monkeypatch)
+        pairs = PairChecks()
+        pairs.feed(block, narrow)
+        assert [fit(pairs) for _ in range(3)] == [expected] * 3
+        assert asked and set(asked.values()) == {1}
+        assert fed and not fed & {(rid, oid) for _, rid, oid in asked}
