@@ -23,6 +23,7 @@ round feeds ``auction_phase_seconds{phase=...}`` from it.
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.common.errors import AuctionError
@@ -82,25 +83,43 @@ class DecloudAuction:
         cross-zone spillover round — bit-identical across worker
         counts, and identical to the global auction whenever the
         partition yields a single shard.
+
+        A clear leaves no cyclic garbage behind, so the cyclic collector
+        would only re-scan the caller's heap: the outermost run pauses
+        it and restores it on the way out.  A nested run, or a caller
+        that disabled it already, leaves it as it finds it.  So does a
+        block of fewer bids than the young generation's threshold: its
+        clear gives the collector too little to do to be worth saving,
+        and a pause would only hold the caller's own cyclic garbage a
+        little longer.
         """
         obs = resolve_obs(obs)
-        if self.config.sharding is not None:
-            from repro.core.sharding import run_sharded
+        pause = gc.isenabled() and (
+            len(requests) + len(offers) >= gc.get_threshold()[0]
+        )
+        if pause:
+            gc.disable()
+        try:
+            if self.config.sharding is not None:
+                from repro.core.sharding import run_sharded
 
+                with obs.tracer.span(
+                    "sharded_auction",
+                    requests=len(requests),
+                    offers=len(offers),
+                    engine=self.config.engine,
+                ):
+                    return run_sharded(self, requests, offers, evidence, obs)
             with obs.tracer.span(
-                "sharded_auction",
+                "auction",
                 requests=len(requests),
                 offers=len(offers),
                 engine=self.config.engine,
             ):
-                return run_sharded(self, requests, offers, evidence, obs)
-        with obs.tracer.span(
-            "auction",
-            requests=len(requests),
-            offers=len(offers),
-            engine=self.config.engine,
-        ):
-            return self._run(requests, offers, evidence, obs)
+                return self._run(requests, offers, evidence, obs)
+        finally:
+            if pause:
+                gc.enable()
 
     def _run(
         self,
@@ -250,11 +269,17 @@ class DecloudAuction:
             if oid not in matched_offers and oid not in reduced_offers
         ]
         if obs.enabled:
+            # ``outcome.welfare``, from the fractions the fits recorded.
+            fractions = [f for result in results for f in result.fractions]
+            welfare = sum(
+                m.request.bid - f * m.offer.bid
+                for m, f in zip(outcome.matches, fractions)
+            )
             self._record_round(
                 obs, first_record,
                 len(requests), len(offers),
                 len(clusters), len(orphans), len(auctions),
-                outcome,
+                outcome, welfare,
             )
             # Runtime mechanism monitors guard the *truthful* mechanism's
             # §IV invariants; the greedy benchmark switches the reduction
@@ -273,18 +298,19 @@ class DecloudAuction:
         n_orphans: int,
         n_auctions: int,
         outcome: AuctionOutcome,
+        welfare: float,
     ) -> None:
         """Fold one cleared round into the registry (enabled path only).
 
         Everything recorded here is *derived from* the outcome — the
         metrics-accuracy suite cross-checks each series against the same
-        value recomputed independently from :class:`AuctionOutcome`.
+        value recomputed independently from :class:`AuctionOutcome`
+        (``welfare`` is the caller's ``outcome.welfare``).
         The phase histograms are the direct children of the round's
         span among its own records (``first_record`` onward).
         """
         n_trades = len(outcome.matches)
         n_reduced = len(outcome.reduced_requests)
-        welfare = outcome.welfare
         payments = outcome.total_payments
         revenues = sum(outcome.revenues().values())
 

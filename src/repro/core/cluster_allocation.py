@@ -87,10 +87,20 @@ class OfferCapacity:
 
     def restore(self, offer: Offer, request: Request) -> None:
         """Undo a prior :meth:`consume` (used by the exact solver)."""
+        self.unbook(offer, self._demand(request, offer).items())
+
+    def unbook(self, offer: Offer, booked) -> None:
+        """Hand back ``(type, amount)`` bookings (a :class:`Fit`'s
+        ``booked`` entry), capped at what the offer declares."""
         remaining = self._remaining[offer.offer_id]
         ceiling = offer.resources
-        for key, amount in self._demand(request, offer).items():
+        for key, amount in booked:
             remaining[key] = min(ceiling[key], remaining[key] + amount)
+
+    def load(self, rows: Dict[str, Dict[str, float]]) -> None:
+        """Set each listed offer's remaining capacity to a copy of its row."""
+        for offer_id, row in rows.items():
+            self._remaining[offer_id] = dict(row)
 
 
 class PairChecks:
@@ -230,6 +240,13 @@ class ClusterAllocation:
     c_z_plus_1: float = math.inf
     z_request: Optional[Request] = None
     z_plus_1_offer: Optional[Offer] = None
+    #: Remaining capacity per offer after the fit, kept when the fit
+    #: started from full capacity and no taken request (the tentative
+    #: fit): a live re-fit that would read the same inputs loads these
+    #: instead of re-fitting.
+    rows_after_fit: Optional[Dict[str, Dict[str, float]]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def has_trades(self) -> bool:
@@ -239,7 +256,7 @@ class ClusterAllocation:
     def tentative_welfare(self) -> float:
         """Summed once: ``matches`` is final when the allocation is
         built (:func:`allocate_cluster` fills it in from the fractions
-        its fit already memoised)."""
+        its fit recorded)."""
         return sum(pair_welfare(r, o) for r, o in self.matches)
 
     @property
@@ -269,6 +286,18 @@ def sorted_offers(
     )
 
 
+class Fit(list):
+    """:func:`greedy_fit`'s ``(request, offer)`` matches, with what the
+    fit found for each: the Eq. (6) fraction Const. (9) tested
+    (``fractions``) and the ``(type, amount)`` pairs it booked
+    (``booked``, what :meth:`OfferCapacity.unbook` hands back)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fractions: List[float] = []
+        self.booked: List[List[Tuple[str, float]]] = []
+
+
 def greedy_fit(
     requests: Sequence[Request],
     offers: Sequence[Offer],
@@ -280,7 +309,7 @@ def greedy_fit(
     epsilon: float = 1e-9,
     uniform_price: bool = False,
     pairs: Optional[PairChecks] = None,
-) -> List[Tuple[Request, Offer]]:
+) -> Fit:
     """Assign requests (given order) to offers (given order).
 
     ``taken_requests`` is shared across the clusters of a mini-auction so
@@ -318,7 +347,7 @@ def greedy_fit(
     # The clear's pair tables, read in place; a pair the match stage
     # did not feed goes through the :class:`PairChecks` methods.
     amounts_of, fed = pairs.tables()
-    matches: List[Tuple[Request, Offer]] = []
+    matches = Fit()
     max_used_cost = -math.inf
     for request in requests:
         rid = request.request_id
@@ -361,15 +390,18 @@ def greedy_fit(
                 # fraction.
                 if request.bid < fraction * offer.bid - epsilon:
                     continue
+                booked = []
                 for key, _, amount in amounts:
                     held = resources.get(key)
                     if held is not None:
-                        left = remaining[key] - time_share * (
-                            held if held < amount else amount
-                        )
+                        used = time_share * (held if held < amount else amount)
+                        left = remaining[key] - used
                         remaining[key] = left if left > 0.0 else 0.0
+                        booked.append((key, used))
                 taken_requests.add(rid)
                 matches.append((request, offer))
+                matches.fractions.append(fraction)
+                matches.booked.append(booked)
                 if uniform_price and c_hat > max_used_cost:
                     max_used_cost = c_hat
                 break
@@ -398,12 +430,13 @@ def allocate_cluster(
         pairs = PairChecks()
     request_order = sorted_requests(requests, economics)
     offer_order = sorted_offers(offers, economics)
+    tentative = capacity is None and taken_requests is None
     if capacity is None:
         capacity = OfferCapacity(offers)
     if taken_requests is None:
         taken_requests = set()
 
-    matches = greedy_fit(
+    fit = greedy_fit(
         request_order,
         offer_order,
         economics,
@@ -414,40 +447,38 @@ def allocate_cluster(
         pairs=pairs,
     )
 
+    # A plain list: the fit's records stay on this side of a pool's
+    # pickle boundary.
     allocation = ClusterAllocation(
         cluster=cluster,
         requests=request_order,
         offers=offer_order,
         economics=economics,
-        matches=matches,
+        matches=list(fit),
+        rows_after_fit=capacity._remaining if tentative else None,
     )
-    # pair_welfare(), with the Eq. (6) fraction Const. (9) just asked for.
+    # pair_welfare(), with the Eq. (6) fraction Const. (9) tested.
     allocation.tentative_welfare = sum(
-        r.bid - pairs.fraction(r, o) * o.bid for r, o in matches
+        r.bid - fraction * o.bid for (r, o), fraction in zip(fit, fit.fractions)
     )
-    if matches:
-        allocation.v_z = min(
-            economics.v_hat(r.request_id) for r, _ in matches
+    if fit:
+        values, costs = economics.normalized_values, economics.normalized_costs
+        allocation.v_z = min(values[r.request_id] for r, _ in fit)
+        allocation.z_request = max(
+            (r for r, _ in fit if values[r.request_id] == allocation.v_z),
+            key=lambda r: (r.submit_time, r.request_id),
         )
-        z_candidates = [
-            r
-            for r, _ in matches
-            if economics.v_hat(r.request_id) == allocation.v_z
-        ]
-        allocation.z_request = sorted(
-            z_candidates, key=lambda r: (r.submit_time, r.request_id)
-        )[-1]
-        used_ids = {o.offer_id for _, o in matches}
-        allocation.c_z = max(
-            economics.c_hat(offer_id) for offer_id in used_ids
+        used_ids = {o.offer_id for _, o in fit}
+        allocation.c_z = max(costs[offer_id] for offer_id in used_ids)
+        allocation.z_plus_1_offer = next(
+            (
+                o
+                for o in offer_order
+                if o.offer_id not in used_ids
+                and math.isfinite(costs[o.offer_id])
+            ),
+            None,
         )
-        unused = [
-            o
-            for o in offer_order
-            if o.offer_id not in used_ids
-            and math.isfinite(economics.c_hat(o.offer_id))
-        ]
-        if unused:
-            allocation.z_plus_1_offer = unused[0]
-            allocation.c_z_plus_1 = economics.c_hat(unused[0].offer_id)
+        if allocation.z_plus_1_offer is not None:
+            allocation.c_z_plus_1 = costs[allocation.z_plus_1_offer.offer_id]
     return allocation

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.cluster_allocation import ClusterAllocation
 from repro.core.config import AuctionConfig
@@ -158,21 +158,15 @@ def select_roots(
     return chosen
 
 
-def _attach(
-    root: _TreeNode,
-    allocation: ClusterAllocation,
-    compatible: Callable[
-        [ClusterAllocation, ClusterAllocation], bool
-    ] = price_compatible,
-) -> bool:
+def _attach(root: _TreeNode, allocation: ClusterAllocation) -> bool:
     """Attach under the deepest node whose whole root-path is compatible."""
-    if not compatible(allocation, root.allocation):
+    if not price_compatible(allocation, root.allocation):
         return False
     node = root
     while True:
         next_child: Optional[_TreeNode] = None
         for child in node.children:
-            if compatible(allocation, child.allocation):
+            if price_compatible(allocation, child.allocation):
                 next_child = child
                 break
         if next_child is None:
@@ -207,25 +201,9 @@ def build_mini_auctions(
     if not config.enable_mini_auctions:
         return [MiniAuction(allocations=[a]) for a in trading]
 
-    use_vectorized = config.engine == "vectorized" and len(trading) > 1
-    if use_vectorized:
-        # Precompute the pairwise compatibility matrix with the exact
-        # scalar comparison (v_z > c_z + 1e-12, elementwise); the attach
-        # walk then does O(1) lookups instead of float comparisons.
-        import numpy as np
-
-        v_z = np.array([a.v_z for a in trading])
-        c_eps = np.array([a.c_z for a in trading]) + 1e-12
-        comp = (v_z[:, None] > c_eps[None, :]) & (v_z[None, :] > c_eps[:, None])
-        position = {id(a): i for i, a in enumerate(trading)}
-
-        def compatible(a: ClusterAllocation, b: ClusterAllocation) -> bool:
-            return bool(comp[position[id(a)], position[id(b)]])
-
-    else:
-        compatible = price_compatible
-
-    roots = select_roots(trading, vectorized=use_vectorized)
+    roots = select_roots(
+        trading, vectorized=config.engine == "vectorized" and len(trading) > 1
+    )
     root_ids = {id(a) for a in roots}
     trees = [_TreeNode(a) for a in roots]
     remaining = sorted(
@@ -234,7 +212,7 @@ def build_mini_auctions(
     )
     unattached: List[ClusterAllocation] = []
     for allocation in remaining:
-        if not any(_attach(tree, allocation, compatible) for tree in trees):
+        if not any(_attach(tree, allocation) for tree in trees):
             unattached.append(allocation)
 
     auctions = [

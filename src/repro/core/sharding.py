@@ -490,4 +490,5 @@ def _record_shard_round(
         0,
         0,
         merged,
+        merged.welfare,
     )

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.cluster_allocation import (
     ClusterAllocation,
+    Fit,
     OfferCapacity,
     PairChecks,
     allocate_cluster,
@@ -48,6 +49,8 @@ class ClearingResult:
     participant_offers: Set[str] = field(default_factory=set)
     price: Optional[float] = None
     tentative_trades: int = 0
+    #: the Eq. (6) fraction of each of ``matches``, as the fit found it
+    fractions: List[float] = field(default_factory=list)
 
 
 def _live_allocations(
@@ -64,6 +67,12 @@ def _live_allocations(
     Capacity and the taken-request set are shared across the auction's
     clusters: an offer appearing in two nested clusters exposes one pool
     of capacity, and a request wins at most once (Const. 5).
+
+    A cluster that lost no member, none of whose requests an earlier
+    cluster matched and none of whose offers an earlier cluster booked
+    would be re-fitted on exactly the inputs of its tentative fit: its
+    tentative allocation is handed back and its post-fit capacity rows
+    loaded instead.
     """
     survivors = []
     economics_list: List[Optional[ClusterEconomics]] = []
@@ -81,12 +90,12 @@ def _live_allocations(
         ]
         if not requests or not offers:
             continue
-        survivors.append((cluster, requests, offers))
         # §IV-C economics are a pure function of membership: a cluster
         # that lost no member keeps its tentative allocation's.
         intact = len(requests) == len(allocation.requests) and len(
             offers
         ) == len(allocation.offers)
+        survivors.append((allocation, requests, offers, intact))
         economics_list.append(allocation.economics if intact else None)
 
     changed = [i for i, known in enumerate(economics_list) if known is None]
@@ -100,7 +109,7 @@ def _live_allocations(
         for i, economics in zip(
             changed,
             compute_economics_batch(
-                [survivors[i][1:] for i in changed], config,
+                [survivors[i][1:3] for i in changed], config,
                 pairs.block if pairs is not None else None,
             ),
         ):
@@ -109,7 +118,8 @@ def _live_allocations(
     live: List[ClusterAllocation] = []
     capacity: Optional[OfferCapacity] = None
     taken: Set[str] = set()
-    for (cluster, requests, offers), economics in zip(
+    booked: Set[str] = set()
+    for (allocation, requests, offers, intact), economics in zip(
         survivors, economics_list
     ):
         if capacity is None:
@@ -117,12 +127,22 @@ def _live_allocations(
         else:
             for offer in offers:
                 capacity.add_offer(offer)
-        live.append(
-            allocate_cluster(
+        cluster = allocation.cluster
+        if (
+            intact
+            and allocation.rows_after_fit is not None
+            and taken.isdisjoint(cluster.request_ids)
+            and booked.isdisjoint(cluster.offer_ids)
+        ):
+            capacity.load(allocation.rows_after_fit)
+            taken.update(r.request_id for r, _ in allocation.matches)
+        else:
+            allocation = allocate_cluster(
                 cluster, requests, offers, config, capacity=capacity,
                 taken_requests=taken, economics=economics, pairs=pairs,
             )
-        )
+        booked.update(o.offer_id for _, o in allocation.matches)
+        live.append(allocation)
     return live
 
 
@@ -136,7 +156,7 @@ def _final_fit(
     config: AuctionConfig,
     rng: random.Random,
     pairs: PairChecks,
-) -> List[Tuple[Request, Offer]]:
+) -> Fit:
     """Re-fit one cluster at the clearing price (with randomization)."""
     epsilon = config.price_epsilon
     economics = allocation.economics
@@ -186,9 +206,9 @@ def _final_fit(
     # on a demand shortage the redundant *offers* are excluded at random
     # (requests spread over a random offer order).  Otherwise an
     # infra-marginal participant could steer who wins by shading its bid.
-    for request, offer in matches:
+    for (request, offer), booked in zip(matches, matches.booked):
         taken.discard(request.request_id)
-        capacity.restore(offer, request)
+        capacity.unbook(offer, booked)
     eligible_requests = [
         r
         for r in requests
@@ -270,6 +290,7 @@ def clear_mini_auction(
                     unit_price=unit,
                 )
             )
+            result.fractions.append(pairs.fraction(request, offer))
         result.participant_requests.update(
             m.request.request_id for m in result.matches
         )
@@ -292,11 +313,12 @@ def clear_mini_auction(
     for allocation in live:
         if capacity is None:
             capacity = OfferCapacity([])
-        for request, offer in _final_fit(
+        fit = _final_fit(
             allocation, price, excluded_client, excluded_provider,
             capacity, taken, config, rng, pairs,
-        ):
-            final.append((allocation, request, offer))
+        )
+        final.extend((allocation, request, offer) for request, offer in fit)
+        result.fractions.extend(fit.fractions)
 
     for allocation, request, offer in final:
         result.matches.append(
