@@ -15,7 +15,7 @@ from repro.core.clustering import build_clusters
 from repro.core.config import AuctionConfig
 from repro.core.miniauctions import build_mini_auctions
 from repro.core.normalization_vectorized import compute_economics_batch
-from repro.core.parallel import clear_auctions_scheduled
+from repro.core.trade_reduction import clear_auctions
 from repro.experiments.sweeps import eval_config
 from repro.workloads.generators import MarketScenario, generate_zone_market
 
@@ -42,7 +42,7 @@ def test_bench_back_half_10k(benchmark):
     inside :meth:`DecloudAuction.run`.  What is timed is everything
     ``run`` does after ``build_clusters`` — batched §IV-C economics over
     the CSR rows, the pair-fact pass of the first fit, the tentative
-    greedy fits, Alg. 3 and the scheduled Alg. 4 clears — on the
+    greedy fits, Alg. 3 and Alg. 1's clear loop over Alg. 4 — on the
     10,000-bid zone market of perfbench's ``clear_pruned`` workload.
     """
     requests, offers, _ = generate_zone_market(
@@ -82,9 +82,9 @@ def test_bench_back_half_10k(benchmark):
             for (cluster, members, machines), eco in zip(populated, economics)
         ]
         auctions = build_mini_auctions(allocations, config)
-        return clear_auctions_scheduled(
-            auctions, request_by_id, offer_by_id, set(), set(), config,
-            b"bench-evidence", pairs=pairs,
+        return clear_auctions(
+            auctions, request_by_id, offer_by_id, config, b"bench-evidence",
+            pairs=pairs,
         )
 
     results = benchmark.pedantic(back_half, rounds=5, iterations=1)

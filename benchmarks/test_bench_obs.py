@@ -218,7 +218,7 @@ def test_phase_spans_cover_the_round():
         f"sharded n={2 * OBS_N}": (
             AuctionConfig(
                 engine="vectorized",
-                sharding=ShardPlan(kind="network", shard_workers=0),
+                sharding=ShardPlan(kind="network"),
             ),
             zone_market(2 * OBS_N, 16),
         ),

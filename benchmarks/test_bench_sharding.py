@@ -2,27 +2,23 @@
 
 One zone market (``generate_zone_market``, zone count growing with the
 block so zone occupancy stays roughly constant, a 5% cross-zone request
-fraction keeping the spillover round honest) cleared three ways through
+fraction keeping the spillover round honest) cleared two ways through
 the vectorized engine:
 
 * **global** — the unsharded baseline, one auction over the whole block;
-* **sequential sharding** (``shard_workers=0``) — the fabric's partition
-  + per-shard pipeline + spillover, all on one core;
-* **pooled sharding** (``shard_workers=4``) — the same digest computed
-  across a process pool (bit-identity is the differential suite's
-  contract, not re-asserted here).
+* **sequential sharding** — the fabric's partition + per-shard pipeline
+  + spillover, one after another on one core.
 
 What the fabric buys depends on whether the block's resource types are
 shared.  On a **strong-locality** market every zone has its own types,
 the one-shot match already scores each zone's requests against that
 zone's offers only (:mod:`repro.core.matching_vectorized`, "The pair
 space"), and the global clear ties the sequential fabric on time — what
-sharding still adds there is pooled workers and more trades (one global
-price-compatible mini-auction reduces more of them than many zone-local
-ones).  On a **weak-locality** market every bid declares the same
-types, the block is one component, the global match is quadratic again,
-and clearing Z zone-local slices plus a spillover round beats it long
-before any parallelism.
+sharding still adds there is more trades (one global price-compatible
+mini-auction reduces more of them than many zone-local ones).  On a
+**weak-locality** market every bid declares the same types, the block
+is one component, the global match is quadratic again, and clearing Z
+zone-local slices plus a spillover round beats it.
 
 ``test_sharding_speedup`` gates the committed claim on the weak-locality
 market — sequential sharding clears the full 10k-bid block at least 2x
@@ -37,7 +33,7 @@ locality: global 1.50s, sequential sharding 0.56s (2.7x), sharded
 welfare 11x the global clear's.  Strong locality: global 0.30s (0.07s of
 it ``match``; 4.7s and 4.47s while the match ranked the full matrix),
 sequential sharding 0.38s (0.8x), sharded welfare 1.36x.  CI times the
-three clears at a 4000-bid smoke via ``DECLOUD_SHARD_SIZES`` (strong:
+two clears at a 4000-bid smoke via ``DECLOUD_SHARD_SIZES`` (strong:
 0.10s vs 0.12s; weak: 0.29s vs 0.18s, 1.6x at that size) and runs the
 speedup gate at the full size.
 
@@ -103,11 +99,7 @@ def _market(n_bids: int, n_zones: int, locality: str = "strong"):
 def _config(mode: str) -> AuctionConfig:
     if mode == "global":
         return AuctionConfig(engine="vectorized")
-    workers = 4 if mode == "pooled" else 0
-    return AuctionConfig(
-        engine="vectorized",
-        sharding=ShardPlan(kind="network", shard_workers=workers),
-    )
+    return AuctionConfig(engine="vectorized", sharding=ShardPlan(kind="network"))
 
 
 def _clear(mode: str, n_bids: int, locality: str = "strong"):
@@ -140,10 +132,6 @@ def test_bench_sharding_global(benchmark):
 
 def test_bench_sharding_sequential(benchmark):
     _bench(benchmark, "sequential")
-
-
-def test_bench_sharding_pooled(benchmark):
-    _bench(benchmark, "pooled")
 
 
 def test_sharding_speedup():

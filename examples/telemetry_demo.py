@@ -1,20 +1,15 @@
 #!/usr/bin/env python
-"""Telemetry-plane demo: worker shipping, stall flames, and SLO gates.
+"""Telemetry-plane demo: stall flames, fleet frames, and SLO gates.
 
-Three legs, one merged registry story (PR 10's ``repro.obs.telemetry``):
+Two legs over ``repro.obs``:
 
-1. **Worker metric shipping** — a sharded block clears with
-   ``Observability(telemetry=True)``: every shard runs under its own
-   worker-local bundle and ships its full metric/trace delta home,
-   where it merges deterministically under ``shard=…, worker=…``
-   labels.  The demo prints the per-shard phase split they shipped.
-2. **Pipeline stall profiler** — the async reactor runs a sustained
+1. **Pipeline stall profiler** — the async reactor runs a sustained
    market with a :class:`repro.obs.profile.PipelineProfiler` attached
    (per-round seal-wait / mine / verify / commit attribution on the
    virtual clock) and a :class:`repro.obs.TelemetryAggregator`
    subscribed to the runtime's periodic snapshot-diff frames.  The
    folded flame-graph export is written for CI to upload.
-3. **SLO gate** — a short round history lands in a
+2. **SLO gate** — a short round history lands in a
    :class:`repro.obs.timeseries.TimeSeriesStore`, and declarative
    objectives (welfare floor, clear-latency ceiling) evaluate against
    it with error budgets; ``repro.obs.report --slo`` exits nonzero when
@@ -38,9 +33,8 @@ import json
 import os
 
 from repro.core.auction import DecloudAuction
-from repro.core.config import AuctionConfig, ShardPlan
+from repro.core.config import AuctionConfig
 from repro.obs import Observability, TelemetryAggregator
-from repro.obs.export import write_prometheus
 from repro.obs.profile import PipelineProfiler
 from repro.obs.slo import Objective, evaluate, render
 from repro.obs.timeseries import TimeSeriesStore
@@ -51,50 +45,8 @@ from repro.workloads.generators import generate_zone_market
 EVIDENCE = b"telemetry-demo"
 
 
-def run_sharded_with_telemetry(obs: Observability) -> None:
-    """Leg 1: shards ship their metrics — phase split included — home."""
-    requests, offers, _ = generate_zone_market(
-        120, n_zones=3, seed=7, kind="network", locality="strong",
-        cross_zone_fraction=0.25,
-    )
-    config = AuctionConfig(
-        engine="vectorized",
-        sharding=ShardPlan(kind="network", shard_workers=2),
-    )
-    outcome = DecloudAuction(config).run(
-        requests, offers, evidence=EVIDENCE, obs=obs
-    )
-
-    shards = sorted(
-        {
-            dict(labels)["shard"]
-            for (name, labels) in obs.registry.counters
-            if name == "worker_tasks_total"
-            and dict(labels).get("worker") == "shard"
-        }
-    )
-    print(
-        f"sharded clear: {len(outcome.matches)} trades, "
-        f"welfare {outcome.welfare:.3f}"
-    )
-    print(f"worker payloads merged from shards: {', '.join(shards)}")
-
-    shipped: dict = {}
-    for (name, labels), series in obs.registry.histograms.items():
-        items = dict(labels)
-        if name == "auction_phase_seconds" and items.get("worker") == "shard":
-            shipped.setdefault(items["shard"], {})[items["phase"]] = series.sum
-    assert sorted(shipped) == shards, "a shard shipped no phase split"
-    for shard in shards:
-        split = ", ".join(
-            f"{phase} {seconds * 1e3:.2f}ms"
-            for phase, seconds in sorted(shipped[shard].items())
-        )
-        print(f"  {shard}: {split}")
-
-
 def run_runtime_with_profiler(out_dir: str | None) -> PipelineProfiler:
-    """Leg 2: stall attribution + periodic frames into an aggregator."""
+    """Leg 1: stall attribution + periodic frames into an aggregator."""
     spec = SustainedSpec(rounds=3, seed=7, difficulty_bits=4)
     seal_seed = f"sustained-{spec.seed}".encode("ascii")
     from repro.ledger.miner import Miner
@@ -154,7 +106,7 @@ def run_runtime_with_profiler(out_dir: str | None) -> PipelineProfiler:
 
 
 def run_slo_gate(out_dir: str | None) -> None:
-    """Leg 3: objectives with error budgets over a round history."""
+    """Leg 2: objectives with error budgets over a round history."""
     store_path = (
         os.path.join(out_dir, "history.jsonl") if out_dir else None
     )
@@ -214,26 +166,14 @@ def run_slo_gate(out_dir: str | None) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--out", help="directory for artifacts (trace, metrics, flame, SLO)"
+        "--out", help="directory for artifacts (flame, SLO)"
     )
     args = parser.parse_args()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
 
-    obs = Observability("telemetry-demo", telemetry=True)
-    run_sharded_with_telemetry(obs)
     run_runtime_with_profiler(args.out)
     run_slo_gate(args.out)
-
-    if args.out:
-        trace_path = os.path.join(args.out, "telemetry-trace.jsonl")
-        metrics_path = os.path.join(args.out, "telemetry-metrics.prom")
-        obs.tracer.write_jsonl(trace_path)
-        write_prometheus(obs.registry, metrics_path)
-        print(
-            f"\nwrote merged worker trace to {trace_path} and metrics to "
-            f"{metrics_path}"
-        )
     print("\nOK")
 
 

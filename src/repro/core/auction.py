@@ -27,7 +27,6 @@ import gc
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.common.errors import AuctionError
-from repro.common.rng import block_evidence_rng
 from repro.obs import ObservabilityLike, resolve as resolve_obs
 from repro.obs.trace import span_seconds
 from repro.core.cluster_allocation import (
@@ -39,7 +38,7 @@ from repro.core.clustering import build_clusters
 from repro.core.config import AuctionConfig
 from repro.core.miniauctions import build_mini_auctions
 from repro.core.outcome import AuctionOutcome
-from repro.core.trade_reduction import clear_mini_auction
+from repro.core.trade_reduction import clear_auctions
 from repro.market.bids import Offer, Request
 
 
@@ -78,11 +77,10 @@ class DecloudAuction:
 
         With ``config.sharding`` set, the block instead clears through
         the sharded fabric of :mod:`repro.core.sharding`: zone-local
-        shards run the full pipeline (concurrently for
-        ``shard_workers > 1``) and unmatched bids meet again in one
-        cross-zone spillover round — bit-identical across worker
-        counts, and identical to the global auction whenever the
-        partition yields a single shard.
+        shards run the full pipeline one after another and unmatched
+        bids meet again in one cross-zone spillover round — identical
+        to the global auction whenever the partition yields a single
+        shard.
 
         A clear leaves no cyclic garbage behind, so the cyclic collector
         would only re-scan the caller's heap: the outermost run pauses
@@ -133,8 +131,8 @@ class DecloudAuction:
         first_record = len(obs.tracer.records)
         request_by_id = _index_requests(requests)
         offer_by_id = _index_offers(offers)
-        # Owned by this run alone: never stored on the instance, never
-        # shipped to a pool worker; fed the block's arrays by the match.
+        # Owned by this run alone, never stored on the instance; fed the
+        # block's arrays by the match.
         pairs = PairChecks()
 
         clusters, orphans = build_clusters(
@@ -185,42 +183,11 @@ class DecloudAuction:
             auctions = build_mini_auctions(allocations, self.config)
 
         outcome = AuctionOutcome()
-        consumed_requests: Set[str] = set()
-        consumed_offers: Set[str] = set()
         with obs.tracer.span("clear"):
-            if self.config.miniauction_workers >= 1:
-                # Per-auction RNG streams; waves of independent auctions
-                # may clear in a process pool (see repro.core.parallel).
-                from repro.core.parallel import clear_auctions_scheduled
-
-                results = clear_auctions_scheduled(
-                    auctions,
-                    request_by_id,
-                    offer_by_id,
-                    consumed_requests,
-                    consumed_offers,
-                    self.config,
-                    evidence,
-                    obs=obs,
-                    pairs=pairs,
-                )
-            else:
-                rng = block_evidence_rng(evidence)
-                results = []
-                for auction in auctions:
-                    result = clear_mini_auction(
-                        auction,
-                        request_by_id,
-                        offer_by_id,
-                        consumed_requests,
-                        consumed_offers,
-                        self.config,
-                        rng,
-                        pairs=pairs,
-                    )
-                    results.append(result)
-                    consumed_requests |= result.participant_requests
-                    consumed_offers |= result.participant_offers
+            results = clear_auctions(
+                auctions, request_by_id, offer_by_id, self.config, evidence,
+                pairs=pairs,
+            )
         for result in results:
             outcome.matches.extend(result.matches)
             outcome.reduced_requests.extend(result.reduced_requests)

@@ -112,8 +112,8 @@ class PairChecks:
     one clear fits the same pairs several times over (the tentative fit,
     each mini-auction's live re-fit, the final fit and its randomized
     re-draw).  An instance belongs to the one clear that created it —
-    ``DecloudAuction.run``, or a pooled worker task, which builds its
-    own — and is keyed by the bid ids that clear indexed.
+    ``DecloudAuction.run`` — and is keyed by the bid ids that clear
+    indexed.
 
     The vectorized match stage :meth:`feed`-s it the block's arrays; a
     pair it was not fed (the reference engine: all) asks the scalar ones.
@@ -447,8 +447,7 @@ def allocate_cluster(
         pairs=pairs,
     )
 
-    # A plain list: the fit's records stay on this side of a pool's
-    # pickle boundary.
+    # A plain list: the fit's records stay with the fit.
     allocation = ClusterAllocation(
         cluster=cluster,
         requests=request_order,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import FrozenSet, Mapping, Optional
 
 from repro.common.errors import ValidationError
@@ -12,15 +12,14 @@ from repro.market.resources import CRITICAL_RESOURCES
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """How a block is partitioned into concurrent zone-local auctions.
+    """How a block is partitioned into zone-local auctions.
 
     Attaching a plan to :class:`AuctionConfig` (``sharding=...``) makes
     :class:`~repro.core.auction.DecloudAuction` bucket the block's bids
     into zone shards, run the *entire* pipeline (match -> cluster ->
-    normalize -> assemble -> clear) per shard — concurrently when
-    ``shard_workers > 1`` — and then pool every shard's unmatched bids
-    into one cross-zone *spillover* auction (see
-    :mod:`repro.core.sharding`).
+    normalize -> assemble -> clear) per shard, one shard after another,
+    and then pool every shard's unmatched bids into one cross-zone
+    *spillover* auction (see :mod:`repro.core.sharding`).
 
     Attributes:
         kind: ``"network"`` buckets by hierarchical zone prefix
@@ -31,13 +30,6 @@ class ShardPlan:
             location does not resolve land in a single *fallback* shard.
         depth: zone-prefix depth for ``kind="network"``.
         cell_deg: grid cell size in degrees for ``kind="geo"``.
-        shard_workers: 0/1 clears shards sequentially in-process; > 1
-            fans the shard pipelines out over a process pool of that
-            many workers.  Outcomes are bit-identical for every value —
-            per-shard RNG streams are derived from the block evidence
-            and the shard's zone key alone (the
-            ``tests/differential/test_sharding_equivalence.py``
-            contract).
         spillover: run the cross-zone spillover round over the pooled
             unmatched bids (default).  Off = unmatched shard bids stay
             unmatched, the pure-partition ablation the sharding sweep
@@ -47,20 +39,22 @@ class ShardPlan:
             :class:`~repro.market.location.NetworkLocation` objects
             (required for ``kind="geo"`` tags to resolve; with
             ``kind="network"`` and no map, the tag itself is parsed as
-            the zone path).  Excluded from equality/hashing and never
-            shipped across the process-pool boundary.
+            the zone path).  Excluded from equality/hashing.
     """
 
     kind: str = "network"
     depth: int = 1
     cell_deg: float = 15.0
-    shard_workers: int = 0
+    # Accepted only as 0, because perfbench/ still builds
+    # ShardPlan(kind="network", shard_workers=0); ROADMAP item 1's
+    # benchmark re-pin removes that call and then this init-only name.
+    shard_workers: InitVar[int] = 0
     spillover: bool = True
     locations: Optional[Mapping[str, object]] = field(
         default=None, compare=False
     )
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, shard_workers: int) -> None:
         if self.kind not in ("network", "geo"):
             raise ValidationError(
                 f"kind must be 'network' or 'geo', got {self.kind!r}"
@@ -68,8 +62,10 @@ class ShardPlan:
         if self.depth < 1:
             raise ValidationError("depth must be >= 1")
         grid_columns(self.cell_deg)  # validates the cell size
-        if self.shard_workers < 0:
-            raise ValidationError("shard_workers must be >= 0")
+        if shard_workers != 0:
+            raise ValidationError(
+                "shards clear in process; shard_workers must be 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -112,20 +108,11 @@ class AuctionConfig:
             ``tests/differential/test_candidate_equivalence.py`` is the
             enforcement.  Excluded from config equality/hashing
             (generators carry transient state such as ``last_stats``).
-        miniauction_workers: 0 (default) clears mini-auctions
-            sequentially from one evidence-seeded RNG stream, the
-            historical behaviour.  >= 1 switches to an independent
-            per-auction RNG stream (derived from the evidence and the
-            auction's position), which makes non-conflicting auctions
-            order-independent; > 1 additionally clears independent
-            auctions in a process pool of that many workers.  Results
-            for any N >= 1 are bit-identical to N = 1.
         sharding: optional :class:`ShardPlan`.  ``None`` (default)
             clears the block as one global auction.  With a plan, the
             block is partitioned into zone-local shards, each shard runs
-            the full pipeline (concurrently for
-            ``ShardPlan.shard_workers > 1``), and unmatched bids meet
-            again in a single cross-zone spillover round — see
+            the full pipeline, and unmatched bids meet again in a single
+            cross-zone spillover round — see
             :mod:`repro.core.sharding`.  A plan whose partition yields a
             single shard degenerates to the global auction exactly.
     """
@@ -140,7 +127,6 @@ class AuctionConfig:
     enable_mini_auctions: bool = True
     price_epsilon: float = 1e-9
     engine: str = "reference"
-    miniauction_workers: int = 0
     candidates: Optional[object] = field(default=None, compare=False)
     sharding: Optional[ShardPlan] = None
 
@@ -153,8 +139,6 @@ class AuctionConfig:
             raise ValidationError(
                 f"engine must be 'reference' or 'vectorized', got {self.engine!r}"
             )
-        if self.miniauction_workers < 0:
-            raise ValidationError("miniauction_workers must be >= 0")
         if self.candidates is not None and not callable(
             getattr(self.candidates, "generate", None)
         ):

@@ -1,9 +1,9 @@
-"""Sharded market fabric: concurrent zone-local auctions + spillover.
+"""Sharded market fabric: zone-local auctions + spillover.
 
 DeCloud's premise is that edge markets are geographically local — the
 quality of match (Eq. 18) already penalizes distance — yet a block
-normally clears as *one* global auction on one core.  This module
-exploits the locality directly:
+normally clears as *one* global auction.  This module exploits the
+locality directly:
 
 1. **Partition** the block's requests and offers into *zone shards*
    using the same location rules as the candidate generators
@@ -12,18 +12,11 @@ exploits the locality directly:
    geo locations).  Bids whose location does not resolve land in a
    single *fallback* shard, so nothing is dropped.
 2. **Clear every shard through the entire pipeline** (match -> cluster
-   -> normalize -> assemble -> clear) independently — concurrently on a
-   process pool when ``ShardPlan.shard_workers > 1`` — with a
-   per-shard RNG stream derived from the block evidence and the shard's
-   zone key alone (the :func:`~repro.core.parallel.derive_auction_rng`
-   pattern), so the outcome is bit-identical whether shards run
-   sequentially, in one process, or across N workers.
+   -> normalize -> assemble -> clear), one shard after another in this
+   process, each with its own evidence derived from the block evidence
+   and the shard's zone key alone (:func:`derive_shard_evidence`).
 3. **Spillover**: pool every shard's unmatched bids into one final
-   cross-zone auction so no cross-zone trade is silently lost.  The
-   spillover round runs in the parent process and *reuses* the shard
-   pool for its mini-auction waves (see
-   :func:`~repro.core.parallel.shared_pool` — one clearing tree, one
-   pool).
+   cross-zone auction so no cross-zone trade is silently lost.
 
 Determinism contract
 --------------------
@@ -33,21 +26,23 @@ For a fixed block and plan the sharded outcome is a pure function of
 
 * shard membership depends only on bid location tags and the plan;
 * shards are cleared in sorted zone-key order (fallback last) and each
-  shard's randomization stream is ``evidence + "/shard/" + key``,
-  independent of which worker (or how many workers) cleared it;
+  shard's randomization stream is ``evidence + "/shard/" + key``;
 * the spillover round draws from ``evidence + "/shard/spillover"``.
 
-``tests/differential/test_sharding_equivalence.py`` enforces
-bit-identity across ``shard_workers`` in {0, 1, N} and across both
-engines.  A plan whose partition yields a *single* shard degenerates to
-the global auction exactly — same evidence, same pipeline — so sharding
-only ever changes anything when it actually splits the market.
+``tests/differential/test_sharding_equivalence.py`` enforces it across
+both engines.  A plan whose partition yields a *single* shard
+degenerates to the global auction exactly — same evidence, same
+pipeline — so sharding only ever changes anything when it actually
+splits the market.
 
 Phases: under the caller's ``obs`` bundle a sharded round is one
 ``sharded_auction`` span whose children ``shard_partition``,
 ``shard_clear`` and ``spillover`` are the phase labels of
-``auction_phase_seconds``; the per-shard split ships home with the
-telemetry plane as ``auction_phase_seconds{worker="shard", shard=...}``.
+``auction_phase_seconds``.  Each shard (and the spillover round) runs
+under ``obs.scoped(shard=key)``: its ``auction`` span sits under
+``shard_clear`` (or ``spillover``) and its round series carry a
+``shard`` label, so ``auction_phase_seconds{shard=...}`` is the
+per-shard phase split.
 
 What sharding costs: a cross-zone pair can only trade in the spillover
 round, against leftovers instead of the full book, so welfare may drop
@@ -65,8 +60,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from repro.common.errors import ValidationError
 from repro.core.config import AuctionConfig, ShardPlan
 from repro.core.outcome import AuctionOutcome
-from repro.core.parallel import shared_pool
-from repro.obs.telemetry import merge_payload
 from repro.market.bids import Offer, Request
 from repro.market.location import (
     GeoLocation,
@@ -171,76 +164,20 @@ def derive_shard_evidence(evidence: bytes, key: str) -> bytes:
     """Independent verifiable evidence stream for one shard.
 
     Depends only on the block evidence and the shard's zone key, so
-    every miner — and every worker layout — derives the identical
-    randomization for the shard's clearing.
+    every miner derives the identical randomization for the shard's
+    clearing.
     """
     return evidence + b"/shard/" + key.encode("utf-8")
 
 
 def shard_config(config: AuctionConfig) -> AuctionConfig:
-    """The per-shard sub-config shipped to (possibly pooled) shard runs.
+    """The sub-config every shard and the spillover round clear with.
 
-    Sharding and candidates are stripped — shards must not re-shard, and
-    candidate generators carry transient state that must not cross the
-    pickle boundary (their pruning is outcome-invariant by certificate,
-    so stripping cannot change results).  ``miniauction_workers`` is
-    clamped to <= 1: a shard run may execute inside a pool worker, and
-    the non-nesting invariant of :mod:`repro.core.parallel` forbids
-    spawning a second executor there.  The clamp preserves outcomes
-    (0 stays 0; any N >= 1 is bit-identical to 1 by contract).
+    Sharding and candidates are stripped: shards must not re-shard, and
+    candidate pruning is outcome-invariant by certificate, so stripping
+    it cannot change results.
     """
-    return replace(
-        config,
-        sharding=None,
-        candidates=None,
-        miniauction_workers=min(config.miniauction_workers, 1),
-    )
-
-
-def _run_shard(
-    task: Tuple[
-        str, Tuple[Request, ...], Tuple[Offer, ...], AuctionConfig, bytes, bool
-    ],
-) -> Tuple[
-    str, Optional[AuctionOutcome], float,
-    Optional[object], Optional[BaseException],
-]:
-    """Worker body: one shard through the full pipeline.
-
-    Returns ``(key, outcome, elapsed_seconds, payload, error)``; the
-    wall time is measured inside the worker so the parent can record
-    per-shard latency without trusting pool overhead.  With ``capture``
-    set (the parent bundle opted into the telemetry plane) the shard
-    runs under a worker-local ``Observability`` bundle and ships its
-    full metric/trace delta back as a
-    :class:`~repro.obs.telemetry.TelemetryPayload` (the shard's phase
-    split rides in it: its spans and ``auction_phase_seconds``
-    series) — even when the shard's pipeline raised, in which case
-    ``outcome`` is ``None``, the payload is tagged ``aborted``, and
-    ``error`` carries the exception for the parent to re-raise *after*
-    merging.
-    """
-    from repro.core.auction import DecloudAuction
-    from repro.obs.telemetry import capture_task
-
-    key, requests, offers, config, evidence, capture = task
-    start = time.perf_counter()
-    if capture:
-        with capture_task(f"shard:{key}", "shard") as cap:
-            cap.set_value(
-                DecloudAuction(config).run(
-                    list(requests), list(offers), evidence=evidence,
-                    obs=cap.obs,
-                )
-            )
-        return (
-            key, cap.value, time.perf_counter() - start,
-            cap.payload, cap.error,
-        )
-    outcome = DecloudAuction(config).run(
-        list(requests), list(offers), evidence=evidence
-    )
-    return key, outcome, time.perf_counter() - start, None, None
+    return replace(config, sharding=None, candidates=None)
 
 
 def run_sharded(
@@ -257,6 +194,8 @@ def run_sharded(
     run's shard statistics on ``auction.last_shard_stats`` and mirrors
     the global path's round metrics on the merged outcome.
     """
+    from repro.core.auction import DecloudAuction
+
     config = auction.config
     plan = config.sharding
     assert plan is not None
@@ -269,8 +208,6 @@ def run_sharded(
         # A one-shard (or empty) partition IS the global auction: clear
         # it with the block's own evidence so the degenerate plan is
         # bit-identical to no plan at all.
-        from repro.core.auction import DecloudAuction
-
         auction.last_shard_stats = {
             "shards": len(shards),
             "cleared_shards": len(shards),
@@ -292,94 +229,53 @@ def run_sharded(
     shard_outcomes: Dict[str, AuctionOutcome] = {}
     shard_seconds: Dict[str, float] = {}
 
-    with shared_pool(plan.shard_workers) as lease:
-        with obs.tracer.span(
-            "shard_clear", count=len(runnable), total=len(shards)
-        ):
-            # The capture decision depends only on the parent bundle —
-            # never on shard_workers or whether a pool spawned — so the
-            # merged telemetry is byte-identical across worker layouts.
-            capture = obs.enabled and getattr(obs, "telemetry", False)
-            tasks = [
-                (
-                    shard.key,
-                    shard.requests,
-                    shard.offers,
-                    sub_config,
-                    derive_shard_evidence(evidence, shard.key),
-                    capture,
-                )
-                for shard in runnable
-            ]
-            pool = (
-                lease.get()
-                if plan.shard_workers > 1 and len(tasks) > 1
-                else None
+    with obs.tracer.span("shard_clear", count=len(runnable), total=len(shards)):
+        for shard in runnable:
+            start = time.perf_counter()
+            outcome = DecloudAuction(sub_config).run(
+                list(shard.requests), list(shard.offers),
+                evidence=derive_shard_evidence(evidence, shard.key),
+                obs=obs.scoped(shard=shard.key),
             )
-            if pool is not None:
-                try:
-                    results = list(pool.map(_run_shard, tasks))
-                except (OSError, PermissionError):  # pragma: no cover
-                    lease.fail()
-                    results = [_run_shard(task) for task in tasks]
-            else:
-                results = [_run_shard(task) for task in tasks]
-            first_error: Optional[BaseException] = None
-            for key, outcome, seconds, payload, error in results:
-                if payload is not None:
-                    # Merge before anything can raise: an aborted shard
-                    # still reports its metrics and trace (tagged so).
-                    merge_payload(obs, payload, shard=key, worker="shard")
-                if error is not None:
-                    if first_error is None:
-                        first_error = error
-                    continue
-                assert outcome is not None
-                shard_outcomes[key] = outcome
-                shard_seconds[key] = seconds
-                obs.tracer.event(
-                    "shard.cleared",
-                    shard=key,
-                    requests=len(outcome.matches)
-                    + len(outcome.reduced_requests)
-                    + len(outcome.unmatched_requests),
-                    trades=len(outcome.matches),
-                )
-            if first_error is not None:
-                raise first_error
+            shard_seconds[shard.key] = time.perf_counter() - start
+            shard_outcomes[shard.key] = outcome
+            obs.tracer.event(
+                "shard.cleared",
+                shard=shard.key,
+                requests=len(outcome.matches)
+                + len(outcome.reduced_requests)
+                + len(outcome.unmatched_requests),
+                trades=len(outcome.matches),
+            )
 
-        # Pool the survivors in shard order: unmatched bids of cleared
-        # shards plus the raw bids of shards that had no counterparty
-        # side at all.  Exactly these — and nothing else — enter the
-        # spillover round.
-        spill_requests: List[Request] = []
-        spill_offers: List[Offer] = []
-        for shard in shards:
-            outcome = shard_outcomes.get(shard.key)
-            if outcome is None:
-                spill_requests.extend(shard.requests)
-                spill_offers.extend(shard.offers)
-            else:
-                spill_requests.extend(outcome.unmatched_requests)
-                spill_offers.extend(outcome.unmatched_offers)
+    # Pool the survivors in shard order: unmatched bids of cleared
+    # shards plus the raw bids of shards that had no counterparty side
+    # at all.  Exactly these — and nothing else — enter the spillover
+    # round.
+    spill_requests: List[Request] = []
+    spill_offers: List[Offer] = []
+    for shard in shards:
+        outcome = shard_outcomes.get(shard.key)
+        if outcome is None:
+            spill_requests.extend(shard.requests)
+            spill_offers.extend(shard.offers)
+        else:
+            spill_requests.extend(outcome.unmatched_requests)
+            spill_offers.extend(outcome.unmatched_offers)
 
-        spill_outcome: Optional[AuctionOutcome] = None
-        if plan.spillover and spill_requests and spill_offers:
-            from repro.core.auction import DecloudAuction
-
-            # In-parent, so the unclamped worker budget applies and the
-            # mini-auction waves reuse this lease's pool (never nest).
-            spill_config = replace(config, sharding=None, candidates=None)
-            with obs.tracer.span(
-                "spillover",
-                requests=len(spill_requests),
-                offers=len(spill_offers),
-            ):
-                spill_outcome = DecloudAuction(spill_config).run(
-                    spill_requests,
-                    spill_offers,
-                    evidence=derive_shard_evidence(evidence, SPILLOVER_SHARD),
-                )
+    spill_outcome: Optional[AuctionOutcome] = None
+    if plan.spillover and spill_requests and spill_offers:
+        with obs.tracer.span(
+            "spillover",
+            requests=len(spill_requests),
+            offers=len(spill_offers),
+        ):
+            spill_outcome = DecloudAuction(sub_config).run(
+                spill_requests,
+                spill_offers,
+                evidence=derive_shard_evidence(evidence, SPILLOVER_SHARD),
+                obs=obs.scoped(shard=SPILLOVER_SHARD),
+            )
 
     merged = AuctionOutcome()
     for shard in shards:
@@ -447,8 +343,9 @@ def _record_shard_round(
     """Fold one sharded round into the registry (enabled path only).
 
     The ``auction_*`` round series mirror the global path (cluster /
-    orphan / mini-auction counts are per-shard internals the parent
-    never sees and record as zero); the ``shard_*`` series are the
+    orphan / mini-auction counts belong to each shard's own
+    ``shard``-labelled round and record as zero here); the ``shard_*``
+    series are the
     fabric's own: shards built, spillover volume, and the per-shard
     clear-latency histogram.
     """

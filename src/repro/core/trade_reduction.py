@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.common.rng import block_evidence_rng
 from repro.core.cluster_allocation import (
     ClusterAllocation,
     Fit,
@@ -243,27 +244,20 @@ def clear_mini_auction(
     consumed_offers: Set[str],
     config: AuctionConfig,
     rng: random.Random,
-    live: Optional[List[ClusterAllocation]] = None,
-    pooled: Optional[PriceResult] = None,
     pairs: Optional[PairChecks] = None,
 ) -> ClearingResult:
     """Run Alg. 4 for one mini-auction against live participants.
 
-    ``live``/``pooled`` may be precomputed by the wave scheduler: within
-    a wave the auctions are participant-disjoint, so the vectorized
-    engine re-fits all their clusters and prices every auction in one
-    batched pass (``pooled_prices_batch``) before clearing each one.
     ``pairs`` is the enclosing clear's :class:`PairChecks`; a call
-    without one (a pooled worker task) builds its own.
+    without one builds its own.
     """
     result = ClearingResult()
     if pairs is None:
         pairs = PairChecks()
-    if live is None:
-        live = _live_allocations(
-            auction, request_by_id, offer_by_id, consumed_requests,
-            consumed_offers, config, pairs,
-        )
+    live = _live_allocations(
+        auction, request_by_id, offer_by_id, consumed_requests,
+        consumed_offers, config, pairs,
+    )
     tentative: List[Tuple[ClusterAllocation, Request, Offer]] = [
         (allocation, request, offer)
         for allocation in live
@@ -299,9 +293,7 @@ def clear_mini_auction(
         )
         return result
 
-    if pooled is None:
-        pooled = pooled_price(live)
-    price, z_request, z1_offer = pooled
+    price, z_request, z1_offer = pooled_price(live)
     assert price is not None  # tentative trades exist, so v_candidates did
     result.price = price
     excluded_client = z_request.client_id if z_request is not None else None
@@ -354,3 +346,34 @@ def clear_mini_auction(
     result.participant_requests.update(final_request_ids)
     result.participant_offers.update(final_offer_ids)
     return result
+
+
+def clear_auctions(
+    auctions: Sequence[MiniAuction],
+    request_by_id: Dict[str, Request],
+    offer_by_id: Dict[str, Offer],
+    config: AuctionConfig,
+    evidence: bytes,
+    pairs: Optional[PairChecks] = None,
+) -> List[ClearingResult]:
+    """Alg. 1's clear loop: every mini-auction in order, one RNG stream.
+
+    Auctions clear in the order given (Alg. 3's descending welfare), and
+    each removes its winners before the next one re-fits.  All
+    randomization draws from the single stream seeded by the block
+    ``evidence``, so every miner re-executing the block draws the same
+    numbers in the same order.  Results are in auction order.
+    """
+    rng = block_evidence_rng(evidence)
+    consumed_requests: Set[str] = set()
+    consumed_offers: Set[str] = set()
+    results: List[ClearingResult] = []
+    for auction in auctions:
+        result = clear_mini_auction(
+            auction, request_by_id, offer_by_id, consumed_requests,
+            consumed_offers, config, rng, pairs=pairs,
+        )
+        results.append(result)
+        consumed_requests |= result.participant_requests
+        consumed_offers |= result.participant_offers
+    return results

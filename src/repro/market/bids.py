@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.common.errors import ValidationError
 from repro.common.timewindow import TimeWindow
@@ -32,6 +33,60 @@ def _frozen_mapping(mapping: Mapping[str, float]) -> Mapping[str, float]:
 def _validate_bid(bid: float, what: str) -> None:
     if not math.isfinite(bid) or bid < 0:
         raise ValidationError(f"{what} bid must be a non-negative finite number")
+
+
+# Shape checks for decoded plaintexts: a participant seals whatever JSON
+# it likes, so everything a payload carries is checked before use and
+# anything malformed raises ValidationError, never another error.
+def _fields(payload: Any, kind: str, required: Tuple[str, ...]) -> Mapping[str, Any]:
+    if not isinstance(payload, Mapping):
+        raise ValidationError(
+            f"bid payload must be an object, got {type(payload).__name__}"
+        )
+    if payload.get("kind") != kind:
+        raise ValidationError(f"not a {kind} payload: {payload.get('kind')!r}")
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValidationError(f"{kind} payload lacks {', '.join(missing)}")
+    return payload
+
+
+def _number(value: Any, what: str) -> Any:
+    """``value`` itself if it is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _text(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _location(value: Any) -> Optional[str]:
+    return None if value is None else _text(value, "location")
+
+
+def _window(value: Any) -> TimeWindow:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValidationError(f"window must be a pair of numbers, got {value!r}")
+    return TimeWindow(*(_number(bound, "window bound") for bound in value))
+
+
+def _amounts(value: Any, what: str) -> Dict[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{what} must map names to numbers, got {value!r}")
+    return {
+        _text(key, f"{what} key"): _number(amount, f"{what} of {key!r}")
+        for key, amount in value.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -91,8 +146,7 @@ class Request:
 
     def __reduce__(self):
         # The frozen mappings are MappingProxyType, which pickle rejects;
-        # round-trip through the payload instead (process-pool clearing
-        # ships bids across worker boundaries).
+        # round-trip through the payload instead (pickle and deepcopy).
         return (Request.from_payload, (self.to_payload(),))
 
     def sigma(self, resource_type: str) -> float:
@@ -121,19 +175,22 @@ class Request:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "Request":
-        if payload.get("kind") != "request":
-            raise ValidationError(f"not a request payload: {payload.get('kind')!r}")
+        payload = _fields(payload, "request", _REQUEST_KEYS)
         return cls(
-            request_id=payload["request_id"],
-            client_id=payload["client_id"],
-            submit_time=float(payload["submit_time"]),
-            resources=dict(payload["resources"]),
-            significance=dict(payload.get("significance", {})),
-            window=TimeWindow(*payload["window"]),
-            duration=float(payload["duration"]),
-            bid=float(payload["bid"]),
-            location=payload.get("location"),
-            flexibility=float(payload.get("flexibility", 1.0)),
+            request_id=_text(payload["request_id"], "request_id"),
+            client_id=_text(payload["client_id"], "client_id"),
+            submit_time=float(_number(payload["submit_time"], "submit_time")),
+            resources=_amounts(payload["resources"], "resources"),
+            significance=_amounts(
+                payload.get("significance", {}), "significance"
+            ),
+            window=_window(payload["window"]),
+            duration=float(_number(payload["duration"], "duration")),
+            bid=float(_number(payload["bid"], "bid")),
+            location=_location(payload.get("location")),
+            flexibility=float(
+                _number(payload.get("flexibility", 1.0), "flexibility")
+            ),
         )
 
     def to_json(self) -> bytes:
@@ -219,16 +276,15 @@ class Offer:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "Offer":
-        if payload.get("kind") != "offer":
-            raise ValidationError(f"not an offer payload: {payload.get('kind')!r}")
+        payload = _fields(payload, "offer", _OFFER_KEYS)
         return cls(
-            offer_id=payload["offer_id"],
-            provider_id=payload["provider_id"],
-            submit_time=float(payload["submit_time"]),
-            resources=dict(payload["resources"]),
-            window=TimeWindow(*payload["window"]),
-            bid=float(payload["bid"]),
-            location=payload.get("location"),
+            offer_id=_text(payload["offer_id"], "offer_id"),
+            provider_id=_text(payload["provider_id"], "provider_id"),
+            submit_time=float(_number(payload["submit_time"], "submit_time")),
+            resources=_amounts(payload["resources"], "resources"),
+            window=_window(payload["window"]),
+            bid=float(_number(payload["bid"], "bid")),
+            location=_location(payload.get("location")),
         )
 
     def to_json(self) -> bytes:
@@ -247,12 +303,29 @@ class Offer:
         )
 
 
+_REQUEST_KEYS = (
+    "request_id", "client_id", "submit_time", "resources", "window",
+    "duration", "bid",
+)
+_OFFER_KEYS = (
+    "offer_id", "provider_id", "submit_time", "resources", "window", "bid",
+)
+
+
 def decode_bid_payload(raw: bytes) -> "Request | Offer":
-    """Decode a ledger plaintext into a :class:`Request` or :class:`Offer`."""
+    """Decode a ledger plaintext into a :class:`Request` or :class:`Offer`.
+
+    Any plaintext that is not a well-formed bid raises
+    :class:`~repro.common.errors.ValidationError`.
+    """
     try:
         payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON, digits
         raise ValidationError(f"undecodable bid payload: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"bid payload must be an object, got {type(payload).__name__}"
+        )
     kind = payload.get("kind")
     if kind == "request":
         return Request.from_payload(payload)

@@ -54,12 +54,8 @@ __all__ = [
     "Violation",
     "snapshot_diff",
     # telemetry plane (repro.obs.telemetry, imported at the bottom)
-    "TelemetryPayload",
     "TelemetryPublisher",
     "TelemetryAggregator",
-    "capture_task",
-    "capture_payload",
-    "merge_payload",
 ]
 
 
@@ -69,7 +65,7 @@ class Observability:
     enabled = True
 
     __slots__ = (
-        "run_id", "registry", "tracer", "monitors", "flight", "telemetry",
+        "run_id", "registry", "tracer", "monitors", "flight",
     )
 
     def __init__(
@@ -77,7 +73,6 @@ class Observability:
         run_id: str = "run",
         monitors: Optional[MonitorSuite] = None,
         flight: Optional[Any] = None,
-        telemetry: bool = False,
     ) -> None:
         self.run_id = run_id
         self.registry: MetricsRegistry = MetricsRegistry()
@@ -88,12 +83,6 @@ class Observability:
         #: optional repro.obs.flight.FlightRecorder — bound to this
         #: bundle so protocol drivers can frame rounds and dump on abort
         self.flight = flight
-        #: opt into the distributed telemetry plane: process-pool tasks
-        #: (shard fan-out, mini-auction waves) run under worker-local
-        #: bundles whose deltas are merged back here under worker/shard
-        #: labels (repro.obs.telemetry).  Off by default so existing
-        #: traces stay byte-identical for bundles that never opted in.
-        self.telemetry = telemetry
         if flight is not None:
             flight.bind(self)
 
@@ -106,7 +95,6 @@ class Observability:
         view.tracer = self.tracer
         view.monitors = self.monitors
         view.flight = self.flight
-        view.telemetry = self.telemetry
         return view
 
     def check_outcome(
@@ -172,7 +160,6 @@ class NullObservability:
     tracer: NullTracer = NULL_TRACER
     monitors = None
     flight = None
-    telemetry = False
 
     def scoped(self, **labels: object) -> "NullObservability":
         return self
@@ -202,13 +189,8 @@ def resolve(obs: Optional[ObservabilityLike]) -> ObservabilityLike:
     return NULL_OBS if obs is None else obs
 
 
-# Imported last: repro.obs.telemetry reaches back into this module at
-# call time (worker bundles), so the import must follow the definitions.
+# Imported last, after the definitions above, as it always has been.
 from repro.obs.telemetry import (  # noqa: E402
     TelemetryAggregator,
-    TelemetryPayload,
     TelemetryPublisher,
-    capture_payload,
-    capture_task,
-    merge_payload,
 )

@@ -20,7 +20,7 @@ is observing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 #: Histogram bucket upper bounds (seconds / prices / sizes all fit); the
 #: final +Inf bucket is implicit.
@@ -137,42 +137,6 @@ class MetricsRegistry:
             series = self.histograms[key] = _HistogramSeries()
         series.observe(value)
 
-    def merge_histogram(
-        self,
-        name: str,
-        labels: Mapping[str, object],
-        count: int,
-        total: float,
-        minimum: float,
-        maximum: float,
-        bucket_counts: Sequence[int],
-        bounds: Sequence[float],
-    ) -> None:
-        """Fold another registry's histogram series into this one.
-
-        ``snapshot()``/``snapshot_diff`` drop bucket counts, so worker
-        telemetry ships the structured internals instead and merges them
-        here — the merged histogram is bucket-exact, as if every sample
-        had been observed locally.  Bounds must match (every registry in
-        the repo uses :data:`DEFAULT_BUCKETS`).
-        """
-        if not count:
-            return
-        key = (name, _label_items(labels))
-        series = self.histograms.get(key)
-        if series is None:
-            series = self.histograms[key] = _HistogramSeries(tuple(bounds))
-        if series.bounds != tuple(bounds):
-            raise ValueError(f"histogram bucket bounds mismatch for {name}")
-        series.count += count
-        series.sum += total
-        if minimum < series.min:
-            series.min = minimum
-        if maximum > series.max:
-            series.max = maximum
-        for i, bucket in enumerate(bucket_counts):
-            series.bucket_counts[i] += bucket
-
     def labeled(self, **labels: object) -> "LabeledRegistry":
         """A write view that stamps ``labels`` onto every series."""
         return LabeledRegistry(self, _label_items(labels))
@@ -250,22 +214,6 @@ class LabeledRegistry:
     def observe(self, name: str, value: float, **labels: object) -> None:
         self._base.observe(name, value, **self._merge(labels))
 
-    def merge_histogram(
-        self,
-        name: str,
-        labels: Mapping[str, object],
-        count: int,
-        total: float,
-        minimum: float,
-        maximum: float,
-        bucket_counts: Sequence[int],
-        bounds: Sequence[float],
-    ) -> None:
-        self._base.merge_histogram(
-            name, self._merge(labels), count, total, minimum, maximum,
-            bucket_counts, bounds,
-        )
-
     def labeled(self, **labels: object) -> "LabeledRegistry":
         return LabeledRegistry(self._base, _label_items(self._merge(labels)))
 
@@ -292,9 +240,6 @@ class NullRegistry:
         return None
 
     def observe(self, name: str, value: float, **labels: object) -> None:
-        return None
-
-    def merge_histogram(self, *args: object, **kwargs: object) -> None:
         return None
 
     def labeled(self, **labels: object) -> "NullRegistry":

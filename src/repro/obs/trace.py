@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: sentinel: "parent this span on the innermost open span"
 _FROM_STACK = object()
@@ -266,44 +266,6 @@ class Tracer:
         )
 
     # ------------------------------------------------------------------
-    # Worker-trace merge (telemetry plane)
-    # ------------------------------------------------------------------
-    def merge_records(self, records: Sequence[Mapping[str, Any]]) -> None:
-        """Graft another tracer's records into this trace, deterministically.
-
-        Worker bundles (process-pool tasks, shard runs) trace with their
-        own fresh clocks; the parent merges the shipped records here.
-        Span ids are shifted past this tracer's, each record gets the
-        next local ``seq`` tick (record order — already causal within
-        the worker — is preserved), and worker *root* spans and
-        top-level events are re-parented on the innermost open span, so
-        the merged trace reads as one tree.  The result depends only on
-        this tracer's state and the records, never on which process (or
-        how many) produced them — the cross-worker byte-identity the
-        property suite enforces.
-        """
-        if not records:
-            return
-        anchor = self.current_span
-        base = self._next_span - 1
-        max_span = 0
-        for record in records:
-            merged = dict(record)
-            merged["seq"] = self._tick()
-            span = merged.get("span")
-            if span is not None:
-                merged["span"] = span + base
-                if span > max_span:
-                    max_span = span
-            elif merged.get("type") == "event":
-                merged["span"] = anchor
-            if merged.get("type") == "span_start":
-                parent = merged.get("parent")
-                merged["parent"] = anchor if parent is None else parent + base
-            self.records.append(merged)
-        self._next_span = base + max_span + 1
-
-    # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def to_jsonl(self, strip_wall: bool = False) -> str:
@@ -356,9 +318,6 @@ class NullTracer:
     def event_at(
         self, ctx: Optional[TraceContext], name: str, **attrs: Any
     ) -> None:
-        return None
-
-    def merge_records(self, records: Sequence[Mapping[str, Any]]) -> None:
         return None
 
     def to_jsonl(self, strip_wall: bool = False) -> str:

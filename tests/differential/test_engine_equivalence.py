@@ -294,18 +294,12 @@ class TestSeededMarkets:
 
 class TestBackHalfMarkets:
     """Cluster-chain-heavy and pricing-edge markets for the back-half
-    kernels (batched normalization, vectorized Alg. 3, batched SBBA
-    pricing).  ``workers=0`` exercises the sequential shared-RNG path,
-    ``workers=1`` the wave scheduler with its batched pricing pass."""
+    kernels (batched normalization, vectorized Alg. 3)."""
 
-    @pytest.mark.parametrize("workers", [0, 1])
-    def test_chain_heavy_market(self, workers):
+    def test_chain_heavy_market(self):
         requests_, offers_ = _chain_market()
         digest = assert_engines_agree(
-            requests_,
-            offers_,
-            evidence=b"chains",
-            config=AuctionConfig(miniauction_workers=workers),
+            requests_, offers_, evidence=b"chains",
         )
         assert digest["matches"]  # chains actually trade
 
@@ -321,29 +315,19 @@ class TestBackHalfMarkets:
         )
         assert_engines_agree(requests_, offers_, evidence=b"overlap")
 
-    @pytest.mark.parametrize("workers", [0, 1])
-    def test_single_trade_all_reduced(self, workers):
+    def test_single_trade_all_reduced(self):
         requests_, offers_ = _single_trade_market()
         digest = assert_engines_agree(
-            requests_,
-            offers_,
-            evidence=b"single-trade",
-            config=AuctionConfig(miniauction_workers=workers),
+            requests_, offers_, evidence=b"single-trade",
         )
         # One-trade auctions price off their only winner, whose client
         # is excluded: everything reduces, nothing clears.
         assert digest["matches"] == []
         assert digest["reduced_requests"]
 
-    @pytest.mark.parametrize("workers", [0, 1])
-    def test_tied_virtual_bids(self, workers):
+    def test_tied_virtual_bids(self):
         requests_, offers_ = _tied_pricing_market()
-        assert_engines_agree(
-            requests_,
-            offers_,
-            evidence=b"tied-pricing",
-            config=AuctionConfig(miniauction_workers=workers),
-        )
+        assert_engines_agree(requests_, offers_, evidence=b"tied-pricing")
 
     def test_mixed_chain_and_seeded(self):
         """Chains grafted onto a realistic seeded market."""
@@ -351,33 +335,6 @@ class TestBackHalfMarkets:
         seeded_r, seeded_o = generate_market(40, seed=13)
         assert_engines_agree(
             chain_r + seeded_r, chain_o + seeded_o, evidence=b"mixed"
-        )
-
-
-class TestParallelClearing:
-    """miniauction_workers: per-auction RNG streams and the process pool
-    are bit-identical to each other, on both engines."""
-
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_pool_matches_sequential_stream(self, engine):
-        requests_, offers_ = generate_market(100, seed=3)
-        outcomes = [
-            canonical_outcome(
-                DecloudAuction(
-                    AuctionConfig(engine=engine, miniauction_workers=workers)
-                ).run(requests_, offers_, evidence=b"parallel")
-            )
-            for workers in (1, 2, 4)
-        ]
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-
-    def test_engines_agree_under_workers(self):
-        requests_, offers_ = generate_market(80, seed=11)
-        assert_engines_agree(
-            requests_,
-            offers_,
-            evidence=b"parallel-differential",
-            config=AuctionConfig(miniauction_workers=2),
         )
 
 

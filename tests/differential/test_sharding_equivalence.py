@@ -1,12 +1,7 @@
 """Differential contract of the sharded market fabric.
 
-Four equivalences, each down to ``canonical_outcome`` bit-identity:
+Three equivalences, each down to ``canonical_outcome`` bit-identity:
 
-* **worker-layout invariance** — the same block and
-  :class:`~repro.core.config.ShardPlan` clear identically whether shards
-  run sequentially (``shard_workers=0``), in one process (``=1``), or
-  across a process pool (``=N``): per-shard randomization streams are
-  derived from ``(evidence, zone key)`` alone;
 * **engine invariance** — reference and vectorized engines agree under
   sharding exactly as they do globally;
 * **degenerate exactness** — a plan whose partition yields a single
@@ -24,9 +19,6 @@ steering the shape knobs.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,44 +60,9 @@ def build_market(shape):
     return requests, offers, plan
 
 
-def run_sharded(requests, offers, plan, engine="vectorized", workers=0):
-    config = AuctionConfig(
-        engine=engine, sharding=replace(plan, shard_workers=workers)
-    )
+def run_sharded(requests, offers, plan, engine="vectorized"):
+    config = AuctionConfig(engine=engine, sharding=plan)
     return DecloudAuction(config).run(requests, offers, evidence=EVIDENCE)
-
-
-@settings(max_examples=40, deadline=None)
-@given(shape=zone_market_shapes())
-def test_bit_identical_across_worker_counts(shape):
-    """shard_workers 0 and 1 agree on every market shape (no pool)."""
-    requests, offers, plan = build_market(shape)
-    sequential = run_sharded(requests, offers, plan, workers=0)
-    in_process = run_sharded(requests, offers, plan, workers=1)
-    assert canonical_outcome(in_process) == canonical_outcome(sequential)
-
-
-@pytest.mark.parametrize(
-    "kind,locality",
-    [("network", "strong"), ("network", "weak"), ("geo", "strong")],
-)
-def test_bit_identical_with_process_pool(kind, locality):
-    """A real pool (shard_workers=3) matches the sequential digest."""
-    requests, offers, locations = generate_zone_market(
-        120, n_zones=5, seed=11, kind=kind, locality=locality,
-        cross_zone_fraction=0.2,
-    )
-    plan = ShardPlan(
-        kind=kind, locations=locations if kind == "geo" else None
-    )
-    digests = {
-        workers: canonical_outcome(
-            run_sharded(requests, offers, plan, workers=workers)
-        )
-        for workers in (0, 1, 3)
-    }
-    assert digests[1] == digests[0]
-    assert digests[3] == digests[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -173,9 +130,7 @@ def _structural_sharded(requests, offers, plan, config):
         spill_requests.extend(outcome.unmatched_requests)
         spill_offers.extend(outcome.unmatched_offers)
     if spill_requests and spill_offers:
-        spill = DecloudAuction(
-            replace(config, sharding=None, candidates=None)
-        ).run(
+        spill = DecloudAuction(sub).run(
             spill_requests,
             spill_offers,
             evidence=derive_shard_evidence(EVIDENCE, SPILLOVER_SHARD),

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.common.timewindow import TimeWindow
-from repro.core import parallel, trade_reduction
+from repro.core import trade_reduction
 from repro.core.auction import DecloudAuction
 from repro.core.config import AuctionConfig
 from repro.core.miniauctions import MiniAuction
@@ -94,13 +94,11 @@ def _watch(monkeypatch, seen: Counter):
         return live
 
     monkeypatch.setattr(trade_reduction, "_live_allocations", checked)
-    monkeypatch.setattr(parallel, "_live_allocations", checked)
 
 
 CONFIGS = {
     "vectorized": AuctionConfig(engine="vectorized"),
     "reference": AuctionConfig(engine="reference"),
-    "scheduled": AuctionConfig(engine="vectorized", miniauction_workers=1),
     "unrandomized": AuctionConfig(
         engine="vectorized", enable_randomization=False
     ),

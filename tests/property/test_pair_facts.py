@@ -226,11 +226,10 @@ class TestWhoAsksTheScalarFunctions:
         "config",
         [
             AuctionConfig(engine="vectorized"),
-            AuctionConfig(engine="vectorized", miniauction_workers=1),
             AuctionConfig(engine="vectorized", candidates=NetworkZoneGenerator()),
             AuctionConfig(engine="vectorized", sharding=ShardPlan(kind="network")),
         ],
-        ids=["dense", "scheduled", "candidates", "sharded"],
+        ids=["dense", "candidates", "sharded"],
     )
     def test_a_vectorized_run_never_does(self, monkeypatch, config):
         requests, offers = _zone_block(3)

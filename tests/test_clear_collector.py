@@ -37,10 +37,7 @@ PATHS = {
         engine="vectorized", candidates=NetworkZoneGenerator(verify="full")
     ),
     "sharded": lambda: AuctionConfig(
-        engine="vectorized", sharding=ShardPlan(kind="network", shard_workers=0)
-    ),
-    "scheduled": lambda: AuctionConfig(
-        engine="vectorized", miniauction_workers=1
+        engine="vectorized", sharding=ShardPlan(kind="network")
     ),
 }
 

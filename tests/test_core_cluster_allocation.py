@@ -304,15 +304,12 @@ class TestPairChecks:
         assert set(asked.values()) == {1}  # ... and so did the loop above
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    @pytest.mark.parametrize("workers", [0, 1])
     def test_one_evaluation_per_pair_per_run_and_runs_share_nothing(
-        self, monkeypatch, engine, workers
+        self, monkeypatch, engine
     ):
         requests, offers = generate_market(60, seed=11)
         asked = self._record_calls(monkeypatch)
-        auction = DecloudAuction(
-            AuctionConfig(engine=engine, miniauction_workers=workers)
-        )
+        auction = DecloudAuction(AuctionConfig(engine=engine))
         first = auction.run(requests, offers)
         once = dict(asked)
         assert first.matches

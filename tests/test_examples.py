@@ -77,7 +77,6 @@ def test_sharding_sweep_reports_welfare_tradeoff(tmp_path):
         timeout=600,
         env={
             "DECLOUD_SWEEP_SIZES": "1000",
-            "DECLOUD_SWEEP_WORKERS": "2",
             "DECLOUD_SWEEP_CSV": csv_path,
         },
     )

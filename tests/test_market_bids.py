@@ -1,5 +1,7 @@
 """Unit tests for the bidding language: resources, requests, offers."""
 
+import json
+
 import pytest
 
 from repro.common.errors import ValidationError
@@ -115,6 +117,35 @@ class TestOfferValidation:
                 window=TimeWindow(0, 10),
                 bid=1.0,
             )
+
+
+def _request_with(**fields):
+    payload = make_request().to_payload()
+    payload.update(fields)
+    return payload
+
+
+# Plaintexts a participant may seal that once crashed the decoder with
+# AttributeError, KeyError, TypeError or ValueError.
+HOSTILE_PAYLOADS = {
+    "list": [],
+    "string": "x",
+    "null": None,
+    "kind-only": {"kind": "request"},
+    "window-string": _request_with(window="ab"),
+    "window-triple": _request_with(window=[0, 1, 2]),
+    "resources-list": _request_with(resources=[1, 2]),
+    "bid-string": _request_with(bid="abc"),
+}
+
+
+class TestHostilePayloads:
+    @pytest.mark.parametrize(
+        "payload", list(HOSTILE_PAYLOADS.values()), ids=list(HOSTILE_PAYLOADS)
+    )
+    def test_rejected_with_a_typed_error(self, payload):
+        with pytest.raises(ValidationError):
+            decode_bid_payload(json.dumps(payload).encode("utf-8"))
 
 
 class TestSerialization:

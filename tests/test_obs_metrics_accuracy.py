@@ -110,7 +110,7 @@ _PHASE_LAYOUTS = {
         lambda: {"candidates": NetworkZoneGenerator()}, _AUCTION_PHASES,
     ),
     "sharded": (
-        lambda: {"sharding": ShardPlan(kind="network", shard_workers=0)},
+        lambda: {"sharding": ShardPlan(kind="network")},
         {"shard_partition", "shard_clear", "spillover"},
     ),
     # a geo plan resolves no network tag: one fallback shard, which
@@ -136,13 +136,14 @@ def test_phase_labels_are_the_round_spans_children(layout, engine):
         requests, offers, evidence=b"phase-names", obs=obs
     )
     records = obs.tracer.records
-    # the round span is the one ``_record_round`` reported from
-    (cleared,) = [r for r in records if r.get("name") == "auction.cleared"]
+    # the round span is the one ``_record_round`` reported from last: a
+    # sharded round's shards report first, under their own shard label
+    cleared = [r for r in records if r.get("name") == "auction.cleared"][-1]
     children = span_seconds(records, parent=cleared["span"])
     recorded = {
         dict(labels)["phase"]: series
         for (name, labels), series in obs.registry.histograms.items()
-        if name == "auction_phase_seconds"
+        if name == "auction_phase_seconds" and "shard" not in dict(labels)
     }
     assert set(recorded) == set(children) == expected
     for phase, series in recorded.items():

@@ -1,275 +1,73 @@
-"""The telemetry plane: worker capture, payload merge, actor shipping."""
+"""Shard-scoped observability and the telemetry plane's actor shipping."""
 
 import asyncio
 import pickle
 
-import pytest
-
 from repro.core.config import AuctionConfig, ShardPlan
 from repro.core.auction import DecloudAuction
 from repro.workloads.generators import generate_zone_market
-from repro.obs import (
-    Observability,
-    TelemetryAggregator,
-    TelemetryPayload,
-    TelemetryPublisher,
-    capture_payload,
-    capture_task,
-    merge_payload,
-)
-from repro.obs.trace import span_seconds
+from repro.obs import Observability, TelemetryAggregator, TelemetryPublisher
 from repro.protocol.messages import TOPIC_TELEMETRY, TelemetryFrame
 from repro.runtime import DeterministicScheduler, DeterministicTransport
 from repro.runtime.sockets import AsyncioBroadcastHub, AsyncioSocketTransport
 
 
 # ----------------------------------------------------------------------
-# capture_task / capture_payload
+# No shard runs dark: shards clear in process under the caller's obs
 # ----------------------------------------------------------------------
-class TestCaptureTask:
-    def test_success_ships_metrics_and_trace(self):
-        with capture_task("shard:zone:a", "shard") as cap:
-            cap.obs.registry.inc("things_total", 3, kind="x")
-            cap.obs.registry.observe("latency_seconds", 0.25)
-            with cap.obs.tracer.span("inner"):
-                cap.obs.tracer.event("inner.tick")
-            cap.set_value("result")
-        assert cap.value == "result"
-        assert cap.error is None
-        payload = cap.payload
-        assert payload.status == "ok"
-        assert payload.error is None
-        counters = dict(
-            ((name, labels), value) for name, labels, value in payload.counters
+class TestNoDarkShards:
+    def test_every_shard_and_the_spillover_trace_and_report(self):
+        requests, offers, _ = generate_zone_market(
+            40, n_zones=3, seed=7, kind="network", locality="strong",
+            cross_zone_fraction=0.25,
         )
-        assert counters[("things_total", (("kind", "x"),))] == 3
-        # the bundle's own task accounting rides along
-        assert ("worker_tasks_total", (("kind", "shard"), ("status", "ok"))) in counters
-        names = [r["name"] for r in payload.trace_records if "name" in r]
-        assert "worker_task" in names and "inner" in names
-
-    def test_failure_still_ships_payload_tagged_aborted(self):
-        with capture_task("mini:3", "mini_auction") as cap:
-            cap.obs.registry.inc("started_total")
-            raise RuntimeError("worker exploded")
-        # the exception was captured, not raised
-        assert isinstance(cap.error, RuntimeError)
-        assert cap.value is None
-        payload = cap.payload
-        assert payload.status == "aborted"
-        assert "worker exploded" in payload.error
-        counters = dict(
-            ((name, labels), value) for name, labels, value in payload.counters
+        obs = Observability()
+        auction = DecloudAuction(
+            AuctionConfig(sharding=ShardPlan(kind="network"))
         )
-        # the pre-failure delta survives: no dark worker even on abort
-        assert counters[("started_total", ())] == 1.0
-        assert (
-            "worker_tasks_total",
-            (("kind", "mini_auction"), ("status", "aborted")),
-        ) in counters
-
-    def test_payload_pickles(self):
-        with capture_task("shard:zone:a", "shard") as cap:
-            cap.obs.registry.observe("h_seconds", 0.1)
-        clone = pickle.loads(pickle.dumps(cap.payload))
-        assert clone == cap.payload
-
-
-class TestMergePayload:
-    def _payload(self):
-        with capture_task("shard:zone:a", "shard") as cap:
-            cap.obs.registry.inc("trades_total", 2)
-            cap.obs.registry.set("height", 5)
-            cap.obs.registry.observe("lat_seconds", 0.5)
-            cap.obs.registry.observe("lat_seconds", 1.5)
-            with cap.obs.tracer.span("clear"):
-                pass
-        return cap.payload
-
-    def test_merges_under_worker_labels(self):
-        obs = Observability()
-        merge_payload(obs, self._payload(), shard="zone:a", worker="shard")
-        reg = obs.registry
-        assert reg.counter_value("trades_total", shard="zone:a", worker="shard") == 2
-        assert reg.gauge_value("height", shard="zone:a", worker="shard") == 5
-        stats = reg.histogram_stats("lat_seconds", shard="zone:a", worker="shard")
-        assert stats["count"] == 2 and stats["sum"] == 2.0
-        assert stats["min"] == 0.5 and stats["max"] == 1.5
-        # buckets merged exactly, not just count/sum
-        (series,) = [
-            h for (n, _), h in reg.histograms.items() if n == "lat_seconds"
-        ]
-        assert sum(series.bucket_counts) == 2
-        # the worker's phase span is in the parent's view, once
-        assert span_seconds(obs.tracer.records)["clear"]["count"] == 1
-
-    def test_worker_trace_grafted_under_anchor_span(self):
-        obs = Observability()
-        with obs.tracer.span("clear"):
-            merge_payload(obs, self._payload(), worker="mini")
-        text = obs.trace_jsonl(strip_wall=True)
-        assert '"name":"worker"' in text
-        assert '"name":"worker_task"' in text
-        # merged seqs stay monotone
-        seqs = [r["seq"] for r in obs.tracer.records]
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-
-    def test_merge_is_deterministic(self):
-        payload = self._payload()
-        texts = []
-        for _ in range(2):
-            obs = Observability()
-            with obs.tracer.span("clear"):
-                merge_payload(obs, payload, worker="mini")
-            texts.append(obs.trace_jsonl(strip_wall=True))
-        assert texts[0] == texts[1]
-
-    def test_disabled_parent_and_none_payload_are_noops(self):
-        from repro.obs import NULL_OBS
-
-        merge_payload(NULL_OBS, self._payload(), worker="x")
-        obs = Observability()
-        merge_payload(obs, None, worker="x")
-        assert obs.registry.counters == {}
-
-    def test_aborted_payload_records_event(self):
-        with capture_task("mini:0", "mini_auction") as cap:
-            raise ValueError("nope")
-        obs = Observability()
-        merge_payload(obs, cap.payload, worker="mini")
-        text = obs.trace_jsonl()
-        assert "worker.aborted" in text
-
-
-# ----------------------------------------------------------------------
-# No pooled path may go dark: the capture flag follows the bundle
-# ----------------------------------------------------------------------
-def _zone_market():
-    requests, offers, _ = generate_zone_market(
-        40, n_zones=3, seed=7, kind="network", locality="strong",
-        cross_zone_fraction=0.25,
-    )
-    return requests, offers
-
-
-class TestNoDarkWorkers:
-    @pytest.mark.parametrize("workers", [0, 1, 3])
-    def test_sharded_clear_attributes_workers(self, workers):
-        requests, offers = _zone_market()
-        config = AuctionConfig(
-            sharding=ShardPlan(kind="network", shard_workers=workers)
-        )
-        obs = Observability(telemetry=True)
-        outcome = DecloudAuction(config).run(
+        outcome = auction.run(
             requests, offers, evidence=b"telemetry-test", obs=obs
         )
         assert outcome.matches
-        # every cleared shard reported home under its own label
-        shard_labels = {
-            dict(labels).get("shard")
-            for (name, labels) in obs.registry.counters
-            if dict(labels).get("worker") == "shard"
-        }
-        assert len([k for k in shard_labels if k and k.startswith("zone:")]) >= 2
+        stats = auction.last_shard_stats
+        assert stats["spillover_ran"] and stats["cleared_shards"] >= 2
 
-    def test_worker_phase_metrics_sum_to_parent_totals(self):
-        requests, offers = _zone_market()
-        config = AuctionConfig(
-            sharding=ShardPlan(kind="network", shard_workers=1)
-        )
-        obs = Observability(telemetry=True)
-        auction = DecloudAuction(config)
-        auction.run(requests, offers, evidence=b"telemetry-test", obs=obs)
-        # The per-shard phase split exists in one place: every runnable
-        # shard ships all five worker-attributed auction_phase_seconds
-        # series home, each observed once.
+        records = obs.tracer.records
+        names = {
+            r["span"]: r["name"] for r in records if r["type"] == "span_start"
+        }
+        auctions_under = {}
+        for record in records:
+            if record["type"] == "span_start" and record["name"] == "auction":
+                parent = names[record["parent"]]
+                auctions_under[parent] = auctions_under.get(parent, 0) + 1
+        assert auctions_under == {
+            "shard_clear": stats["cleared_shards"], "spillover": 1,
+        }
+
+        # the per-shard phase split, one series per shard and phase
         shipped = {}
         for (name, labels), series in obs.registry.histograms.items():
             items = dict(labels)
-            if name == "auction_phase_seconds" and items.get("worker") == "shard":
+            if name == "auction_phase_seconds" and "shard" in items:
                 assert series.count == 1
                 shipped.setdefault(items["shard"], set()).add(items["phase"])
-        assert set(shipped) == set(auction.last_shard_stats["shard_seconds"])
+        assert set(shipped) == set(stats["shard_seconds"]) | {"spillover"}
         for phases in shipped.values():
             assert phases == {
                 "match", "cluster", "normalize", "assemble", "clear",
             }
 
-    def _banded_market(self, n_bands=4):
-        """Price-incompatible disjoint clusters -> one wave of n minis."""
-        from repro.common.timewindow import TimeWindow
-        from tests.conftest import make_offer, make_request
-
-        requests, offers = [], []
-        for k in range(n_bands):
-            t = f"band-{k}"
-            requests.append(
-                make_request(
-                    f"r{k}", resources={t: 1.0}, significance={t: 1.0},
-                    bid=5.0 * 10.0 ** (2 * k), duration=1.0,
-                    window=TimeWindow(0, 3),
-                )
-            )
-            offers.append(
-                make_offer(
-                    f"o{k}", resources={t: 1.0}, bid=24.0 * 10.0 ** (2 * k)
-                )
-            )
-        return requests, offers
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_mini_auction_waves_attribute_workers(self, workers):
-        """The pooled mini-auction path is never dark either: every
-        scheduled wave task ships a worker="mini" payload, pooled or
-        in-process, and the capture decision cannot depend on the pool
-        layout.  (workers=0 is the legacy sequential loop — no task
-        schedule, no pool, nothing to capture.)"""
-        requests, offers = self._banded_market()
-        obs = Observability(telemetry=True)
-        DecloudAuction(
-            AuctionConfig(miniauction_workers=workers)
-        ).run(requests, offers, evidence=b"telemetry-test", obs=obs)
-        mini_tasks = sum(
-            value
-            for (name, labels), value in obs.registry.counters.items()
-            if name == "worker_tasks_total"
-            and dict(labels).get("worker") == "mini"
-            and dict(labels).get("kind") == "mini_auction"
-        )
-        # four price-incompatible bands -> four captured mini clears
-        assert mini_tasks == 4
-
-    def test_mini_capture_outcome_and_trace_identical_across_workers(self):
-        runs = []
-        for workers in (1, 2):
-            requests, offers = self._banded_market()
-            obs = Observability("mini-merge", telemetry=True)
-            outcome = DecloudAuction(
-                AuctionConfig(miniauction_workers=workers)
-            ).run(requests, offers, evidence=b"telemetry-test", obs=obs)
-            runs.append(
-                (
-                    list(outcome.prices),
-                    [r.request_id for r in outcome.reduced_requests],
-                    obs.trace_jsonl(strip_wall=True),
-                )
-            )
-        assert runs[0] == runs[1]
-
-    def test_telemetry_off_keeps_registry_free_of_worker_series(self):
-        requests, offers = _zone_market()
-        config = AuctionConfig(
-            sharding=ShardPlan(kind="network", shard_workers=1)
-        )
-        obs = Observability()  # telemetry not opted in
-        DecloudAuction(config).run(
-            requests, offers, evidence=b"telemetry-test", obs=obs
-        )
-        workers = {
-            dict(labels).get("worker")
-            for (name, labels) in obs.registry.counters
+        # the merged round's own series stay unlabelled, with its phases
+        reg = obs.registry
+        assert reg.counter_value("auction_rounds_total") == 1
+        assert reg.gauge_value("auction_last_trades") == len(outcome.matches)
+        merged_phases = {
+            dict(labels)["phase"]
+            for (name, labels) in reg.histograms
+            if name == "auction_phase_seconds" and "shard" not in dict(labels)
         }
-        assert "shard" not in workers
+        assert merged_phases == {"shard_partition", "shard_clear", "spillover"}
 
 
 # ----------------------------------------------------------------------

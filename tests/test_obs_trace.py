@@ -208,17 +208,6 @@ class TestSpanSeconds:
         tracer.span("reveal").__enter__()
         assert set(span_seconds(tracer.records)) == {"mine"}
 
-    def test_merged_worker_records_are_included(self):
-        worker = Tracer()
-        with worker.span("clear"):
-            pass
-        parent = Tracer()
-        with parent.span("shard_clear"):
-            parent.merge_records(worker.records)
-        phases = span_seconds(parent.records)
-        assert phases["clear"]["count"] == 1
-        assert set(span_seconds(parent.records, parent=1)) == {"clear"}
-
     def test_system_clock_step_does_not_move_durations(self, monkeypatch):
         tracer = Tracer()
         real = time.time

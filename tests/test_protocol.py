@@ -90,6 +90,19 @@ class TestDecodeRound:
         requests, offers = decode_round({"x": [b"not json"]})
         assert requests == [] and offers == []
 
+    def test_a_sender_sealing_a_list_is_skipped(self):
+        late = make_request(request_id="late", client_id="a", submit_time=5.0)
+        early = make_request(request_id="early", client_id="c", submit_time=1.0)
+        offer = make_offer(provider_id="d")
+        requests, offers = decode_round({
+            "a": [late.to_json()],
+            "b": [b"[]"],
+            "c": [early.to_json()],
+            "d": [offer.to_json()],
+        })
+        assert requests == [early, late]
+        assert offers == [offer]
+
     def test_orders_by_submit_time(self):
         late = make_request(request_id="late", client_id="a", submit_time=5.0)
         early = make_request(request_id="early", client_id="a", submit_time=1.0)

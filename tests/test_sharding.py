@@ -1,23 +1,18 @@
-"""Unit tests for the sharded market fabric (:mod:`repro.core.sharding`)
-and the shared-pool machinery in :mod:`repro.core.parallel`.
+"""Unit tests for the sharded market fabric (:mod:`repro.core.sharding`).
 
 The differential suite (``tests/differential/test_sharding_equivalence``)
 owns the bit-identity contracts; this file covers the plumbing: plan
-validation, partition rules, fallback routing, spillover ablation, lazy
-pool creation, lease nesting, and the ``shard_*`` metric series.
+validation, partition rules, fallback routing, spillover ablation and
+the ``shard_*`` metric series.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.core import parallel as parallel_mod
 from repro.core.auction import DecloudAuction
 from repro.core.config import AuctionConfig, ShardPlan
-from repro.core.parallel import PoolLease, shared_pool
 from repro.core.sharding import (
     FALLBACK_SHARD,
     derive_shard_evidence,
@@ -46,6 +41,10 @@ def test_shard_plan_rejects_bad_depth_and_workers():
         ShardPlan(depth=0)
     with pytest.raises(ValidationError):
         ShardPlan(shard_workers=-1)
+    with pytest.raises(ValidationError):
+        ShardPlan(shard_workers=4)
+    # the one accepted value is not part of the plan
+    assert ShardPlan(shard_workers=0) == ShardPlan()
 
 
 def test_shard_plan_rejects_out_of_range_cell():
@@ -174,15 +173,16 @@ def test_derive_shard_evidence_is_key_scoped():
     assert a.startswith(EVIDENCE)
 
 
-def test_shard_config_strips_and_clamps():
+def test_shard_config_strips_sharding_and_candidates():
+    from repro.core.candidates import NetworkZoneGenerator
+
     config = AuctionConfig(
-        sharding=ShardPlan(), miniauction_workers=6
+        sharding=ShardPlan(), candidates=NetworkZoneGenerator()
     )
     sub = shard_config(config)
     assert sub.sharding is None
     assert sub.candidates is None
-    assert sub.miniauction_workers == 1
-    assert shard_config(replace(config, miniauction_workers=0)).miniauction_workers == 0
+    assert sub.cluster_breadth == config.cluster_breadth
 
 
 # ------------------------------------------------------------ fabric
@@ -245,120 +245,6 @@ def test_fallback_bids_counted_in_stats():
     auction.run(requests, offers, evidence=EVIDENCE)
     assert auction.last_shard_stats["fallback_bids"] == 1
     assert auction.last_shard_stats["shard_keys"][-1] == FALLBACK_SHARD
-
-
-# -------------------------------------------------- pools and leases
-
-
-class _CountingPool:
-    """Stand-in executor: counts spawns, maps in-process."""
-
-    spawned = 0
-
-    def __init__(self, max_workers=None):
-        type(self).spawned += 1
-        self.max_workers = max_workers
-
-    def map(self, fn, iterable):
-        return [fn(item) for item in iterable]
-
-    def shutdown(self, wait=True):
-        pass
-
-
-@pytest.fixture
-def counting_pool(monkeypatch):
-    _CountingPool.spawned = 0
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _CountingPool)
-    return _CountingPool
-
-
-def test_no_pool_spawned_without_a_multi_auction_wave(counting_pool):
-    # One request, one offer -> a single mini-auction -> every wave is
-    # width one -> the executor must never be created.
-    requests = [make_request("r0", bid=50.0)]
-    offers = [make_offer("o0", bid=1.0)]
-    config = AuctionConfig(miniauction_workers=4)
-    DecloudAuction(config).run(requests, offers, evidence=EVIDENCE)
-    assert counting_pool.spawned == 0
-
-
-def _banded_market(n_bands=4):
-    """Price-incompatible disjoint clusters -> one wave of width n.
-
-    Band ``k`` trades its own resource type at prices around
-    ``10**(2k)``: each band's used cost exceeds the previous band's
-    winning valuation, so no two clusters are price-compatible and
-    every band becomes its own mini-auction with disjoint participants.
-    """
-    from repro.common.timewindow import TimeWindow
-
-    requests, offers = [], []
-    for k in range(n_bands):
-        t = f"band-{k}"
-        requests.append(
-            make_request(
-                f"r{k}", resources={t: 1.0}, significance={t: 1.0},
-                bid=5.0 * 10.0 ** (2 * k), duration=1.0,
-                window=TimeWindow(0, 3),
-            )
-        )
-        offers.append(
-            make_offer(f"o{k}", resources={t: 1.0}, bid=24.0 * 10.0 ** (2 * k))
-        )
-    return requests, offers
-
-
-def test_pool_spawned_once_and_reused_across_waves(counting_pool):
-    # Four price-incompatible bands -> four participant-disjoint
-    # mini-auctions in one wave; the lease must spawn exactly one
-    # executor for the whole block.
-    requests, offers = _banded_market()
-    config = AuctionConfig(miniauction_workers=4)
-    DecloudAuction(config).run(requests, offers, evidence=EVIDENCE)
-    assert counting_pool.spawned == 1
-
-
-def test_shard_fanout_skips_pool_for_single_runnable_shard(counting_pool):
-    requests, offers, _ = generate_zone_market(
-        12, n_zones=1, seed=3, kind="network", locality="weak"
-    )
-    # Force a non-degenerate partition with exactly one *runnable*
-    # shard: a second shard holding only offers.
-    offers = offers + [make_offer("o-far", location="zone-far/x")]
-    plan = ShardPlan(kind="network", shard_workers=4)
-    auction = DecloudAuction(AuctionConfig(sharding=plan))
-    auction.run(requests, offers, evidence=EVIDENCE)
-    assert auction.last_shard_stats["cleared_shards"] == 1
-    assert counting_pool.spawned == 0
-
-
-def test_shard_fanout_and_spillover_share_one_lease(counting_pool):
-    requests, offers = _network_market()
-    plan = ShardPlan(kind="network", shard_workers=3)
-    config = AuctionConfig(sharding=plan, miniauction_workers=3)
-    DecloudAuction(config).run(requests, offers, evidence=EVIDENCE)
-    # The shard fan-out spawns the pool; the spillover round's waves
-    # (running in-parent under the same lease) must reuse it.
-    assert counting_pool.spawned <= 1
-
-
-def test_shared_pool_nests_onto_the_outermost_lease():
-    with shared_pool(4) as outer:
-        with shared_pool(2) as inner:
-            assert inner is outer
-            assert inner.max_workers == 4
-        # inner exit must not close the outer lease
-        assert parallel_mod._CURRENT_LEASE is outer
-    assert parallel_mod._CURRENT_LEASE is None
-
-
-def test_pool_lease_fail_stops_retries(counting_pool):
-    lease = PoolLease(2)
-    assert lease.get() is not None
-    lease.fail()
-    assert lease.get() is None
-    assert counting_pool.spawned == 1
 
 
 # ------------------------------------------------------------ metrics
