@@ -9,12 +9,19 @@ from (snapshot, valid log prefix), and the recovered run must be
 bit-identical to the uninterrupted reference — committed outcomes,
 chain tip, state digest, zero monitor alerts.
 
+A second pass crosses the roll boundary: a one-block window
+(``snapshot_every=1``) over ``CHAOS_ROLL_ROUNDS`` rounds rolls the
+stores every commit — snapshot, compaction, pruning — so the sampled
+crash points land before, inside and after several roll-offs, on the
+lockstep and the pipelined engine both.
+
 On any mismatch the failing cell is re-run with a flight recorder
 attached and its bundle is written to ``--out`` (CI uploads it as the
 ``crash-matrix`` artifact), then the script exits non-zero.
 
 Run:  python examples/crash_matrix_smoke.py
-Env:  CHAOS_CRASH_STRIDE (default 4), CHAOS_CRASH_ROUNDS (default 1)
+Env:  CHAOS_CRASH_STRIDE (default 4), CHAOS_CRASH_ROUNDS (default 1),
+      CHAOS_ROLL_ROUNDS (default 3)
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ def smoke_spec(rounds: int) -> ChaosSpec:
     )
 
 
-def dump_mismatch_bundle(spec, point, out_dir: str) -> str:
+def dump_mismatch_bundle(spec, point, out_dir: str, engine: str) -> str:
     """Re-run one mismatched cell with a flight recorder and dump it."""
     flight = FlightRecorder(capacity=8, out_dir=out_dir)
     obs = Observability(
@@ -57,6 +64,7 @@ def dump_mismatch_bundle(spec, point, out_dir: str) -> str:
         crash_point=CrashPoint(at_append=point.at_append, mode=point.mode),
         snapshot_every=1,
         obs=obs,
+        engine=engine,
     )
     return flight.dump(
         trigger="recovery-mismatch",
@@ -79,14 +87,32 @@ def main() -> None:
     args = parser.parse_args()
     stride = int(os.environ.get("CHAOS_CRASH_STRIDE", "4"))
     rounds = int(os.environ.get("CHAOS_CRASH_ROUNDS", "1"))
-    spec = smoke_spec(rounds)
+    roll_rounds = int(os.environ.get("CHAOS_ROLL_ROUNDS", "3"))
+    failed = 0
+    for spec, engine in (
+        (smoke_spec(rounds), "lockstep"),
+        (smoke_spec(roll_rounds), "lockstep"),
+        (smoke_spec(roll_rounds), "runtime"),
+    ):
+        failed += run_pass(spec, engine, stride, args.out)
+    if failed:
+        raise SystemExit(
+            f"{failed} crash point(s) did NOT recover "
+            "bit-identically — durability contract violated"
+        )
 
-    matrix = run_crash_matrix(spec, snapshot_every=1, stride=stride)
+
+def run_pass(spec: ChaosSpec, engine: str, stride: int, out: str) -> int:
+    """One sampled matrix; returns how many of its cells mismatched."""
+    matrix = run_crash_matrix(
+        spec, snapshot_every=1, stride=stride, engine=engine
+    )
     reference = matrix.reference
     print(
         f"crash-matrix smoke: {reference.append_count} WAL boundaries, "
         f"stride {stride} -> {len(matrix.points)} cells "
-        f"(x3 modes), {rounds} round(s), seed {spec.seed}"
+        f"(x3 modes), {spec.rounds} round(s), seed {spec.seed}, "
+        f"{engine} engine"
     )
     print(
         f"reference: {reference.rounds_completed} round(s) committed, "
@@ -107,18 +133,15 @@ def main() -> None:
             f"{point.detail or f'via {path} path'}"
         )
 
-    if matrix.mismatches:
-        for point in matrix.mismatches:
-            bundle = dump_mismatch_bundle(spec, point, args.out)
-            print(f"flight bundle for the failing cell: {bundle}")
-        raise SystemExit(
-            f"{len(matrix.mismatches)} crash point(s) did NOT recover "
-            "bit-identically — durability contract violated"
+    for point in matrix.mismatches:
+        bundle = dump_mismatch_bundle(spec, point, out, engine)
+        print(f"flight bundle for the failing cell: {bundle}")
+    if not matrix.mismatches:
+        print(
+            f"\nall {len(matrix.points)} sampled crash points recovered "
+            "bit-identically to the uninterrupted run\n"
         )
-    print(
-        f"\nall {len(matrix.points)} sampled crash points recovered "
-        "bit-identically to the uninterrupted run"
-    )
+    return len(matrix.mismatches)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from repro.common.errors import (
     InfeasibleMatchError,
     InsecureKeyWarning,
     InvalidBlockError,
+    PrunedHistoryError,
     LedgerError,
     ProtocolError,
     QuorumError,
@@ -33,6 +34,7 @@ __all__ = [
     "InfeasibleMatchError",
     "InsecureKeyWarning",
     "InvalidBlockError",
+    "PrunedHistoryError",
     "LedgerError",
     "ProtocolError",
     "QuorumError",

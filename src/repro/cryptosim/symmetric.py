@@ -49,6 +49,13 @@ def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``bytes(d ^ s for d, s in zip(data, stream))``, as one integer
+    XOR (``stream`` is exactly as long as ``data``)."""
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
+
+
 @dataclass(frozen=True)
 class SealedBox:
     """Ciphertext container: nonce, ciphertext, authentication tag."""
@@ -81,8 +88,7 @@ def encrypt(key: bytes, plaintext: bytes, nonce: bytes | None = None) -> SealedB
         raise DecryptionError(f"nonce must be {NONCE_SIZE} bytes")
     enc_key = _derive(key, b"enc")
     mac_key = _derive(key, b"mac")
-    stream = _keystream(enc_key, nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    ciphertext = _xor(plaintext, _keystream(enc_key, nonce, len(plaintext)))
     tag = hmac.new(mac_key, nonce + ciphertext, hashlib.sha256).digest()
     return SealedBox(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
@@ -99,5 +105,6 @@ def decrypt(key: bytes, box: SealedBox) -> bytes:
     expected = hmac.new(mac_key, box.nonce + box.ciphertext, hashlib.sha256).digest()
     if not hmac.compare_digest(expected, box.tag):
         raise DecryptionError("authentication tag mismatch")
-    stream = _keystream(enc_key, box.nonce, len(box.ciphertext))
-    return bytes(c ^ s for c, s in zip(box.ciphertext, stream))
+    return _xor(
+        box.ciphertext, _keystream(enc_key, box.nonce, len(box.ciphertext))
+    )

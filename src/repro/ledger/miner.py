@@ -239,6 +239,17 @@ class Miner:
         self.mempool.remove(
             [tx.txid() for tx in block.preamble.transactions]
         )
+        # this node's per-round indexes follow its chain's window; they
+        # were filled in (about) height order, so stop at the first kept
+        stale = []
+        for phash, preamble in self.preamble_inbox.items():
+            if preamble.height >= self.chain.anchor_height:
+                break
+            stale.append(phash)
+        for phash in stale:
+            del self.preamble_inbox[phash]
+            self._preamble_txs.pop(phash, None)
+            self.reveal_inbox.pop(phash, None)
 
     def accept_block(self, block: Block) -> None:
         """Verify, append, and evict included transactions from the pool."""

@@ -27,7 +27,13 @@ from repro.common.errors import LedgerError
 from repro.cryptosim import hashing
 from repro.cryptosim.commitments import Commitment
 from repro.cryptosim.symmetric import SealedBox
-from repro.ledger.block import Block, BlockBody, BlockPreamble, KeyReveal
+from repro.ledger.block import (
+    GENESIS_PARENT,
+    Block,
+    BlockBody,
+    BlockPreamble,
+    KeyReveal,
+)
 from repro.ledger.chain import Blockchain
 from repro.ledger.transaction import SealedBidTransaction
 
@@ -144,14 +150,29 @@ def _chain_entry(block: Block) -> Dict[str, Any]:
     return {"hash": block.hash(), **block_to_dict(block)}
 
 
-def chain_to_json(chain: Blockchain) -> str:
-    """Serialize the chain (with block hashes for external auditing)."""
-    document = {
+def _anchor(chain: Blockchain) -> Dict[str, Any]:
+    return {"height": chain.anchor_height, "hash": chain.anchor_hash}
+
+
+def chain_document(chain: Blockchain, upto: int = -1) -> Dict[str, Any]:
+    """The :func:`chain_to_json` document; ``upto`` >= 0 keeps only the
+    blocks below that height.  Only a pruned chain has an ``anchor``."""
+    blocks = list(chain)
+    if upto >= 0:
+        blocks = blocks[: max(0, upto - chain.anchor_height)]
+    document: Dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "difficulty_bits": chain.difficulty_bits,
-        "blocks": [_chain_entry(block) for block in chain],
+        "blocks": [_chain_entry(block) for block in blocks],
     }
-    return json.dumps(document, sort_keys=True, indent=1)
+    if chain.anchor_height:
+        document["anchor"] = _anchor(chain)
+    return document
+
+
+def chain_to_json(chain: Blockchain) -> str:
+    """Serialize the chain (with block hashes for external auditing)."""
+    return json.dumps(chain_document(chain), sort_keys=True, indent=1)
 
 
 def iter_chain_canonical_json(chain: Blockchain) -> Iterator[bytes]:
@@ -161,7 +182,11 @@ def iter_chain_canonical_json(chain: Blockchain) -> Iterator[bytes]:
     chain_to_json(chain)))``; no piece is larger than one block, so a
     digest over a long chain never holds the chain's JSON at once.
     """
-    yield b'{"blocks":['  # sorts before the two scalar keys
+    if chain.anchor_height:
+        anchor = hashing.canonical_json(_anchor(chain))
+        yield b'{"anchor":' + anchor + b',"blocks":['
+    else:
+        yield b'{"blocks":['  # sorts before the two scalar keys
     yield from hashing.iter_canonical_json_items(
         _chain_entry(block) for block in chain
     )
@@ -188,7 +213,12 @@ def chain_from_json(document: str, verify: bool = True) -> Blockchain:
         raise LedgerError(
             f"unsupported format version {data.get('format_version')!r}"
         )
-    chain = Blockchain(difficulty_bits=data["difficulty_bits"])
+    anchor = data.get("anchor", {"height": 0, "hash": GENESIS_PARENT})
+    chain = Blockchain(
+        difficulty_bits=data["difficulty_bits"],
+        anchor_height=anchor["height"],
+        anchor_hash=anchor["hash"],
+    )
     for entry in data["blocks"]:
         block = block_from_dict(entry)
         if verify:

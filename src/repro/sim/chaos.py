@@ -35,6 +35,7 @@ from repro.faults.actors import (
 )
 from repro.faults.network import UnreliableNetwork
 from repro.faults.plan import FaultPlan
+from repro.ledger.chain import HORIZON
 from repro.ledger.miner import Miner
 from repro.market.bids import Offer, Request
 from repro.obs import Observability, ObservabilityLike
@@ -553,6 +554,20 @@ def _build_durable_miners(
     return miners
 
 
+def _durable_stores(
+    spec: ChaosSpec, crash_point: Optional[CrashPoint], snapshot_every: int
+) -> List[NodeStore]:
+    """One in-memory store per miner, node 0's carrying ``crash_point``;
+    ``snapshot_every`` > 0 is their horizon (0: the default)."""
+    return [
+        NodeStore.in_memory(
+            crash_point=crash_point if m == 0 else None,
+            horizon=snapshot_every or HORIZON,
+        )
+        for m in range(spec.num_miners)
+    ]
+
+
 def _resume_settlement(
     chain,
     settlement: SettlementProcessor,
@@ -610,11 +625,13 @@ def _restart_fleet(
                 store=stores[m],
             )
         )
+    # node 0's store journals the ledger: attach the recovered one before
+    # a catch-up append can roll the store over
+    settlement = recovered[0].make_settlement(store=stores[0], obs=obs)
     best = max(recovered, key=lambda r: r.committed_height)
     for miner, rec in zip(miners, recovered):
         for height in range(rec.committed_height, best.committed_height):
             miner.accept_block(best.chain[height])
-    settlement = recovered[0].make_settlement(store=stores[0], obs=obs)
     _resume_settlement(best.chain, settlement, spec, result)
     return miners, settlement
 
@@ -731,10 +748,7 @@ def _run_durable_scenario_runtime(
     seal seeds as the lockstep path, so a replayed round re-seals
     byte-identical transactions.
     """
-    stores = [
-        NodeStore.in_memory(crash_point=crash_point if m == 0 else None)
-        for m in range(spec.num_miners)
-    ]
+    stores = _durable_stores(spec, crash_point, snapshot_every)
     if obs is None and monitored:
         obs = Observability(
             run_id=f"durable-rt-{spec.seed}-{drop_rate}",
@@ -774,14 +788,6 @@ def _run_durable_scenario_runtime(
             outcomes[_base + local_index] = canonical_outcome(
                 round_result.outcome
             )
-            if snapshot_every and (
-                (_base + local_index + 1) % snapshot_every == 0
-            ):
-                # dying inside snapshot/compaction loses no state — the
-                # committed round is already durable, so recovery just
-                # credits it and resumes the schedule
-                for store in stores:
-                    store.snapshot()
 
         runtime = Runtime(
             miners,
@@ -856,9 +862,10 @@ def run_durable_scenario(
     process dies mid-append, the supervision loop restarts the fleet
     from the stores and continues the schedule — crediting the
     interrupted round if its block proved durable, replaying it
-    otherwise.  ``snapshot_every`` > 0 snapshots + compacts every store
-    after that many committed rounds, putting the snapshot/compaction
-    path inside the crash blast radius too.
+    otherwise.  ``snapshot_every`` > 0 is every store's roll-off
+    horizon: each snapshots, compacts and prunes every that many
+    commits (see :class:`~repro.store.NodeStore`), putting the roll
+    inside the crash blast radius too.
 
     The differential contract (see :func:`run_crash_matrix`): for any
     crash point, the result's ``outcomes``, ``tip_hash`` and
@@ -876,10 +883,7 @@ def run_durable_scenario(
         )
     if engine != "lockstep":
         raise ReproError(f"unknown durable engine {engine!r}")
-    stores = [
-        NodeStore.in_memory(crash_point=crash_point if m == 0 else None)
-        for m in range(spec.num_miners)
-    ]
+    stores = _durable_stores(spec, crash_point, snapshot_every)
     if obs is None and monitored:
         # callers may pass their own bundle instead (e.g. one carrying a
         # flight recorder, so a recovery mismatch leaves evidence behind)
@@ -943,20 +947,6 @@ def run_durable_scenario(
             result.outcomes.append(None)
         committed_before = len(miners[0].chain)
         round_index += 1
-        if snapshot_every and round_index % snapshot_every == 0:
-            try:
-                for store in stores:
-                    store.snapshot()
-            except SimulatedCrashError as exc:
-                # Dying inside snapshot/compaction loses no state: the
-                # rounds are already durable, so recovery just resumes
-                # the schedule.
-                result.crashes += 1
-                result.errors.append(f"snapshot after round {round_index}: {exc}")
-                miners, settlement = _restart_fleet(
-                    spec, byzantine, stores, obs, result
-                )
-                committed_before = len(miners[0].chain)
 
     result.tip_hash = miners[0].chain.tip_hash
     result.state_digest = stores[0].state_digest()

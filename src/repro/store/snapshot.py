@@ -2,8 +2,10 @@
 
 A snapshot is a single canonical-JSON document holding everything the
 write-ahead log would otherwise have to replay from genesis: the chain
-(audit JSON format), the pending mempool, the token ledger with its
-escrows, the per-block settlement map, and the last round-phase marker.
+(audit JSON format; a roll's snapshot keeps only its anchor and leaves
+the retained blocks in the log segment it names), the pending mempool,
+the token ledger with its escrows, the per-block settlement map, and
+the round-phase markers.
 ``last_seq`` names the newest WAL record whose effect the snapshot
 already contains — recovery loads the latest snapshot and replays only
 records with ``seq > last_seq``, and compaction may drop everything at

@@ -400,13 +400,19 @@ class WriteAheadLog:
         self._tail_damaged = False
         return dropped
 
-    def compact(self, upto_seq: int) -> int:
+    def compact(self, upto_seq: int, start: Optional[int] = None) -> int:
         """Drop records with ``seq <= upto_seq`` (they live in a snapshot).
 
         Returns the number of records removed.  Frames are rewritten
         verbatim, so record bytes (and CRCs) are stable across
-        compaction.
+        compaction.  ``start``, when the caller knows it, is the byte
+        offset of the first record kept: then only two records are
+        decoded, not the whole log.
         """
+        if start is not None and self._seq_at(start) == upto_seq + 1:
+            head = self._seq_at(0)
+            self.backend.replace(bytes(self.backend.view()[start:]))
+            return upto_seq + 1 - head
         result = self.scan(strict=True)
         kept: List[bytes] = []
         removed = 0
@@ -418,6 +424,16 @@ class WriteAheadLog:
         if removed:
             self.backend.replace(b"".join(kept))
         return removed
+
+    def _seq_at(self, offset: int) -> Optional[int]:
+        """The seq of the record framed at byte ``offset``, if any."""
+        frames = iter_frames(memoryview(self.backend.view())[offset:])
+        try:
+            return next(frames)[0]["seq"]
+        except (StopIteration, CorruptRecordError):
+            return None
+        finally:
+            frames.close()
 
     def close(self) -> None:
         self.backend.close()

@@ -23,6 +23,22 @@ class TestSymmetricProperties:
         parsed = symmetric.SealedBox.from_bytes(box.to_bytes())
         assert symmetric.decrypt(key, parsed) == plaintext
 
+    @given(key=keys, plaintext=payloads,
+           nonce=st.binary(min_size=16, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_box_equals_the_byte_wise_xor(self, key, plaintext, nonce):
+        # the integer XOR must give exactly the bytes of the per-byte one
+        stream = symmetric._keystream(
+            symmetric._derive(key, b"enc"), nonce, len(plaintext)
+        )
+        box = symmetric.encrypt(key, plaintext, nonce=nonce)
+        assert box.ciphertext == bytes(
+            p ^ s for p, s in zip(plaintext, stream)
+        )
+        assert symmetric.decrypt(key, box) == bytes(
+            c ^ s for c, s in zip(box.ciphertext, stream)
+        )
+
     @given(key=keys, plaintext=st.binary(min_size=1, max_size=512),
            flip=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)

@@ -13,6 +13,9 @@ Two contracts, driven by Hypothesis:
   ``state_digest_of(state_dict())`` on chains whose blocks mix bids the
   node admitted (journaled by reference) with bids it never saw
   (embedded), across arbitrary snapshot points.
+* **A window survives recovery** — over any number of rounds, any
+  retention horizon and any crash point, the live node and ``recover()``
+  agree on the digest, the height, the tip and every retained block.
 """
 
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from repro.ledger.chain import Blockchain
 from repro.ledger.mempool import Mempool
 from repro.ledger.miner import Miner, make_sealed_bid
 from repro.cryptosim import schnorr
+from repro.faults.crash import CrashPoint, SimulatedCrashError
 from repro.protocol.settlement import TokenLedger
 from repro.store import NodeStore, WriteAheadLog, state_digest_of
 
@@ -288,3 +292,75 @@ class TestStreamedDigestOnChains:
         assert recovered.state_digest() == state_digest_of(
             recovered.state_dict()
         )
+
+
+def _bid_miner(miner_id, store=None):
+    return Miner(
+        miner_id=miner_id,
+        allocate=lambda plaintexts, evidence: {"bids": len(plaintexts)},
+        difficulty_bits=4,
+        store=store,
+    )
+
+
+class TestRollOffs:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rounds=st.integers(min_value=1, max_value=9),
+        horizon=st.integers(min_value=1, max_value=3),
+        crash=st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(min_value=0, max_value=60),
+                st.sampled_from(["clean", "torn", "corrupt"]),
+            ),
+        ),
+    )
+    def test_live_and_recovered_node_agree_across_roll_offs(
+        self, rounds, horizon, crash
+    ):
+        leader = _bid_miner("leader")
+        blocks = []
+        for index in range(rounds):
+            leader.accept_transaction(sealed_bid(index))
+            preamble = leader.build_preamble()
+            body = leader.build_body(preamble, ())
+            block = Block(preamble=preamble, body=body)
+            leader.commit_block(block)
+            blocks.append(block)
+
+        point = CrashPoint(*crash) if crash else None
+        store = NodeStore.in_memory(horizon=horizon, crash_point=point)
+        node, ledger = _bid_miner("node", store), TokenLedger()
+        store.attach(ledger=ledger)
+        while len(node.chain) < rounds:
+            height = len(node.chain)
+            block = blocks[height]
+            try:
+                node.accept_transaction(block.preamble.transactions[0])
+                store.log("round.phase", round=height, phase="begin")
+                node.commit_block(block)
+                store.log("round.phase", round=height, phase="committed")
+                opened = ledger.open_escrow("node", "leader", 0.0)
+                if height % 2:
+                    ledger.release(opened)
+            except SimulatedCrashError:
+                recovered = store.recover(difficulty_bits=4)
+                node = recovered.make_miner("node", leader.allocate, store)
+                ledger = recovered.ledger
+                store.attach(ledger=ledger)
+
+        chain = node.chain
+        assert min(rounds, horizon) <= len(list(chain)) <= 2 * horizon
+        live = store.state_digest()
+        assert live == state_digest_of(store.state_dict())
+        recovered = store.recover(difficulty_bits=4)
+        assert recovered.state_digest() == live
+        assert recovered.state_digest() == state_digest_of(
+            recovered.state_dict()
+        )
+        again = recovered.chain
+        assert (len(again), again.tip_hash) == (len(chain), chain.tip_hash)
+        assert again.anchor_height == chain.anchor_height
+        for height in range(chain.anchor_height, len(chain)):
+            assert again[height].hash() == chain[height].hash()

@@ -20,6 +20,7 @@ from repro.sim.chaos import (
 )
 from repro.faults.crash import CrashPlan, CrashPoint
 from repro.store import state_digest_of
+from repro.store.wal import iter_frames
 
 #: deliberately degraded (one withholder) but network-deterministic —
 #: the differential contract needs the replayed round to see the exact
@@ -148,3 +149,64 @@ class TestSupervisedScenario:
         assert crashed.crashes == 1
         assert crashed.outcomes == reference.outcomes
         assert crashed.tip_hash == reference.tip_hash
+
+
+class _AppendRecorder(CrashPoint):
+    """Never fires; notes the record type of each of node 0's appends."""
+
+    def __init__(self) -> None:
+        super().__init__(at_append=10**9)
+        self.types = []
+
+    def on_append(self, frame):
+        ((record, _start, _end),) = iter_frames(frame)
+        self.types.append(record["type"])
+        return None
+
+
+#: a window of one block: three rounds roll the stores three times, and
+#: the last two rolls drop blocks
+ROLL_SPEC = dataclasses.replace(MATRIX_SPEC, rounds=3)
+
+
+class TestRollBoundaryMatrix:
+    @pytest.mark.parametrize("engine", ["lockstep", "runtime"])
+    def test_every_append_around_a_roll_recovers_bit_identically(
+        self, engine
+    ):
+        recorder = _AppendRecorder()
+        reference = run_durable_scenario(
+            ROLL_SPEC,
+            snapshot_every=1,
+            crash_point=recorder,
+            keep_state=True,
+            engine=engine,
+        )
+        assert reference.crashes == 0
+        assert reference.final_state["chain"]["anchor"]["height"] >= 2
+        marks = [
+            index
+            for index, kind in enumerate(recorder.types)
+            if kind == "snapshot.mark"
+        ]
+        assert len(marks) >= 3
+        # the record whose append triggered the roll (its snapshot,
+        # compaction and pruning run first), the roll's own mark, and
+        # the record the roll was made for
+        boundaries = sorted({i + d for i in marks for d in (-1, 0, 1)})
+        for at_append in boundaries:
+            for mode in ("clean", "torn", "corrupt"):
+                point = CrashPoint(at_append=at_append, mode=mode)
+                run = run_durable_scenario(
+                    ROLL_SPEC,
+                    snapshot_every=1,
+                    crash_point=point,
+                    keep_state=True,
+                    engine=engine,
+                )
+                assert point.fired and run.crashes >= 1, point
+                assert run.outcomes == reference.outcomes, point
+                assert run.tip_hash == reference.tip_hash, point
+                assert run.state_digest == reference.state_digest, point
+                assert state_digest_of(run.final_state) == run.state_digest
+                assert run.monitor_alerts == 0, point
