@@ -176,7 +176,7 @@ class TestChainAndMempoolRecovery:
     def test_snapshot_plus_suffix_equals_pure_replay(self):
         store, miner = self._mined_store()
         digest_before = store.recover(difficulty_bits=4).state_digest()
-        store.snapshot()  # compacts the replayed prefix away
+        store.snapshot()
         miner.accept_transaction(sealed_bid(7))
         with_suffix = store.recover(difficulty_bits=4)
         assert with_suffix.snapshot_used
@@ -347,7 +347,10 @@ class TestJournalEachBidOnce:
         bids = [sealed_bid(i) for i in range(3)]
         for tx in bids:
             miner.accept_transaction(tx)
-        store.snapshot(compact=True)  # the admission records are gone
+        # the second snapshot compacts the log to the first: the
+        # admission records are gone
+        store.snapshot()
+        store.snapshot()
         assert not [
             r for r in store.wal.records() if r["type"] == "mempool.admit"
         ]
