@@ -8,8 +8,9 @@ payload buffer in :func:`repro.ledger.pow.solve` buys; the speedup test
 pins that win and asserts both loops find the identical nonce.
 
 The Schnorr benches time one ``sign`` and one ``verify`` of a sealed-bid
-sized payload with the generator tables and the signer's key table
-already built (a node builds each once), and one ``verify`` under a key
+sized payload with the generator tables and the signer's key tables
+already built (a node builds each once), one ``verify`` under a
+full-width key (every ``G`` block), and one ``verify`` under a key
 never seen before (table build included); the admission bench is what
 one miner pays to admit a 200-bid block's worth of gossip from known
 signers, every bid arriving twice.
@@ -98,9 +99,20 @@ def test_bench_schnorr_verify(benchmark):
     assert benchmark(schnorr.verify, keypair.public, SIGN_MESSAGE, signature)
 
 
+def test_bench_schnorr_verify_full_width(benchmark):
+    """A full-width key, as ``KeyPair.generate()`` draws them: its
+    1023-bit response reaches all six ``G`` blocks."""
+    secret = (1 << 1022) + 12345
+    keypair = schnorr.KeyPair(secret=secret, public=schnorr._g_pow(secret))
+    signature = schnorr.sign(keypair.secret, SIGN_MESSAGE, keypair.public)
+    assert len(schnorr._g_tables(signature[1])) == schnorr._G_BLOCKS
+    assert benchmark(schnorr.verify, keypair.public, SIGN_MESSAGE, signature)
+
+
 def test_bench_schnorr_verify_first_sight(benchmark):
-    """A key this process has never verified under: the signer's table
-    is built, then used once — what a flood of fresh keys costs per bid."""
+    """A key this process has never verified under: the signer's two
+    tables are built, then used once — what a flood of fresh keys costs
+    per bid."""
     fresh = []
     for i in range(200):  # fewer than the table LRU holds: no round re-sees one
         keypair = schnorr.KeyPair.generate(seed=b"first-sight-%d" % i)

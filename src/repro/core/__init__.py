@@ -51,10 +51,6 @@ from repro.core.normalization import (
     payment_for,
 )
 from repro.core.normalization_vectorized import compute_economics_batch
-from repro.core.pricing import (
-    pooled_price_vectorized,
-    pooled_prices_batch,
-)
 from repro.core.outcome import (
     AuctionOutcome,
     Match,
@@ -121,8 +117,6 @@ __all__ = [
     "payment_for",
     "clear_mini_auction",
     "pooled_price",
-    "pooled_prices_batch",
-    "pooled_price_vectorized",
     "pair_welfare",
     "resource_fraction",
     "total_welfare",

@@ -9,23 +9,10 @@ sacrifice that buys truthfulness): a price set by request ``z`` excludes
 that client from the auction, a price set by offer ``z'+1`` excludes that
 provider.
 
-Two implementations live here:
-
-* :func:`pooled_price` — the scalar reference (moved verbatim from
-  ``repro.core.trade_reduction``, which re-exports it for
-  compatibility);
-* :func:`pooled_prices_batch` — the vectorized engine's kernel: the
-  allocations of *many* mini-auctions are flattened into
-  segment-indexed arrays, and every auction's band floor
-  (``max c_hat_z'``), minimum winning valuation, and breakeven
-  ``c_hat_{z'+1}`` candidate fall out of masked ``reduceat``
-  reductions.  Price-determiner identity follows the scalar rule
-  exactly: the *first* allocation in input order achieving the minimum
-  (``min`` with a key returns the first minimal item).
-
-Both paths compute the same floats with the same operations —
-``tests/differential/`` holds them bit-identical through the full
-pipeline.
+:func:`pooled_price` is the one implementation (moved verbatim from
+``repro.core.trade_reduction``, which re-exports it for compatibility):
+``clear_mini_auction`` prices every mini-auction of either engine
+through it.
 
 :func:`payment_for` (Eq. 19) stays in :mod:`repro.core.normalization`
 and is re-exported here so pricing callers find the whole price/payment
@@ -35,7 +22,7 @@ surface in one module.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.cluster_allocation import ClusterAllocation
 from repro.core.normalization import payment_for  # noqa: F401  (re-export)
@@ -82,90 +69,3 @@ def pooled_price(
         if min_c <= min_v:
             return min_c, None, z1_offer
     return min_v, z_request, None
-
-
-def pooled_prices_batch(
-    auction_allocations: Sequence[Sequence[ClusterAllocation]],
-    epsilon: float = 1e-9,
-) -> List[PriceResult]:
-    """:func:`pooled_price` for many mini-auctions in one pass.
-
-    Used by the vectorized engine when a wave of participant-disjoint
-    auctions clears together — their live allocations are independent,
-    so the prices are too.
-    """
-    import numpy as np
-
-    results: List[PriceResult] = [
-        (None, None, None) for _ in auction_allocations
-    ]
-    flat: List[ClusterAllocation] = []
-    starts: List[int] = []
-    segments: List[int] = []  # auction index of each non-empty segment
-    for a_idx, allocations in enumerate(auction_allocations):
-        if allocations:
-            starts.append(len(flat))
-            segments.append(a_idx)
-            flat.extend(allocations)
-    if not flat:
-        return results
-
-    n = len(flat)
-    start_arr = np.asarray(starts, dtype=np.intp)
-    seg_lengths = np.diff(np.append(start_arr, n))
-    seg_of = np.repeat(np.arange(len(starts)), seg_lengths)
-    trading = np.fromiter(
-        (a.has_trades for a in flat), dtype=bool, count=n
-    )
-    v_z = np.array([a.v_z for a in flat])
-    c_z = np.array([a.c_z for a in flat])
-    c_z1 = np.array([a.c_z_plus_1 for a in flat])
-    has_z1 = np.fromiter(
-        (a.z_plus_1_offer is not None for a in flat), dtype=bool, count=n
-    )
-    indices = np.arange(n)
-    sentinel = n  # "no index" marker that loses every minimum
-
-    # min v_hat_z over the auction's trading clusters, with the identity
-    # of the first allocation attaining it (the scalar min() rule).
-    v_key = np.where(trading, v_z, np.inf)
-    min_v = np.minimum.reduceat(v_key, start_arr)
-    v_hit = (v_key == min_v[seg_of]) & trading
-    first_v = np.minimum.reduceat(
-        np.where(v_hit, indices, sentinel), start_arr
-    )
-    any_trading = np.logical_or.reduceat(trading, start_arr)
-
-    # Band floor: the highest used cost across trading clusters.
-    band = np.maximum.reduceat(np.where(trading, c_z, -np.inf), start_arr)
-
-    # Qualifying z'+1 candidates: finite, present, at or above the floor.
-    floor_cut = band - epsilon
-    qualified = has_z1 & np.isfinite(c_z1) & (c_z1 >= floor_cut[seg_of])
-    c_key = np.where(qualified, c_z1, np.inf)
-    min_c = np.minimum.reduceat(c_key, start_arr)
-    c_hit = (c_key == min_c[seg_of]) & qualified
-    first_c = np.minimum.reduceat(
-        np.where(c_hit, indices, sentinel), start_arr
-    )
-    any_candidate = np.logical_or.reduceat(qualified, start_arr)
-
-    offer_side = any_trading & any_candidate & (min_c <= min_v)
-    for q, a_idx in enumerate(segments):
-        if not any_trading[q]:
-            continue
-        if offer_side[q]:
-            winner = flat[int(first_c[q])]
-            results[a_idx] = (float(min_c[q]), None, winner.z_plus_1_offer)
-        else:
-            winner = flat[int(first_v[q])]
-            results[a_idx] = (float(min_v[q]), winner.z_request, None)
-    return results
-
-
-def pooled_price_vectorized(
-    allocations: Sequence[ClusterAllocation],
-    epsilon: float = 1e-9,
-) -> PriceResult:
-    """Single-auction entry point of the batched kernel."""
-    return pooled_prices_batch([allocations], epsilon)[0]

@@ -9,18 +9,21 @@ key, and any bit flip in message or signature fails verification.
 Signing is deterministic (RFC-6979 style nonce derivation from the secret
 key and message) so the ledger simulation stays reproducible.
 
-Every exponentiation goes through one Lim-Lee comb: a 256-bit exponent
-is laid out as 8 rows of 32 bits, a 256-entry table holds the product of
-the row bases for every 8-bit column pattern, and evaluation is one
-squaring plus at most one multiply per table for each of the 32 columns.
-``G`` has four such tables (exponents run up to ``Q``, 1023 bits), built
-on first use; each signer's ``Y^(-1)`` has one, a pure function of the
-public key, built on first sight and kept in a bounded LRU.  Verification
-walks the ``G`` tables and the signer's table in a single pass, so
-``G^response * Y^(-challenge)`` shares its 32 squarings.  The tables
-compute the same group elements as plain ``pow``, so signatures and
-verdicts are bit-identical to the textbook formulas
-(``tests/property/test_crypto_properties.py`` keeps those as the oracle).
+Every exponentiation goes through one Lim-Lee comb of 16 columns: an
+exponent block is laid out as rows of 16 bits, a table holds the product
+of the row bases for every column pattern, and evaluation is one
+squaring plus at most one multiply per table for each of the 16 columns.
+``G`` has six tables of 11 rows (176-bit blocks, 2,048 entries each;
+exponents run up to ``Q``, 1023 bits), each built the first time an
+exponent reaches its block.  Each signer's ``Y^(-1)`` has two tables of
+8 rows (256 entries each) covering a 256-bit challenge, a pure function
+of the public key, built on first sight and kept in a bounded LRU.
+Verification walks the ``G`` tables the response reaches and the
+signer's two in a single pass, so ``G^response * Y^(-challenge)``
+shares its 16 squarings.  The tables compute the same group elements as
+plain ``pow``, so signatures and verdicts are bit-identical to the
+textbook formulas (``tests/property/test_crypto_properties.py`` keeps
+those as the oracle).
 A node that sees the same signature several times per round fronts
 :func:`verify` with its own :class:`SignatureCache`; key tables hold no
 verdicts and are shared by every node in the process.
@@ -43,39 +46,46 @@ P = 0xFFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74020BBEA63B
 Q = (P - 1) // 2
 G = 4  # 2^2 is a quadratic residue, hence generates the order-Q subgroup.
 
-#: Comb geometry: an exponent block of ``_ROWS * _COLUMNS`` = 256 bits is
-#: read as 8 rows of 32 bits; a table has one entry per 8-bit column
-#: pattern (256 entries, ~43 KiB), and evaluating costs 32 squarings
-#: shared by every table in the pass plus at most 32 multiplies per table.
-_ROWS = 8
-_COLUMNS = 32
-_BLOCK_BITS = _ROWS * _COLUMNS
-_ROW_MASK = (1 << _ROWS) - 1
-#: blocks covering an exponent below ``Q``: 4 tables, 1,024 entries, ~10 ms
-_G_BLOCKS = -(-Q.bit_length() // _BLOCK_BITS)
-#: signers whose ``Y^(-1)`` table is kept (least recently used goes
-#: first): ~10 MiB when full.  Building one (~1.7 ms) costs about what a
-#: whole verification did before the tables existed, so a flood of
-#: never-seen keys pays a bounded factor per bid and never more.
+#: Comb geometry: every table reads its exponent block as rows of
+#: ``_COLUMNS`` bits and has one entry per column pattern across its rows
+#: (``2^rows`` entries); evaluating costs 16 squarings shared by every
+#: table in the pass plus at most 16 multiplies per table.
+_COLUMNS = 16
+#: ``G``: 11 rows, a 176-bit block and 2,048 entries (~340 KiB) a table;
+#: six blocks cover an exponent below ``Q``
+_G_ROWS = 11
+_G_BLOCK_BITS = _G_ROWS * _COLUMNS
+_G_BLOCKS = -(-Q.bit_length() // _G_BLOCK_BITS)
+#: a signer's ``Y^(-1)``: two tables of 8 rows (2 x 256 entries, ~86 KiB)
+#: covering a 256-bit challenge, the first one its low 128 bits
+_KEY_ROWS = 8
+_KEY_BLOCKS = 2
+_CHALLENGE_BITS = _KEY_BLOCKS * _KEY_ROWS * _COLUMNS
+#: signers whose ``Y^(-1)`` tables are kept (least recently used goes
+#: first): ~22 MiB when full.  Building a key's tables costs about
+#: eight repeat verifications (734 modular multiplications against 96),
+#: so a flood of never-seen keys pays a bounded factor per bid and never
+#: more.
 _MAX_KEY_TABLES = 256
 
 _Table = Tuple[int, ...]
 
 
-def _build_comb(base: int, blocks: int) -> Tuple[_Table, ...]:
-    """Comb tables of ``base`` for exponents of ``blocks * 256`` bits.
+def _build_comb(base: int, rows: int, blocks: int) -> Tuple[_Table, ...]:
+    """Comb tables of ``base`` for exponents of ``blocks * rows * 16`` bits.
 
-    Row ``r`` of the exponent weighs ``base^(2^(32 r))``; table ``b``
-    covers rows ``8b .. 8b+7`` and ``table[d]`` is the product of the
-    row bases whose bit is set in ``d`` — a pure function of ``base``.
+    Row ``r`` of the exponent weighs ``base^(2^(16 r))``; table ``b``
+    covers rows ``rows*b .. rows*b + rows-1`` and ``table[d]`` is the
+    product of the row bases whose bit is set in ``d`` — a pure function
+    of ``base``.
     """
     row_bases = [base]
-    for _ in range(blocks * _ROWS - 1):
+    for _ in range(blocks * rows - 1):
         row_bases.append(pow(row_bases[-1], 1 << _COLUMNS, P))
     tables = []
     for block in range(blocks):
         table = [1]
-        for row_base in row_bases[block * _ROWS : (block + 1) * _ROWS]:
+        for row_base in row_bases[block * rows : (block + 1) * rows]:
             table += [entry * row_base % P for entry in table]
         tables.append(tuple(table))
     return tuple(tables)
@@ -83,40 +93,56 @@ def _build_comb(base: int, blocks: int) -> Tuple[_Table, ...]:
 
 def _comb_pow(tables: Tuple[_Table, ...], exponent: int) -> int:
     """Product over ``b`` of ``base_b ^ (block b of exponent)`` mod ``P``,
-    where ``tables[b]`` is a comb table of ``base_b`` and block ``b`` is
-    bits ``256b .. 256b+255`` of an exponent no wider than the tables —
-    one pass, one squaring per column."""
-    bits = format(exponent, "b").zfill(len(tables) * _BLOCK_BITS)
+    where ``tables[b]`` is a comb table of ``base_b`` with ``2^rows_b``
+    entries and block ``b`` is the ``16 * rows_b`` exponent bits above
+    the lower tables' — one pass, one squaring per column.  The exponent
+    must be no wider than the tables."""
+    if not tables:
+        return 1  # the empty product: exponent 0 reaches no block
+    layout = []
+    for table in tables:
+        rows = len(table).bit_length() - 1
+        layout.append((rows, (1 << rows) - 1, table))
+    bits = format(exponent, "b").zfill(
+        sum(rows for rows, _, _ in layout) * _COLUMNS
+    )
     result = 1
     for column in range(_COLUMNS):
         result = result * result % P
         # bit ``column`` (from the top) of every row, lowest row last
         digits = int(bits[column::_COLUMNS], 2)
-        block = 0
-        while digits:
-            digit = digits & _ROW_MASK
+        for rows, mask, table in layout:
+            digit = digits & mask
             if digit:
-                result = result * tables[block][digit] % P
-            digits >>= _ROWS
-            block += 1
+                result = result * table[digit] % P
+            digits >>= rows
     return result
 
 
 @functools.lru_cache(maxsize=None)
-def _g_tables() -> Tuple[_Table, ...]:
-    return _build_comb(G, _G_BLOCKS)
+def _g_block(block: int) -> _Table:
+    """``G``'s comb table for exponent bits ``176 block ..``, built the
+    first time an exponent reaches that block."""
+    return _build_comb(pow(G, 1 << block * _G_BLOCK_BITS, P), _G_ROWS, 1)[0]
+
+
+def _g_tables(exponent: int) -> Tuple[_Table, ...]:
+    """``G``'s tables for the blocks a non-negative exponent reaches."""
+    blocks = -(-exponent.bit_length() // _G_BLOCK_BITS)
+    return tuple(map(_g_block, range(blocks)))
 
 
 @functools.lru_cache(maxsize=_MAX_KEY_TABLES)
-def _key_table(public: int) -> _Table:
-    """Comb table of ``public^(-1)`` (the true inverse mod ``P``, so keys
-    outside the order-``Q`` subgroup are handled exactly)."""
-    return _build_comb(pow(public, -1, P), 1)[0]
+def _key_table(public: int) -> Tuple[_Table, ...]:
+    """The two comb tables of ``public^(-1)`` (the true inverse mod
+    ``P``, so keys outside the order-``Q`` subgroup are handled exactly)."""
+    return _build_comb(pow(public, -1, P), _KEY_ROWS, _KEY_BLOCKS)
 
 
 def _g_pow(exponent: int) -> int:
     """``pow(G, exponent, P)`` for a non-negative exponent, by table."""
-    return _comb_pow(_g_tables(), exponent % Q)  # G has order Q
+    exponent %= Q  # G has order Q
+    return _comb_pow(_g_tables(exponent), exponent)
 
 
 def _hash_to_int(*parts: bytes) -> int:
@@ -203,15 +229,17 @@ def verify(public: int, message: bytes, signature: Tuple[int, int]) -> bool:
     if components is None:
         return False
     challenge, response = components
-    if challenge >> _BLOCK_BITS:
+    if challenge >> _CHALLENGE_BITS:
         # the challenge is a SHA-256 value (< 2^256 < Q): nothing wider
-        # can equal the recomputed one, and one key table covers 256 bits
+        # can equal the recomputed one, and the key tables cover 256 bits
         return False
     # commitment' = G^response * public^(-challenge) mod P, the signer's
-    # table riding as one more block above the G tables
+    # tables riding as two more blocks above the G blocks the response
+    # reaches
+    g_tables = _g_tables(response)
     commitment = _comb_pow(
-        _g_tables() + (_key_table(public),),
-        response | challenge << (_G_BLOCKS * _BLOCK_BITS),
+        g_tables + _key_table(public),
+        response | challenge << (len(g_tables) * _G_BLOCK_BITS),
     )
     expected = (
         _hash_to_int(

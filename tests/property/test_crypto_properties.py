@@ -145,6 +145,20 @@ class TestSchnorrAgainstTextbookFormulas:
         for secret in (1, Q - 1, Q // 3, (1 << 1022) + 12345):
             assert schnorr.sign(secret, b"m") == oracle_sign(secret, b"m")
 
+    def test_sign_bit_identical_for_seeded_and_full_width_keys(self):
+        # handed the public key, as every caller signs; a full-width
+        # secret's G^secret and response reach all six G blocks
+        pairs = [schnorr.KeyPair.generate(seed=b"seeded-%d" % i) for i in range(3)]
+        pairs += [schnorr.KeyPair(secret=s, public=pow(G, s, P)) for s in (
+            Q - 1, Q // 3, (1 << 1022) + 12345, (1 << 880) - 1, 1 << 880,
+        )]
+        for keypair in pairs:
+            for message in (b"", b"m", bytes(range(256))):
+                signature = schnorr.sign(keypair.secret, message, keypair.public)
+                assert signature == oracle_sign(keypair.secret, message)
+                assert schnorr.verify(keypair.public, message, signature)
+                assert oracle_verify(keypair.public, message, signature)
+
     @given(seed=seeds, message=messages)
     @settings(max_examples=25, deadline=None)
     def test_sign_bit_identical_when_handed_the_public_key(self, seed, message):
@@ -212,26 +226,61 @@ class TestSchnorrAgainstTextbookFormulas:
         )
 
     def test_fixed_base_power_edges_and_comb_boundaries(self):
-        rows, columns = schnorr._ROWS, schnorr._COLUMNS
-        block_bits = rows * columns
+        rows, columns = schnorr._G_ROWS, schnorr._COLUMNS
+        block_bits, blocks = schnorr._G_BLOCK_BITS, schnorr._G_BLOCKS
+        assert block_bits == rows * columns == 176
+        assert blocks * block_bits >= Q.bit_length() > (blocks - 1) * block_bits
         exponents = {0, 1, Q - 1, Q, Q + 1, 2 * Q + 5}
-        # first and last column of every row of every block
-        for shift in range(0, schnorr._G_BLOCKS * block_bits + 1, columns):
-            exponents.update({(1 << shift) - 1, 1 << shift, (1 << shift) + 1})
-        for block in range(schnorr._G_BLOCKS):
+        # the first and last column of every row of every block
+        for shift in range(0, blocks * block_bits + 1, columns):
+            exponents.update({
+                (1 << shift) - 1, 1 << shift, (1 << shift) + 1,
+                1 << shift + columns - 1,
+            })
+        for block in range(1, blocks + 1):  # each 176-bit block boundary
+            edge = 1 << block * block_bits
+            exponents.update({edge - 1, edge, edge + 1})
+        for block in range(blocks):
             base = block * block_bits
             for column in (0, 1, columns - 1):
-                # every row of the block set in one column: table entry 255
+                # every row of the block set in one column: entry 2047
                 exponents.add(
                     sum(1 << (base + row * columns + column) for row in range(rows))
                 )
             for row in range(rows):  # a whole row: one entry, every column
                 exponents.add(((1 << columns) - 1) << (base + row * columns))
             exponents.add(((1 << block_bits) - 1) << base)  # the whole block
-        assert len(schnorr._g_tables()) == schnorr._G_BLOCKS
-        assert all(len(table) == 1 << rows for table in schnorr._g_tables())
+        tables = schnorr._g_tables(Q - 1)
+        assert len(tables) == blocks
+        assert all(len(table) == 1 << rows for table in tables)
         for exponent in exponents:
             assert schnorr._g_pow(exponent) == pow(G, exponent, P), exponent
+            if exponent < 1 << blocks * block_bits:
+                # unreduced, so the top rows above Q's width are read too
+                assert schnorr._comb_pow(tables, exponent) == pow(
+                    G, exponent, P
+                ), exponent
+
+    def test_an_exponent_builds_exactly_the_blocks_it_reaches(self):
+        block_bits = schnorr._G_BLOCK_BITS
+        schnorr._g_block.cache_clear()
+        assert schnorr._g_pow(0) == 1
+        assert schnorr._g_block.cache_info().currsize == 0
+        for block in range(schnorr._G_BLOCKS):
+            for exponent in (1 << block * block_bits, (1 << (block + 1) * block_bits) - 1):
+                exponent %= Q  # the top block's last bit lies above Q
+                if exponent.bit_length() <= block * block_bits:
+                    continue
+                assert schnorr._g_pow(exponent) == pow(G, exponent, P)
+                assert schnorr._g_block.cache_info().currsize == block + 1
+        # a seeded key's response (nonce + challenge * secret, 256-bit
+        # terms) reaches 3 of the 6 blocks
+        schnorr._g_block.cache_clear()
+        keypair = schnorr.KeyPair.generate(seed=b"three blocks")
+        signature = schnorr.sign(keypair.secret, b"m", keypair.public)
+        assert schnorr._g_block.cache_info().currsize == 2  # 256-bit nonce
+        assert schnorr.verify(keypair.public, b"m", signature)
+        assert schnorr._g_block.cache_info().currsize == 3
 
     @given(exponent=st.integers(min_value=0, max_value=Q - 1))
     @settings(max_examples=100, deadline=None)
@@ -240,26 +289,56 @@ class TestSchnorrAgainstTextbookFormulas:
 
     @given(public=st.integers(min_value=2, max_value=P - 1),
            challenge=st.integers(min_value=0, max_value=(1 << 256) - 1),
-           response=st.integers(min_value=0, max_value=Q - 1))
+           response=st.one_of(
+               st.integers(min_value=0, max_value=Q - 1),
+               st.integers(min_value=0, max_value=(1 << 512) - 1),
+           ))
     @settings(max_examples=25, deadline=None)
     def test_single_pass_commitment_equals_two_pows(
         self, public, challenge, response
     ):
-        # the value the verdict hashes, for keys in and out of the subgroup
-        tables = schnorr._g_tables() + (schnorr._key_table(public),)
-        assert schnorr._comb_pow(
-            tables, response | challenge << 1024
-        ) == pow(G, response, P) * pow(pow(public, challenge, P), P - 2, P) % P
+        # the value the verdict hashes, for keys in and out of the
+        # subgroup, with the key tables above the G blocks the response
+        # reaches (as verify lays them out) and above all six
+        expected = pow(G, response, P) * pow(pow(public, challenge, P), P - 2, P) % P
+        for g_tables in {schnorr._g_tables(response), schnorr._g_tables(Q - 1)}:
+            assert schnorr._comb_pow(
+                g_tables + schnorr._key_table(public),
+                response | challenge << len(g_tables) * schnorr._G_BLOCK_BITS,
+            ) == expected
 
     def test_key_table_edges_and_comb_boundaries(self):
         public = schnorr.KeyPair.generate(seed=b"edges").public
-        table = (schnorr._key_table(public),)
+        tables = schnorr._key_table(public)
+        rows, columns = schnorr._KEY_ROWS, schnorr._COLUMNS
+        table_bits = rows * columns
+        assert len(tables) == schnorr._KEY_BLOCKS == 2
+        assert all(len(table) == 1 << rows for table in tables)
+        assert len(tables) * table_bits == schnorr._CHALLENGE_BITS == 256
         inverse = pow(public, P - 2, P)
         challenges = {0, 1, (1 << 256) - 1}
-        for shift in range(0, 256, schnorr._COLUMNS):
-            challenges.update({(1 << shift) - 1, 1 << shift, (1 << shift) + 1})
+        # the first and last column of every row of both tables
+        for shift in range(0, 256, columns):
+            challenges.update({
+                (1 << shift) - 1, 1 << shift, (1 << shift) + 1,
+                1 << shift + columns - 1,
+            })
+        for block in range(len(tables)):
+            base = block * table_bits
+            for column in (0, columns - 1):  # every row in one column: 255
+                challenges.add(
+                    sum(1 << (base + row * columns + column) for row in range(rows))
+                )
+            challenges.add(((1 << table_bits) - 1) << base)  # the whole table
+        # across the 128-bit split between the two tables
+        split = 1 << table_bits
+        challenges.update({
+            split - 1, split, split + 1, split | (split >> 1),
+            ((1 << columns) - 1) << (table_bits - columns // 2),
+            (split - 1) << (table_bits // 2),
+        })
         for challenge in challenges:
-            assert schnorr._comb_pow(table, challenge) == pow(
+            assert schnorr._comb_pow(tables, challenge) == pow(
                 inverse, challenge, P
             ), challenge
 

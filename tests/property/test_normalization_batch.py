@@ -5,13 +5,10 @@ of masked NumPy arrays; these properties drive it with adversarial
 cluster mixes — zero-magnitude virtual maxima, single-bid clusters,
 exact grid ties, clusters with disjoint type universes side by side —
 and require the result to match per-cluster ``compute_economics``
-float-for-float (compared via ``float.hex``).  The batched SBBA pricing
-kernel gets the same treatment against scalar ``pooled_price``.
+float-for-float (compared via ``float.hex``).
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -20,16 +17,9 @@ from hypothesis import strategies as st
 from repro.common.errors import AuctionError
 from repro.common.timewindow import TimeWindow
 from repro.core.auction import DecloudAuction
-from repro.core.cluster_allocation import allocate_cluster
-from repro.core.clustering import Cluster, build_clusters
 from repro.core.config import AuctionConfig
 from repro.core.normalization import compute_economics
 from repro.core.normalization_vectorized import compute_economics_batch
-from repro.core.pricing import (
-    pooled_price,
-    pooled_price_vectorized,
-    pooled_prices_batch,
-)
 from repro.market.bids import Offer, Request
 
 TYPES = ("cpu", "ram", "disk", "gpu")
@@ -195,68 +185,6 @@ class TestBatchedNormalization:
         ]
         with pytest.raises(AuctionError, match="no common resource types"):
             compute_economics_batch([(requests, offers)], config)
-
-
-def _allocations_from_market(size: int, seed: int):
-    """Real cluster allocations straight out of the front half."""
-    from repro.workloads.generators import generate_market
-
-    config = AuctionConfig()
-    requests, offers = generate_market(size, seed=seed)
-    request_by_id = {r.request_id: r for r in requests}
-    offer_by_id = {o.offer_id: o for o in offers}
-    clusters, _ = build_clusters(requests, offers, config)
-    allocations = []
-    for cluster in clusters:
-        cluster_requests = [
-            request_by_id[rid] for rid in sorted(cluster.request_ids)
-        ]
-        cluster_offers = [
-            offer_by_id[oid] for oid in sorted(cluster.offer_ids)
-        ]
-        if cluster_requests and cluster_offers:
-            allocations.append(
-                allocate_cluster(
-                    cluster, cluster_requests, cluster_offers, config
-                )
-            )
-    return allocations
-
-
-class TestBatchedPricing:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_batch_matches_scalar_on_real_clusters(self, seed):
-        allocations = _allocations_from_market(60, seed)
-        scalar = pooled_price(allocations)
-        batched = pooled_price_vectorized(allocations)
-        assert _price_hex(batched) == _price_hex(scalar)
-
-    @pytest.mark.parametrize("seed", [4, 5])
-    def test_batch_over_partitions(self, seed):
-        """Many segments at once: every partition of the allocation list
-        must price each part exactly as a scalar call on that part."""
-        allocations = _allocations_from_market(60, seed)
-        if len(allocations) < 3:
-            pytest.skip("market produced too few clusters to partition")
-        thirds = [
-            allocations[0::3], allocations[1::3], allocations[2::3], []
-        ]
-        batched = pooled_prices_batch(thirds)
-        for part, result in zip(thirds, batched):
-            assert _price_hex(result) == _price_hex(pooled_price(part))
-
-    def test_empty_inputs(self):
-        assert pooled_prices_batch([]) == []
-        assert pooled_prices_batch([[]]) == [(None, None, None)]
-
-
-def _price_hex(result):
-    price, z_request, z1_offer = result
-    return (
-        None if price is None else float(price).hex(),
-        None if z_request is None else z_request.request_id,
-        None if z1_offer is None else z1_offer.offer_id,
-    )
 
 
 class TestPhaseSpanIntegration:

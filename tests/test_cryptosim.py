@@ -224,10 +224,18 @@ class TestKeyTables:
         ))
         info = schnorr._key_table.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        table = schnorr._key_table(public)
-        inverse = pow(public, -1, schnorr.P)
-        assert len(table) == 256 and table[0] == 1 and table[1] == inverse
-        assert table[3] == inverse * pow(inverse, 1 << 32, schnorr.P) % schnorr.P
+        low, high = schnorr._key_table(public)
+        P, columns = schnorr.P, schnorr._COLUMNS
+        inverse = pow(public, -1, P)
+        assert len(low) == len(high) == 1 << schnorr._KEY_ROWS == 256
+        assert low[0] == high[0] == 1 and low[1] == inverse
+        # row r weighs inverse^(2^(16 r)); the high table starts at row 8
+        assert low[3] == inverse * pow(inverse, 1 << columns, P) % P
+        assert low[128] == pow(inverse, 1 << 7 * columns, P)
+        assert high[1] == pow(inverse, 1 << 8 * columns, P)
+        assert high[255] == pow(inverse, sum(
+            1 << row * columns for row in range(8, 16)
+        ), P)
 
     def test_key_first_seen_with_a_forgery_still_verifies_a_good_signature(self):
         schnorr._key_table.cache_clear()
