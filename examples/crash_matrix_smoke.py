@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Crash-matrix smoke: a seeded subset of crash points, CI-gated.
 
-Runs the durable-round differential on a strided subset of WAL append
-boundaries (every boundary × {clean, torn, corrupt} is the full matrix
-covered by ``tests/test_crash_matrix.py``; CI samples it to stay fast).
+Runs the durable-round differential, driven by the pipelined runtime,
+on a strided subset of WAL append boundaries (every boundary × {clean,
+torn, corrupt} is the full matrix covered by
+``tests/test_crash_matrix.py``; CI samples it to stay fast).
 For every sampled crash point the node is killed mid-append, restarted
 from (snapshot, valid log prefix), and the recovered run must be
 bit-identical to the uninterrupted reference — committed outcomes,
@@ -12,8 +13,8 @@ chain tip, state digest, zero monitor alerts.
 A second pass crosses the roll boundary: a one-block window
 (``snapshot_every=1``) over ``CHAOS_ROLL_ROUNDS`` rounds rolls the
 stores every commit — snapshot, compaction, pruning — so the sampled
-crash points land before, inside and after several roll-offs, on the
-lockstep and the pipelined engine both.
+crash points land before, inside and after several roll-offs, some with
+two rounds in flight.
 
 On any mismatch the failing cell is re-run with a flight recorder
 attached and its bundle is written to ``--out`` (CI uploads it as the
@@ -51,7 +52,7 @@ def smoke_spec(rounds: int) -> ChaosSpec:
     )
 
 
-def dump_mismatch_bundle(spec, point, out_dir: str, engine: str) -> str:
+def dump_mismatch_bundle(spec, point, out_dir: str) -> str:
     """Re-run one mismatched cell with a flight recorder and dump it."""
     flight = FlightRecorder(capacity=8, out_dir=out_dir)
     obs = Observability(
@@ -64,7 +65,6 @@ def dump_mismatch_bundle(spec, point, out_dir: str, engine: str) -> str:
         crash_point=CrashPoint(at_append=point.at_append, mode=point.mode),
         snapshot_every=1,
         obs=obs,
-        engine=engine,
     )
     return flight.dump(
         trigger="recovery-mismatch",
@@ -89,12 +89,8 @@ def main() -> None:
     rounds = int(os.environ.get("CHAOS_CRASH_ROUNDS", "1"))
     roll_rounds = int(os.environ.get("CHAOS_ROLL_ROUNDS", "3"))
     failed = 0
-    for spec, engine in (
-        (smoke_spec(rounds), "lockstep"),
-        (smoke_spec(roll_rounds), "lockstep"),
-        (smoke_spec(roll_rounds), "runtime"),
-    ):
-        failed += run_pass(spec, engine, stride, args.out)
+    for spec in (smoke_spec(rounds), smoke_spec(roll_rounds)):
+        failed += run_pass(spec, stride, args.out)
     if failed:
         raise SystemExit(
             f"{failed} crash point(s) did NOT recover "
@@ -102,17 +98,14 @@ def main() -> None:
         )
 
 
-def run_pass(spec: ChaosSpec, engine: str, stride: int, out: str) -> int:
+def run_pass(spec: ChaosSpec, stride: int, out: str) -> int:
     """One sampled matrix; returns how many of its cells mismatched."""
-    matrix = run_crash_matrix(
-        spec, snapshot_every=1, stride=stride, engine=engine
-    )
+    matrix = run_crash_matrix(spec, snapshot_every=1, stride=stride)
     reference = matrix.reference
     print(
         f"crash-matrix smoke: {reference.append_count} WAL boundaries, "
         f"stride {stride} -> {len(matrix.points)} cells "
-        f"(x3 modes), {spec.rounds} round(s), seed {spec.seed}, "
-        f"{engine} engine"
+        f"(x3 modes), {spec.rounds} round(s), seed {spec.seed}"
     )
     print(
         f"reference: {reference.rounds_completed} round(s) committed, "
@@ -134,7 +127,7 @@ def run_pass(spec: ChaosSpec, engine: str, stride: int, out: str) -> int:
         )
 
     for point in matrix.mismatches:
-        bundle = dump_mismatch_bundle(spec, point, out, engine)
+        bundle = dump_mismatch_bundle(spec, point, out)
         print(f"flight bundle for the failing cell: {bundle}")
     if not matrix.mismatches:
         print(

@@ -1,23 +1,23 @@
 #!/usr/bin/env python
 """Flight recorder walkthrough: a seeded degraded round, post-mortem included.
 
-Two protocol rounds over a lossy network (25% drops, 20% duplicates,
-20% reorders) with one Byzantine client that never reveals its sealing
-key:
+Two protocol rounds with a Byzantine client, ``cli-0``, that never
+reveals its sealing key:
 
-* **Round 0** completes despite the faults — the withholding client's
-  sealed bid is excluded (the paper's denial path) and the block clears
-  on the surviving bids.  The flight recorder archives the round's
-  causal trace as a frame.
-* **Round 1** loses two of the three miners mid-round, so no proposal
-  can reach quorum.  The resulting ``QuorumError`` makes the flight
-  recorder dump everything it has — the archived round-0 frame plus the
-  failing round's records — into a self-contained JSONL bundle.
+* **Round 0** completes anyway — the withholding client's sealed bid is
+  excluded (the paper's denial path) and the block clears on the
+  surviving bids.  The flight recorder archives the round's causal
+  trace as a frame.
+* **Round 1** carries ``cli-0``'s bid alone, so after every re-request
+  no key has arrived for any sealed bid.  The resulting
+  ``RevealTimeoutError`` makes the flight recorder dump everything it
+  has — the archived round-0 frame plus the failing round's records —
+  into a self-contained JSONL bundle.
 
 The script then renders the bundle exactly like
 ``python -m repro.obs.report --flight <bundle>`` would: the causal tree
 across every actor with the failing path marked by ``!``, naming the
-excluded bidder and the dropped/duplicated messages that caused it.
+excluded bidder and the reveal retries that could not save the round.
 
 Everything is seeded, so the bundle is identical on every run.
 
@@ -29,11 +29,9 @@ from __future__ import annotations
 import argparse
 import tempfile
 
-from repro.common.errors import QuorumError
+from repro.common.errors import RevealTimeoutError
 from repro.common.timewindow import TimeWindow
 from repro.faults.actors import WithholdingParticipant
-from repro.faults.network import UnreliableNetwork
-from repro.faults.plan import FaultPlan
 from repro.ledger.miner import Miner
 from repro.market.bids import Offer, Request
 from repro.obs import Observability
@@ -47,6 +45,7 @@ SEED = "flight-demo"
 
 
 def submit_market(protocol, clients, provider, round_index: int) -> None:
+    """Each client's request, then the provider's offer (if any)."""
     for i, client in enumerate(clients):
         protocol.submit(
             client,
@@ -60,6 +59,8 @@ def submit_market(protocol, clients, provider, round_index: int) -> None:
                 bid=2.0 + 0.5 * i,
             ),
         )
+    if provider is None:
+        return
     protocol.submit(
         provider,
         Offer(
@@ -82,14 +83,6 @@ def main() -> None:
     args = parser.parse_args()
     out_dir = args.out or tempfile.mkdtemp(prefix="decloud-flight-")
 
-    plan = FaultPlan(
-        seed=SEED,
-        drop_rate=0.25,
-        duplicate_rate=0.2,
-        reorder_rate=0.2,
-        max_delay=0.05,
-    )
-    network = UnreliableNetwork(plan=plan)
     obs = Observability(
         run_id="degraded-demo",
         monitors=MonitorSuite(),
@@ -103,7 +96,7 @@ def main() -> None:
         )
         for m in range(3)
     ]
-    protocol = ExposureProtocol(miners=miners, network=network, obs=obs)
+    protocol = ExposureProtocol(miners=miners, obs=obs)
 
     seal_seed = SEED.encode("ascii")
     byzantine = WithholdingParticipant(
@@ -118,7 +111,7 @@ def main() -> None:
     participants = [byzantine, honest, provider]
 
     print(f"flight bundles -> {out_dir}\n")
-    print("round 0: lossy network + withholding client cli-0 ...")
+    print("round 0: withholding client cli-0 among honest bidders ...")
     submit_market(protocol, [byzantine, honest], provider, 0)
     result = protocol.run_round(participants)
     print(
@@ -126,16 +119,14 @@ def main() -> None:
         f"{len(result.excluded_txids)} sealed bid(s) excluded"
     )
 
-    print("round 1: two of three miners crash -> no quorum ...")
-    submit_market(protocol, [byzantine, honest], provider, 1)
-    network.crash_node("miner-1")
-    network.crash_node("miner-2")
+    print("round 1: cli-0 bids alone -> no key is ever revealed ...")
+    submit_market(protocol, [byzantine], None, 1)
     try:
         protocol.run_round(participants)
-    except QuorumError as exc:
+    except RevealTimeoutError as exc:
         print(f"  failed as designed: {exc}")
     else:
-        raise SystemExit("expected the quorum to fail")
+        raise SystemExit("expected the reveal phase to time out")
 
     bundle = obs.flight.dumps[-1]
     print(f"  flight recorder dumped {bundle}\n")

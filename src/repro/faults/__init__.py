@@ -1,19 +1,19 @@
-"""Fault injection: unreliable networks, Byzantine actors, chaos plans.
+"""Fault injection: fault plans, Byzantine actors, crash points.
 
 The decentralized layer is only falsifiable if faults can actually
 occur.  This package supplies them, deterministically:
 
 * :class:`FaultPlan` — one seeded chaos scenario (message drop / delay /
-  duplication / reorder, scheduled node crashes and partitions).
-* :class:`UnreliableNetwork` — a drop-in
-  :class:`~repro.ledger.network.BroadcastNetwork` that executes a plan.
+  duplication / reorder, scheduled node crashes and partitions), replayed
+  by the runtime's :class:`~repro.runtime.DeterministicTransport`.
 * Byzantine actors — :class:`WithholdingParticipant`,
   :class:`TamperingParticipant`, :class:`EquivocatingMiner` — honest
   implementations with exactly one lie each.
 
 The protocol-side degradation these exercise lives in
-:mod:`repro.protocol.exposure`; the sweep harness that measures it lives
-in :mod:`repro.sim.chaos`.
+:mod:`repro.runtime` (lossy networks) and :mod:`repro.protocol.exposure`
+(Byzantine actors on a lossless bus); the sweep harness that measures it
+lives in :mod:`repro.sim.chaos`.
 """
 
 from repro.faults.actors import (
@@ -28,7 +28,6 @@ from repro.faults.crash import (
     CrashPoint,
     SimulatedCrashError,
 )
-from repro.faults.network import GLOBAL_NODE, UnreliableNetwork
 from repro.faults.plan import (
     LOSSLESS,
     CrashSpec,
@@ -45,11 +44,9 @@ __all__ = [
     "SimulatedCrashError",
     "EquivocatingMiner",
     "FaultPlan",
-    "GLOBAL_NODE",
     "LOSSLESS",
     "PartitionSpec",
     "TamperingParticipant",
-    "UnreliableNetwork",
     "WithholdingParticipant",
     "detect_equivocation",
     "make_partition",

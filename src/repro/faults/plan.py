@@ -2,9 +2,11 @@
 
 A :class:`FaultPlan` is the single source of truth for one chaos
 scenario.  Message-level faults (drop / delay / duplication / reorder
-jitter) are sampled from a generator derived via :mod:`repro.common.rng`,
-so two networks built from equal plans misbehave identically — failure
-scenarios are *reproducible*, which is what makes them testable.
+jitter) are sampled from generators derived via :mod:`repro.common.rng`
+from the plan seed, so two transports built from equal plans misbehave
+identically — failure scenarios are *reproducible*, which is what makes
+them testable.  :class:`~repro.runtime.DeterministicTransport` is the
+one network that replays a plan.
 
 Node-level faults are scheduled in virtual time: :class:`CrashSpec`
 takes a node down at an instant (optionally bringing it back), and
@@ -18,10 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Tuple
 
-import numpy as np
-
 from repro.common.errors import ValidationError
-from repro.common.rng import SeedLike, make_generator
+from repro.common.rng import SeedLike
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ def make_partition(*groups: Tuple[str, ...], start: float = 0.0,
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """One seeded chaos scenario for an :class:`UnreliableNetwork`.
+    """One seeded chaos scenario for a
+    :class:`~repro.runtime.DeterministicTransport`.
 
     Rates are per *delivery* (one broadcast fans out to one delivery per
     subscriber), so a 0.2 drop rate loses each copy independently with
@@ -114,10 +115,6 @@ class FaultPlan:
             raise ValidationError("need 0 <= min_delay <= max_delay")
         if self.reorder_jitter < 0:
             raise ValidationError("reorder_jitter must be non-negative")
-
-    def rng(self) -> np.random.Generator:
-        """A fresh generator; equal plans yield identical fault streams."""
-        return make_generator(self.seed)
 
 
 #: A plan with every fault switched off — the lossless control case.

@@ -25,7 +25,6 @@ from repro.common.errors import (
     ByzantineFaultError,
     InsecureKeyWarning,
     ProtocolError,
-    QuorumError,
     ReproError,
     RevealTimeoutError,
 )
@@ -176,12 +175,22 @@ class Participant:
         ]
 
 
+#: re-gossips of one sealed bid before the runtime stops waiting for
+#: every live mempool to admit it
+SUBMIT_RETRIES = 2
+#: leader re-requests for missing reveals before the still-sealed bids
+#: are excluded
+MAX_REVEAL_RETRIES = 2
+#: growth of the runtime's reveal deadline per re-request
+REVEAL_BACKOFF = 2.0
+
+
 def leader_rotation(miners: Sequence[Miner], round_index: int) -> List[Miner]:
     """Round-robin proposer order for ``round_index``.
 
     Shared by the lockstep driver and the async runtime so the two
     engines can never disagree on who leads (or who falls back next)
-    for a given round.
+    for a given round; the retry budgets above are shared the same way.
     """
     pivot = round_index % len(miners)
     return list(miners[pivot:]) + list(miners[:pivot])
@@ -201,25 +210,27 @@ class RoundResult:
 
 
 class ExposureProtocol:
-    """Drives full rounds of the two-phase protocol over a miner network.
+    """Drives full rounds of the two-phase protocol over a synchronous bus.
 
-    The driver degrades gracefully under faults instead of assuming the
-    lossless synchronous bus of the original design:
+    Every broadcast on the :class:`~repro.ledger.network.BroadcastNetwork`
+    reaches every miner before it returns, so the only faults this
+    driver meets are Byzantine ones — lossy networks, crashes and
+    partitions are the :class:`~repro.runtime.Runtime`'s to replay.
+    It still degrades gracefully under them:
 
-    * **Reveal deadline + retry**: key reveals are collected from gossip
-      with a per-attempt delivery budget; missing reveals are re-requested
-      with backoff up to ``max_reveal_retries`` times, after which the
-      still-sealed bids are excluded and the auction runs on the
-      surviving set (the paper's denial path).  Only when *every* bid
-      stays sealed does the round abort with
+    * **Reveal retry**: missing reveals are re-requested up to
+      ``MAX_REVEAL_RETRIES`` times, after which the still-sealed bids
+      are excluded and the auction runs on the surviving set (the
+      paper's denial path).  Only when *every* bid stays sealed does the
+      round abort with
       :class:`~repro.common.errors.RevealTimeoutError`.
     * **Quorum commit**: miners verify a proposed block first and append
       only once a majority of the network agrees, so a rejected proposal
       never leaves chains diverged.
     * **Leader fallback**: when the leader's body fails peer re-execution
-      (equivocation, doctored allocation), the next live miner rebuilds
-      the body from the same preamble and reveal set; the round fails
-      with :class:`~repro.common.errors.ByzantineFaultError` only if no
+      (equivocation, doctored allocation), the next miner rebuilds the
+      body from the same preamble and reveal set; the round fails with
+      :class:`~repro.common.errors.ByzantineFaultError` only if no
       proposer reaches quorum.
     """
 
@@ -228,25 +239,14 @@ class ExposureProtocol:
         miners: Sequence[Miner],
         network: Optional[BroadcastNetwork] = None,
         registry: Optional["IdentityRegistry"] = None,
-        submit_retries: int = 2,
-        max_reveal_retries: int = 2,
-        reveal_deadline: Optional[float] = None,
-        reveal_backoff: float = 2.0,
         obs: Optional[ObservabilityLike] = None,
         store: Optional[object] = None,
-        start_round: int = 0,
     ) -> None:
         if not miners:
             raise ProtocolError("at least one miner is required")
-        if submit_retries < 0 or max_reveal_retries < 0:
-            raise ProtocolError("retry budgets must be non-negative")
         self.miners = list(miners)
         self.network = network or BroadcastNetwork()
         self.registry = registry
-        self.submit_retries = submit_retries
-        self.max_reveal_retries = max_reveal_retries
-        self.reveal_deadline = reveal_deadline
-        self.reveal_backoff = reveal_backoff
         #: optional observability bundle: the protocol emits the round
         #: span tree (seal -> round(mine, reveal, propose, verify,
         #: commit)), retry/exclusion/Byzantine events, and the ledger
@@ -256,25 +256,16 @@ class ExposureProtocol:
         self.obs = resolve_obs(obs)
         #: optional durable store (``repro.store.NodeStore``): round phase
         #: transitions are journaled through it so recovery knows exactly
-        #: how far an in-flight round progressed before a crash.
-        #: ``start_round`` resumes the leader rotation after a restart.
+        #: how far an in-flight round progressed before a crash
         self.store = store
-        self._round = start_round
+        self._round = 0
         #: global submission order, stamped onto every BidSubmission so
         #: order-sensitive consumers (the async runtime's miners) can
         #: reconstruct arrival order from permuted gossip
         self._submit_sequence = 0
-        # A fault-injecting bus that can trace deliveries causally gets
-        # the same bundle, so message fates land in the round's tree.
-        attach_obs = getattr(self.network, "attach_obs", None)
-        if attach_obs is not None and self.obs.enabled:
-            attach_obs(self.obs)
         for miner in self.miners:
             self._subscribe_miner(miner)
 
-    # ------------------------------------------------------------------
-    # Network plumbing (fault-aware when the bus supports it)
-    # ------------------------------------------------------------------
     def _subscribe_miner(self, miner: Miner) -> None:
         def on_bid(_sender: str, payload) -> None:
             try:
@@ -290,33 +281,9 @@ class ExposureProtocol:
         def on_reveal(_sender: str, payload) -> None:
             miner.accept_reveal(payload.preamble_hash, payload.reveal)
 
-        subscribe_node = getattr(self.network, "subscribe_node", None)
-        for topic, handler in (
-            (messages.TOPIC_BIDS, on_bid),
-            (messages.TOPIC_PREAMBLE, on_preamble),
-            (messages.TOPIC_REVEALS, on_reveal),
-        ):
-            if subscribe_node is not None:
-                subscribe_node(miner.miner_id, topic, handler)
-            else:
-                self.network.subscribe(topic, handler)
-
-    def _flush(self, budget: Optional[float] = None) -> None:
-        """Drain a fault-injecting bus; a synchronous bus needs nothing."""
-        flush = getattr(self.network, "flush", None)
-        if flush is None:
-            return
-        if budget is None:
-            flush()
-        else:
-            flush(until=self.network.now + budget)
-
-    def _is_down(self, node_id: str) -> bool:
-        is_down = getattr(self.network, "is_down", None)
-        return bool(is_down(node_id)) if is_down is not None else False
-
-    def _live_miners(self) -> List[Miner]:
-        return [m for m in self.miners if not self._is_down(m.miner_id)]
+        self.network.subscribe(messages.TOPIC_BIDS, on_bid)
+        self.network.subscribe(messages.TOPIC_PREAMBLE, on_preamble)
+        self.network.subscribe(messages.TOPIC_REVEALS, on_reveal)
 
     def _journal_phase(self, round_index: int, phase: str, **extra) -> None:
         """Write one ``round.phase`` marker ahead of the transition."""
@@ -327,7 +294,7 @@ class ExposureProtocol:
 
     @property
     def quorum(self) -> int:
-        """Verifying majority over the *whole* miner set, live or not."""
+        """Verifying majority over the whole miner set."""
         return len(self.miners) // 2 + 1
 
     # ------------------------------------------------------------------
@@ -341,9 +308,6 @@ class ExposureProtocol:
         With an identity registry configured, the sender's public key is
         bound to its id on first contact and checked ever after —
         impersonating a registered id fails here, before any mempool.
-        On a lossy bus the submission is re-gossiped up to
-        ``submit_retries`` times until every live miner's mempool holds
-        it (the redundancy a real gossip overlay provides for free).
         """
         with self.obs.tracer.span(
             "seal", participant=participant.participant_id
@@ -353,36 +317,25 @@ class ExposureProtocol:
                 self.registry.check_or_register(
                     tx.sender_id, tx.sender_public
                 )
-            txid = tx.txid()
             sequence = self._submit_sequence
             self._submit_sequence += 1
-            attempts = 0
-            for _attempt in range(self.submit_retries + 1):
-                attempts += 1
-                self.network.broadcast(
-                    messages.TOPIC_BIDS,
-                    messages.BidSubmission(
-                        transaction=tx,
-                        trace=self.obs.tracer.child_context(
-                            actor=participant.participant_id
-                        ),
-                        sequence=sequence,
+            self.network.broadcast(
+                messages.TOPIC_BIDS,
+                messages.BidSubmission(
+                    transaction=tx,
+                    trace=self.obs.tracer.child_context(
+                        actor=participant.participant_id
                     ),
-                    sender=participant.participant_id,
-                )
-                self._flush()
-                if all(txid in m.mempool for m in self._live_miners()):
-                    break
+                    sequence=sequence,
+                ),
+                sender=participant.participant_id,
+            )
         if self.obs.enabled:
             self.obs.registry.inc("protocol_seals_total")
-            if attempts > 1:
-                self.obs.registry.inc(
-                    "protocol_submit_retries_total", attempts - 1
-                )
         return tx
 
     # ------------------------------------------------------------------
-    # Phase 2: reveal collection with deadline, retry, and backoff
+    # Phase 2: reveal collection with retry
     # ------------------------------------------------------------------
     def _collect_reveals(
         self,
@@ -392,8 +345,7 @@ class ExposureProtocol:
     ) -> Tuple[KeyReveal, ...]:
         phash = preamble.hash()
         included: Set[str] = {tx.txid() for tx in preamble.transactions}
-        budget = self.reveal_deadline
-        for attempt in range(self.max_reveal_retries + 1):
+        for attempt in range(MAX_REVEAL_RETRIES + 1):
             inbox = leader.reveal_inbox.get(phash, {})
             missing = included - set(inbox)
             if not missing:
@@ -404,8 +356,6 @@ class ExposureProtocol:
                 )
                 self.obs.registry.inc("protocol_reveal_retries_total")
             for participant in participants:
-                if self._is_down(participant.participant_id):
-                    continue
                 if attempt == 0:
                     reveals = participant.reveals_for(preamble)
                 else:
@@ -422,9 +372,6 @@ class ExposureProtocol:
                         ),
                         sender=participant.participant_id,
                     )
-            self._flush(budget)
-            if budget is not None:
-                budget *= self.reveal_backoff
         return leader.collected_reveals(preamble)
 
     # ------------------------------------------------------------------
@@ -437,9 +384,7 @@ class ExposureProtocol:
 
         The miner that "gets the block" rotates round-robin — consensus
         forks are out of scope (the paper builds on, not contributes to,
-        the underlying consensus).  Crashed miners are skipped; if fewer
-        live miners remain than the verification quorum the round aborts
-        with :class:`~repro.common.errors.QuorumError`.
+        the underlying consensus).
 
         With observability attached the round emits a ``round`` span
         containing ``mine``/``reveal``/``propose``/``verify``/``commit``
@@ -494,13 +439,7 @@ class ExposureProtocol:
             reg.inc("protocol_rounds_total")
         rotation = leader_rotation(self.miners, self._round)
         self._round += 1
-        live = self._live_miners()
-        if len(live) < self.quorum:
-            raise QuorumError(
-                f"only {len(live)} of {len(self.miners)} miners are "
-                f"reachable; quorum needs {self.quorum}"
-            )
-        leader = next(m for m in rotation if not self._is_down(m.miner_id))
+        leader = rotation[0]
         self._journal_phase(round_index, "seal", leader=leader.miner_id)
 
         # Phase 1 completion: leader mines the preamble over sealed bids.
@@ -525,10 +464,9 @@ class ExposureProtocol:
             ),
             sender=leader.miner_id,
         )
-        self._flush()
 
         # Peers validate the preamble's PoW before anyone reveals.
-        for miner in live:
+        for miner in self.miners:
             if not preamble.check_pow(miner.chain.difficulty_bits):
                 raise ProtocolError("preamble failed proof-of-work check")
 
@@ -578,22 +516,20 @@ class ExposureProtocol:
                 tracer.event(
                     "reveal.timeout",
                     sealed=len(preamble.transactions),
-                    retries=self.max_reveal_retries,
+                    retries=MAX_REVEAL_RETRIES,
                 )
                 reg.inc("protocol_reveal_timeouts_total")
             raise RevealTimeoutError(
                 f"no valid key reveal arrived for any of the "
                 f"{len(preamble.transactions)} sealed bids after "
-                f"{self.max_reveal_retries} retries"
+                f"{MAX_REVEAL_RETRIES} retries"
             )
 
         # Proposal with fallback: the leader proposes first; if peers
-        # reject its body, the next live miner rebuilds from the same
+        # reject its body, the next miner rebuilds from the same
         # preamble and reveal set.
         failed: List[str] = []
         for proposer in rotation:
-            if self._is_down(proposer.miner_id):
-                continue
             if failed and obs.enabled:
                 tracer.event("round.fallback", proposer=proposer.miner_id)
             self._journal_phase(
@@ -611,17 +547,16 @@ class ExposureProtocol:
                     ),
                     sender=proposer.miner_id,
                 )
-                self._flush()
             if obs.enabled:
                 reg.inc("protocol_proposals_total")
 
-            # Collective verification: every live miner re-executes the
+            # Collective verification: every miner re-executes the
             # allocation; commit happens only after quorum agrees, so a
             # rejected proposal leaves no chain diverged.
             approving: List[Miner] = []
             self._journal_phase(round_index, "verify")
             with tracer.span("verify"):
-                for miner in self._live_miners():
+                for miner in self.miners:
                     try:
                         miner.verify_block(block)
                     except ReproError:

@@ -27,7 +27,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Tuple,
 )
 
 from repro.common.errors import ReproError
@@ -196,7 +195,11 @@ class ParticipantActor:
         self, _sender: str, payload: messages.RevealRequest
     ) -> None:
         for participant in self.participants:
+            # A participant whose preamble announcement was lost has not
+            # disclosed yet: the re-request is its first sight of the
+            # preamble, so it discloses (bids the preamble includes only)
             reveals = participant.re_reveal(payload.preamble, payload.txids)
+            reveals += participant.reveals_for(payload.preamble)
             if reveals:
                 self._send_reveals(
                     payload.preamble, reveals, attempt=payload.attempt

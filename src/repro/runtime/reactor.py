@@ -20,13 +20,16 @@ by the differential suite:
   action (sealing, screening, allocation, verification);
 * preambles are composed in stamped submission-sequence order — the
   arrival order a synchronous bus gives the lockstep engine for free;
-* leader rotation, quorum, reveal-retry budgets, and proposer fallback
-  reuse the lockstep rules (``leader_rotation`` is literally shared).
+* leader rotation, quorum, retry budgets, and proposer fallback reuse
+  the lockstep rules (``leader_rotation`` and the retry constants are
+  literally shared).
 
 Under a fault-free plan a pipelined run's committed blocks are
 bit-identical to lockstep's across *every* scheduler seed; under faults
 each committed block equals the fault-free replay on its surviving bid
-set (the same contract the chaos harness checks for lockstep).
+set (the contract the chaos harness checks on every point).  The
+runtime is the one host for lossy plans: the lockstep engine runs on
+the lossless synchronous bus only.
 
 Virtual phase costs (:class:`RuntimeCosts`) give mining, reveal
 deadlines, and verification nonzero width on the virtual clock so that
@@ -36,7 +39,7 @@ still runs eagerly inside the owning event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.common.errors import ReproError
@@ -51,6 +54,9 @@ from repro.obs.telemetry import TelemetryPublisher
 from repro.protocol import messages
 from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.exposure import (
+    MAX_REVEAL_RETRIES,
+    REVEAL_BACKOFF,
+    SUBMIT_RETRIES,
     Participant,
     RoundResult,
     leader_rotation,
@@ -152,7 +158,7 @@ class _Entry:
     """One submission's lifecycle inside a round."""
 
     __slots__ = ("participant", "bid", "tx", "txid", "sequence", "attempts",
-                 "settled", "state")
+                 "settled", "state", "trace")
 
     def __init__(self, participant: Participant, bid: Bid) -> None:
         self.participant = participant
@@ -163,6 +169,9 @@ class _Entry:
         self.attempts = 0
         self.settled = False
         self.state: Optional["_RoundState"] = None
+        #: the seal span's context: every gossip attempt (and its fate)
+        #: hangs under the sender's ``seal`` span
+        self.trace = None
 
 
 _TERMINAL = ("done", "aborted")
@@ -211,9 +220,6 @@ class Runtime:
         scheduler: Optional[DeterministicScheduler] = None,
         transport: Optional[DeterministicTransport] = None,
         registry: Optional[IdentityRegistry] = None,
-        submit_retries: int = 2,
-        max_reveal_retries: int = 2,
-        reveal_backoff: float = 2.0,
         costs: Optional[RuntimeCosts] = None,
         obs: Optional[ObservabilityLike] = None,
         store: Optional[object] = None,
@@ -232,9 +238,6 @@ class Runtime:
             self.scheduler, plan=plan, inbox_capacity=inbox_capacity
         )
         self.registry = registry
-        self.submit_retries = submit_retries
-        self.max_reveal_retries = max_reveal_retries
-        self.reveal_backoff = reveal_backoff
         self.costs = costs or RuntimeCosts()
         self.obs = resolve_obs(obs)
         self.store = store
@@ -419,6 +422,9 @@ class Runtime:
                 self.registry.check_or_register(
                     entry.tx.sender_id, entry.tx.sender_public
                 )
+            entry.trace = self.obs.tracer.child_context(
+                actor=entry.participant.participant_id
+            )
         entry.txid = entry.tx.txid()
         entry.sequence = self._sequence
         self._sequence += 1
@@ -437,9 +443,7 @@ class Runtime:
             messages.TOPIC_BIDS,
             messages.BidSubmission(
                 transaction=entry.tx,
-                trace=self.obs.tracer.child_context(
-                    actor=entry.participant.participant_id
-                ),
+                trace=entry.trace,
                 sequence=entry.sequence,
             ),
             sender=entry.participant.participant_id,
@@ -471,7 +475,7 @@ class Runtime:
         if self._admitted_everywhere(entry.txid):
             self._settle_submission(entry)
             return
-        if entry.attempts <= self.submit_retries:
+        if entry.attempts <= SUBMIT_RETRIES:
             if self.obs.enabled:
                 self.obs.registry.inc("runtime_submit_retries_total")
             self._gossip_bid(state, entry)
@@ -627,7 +631,7 @@ class Runtime:
         if not missing:
             self._begin_propose(state)
             return
-        if attempt < self.max_reveal_retries:
+        if attempt < MAX_REVEAL_RETRIES:
             if self.obs.enabled:
                 self.obs.tracer.event(
                     "reveal.retry", attempt=attempt + 1, missing=len(missing)
@@ -649,7 +653,7 @@ class Runtime:
             )
             state.deadline_handle = self.scheduler.call_later(
                 self.costs.reveal_deadline
-                * (self.reveal_backoff ** (attempt + 1)),
+                * (REVEAL_BACKOFF ** (attempt + 1)),
                 lambda: self._reveal_deadline(state, attempt + 1),
             )
             return
@@ -693,7 +697,7 @@ class Runtime:
                 obs.tracer.event(
                     "reveal.timeout",
                     sealed=len(preamble.transactions),
-                    retries=self.max_reveal_retries,
+                    retries=MAX_REVEAL_RETRIES,
                 )
             self._abort(state, "RevealTimeoutError")
             return

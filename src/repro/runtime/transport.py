@@ -1,15 +1,14 @@
 """Deterministic in-process transport for the async runtime.
 
-Same fault gauntlet as :class:`~repro.faults.network.UnreliableNetwork`
-(drop / delay / duplicate / reorder / crash / partition, all replayed
-from a :class:`~repro.faults.plan.FaultPlan`), but rebuilt for a
-message-driven reactor instead of a flush-at-phase-barriers driver:
+The one network that replays a :class:`~repro.faults.plan.FaultPlan`
+(drop / delay / duplicate / reorder / crash / partition), built for a
+message-driven reactor:
 
 * **Deliveries are scheduler events.**  A copy delayed by the plan is an
   event at its arrival instant; a reorder-jittered copy arrives late for
   real (the jitter is part of its due time), and crash/partition windows
   are evaluated at the moment the copy actually lands — no driver-side
-  flush horizon can warp fates.
+  batching can warp fates.
 * **Logical fault keys.**  Callers may tag each broadcast with a stable
   ``key`` naming the *logical* send (round, attempt, txid…).  Fault
   draws then come from a generator derived from ``(plan.seed, key)``, so
@@ -101,7 +100,7 @@ class DeterministicTransport:
         self._profiler = profiler
 
     # ------------------------------------------------------------------
-    # Subscription (UnreliableNetwork-compatible surface)
+    # Subscription
     # ------------------------------------------------------------------
     def subscribe_node(self, node_id: str, topic: str, handler: Handler) -> None:
         if node_id not in self._nodes:

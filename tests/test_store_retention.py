@@ -29,6 +29,7 @@ from repro.protocol.settlement import (
     SettlementProcessor,
     TokenLedger,
 )
+from repro.runtime import Runtime
 from repro.sim import chaos
 from repro.store import NodeStore
 from repro.workloads.generators import generate_market
@@ -226,11 +227,13 @@ class TestPrunedHistoryIsTyped:
             num_clients=2, num_providers=1, rounds=4, seed=5, max_delay=0.0
         )
         stores = chaos._durable_stores(spec, None, snapshot_every=1)
-        miners = chaos._build_durable_miners(spec, False, stores)
-        for round_index in range(spec.rounds):
-            chaos._drive_durable_round(
-                spec, 0.0, round_index, False, miners, stores[0], None
-            )
+        clients, providers = chaos._build_participants(spec, False)
+        Runtime(chaos._chaos_miners(spec, False, stores)).run(
+            [
+                chaos._runtime_round_inputs(spec, clients, providers, index)
+                for index in range(spec.rounds)
+            ]
+        )
         stores[1] = NodeStore.in_memory(horizon=1)
         with pytest.raises(PrunedHistoryError):
             chaos._restart_fleet(
