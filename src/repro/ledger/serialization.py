@@ -23,7 +23,7 @@ import json
 from sys import intern
 from typing import Any, Callable, Dict, Iterator
 
-from repro.common.errors import LedgerError
+from repro.common.errors import LedgerError, ReproError
 from repro.cryptosim import hashing
 from repro.cryptosim.commitments import Commitment
 from repro.cryptosim.symmetric import SealedBox
@@ -204,15 +204,33 @@ def chain_from_json(document: str, verify: bool = True) -> Blockchain:
 
     With ``verify`` (default) every block is revalidated on append —
     linkage, PoW, signatures — and recorded hashes must match exactly.
+    This is a decode boundary (snapshot recovery reads through it): a
+    malformed document of any shape raises :class:`LedgerError`.
     """
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise LedgerError(f"not valid chain JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise LedgerError(f"chain document is a {type(data).__name__}")
     if data.get("format_version") != FORMAT_VERSION:
         raise LedgerError(
             f"unsupported format version {data.get('format_version')!r}"
         )
+    try:
+        return _decode_chain(data, verify)
+    except LedgerError:
+        raise
+    except (
+        ReproError, KeyError, IndexError, TypeError, ValueError,
+        AttributeError, OverflowError,
+    ) as exc:
+        raise LedgerError(
+            f"malformed chain document: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _decode_chain(data: Dict[str, Any], verify: bool) -> Blockchain:
     anchor = data.get("anchor", {"height": 0, "hash": GENESIS_PARENT})
     chain = Blockchain(
         difficulty_bits=data["difficulty_bits"],

@@ -53,9 +53,6 @@ __all__ = [
     "MonitorSuite",
     "Violation",
     "snapshot_diff",
-    # telemetry plane (repro.obs.telemetry, imported at the bottom)
-    "TelemetryPublisher",
-    "TelemetryAggregator",
 ]
 
 
@@ -187,10 +184,3 @@ ObservabilityLike = Union[Observability, NullObservability]
 def resolve(obs: Optional[ObservabilityLike]) -> ObservabilityLike:
     """Map ``None`` to the shared no-op bundle."""
     return NULL_OBS if obs is None else obs
-
-
-# Imported last, after the definitions above, as it always has been.
-from repro.obs.telemetry import (  # noqa: E402
-    TelemetryAggregator,
-    TelemetryPublisher,
-)

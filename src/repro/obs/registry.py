@@ -45,27 +45,6 @@ def series_name(name: str, labels: LabelItems) -> str:
     return f"{name}{{{inner}}}"
 
 
-def parse_series(series: str) -> Tuple[str, LabelItems]:
-    """Invert :func:`series_name`: ``name{k=v,...}`` -> ``(name, items)``.
-
-    Label keys and values never contain ``{``, ``}``, ``,`` or ``=`` in
-    this codebase (they are identifiers, ids, and enum-ish strings), so
-    no escaping is needed.  The telemetry aggregator uses this to re-key
-    snapshot-diff frames back into structured series.
-    """
-    if "{" not in series:
-        return series, ()
-    name, _, rest = series.partition("{")
-    inner = rest[:-1] if rest.endswith("}") else rest
-    items = []
-    for part in inner.split(","):
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        items.append((key, value))
-    return name, tuple(sorted(items))
-
-
 class _HistogramSeries:
     """Count / sum / min / max plus fixed cumulative buckets."""
 

@@ -6,6 +6,8 @@ Usage::
     python -m repro.obs.report trace.jsonl --tree     # plus span tree
     python -m repro.obs.report trace.jsonl --metrics metrics.prom
     python -m repro.obs.report --flight flight_3.jsonl
+    python -m repro.obs.report --flame trace.jsonl    # runtime stall flame
+    python -m repro.obs.report --slo objectives.json history.jsonl
     python -m repro.obs.report --snapshot-diff before.json after.json
 
 Reads a JSONL trace written by :meth:`repro.obs.Tracer.write_jsonl`
@@ -19,7 +21,10 @@ summarizes, just without durations) and renders:
 ``--flight`` renders a flight-recorder bundle instead: the bundle's
 frame summary plus the causal tree across every actor, with the failing
 path (error spans, fault and exclusion events, and their ancestors)
-highlighted by a leading ``!``.  ``--snapshot-diff`` pretty-prints the
+highlighted by a leading ``!``.  ``--flame`` folds a runtime trace's
+``runtime.phase`` events into the per-round stall flame
+(:func:`phase_flame`).  ``--slo`` gates objectives on a snapshot
+history.  ``--snapshot-diff`` pretty-prints the
 :func:`~repro.obs.registry.snapshot_diff` between two exported registry
 snapshot JSON files.
 """
@@ -29,7 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.trace import load_jsonl  # noqa: F401  (re-exported for callers)
 from repro.obs.trace import span_seconds
@@ -286,38 +291,63 @@ def render_flight(
     return "\n".join(lines)
 
 
-def render_flame(path: str) -> str:
-    """Summarize a folded-stack flame export (repro.obs.profile).
+def phase_flame(records: Iterable[Dict[str, Any]]) -> str:
+    """Fold ``runtime.phase`` events into folded-stack flame lines.
 
-    Prints per-cause totals (the last stack frame) and the top stacks by
+    The reactor marks every phase boundary of a round with one event
+    carrying ``round``, ``phase`` and ``vt`` (virtual seconds).  A phase's
+    weight is the next mark's ``vt`` minus its own, in integer virtual
+    microseconds, so a round's weights chain from seal-open to its
+    terminal mark and sum to its whole lifetime.  Lines read
+    ``runtime;round_0007;mine 1000000``, sorted (byte-identical across
+    seeded replays); zero-width phases are left out.
+    """
+    marks: Dict[int, List[Tuple[str, int]]] = {}
+    for record in records:
+        if record.get("type") == "event" and record["name"] == "runtime.phase":
+            attrs = record["attrs"]
+            marks.setdefault(attrs["round"], []).append(
+                (attrs["phase"], round(attrs["vt"] * 1_000_000))
+            )
+    weights: Dict[Tuple[int, str], int] = {}
+    for round_index, chain in marks.items():
+        for (phase, start), (_next, end) in zip(chain, chain[1:]):
+            key = (round_index, phase)
+            weights[key] = weights.get(key, 0) + end - start
+    lines = sorted(
+        f"runtime;round_{round_index:04d};{phase} {weight}"
+        for (round_index, phase), weight in weights.items()
+        if weight > 0
+    )
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def render_flame(path: str) -> str:
+    """Summarize the stall flame of a runtime trace JSONL.
+
+    Prints per-phase totals (the last stack frame) and the top stacks by
     weight — enough to read a pipeline's stall profile without an
     external flame-graph renderer.
     """
-    from repro.obs.profile import COUNT_CAUSES, load_folded
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            stacks = load_folded(handle.read())
-    except OSError as exc:
-        raise ReportError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ReportError(
-            f"{path}: not a folded-stack file "
-            f"(expected 'frame;frame <integer>' lines): {exc}"
-        ) from exc
+    folded = phase_flame(load_trace_records(path))
+    stacks = [
+        (stack, int(weight))
+        for stack, weight in (line.rsplit(" ", 1) for line in folded.splitlines())
+    ]
     if not stacks:
-        raise ReportError(f"{path}: empty flame export — no stacks")
-    causes: Dict[str, int] = {}
+        raise ReportError(
+            f"{path}: no runtime.phase events — was the run traced?"
+        )
+    phases: Dict[str, int] = {}
     for stack, weight in stacks:
-        cause = stack.rsplit(";", 1)[-1]
-        causes[cause] = causes.get(cause, 0) + weight
+        phase = stack.rsplit(";", 1)[-1]
+        phases[phase] = phases.get(phase, 0) + weight
     lines = [f"flame summary: {len(stacks)} stacks from {path}"]
     lines.append("")
-    width = max(len(c) for c in causes)
-    lines.append(f"  {'cause':<{width}}  weight")
-    for cause in sorted(causes, key=lambda c: (-causes[c], c)):
-        unit = "events" if cause in COUNT_CAUSES else "virtual-us"
-        lines.append(f"  {cause:<{width}}  {causes[cause]:>12} {unit}")
+    width = max(len(p) for p in phases)
+    lines.append(f"  {'phase':<{width}}  virtual-us")
+    for phase in sorted(phases, key=lambda p: (-phases[p], p)):
+        lines.append(f"  {phase:<{width}}  {phases[phase]:>12}")
     lines.append("")
     lines.append("  top stacks:")
     for stack, weight in sorted(stacks, key=lambda s: (-s[1], s[0]))[:10]:
@@ -393,8 +423,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="pretty-print the diff between two registry snapshot JSONs",
     )
     parser.add_argument(
-        "--flame", metavar="FOLDED",
-        help="summarize a folded-stack flame export (PipelineProfiler)",
+        "--flame", metavar="TRACE",
+        help="summarize the stall flame of a runtime trace JSONL",
     )
     parser.add_argument(
         "--slo", nargs=2, metavar=("OBJECTIVES", "HISTORY"),

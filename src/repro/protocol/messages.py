@@ -12,7 +12,7 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.ledger.block import Block, BlockPreamble, KeyReveal
 from repro.ledger.transaction import SealedBidTransaction
@@ -23,7 +23,6 @@ TOPIC_PREAMBLE = "preamble"
 TOPIC_REVEALS = "reveals"
 TOPIC_BLOCK = "block"
 TOPIC_REVEAL_REQUEST = "reveal-request"
-TOPIC_TELEMETRY = "telemetry"
 
 
 @dataclass(frozen=True)
@@ -84,20 +83,4 @@ class BlockProposal:
 
     block: Block
     miner_id: str
-    trace: Optional[TraceContext] = None
-
-
-@dataclass(frozen=True)
-class TelemetryFrame:
-    """One node's periodic metrics delta on the telemetry topic.
-
-    ``frame`` is a :func:`~repro.obs.registry.snapshot_diff` — plain
-    dicts, so the frame pickles over the asyncio TCP hub exactly as it
-    rides the deterministic transport.  ``seq`` numbers frames per node:
-    the aggregator drops duplicates and orders gauge writes by it.
-    """
-
-    node_id: str
-    seq: int
-    frame: Mapping[str, Any]
     trace: Optional[TraceContext] = None

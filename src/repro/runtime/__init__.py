@@ -1,19 +1,20 @@
 """``repro.runtime`` — the asynchronous, pipelined protocol runtime.
 
 Message-driven actors (miners, bidders) exchange the existing
-``repro.protocol.messages`` over pluggable transports:
-
-* :class:`~repro.runtime.transport.DeterministicTransport` — in-process,
-  driven by a seeded :class:`~repro.runtime.scheduler.DeterministicScheduler`
-  (reproducible schedules, seeded schedule *exploration*, FaultPlan
-  replay, bounded inboxes with backpressure);
-* :mod:`repro.runtime.sockets` — a real asyncio TCP hub for demos.
+``repro.protocol.messages`` over one in-process transport,
+:class:`~repro.runtime.transport.DeterministicTransport`, driven by a
+seeded :class:`~repro.runtime.scheduler.DeterministicScheduler`
+(reproducible schedules, seeded schedule *exploration*, FaultPlan
+replay, bounded inboxes with backpressure).
 
 :class:`~repro.runtime.reactor.Runtime` drives pipelined protocol
 rounds on top: round *N+1* seals while round *N* mines, reveals,
 verifies, and commits.  Committed outcomes are proven bit-identical to
 the lockstep :class:`~repro.protocol.exposure.ExposureProtocol` by the
 differential suite (``tests/differential/test_runtime_equivalence.py``).
+Every phase boundary it journals is also a ``runtime.phase`` trace event
+stamped with virtual time, the one clock a round's stall flame is read
+from (:func:`repro.obs.report.phase_flame`).
 
 See ``docs/RUNTIME.md`` for the architecture and determinism contract.
 """

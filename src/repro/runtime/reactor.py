@@ -49,8 +49,6 @@ from repro.ledger.block import Block, BlockPreamble
 from repro.ledger.miner import Miner
 from repro.market.bids import Offer, Request
 from repro.obs import ObservabilityLike, resolve as resolve_obs
-from repro.obs.profile import PipelineProfiler
-from repro.obs.telemetry import TelemetryPublisher
 from repro.protocol import messages
 from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.exposure import (
@@ -227,8 +225,6 @@ class Runtime:
         pipeline: bool = True,
         inbox_capacity: int = 64,
         on_commit: Optional[Callable[[int, RoundResult], None]] = None,
-        profiler: Optional[PipelineProfiler] = None,
-        telemetry_interval: Optional[float] = None,
     ) -> None:
         if not miners:
             raise ReproError("at least one miner is required")
@@ -244,21 +240,8 @@ class Runtime:
         self.start_round = start_round
         self.pipeline = pipeline
         self.on_commit = on_commit
-        #: passive stall profiler (repro.obs.profile) — accumulates
-        #: virtual-time attribution as phases schedule; never schedules
-        #: events itself, so attaching one cannot perturb outcomes
-        self.profiler = profiler
-        #: virtual-time period for telemetry snapshot-diff frames on the
-        #: transport's telemetry topic; None (default) publishes nothing
-        #: and keeps the schedule (and its RNG draws) untouched
-        self.telemetry_interval = telemetry_interval
-        self._publisher: Optional[TelemetryPublisher] = None
-        if telemetry_interval is not None and self.obs.enabled:
-            self._publisher = TelemetryPublisher(self.obs, node_id="runtime")
         if self.obs.enabled:
             self.transport.attach_obs(self.obs)
-        if profiler is not None:
-            self.transport.attach_profiler(profiler)
         self._miner_actors: Dict[str, MinerActor] = {
             m.miner_id: MinerActor(self, m) for m in self.miners
         }
@@ -286,17 +269,20 @@ class Runtime:
         # runtime (start_round > 0) journals into the same sequence the
         # original run did — recovery keys its credit-or-replay decision
         # on these indices
+        round_number = self.start_round + round_index
         if self.store is not None:
             self.store.log(
-                "round.phase",
-                round=self.start_round + round_index,
-                phase=phase,
-                **extra,
+                "round.phase", round=round_number, phase=phase, **extra
             )
-            if self.profiler is not None:
-                # WAL appends ride the phase edges (zero virtual width),
-                # so the profiler records counts, not seconds.
-                self.profiler.count(round_index, "wal_append")
+        if self.obs.enabled:
+            # The same boundary on the virtual clock: consecutive marks of
+            # one round chain into its stall flame (repro.obs.report).
+            self.obs.tracer.event(
+                "runtime.phase",
+                round=round_number,
+                phase=phase,
+                vt=self.scheduler.now,
+            )
 
     def _actor_for(self, participant: Participant) -> ParticipantActor:
         actor = self._participant_actors.get(participant.participant_id)
@@ -326,16 +312,7 @@ class Runtime:
         ]
         if self._states:
             self._open_seal(self._states[0])
-        if self._publisher is not None and self._states:
-            self.scheduler.call_later(
-                self.telemetry_interval, self._telemetry_tick
-            )
         self.scheduler.run()
-        if self._publisher is not None:
-            # One closing frame carries everything since the last tick,
-            # then a drain pass delivers it before the report freezes.
-            self._publisher.publish(self.transport)
-            self.scheduler.run()
         for state in self._states:
             if not state.terminal:  # pragma: no cover - progress invariant
                 raise ReproError(
@@ -347,8 +324,6 @@ class Runtime:
             self.obs.registry.set(
                 "runtime_virtual_seconds", self.scheduler.now
             )
-        if self.profiler is not None:
-            self.profiler.flush(self.obs.registry, self.scheduler.now)
         return RuntimeReport(
             rounds=[state.record for state in self._states],
             virtual_time=self.scheduler.now,
@@ -361,20 +336,6 @@ class Runtime:
             messages_censored=transport.censored,
             backpressure_deferrals=transport.deferred,
         )
-
-    def _telemetry_tick(self) -> None:
-        """Publish one snapshot-diff frame and reschedule while rounds run.
-
-        Opting into periodic telemetry *does* occupy schedule slots (and
-        their tie-break draws) — that is the documented cost of the
-        feature; leaving ``telemetry_interval`` unset keeps the schedule
-        byte-identical to a runtime without the plane.
-        """
-        self._publisher.publish(self.transport)
-        if any(not state.terminal for state in self._states):
-            self.scheduler.call_later(
-                self.telemetry_interval, self._telemetry_tick
-            )
 
     # ------------------------------------------------------------------
     # Phase 1: seal + gossip settle
@@ -514,14 +475,6 @@ class Runtime:
         )
         state.leader = leader
         state.status = "mining"
-        if self.profiler is not None:
-            # Everything between seal-open and here — submission
-            # settling, retries, waiting behind the serialized miner —
-            # is the round's seal-wait stall.
-            self.profiler.add(
-                state.index, "seal_wait",
-                self.scheduler.now - state.record.seal_opened_at,
-            )
         self._journal_phase(state.index, "mine", leader=leader.miner_id)
         obs = self.obs
         with obs.tracer.span(
@@ -555,8 +508,6 @@ class Runtime:
         # which is what makes opening the next seal now safe.
         if self.pipeline:
             self._open_next_seal(state.index)
-        if self.profiler is not None:
-            self.profiler.add(state.index, "mine", self.costs.mine)
         self.scheduler.call_later(
             self.costs.mine, lambda: self._announce(state)
         )
@@ -747,8 +698,6 @@ class Runtime:
                     f"{proposer.miner_id}"
                 ),
             )
-        if self.profiler is not None:
-            self.profiler.add(state.index, "propose", self.costs.propose)
         self.scheduler.call_later(
             self.costs.propose,
             lambda: self._verify(state, proposer, block),
@@ -773,17 +722,10 @@ class Runtime:
                     approvals=len(approving),
                     quorum=self.quorum,
                 )
-            if self.profiler is not None:
-                self.profiler.add(
-                    state.index, "verify_quorum", self.costs.verify
-                )
             self.scheduler.call_later(
                 self.costs.verify, lambda: self._next_proposer(state)
             )
             return
-        if self.profiler is not None:
-            self.profiler.add(state.index, "verify_quorum", self.costs.verify)
-            self.profiler.add(state.index, "commit", self.costs.commit)
         self.scheduler.call_later(
             self.costs.verify + self.costs.commit,
             lambda: self._commit(state, proposer, block, approving),

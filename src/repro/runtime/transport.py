@@ -84,20 +84,10 @@ class DeterministicTransport:
         self.censored = 0  # undeliverable: crashed node or severed link
         self.deferred = 0  # backpressure redeliveries
         self.inbox_high_watermark = 0
-        self._profiler: Optional[object] = None
 
     def attach_obs(self, obs: Optional[ObservabilityLike]) -> None:
         """Opt into metrics/tracing (no effect on fault or schedule RNG)."""
         self._obs = NULL_OBS if obs is None else obs
-
-    def attach_profiler(self, profiler: Optional[object]) -> None:
-        """Opt into stall attribution (repro.obs.profile).
-
-        The profiler only *listens* — deferral delays were already being
-        scheduled, so attaching one draws no extra RNG and changes no
-        delivery order.
-        """
-        self._profiler = profiler
 
     # ------------------------------------------------------------------
     # Subscription
@@ -255,10 +245,6 @@ class DeterministicTransport:
             if obs.enabled:
                 obs.registry.inc(
                     "runtime_backpressure_deferrals_total", node=node_id
-                )
-            if self._profiler is not None:
-                self._profiler.node_stall(
-                    node_id, "backpressure_deferral", self.defer_delay
                 )
             self._schedule_delivery(
                 self.defer_delay, 0.0, node_id, topic, payload, sender

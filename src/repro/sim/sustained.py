@@ -207,16 +207,13 @@ def run_sustained(
     pipeline: bool = True,
     schedule_seed: Optional[Union[int, str]] = None,
     obs: Optional[object] = None,
-    profiler: Optional[object] = None,
-    telemetry_interval: Optional[float] = None,
 ) -> SustainedResult:
     """Drive ``spec.rounds`` rounds of continuous arrivals to commit.
 
-    ``obs``/``profiler``/``telemetry_interval`` pass straight through to
-    the reactor (``engine="runtime"`` only): attach an ``Observability``
-    bundle and a :class:`~repro.obs.profile.PipelineProfiler` to get
-    per-round stall attribution and the folded-stack flame export for
-    the very run whose throughput is being reported.
+    ``obs`` passes straight through to the reactor (``engine="runtime"``
+    only): its trace carries one ``runtime.phase`` event per phase
+    boundary, which :func:`repro.obs.report.phase_flame` folds into the
+    per-round stall flame of the very run whose throughput is reported.
     """
     if engine == "lockstep":
         return _run_lockstep(spec)
@@ -231,8 +228,6 @@ def run_sustained(
         ),
         pipeline=pipeline,
         obs=obs,
-        profiler=profiler,
-        telemetry_interval=telemetry_interval,
     )
     report = runtime.run(build_round_inputs(spec, _participants(spec)))
     return SustainedResult(

@@ -274,24 +274,22 @@ def test_degraded_round_outcome_unchanged_by_observability():
     )
 
 
-def test_runtime_telemetry_and_profiler_are_outcome_invariant():
-    """The runtime engine's leg of the same invariant: attaching the
-    stall profiler and periodic telemetry publisher must not change what
-    gets committed, and the flame export replays byte-for-byte."""
-    from repro.obs.profile import PipelineProfiler
+def test_runtime_trace_is_outcome_invariant_and_its_flame_replays():
+    """The runtime engine's leg of the same invariant: a traced run
+    commits the same blocks on the same virtual clock as an untraced one,
+    and the stall flame folded from its phase events replays
+    byte-for-byte."""
+    from repro.obs.report import phase_flame
     from repro.sim.sustained import SustainedSpec, run_sustained
 
     spec = SustainedSpec(rounds=3, seed=5, difficulty_bits=4)
     plain = run_sustained(spec, engine="runtime")
-    foldeds = []
+    flames = []
     for _ in range(2):
-        profiler = PipelineProfiler()
-        profiled = run_sustained(
-            spec, engine="runtime",
-            obs=Observability("tele-runtime"), profiler=profiler,
-        )
-        assert profiled.block_hashes == plain.block_hashes
-        assert profiled.virtual_time == plain.virtual_time
-        foldeds.append(profiler.to_folded())
-    assert foldeds[0] == foldeds[1]
-    assert foldeds[0]
+        obs = Observability("traced-runtime")
+        traced = run_sustained(spec, engine="runtime", obs=obs)
+        assert traced.block_hashes == plain.block_hashes
+        assert traced.virtual_time == plain.virtual_time
+        flames.append(phase_flame(obs.tracer.records))
+    assert flames[0] == flames[1]
+    assert flames[0]

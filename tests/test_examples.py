@@ -23,7 +23,7 @@ FAST_EXAMPLES = [
     "observability_demo.py",
     "degraded_round_demo.py",
     "pipelined_runtime_demo.py",
-    "telemetry_demo.py",
+    "flame_and_slo_demo.py",
 ]
 
 SLOW_EXAMPLES = [

@@ -1,10 +1,15 @@
 """Unit tests for chain JSON import/export."""
 
+import copy
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import LedgerError
+from repro.ledger.chain import Blockchain
 from repro.ledger.serialization import chain_from_json, chain_to_json
 from repro.protocol.exposure import Participant, build_miner_network
 from tests.conftest import make_offer, make_request
@@ -105,3 +110,90 @@ class TestTampering:
         data["format_version"] = 99
         with pytest.raises(LedgerError):
             chain_from_json(json.dumps(data))
+
+
+# ----------------------------------------------------------------------
+# A decode boundary: any malformed shape is a LedgerError, nothing else
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=1)
+def _document():
+    chain = _chain_with_blocks(rounds=1)
+    return json.loads(chain_to_json(chain))
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) pair in a JSON document."""
+    items = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, child in items:
+        yield prefix, key
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(document, path, key, kind, value):
+    target = document
+    for step in path:
+        target = target[step]
+    old = target[key]
+    if kind == "drop":
+        del target[key]
+    elif kind == "swap":
+        # A fresh copy: the sampled lists and dicts are shared between
+        # examples, and swapping one into itself would make a cycle.
+        target[key] = copy.deepcopy(value)
+    elif kind == "corrupt" and isinstance(old, str) and old:
+        target[key] = "z" + old[1:]
+    elif kind == "truncate" and isinstance(old, (str, list)):
+        target[key] = old[: len(old) // 2]
+
+
+_SWAPS = st.sampled_from(
+    [None, 0, -1, 1.5, True, "", "zz", "00", [], {}, 2**300, [0, 0]]
+)
+_MUTATION = st.tuples(
+    st.integers(min_value=0),
+    st.sampled_from(["drop", "swap", "corrupt", "truncate"]),
+    _SWAPS,
+)
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.pop("difficulty_bits"),
+        lambda d: d["blocks"][0].pop("preamble"),
+        lambda d: d.__setitem__("anchor", None),
+        lambda d: d["blocks"][0]["preamble"]["transactions"][0]
+        .__setitem__("sender_public", "zz"),
+        lambda d: d["blocks"][0]["preamble"]["transactions"][0]
+        .__setitem__("box", "00"),
+    ], ids=["no-difficulty", "no-preamble", "null-anchor", "bad-hex-key",
+            "short-box"])
+    def test_each_known_shape_is_a_ledger_error(self, mutate):
+        document = copy.deepcopy(_document())
+        mutate(document)
+        with pytest.raises(LedgerError):
+            chain_from_json(json.dumps(document))
+
+    @pytest.mark.parametrize("text", ["[]", "null", "7", '"chain"'])
+    def test_a_non_object_document_is_a_ledger_error(self, text):
+        with pytest.raises(LedgerError):
+            chain_from_json(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+    def test_mutated_documents_decode_or_raise_ledger_error(self, mutations):
+        document = copy.deepcopy(_document())
+        for pick, kind, value in mutations:
+            paths = list(_paths(document))
+            if not paths:
+                break
+            path, key = paths[pick % len(paths)]
+            _mutate(document, path, key, kind, value)
+        try:
+            restored = chain_from_json(json.dumps(document))
+        except LedgerError:
+            return
+        assert isinstance(restored, Blockchain)

@@ -211,21 +211,29 @@ class TestDiagnostics:
 
 
 class TestFlameCli:
-    def test_flame_renders_cause_table(self, tmp_path, capsys):
-        from repro.obs.profile import PipelineProfiler
+    def _traced_rounds(self, tmp_path):
+        from repro.sim.sustained import SustainedSpec, run_sustained
 
-        profiler = PipelineProfiler()
-        profiler.add(0, "mine", 1.0)
-        profiler.add(0, "seal_wait", 0.25)
-        profiler.count(0, "wal_append", 2)
-        folded = tmp_path / "stalls.folded"
-        profiler.write_folded(str(folded))
-        assert main(["--flame", str(folded)]) == 0
+        obs = Observability()
+        run_sustained(SustainedSpec(rounds=2, seed=7, difficulty_bits=4), obs=obs)
+        path = tmp_path / "trace.jsonl"
+        obs.tracer.write_jsonl(str(path))
+        return path
+
+    def test_flame_renders_cause_table(self, tmp_path, capsys):
+        assert main(["--flame", str(self._traced_rounds(tmp_path))]) == 0
         out = capsys.readouterr().out
         assert "flame summary" in out
-        assert "mine" in out and "seal_wait" in out
-        assert "events" in out  # wal_append is a count, not a duration
+        for phase in ("seal", "mine", "propose", "verify"):
+            assert f"\n  {phase} " in out
+        assert "runtime;round_0001;mine 1000000" in out
 
     def test_flame_missing_file_is_diagnosed(self, tmp_path, capsys):
-        assert main(["--flame", str(tmp_path / "absent.folded")]) == 2
+        assert main(["--flame", str(tmp_path / "absent.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_flame_of_an_untraced_runtime_is_diagnosed(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        sample_tracer().write_jsonl(str(path))
+        assert main(["--flame", str(path)]) == 2
+        assert "no runtime.phase events" in capsys.readouterr().err

@@ -5,9 +5,12 @@ import time
 
 import pytest
 
-from repro.obs import NULL_TRACER, Tracer
+from repro.core.auction import DecloudAuction
+from repro.core.config import AuctionConfig, ShardPlan
+from repro.obs import NULL_TRACER, Observability, Tracer
 from repro.obs.report import build_tree
 from repro.obs.trace import load_jsonl, span_seconds, strip_wall
+from repro.workloads.generators import generate_zone_market
 
 
 def record_types(tracer):
@@ -218,3 +221,61 @@ class TestSpanSeconds:
         assert 0.0 <= span_seconds(tracer.records)["match"]["seconds"] < 1.0
         (node,) = build_tree(tracer.records)
         assert 0.0 <= node["seconds"] < 1.0
+
+
+# ----------------------------------------------------------------------
+# No shard runs dark: shards clear in process under the caller's obs
+# ----------------------------------------------------------------------
+class TestNoDarkShards:
+    def test_every_shard_and_the_spillover_trace_and_report(self):
+        requests, offers, _ = generate_zone_market(
+            40, n_zones=3, seed=7, kind="network", locality="strong",
+            cross_zone_fraction=0.25,
+        )
+        obs = Observability()
+        auction = DecloudAuction(
+            AuctionConfig(sharding=ShardPlan(kind="network"))
+        )
+        outcome = auction.run(
+            requests, offers, evidence=b"shard-trace-test", obs=obs
+        )
+        assert outcome.matches
+        stats = auction.last_shard_stats
+        assert stats["spillover_ran"] and stats["cleared_shards"] >= 2
+
+        records = obs.tracer.records
+        names = {
+            r["span"]: r["name"] for r in records if r["type"] == "span_start"
+        }
+        auctions_under = {}
+        for record in records:
+            if record["type"] == "span_start" and record["name"] == "auction":
+                parent = names[record["parent"]]
+                auctions_under[parent] = auctions_under.get(parent, 0) + 1
+        assert auctions_under == {
+            "shard_clear": stats["cleared_shards"], "spillover": 1,
+        }
+
+        # the per-shard phase split, one series per shard and phase
+        shipped = {}
+        for (name, labels), series in obs.registry.histograms.items():
+            items = dict(labels)
+            if name == "auction_phase_seconds" and "shard" in items:
+                assert series.count == 1
+                shipped.setdefault(items["shard"], set()).add(items["phase"])
+        assert set(shipped) == set(stats["shard_seconds"]) | {"spillover"}
+        for phases in shipped.values():
+            assert phases == {
+                "match", "cluster", "normalize", "assemble", "clear",
+            }
+
+        # the merged round's own series stay unlabelled, with its phases
+        reg = obs.registry
+        assert reg.counter_value("auction_rounds_total") == 1
+        assert reg.gauge_value("auction_last_trades") == len(outcome.matches)
+        merged_phases = {
+            dict(labels)["phase"]
+            for (name, labels) in reg.histograms
+            if name == "auction_phase_seconds" and "shard" not in dict(labels)
+        }
+        assert merged_phases == {"shard_partition", "shard_clear", "spillover"}

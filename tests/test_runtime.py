@@ -1,4 +1,4 @@
-"""Unit tests for the async runtime: scheduler, transport, reactor, sockets.
+"""Unit tests for the async runtime: scheduler, transport, reactor.
 
 The heavyweight guarantees (lockstep bit-equality across schedules and
 fault plans, trace determinism) live in the differential and property
@@ -6,8 +6,6 @@ suites; these tests pin the building blocks — seeded scheduling,
 fault-keyed transport fates, backpressure, pipelining overlap — plus a
 direct single/multi-round equivalence smoke against the lockstep engine.
 """
-
-import asyncio
 
 import pytest
 
@@ -26,7 +24,6 @@ from repro.runtime import (
     Runtime,
     RuntimeCosts,
 )
-from repro.runtime.sockets import AsyncioBroadcastHub, AsyncioSocketTransport
 from tests.conftest import make_offer, make_request
 
 
@@ -394,35 +391,3 @@ class TestRuntimeEngine:
         report = runtime.run([RoundInput(submissions=())])
         assert report.committed == []
         assert report.rounds[0].error == "QuorumError"
-
-
-class TestSocketTransport:
-    def test_bid_submission_over_real_sockets(self):
-        async def scenario():
-            hub = AsyncioBroadcastHub()
-            await hub.start()
-            sender = AsyncioSocketTransport("127.0.0.1", hub.port)
-            receiver = AsyncioSocketTransport("127.0.0.1", hub.port)
-            await sender.connect()
-            await receiver.connect()
-            got = []
-            receiver.subscribe_node(
-                "m0", messages.TOPIC_BIDS, lambda s, p: got.append(p)
-            )
-            alice = _participant("alice")
-            tx = alice.seal(make_request(client_id="alice"))
-            await sender.broadcast(
-                messages.TOPIC_BIDS,
-                messages.BidSubmission(transaction=tx, sequence=0),
-                sender="alice",
-            )
-            await asyncio.wait_for(receiver.pump(1), timeout=5.0)
-            await sender.close()
-            await receiver.close()
-            await hub.stop()
-            return got, tx
-
-        got, tx = asyncio.run(scenario())
-        assert len(got) == 1
-        assert got[0].transaction.txid() == tx.txid()
-        assert got[0].sequence == 0
