@@ -35,7 +35,7 @@ def generate_key(seed: bytes | None = None) -> bytes:
 
 
 def _derive(key: bytes, label: bytes) -> bytes:
-    return hmac.new(key, label, hashlib.sha256).digest()
+    return hmac.digest(key, label, "sha256")
 
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
@@ -89,7 +89,7 @@ def encrypt(key: bytes, plaintext: bytes, nonce: bytes | None = None) -> SealedB
     enc_key = _derive(key, b"enc")
     mac_key = _derive(key, b"mac")
     ciphertext = _xor(plaintext, _keystream(enc_key, nonce, len(plaintext)))
-    tag = hmac.new(mac_key, nonce + ciphertext, hashlib.sha256).digest()
+    tag = hmac.digest(mac_key, nonce + ciphertext, "sha256")
     return SealedBox(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
 
@@ -102,7 +102,7 @@ def decrypt(key: bytes, box: SealedBox) -> bytes:
         raise DecryptionError(f"key must be {KEY_SIZE} bytes")
     enc_key = _derive(key, b"enc")
     mac_key = _derive(key, b"mac")
-    expected = hmac.new(mac_key, box.nonce + box.ciphertext, hashlib.sha256).digest()
+    expected = hmac.digest(mac_key, box.nonce + box.ciphertext, "sha256")
     if not hmac.compare_digest(expected, box.tag):
         raise DecryptionError("authentication tag mismatch")
     return _xor(

@@ -7,8 +7,9 @@ occur.  This package supplies them, deterministically:
   duplication / reorder, scheduled node crashes and partitions), replayed
   by the runtime's :class:`~repro.runtime.DeterministicTransport`.
 * Byzantine actors — :class:`WithholdingParticipant`,
-  :class:`TamperingParticipant`, :class:`EquivocatingMiner` — honest
-  implementations with exactly one lie each.
+  :class:`TamperingParticipant`, :class:`GarbageSealingParticipant`,
+  :class:`EquivocatingMiner` — honest implementations with exactly one
+  lie each.
 
 The protocol-side degradation these exercise lives in
 :mod:`repro.runtime` (lossy networks) and :mod:`repro.protocol.exposure`
@@ -18,6 +19,7 @@ lives in :mod:`repro.sim.chaos`.
 
 from repro.faults.actors import (
     EquivocatingMiner,
+    GarbageSealingParticipant,
     TamperingParticipant,
     WithholdingParticipant,
     detect_equivocation,
@@ -43,6 +45,7 @@ __all__ = [
     "CrashSpec",
     "SimulatedCrashError",
     "EquivocatingMiner",
+    "GarbageSealingParticipant",
     "FaultPlan",
     "LOSSLESS",
     "PartitionSpec",

@@ -9,6 +9,9 @@ honest peers and attribute every degradation to a single fault:
 * :class:`TamperingParticipant` — discloses *wrong* keys, hoping to swap
   its bid after seeing the preamble; screening rejects the reveal at
   admission, which degrades to the withholding case.
+* :class:`GarbageSealingParticipant` — seals bytes that decrypt cleanly
+  but decode to no bid of its own (not JSON, or a bid naming another
+  sender); its reveal is admitted and the clear's decoder drops the bid.
 * :class:`EquivocatingMiner` — wins the round then proposes a body whose
   allocation does not match honest re-execution (and can mint a second
   conflicting body for the same preamble); peers reject it and the
@@ -17,13 +20,16 @@ honest peers and attribute every degradation to a single fault:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import EquivocationError
 from repro.cryptosim import symmetric
 from repro.ledger.block import BlockBody, BlockPreamble, KeyReveal
 from repro.ledger.miner import Miner
+from repro.ledger.transaction import SealedBidTransaction
+from repro.market.bids import Offer, Request
 from repro.protocol.exposure import Participant
 
 
@@ -70,6 +76,27 @@ class TamperingParticipant(Participant):
         txids: Optional[Iterable[str]] = None,
     ) -> List[KeyReveal]:
         return [self._forge(r) for r in super().re_reveal(preamble, txids)]
+
+
+@dataclass
+class GarbageSealingParticipant(Participant):
+    """Seals a plaintext that opens cleanly but is not a bid of its own.
+
+    With ``impersonate`` unset the plaintext is not JSON at all; set, it
+    is the bid re-owned by ``impersonate`` — well formed, but naming a
+    sender other than the one who signed the transaction.  Both pass
+    admission (the key opens its commitment and the box), so the bid
+    reaches the clear and the decoder must drop it there.
+    """
+
+    impersonate: Optional[str] = None
+
+    def seal(self, bid: Union[Request, Offer]) -> SealedBidTransaction:
+        if self.impersonate is None:
+            return self._seal_bytes(b"\xffnot a bid: " + bid.to_json())
+        owner = "client_id" if isinstance(bid, Request) else "provider_id"
+        forged = dataclasses.replace(bid, **{owner: self.impersonate})
+        return self._seal_bytes(forged.to_json())
 
 
 def _doctor_allocation(allocation: dict, miner_id: str) -> dict:

@@ -10,9 +10,10 @@ smart-contract-style collective verification of paper §II-A/§III-B.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import (
     DecryptionError,
@@ -29,6 +30,90 @@ from repro.ledger.transaction import SealedBidTransaction
 
 #: plaintexts by sender -> evidence -> allocation payload
 AllocateFn = Callable[[Dict[str, List[bytes]], bytes], Dict]
+
+
+def _open(tx: SealedBidTransaction, reveal: KeyReveal) -> bytes:
+    """Check ``reveal`` against ``tx``'s key commitment, then decrypt.
+
+    Raises :class:`ProtocolError` on a commitment mismatch and
+    :class:`DecryptionError` when the box does not open.
+    """
+    opening = commitments.Opening(value=reveal.temp_key, blind=reveal.blind)
+    if not commitments.verify_opening(tx.key_commitment, opening):
+        raise ProtocolError(
+            f"reveal from {tx.sender_id} does not match commitment"
+        )
+    return symmetric.decrypt(reveal.temp_key, tx.box)
+
+
+def open_transactions(
+    preamble: BlockPreamble,
+    reveals: Iterable[KeyReveal],
+    admitted: Optional[Dict[KeyReveal, bytes]] = None,
+) -> Dict[str, List[bytes]]:
+    """Decrypt every revealed transaction; returns plaintexts by sender.
+
+    ``admitted`` maps reveals already opened (by the node's admission
+    screening) to their plaintexts; any other reveal is checked against
+    its commitment and decrypted here.  Raises :class:`ProtocolError`
+    when a revealed key does not match its commitment, and
+    :class:`DecryptionError` when it fails to decrypt the sealed box —
+    either means a misbehaving participant (or miner) and the block must
+    be rejected.
+    """
+    reveal_map: Dict[str, KeyReveal] = {r.txid: r for r in reveals}
+    plaintexts: Dict[str, List[bytes]] = {}
+    for tx in preamble.transactions:
+        reveal = reveal_map.get(tx.txid())
+        if reveal is None:
+            # Participant withheld its key: bid stays sealed and simply
+            # drops out of the round (it can resubmit later).
+            continue
+        plaintext = admitted.get(reveal) if admitted else None
+        if plaintext is None:
+            plaintext = _open(tx, reveal)
+        plaintexts.setdefault(tx.sender_id, []).append(plaintext)
+    return plaintexts
+
+
+class _Cleared(NamedTuple):
+    """One clear this node ran: the payload and the allocator's rich
+    outcome beside it (``DecloudAllocator.last_outcome``), if it has one."""
+
+    allocation: Dict
+    outcome: object
+
+
+@dataclass
+class _RoundWork:
+    """What a node opened and cleared for one preamble.
+
+    Private to its node and dropped once the node commits the height:
+    ``plaintexts`` is keyed by the exact admitted reveal (key *and*
+    blind), ``cleared`` by the exact reveal tuple a body names.
+    """
+
+    height: int
+    plaintexts: Dict[KeyReveal, bytes] = field(default_factory=dict)
+    cleared: Dict[Tuple[KeyReveal, ...], _Cleared] = field(
+        default_factory=dict
+    )
+
+
+def _leading_below(
+    heights: Iterable[Tuple[str, int]], anchor: int
+) -> List[str]:
+    """Keys of the leading ``(key, height)`` pairs below ``anchor``.
+
+    Per-round indexes are filled in (about) height order, so the scan
+    stops at the first entry the window keeps.
+    """
+    stale = []
+    for key, height in heights:
+        if height >= anchor:
+            break
+        stale.append(key)
+    return stale
 
 
 @dataclass
@@ -53,8 +138,11 @@ class Miner:
     reveal_inbox: Dict[str, Dict[str, KeyReveal]] = field(default_factory=dict)
     #: reveals rejected at admission: (reveal, reason) — Byzantine evidence
     rejected_reveals: List[Tuple[KeyReveal, str]] = field(default_factory=list)
-    #: reveals for preambles this node has not seen yet (reordered gossip)
-    _unscreened: Dict[str, Dict[str, KeyReveal]] = field(default_factory=dict)
+    #: reveals for preambles this node has not seen yet (reordered
+    #: gossip), each stash stamped with this node's height at the time
+    _unscreened: Dict[str, Tuple[int, Dict[str, KeyReveal]]] = field(
+        default_factory=dict
+    )
     #: optional durable store (``repro.store.NodeStore``): chain appends
     #: and mempool admissions journal through it, making this node
     #: crash-recoverable via ``store.recover()``
@@ -62,6 +150,11 @@ class Miner:
     #: signatures this node has verified; its mempool and chain consult
     #: it so a sealed bid costs one verification per node, not three
     signatures: schnorr.SignatureCache = field(init=False)
+    #: admitted plaintexts and finished clears per preamble hash, so the
+    #: node opens each bid once and clears each (preamble, reveals) once
+    _work: Dict[str, _RoundWork] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.keypair is None:
@@ -114,7 +207,8 @@ class Miner:
             tx.txid(): tx for tx in reversed(preamble.transactions)
         }
         self.reveal_inbox.setdefault(phash, {})
-        for reveal in self._unscreened.pop(phash, {}).values():
+        _stamp, stashed = self._unscreened.pop(phash, (0, {}))
+        for reveal in stashed.values():
             self.accept_reveal(phash, reveal)
         return True
 
@@ -125,14 +219,16 @@ class Miner:
         transaction in the announced preamble *and* decrypts the sealed
         box — anything else is recorded as Byzantine evidence and treated
         as if the key had been withheld (the bid drops out; the round
-        survives).  Returns True when the reveal is newly admitted.
+        survives).  The plaintext is kept for this node's own clear of
+        the round.  Returns True when the reveal is newly admitted.
         """
         transactions = self._preamble_txs.get(preamble_hash)
         if transactions is None:
             # Reveal raced ahead of its preamble: stash for later screening.
-            self._unscreened.setdefault(preamble_hash, {}).setdefault(
-                reveal.txid, reveal
+            _stamp, stashed = self._unscreened.setdefault(
+                preamble_hash, (self.chain.next_height, {})
             )
+            stashed.setdefault(reveal.txid, reveal)
             return False
         inbox = self.reveal_inbox.setdefault(preamble_hash, {})
         if reveal.txid in inbox:
@@ -141,18 +237,17 @@ class Miner:
         if tx is None:
             self.rejected_reveals.append((reveal, "unknown txid"))
             return False
-        opening = commitments.Opening(
-            value=reveal.temp_key, blind=reveal.blind
-        )
-        if not commitments.verify_opening(tx.key_commitment, opening):
+        try:
+            plaintext = _open(tx, reveal)
+        except ProtocolError:
             self.rejected_reveals.append((reveal, "commitment mismatch"))
             return False
-        try:
-            symmetric.decrypt(reveal.temp_key, tx.box)
         except DecryptionError:
             self.rejected_reveals.append((reveal, "undecryptable box"))
             return False
         inbox[reveal.txid] = reveal
+        height = self.preamble_inbox[preamble_hash].height
+        self._work_for(preamble_hash, height).plaintexts[reveal] = plaintext
         return True
 
     def collected_reveals(self, preamble: BlockPreamble) -> Tuple[KeyReveal, ...]:
@@ -167,48 +262,63 @@ class Miner:
     # ------------------------------------------------------------------
     # Allocation phase
     # ------------------------------------------------------------------
-    @staticmethod
-    def _open_transactions(
-        preamble: BlockPreamble, reveals: Tuple[KeyReveal, ...]
-    ) -> Dict[str, List[bytes]]:
-        """Decrypt every revealed transaction; returns plaintexts by sender.
+    def _work_for(self, preamble_hash: str, height: int) -> _RoundWork:
+        """This node's work on ``preamble_hash``, started if new."""
+        work = self._work.get(preamble_hash)
+        if work is None:
+            work = self._work[preamble_hash] = _RoundWork(height)
+        return work
 
-        Raises :class:`ProtocolError` when a revealed key does not match
-        its commitment or fails to decrypt the sealed box — either means a
-        misbehaving participant (or miner) and the block must be rejected.
+    def _clear(
+        self, preamble: BlockPreamble, reveals: Tuple[KeyReveal, ...]
+    ) -> _Cleared:
+        """This node's clear of ``(preamble, reveals)``, run once.
+
+        The preamble hash commits to the transactions and the evidence,
+        so with the exact reveal tuple it fixes ``allocate``'s input.
+        Reveals this node admitted are not opened again; any other is
+        opened in full, and a failure raises as it would on a first
+        sight — only successful clears are kept.
         """
-        reveal_map: Dict[str, KeyReveal] = {r.txid: r for r in reveals}
-        plaintexts: Dict[str, List[bytes]] = {}
-        for tx in preamble.transactions:
-            reveal = reveal_map.get(tx.txid())
-            if reveal is None:
-                # Participant withheld its key: bid stays sealed and simply
-                # drops out of the round (it can resubmit later).
-                continue
-            opening = commitments.Opening(
-                value=reveal.temp_key, blind=reveal.blind
+        work = self._work_for(preamble.hash(), preamble.height)
+        cleared = work.cleared.get(reveals)
+        if cleared is None:
+            plaintexts = open_transactions(preamble, reveals, work.plaintexts)
+            allocation = self.allocate(plaintexts, preamble.evidence())
+            cleared = work.cleared[reveals] = _Cleared(
+                allocation, getattr(self.allocate, "last_outcome", None)
             )
-            if not commitments.verify_opening(tx.key_commitment, opening):
-                raise ProtocolError(
-                    f"reveal from {tx.sender_id} does not match commitment"
-                )
-            plaintext = symmetric.decrypt(reveal.temp_key, tx.box)
-            plaintexts.setdefault(tx.sender_id, []).append(plaintext)
-        return plaintexts
+        return cleared
 
     def build_body(
         self, preamble: BlockPreamble, reveals: Tuple[KeyReveal, ...]
     ) -> BlockBody:
         """Decrypt bids, run the allocation, and sign the body."""
-        plaintexts = self._open_transactions(preamble, reveals)
-        allocation = self.allocate(plaintexts, preamble.evidence())
+        reveals = tuple(reveals)
         body = BlockBody(
-            reveals=tuple(reveals),
-            allocation=allocation,
+            reveals=reveals,
+            # a copy: whatever the body's holder does to it, the clear
+            # this node verifies against stays its own
+            allocation=copy.deepcopy(
+                self._clear(preamble, reveals).allocation
+            ),
             miner_id=self.miner_id,
             miner_public=self.keypair.public,
         )
         return body.signed_by(self.keypair, preamble.hash())
+
+    def outcome_of(self, block: Block) -> Optional[object]:
+        """The allocator's rich outcome for ``block``'s allocation.
+
+        Known while this node holds its clear of the block's (preamble,
+        reveals) — from building or verifying the block until it commits
+        the height — and only if the allocator keeps one.
+        """
+        work = self._work.get(block.preamble.hash())
+        if work is None:
+            return None
+        cleared = work.cleared.get(block.require_complete().reveals)
+        return None if cleared is None else cleared.outcome
 
     # ------------------------------------------------------------------
     # Verification by peers
@@ -220,8 +330,7 @@ class Miner:
         """
         self.chain.validate_candidate(block)
         body = block.require_complete()
-        plaintexts = self._open_transactions(block.preamble, body.reveals)
-        expected = self.allocate(plaintexts, block.preamble.evidence())
+        expected = self._clear(block.preamble, body.reveals).allocation
         if expected != body.allocation:
             raise InvalidBlockError(
                 "allocation re-execution mismatch: miner "
@@ -239,17 +348,26 @@ class Miner:
         self.mempool.remove(
             [tx.txid() for tx in block.preamble.transactions]
         )
-        # this node's per-round indexes follow its chain's window; they
-        # were filled in (about) height order, so stop at the first kept
-        stale = []
-        for phash, preamble in self.preamble_inbox.items():
-            if preamble.height >= self.chain.anchor_height:
-                break
-            stale.append(phash)
-        for phash in stale:
+        # what this node opened and cleared is needed for one round: a
+        # committed height can neither be proposed nor verified again
+        height = block.preamble.height
+        self._work = {
+            phash: work
+            for phash, work in self._work.items()
+            if work.height > height
+        }
+        # the other per-round indexes follow the chain's window
+        anchor = self.chain.anchor_height
+        for phash in _leading_below(
+            ((p, pre.height) for p, pre in self.preamble_inbox.items()), anchor
+        ):
             del self.preamble_inbox[phash]
             self._preamble_txs.pop(phash, None)
             self.reveal_inbox.pop(phash, None)
+        for phash in _leading_below(
+            ((p, stamp) for p, (stamp, _) in self._unscreened.items()), anchor
+        ):
+            del self._unscreened[phash]
 
     def accept_block(self, block: Block) -> None:
         """Verify, append, and evict included transactions from the pool."""

@@ -118,10 +118,13 @@ class Participant:
                 f"participant {self.participant_id} cannot submit a bid "
                 f"owned by {owner}"
             )
+        return self._seal_bytes(bid.to_json())
+
+    def _seal_bytes(self, plaintext: bytes) -> SealedBidTransaction:
         tx, reveal = make_sealed_bid(
             sender_id=self.participant_id,
             keypair=self.keypair,
-            plaintext=bid.to_json(),
+            plaintext=plaintext,
             **self._next_seal_material(),
         )
         self._seal_counter += 1
@@ -573,6 +576,9 @@ class ExposureProtocol:
                     )
                     reg.inc("protocol_proposals_rejected_total")
                 continue
+            # the proposer's own clear of the block: read it before the
+            # commit drops the round's work
+            outcome = proposer.outcome_of(block) or AuctionOutcome()
             self._journal_phase(round_index, "commit")
             with tracer.span("commit"):
                 for miner in approving:
@@ -592,13 +598,6 @@ class ExposureProtocol:
                     excluded=len(excluded),
                 )
 
-            allocator = proposer.allocate
-            outcome = (
-                allocator.last_outcome
-                if isinstance(allocator, DecloudAllocator)
-                and allocator.last_outcome is not None
-                else AuctionOutcome()
-            )
             # Runtime mechanism monitors audit the committed block's
             # outcome — in strict mode a violated §IV invariant aborts
             # the round (caught above, traced, and flight-dumped).

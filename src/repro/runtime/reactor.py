@@ -50,7 +50,6 @@ from repro.ledger.miner import Miner
 from repro.market.bids import Offer, Request
 from repro.obs import ObservabilityLike, resolve as resolve_obs
 from repro.protocol import messages
-from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.exposure import (
     MAX_REVEAL_RETRIES,
     REVEAL_BACKOFF,
@@ -738,18 +737,14 @@ class Runtime:
         block: Block,
         approving: List[Miner],
     ) -> None:
+        # the proposer's own clear of the block: read it before the
+        # commit drops the round's work
+        outcome = proposer.outcome_of(block) or AuctionOutcome()
         self._journal_phase(state.index, "commit")
         with self.obs.tracer.span("commit", round=state.index):
             for miner in approving:
                 miner.commit_block(block)
         self._journal_phase(state.index, "committed", hash=block.hash())
-        allocator = proposer.allocate
-        outcome = (
-            allocator.last_outcome
-            if isinstance(allocator, DecloudAllocator)
-            and allocator.last_outcome is not None
-            else AuctionOutcome()
-        )
         obs = self.obs
         if obs.enabled:
             obs.registry.inc("runtime_rounds_committed_total")

@@ -36,7 +36,7 @@ from repro.faults.actors import (
 )
 from repro.faults.plan import FaultPlan
 from repro.ledger.chain import HORIZON
-from repro.ledger.miner import Miner
+from repro.ledger.miner import Miner, open_transactions
 from repro.market.bids import Offer, Request
 from repro.obs import Observability, ObservabilityLike
 from repro.obs.monitors import MonitorSuite, violation_total
@@ -225,7 +225,7 @@ def _mechanism_integrity_ok(result: RoundResult, config) -> bool:
     """The chaos integrity rule: the committed block must equal a
     fault-free replay on exactly the bids that survived the faults."""
     body = result.block.require_complete()
-    plaintexts = Miner._open_transactions(result.block.preamble, body.reveals)
+    plaintexts = open_transactions(result.block.preamble, body.reveals)
     live_requests, live_offers = decode_round(plaintexts)
     expected = replay_fault_free(
         live_requests,
@@ -442,7 +442,7 @@ def _derive_block_outcome(block, config) -> AuctionOutcome:
     outcome.
     """
     body = block.require_complete()
-    plaintexts = Miner._open_transactions(block.preamble, body.reveals)
+    plaintexts = open_transactions(block.preamble, body.reveals)
     live_requests, live_offers = decode_round(plaintexts)
     auction = DecloudAuction(config or AuctionConfig())
     return auction.run(

@@ -36,7 +36,7 @@ from repro.common.timewindow import TimeWindow
 from repro.core.outcome import canonical_outcome
 from repro.faults.actors import WithholdingParticipant
 from repro.faults.plan import FaultPlan
-from repro.ledger.miner import Miner
+from repro.ledger.miner import Miner, open_transactions
 from repro.ledger.network import BroadcastNetwork
 from repro.market.bids import Offer, Request
 from repro.protocol.allocator import DecloudAllocator, decode_round
@@ -219,7 +219,7 @@ def _assert_integrity(result, withholding: int = 0) -> None:
         if tx.sender_id in withholders
     } <= set(result.excluded_txids)
     body = result.block.require_complete()
-    plaintexts = Miner._open_transactions(result.block.preamble, body.reveals)
+    plaintexts = open_transactions(result.block.preamble, body.reveals)
     live_requests, live_offers = decode_round(plaintexts)
     expected = replay_fault_free(
         live_requests,

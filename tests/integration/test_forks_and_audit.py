@@ -5,7 +5,7 @@ import pytest
 from repro.core.audit import audit_outcome
 from repro.ledger.block import GENESIS_PARENT
 from repro.ledger.forks import BlockTree
-from repro.ledger.miner import Miner
+from repro.ledger.miner import Miner, open_transactions
 from repro.protocol.allocator import DecloudAllocator, decode_round
 from repro.protocol.exposure import Participant
 from tests.conftest import make_offer, make_request
@@ -114,7 +114,7 @@ class TestBlockAudit:
         )
         block = _mine_block(miner, _participants("x"))
         body = block.require_complete()
-        plaintexts = Miner._open_transactions(block.preamble, body.reveals)
+        plaintexts = open_transactions(block.preamble, body.reveals)
         requests, offers = decode_round(plaintexts)
 
         allocator = DecloudAllocator()

@@ -1,5 +1,8 @@
 """Property tests: cryptographic primitives."""
 
+import hashlib
+import hmac
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +41,30 @@ class TestSymmetricProperties:
         assert symmetric.decrypt(key, box) == bytes(
             c ^ s for c, s in zip(box.ciphertext, stream)
         )
+
+    @given(key=keys, plaintext=payloads,
+           nonce=st.binary(min_size=16, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_box_equals_the_streaming_hmac_construction(
+        self, key, plaintext, nonce
+    ):
+        # one-shot ``hmac.digest`` must give every byte ``hmac.new`` gave
+        def mac(k, msg):
+            return hmac.new(k, msg, hashlib.sha256).digest()
+
+        enc_key, mac_key = mac(key, b"enc"), mac(key, b"mac")
+        stream = b"".join(
+            hashlib.sha256(enc_key + nonce + i.to_bytes(8, "big")).digest()
+            for i in range(-(-len(plaintext) // 32))
+        )
+        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        box = symmetric.encrypt(key, plaintext, nonce=nonce)
+        assert box == symmetric.SealedBox(
+            nonce=nonce,
+            ciphertext=ciphertext,
+            tag=mac(mac_key, nonce + ciphertext),
+        )
+        assert symmetric.decrypt(key, box) == plaintext
 
     @given(key=keys, plaintext=st.binary(min_size=1, max_size=512),
            flip=st.integers(min_value=0, max_value=10_000))

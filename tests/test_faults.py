@@ -9,6 +9,7 @@ Byzantine actors run on the lossless synchronous bus; network faults
 network that replays a :class:`FaultPlan`.
 """
 
+import functools
 import warnings
 
 import pytest
@@ -24,6 +25,7 @@ from repro.faults import (
     CrashSpec,
     EquivocatingMiner,
     FaultPlan,
+    GarbageSealingParticipant,
     TamperingParticipant,
     WithholdingParticipant,
     detect_equivocation,
@@ -31,7 +33,7 @@ from repro.faults import (
 )
 from repro.ledger.miner import Miner
 from repro.ledger.network import BroadcastNetwork
-from repro.protocol.allocator import DecloudAllocator
+from repro.protocol.allocator import DecloudAllocator, decode_round
 from repro.protocol.contracts import AgreementState, AllocationContract
 from repro.protocol.exposure import ExposureProtocol, Participant
 from repro.protocol.settlement import SettlementProcessor, TokenLedger
@@ -42,6 +44,7 @@ from repro.runtime import (
     Runtime,
 )
 from repro.sim.chaos import ChaosSpec, run_chaos_point, run_chaos_sweep
+from repro.sim.engine import replay_fault_free
 from tests.conftest import make_offer, make_request
 
 
@@ -366,6 +369,43 @@ class TestDegradedRounds:
             detect_equivocation(preamble, honest, doctored)
         # a single consistent body is not equivocation
         detect_equivocation(preamble, honest, honest)
+
+
+class TestGarbageSealing:
+    """A plaintext that opens cleanly but is no bid of its sender's
+    passes admission; the clear's decoder drops it, on every miner."""
+
+    @pytest.mark.parametrize(
+        "impersonate", [None, "anna"], ids=["not-json", "foreign-sender"]
+    )
+    def test_round_commits_without_the_bid_on_the_reactor(self, impersonate):
+        garbage = functools.partial(
+            GarbageSealingParticipant, impersonate=impersonate
+        )
+        runtime = Runtime(_miners())
+        report = runtime.run([RoundInput(submissions=tuple(_market(garbage)))])
+        (result,) = report.committed
+        block = result.block
+        assert "alice" in {tx.sender_id for tx in block.preamble.transactions}
+        # the key opened its commitment and its box: admitted, not excluded
+        assert result.excluded_txids == ()
+        assert sorted(result.accepted_by) == ["m0", "m1", "m2"]
+        assert {m.chain.tip_hash for m in runtime.miners} == {block.hash()}
+        for miner in runtime.miners:
+            assert not miner.rejected_reveals
+        # the honest bids' clear on the block's own evidence, alone
+        honest = {
+            participant.participant_id: [bid.to_json()]
+            for participant, bid in _market()
+            if participant.participant_id != "alice"
+        }
+        expected = replay_fault_free(
+            *decode_round(honest), block.preamble.evidence()
+        )
+        assert block.body.allocation == expected
+        assert result.outcome.to_payload() == expected
+        matched = {m["request_id"] for m in expected["matches"]}
+        assert "ra" not in matched and matched
 
 
 class TestGossipIngestion:

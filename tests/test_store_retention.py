@@ -16,7 +16,7 @@ import pytest
 
 from repro.common.errors import PrunedHistoryError
 from repro.core.config import AuctionConfig
-from repro.ledger.block import Block, BlockPreamble
+from repro.ledger.block import Block, BlockPreamble, KeyReveal
 from repro.ledger.chain import HORIZON, Blockchain
 from repro.ledger.miner import Miner
 from repro.ledger.network import BroadcastNetwork
@@ -116,6 +116,15 @@ class LockstepNode:
             "preambles": max(len(m.preamble_inbox) for m in self.miners),
             "preamble txs": max(len(m._preamble_txs) for m in self.miners),
             "reveal inboxes": max(len(m.reveal_inbox) for m in self.miners),
+            "unscreened stashes": max(len(m._unscreened) for m in self.miners),
+            "opened plaintexts": max(
+                sum(1 for w in m._work.values() if w.plaintexts)
+                for m in self.miners
+            ),
+            "cleared allocations": max(
+                sum(len(w.cleared) for w in m._work.values())
+                for m in self.miners
+            ),
             "disclosed reveals": max(
                 len(p._disclosed) for p in self.participants.values()
             ),
@@ -273,6 +282,30 @@ def _assert_recovers(store, chain):
         chain.tip_hash,
     )
     return recovered
+
+
+class TestUnscreenedStashes:
+    def test_a_flood_of_reveals_for_unknown_preambles_rolls_off(self):
+        # any peer can send reveals for a preamble nobody announced; each
+        # stash keeps only as long as the window it was stamped in
+        node, leader = _journaling_pair(NodeStore.in_memory(horizon=HORIZON))
+        flooded = []
+        for height in range(3 * HORIZON):
+            phash = f"{height:064x}"
+            for index in range(4):
+                reveal = KeyReveal(
+                    sender_id="mallory",
+                    txid=f"{index:064x}",
+                    temp_key=bytes(32),
+                    blind=bytes(32),
+                )
+                assert node.accept_reveal(phash, reveal) is False
+            flooded.append(phash)
+            _commit(node, leader, 1)
+            assert len(node._unscreened) <= 2 * HORIZON
+        assert node.chain.anchor_height >= HORIZON
+        assert flooded[0] not in node._unscreened
+        assert flooded[-1] in node._unscreened
 
 
 class TestRollNeverPassesTheSegment:
