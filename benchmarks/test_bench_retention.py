@@ -2,7 +2,7 @@
 
 ROADMAP item 7's memory leg.  ``NodeStore`` rolls history off every
 ``HORIZON`` commits (``repro.ledger.chain.HORIZON``); with every
-per-round index following the same window, nothing a lockstep node
+per-round index following the same window, nothing a node
 keeps grows with its age.  The soak drives the perfbench-sized market
 (12 requests, three journaling miners) through ``DECLOUD_SOAK_BLOCKS``
 blocks (default 2,000) and asserts:

@@ -1,19 +1,19 @@
-"""Sustained-traffic throughput: pipelined runtime vs lockstep rounds.
+"""Sustained-traffic throughput: pipelined vs sequential runtime rounds.
 
 Two kinds of measurement:
 
 * **Virtual-clock throughput** (``test_pipelining_throughput_floor``,
   a plain test): rounds/sec on the deterministic scheduler's clock,
-  pipelined vs the same reactor with pipelining off (which reproduces
-  the lockstep schedule).  This is the committed regression gate for
-  the structural win — overlapping round *N*+1's continuous arrivals
-  with round *N*'s mine/verify/commit must buy at least 1.5x.
+  pipelined vs the same reactor with pipelining off (one round after
+  the other).  This is the committed regression gate for the
+  structural win — overlapping round *N*+1's continuous arrivals with
+  round *N*'s mine/verify/commit must buy at least 1.5x.
 * **Wall-clock cost** (the ``benchmark`` tests): what a sustained run
-  costs to *simulate* on each engine, gated by ``thresholds.json`` in
-  the CI smoke job like every other bench.
+  costs to *simulate* each way, gated by ``thresholds.json`` in the CI
+  smoke job like every other bench.
 
-Pipelining is pure schedule: both reactor runs and the lockstep engine
-must commit bit-identical blocks, asserted here on every run.
+Pipelining is pure schedule: both reactor runs must commit
+bit-identical blocks, asserted here on every run.
 """
 
 from __future__ import annotations
@@ -36,27 +36,27 @@ BENCH_SPEC = SustainedSpec(
     mean_interarrival=0.18,
 )
 
-#: committed floor for the pipelined vs lockstep-schedule speedup
+#: committed floor for the pipelined vs sequential-schedule speedup
 THROUGHPUT_FLOOR = 1.5
 
 
 def test_pipelining_throughput_floor():
     pipelined = run_sustained(BENCH_SPEC, pipeline=True)
-    lockstepped = run_sustained(BENCH_SPEC, pipeline=False)
+    sequential = run_sustained(BENCH_SPEC, pipeline=False)
     assert pipelined.rounds_committed == BENCH_SPEC.rounds
-    assert lockstepped.rounds_committed == BENCH_SPEC.rounds
+    assert sequential.rounds_committed == BENCH_SPEC.rounds
     assert pipelined.overlap_rounds == BENCH_SPEC.rounds - 1
-    assert lockstepped.overlap_rounds == 0
+    assert sequential.overlap_rounds == 0
     # schedule-only optimization: identical chains either way
-    assert pipelined.block_hashes == lockstepped.block_hashes
+    assert pipelined.block_hashes == sequential.block_hashes
     speedup = (
         pipelined.rounds_per_virtual_second
-        / lockstepped.rounds_per_virtual_second
+        / sequential.rounds_per_virtual_second
     )
     print(
         f"\nsustained throughput: pipelined "
-        f"{pipelined.rounds_per_virtual_second:.3f} rounds/vs, lockstep "
-        f"{lockstepped.rounds_per_virtual_second:.3f} rounds/vs "
+        f"{pipelined.rounds_per_virtual_second:.3f} rounds/vs, sequential "
+        f"{sequential.rounds_per_virtual_second:.3f} rounds/vs "
         f"({speedup:.2f}x)"
     )
     assert speedup >= THROUGHPUT_FLOOR
@@ -75,17 +75,18 @@ def test_bench_runtime_pipelined(benchmark):
     assert result.overlap_rounds == BENCH_SPEC.rounds - 1
 
 
-def test_bench_runtime_lockstep_engine(benchmark):
+def test_bench_runtime_sequential(benchmark):
     result = benchmark.pedantic(
         run_sustained,
         args=(BENCH_SPEC,),
-        kwargs={"engine": "lockstep"},
+        kwargs={"pipeline": False},
         rounds=1,
         iterations=1,
     )
     assert result.rounds_committed == BENCH_SPEC.rounds
     assert result.errors == []
-    # same committed welfare as the reactor drives out of the same spec
-    reactor = run_sustained(BENCH_SPEC, pipeline=True)
-    assert result.welfare == pytest.approx(reactor.welfare, abs=1e-9)
-    assert result.block_hashes == reactor.block_hashes
+    assert result.overlap_rounds == 0
+    # same committed welfare and chain as the pipelined run of the spec
+    pipelined = run_sustained(BENCH_SPEC, pipeline=True)
+    assert result.welfare == pytest.approx(pipelined.welfare, abs=1e-9)
+    assert result.block_hashes == pipelined.block_hashes

@@ -3,11 +3,12 @@
 
 Drives one sustained-arrival market (bids trickle in on seeded
 exponential inter-arrival times) through the async reactor twice —
-pipelined, then back-to-back (the lockstep schedule on the virtual
-clock) — and once through the synchronous ``ExposureProtocol``.  Prints
-the per-round timeline, the virtual-clock throughput win, and checks
-that all three schedules committed **bit-identical** blocks, which is
-the whole point: pipelining reshapes the schedule, never the chain.
+pipelined, then back-to-back (one round after the other on the virtual
+clock) — and once more back-to-back through ``run_sustained`` under
+another scheduler seed.  Prints the per-round timeline, the
+virtual-clock throughput win, and checks that all three schedules
+committed **bit-identical** blocks, which is the whole point:
+pipelining reshapes the schedule, never the chain.
 
 Run:  python examples/pipelined_runtime_demo.py
 
@@ -50,7 +51,7 @@ def _miners() -> list:
 
 def _participants() -> dict:
     # the same id-derived deterministic sealing run_sustained uses, so
-    # the lockstep engine below seals byte-identical transactions
+    # its run below seals byte-identical transactions
     seal_seed = f"sustained-{SPEC.seed}".encode("ascii")
     ids = [f"cli-{i}" for i in range(SPEC.num_clients)] + [
         f"prov-{j}" for j in range(SPEC.num_providers)
@@ -99,7 +100,7 @@ def main() -> None:
     pipelined = _drive(pipeline=True)
     sequential = _drive(pipeline=False)
     _timeline("pipelined reactor", pipelined)
-    _timeline("same reactor, pipeline off (lockstep schedule)", sequential)
+    _timeline("same reactor, pipeline off (sequential schedule)", sequential)
 
     speedup = (
         pipelined.rounds_per_virtual_second
@@ -116,11 +117,11 @@ def main() -> None:
         tuple(r.block.hash() for r in report.committed)
         for report in (pipelined, sequential)
     ]
-    lockstep = run_sustained(SPEC, engine="lockstep")
-    hashes.append(lockstep.block_hashes)
+    reseeded = run_sustained(SPEC, pipeline=False)
+    hashes.append(reseeded.block_hashes)
     assert hashes[0] == hashes[1] == hashes[2], "schedules forked the chain"
     print(
-        "pipelined, sequential, and lockstep-engine chains are "
+        "pipelined, sequential, and reseeded sequential chains are "
         "bit-identical"
     )
     assert speedup > 1.0

@@ -136,8 +136,17 @@ class Miner:
     )
     #: screened key reveals per preamble hash, keyed by txid
     reveal_inbox: Dict[str, Dict[str, KeyReveal]] = field(default_factory=dict)
-    #: reveals rejected at admission: (reveal, reason) — Byzantine evidence
-    rejected_reveals: List[Tuple[KeyReveal, str]] = field(default_factory=list)
+    #: reveals rejected at admission — Byzantine evidence — each as
+    #: (this node's height at the time, reveal, reason); any peer can
+    #: send them, so they roll off with the chain's window
+    _rejected: List[Tuple[int, KeyReveal, str]] = field(
+        default_factory=list, init=False, repr=False
+    )
+    #: called with (reveal, reason) as a reveal is rejected; the host
+    #: driving the node reports the evidence through it
+    on_reveal_rejected: Optional[Callable[[KeyReveal, str], None]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     #: reveals for preambles this node has not seen yet (reordered
     #: gossip), each stash stamped with this node's height at the time
     _unscreened: Dict[str, Tuple[int, Dict[str, KeyReveal]]] = field(
@@ -169,6 +178,18 @@ class Miner:
         if self.store is not None:
             self.store.attach(chain=self.chain, mempool=self.mempool)
 
+    @property
+    def rejected_reveals(self) -> List[Tuple[KeyReveal, str]]:
+        """Reveals rejected at admission inside the window, oldest first:
+        (reveal, reason)."""
+        return [(reveal, reason) for _, reveal, reason in self._rejected]
+
+    def _reject(self, reveal: KeyReveal, reason: str) -> bool:
+        self._rejected.append((self.chain.next_height, reveal, reason))
+        if self.on_reveal_rejected is not None:
+            self.on_reveal_rejected(reveal, reason)
+        return False
+
     # ------------------------------------------------------------------
     # Bidding phase
     # ------------------------------------------------------------------
@@ -178,11 +199,14 @@ class Miner:
 
     def build_preamble(self) -> BlockPreamble:
         """Assemble the next preamble from pending transactions and mine it."""
-        txs = tuple(self.mempool.peek(self.max_block_txs))
+        return self.mine(self.mempool.peek(self.max_block_txs))
+
+    def mine(self, transactions: Iterable[SealedBidTransaction]) -> BlockPreamble:
+        """The next preamble over ``transactions``, its PoW solved."""
         preamble = BlockPreamble(
             height=self.chain.next_height,
             parent_hash=self.chain.tip_hash,
-            transactions=txs,
+            transactions=tuple(transactions),
             timestamp=float(self.chain.next_height),
         )
         nonce = pow_mod.solve(preamble.pow_payload(), self.difficulty_bits)
@@ -235,16 +259,13 @@ class Miner:
             return False
         tx = transactions.get(reveal.txid)
         if tx is None:
-            self.rejected_reveals.append((reveal, "unknown txid"))
-            return False
+            return self._reject(reveal, "unknown txid")
         try:
             plaintext = _open(tx, reveal)
         except ProtocolError:
-            self.rejected_reveals.append((reveal, "commitment mismatch"))
-            return False
+            return self._reject(reveal, "commitment mismatch")
         except DecryptionError:
-            self.rejected_reveals.append((reveal, "undecryptable box"))
-            return False
+            return self._reject(reveal, "undecryptable box")
         inbox[reveal.txid] = reveal
         height = self.preamble_inbox[preamble_hash].height
         self._work_for(preamble_hash, height).plaintexts[reveal] = plaintext
@@ -368,6 +389,11 @@ class Miner:
             ((p, stamp) for p, (stamp, _) in self._unscreened.items()), anchor
         ):
             del self._unscreened[phash]
+        stale = _leading_below(
+            ((i, stamp) for i, (stamp, _r, _why) in enumerate(self._rejected)),
+            anchor,
+        )
+        del self._rejected[: len(stale)]
 
     def accept_block(self, block: Block) -> None:
         """Verify, append, and evict included transactions from the pool."""

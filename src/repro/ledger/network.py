@@ -18,7 +18,7 @@ from typing import Any, Callable, Deque, Dict, List
 
 Handler = Callable[[str, Any], None]
 
-#: messages the traffic log keeps (a lockstep round of 18 bids sends 38)
+#: messages the traffic log keeps (a round of 18 bids sends 38)
 LOG_LIMIT = 1024
 
 

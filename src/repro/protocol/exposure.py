@@ -12,6 +12,11 @@ the DeCloud auction with the preamble hash as randomization evidence, and
 shares the block **body** (keys + allocation suggestion).  Every other
 miner re-executes the auction and accepts the block only on an exact
 match; participants then accept or deny via the smart contract layer.
+
+Rounds run on the one protocol host, :class:`~repro.runtime.Runtime`.
+This module holds the bidder side (:class:`Participant`), the round
+rules the host applies (leader rotation, retry budgets) and
+:class:`ExposureProtocol`, a one-round-per-call façade over the host.
 """
 
 from __future__ import annotations
@@ -19,15 +24,18 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
-
-from repro.common.errors import (
-    ByzantineFaultError,
-    InsecureKeyWarning,
-    ProtocolError,
-    ReproError,
-    RevealTimeoutError,
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
 )
+
+from repro.common.errors import InsecureKeyWarning, ProtocolError
 from repro.core.config import AuctionConfig
 from repro.obs import ObservabilityLike, resolve as resolve_obs
 from repro.core.outcome import AuctionOutcome
@@ -35,12 +43,13 @@ from repro.cryptosim import schnorr
 from repro.ledger.block import Block, BlockPreamble, KeyReveal
 from repro.ledger.chain import HORIZON
 from repro.ledger.miner import Miner, make_sealed_bid
-from repro.ledger.network import BroadcastNetwork
 from repro.ledger.transaction import SealedBidTransaction
 from repro.market.bids import Offer, Request
-from repro.protocol import messages
 from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.identity import IdentityRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.runtime.reactor import Submission
 
 
 @dataclass
@@ -189,12 +198,8 @@ REVEAL_BACKOFF = 2.0
 
 
 def leader_rotation(miners: Sequence[Miner], round_index: int) -> List[Miner]:
-    """Round-robin proposer order for ``round_index``.
-
-    Shared by the lockstep driver and the async runtime so the two
-    engines can never disagree on who leads (or who falls back next)
-    for a given round; the retry budgets above are shared the same way.
-    """
+    """Round-robin proposer order for ``round_index``: who leads, and
+    who falls back next, in the runtime's global round numbering."""
     pivot = round_index % len(miners)
     return list(miners[pivot:]) + list(miners[:pivot])
 
@@ -213,173 +218,65 @@ class RoundResult:
 
 
 class ExposureProtocol:
-    """Drives full rounds of the two-phase protocol over a synchronous bus.
+    """Rounds of the two-phase protocol, one call each: a façade over the
+    :class:`~repro.runtime.Runtime`.
 
-    Every broadcast on the :class:`~repro.ledger.network.BroadcastNetwork`
-    reaches every miner before it returns, so the only faults this
-    driver meets are Byzantine ones — lossy networks, crashes and
-    partitions are the :class:`~repro.runtime.Runtime`'s to replay.
-    It still degrades gracefully under them:
-
-    * **Reveal retry**: missing reveals are re-requested up to
-      ``MAX_REVEAL_RETRIES`` times, after which the still-sealed bids
-      are excluded and the auction runs on the surviving set (the
-      paper's denial path).  Only when *every* bid stays sealed does the
-      round abort with
-      :class:`~repro.common.errors.RevealTimeoutError`.
-    * **Quorum commit**: miners verify a proposed block first and append
-      only once a majority of the network agrees, so a rejected proposal
-      never leaves chains diverged.
-    * **Leader fallback**: when the leader's body fails peer re-execution
-      (equivocation, doctored allocation), the next miner rebuilds the
-      body from the same preamble and reveal set; the round fails with
-      :class:`~repro.common.errors.ByzantineFaultError` only if no
-      proposer reaches quorum.
+    :meth:`submit` seals a bid at the call.  :meth:`run_round` drives the
+    bids sealed since the previous round through one
+    ``Runtime(pipeline=False)`` round on a lossless transport and raises
+    the typed error the runtime recorded if the round aborted: a
+    :class:`~repro.common.errors.RevealTimeoutError` when every bid
+    stayed sealed through the re-requests (a bid whose key never arrives
+    is excluded and the round goes on), a
+    :class:`~repro.common.errors.ByzantineFaultError` when no proposer's
+    body reached quorum.  Lossy networks, crashes and partitions are
+    replayed by driving the runtime directly, with a
+    :class:`~repro.faults.plan.FaultPlan`.
     """
 
     def __init__(
         self,
         miners: Sequence[Miner],
-        network: Optional[BroadcastNetwork] = None,
+        network: Optional[object] = None,
         registry: Optional["IdentityRegistry"] = None,
         obs: Optional[ObservabilityLike] = None,
         store: Optional[object] = None,
     ) -> None:
+        """``network`` is accepted and unused: every round runs on the
+        runtime's own lossless transport.  ``obs`` and ``store`` (a
+        ``repro.store.NodeStore`` journaling phase transitions) go to
+        each round's runtime."""
         if not miners:
             raise ProtocolError("at least one miner is required")
         self.miners = list(miners)
-        self.network = network or BroadcastNetwork()
         self.registry = registry
-        #: optional observability bundle: the protocol emits the round
-        #: span tree (seal -> round(mine, reveal, propose, verify,
-        #: commit)), retry/exclusion/Byzantine events, and the ledger
-        #: metrics (blocks mined, PoW iterations, block sizes).  Those
-        #: spans are the phase clock: ``span_seconds(obs.tracer.records)``
-        #: is the per-phase split across every round this protocol drives
         self.obs = resolve_obs(obs)
-        #: optional durable store (``repro.store.NodeStore``): round phase
-        #: transitions are journaled through it so recovery knows exactly
-        #: how far an in-flight round progressed before a crash
         self.store = store
         self._round = 0
-        #: global submission order, stamped onto every BidSubmission so
-        #: order-sensitive consumers (the async runtime's miners) can
-        #: reconstruct arrival order from permuted gossip
-        self._submit_sequence = 0
-        for miner in self.miners:
-            self._subscribe_miner(miner)
-
-    def _subscribe_miner(self, miner: Miner) -> None:
-        def on_bid(_sender: str, payload) -> None:
-            try:
-                miner.accept_transaction(payload.transaction)
-            except ReproError:
-                # A malformed or forged submission is the sender's
-                # problem; it must not crash the receiving node.
-                pass
-
-        def on_preamble(_sender: str, payload) -> None:
-            miner.accept_preamble(payload.preamble)
-
-        def on_reveal(_sender: str, payload) -> None:
-            miner.accept_reveal(payload.preamble_hash, payload.reveal)
-
-        self.network.subscribe(messages.TOPIC_BIDS, on_bid)
-        self.network.subscribe(messages.TOPIC_PREAMBLE, on_preamble)
-        self.network.subscribe(messages.TOPIC_REVEALS, on_reveal)
-
-    def _journal_phase(self, round_index: int, phase: str, **extra) -> None:
-        """Write one ``round.phase`` marker ahead of the transition."""
-        if self.store is not None:
-            self.store.log(
-                "round.phase", round=round_index, phase=phase, **extra
-            )
+        #: bids sealed since the previous round, in submission order
+        self._sealed: List["Submission"] = []
 
     @property
     def quorum(self) -> int:
         """Verifying majority over the whole miner set."""
         return len(self.miners) // 2 + 1
 
-    # ------------------------------------------------------------------
-    # Phase 1: sealed bidding
-    # ------------------------------------------------------------------
     def submit(
         self, participant: Participant, bid: Union[Request, Offer]
     ) -> SealedBidTransaction:
-        """Phase 1: seal a bid and gossip it to every miner.
+        """Phase 1: seal a bid for the next :meth:`run_round`.
 
         With an identity registry configured, the sender's public key is
         bound to its id on first contact and checked ever after —
         impersonating a registered id fails here, before any mempool.
         """
-        with self.obs.tracer.span(
-            "seal", participant=participant.participant_id
-        ):
-            tx = participant.seal(bid)
-            if self.registry is not None:
-                self.registry.check_or_register(
-                    tx.sender_id, tx.sender_public
-                )
-            sequence = self._submit_sequence
-            self._submit_sequence += 1
-            self.network.broadcast(
-                messages.TOPIC_BIDS,
-                messages.BidSubmission(
-                    transaction=tx,
-                    trace=self.obs.tracer.child_context(
-                        actor=participant.participant_id
-                    ),
-                    sequence=sequence,
-                ),
-                sender=participant.participant_id,
-            )
-        if self.obs.enabled:
-            self.obs.registry.inc("protocol_seals_total")
+        from repro.runtime.reactor import Submission  # import cycle
+
+        entry = Submission(participant, bid)
+        tx = entry.seal(self.registry, self.obs)
+        self._sealed.append(entry)
         return tx
 
-    # ------------------------------------------------------------------
-    # Phase 2: reveal collection with retry
-    # ------------------------------------------------------------------
-    def _collect_reveals(
-        self,
-        leader: Miner,
-        preamble: BlockPreamble,
-        participants: Sequence[Participant],
-    ) -> Tuple[KeyReveal, ...]:
-        phash = preamble.hash()
-        included: Set[str] = {tx.txid() for tx in preamble.transactions}
-        for attempt in range(MAX_REVEAL_RETRIES + 1):
-            inbox = leader.reveal_inbox.get(phash, {})
-            missing = included - set(inbox)
-            if not missing:
-                break
-            if attempt > 0 and self.obs.enabled:
-                self.obs.tracer.event(
-                    "reveal.retry", attempt=attempt, missing=len(missing)
-                )
-                self.obs.registry.inc("protocol_reveal_retries_total")
-            for participant in participants:
-                if attempt == 0:
-                    reveals = participant.reveals_for(preamble)
-                else:
-                    reveals = participant.re_reveal(preamble, missing)
-                for reveal in reveals:
-                    self.network.broadcast(
-                        messages.TOPIC_REVEALS,
-                        messages.RevealMessage(
-                            reveal=reveal,
-                            preamble_hash=phash,
-                            trace=self.obs.tracer.child_context(
-                                actor=participant.participant_id
-                            ),
-                        ),
-                        sender=participant.participant_id,
-                    )
-        return leader.collected_reveals(preamble)
-
-    # ------------------------------------------------------------------
-    # Full round
-    # ------------------------------------------------------------------
     def run_round(
         self, participants: Sequence[Participant]
     ) -> RoundResult:
@@ -387,234 +284,27 @@ class ExposureProtocol:
 
         The miner that "gets the block" rotates round-robin — consensus
         forks are out of scope (the paper builds on, not contributes to,
-        the underlying consensus).
+        the underlying consensus).  Only ``participants`` reveal keys.
 
-        With observability attached the round emits a ``round`` span
-        containing ``mine``/``reveal``/``propose``/``verify``/``commit``
-        children plus the degradation events (retries, exclusions,
-        Byzantine rejections, fallbacks).  A round that aborts keeps
-        its partial phase times: the phase that raised and the ``round``
-        span itself close with ``status: "error"``, which
+        With observability attached the round is one ``round`` span
+        around the runtime's ``mine``/``reveal``/``propose``/``verify``/
+        ``commit`` spans and degradation events.  A round that aborts
+        closes the ``round`` span with ``status: "error"``, which
         :func:`~repro.obs.trace.span_seconds` counts under ``aborted``.
         """
-        round_index = self._round
-        flight = self.obs.flight if self.obs.enabled else None
-        if flight is not None:
-            flight.begin_round(round_index)
-        try:
-            with self.obs.tracer.span("round", index=round_index):
-                try:
-                    result = self._run_round(participants, round_index)
-                except ReproError as exc:
-                    self._journal_phase(
-                        round_index, "aborted", error=type(exc).__name__
-                    )
-                    if self.obs.enabled:
-                        self.obs.tracer.event(
-                            "round.aborted", error=type(exc).__name__
-                        )
-                        self.obs.registry.inc(
-                            "protocol_rounds_aborted_total",
-                            reason=type(exc).__name__,
-                        )
-                    raise
-        except ReproError as exc:
-            # Dump after the round span closed so the bundle carries the
-            # complete failing frame, error status included.
-            if flight is not None:
-                flight.dump(
-                    trigger=type(exc).__name__,
-                    error=str(exc),
-                    round_index=round_index,
-                )
-            raise
-        if flight is not None:
-            flight.end_round(round_index)
-        return result
+        from repro.runtime.reactor import Runtime  # import cycle
 
-    def _run_round(
-        self, participants: Sequence[Participant], round_index: int
-    ) -> RoundResult:
-        obs = self.obs
-        tracer = obs.tracer
-        reg = obs.registry
-        if obs.enabled:
-            reg.inc("protocol_rounds_total")
-        rotation = leader_rotation(self.miners, self._round)
-        self._round += 1
-        leader = rotation[0]
-        self._journal_phase(round_index, "seal", leader=leader.miner_id)
-
-        # Phase 1 completion: leader mines the preamble over sealed bids.
-        self._journal_phase(round_index, "mine", leader=leader.miner_id)
-        with tracer.span("mine", leader=leader.miner_id):
-            preamble = leader.build_preamble()
-        if obs.enabled:
-            # Ledger-side metrics: what the miner committed and what the
-            # proof-of-work cost (deterministic PoW scans from nonce 0,
-            # so the winning nonce counts the iterations).
-            reg.inc("ledger_blocks_mined_total")
-            reg.inc("ledger_pow_iterations_total", preamble.pow_nonce + 1)
-            reg.observe("ledger_block_txs", len(preamble.transactions))
-            reg.observe("ledger_block_bytes", len(preamble.canonical_bytes))
-        leader.accept_preamble(preamble)  # local knowledge, no gossip needed
-        self.network.broadcast(
-            messages.TOPIC_PREAMBLE,
-            messages.PreambleAnnouncement(
-                preamble=preamble,
-                miner_id=leader.miner_id,
-                trace=tracer.child_context(actor=leader.miner_id),
-            ),
-            sender=leader.miner_id,
+        sealed, self._sealed = self._sealed, []
+        runtime = Runtime(
+            self.miners, obs=self.obs, store=self.store,
+            start_round=self._round, pipeline=False,
         )
-
-        # Peers validate the preamble's PoW before anyone reveals.
-        for miner in self.miners:
-            if not preamble.check_pow(miner.chain.difficulty_bits):
-                raise ProtocolError("preamble failed proof-of-work check")
-
-        # Phase 2: collect screened reveals; excluded bids stay sealed.
-        self._journal_phase(round_index, "preamble", hash=preamble.hash())
-        self._journal_phase(round_index, "reveal")
-        rejected_before = [len(m.rejected_reveals) for m in self.miners]
-        with tracer.span("reveal"):
-            reveals = self._collect_reveals(leader, preamble, participants)
-        revealed = {r.txid for r in reveals}
-        excluded = tuple(
-            tx.txid()
-            for tx in preamble.transactions
-            if tx.txid() not in revealed
-        )
-        if obs.enabled:
-            reg.inc("protocol_reveals_total", len(reveals))
-            # Byzantine evidence accumulated during this reveal phase:
-            # reveals the miners screened out (forged keys, unknown
-            # txids, undecryptable boxes) — one event per rejection.
-            for miner, before in zip(self.miners, rejected_before):
-                for reveal, reason in miner.rejected_reveals[before:]:
-                    tracer.event(
-                        "byzantine.reveal_rejected",
-                        miner=miner.miner_id,
-                        sender=reveal.sender_id,
-                        txid=reveal.txid,
-                        reason=reason,
-                    )
-                    reg.inc(
-                        "protocol_byzantine_reveals_total", reason=reason
-                    )
-            # Exactly one exclusion event per bid whose key never
-            # (validly) arrived — the trace-based suite pins this down.
-            # Naming the sender makes the flight recorder's causal tree
-            # point at the excluded *bidder*, not just an opaque txid.
-            sender_of = {
-                tx.txid(): tx.sender_id for tx in preamble.transactions
-            }
-            for txid in excluded:
-                tracer.event(
-                    "reveal.excluded", txid=txid, sender=sender_of[txid]
-                )
-            reg.inc("protocol_excluded_bids_total", len(excluded))
-        if preamble.transactions and not reveals:
-            if obs.enabled:
-                tracer.event(
-                    "reveal.timeout",
-                    sealed=len(preamble.transactions),
-                    retries=MAX_REVEAL_RETRIES,
-                )
-                reg.inc("protocol_reveal_timeouts_total")
-            raise RevealTimeoutError(
-                f"no valid key reveal arrived for any of the "
-                f"{len(preamble.transactions)} sealed bids after "
-                f"{MAX_REVEAL_RETRIES} retries"
-            )
-
-        # Proposal with fallback: the leader proposes first; if peers
-        # reject its body, the next miner rebuilds from the same
-        # preamble and reveal set.
-        failed: List[str] = []
-        for proposer in rotation:
-            if failed and obs.enabled:
-                tracer.event("round.fallback", proposer=proposer.miner_id)
-            self._journal_phase(
-                round_index, "propose", proposer=proposer.miner_id
-            )
-            with tracer.span("propose", proposer=proposer.miner_id):
-                body = proposer.build_body(preamble, reveals)
-                block = Block(preamble=preamble, body=body)
-                self.network.broadcast(
-                    messages.TOPIC_BLOCK,
-                    messages.BlockProposal(
-                        block=block,
-                        miner_id=proposer.miner_id,
-                        trace=tracer.child_context(actor=proposer.miner_id),
-                    ),
-                    sender=proposer.miner_id,
-                )
-            if obs.enabled:
-                reg.inc("protocol_proposals_total")
-
-            # Collective verification: every miner re-executes the
-            # allocation; commit happens only after quorum agrees, so a
-            # rejected proposal leaves no chain diverged.
-            approving: List[Miner] = []
-            self._journal_phase(round_index, "verify")
-            with tracer.span("verify"):
-                for miner in self.miners:
-                    try:
-                        miner.verify_block(block)
-                    except ReproError:
-                        continue
-                    approving.append(miner)
-            if len(approving) < self.quorum:
-                failed.append(proposer.miner_id)
-                if obs.enabled:
-                    tracer.event(
-                        "proposal.rejected",
-                        proposer=proposer.miner_id,
-                        approvals=len(approving),
-                        quorum=self.quorum,
-                    )
-                    reg.inc("protocol_proposals_rejected_total")
-                continue
-            # the proposer's own clear of the block: read it before the
-            # commit drops the round's work
-            outcome = proposer.outcome_of(block) or AuctionOutcome()
-            self._journal_phase(round_index, "commit")
-            with tracer.span("commit"):
-                for miner in approving:
-                    miner.commit_block(block)
-            self._journal_phase(
-                round_index, "committed", hash=block.hash()
-            )
-            if obs.enabled:
-                reg.inc("protocol_commits_total")
-                reg.set("protocol_last_quorum", len(approving))
-                if failed:
-                    reg.inc("protocol_fallbacks_total")
-                tracer.event(
-                    "round.committed",
-                    height=block.preamble.height,
-                    approvals=len(approving),
-                    excluded=len(excluded),
-                )
-
-            # Runtime mechanism monitors audit the committed block's
-            # outcome — in strict mode a violated §IV invariant aborts
-            # the round (caught above, traced, and flight-dumped).
-            obs.check_outcome(
-                outcome, source="protocol", round_index=round_index
-            )
-            return RoundResult(
-                block=block,
-                outcome=outcome,
-                accepted_by=[m.miner_id for m in approving],
-                excluded_txids=excluded,
-                failed_proposers=tuple(failed),
-            )
-        raise ByzantineFaultError(
-            "no block proposal reached quorum; rejected proposers: "
-            + ", ".join(failed)
-        )
+        with self.obs.tracer.span("round", index=self._round):
+            self._round += 1
+            record = runtime.run_sealed(sealed, participants)
+            if record.exception is not None:
+                raise record.exception
+        return record.result
 
 
 def build_miner_network(

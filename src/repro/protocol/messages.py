@@ -27,19 +27,10 @@ TOPIC_REVEAL_REQUEST = "reveal-request"
 
 @dataclass(frozen=True)
 class BidSubmission:
-    """A participant posts a sealed bid to the miner network.
-
-    ``sequence`` is the submission's position in the driver's global
-    submit order.  Gossip can deliver submissions in any order, so the
-    async runtime's miners keep it next to the admitted transaction and
-    compose preambles in sequence order — the arrival order a lockstep
-    driver gets for free from its synchronous bus.  ``None`` (legacy
-    senders) means "no ordering claim"; such transactions sort last.
-    """
+    """A participant posts a sealed bid to the miner network."""
 
     transaction: SealedBidTransaction
     trace: Optional[TraceContext] = None
-    sequence: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,12 @@ replay, bounded inboxes with backpressure).
 
 :class:`~repro.runtime.reactor.Runtime` drives pipelined protocol
 rounds on top: round *N+1* seals while round *N* mines, reveals,
-verifies, and commits.  Committed outcomes are proven bit-identical to
-the lockstep :class:`~repro.protocol.exposure.ExposureProtocol` by the
-differential suite (``tests/differential/test_runtime_equivalence.py``).
+verifies, and commits.  It is the one protocol host —
+:class:`~repro.protocol.exposure.ExposureProtocol` drives one
+non-pipelined round of it per call — and its committed blocks are
+proven bit-identical, under every schedule, to a straight-line chain of
+``Miner`` calls by the differential suite
+(``tests/differential/test_runtime_equivalence.py``).
 Every phase boundary it journals is also a ``runtime.phase`` trace event
 stamped with virtual time, the one clock a round's stall flame is read
 from (:func:`repro.obs.report.phase_flame`).

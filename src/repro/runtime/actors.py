@@ -1,37 +1,26 @@
 """Protocol actors: inbox-driven wrappers around miners and participants.
 
-The lockstep :class:`~repro.protocol.exposure.ExposureProtocol` drives
-every node from one synchronous loop.  Here each node is an *actor*: it
-subscribes its node id to the protocol topics on the transport and
-reacts to whatever lands in its inbox, in whatever order the seeded
-scheduler delivers it.  The actors deliberately own **no** protocol
-state machine — they wrap the very same :class:`~repro.ledger.miner.Miner`
-and :class:`~repro.protocol.exposure.Participant` objects the lockstep
-engine uses (Byzantine subclasses included), so the two engines can only
-differ in *when* things happen, never in *what* a node does.
+Each node is an *actor*: it subscribes its node id to the protocol
+topics on the transport and reacts to whatever lands in its inbox, in
+whatever order the seeded scheduler delivers it.  The actors
+deliberately own **no** protocol state machine — they wrap
+:class:`~repro.ledger.miner.Miner` and
+:class:`~repro.protocol.exposure.Participant` objects (Byzantine
+subclasses included), so a schedule can change *when* things happen,
+never *what* a node does.
 
-The one genuinely order-sensitive spot is preamble composition: a
-lockstep mempool receives bids in submission order, but gossip permutes
-arrivals.  :class:`MinerActor` therefore remembers the submission
-``sequence`` stamped on every :class:`~repro.protocol.messages.BidSubmission`
-and composes preambles in sequence order — restoring, by construction,
-exactly the transaction order the lockstep engine sees.
+The one genuinely order-sensitive spot is preamble composition: gossip
+permutes arrivals.  :class:`MinerActor` therefore composes a preamble
+in the submission order the reactor hands it, whatever order the bids
+arrived in.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    AbstractSet,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-)
+from typing import TYPE_CHECKING, List, Mapping
 
 from repro.common.errors import ReproError
-from repro.ledger import pow as pow_mod
-from repro.ledger.block import BlockPreamble
+from repro.ledger.block import BlockPreamble, KeyReveal
 from repro.ledger.miner import Miner
 from repro.protocol import messages
 from repro.protocol.exposure import Participant
@@ -46,9 +35,7 @@ class MinerActor:
     def __init__(self, runtime: "Runtime", miner: Miner) -> None:
         self.runtime = runtime
         self.miner = miner
-        #: submission sequence per admitted txid (first claim wins);
-        #: preambles are composed in this order
-        self.sequence_of: Dict[str, int] = {}
+        miner.on_reveal_rejected = self.on_reveal_rejected
         transport = runtime.transport
         node = miner.miner_id
         transport.subscribe_node(node, messages.TOPIC_BIDS, self.on_bid)
@@ -60,8 +47,6 @@ class MinerActor:
     def on_bid(self, _sender: str, payload: messages.BidSubmission) -> None:
         tx = payload.transaction
         txid = tx.txid()
-        if payload.sequence is not None:
-            self.sequence_of.setdefault(txid, payload.sequence)
         try:
             self.miner.accept_transaction(tx)
         except ReproError:
@@ -85,60 +70,46 @@ class MinerActor:
         self.runtime.note_reveal(self.miner.miner_id, payload.preamble_hash)
 
     def on_block(self, _sender: str, payload: messages.BlockProposal) -> None:
-        # Verification and commit are quorum-driven by the runtime (as in
-        # the lockstep engine); the gossiped proposal itself needs no
-        # reaction here.
+        # Verification and commit are quorum-driven by the runtime; the
+        # gossiped proposal itself needs no reaction here.
         pass
+
+    def on_reveal_rejected(self, reveal: KeyReveal, reason: str) -> None:
+        """The miner screened a reveal out (forged key, unknown txid,
+        undecryptable box): one Byzantine evidence event per rejection."""
+        obs = self.runtime.obs
+        if obs.enabled:
+            obs.tracer.event(
+                "byzantine.reveal_rejected",
+                miner=self.miner.miner_id,
+                sender=reveal.sender_id,
+                txid=reveal.txid,
+                reason=reason,
+            )
+            obs.registry.inc("protocol_byzantine_reveals_total", reason=reason)
 
     # -- composition ----------------------------------------------------
     def compose_preamble(
-        self,
-        allowed: Optional[AbstractSet[str]] = None,
-        sequence_hint: Optional[Mapping[str, int]] = None,
+        self, sequence_hint: Mapping[str, int]
     ) -> BlockPreamble:
-        """Freeze this miner's next preamble in submission-sequence order.
+        """Freeze this miner's next preamble over one round's own bids.
 
-        Mirrors :meth:`Miner.build_preamble` field for field, but orders
-        the mempool snapshot by stamped submission sequence instead of
-        local arrival order — gossip permutation must not leak into the
-        preamble (its hash is the auction's randomization evidence).
-        Transactions lacking a sequence (legacy senders) sort last, by
-        txid for determinism.  ``allowed`` restricts the snapshot to one
-        round's own sealed txids: a crash-recovered mempool may hold a
-        pipelined neighbour round's admissions, which must land in that
-        round's preamble, not this one's.  ``sequence_hint`` overrides
-        the gossip-learned stamps: a recovered mempool can already hold
-        a transaction everywhere, letting the round become minable
-        before this miner's copy of the (redundant) gossip arrives — the
-        runtime then supplies the authoritative submission order so the
-        preamble stays schedule-invariant.
+        ``sequence_hint`` maps each txid the round sealed to its
+        submission sequence.  :meth:`Miner.build_preamble`, but over the
+        mempool's copies of those txids only, in that order: gossip
+        permutation must not leak into the preamble (its hash is the
+        auction's randomization evidence), and whatever else the mempool
+        holds — an aborted round's leftovers, or a pipelined neighbour's
+        admissions a crash-recovered store kept — is not this round's.
         """
         miner = self.miner
         pending = [
             tx
             for tx in miner.mempool.peek(len(miner.mempool))
-            if allowed is None or tx.txid() in allowed
+            if tx.txid() in sequence_hint
         ]
-        stamps: Mapping[str, int] = (
-            {**self.sequence_of, **sequence_hint}
-            if sequence_hint
-            else self.sequence_of
-        )
-        pending.sort(
-            key=lambda tx: (
-                stamps.get(tx.txid(), float("inf")),
-                tx.txid(),
-            )
-        )
-        txs = tuple(pending[: miner.max_block_txs])
-        preamble = BlockPreamble(
-            height=miner.chain.next_height,
-            parent_hash=miner.chain.tip_hash,
-            transactions=txs,
-            timestamp=float(miner.chain.next_height),
-        )
-        nonce = pow_mod.solve(preamble.pow_payload(), miner.difficulty_bits)
-        return preamble.with_nonce(nonce)
+        pending.sort(key=lambda tx: sequence_hint[tx.txid()])
+        return miner.mine(pending[: miner.max_block_txs])
 
 
 class ParticipantActor:

@@ -1,35 +1,34 @@
-"""The pipelined protocol runtime: rounds as interleaved state machines.
+"""The protocol host: rounds as interleaved state machines.
 
 :class:`Runtime` drives the two-phase exposure protocol (paper §III)
 over a :class:`~repro.runtime.transport.DeterministicTransport`, one
-scheduler event at a time.  Each round advances through the same phases
-as the lockstep :class:`~repro.protocol.exposure.ExposureProtocol` —
-seal → mine → reveal → propose → verify → commit — journaled through
-the same WAL ``round.phase`` markers, but **rounds overlap**: the moment
-round *N*'s preamble freezes its transaction selection, round *N+1*'s
-seal phase opens, so sealing and admission-settling of the next block
-run concurrently with mining, reveal collection, verification, and
-commit of the current one.  Mining itself stays serialized (a preamble
-needs its parent hash), which is exactly the dependency the paper's
-chain imposes.
+scheduler event at a time.  Each round advances seal → mine → reveal →
+propose → verify → commit, journaled through WAL ``round.phase``
+markers, and **rounds overlap**: the moment round *N*'s preamble
+freezes its transaction selection, round *N+1*'s seal phase opens, so
+sealing and admission-settling of the next block run concurrently with
+mining, reveal collection, verification, and commit of the current one.
+Mining itself stays serialized (a preamble needs its parent hash),
+which is exactly the dependency the paper's chain imposes.  With
+``pipeline=False`` round *N+1* opens only once round *N* is terminal.
 
-Equivalence with the lockstep engine is by construction, and enforced
-by the differential suite:
+It is the only host: :class:`~repro.protocol.exposure.ExposureProtocol`
+is a façade that seals at ``submit`` and drives one
+``Runtime(pipeline=False)`` round per ``run_round`` on a lossless
+transport.  The schedule never reaches a committed block:
 
 * the same ``Miner``/``Participant`` objects execute every protocol
   action (sealing, screening, allocation, verification);
-* preambles are composed in stamped submission-sequence order — the
-  arrival order a synchronous bus gives the lockstep engine for free;
-* leader rotation, quorum, retry budgets, and proposer fallback reuse
-  the lockstep rules (``leader_rotation`` and the retry constants are
-  literally shared).
+* preambles are composed in stamped submission-sequence order, not in
+  gossip arrival order;
+* leader rotation, quorum, retry budgets, and proposer fallback are
+  fixed rules (``leader_rotation`` and the retry constants).
 
-Under a fault-free plan a pipelined run's committed blocks are
-bit-identical to lockstep's across *every* scheduler seed; under faults
-each committed block equals the fault-free replay on its surviving bid
-set (the contract the chaos harness checks on every point).  The
-runtime is the one host for lossy plans: the lockstep engine runs on
-the lossless synchronous bus only.
+Under a lossless plan a run's committed blocks are bit-identical to a
+straight-line chain of ``Miner`` calls across *every* scheduler seed
+(``tests/differential/test_runtime_equivalence.py``); under faults each
+committed block equals the fault-free replay on its surviving bid set
+(the contract the chaos harness checks on every point).
 
 Virtual phase costs (:class:`RuntimeCosts`) give mining, reveal
 deadlines, and verification nonzero width on the virtual clock so that
@@ -39,14 +38,21 @@ still runs eagerly inside the owning event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.common.errors import ReproError
+from repro.common.errors import (
+    ByzantineFaultError,
+    ProtocolError,
+    QuorumError,
+    ReproError,
+    RevealTimeoutError,
+)
 from repro.core.outcome import AuctionOutcome
 from repro.faults.plan import FaultPlan
 from repro.ledger.block import Block, BlockPreamble
 from repro.ledger.miner import Miner
+from repro.ledger.transaction import SealedBidTransaction
 from repro.market.bids import Offer, Request
 from repro.obs import ObservabilityLike, resolve as resolve_obs
 from repro.protocol import messages
@@ -109,14 +115,17 @@ class RuntimeRound:
 
     index: int
     result: Optional[RoundResult] = None
-    #: error type name when the round aborted (mirrors the lockstep
-    #: driver's raised ``ReproError`` subclass)
+    #: error type name when the round aborted
     error: str = ""
     seal_opened_at: float = 0.0
     finished_at: float = 0.0
     #: True when this round's seal opened while its predecessor was
     #: still in flight — the pipelining overlap the bench counts
     overlapped: bool = False
+    #: the typed error ``error`` names, for a caller that raises it
+    exception: Optional[ReproError] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def committed(self) -> bool:
@@ -151,7 +160,7 @@ class RuntimeReport:
         return len(self.committed) / self.virtual_time
 
 
-class _Entry:
+class Submission:
     """One submission's lifecycle inside a round."""
 
     __slots__ = ("participant", "bid", "tx", "txid", "sequence", "attempts",
@@ -160,7 +169,7 @@ class _Entry:
     def __init__(self, participant: Participant, bid: Bid) -> None:
         self.participant = participant
         self.bid = bid
-        self.tx = None
+        self.tx: Optional[SealedBidTransaction] = None
         self.txid: Optional[str] = None
         self.sequence: Optional[int] = None
         self.attempts = 0
@@ -170,35 +179,70 @@ class _Entry:
         #: hangs under the sender's ``seal`` span
         self.trace = None
 
+    def seal(
+        self, registry: Optional[IdentityRegistry], obs: ObservabilityLike
+    ) -> SealedBidTransaction:
+        """Seal the bid and bind its sender's key: the one seal path.
+
+        With an identity registry the sender's public key is bound to
+        its id on first contact and checked ever after, so an
+        impersonation fails here, before any mempool sees the bid.
+        """
+        sender = self.participant.participant_id
+        with obs.tracer.span("seal", participant=sender):
+            self.tx = self.participant.seal(self.bid)
+            if registry is not None:
+                registry.check_or_register(
+                    self.tx.sender_id, self.tx.sender_public
+                )
+            self.trace = obs.tracer.child_context(actor=sender)
+        self.txid = self.tx.txid()
+        if obs.enabled:
+            obs.registry.inc("protocol_seals_total")
+        return self.tx
+
 
 _TERMINAL = ("done", "aborted")
 
 
 class _RoundState:
     __slots__ = (
-        "index", "input", "status", "entries", "outstanding", "leader",
-        "preamble", "phash", "reveals", "excluded", "proposer_queue",
-        "failed", "deadline_handle", "record",
+        "index", "number", "offsets", "status", "entries", "outstanding",
+        "leader", "preamble", "phash", "txids", "reveals", "excluded",
+        "proposer_queue", "failed", "deadline_handle", "reveal_trace",
+        "record",
     )
 
-    def __init__(self, index: int, round_input: RoundInput) -> None:
+    def __init__(
+        self,
+        index: int,
+        number: int,
+        entries: List[Submission],
+        offsets: Optional[Tuple[float, ...]] = None,
+    ) -> None:
+        #: position in this run, and the global round number — the one
+        #: leader rotation, fault keys, the WAL and the trace use
         self.index = index
-        self.input = round_input
+        self.number = number
+        self.offsets = offsets
         self.status = "pending"
-        self.entries: List[_Entry] = [
-            _Entry(p, b) for p, b in round_input.submissions
-        ]
+        self.entries = entries
         for entry in self.entries:
             entry.state = self
         self.outstanding = len(self.entries)
         self.leader: Optional[Miner] = None
         self.preamble: Optional[BlockPreamble] = None
         self.phash: Optional[str] = None
+        #: the preamble's txids, each reveal must open one
+        self.txids: frozenset = frozenset()
         self.reveals: Tuple = ()
         self.excluded: Tuple[str, ...] = ()
         self.proposer_queue: List[Miner] = []
         self.failed: List[str] = []
         self.deadline_handle: Optional[int] = None
+        #: the ``reveal`` span's context: the preamble announcement and
+        #: every re-request hang under it
+        self.reveal_trace = None
         self.record = RuntimeRound(index=index)
 
     @property
@@ -235,6 +279,7 @@ class Runtime:
         self.registry = registry
         self.costs = costs or RuntimeCosts()
         self.obs = resolve_obs(obs)
+        self._flight = self.obs.flight if self.obs.enabled else None
         self.store = store
         self.start_round = start_round
         self.pipeline = pipeline
@@ -248,10 +293,12 @@ class Runtime:
         self._sequence = 0
         self._states: List[_RoundState] = []
         self._state_by_phash: Dict[str, _RoundState] = {}
-        self._entry_by_txid: Dict[str, _Entry] = {}
+        self._entry_by_txid: Dict[str, Submission] = {}
+        #: the caller's trace position when the run started
+        self._trace = None
 
     # ------------------------------------------------------------------
-    # Shared protocol rules (identical to the lockstep engine)
+    # Protocol rules
     # ------------------------------------------------------------------
     @property
     def quorum(self) -> int:
@@ -263,25 +310,29 @@ class Runtime:
             m for m in self.miners if not self.transport.is_down(m.miner_id)
         ]
 
-    def _journal_phase(self, round_index: int, phase: str, **extra) -> None:
+    def _journal_phase(self, state: _RoundState, phase: str, **extra) -> None:
         # markers carry the *global* round number so a continuation
         # runtime (start_round > 0) journals into the same sequence the
         # original run did — recovery keys its credit-or-replay decision
         # on these indices
-        round_number = self.start_round + round_index
         if self.store is not None:
             self.store.log(
-                "round.phase", round=round_number, phase=phase, **extra
+                "round.phase", round=state.number, phase=phase, **extra
             )
         if self.obs.enabled:
             # The same boundary on the virtual clock: consecutive marks of
             # one round chain into its stall flame (repro.obs.report).
             self.obs.tracer.event(
                 "runtime.phase",
-                round=round_number,
+                round=state.number,
                 phase=phase,
                 vt=self.scheduler.now,
             )
+
+    def _phase_span(self, name: str, **attrs):
+        """A phase span under the caller of :meth:`run` — the façade's
+        ``round`` span — whichever delivery happened to trigger it."""
+        return self.obs.tracer.from_context(self._trace, name, **attrs)
 
     def _actor_for(self, participant: Participant) -> ParticipantActor:
         actor = self._participant_actors.get(participant.participant_id)
@@ -298,17 +349,45 @@ class Runtime:
     def run(self, rounds: Sequence[RoundInput]) -> RuntimeReport:
         """Drive every round to a terminal state and report.
 
-        Aborted rounds are *recorded* (with the error type the lockstep
-        driver would have raised) and the runtime moves on — sustained
-        traffic does not stop because one block failed.  Non-protocol
-        exceptions (notably a simulated crash from the durability
-        harness) propagate to the caller's supervisor, exactly as a
-        process death would.
+        Aborted rounds are *recorded* (with the typed error that ended
+        them) and the runtime moves on — sustained traffic does not stop
+        because one block failed.  Non-protocol exceptions (notably a
+        simulated crash from the durability harness) propagate to the
+        caller's supervisor, exactly as a process death would.
         """
-        self._states = [
-            _RoundState(index, round_input)
-            for index, round_input in enumerate(rounds)
-        ]
+        return self._drive(
+            [
+                _RoundState(
+                    index,
+                    self.start_round + index,
+                    [Submission(p, b) for p, b in round_input.submissions],
+                    round_input.offsets,
+                )
+                for index, round_input in enumerate(rounds)
+            ]
+        )
+
+    def run_sealed(
+        self,
+        entries: Sequence[Submission],
+        participants: Sequence[Participant],
+    ) -> RuntimeRound:
+        """Drive one round over submissions sealed ahead of it.
+
+        :meth:`ExposureProtocol.submit
+        <repro.protocol.exposure.ExposureProtocol.submit>` seals each bid
+        when it is called; this runs the round those bids feed.  Only
+        ``participants`` answer the preamble: a sender left out keeps
+        its keys, as a withholder would.
+        """
+        for participant in participants:
+            self._actor_for(participant)
+        state = _RoundState(0, self.start_round, list(entries))
+        return self._drive([state]).rounds[0]
+
+    def _drive(self, states: List[_RoundState]) -> RuntimeReport:
+        self._states = states
+        self._trace = self.obs.tracer.child_context()
         if self._states:
             self._open_seal(self._states[0])
         self.scheduler.run()
@@ -344,25 +423,24 @@ class Runtime:
         state.record.seal_opened_at = self.scheduler.now
         state.record.overlapped = previous is not None and not previous.terminal
         state.status = "sealing"
+        if self._flight is not None:
+            self._flight.begin_round(state.number)
         if self.obs.enabled:
-            self.obs.registry.inc("runtime_rounds_total")
+            self.obs.registry.inc("protocol_rounds_total")
             if state.record.overlapped:
                 self.obs.registry.inc("runtime_pipeline_overlaps_total")
             self.obs.tracer.event(
                 "runtime.seal_open",
-                round=state.index,
+                round=state.number,
                 overlapped=state.record.overlapped,
             )
-        rotation = leader_rotation(self.miners, self.start_round + state.index)
-        self._journal_phase(
-            state.index, "seal", leader=rotation[0].miner_id
-        )
+        rotation = leader_rotation(self.miners, state.number)
+        self._journal_phase(state, "seal", leader=rotation[0].miner_id)
         # Sealing is local and order-sensitive (temp-key material derives
         # from each participant's seal counter), so every entry seals NOW,
-        # in input order — identical to the lockstep engine's sequential
-        # submit calls.  Only the *gossip* of the sealed bid rides the
+        # in input order.  Only the *gossip* of the sealed bid rides the
         # schedule, at its arrival offset.
-        offsets = state.input.offsets or (0.0,) * len(state.entries)
+        offsets = state.offsets or (0.0,) * len(state.entries)
         for entry in state.entries:
             self._seal_entry(entry)
         for entry, offset in zip(state.entries, offsets):
@@ -373,27 +451,15 @@ class Runtime:
             state.status = "sealed"
             self._maybe_mine()
 
-    def _seal_entry(self, entry: _Entry) -> None:
-        with self.obs.tracer.span(
-            "seal", participant=entry.participant.participant_id
-        ):
-            entry.tx = entry.participant.seal(entry.bid)
-            if self.registry is not None:
-                self.registry.check_or_register(
-                    entry.tx.sender_id, entry.tx.sender_public
-                )
-            entry.trace = self.obs.tracer.child_context(
-                actor=entry.participant.participant_id
-            )
-        entry.txid = entry.tx.txid()
+    def _seal_entry(self, entry: Submission) -> None:
+        if entry.tx is None:  # else sealed ahead, by run_sealed's caller
+            entry.seal(self.registry, self.obs)
+            self._actor_for(entry.participant)
         entry.sequence = self._sequence
         self._sequence += 1
         self._entry_by_txid[entry.txid] = entry
-        self._actor_for(entry.participant)
-        if self.obs.enabled:
-            self.obs.registry.inc("protocol_seals_total")
 
-    def _gossip_bid(self, state: _RoundState, entry: _Entry) -> None:
+    def _gossip_bid(self, state: _RoundState, entry: Submission) -> None:
         entry.attempts += 1
         # Fault keys are content-addressed (global round + txid), never
         # positional: a crash-recovery continuation re-broadcasts from a
@@ -401,16 +467,9 @@ class Runtime:
         # draw the exact fates the original run drew.
         self.transport.broadcast(
             messages.TOPIC_BIDS,
-            messages.BidSubmission(
-                transaction=entry.tx,
-                trace=entry.trace,
-                sequence=entry.sequence,
-            ),
+            messages.BidSubmission(transaction=entry.tx, trace=entry.trace),
             sender=entry.participant.participant_id,
-            key=(
-                f"bid-{self.start_round + state.index}-"
-                f"{entry.txid[:16]}-a{entry.attempts}"
-            ),
+            key=f"bid-{state.number}-{entry.txid[:16]}-a{entry.attempts}",
         )
         self.scheduler.call_later(
             self.costs.submit_check,
@@ -429,7 +488,9 @@ class Runtime:
         if self._admitted_everywhere(txid):
             self._settle_submission(entry)
 
-    def _check_submission(self, state: _RoundState, entry: _Entry) -> None:
+    def _check_submission(
+        self, state: _RoundState, entry: Submission
+    ) -> None:
         if entry.settled:
             return
         if self._admitted_everywhere(entry.txid):
@@ -444,7 +505,7 @@ class Runtime:
         # some mempool (it can resubmit in a later round).
         self._settle_submission(entry)
 
-    def _settle_submission(self, entry: _Entry) -> None:
+    def _settle_submission(self, entry: Submission) -> None:
         entry.settled = True
         state = entry.state
         state.outstanding -= 1
@@ -466,42 +527,35 @@ class Runtime:
     def _start_mining(self, state: _RoundState) -> None:
         live = self._live_miners()
         if len(live) < self.quorum:
-            self._abort(state, "QuorumError")
+            live_of = f"{len(live)} of {len(self.miners)} miners live"
+            self._abort(state, QuorumError(live_of))
             return
-        rotation = leader_rotation(self.miners, self.start_round + state.index)
+        rotation = leader_rotation(self.miners, state.number)
         leader = next(
             m for m in rotation if not self.transport.is_down(m.miner_id)
         )
         state.leader = leader
         state.status = "mining"
-        self._journal_phase(state.index, "mine", leader=leader.miner_id)
+        self._journal_phase(state, "mine", leader=leader.miner_id)
         obs = self.obs
-        with obs.tracer.span(
-            "mine", leader=leader.miner_id, round=state.index
+        with self._phase_span(
+            "mine", leader=leader.miner_id, round=state.number
         ):
-            # Compose from this round's own sealed txids only.  The
-            # leader's mempool can hold neighbours — a recovered store
-            # replaying round N while round N+1's pre-crash admissions
-            # survive in it — and those belong to *their* preamble.
+            # From this round's own sealed txids, in submission order
             preamble = self._miner_actors[leader.miner_id].compose_preamble(
-                allowed=frozenset(
-                    entry.txid for entry in state.entries
-                ),
-                sequence_hint={
-                    entry.txid: entry.sequence for entry in state.entries
-                },
+                {entry.txid: entry.sequence for entry in state.entries}
             )
         state.preamble = preamble
         state.phash = preamble.hash()
+        state.txids = frozenset(tx.txid() for tx in preamble.transactions)
         self._state_by_phash[state.phash] = state
         if obs.enabled:
-            obs.registry.inc("ledger_blocks_mined_total")
-            obs.registry.inc(
-                "ledger_pow_iterations_total", preamble.pow_nonce + 1
-            )
-            obs.registry.observe(
-                "ledger_block_txs", len(preamble.transactions)
-            )
+            # deterministic PoW scans from nonce 0: the nonce counts the work
+            reg = obs.registry
+            reg.inc("ledger_blocks_mined_total")
+            reg.inc("ledger_pow_iterations_total", preamble.pow_nonce + 1)
+            reg.observe("ledger_block_txs", len(preamble.transactions))
+            reg.observe("ledger_block_bytes", len(preamble.canonical_bytes))
         # The transaction selection is frozen: everything round N+1
         # gossips from here on lands in *its* preamble, not this one —
         # which is what makes opening the next seal now safe.
@@ -522,18 +576,22 @@ class Runtime:
         preamble = state.preamble
         leader.accept_preamble(preamble)  # local knowledge, no gossip needed
         state.status = "revealing"
-        self._journal_phase(state.index, "preamble", hash=state.phash)
-        self._journal_phase(state.index, "reveal")
-        self.transport.broadcast(
-            messages.TOPIC_PREAMBLE,
-            messages.PreambleAnnouncement(
-                preamble=preamble,
-                miner_id=leader.miner_id,
-                trace=self.obs.tracer.child_context(actor=leader.miner_id),
-            ),
-            sender=leader.miner_id,
-            key=f"pre-{self.start_round + state.index}",
-        )
+        self._journal_phase(state, "preamble", hash=state.phash)
+        self._journal_phase(state, "reveal")
+        with self._phase_span("reveal", round=state.number):
+            state.reveal_trace = self.obs.tracer.child_context(
+                actor=leader.miner_id
+            )
+            self.transport.broadcast(
+                messages.TOPIC_PREAMBLE,
+                messages.PreambleAnnouncement(
+                    preamble=preamble,
+                    miner_id=leader.miner_id,
+                    trace=state.reveal_trace,
+                ),
+                sender=leader.miner_id,
+                key=f"pre-{state.number}",
+            )
         state.deadline_handle = self.scheduler.call_later(
             self.costs.reveal_deadline,
             lambda: self._reveal_deadline(state, attempt=0),
@@ -559,14 +617,15 @@ class Runtime:
         if state is not None and not state.terminal:
             if self.obs.enabled:
                 self.obs.tracer.event(
-                    "runtime.bad_pow", round=state.index, miner=miner_id
+                    "runtime.bad_pow", round=state.number, miner=miner_id
                 )
-            self._abort(state, "ProtocolError")
+            self._abort(
+                state, ProtocolError("preamble failed proof-of-work check")
+            )
 
     def _missing_reveals(self, state: _RoundState) -> Set[str]:
         inbox = state.leader.reveal_inbox.get(state.phash, {})
-        included = {tx.txid() for tx in state.preamble.transactions}
-        return included - set(inbox)
+        return state.txids - inbox.keys()
 
     def _check_reveal_complete(self, state: _RoundState) -> None:
         if state.status != "revealing":
@@ -586,7 +645,7 @@ class Runtime:
                 self.obs.tracer.event(
                     "reveal.retry", attempt=attempt + 1, missing=len(missing)
                 )
-                self.obs.registry.inc("runtime_reveal_retries_total")
+                self.obs.registry.inc("protocol_reveal_retries_total")
             self.transport.broadcast(
                 messages.TOPIC_REVEAL_REQUEST,
                 messages.RevealRequest(
@@ -594,12 +653,10 @@ class Runtime:
                     txids=tuple(sorted(missing)),
                     miner_id=state.leader.miner_id,
                     attempt=attempt + 1,
-                    trace=self.obs.tracer.child_context(
-                        actor=state.leader.miner_id
-                    ),
+                    trace=state.reveal_trace,
                 ),
                 sender=state.leader.miner_id,
-                key=f"rvq-{self.start_round + state.index}-a{attempt + 1}",
+                key=f"rvq-{state.number}-a{attempt + 1}",
             )
             state.deadline_handle = self.scheduler.call_later(
                 self.costs.reveal_deadline
@@ -632,6 +689,10 @@ class Runtime:
         )
         obs = self.obs
         if obs.enabled:
+            obs.registry.inc("protocol_reveals_total", len(reveals))
+            # One exclusion event per bid whose key never (validly)
+            # arrived, naming its sender so the flight recorder's causal
+            # tree points at the excluded *bidder*, not an opaque txid.
             sender_of = {
                 tx.txid(): tx.sender_id for tx in preamble.transactions
             }
@@ -640,7 +701,7 @@ class Runtime:
                     "reveal.excluded", txid=txid, sender=sender_of[txid]
                 )
             obs.registry.inc(
-                "runtime_excluded_bids_total", len(state.excluded)
+                "protocol_excluded_bids_total", len(state.excluded)
             )
         if preamble.transactions and not reveals:
             if obs.enabled:
@@ -649,13 +710,19 @@ class Runtime:
                     sealed=len(preamble.transactions),
                     retries=MAX_REVEAL_RETRIES,
                 )
-            self._abort(state, "RevealTimeoutError")
+                obs.registry.inc("protocol_reveal_timeouts_total")
+            self._abort(
+                state,
+                RevealTimeoutError(
+                    f"no valid key reveal arrived for any of the "
+                    f"{len(preamble.transactions)} sealed bids after "
+                    f"{MAX_REVEAL_RETRIES} retries"
+                ),
+            )
             return
         state.proposer_queue = [
             m
-            for m in leader_rotation(
-                self.miners, self.start_round + state.index
-            )
+            for m in leader_rotation(self.miners, state.number)
             if not self.transport.is_down(m.miner_id)
         ]
         state.failed = []
@@ -663,23 +730,27 @@ class Runtime:
 
     def _next_proposer(self, state: _RoundState) -> None:
         if not state.proposer_queue:
-            self._abort(state, "ByzantineFaultError")
+            self._abort(
+                state,
+                ByzantineFaultError(
+                    "no block proposal reached quorum; rejected proposers: "
+                    + ", ".join(state.failed)
+                ),
+            )
             return
         proposer = state.proposer_queue.pop(0)
         if state.failed and self.obs.enabled:
             self.obs.tracer.event(
                 "round.fallback", proposer=proposer.miner_id
             )
-        self._journal_phase(
-            state.index, "propose", proposer=proposer.miner_id
-        )
-        with self.obs.tracer.span(
-            "propose", proposer=proposer.miner_id, round=state.index
+        self._journal_phase(state, "propose", proposer=proposer.miner_id)
+        with self._phase_span(
+            "propose", proposer=proposer.miner_id, round=state.number
         ):
             try:
                 body = proposer.build_body(state.preamble, state.reveals)
             except ReproError as exc:
-                self._abort(state, type(exc).__name__)
+                self._abort(state, exc)
                 return
             block = Block(preamble=state.preamble, body=body)
             self.transport.broadcast(
@@ -692,20 +763,19 @@ class Runtime:
                     ),
                 ),
                 sender=proposer.miner_id,
-                key=(
-                    f"blk-{self.start_round + state.index}-"
-                    f"{proposer.miner_id}"
-                ),
+                key=f"blk-{state.number}-{proposer.miner_id}",
             )
+        if self.obs.enabled:
+            self.obs.registry.inc("protocol_proposals_total")
         self.scheduler.call_later(
             self.costs.propose,
             lambda: self._verify(state, proposer, block),
         )
 
     def _verify(self, state: _RoundState, proposer: Miner, block: Block) -> None:
-        self._journal_phase(state.index, "verify")
+        self._journal_phase(state, "verify")
         approving: List[Miner] = []
-        with self.obs.tracer.span("verify", round=state.index):
+        with self._phase_span("verify", round=state.number):
             for miner in self._live_miners():
                 try:
                     miner.verify_block(block)
@@ -721,6 +791,7 @@ class Runtime:
                     approvals=len(approving),
                     quorum=self.quorum,
                 )
+                self.obs.registry.inc("protocol_proposals_rejected_total")
             self.scheduler.call_later(
                 self.costs.verify, lambda: self._next_proposer(state)
             )
@@ -740,24 +811,25 @@ class Runtime:
         # the proposer's own clear of the block: read it before the
         # commit drops the round's work
         outcome = proposer.outcome_of(block) or AuctionOutcome()
-        self._journal_phase(state.index, "commit")
-        with self.obs.tracer.span("commit", round=state.index):
+        self._journal_phase(state, "commit")
+        with self._phase_span("commit", round=state.number):
             for miner in approving:
                 miner.commit_block(block)
-        self._journal_phase(state.index, "committed", hash=block.hash())
+        self._journal_phase(state, "committed", hash=block.hash())
         obs = self.obs
         if obs.enabled:
-            obs.registry.inc("runtime_rounds_committed_total")
+            obs.registry.inc("protocol_commits_total")
+            obs.registry.set("protocol_last_quorum", len(approving))
+            if state.failed:
+                obs.registry.inc("protocol_fallbacks_total")
             obs.tracer.event(
                 "round.committed",
-                round=state.index,
+                round=state.number,
                 height=block.preamble.height,
                 approvals=len(approving),
                 excluded=len(state.excluded),
             )
-        obs.check_outcome(
-            outcome, source="runtime", round_index=state.index
-        )
+        obs.check_outcome(outcome, source="runtime", round_index=state.number)
         result = RoundResult(
             block=block,
             outcome=outcome,
@@ -768,25 +840,35 @@ class Runtime:
         state.record.result = result
         state.record.finished_at = self.scheduler.now
         state.status = "done"
+        if self._flight is not None:
+            self._flight.end_round(state.number)
         if self.on_commit is not None:
             self.on_commit(state.index, result)
         self._after_terminal(state)
 
-    def _abort(self, state: _RoundState, reason: str) -> None:
+    def _abort(self, state: _RoundState, error: ReproError) -> None:
         if state.terminal:
             return
-        self._journal_phase(state.index, "aborted", error=reason)
+        reason = type(error).__name__
+        self._journal_phase(state, "aborted", error=reason)
         if self.obs.enabled:
             self.obs.tracer.event(
-                "round.aborted", round=state.index, error=reason
+                "round.aborted", round=state.number, error=reason
             )
             self.obs.registry.inc(
-                "runtime_rounds_aborted_total", reason=reason
+                "protocol_rounds_aborted_total", reason=reason
+            )
+        if self._flight is not None:
+            self._flight.dump(
+                trigger=reason,
+                error=str(error),
+                round_index=state.number,
             )
         if state.deadline_handle is not None:
             self.scheduler.cancel(state.deadline_handle)
             state.deadline_handle = None
         state.record.error = reason
+        state.record.exception = error
         state.record.finished_at = self.scheduler.now
         state.status = "aborted"
         self._after_terminal(state)

@@ -4,24 +4,13 @@ The chaos and durability harnesses submit each round's market as a
 burst.  Edge clouds do not work like that: bids trickle in continuously
 while the previous block is still mining (paper §VI's "online
 appearance").  This module generates seeded exponential inter-arrival
-offsets for every round's bids and drives the same market through
-either engine:
-
-* ``engine="runtime"`` — the async pipelined reactor, where round
-  *N*+1's arrivals overlap round *N*'s mine/verify/commit span.  With
-  ``pipeline=False`` the identical reactor runs rounds back-to-back,
-  which is the lockstep schedule on the virtual clock — the fair
-  baseline for the rounds/sec comparison in
-  ``benchmarks/test_bench_runtime.py``.
-* ``engine="lockstep"`` — the synchronous
-  :class:`~repro.protocol.exposure.ExposureProtocol`, for wall-clock
-  cost comparisons (it has no virtual clock, so ``virtual_time`` is
-  ``None``).
-
-Both engines commit bit-identical blocks for the same spec — the
-differential suite in ``tests/differential/test_runtime_equivalence.py``
-proves that in general; :func:`run_sustained` just packages the
-sustained-arrival special case behind one call.
+offsets for every round's bids and drives the market through the
+reactor, where round *N*+1's arrivals overlap round *N*'s
+mine/verify/commit span.  With ``pipeline=False`` the same reactor runs
+rounds back to back, one after the other on the virtual clock — the
+baseline for the rounds/sec comparison in
+``benchmarks/test_bench_runtime.py``.  Both schedules commit
+bit-identical blocks for the same spec.
 """
 
 from __future__ import annotations
@@ -29,18 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.common.errors import ReproError
 from repro.common.rng import make_generator
 from repro.common.timewindow import TimeWindow
 from repro.core.config import AuctionConfig
 from repro.ledger.miner import Miner
 from repro.market.bids import Offer, Request
 from repro.protocol.allocator import DecloudAllocator
-from repro.protocol.exposure import (
-    BroadcastNetwork,
-    ExposureProtocol,
-    Participant,
-)
+from repro.protocol.exposure import Participant
 from repro.runtime import RoundInput, Runtime
 
 
@@ -64,13 +48,12 @@ class SustainedSpec:
 class SustainedResult:
     """What one sustained run committed, and how fast (virtually)."""
 
-    engine: str
     pipeline: bool
     rounds_attempted: int
     rounds_committed: int
     welfare: float
-    #: reactor-clock duration; ``None`` for the lockstep engine
-    virtual_time: Optional[float]
+    #: reactor-clock duration
+    virtual_time: float
     overlap_rounds: int
     block_hashes: Tuple[str, ...]
     errors: List[str]
@@ -167,58 +150,19 @@ def _build_miners(spec: SustainedSpec) -> List[Miner]:
     ]
 
 
-def _run_lockstep(spec: SustainedSpec) -> SustainedResult:
-    miners = _build_miners(spec)
-    protocol = ExposureProtocol(miners=miners, network=BroadcastNetwork())
-    participants = _participants(spec)
-    result = SustainedResult(
-        engine="lockstep",
-        pipeline=False,
-        rounds_attempted=spec.rounds,
-        rounds_committed=0,
-        welfare=0.0,
-        virtual_time=None,
-        overlap_rounds=0,
-        block_hashes=(),
-        errors=[],
-    )
-    hashes: List[str] = []
-    for round_index in range(spec.rounds):
-        requests, offers = _market_for_round(spec, round_index)
-        for request in requests:
-            protocol.submit(participants[request.client_id], request)
-        for offer in offers:
-            protocol.submit(participants[offer.provider_id], offer)
-        try:
-            round_result = protocol.run_round(list(participants.values()))
-        except ReproError as exc:
-            result.errors.append(f"round {round_index}: {exc}")
-            continue
-        result.rounds_committed += 1
-        result.welfare += round_result.outcome.welfare
-        hashes.append(round_result.block.hash())
-    result.block_hashes = tuple(hashes)
-    return result
-
-
 def run_sustained(
     spec: SustainedSpec,
-    engine: str = "runtime",
     pipeline: bool = True,
     schedule_seed: Optional[Union[int, str]] = None,
     obs: Optional[object] = None,
 ) -> SustainedResult:
     """Drive ``spec.rounds`` rounds of continuous arrivals to commit.
 
-    ``obs`` passes straight through to the reactor (``engine="runtime"``
-    only): its trace carries one ``runtime.phase`` event per phase
-    boundary, which :func:`repro.obs.report.phase_flame` folds into the
-    per-round stall flame of the very run whose throughput is reported.
+    ``obs`` passes straight through to the reactor: its trace carries
+    one ``runtime.phase`` event per phase boundary, which
+    :func:`repro.obs.report.phase_flame` folds into the per-round stall
+    flame of the very run whose throughput is reported.
     """
-    if engine == "lockstep":
-        return _run_lockstep(spec)
-    if engine != "runtime":
-        raise ReproError(f"unknown sustained engine {engine!r}")
     runtime = Runtime(
         _build_miners(spec),
         schedule_seed=(
@@ -231,7 +175,6 @@ def run_sustained(
     )
     report = runtime.run(build_round_inputs(spec, _participants(spec)))
     return SustainedResult(
-        engine="runtime",
         pipeline=pipeline,
         rounds_attempted=spec.rounds,
         rounds_committed=len(report.committed),

@@ -216,20 +216,6 @@ class RecoveredState:
             return None
         return self.last_round
 
-    def open_rounds(self) -> List[int]:
-        """Every round whose newest durable marker is non-terminal.
-
-        Under the lockstep driver this is at most one round (and equals
-        :meth:`round_in_flight`); under the pipelined runtime a crash can
-        leave round *N* mid-reveal while round *N+1* was already sealing,
-        so the supervisor needs the full set to credit-or-replay each.
-        """
-        return sorted(
-            index
-            for index, marker in self.round_phases.items()
-            if marker.get("phase") not in TERMINAL_PHASES
-        )
-
     def _state_parts(self) -> Tuple[Any, ...]:
         return (
             self.chain,

@@ -1,20 +1,22 @@
-"""Differential oracle: async pipelined runtime == lockstep protocol.
+"""Differential oracle: the runtime == a straight-line chain of miner calls.
 
 Hypothesis explores three axes at once — scheduler seeds (delivery
 order), market shapes (seeded bid populations), and fault plans — and
-checks the runtime's equivalence contract against the lockstep
-:class:`~repro.protocol.exposure.ExposureProtocol` on each draw:
+checks the :class:`~repro.runtime.Runtime`'s equivalence contract on
+each draw against :func:`_run_reference`: the protocol round written
+out as plain ``Miner`` and ``Participant`` calls, with no scheduler,
+transport, observability or journaling, so it shares none of the
+host's machinery:
 
 * **fault-free plans** (including delay/reorder/duplicate-only plans,
   which perturb the schedule but lose nothing): every committed block
-  is bit-identical to the lockstep run — block hash, canonical
-  outcome, exclusions, approvals, and final chain tip — for *every*
-  scheduler seed and with pipelining on or off;
+  is bit-identical to the reference — block hash, canonical outcome,
+  exclusions, approvals, and final chain tip — for *every* scheduler
+  seed and with pipelining on or off;
 * **Byzantine actors without message loss**: withholding clients are
   excluded identically, so bit-equality still holds end to end;
-* **lossy plans** (the runtime alone: the lockstep bus is lossless):
-  the contract weakens to the chaos harness's integrity rule — every
-  committed block equals the fault-free replay
+* **lossy plans**: the contract weakens to the chaos harness's
+  integrity rule — every committed block equals the fault-free replay
   (:func:`~repro.sim.engine.replay_fault_free`) on exactly its
   surviving bid set, withheld keys exclude only the withholder's own
   bids, and the reported outcome is the block's own.
@@ -30,22 +32,21 @@ from typing import Dict, List, Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ReproError
 from repro.common.rng import make_generator
 from repro.common.timewindow import TimeWindow
 from repro.core.outcome import canonical_outcome
 from repro.faults.actors import WithholdingParticipant
 from repro.faults.plan import FaultPlan
+from repro.ledger.block import Block
 from repro.ledger.miner import Miner, open_transactions
-from repro.ledger.network import BroadcastNetwork
 from repro.market.bids import Offer, Request
 from repro.protocol.allocator import DecloudAllocator, decode_round
-from repro.protocol.exposure import ExposureProtocol, Participant
+from repro.protocol.exposure import Participant, leader_rotation
 from repro.runtime import RoundInput, Runtime
 from repro.sim.engine import replay_fault_free
 
 # ----------------------------------------------------------------------
-# Shared seeded drivers: one market, two engines
+# Shared seeded drivers: one market, the runtime and the reference
 # ----------------------------------------------------------------------
 
 
@@ -63,7 +64,7 @@ def _miners(n: int = 3) -> List[Miner]:
 def _market(
     market_seed: int, round_index: int, n_clients: int, n_providers: int
 ) -> Tuple[List[Request], List[Offer]]:
-    """Seeded per-round bids; identical draws feed both engines."""
+    """Seeded per-round bids; identical draws feed both drivers."""
     rng = make_generator(f"rt-eq-{market_seed}-{round_index}")
     requests = [
         Request(
@@ -99,7 +100,7 @@ def _participants(
 ) -> Dict[str, Participant]:
     """One participant object per id, shared across a run's rounds.
 
-    Both engines build theirs from this function, so seal counters (and
+    Both drivers build theirs from this function, so seal counters (and
     therefore temp keys, txids, and block bytes) line up by construction.
     """
     seal_seed = f"rt-eq-{market_seed}".encode("ascii")
@@ -132,29 +133,61 @@ def _round_bids(
     ]
 
 
-def _run_lockstep(
+def _run_reference(
     market_seed: int,
     rounds: int,
     n_clients: int,
     n_providers: int,
     withholding: int = 0,
 ):
-    """Drive the synchronous engine; aborted rounds record the error name."""
+    """Every round as straight-line miner calls on a lossless network.
+
+    Each round: every miner admits the sealed bids, the rotating leader
+    mines a preamble, every miner takes it and every disclosed reveal,
+    the leader builds the body from what it admitted, every miner
+    verifies it, and every miner commits it.  Returns one
+    ``(block, outcome, excluded txids, approving miner ids)`` per round,
+    and the miners.
+    """
     miners = _miners()
-    protocol = ExposureProtocol(miners=miners, network=BroadcastNetwork())
     participants = _participants(
         market_seed, n_clients, n_providers, withholding
     )
-    results: List[object] = []
+    results = []
     for round_index in range(rounds):
         for pid, bid in _round_bids(
             market_seed, round_index, n_clients, n_providers
         ):
-            protocol.submit(participants[pid], bid)
-        try:
-            results.append(protocol.run_round(list(participants.values())))
-        except ReproError as exc:
-            results.append(type(exc).__name__)
+            tx = participants[pid].seal(bid)
+            for miner in miners:
+                miner.accept_transaction(tx)
+        leader = leader_rotation(miners, round_index)[0]
+        preamble = leader.build_preamble()
+        phash = preamble.hash()
+        for miner in miners:
+            miner.accept_preamble(preamble)
+        for participant in participants.values():
+            for reveal in participant.reveals_for(preamble):
+                for miner in miners:
+                    miner.accept_reveal(phash, reveal)
+        reveals = leader.collected_reveals(preamble)
+        block = Block(
+            preamble=preamble, body=leader.build_body(preamble, reveals)
+        )
+        for miner in miners:
+            miner.verify_block(block)
+        outcome = leader.outcome_of(block)
+        for miner in miners:
+            miner.commit_block(block)
+        revealed = {reveal.txid for reveal in reveals}
+        excluded = tuple(
+            tx.txid()
+            for tx in preamble.transactions
+            if tx.txid() not in revealed
+        )
+        results.append(
+            (block, outcome, excluded, [m.miner_id for m in miners])
+        )
     return results, miners
 
 
@@ -189,23 +222,19 @@ def _run_runtime(
     return runtime.run(inputs), miners
 
 
-def _assert_bit_identical(lockstep_results, report, lock_miners, rt_miners):
-    assert len(report.rounds) == len(lockstep_results)
-    for lock, rt_round in zip(lockstep_results, report.rounds):
-        if isinstance(lock, str):  # lockstep aborted: runtime must too
-            assert rt_round.result is None
-            assert rt_round.error == lock
-            continue
+def _assert_bit_identical(reference, report, ref_miners, rt_miners):
+    assert len(report.rounds) == len(reference)
+    for (block, outcome, excluded, approving), rt_round in zip(
+        reference, report.rounds
+    ):
         run = rt_round.result
         assert run is not None, f"runtime aborted: {rt_round.error}"
-        assert run.block.hash() == lock.block.hash()
-        assert canonical_outcome(run.outcome) == canonical_outcome(
-            lock.outcome
-        )
-        assert run.excluded_txids == lock.excluded_txids
-        assert sorted(run.accepted_by) == sorted(lock.accepted_by)
-    for lock_miner, rt_miner in zip(lock_miners, rt_miners):
-        assert rt_miner.chain.tip_hash == lock_miner.chain.tip_hash
+        assert run.block.hash() == block.hash()
+        assert canonical_outcome(run.outcome) == canonical_outcome(outcome)
+        assert run.excluded_txids == excluded
+        assert sorted(run.accepted_by) == sorted(approving)
+    for ref_miner, rt_miner in zip(ref_miners, rt_miners):
+        assert rt_miner.chain.tip_hash == ref_miner.chain.tip_hash
 
 
 def _assert_integrity(result, withholding: int = 0) -> None:
@@ -254,7 +283,7 @@ class TestFaultFreeEquivalence:
         rounds,
         pipeline,
     ):
-        lockstep, lock_miners = _run_lockstep(
+        reference, ref_miners = _run_reference(
             market_seed, rounds, n_clients, n_providers
         )
         report, rt_miners = _run_runtime(
@@ -265,7 +294,7 @@ class TestFaultFreeEquivalence:
             schedule_seed=schedule_seed,
             pipeline=pipeline,
         )
-        _assert_bit_identical(lockstep, report, lock_miners, rt_miners)
+        _assert_bit_identical(reference, report, ref_miners, rt_miners)
 
     @given(
         schedule_seed=st.integers(min_value=0, max_value=2**16),
@@ -287,7 +316,7 @@ class TestFaultFreeEquivalence:
     ):
         """Delay, reorder, and duplicate faults move messages around in
         time without losing any — so the runtime must still match the
-        *pristine* lockstep run bit for bit."""
+        reference bit for bit."""
         plan = FaultPlan(
             seed=f"lossless-{market_seed}-{schedule_seed}",
             min_delay=min_delay,
@@ -296,11 +325,11 @@ class TestFaultFreeEquivalence:
             reorder_rate=reorder_rate,
             reorder_jitter=0.05,
         )
-        lockstep, lock_miners = _run_lockstep(market_seed, 2, 4, 2)
+        reference, ref_miners = _run_reference(market_seed, 2, 4, 2)
         report, rt_miners = _run_runtime(
             market_seed, 2, 4, 2, schedule_seed=schedule_seed, plan=plan
         )
-        _assert_bit_identical(lockstep, report, lock_miners, rt_miners)
+        _assert_bit_identical(reference, report, ref_miners, rt_miners)
 
     @given(
         schedule_seed=st.integers(min_value=0, max_value=2**16),
@@ -311,9 +340,10 @@ class TestFaultFreeEquivalence:
     def test_withholding_clients_excluded_identically(
         self, schedule_seed, market_seed, withholding
     ):
-        """Byzantine non-revealers without message loss: both engines
-        exclude exactly the same sealed bids, so equality holds whole."""
-        lockstep, lock_miners = _run_lockstep(
+        """Byzantine non-revealers without message loss: the runtime
+        and the reference exclude exactly the same sealed bids, so
+        equality holds whole."""
+        reference, ref_miners = _run_reference(
             market_seed, 2, 4, 2, withholding=withholding
         )
         report, rt_miners = _run_runtime(
@@ -324,7 +354,7 @@ class TestFaultFreeEquivalence:
             schedule_seed=schedule_seed,
             withholding=withholding,
         )
-        _assert_bit_identical(lockstep, report, lock_miners, rt_miners)
+        _assert_bit_identical(reference, report, ref_miners, rt_miners)
         for rt_round in report.rounds:
             if rt_round.result is not None:
                 assert len(rt_round.result.excluded_txids) == withholding

@@ -14,7 +14,7 @@ fate lands in the tree.
 import pytest
 
 from repro.common.errors import RevealTimeoutError
-from repro.faults.actors import WithholdingParticipant
+from repro.faults.actors import TamperingParticipant, WithholdingParticipant
 from repro.faults.plan import FaultPlan
 from repro.ledger.miner import Miner
 from repro.obs import Observability
@@ -189,6 +189,27 @@ class TestDegradedRoundTrace:
         committed = _events(obs, "round.committed")
         assert len(committed) == 1
         assert committed[0]["attrs"]["excluded"] == 1
+
+    def test_screened_out_reveals_emit_byzantine_evidence(self):
+        obs = Observability("byzantine-round")
+        miners = _network()
+        protocol = ExposureProtocol(miners=miners, obs=obs)
+        participants, alice_txid = _market(
+            protocol, alice_cls=TamperingParticipant
+        )
+        result = protocol.run_round(participants)
+        assert result.excluded_txids == (alice_txid,)
+        # one event per screening, from the miner that screened it out
+        rejected = _events(obs, "byzantine.reveal_rejected")
+        assert len(rejected) == sum(len(m.rejected_reveals) for m in miners)
+        assert {e["attrs"]["miner"] for e in rejected} == {"m0", "m1", "m2"}
+        for event in rejected:
+            assert event["attrs"]["sender"] == "alice"
+            assert event["attrs"]["txid"] == alice_txid
+            assert event["attrs"]["reason"] == "commitment mismatch"
+        assert obs.registry.counter_value(
+            "protocol_byzantine_reveals_total", reason="commitment mismatch"
+        ) == float(len(rejected))
 
     def test_fully_withheld_round_aborts_with_tagged_timings(self):
         obs = Observability("timeout-round")

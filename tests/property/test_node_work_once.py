@@ -6,8 +6,8 @@ the proposer's self-check and every fallback re-verification are
 lookups.  These tests pin what that may never change — a reveal the
 node did not admit is still opened in full (and rejected), a body its
 author doctors cannot poison the author's memo, the reported outcome is
-the committed block's own — and the counts it exists for, on both
-hosts: the lockstep :class:`ExposureProtocol` and the :class:`Runtime`.
+the committed block's own — and the counts it exists for, through the
+:class:`ExposureProtocol` façade and on the :class:`Runtime` directly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.cryptosim import symmetric
 from repro.faults import EquivocatingMiner, FaultPlan
 from repro.ledger.block import Block, BlockBody, BlockPreamble, KeyReveal
 from repro.ledger.miner import Miner
-from repro.ledger.network import BroadcastNetwork
 from repro.market.bids import Request
 from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.exposure import ExposureProtocol, Participant, RoundResult
@@ -90,8 +89,8 @@ def _rounds(n_rounds: int) -> List[List[Tuple[Participant, object]]]:
     return rounds
 
 
-def _lockstep(miners: List[Miner], n_rounds: int = 1) -> List[RoundResult]:
-    protocol = ExposureProtocol(miners=miners, network=BroadcastNetwork())
+def _facade(miners: List[Miner], n_rounds: int = 1) -> List[RoundResult]:
+    protocol = ExposureProtocol(miners=miners)
     results = []
     for entries in _rounds(n_rounds):
         for participant, bid in entries:
@@ -175,14 +174,14 @@ class TestMemoSafety:
 
     def test_a_body_doctored_in_place_cannot_poison_its_author(self):
         miners = _miners([InPlaceDoctor, Miner, Miner])
-        (result,) = _lockstep(miners)
+        (result,) = _facade(miners)
         assert result.failed_proposers == ("m0",)
         assert result.block.body.miner_id == "m1"
         assert "subsidy" not in result.block.body.allocation
         # the doctor re-verified the fallback against its own clear
         assert sorted(result.accepted_by) == ["m0", "m1", "m2"]
 
-    @pytest.mark.parametrize("host", [_lockstep, _reactor])
+    @pytest.mark.parametrize("host", [_facade, _reactor])
     def test_the_equivocating_leader_is_rejected_and_the_fallback_commits(
         self, host
     ):
@@ -214,7 +213,7 @@ class TestReportedOutcome:
     @pytest.mark.parametrize(
         "host, plan",
         [
-            (_lockstep, None),
+            (_facade, None),
             (_reactor, None),
             (
                 _reactor,
@@ -249,7 +248,7 @@ class TestReportedOutcome:
 
 
 class TestWorkCounts:
-    @pytest.mark.parametrize("host", [_lockstep, _reactor])
+    @pytest.mark.parametrize("host", [_facade, _reactor])
     def test_one_clear_per_node_and_one_decrypt_per_admitted_reveal(
         self, host, decrypts
     ):
@@ -261,7 +260,7 @@ class TestWorkCounts:
             result.block.preamble.transactions
         )
 
-    @pytest.mark.parametrize("host", [_lockstep, _reactor])
+    @pytest.mark.parametrize("host", [_facade, _reactor])
     def test_the_equivocation_round_clears_once_per_node(self, host, decrypts):
         miners = _miners([EquivocatingMiner, Miner, Miner])
         (result,) = host(miners)

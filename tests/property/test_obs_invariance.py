@@ -275,7 +275,7 @@ def test_degraded_round_outcome_unchanged_by_observability():
 
 
 def test_runtime_trace_is_outcome_invariant_and_its_flame_replays():
-    """The runtime engine's leg of the same invariant: a traced run
+    """The reactor's leg of the same invariant: a traced run
     commits the same blocks on the same virtual clock as an untraced one,
     and the stall flame folded from its phase events replays
     byte-for-byte."""
@@ -283,11 +283,11 @@ def test_runtime_trace_is_outcome_invariant_and_its_flame_replays():
     from repro.sim.sustained import SustainedSpec, run_sustained
 
     spec = SustainedSpec(rounds=3, seed=5, difficulty_bits=4)
-    plain = run_sustained(spec, engine="runtime")
+    plain = run_sustained(spec)
     flames = []
     for _ in range(2):
         obs = Observability("traced-runtime")
-        traced = run_sustained(spec, engine="runtime", obs=obs)
+        traced = run_sustained(spec, obs=obs)
         assert traced.block_hashes == plain.block_hashes
         assert traced.virtual_time == plain.virtual_time
         flames.append(phase_flame(obs.tracer.records))

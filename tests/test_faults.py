@@ -60,10 +60,7 @@ def _miners(num_miners=3, bits=4, leader_cls=Miner):
 
 
 def _protocol(num_miners=3, leader_cls=Miner):
-    return ExposureProtocol(
-        miners=_miners(num_miners, leader_cls=leader_cls),
-        network=BroadcastNetwork(),
-    )
+    return ExposureProtocol(miners=_miners(num_miners, leader_cls=leader_cls))
 
 
 def _participant(pid, cls=Participant):
@@ -296,6 +293,23 @@ class TestDegradedRounds:
         protocol.submit(bob, make_offer(provider_id="bob"))
         with pytest.raises(RevealTimeoutError):
             protocol.run_round([alice, bob])
+
+    def test_an_aborted_rounds_bids_stay_out_of_the_next_preamble(self):
+        # a round's preamble holds the bids submitted for it, nothing an
+        # earlier, aborted round left in the mempools
+        protocol = _protocol()
+        withholder = _participant("alice", WithholdingParticipant)
+        stale = protocol.submit(
+            withholder, make_request(request_id="r0", client_id="alice")
+        ).txid()
+        with pytest.raises(RevealTimeoutError):
+            protocol.run_round([withholder])
+        participants, txids = _submit_market(protocol)
+        result = protocol.run_round(participants + [withholder])
+        included = [tx.txid() for tx in result.block.preamble.transactions]
+        assert stale not in included
+        assert included == list(txids.values())
+        assert result.excluded_txids == ()
 
     def test_tampered_reveal_excluded_with_evidence(self):
         protocol = _protocol()

@@ -4,7 +4,9 @@ The acceptance scenario rides through here end to end: a seeded degraded
 round (one withholding client) followed by a round in which every
 sealed bid stays sealed must dump a self-contained bundle whose causal
 tree names the excluded bidder and the failing path, and
-``python -m repro.obs.report --flight`` must render it.
+``python -m repro.obs.report --flight`` must render it.  The reactor
+frames the rounds, so the scenario dumps the same way whether it runs
+through ``ExposureProtocol`` or on a ``Runtime`` directly.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.obs.flight import FlightRecorder, load_flight
 from repro.obs.report import main as report_main, render_flight
 from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.exposure import ExposureProtocol, Participant
+from repro.runtime import RoundInput, Runtime
 
 
 class TestFraming:
@@ -223,3 +226,75 @@ class TestDegradedRoundAcceptance:
 
         # identical seeds -> identical bundles, wall-clock fields aside
         assert stripped(tmp_path / "a") == stripped(tmp_path / "b")
+
+
+class TestReactorFraming:
+    def test_a_fully_withheld_runtime_round_dumps_its_bundle(self, tmp_path):
+        obs = Observability(
+            "reactor", flight=FlightRecorder(out_dir=str(tmp_path))
+        )
+        miners = [
+            Miner(miner_id=f"miner-{m}", allocate=DecloudAllocator(),
+                  difficulty_bits=4)
+            for m in range(3)
+        ]
+        withholder = WithholdingParticipant(
+            participant_id="cli-0", deterministic=True, seal_seed=b"reactor"
+        )
+        honest = Participant(
+            participant_id="cli-1", deterministic=True, seal_seed=b"reactor"
+        )
+        provider = Participant(
+            participant_id="prov-0", deterministic=True, seal_seed=b"reactor"
+        )
+
+        def request(round_index, client, bid):
+            return Request(
+                request_id=f"req-{round_index}-{client.participant_id}",
+                client_id=client.participant_id,
+                submit_time=0.0,
+                resources={"cpu": 2, "ram": 4},
+                window=TimeWindow(0, 10),
+                duration=4.0,
+                bid=bid,
+            )
+
+        offer = Offer(
+            offer_id="off-0",
+            provider_id="prov-0",
+            submit_time=0.0,
+            resources={"cpu": 8, "ram": 32},
+            window=TimeWindow(0, 24),
+            bid=0.5,
+        )
+        report = Runtime(miners, obs=obs, pipeline=False).run(
+            [
+                RoundInput(
+                    submissions=(
+                        (withholder, request(0, withholder, 2.0)),
+                        (honest, request(0, honest, 2.5)),
+                        (provider, offer),
+                    )
+                ),
+                RoundInput(
+                    submissions=((withholder, request(1, withholder, 2.0)),)
+                ),
+            ]
+        )
+        assert [r.error for r in report.rounds] == ["", "RevealTimeoutError"]
+        (bundle,) = obs.flight.dumps
+        meta, records, headers = load_flight(Path(bundle).read_text())
+        assert meta["trigger"] == "RevealTimeoutError"
+        assert meta["round"] == 1
+        assert "no valid key reveal" in meta["error"]
+        frame_rows = [h for h in headers if h["type"] == "round_frame"]
+        assert [f["status"] for f in frame_rows] == [
+            "ok", "RevealTimeoutError",
+        ]
+        rendered = render_flight(meta, records, headers).splitlines()
+        # the failing path is marked, and names the withholder
+        for name in ("reveal.excluded", "reveal.timeout", "round.aborted"):
+            assert any(
+                line.startswith("!") and name in line for line in rendered
+            ), name
+        assert any("'sender': 'cli-0'" in line for line in rendered)

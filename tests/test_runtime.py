@@ -1,10 +1,12 @@
 """Unit tests for the async runtime: scheduler, transport, reactor.
 
-The heavyweight guarantees (lockstep bit-equality across schedules and
-fault plans, trace determinism) live in the differential and property
-suites; these tests pin the building blocks — seeded scheduling,
-fault-keyed transport fates, backpressure, pipelining overlap — plus a
-direct single/multi-round equivalence smoke against the lockstep engine.
+The heavyweight guarantees (bit-equality with straight-line miner calls
+across schedules and fault plans, trace determinism) live in the
+differential and property suites; these tests pin the building blocks —
+seeded scheduling, fault-keyed transport fates, backpressure, pipelining
+overlap — plus a single/multi-round equivalence smoke between the
+pipelined runtime and the :class:`ExposureProtocol` façade's sequential
+rounds.
 """
 
 import pytest
@@ -13,7 +15,6 @@ from repro.core.outcome import canonical_outcome
 from repro.faults.actors import WithholdingParticipant
 from repro.faults.plan import CrashSpec, FaultPlan, make_partition
 from repro.ledger.miner import Miner
-from repro.ledger.network import BroadcastNetwork
 from repro.protocol import messages
 from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.exposure import ExposureProtocol, Participant
@@ -45,7 +46,7 @@ def _participant(pid):
 
 
 def _market_bids():
-    """Submission order shared by both engines (3 clients, 2 providers)."""
+    """Submission order shared by both drivers (3 clients, 2 providers)."""
     return [
         ("alice", make_request(request_id="ra", client_id="alice", bid=2.0)),
         ("anna", make_request(request_id="rb", client_id="anna", bid=1.5)),
@@ -55,8 +56,8 @@ def _market_bids():
     ]
 
 
-def _lockstep_round(rounds=1):
-    protocol = ExposureProtocol(miners=_miners(), network=BroadcastNetwork())
+def _facade_rounds(rounds=1):
+    protocol = ExposureProtocol(miners=_miners())
     # one participant object per id across all rounds, mirroring the
     # runtime side below (seal counters must line up between engines)
     participants = {pid: _participant(pid) for pid, _ in _market_bids()}
@@ -264,26 +265,26 @@ class TestDeterministicTransport:
 
 class TestRuntimeEngine:
     def test_single_round_bit_identical_to_lockstep(self):
-        (lockstep,) = _lockstep_round(rounds=1)
+        (facade,) = _facade_rounds(rounds=1)
         report, _ = _runtime_rounds(rounds=1)
         (run,) = report.committed
-        assert run.block.hash() == lockstep.block.hash()
+        assert run.block.hash() == facade.block.hash()
         assert canonical_outcome(run.outcome) == canonical_outcome(
-            lockstep.outcome
+            facade.outcome
         )
-        assert run.excluded_txids == lockstep.excluded_txids
-        assert sorted(run.accepted_by) == sorted(lockstep.accepted_by)
+        assert run.excluded_txids == facade.excluded_txids
+        assert sorted(run.accepted_by) == sorted(facade.accepted_by)
 
     def test_three_rounds_pipelined_chain_matches_lockstep(self):
-        lockstep = _lockstep_round(rounds=3)
+        facade = _facade_rounds(rounds=3)
         report, runtime = _runtime_rounds(rounds=3)
         assert len(report.committed) == 3
-        for lock, run in zip(lockstep, report.committed):
-            assert run.block.hash() == lock.block.hash()
-        # the pipelined runtime's chains equal the lockstep chains
+        for sequential, run in zip(facade, report.committed):
+            assert run.block.hash() == sequential.block.hash()
+        # the pipelined runtime's chains equal the sequential chains
         assert report.overlap_rounds == 2  # rounds 1 and 2 overlapped
         for miner in runtime.miners:
-            assert miner.chain.tip_hash == lockstep[-1].block.hash()
+            assert miner.chain.tip_hash == facade[-1].block.hash()
 
     def test_schedule_seeds_do_not_change_outcomes(self):
         hashes = set()

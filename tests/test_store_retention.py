@@ -19,7 +19,6 @@ from repro.core.config import AuctionConfig
 from repro.ledger.block import Block, BlockPreamble, KeyReveal
 from repro.ledger.chain import HORIZON, Blockchain
 from repro.ledger.miner import Miner
-from repro.ledger.network import BroadcastNetwork
 from repro.market.bids import Request
 from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.contracts import AllocationContract
@@ -59,9 +58,7 @@ class LockstepNode:
         self.settlement = SettlementProcessor(ledger=TokenLedger())
         self.stores[0].attach(settlement=self.settlement)
         self.protocol = ExposureProtocol(
-            miners=self.miners,
-            network=BroadcastNetwork(),
-            store=self.stores[0],
+            miners=self.miners, store=self.stores[0]
         )
         requests, offers = generate_market(n_requests, seed=seed)
         self.bids = list(requests) + list(offers)
@@ -117,6 +114,9 @@ class LockstepNode:
             "preamble txs": max(len(m._preamble_txs) for m in self.miners),
             "reveal inboxes": max(len(m.reveal_inbox) for m in self.miners),
             "unscreened stashes": max(len(m._unscreened) for m in self.miners),
+            "rejected reveals": max(
+                len(m.rejected_reveals) for m in self.miners
+            ),
             "opened plaintexts": max(
                 sum(1 for w in m._work.values() if w.plaintexts)
                 for m in self.miners
@@ -306,6 +306,35 @@ class TestUnscreenedStashes:
         assert node.chain.anchor_height >= HORIZON
         assert flooded[0] not in node._unscreened
         assert flooded[-1] in node._unscreened
+
+
+class TestRejectedReveals:
+    def test_a_flood_of_forged_reveals_rolls_off(self):
+        # any peer can send reveals that fail screening; the evidence
+        # keeps only as long as the window it was stamped in
+        node, leader = _journaling_pair(NodeStore.in_memory(horizon=HORIZON))
+        flooded = []
+        for height in range(3 * HORIZON):
+            preamble = leader.build_preamble()
+            node.accept_preamble(preamble)
+            for index in range(4):
+                reveal = KeyReveal(
+                    sender_id="mallory",
+                    txid=f"{height:032x}{index:032x}",
+                    temp_key=bytes(32),
+                    blind=bytes(32),
+                )
+                assert node.accept_reveal(preamble.hash(), reveal) is False
+                flooded.append(reveal)
+            _commit(node, leader, 1)
+            assert len(node.rejected_reveals) <= 4 * 2 * HORIZON
+        assert node.chain.anchor_height >= HORIZON
+        kept = [reveal for reveal, _reason in node.rejected_reveals]
+        assert flooded[0] not in kept
+        assert flooded[-1] in kept
+        assert {reason for _, reason in node.rejected_reveals} == {
+            "unknown txid"
+        }
 
 
 class TestRollNeverPassesTheSegment:
