@@ -98,7 +98,14 @@ class AuctionConfig:
             matrix and best-offer sets with the NumPy kernel of
             :mod:`repro.core.matching_vectorized`.  The two engines are
             bit-identical by contract — ``tests/differential/`` is the
-            enforcement.
+            enforcement.  That makes ``engine`` an execution hint, and
+            the miner's :class:`~repro.protocol.allocator.DecloudAllocator`
+            treats it as one: a block of fewer than
+            :data:`~repro.protocol.allocator.VECTORIZED_MIN_PAIRS`
+            (requests x offers) pairs clears on the reference engine,
+            which is faster at that size.
+            :class:`~repro.core.auction.DecloudAuction` itself always
+            runs the engine named here.
         candidates: optional candidate generator (an object with a
             ``generate(requests, offers, maxima, breadth)``
             method, see :mod:`repro.core.candidates`) placed in front of

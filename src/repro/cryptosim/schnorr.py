@@ -265,16 +265,18 @@ class SignatureCache:
     A sealed bid reaches a miner three times per round — at mempool
     admission, in the proposed block, and in the block it commits — and
     :meth:`verify` lets the node pay :func:`verify` for it once.  Only
-    *successful* verifications are remembered, under a digest of the
-    whole ``(public, message, signature)`` triple: a txid or block hash
-    commits to the signed payload alone, so a forged signature or a
-    swapped key under an honest payload has another digest and goes
-    through :func:`verify` like any first sight.  The cache is bounded,
-    evicts oldest-first, and belongs to exactly one node (a miner, or one
-    recovery); sharing one between nodes would let one node's check stand
-    in for another's.  A node drops a bid's entry (:meth:`forget`) when
-    it commits the block that carries the bid — the third meeting was
-    the last — so what it holds follows its pending pool, not its chain.
+    *successful* verifications are remembered, keyed by the whole
+    screened triple itself, ``(public, challenge, response, message)``:
+    a hit is exact equality with a triple :func:`verify` accepted, not a
+    digest match.  A txid or block hash commits to the signed payload
+    alone, so a forged signature or a swapped key under an honest
+    payload is another key and goes through :func:`verify` like any
+    first sight.  The cache is bounded, evicts oldest-first, and belongs
+    to exactly one node (a miner, or one recovery); sharing one between
+    nodes would let one node's check stand in for another's.  A node
+    drops a bid's entry (:meth:`forget`) when it commits the block that
+    carries the bid — the third meeting was the last — so what it holds
+    follows its pending pool, not its chain.
     """
 
     #: above ``Mempool``'s default capacity, so every bid of a full block
@@ -282,25 +284,22 @@ class SignatureCache:
     MAX_ENTRIES = 1 << 17
 
     def __init__(self) -> None:
-        #: digests of the verified triples, oldest first
-        self._verified: Dict[int, None] = {}
+        #: the verified triples, oldest first; the key's ints and message
+        #: are the transaction's own objects, not copies
+        self._verified: Dict[Tuple[int, int, int, bytes], None] = {}
 
     def __len__(self) -> int:
         return len(self._verified)
 
     @staticmethod
-    def _key(public: int, message: bytes, signature: Tuple[int, int]) -> Optional[int]:
+    def _key(
+        public: int, message: bytes, signature: Tuple[int, int]
+    ) -> Optional[Tuple[int, int, int, bytes]]:
         components = _components(public, signature)
         if components is None:
             return None
         challenge, response = components
-        return _hash_to_int(
-            b"verified",
-            public.to_bytes(160, "big"),
-            challenge.to_bytes(160, "big"),
-            response.to_bytes(160, "big"),
-            message,
-        )
+        return public, challenge, response, bytes(message)
 
     def verify(self, public: int, message: bytes, signature: Tuple[int, int]) -> bool:
         """:func:`verify`, skipped when this exact triple passed before."""

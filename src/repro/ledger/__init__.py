@@ -14,7 +14,6 @@ from repro.ledger.block import (
 )
 from repro.ledger.challenges import ChallengeGame, GameState
 from repro.ledger.forks import BlockTree
-from repro.ledger.gossip import GossipNetwork
 from repro.ledger.serialization import chain_from_json, chain_to_json
 from repro.ledger.chain import Blockchain
 from repro.ledger.mempool import Mempool
@@ -32,7 +31,6 @@ __all__ = [
     "ChallengeGame",
     "GameState",
     "BlockTree",
-    "GossipNetwork",
     "chain_to_json",
     "chain_from_json",
     "Blockchain",

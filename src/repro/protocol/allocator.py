@@ -10,6 +10,7 @@ auction runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ValidationError
@@ -47,23 +48,41 @@ def decode_round(
     return requests, offers
 
 
+#: Fewest (requests x offers) pairs a block needs before the allocator
+#: clears it on the vectorized engine: below this, the NumPy kernels'
+#: per-block set-up costs more than the scalar loops they replace.  The
+#: smallest size at and above which the vectorized engine won on every
+#: measured family (``generate_market`` and strong/weak-locality
+#: ``generate_zone_market``, 6 to 968 pairs; docs/PERFORMANCE.md, "What
+#: a round-sized block costs").
+VECTORIZED_MIN_PAIRS = 441
+
+
 class DecloudAllocator:
     """Callable handed to :class:`~repro.ledger.miner.Miner`.
 
     Stateless with respect to results (every call recomputes from its
     arguments); ``last_outcome`` is a convenience cache for the node that
     wants the rich object rather than the serialized payload.
+
+    ``config.engine`` is an execution hint here: a block of fewer than
+    :data:`VECTORIZED_MIN_PAIRS` pairs clears on the scalar reference
+    engine whatever it says.  Both engines produce bit-identical
+    outcomes (``tests/differential/``), so the route moves no payload,
+    only the time a miner spends re-executing a round-sized block.
     """
 
     def __init__(self, config: Optional[AuctionConfig] = None) -> None:
         self.config = config or AuctionConfig()
+        self._small_config = replace(self.config, engine="reference")
         self.last_outcome: Optional[AuctionOutcome] = None
 
     def __call__(
         self, plaintexts: Dict[str, List[bytes]], evidence: bytes
     ) -> Dict:
         requests, offers = decode_round(plaintexts)
-        auction = DecloudAuction(self.config)
+        small = len(requests) * len(offers) < VECTORIZED_MIN_PAIRS
+        auction = DecloudAuction(self._small_config if small else self.config)
         outcome = auction.run(requests, offers, evidence=evidence)
         self.last_outcome = outcome
         return outcome.to_payload()

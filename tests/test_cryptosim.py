@@ -152,6 +152,32 @@ class TestSignatureCache:
             assert not cache.verify(*triple)
         assert len(calls) == len(tampered)  # none was answered from the cache
 
+    def test_key_is_the_screened_triple_itself(self, schnorr_verify_calls):
+        """An equal triple made of other objects hits; a forged signature,
+        a swapped key or another message under the same honest payload
+        misses and goes through verify."""
+        cache = schnorr.SignatureCache()
+        public, message, (challenge, response) = self._signed()
+        assert cache.verify(public, message, [challenge, response])
+        calls = schnorr_verify_calls
+        calls.clear()
+        copy = (int(str(public)), bytes(bytearray(message)))
+        assert copy[0] is not public and copy[1] is not message
+        assert cache.verify(copy[0], copy[1], (challenge, response))
+        assert calls == []
+        other = schnorr.KeyPair.generate(seed=b"k2")
+        forged = (challenge, (response + 1) % schnorr.Q)
+        honest_elsewhere = schnorr.sign(other.secret, b"other message")
+        misses = [
+            (public, message, forged),
+            (other.public, message, (challenge, response)),
+            (public, b"other message", (challenge, response)),
+            (other.public, message, honest_elsewhere),
+        ]
+        for triple in misses:
+            assert not cache.verify(*triple)
+        assert len(calls) == len(misses) and len(cache) == 1
+
     def test_failures_are_never_cached(self, schnorr_verify_calls):
         calls = schnorr_verify_calls
         cache = schnorr.SignatureCache()

@@ -172,6 +172,20 @@ class TestDeterministicTransport:
         assert 0 < len(full) < 30  # actually lossy
         assert suffix == {k for k in full if k in keys[10:]}
 
+    def test_topic_isolation(self):
+        sched, bus, inbox = self._bus()
+        bus.broadcast("other", "x")
+        sched.run()
+        assert inbox == []
+
+    def test_drop_rate_statistics(self):
+        sched, bus, inbox = self._bus(plan=FaultPlan(seed=5, drop_rate=0.5))
+        for i in range(1000):
+            bus.broadcast("t", i, key=f"k{i}")
+        sched.run()
+        assert bus.dropped + len(inbox) == 1000
+        assert 400 <= bus.dropped <= 600
+
     def test_crash_window_censors_at_arrival_time(self):
         plan = FaultPlan(
             min_delay=1.2,
