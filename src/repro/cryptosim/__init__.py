@@ -1,9 +1,9 @@
-"""Self-contained cryptographic primitives (stdlib only).
+"""Cryptographic primitives with no dependency beyond the interpreter.
 
-Functional — not production-grade — implementations of everything the
-two-phase bid exposure protocol needs: SHA-256 hashing helpers, Schnorr
-signatures, an authenticated stream cipher for sealed bids, and hash
-commitments binding temporary keys to the preamble.
+Everything the two-phase bid exposure protocol needs: SHA-256 hashing
+helpers, Ed25519 signatures (OpenSSL's, through ``ctypes``), a
+functional — not production-grade — authenticated stream cipher for
+sealed bids, and hash commitments binding temporary keys to the preamble.
 """
 
 from repro.cryptosim.commitments import Commitment, Opening, commit, verify_opening

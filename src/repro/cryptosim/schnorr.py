@@ -1,259 +1,231 @@
-"""Schnorr signatures over a fixed prime-order subgroup (pure stdlib).
+"""Ed25519 signatures (RFC 8032) from the interpreter's own OpenSSL.
 
-Participants sign bids and miners sign blocks.  The group is the
-quadratic-residue subgroup of a 1024-bit safe prime; parameters are small
-relative to production standards but the scheme is a real public-key
-signature: verification needs only the public
-key, and any bit flip in message or signature fails verification.
+Participants sign bids and miners sign blocks.  EdDSA is a Schnorr
+signature over the twisted Edwards curve edwards25519: a key is 32
+bytes, a signature is 64 (the commitment ``R`` and the response ``S``),
+verification needs only the public key, and any bit flip in message,
+key or signature fails it.  Signing is deterministic (RFC 8032 derives
+the nonce from the secret and the message), so the ledger simulation
+stays reproducible; seeded keys are ``sha256(b"keygen" + seed)``.
 
-Signing is deterministic (RFC-6979 style nonce derivation from the secret
-key and message) so the ledger simulation stays reproducible.
+The curve arithmetic is OpenSSL's libcrypto, called through ``ctypes``.
+It is the libcrypto the interpreter has already loaded for ``hashlib``:
+its symbols are resolved through the ``_hashlib`` extension's own
+handle, so importing this module loads no library and no package (CPython
+3.10 and later require OpenSSL 1.1.1 or later, which has every function
+bound here; a missing one is an ``ImportError`` naming it).  Each public
+key and each secret becomes one ``EVP_PKEY`` in a bounded LRU, a pure
+function of the key bytes that holds no verdict, so every node in the
+process shares them.  A node that sees the same signature several times
+per round fronts :func:`verify` with its own :class:`SignatureCache`.
 
-Every exponentiation goes through one Lim-Lee comb of 16 columns: an
-exponent block is laid out as rows of 16 bits, a table holds the product
-of the row bases for every column pattern, and evaluation is one
-squaring plus at most one multiply per table for each of the 16 columns.
-``G`` has six tables of 11 rows (176-bit blocks, 2,048 entries each;
-exponents run up to ``Q``, 1023 bits), each built the first time an
-exponent reaches its block.  Each signer's ``Y^(-1)`` has two tables of
-8 rows (256 entries each) covering a 256-bit challenge, a pure function
-of the public key, built on first sight and kept in a bounded LRU.
-Verification walks the ``G`` tables the response reaches and the
-signer's two in a single pass, so ``G^response * Y^(-challenge)``
-shares its 16 squarings.  The tables compute the same group elements as
-plain ``pow``, so signatures and verdicts are bit-identical to the
-textbook formulas (``tests/property/test_crypto_properties.py`` keeps
-those as the oracle).
-A node that sees the same signature several times per round fronts
-:func:`verify` with its own :class:`SignatureCache`; key tables hold no
-verdicts and are shared by every node in the process.
+Keys and signatures arrive off the wire, so :func:`verify` answers
+anything malformed with ``False`` and never raises (see
+:func:`_components`); a rejected signature leaves nothing in OpenSSL's
+error queue for ``hashlib`` or ``ssl`` to trip over.
 """
 
 from __future__ import annotations
 
+import _hashlib
+import ctypes
 import functools
 import hashlib
 import secrets
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.common.errors import SignatureError
 
-# Safe prime P = 2*Q + 1 with Q prime (RFC 2409 Oakley Group 2, 1024-bit);
-# G = 4 is a quadratic residue and therefore generates the order-Q subgroup.
-# Parameters are verified at import time below.
-P = 0xFFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7EDEE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF
-Q = (P - 1) // 2
-G = 4  # 2^2 is a quadratic residue, hence generates the order-Q subgroup.
+KEY_SIZE = 32
+SIGNATURE_SIZE = 64
 
-#: Comb geometry: every table reads its exponent block as rows of
-#: ``_COLUMNS`` bits and has one entry per column pattern across its rows
-#: (``2^rows`` entries); evaluating costs 16 squarings shared by every
-#: table in the pass plus at most 16 multiplies per table.
-_COLUMNS = 16
-#: ``G``: 11 rows, a 176-bit block and 2,048 entries (~340 KiB) a table;
-#: six blocks cover an exponent below ``Q``
-_G_ROWS = 11
-_G_BLOCK_BITS = _G_ROWS * _COLUMNS
-_G_BLOCKS = -(-Q.bit_length() // _G_BLOCK_BITS)
-#: a signer's ``Y^(-1)``: two tables of 8 rows (2 x 256 entries, ~86 KiB)
-#: covering a 256-bit challenge, the first one its low 128 bits
-_KEY_ROWS = 8
-_KEY_BLOCKS = 2
-_CHALLENGE_BITS = _KEY_BLOCKS * _KEY_ROWS * _COLUMNS
-#: signers whose ``Y^(-1)`` tables are kept (least recently used goes
-#: first): ~22 MiB when full.  Building a key's tables costs about
-#: eight repeat verifications (734 modular multiplications against 96),
-#: so a flood of never-seen keys pays a bounded factor per bid and never
-#: more.
-_MAX_KEY_TABLES = 256
+#: the field prime 2^255 - 19 and the order of the base point
+_P = 2**255 - 19
+_L = 2**252 + 27742317777372353535851937790883648493
+_Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022
+#: y-coordinates of the eight points of order 1, 2, 4 and 8 (the sign
+#: bit names x): 1 the identity, p-1 order 2, 0 order 4, ±Y8 order 8
+_SMALL_ORDER_Y = frozenset({0, 1, _P - 1, _Y8, _P - _Y8})
+_Y_MASK = (1 << 255) - 1
 
-_Table = Tuple[int, ...]
+_NID_ED25519 = 1087
+#: public keys and secrets whose ``EVP_PKEY`` is kept (least recently
+#: used goes first); a key object costs a few microseconds to build, so
+#: the bound only caps memory
+_MAX_KEYS = 4096
 
-
-def _build_comb(base: int, rows: int, blocks: int) -> Tuple[_Table, ...]:
-    """Comb tables of ``base`` for exponents of ``blocks * rows * 16`` bits.
-
-    Row ``r`` of the exponent weighs ``base^(2^(16 r))``; table ``b``
-    covers rows ``rows*b .. rows*b + rows-1`` and ``table[d]`` is the
-    product of the row bases whose bit is set in ``d`` — a pure function
-    of ``base``.
-    """
-    row_bases = [base]
-    for _ in range(blocks * rows - 1):
-        row_bases.append(pow(row_bases[-1], 1 << _COLUMNS, P))
-    tables = []
-    for block in range(blocks):
-        table = [1]
-        for row_base in row_bases[block * rows : (block + 1) * rows]:
-            table += [entry * row_base % P for entry in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+_p, _n, _buf, _int = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_int
+#: every libcrypto function used: (return type, argument types)
+_BINDING = {
+    "EVP_PKEY_new_raw_private_key": (_p, [_int, _p, _buf, _n]),
+    "EVP_PKEY_new_raw_public_key": (_p, [_int, _p, _buf, _n]),
+    "EVP_PKEY_get_raw_public_key": (_int, [_p, _buf, ctypes.POINTER(_n)]),
+    "EVP_PKEY_free": (None, [_p]),
+    "EVP_MD_CTX_new": (_p, []),
+    "EVP_MD_CTX_free": (None, [_p]),
+    "EVP_DigestSignInit": (_int, [_p] * 5),
+    "EVP_DigestSign": (_int, [_p, _buf, ctypes.POINTER(_n), _buf, _n]),
+    "EVP_DigestVerifyInit": (_int, [_p] * 5),
+    "EVP_DigestVerify": (_int, [_p, _buf, _n, _buf, _n]),
+    "ERR_clear_error": (None, []),
+}
 
 
-def _comb_pow(tables: Tuple[_Table, ...], exponent: int) -> int:
-    """Product over ``b`` of ``base_b ^ (block b of exponent)`` mod ``P``,
-    where ``tables[b]`` is a comb table of ``base_b`` with ``2^rows_b``
-    entries and block ``b`` is the ``16 * rows_b`` exponent bits above
-    the lower tables' — one pass, one squaring per column.  The exponent
-    must be no wider than the tables."""
-    if not tables:
-        return 1  # the empty product: exponent 0 reaches no block
-    layout = []
-    for table in tables:
-        rows = len(table).bit_length() - 1
-        layout.append((rows, (1 << rows) - 1, table))
-    bits = format(exponent, "b").zfill(
-        sum(rows for rows, _, _ in layout) * _COLUMNS
-    )
-    result = 1
-    for column in range(_COLUMNS):
-        result = result * result % P
-        # bit ``column`` (from the top) of every row, lowest row last
-        digits = int(bits[column::_COLUMNS], 2)
-        for rows, mask, table in layout:
-            digit = digits & mask
-            if digit:
-                result = result * table[digit] % P
-            digits >>= rows
-    return result
+def _libcrypto() -> ctypes.CDLL:
+    """The libcrypto ``_hashlib`` is linked against, through that
+    extension's own handle, with every function of ``_BINDING`` typed."""
+    lib = ctypes.CDLL(_hashlib.__file__)
+    for name, (restype, argtypes) in _BINDING.items():
+        try:
+            function = getattr(lib, name)
+        except AttributeError:
+            raise ImportError(
+                f"libcrypto has no {name}: Ed25519 needs OpenSSL 1.1.1 or later"
+            ) from None
+        function.restype, function.argtypes = restype, argtypes
+    return lib
 
 
-@functools.lru_cache(maxsize=None)
-def _g_block(block: int) -> _Table:
-    """``G``'s comb table for exponent bits ``176 block ..``, built the
-    first time an exponent reaches that block."""
-    return _build_comb(pow(G, 1 << block * _G_BLOCK_BITS, P), _G_ROWS, 1)[0]
+_lib = _libcrypto()
 
 
-def _g_tables(exponent: int) -> Tuple[_Table, ...]:
-    """``G``'s tables for the blocks a non-negative exponent reaches."""
-    blocks = -(-exponent.bit_length() // _G_BLOCK_BITS)
-    return tuple(map(_g_block, range(blocks)))
+class _Key:
+    """One ``EVP_PKEY``, freed with the last reference to it."""
+
+    __slots__ = ("pointer",)
+
+    def __init__(self, pointer: int) -> None:
+        self.pointer = pointer
+
+    def __del__(self, _free=_lib.EVP_PKEY_free, _exiting=sys.is_finalizing) -> None:
+        if not _exiting():  # at exit OpenSSL may already be torn down
+            _free(self.pointer)
 
 
-@functools.lru_cache(maxsize=_MAX_KEY_TABLES)
-def _key_table(public: int) -> Tuple[_Table, ...]:
-    """The two comb tables of ``public^(-1)`` (the true inverse mod
-    ``P``, so keys outside the order-``Q`` subgroup are handled exactly)."""
-    return _build_comb(pow(public, -1, P), _KEY_ROWS, _KEY_BLOCKS)
+def _key(build, raw: bytes) -> Optional[_Key]:
+    # OpenSSL refuses any length but 32, so a short buffer is never overread
+    pointer = build(_NID_ED25519, None, raw, len(raw))
+    if pointer:
+        return _Key(pointer)
+    _lib.ERR_clear_error()
+    return None
 
 
-def _g_pow(exponent: int) -> int:
-    """``pow(G, exponent, P)`` for a non-negative exponent, by table."""
-    exponent %= Q  # G has order Q
-    return _comb_pow(_g_tables(exponent), exponent)
+@functools.lru_cache(maxsize=_MAX_KEYS)
+def _public_key(public: bytes) -> Optional[_Key]:
+    return _key(_lib.EVP_PKEY_new_raw_public_key, public)
 
 
-def _hash_to_int(*parts: bytes) -> int:
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(len(part).to_bytes(8, "big"))
-        hasher.update(part)
-    return int.from_bytes(hasher.digest(), "big")
+@functools.lru_cache(maxsize=_MAX_KEYS)
+def _private_key(secret: bytes) -> Optional[_Key]:
+    return _key(_lib.EVP_PKEY_new_raw_private_key, secret)
+
+
+def _raw_public(key: Optional[_Key]) -> bytes:
+    """The 32 bytes of the public key a key object holds."""
+    public = ctypes.create_string_buffer(KEY_SIZE)
+    size = _n(KEY_SIZE)
+    if key is None or _lib.EVP_PKEY_get_raw_public_key(
+        key.pointer, public, ctypes.byref(size)
+    ) != 1:
+        _lib.ERR_clear_error()
+        raise SignatureError("OpenSSL could not derive an Ed25519 public key")
+    return public.raw
+
+
+def _one_shot(init, call, key: _Key, *args) -> bool:
+    """One ``EVP_DigestSign``/``EVP_DigestVerify`` call in a fresh
+    context; a failure leaves OpenSSL's error queue empty."""
+    context = _lib.EVP_MD_CTX_new()
+    try:
+        done = init(context, None, None, None, key.pointer) == 1 and call(
+            context, *args
+        ) == 1
+    finally:
+        _lib.EVP_MD_CTX_free(context)
+    if not done:
+        _lib.ERR_clear_error()
+    return done
 
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A Schnorr key pair: secret exponent and public group element."""
+    """An Ed25519 key pair: the 32-byte secret and its public key."""
 
-    secret: int
-    public: int
+    secret: bytes
+    public: bytes
 
     @classmethod
     def generate(cls, seed: bytes | None = None) -> "KeyPair":
         """Generate a key pair; ``seed`` makes generation deterministic."""
         if seed is None:
-            secret = secrets.randbelow(Q - 1) + 1
+            secret = secrets.token_bytes(KEY_SIZE)
         else:
-            secret = _hash_to_int(b"keygen", seed) % (Q - 1) + 1
-        return cls(secret=secret, public=_g_pow(secret))
+            secret = hashlib.sha256(b"keygen" + seed).digest()
+        return cls(secret=secret, public=_raw_public(_private_key(secret)))
 
 
-def sign(
-    secret: int, message: bytes, public: Optional[int] = None
-) -> Tuple[int, int]:
-    """Produce a Schnorr signature ``(challenge, response)``.
+def sign(secret: bytes, message: bytes) -> bytes:
+    """The 64-byte Ed25519 signature of ``message`` under ``secret``."""
+    key = _private_key(secret)
+    signature = ctypes.create_string_buffer(SIGNATURE_SIZE)
+    size = _n(SIGNATURE_SIZE)
+    if key is None or not _one_shot(
+        _lib.EVP_DigestSignInit, _lib.EVP_DigestSign, key,
+        signature, ctypes.byref(size), message, len(message),
+    ):
+        raise SignatureError("OpenSSL could not sign")
+    return signature.raw
 
-    The nonce is derived deterministically from ``(secret, message)``.
-    A caller holding the :class:`KeyPair` passes ``public`` (which must
-    be ``G^secret``) and saves re-deriving it — half the work.
+
+def valid_public_key(public: object) -> bool:
+    """True for 32 bytes naming a key that can speak for someone.
+
+    A non-canonical ``y`` (``y >= p``) is refused, and so are the eight
+    small-order points: a signature under one of those can be computed
+    without any secret (with the identity as the key, ``R`` the identity
+    and ``S = 0`` verify for every message).
     """
-    nonce = _hash_to_int(b"nonce", secret.to_bytes(160, "big"), message) % (Q - 1) + 1
-    commitment = _g_pow(nonce)
-    if public is None:
-        public = _g_pow(secret)
-    challenge = (
-        _hash_to_int(
-            b"chal",
-            commitment.to_bytes(160, "big"),
-            public.to_bytes(160, "big"),
-            message,
-        )
-        % Q
+    if type(public) is not bytes or len(public) != KEY_SIZE:
+        return False
+    y = int.from_bytes(public, "little") & _Y_MASK
+    return y < _P and y not in _SMALL_ORDER_Y
+
+
+def _components(public: object, signature: object) -> bool:
+    """True if key and signature are well formed enough to verify.
+
+    Anything but 32 and 64 bytes (``bytearray`` and ``str`` are not) is
+    refused, as are the keys :func:`valid_public_key` refuses and a
+    response ``S >= L`` (the same signature plus ``L``), which RFC 8032
+    rejects whatever the OpenSSL release checks.
+    """
+    return (
+        valid_public_key(public)
+        and type(signature) is bytes
+        and len(signature) == SIGNATURE_SIZE
+        and int.from_bytes(signature[32:], "little") < _L
     )
-    response = (nonce + challenge * secret) % Q
-    return challenge, response
 
 
-def _components(public: int, signature: Tuple[int, int]) -> Optional[Tuple[int, int]]:
-    """``(challenge, response)`` if key and signature are well formed.
-
-    Keys and signatures arrive off the wire, so anything but in-range
-    integers (``bool`` is not one) is answered with ``None``, never an
-    exception.  A ``public`` outside ``(1, P)`` is rejected outright: 0
-    and the multiples of ``P`` make the recomputed commitment 0 whatever
-    the response, and 1 is the key of the known secret 0 — each verifies
-    a signature anyone can compute without a secret.
-    """
-    if type(public) is not int or not 1 < public < P:
-        return None
-    try:
-        challenge, response = signature
-    except (TypeError, ValueError):
-        return None
-    if type(challenge) is not int or type(response) is not int:
-        return None
-    if not (0 <= challenge < Q and 0 <= response < Q):
-        return None
-    return challenge, response
-
-
-def verify(public: int, message: bytes, signature: Tuple[int, int]) -> bool:
+def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """Check a signature against ``public`` and ``message``.
 
     Malformed or out-of-range keys and signatures verify as ``False``
     (see :func:`_components`).
     """
-    components = _components(public, signature)
-    if components is None:
+    if not _components(public, signature):
         return False
-    challenge, response = components
-    if challenge >> _CHALLENGE_BITS:
-        # the challenge is a SHA-256 value (< 2^256 < Q): nothing wider
-        # can equal the recomputed one, and the key tables cover 256 bits
-        return False
-    # commitment' = G^response * public^(-challenge) mod P, the signer's
-    # tables riding as two more blocks above the G blocks the response
-    # reaches
-    g_tables = _g_tables(response)
-    commitment = _comb_pow(
-        g_tables + _key_table(public),
-        response | challenge << (len(g_tables) * _G_BLOCK_BITS),
+    key = _public_key(public)
+    return key is not None and _one_shot(
+        _lib.EVP_DigestVerifyInit, _lib.EVP_DigestVerify, key,
+        signature, SIGNATURE_SIZE, message, len(message),
     )
-    expected = (
-        _hash_to_int(
-            b"chal",
-            commitment.to_bytes(160, "big"),
-            public.to_bytes(160, "big"),
-            message,
-        )
-        % Q
-    )
-    return expected == challenge
 
 
-def require_valid(public: int, message: bytes, signature: Tuple[int, int]) -> None:
+def require_valid(public: bytes, message: bytes, signature: bytes) -> None:
     """Raise :class:`SignatureError` unless the signature verifies."""
     if not verify(public, message, signature):
         raise SignatureError("signature verification failed")
@@ -266,17 +238,17 @@ class SignatureCache:
     admission, in the proposed block, and in the block it commits — and
     :meth:`verify` lets the node pay :func:`verify` for it once.  Only
     *successful* verifications are remembered, keyed by the whole
-    screened triple itself, ``(public, challenge, response, message)``:
-    a hit is exact equality with a triple :func:`verify` accepted, not a
-    digest match.  A txid or block hash commits to the signed payload
-    alone, so a forged signature or a swapped key under an honest
-    payload is another key and goes through :func:`verify` like any
-    first sight.  The cache is bounded, evicts oldest-first, and belongs
-    to exactly one node (a miner, or one recovery); sharing one between
-    nodes would let one node's check stand in for another's.  A node
-    drops a bid's entry (:meth:`forget`) when it commits the block that
-    carries the bid — the third meeting was the last — so what it holds
-    follows its pending pool, not its chain.
+    screened triple itself, ``(public, signature, message)``: a hit is
+    exact equality with a triple :func:`verify` accepted, not a digest
+    match.  A txid or block hash commits to the signed payload alone, so
+    a forged signature or a swapped key under an honest payload is
+    another key and goes through :func:`verify` like any first sight.
+    The cache is bounded, evicts oldest-first, and belongs to exactly
+    one node (a miner, or one recovery); sharing one between nodes would
+    let one node's check stand in for another's.  A node drops a bid's
+    entry (:meth:`forget`) when it commits the block that carries the
+    bid — the third meeting was the last — so what it holds follows its
+    pending pool, not its chain.
     """
 
     #: above ``Mempool``'s default capacity, so every bid of a full block
@@ -284,24 +256,22 @@ class SignatureCache:
     MAX_ENTRIES = 1 << 17
 
     def __init__(self) -> None:
-        #: the verified triples, oldest first; the key's ints and message
-        #: are the transaction's own objects, not copies
-        self._verified: Dict[Tuple[int, int, int, bytes], None] = {}
+        #: the verified triples, oldest first; the key's bytes are the
+        #: transaction's own objects, not copies
+        self._verified: Dict[Tuple[bytes, bytes, bytes], None] = {}
 
     def __len__(self) -> int:
         return len(self._verified)
 
     @staticmethod
     def _key(
-        public: int, message: bytes, signature: Tuple[int, int]
-    ) -> Optional[Tuple[int, int, int, bytes]]:
-        components = _components(public, signature)
-        if components is None:
+        public: bytes, message: bytes, signature: bytes
+    ) -> Optional[Tuple[bytes, bytes, bytes]]:
+        if not _components(public, signature):
             return None
-        challenge, response = components
-        return public, challenge, response, bytes(message)
+        return public, signature, bytes(message)
 
-    def verify(self, public: int, message: bytes, signature: Tuple[int, int]) -> bool:
+    def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         """:func:`verify`, skipped when this exact triple passed before."""
         key = self._key(public, message, signature)
         if key is None:
@@ -315,14 +285,6 @@ class SignatureCache:
         self._verified[key] = None
         return True
 
-    def forget(self, public: int, message: bytes, signature: Tuple[int, int]) -> None:
+    def forget(self, public: bytes, message: bytes, signature: bytes) -> None:
         """Drop this triple's entry; meeting it again costs a :func:`verify`."""
         self._verified.pop(self._key(public, message, signature), None)
-
-
-def _self_check() -> None:
-    # Group sanity: G must have order Q (so G^Q == 1 and G != 1).
-    assert pow(G, Q, P) == 1 and G != 1, "bad Schnorr group parameters"
-
-
-_self_check()

@@ -115,8 +115,8 @@ class BlockBody:
     reveals: Tuple[KeyReveal, ...]
     allocation: Dict[str, Any]
     miner_id: str
-    miner_public: int
-    signature: Tuple[int, int] = (0, 0)
+    miner_public: bytes
+    signature: bytes = b""
 
     def allocation_bytes(self) -> bytes:
         """Cached canonical JSON encoding of the allocation payload.
@@ -159,9 +159,7 @@ class BlockBody:
     def signed_by(
         self, keypair: schnorr.KeyPair, preamble_hash: str
     ) -> "BlockBody":
-        signature = schnorr.sign(
-            keypair.secret, self.signing_payload(preamble_hash), keypair.public
-        )
+        signature = schnorr.sign(keypair.secret, self.signing_payload(preamble_hash))
         body = BlockBody(
             reveals=self.reveals,
             allocation=self.allocation,

@@ -24,7 +24,7 @@ from sys import intern
 from typing import Any, Callable, Dict, Iterator
 
 from repro.common.errors import LedgerError, ReproError
-from repro.cryptosim import hashing
+from repro.cryptosim import hashing, schnorr
 from repro.cryptosim.commitments import Commitment
 from repro.cryptosim.symmetric import SealedBox
 from repro.ledger.block import (
@@ -37,22 +37,44 @@ from repro.ledger.block import (
 from repro.ledger.chain import Blockchain
 from repro.ledger.transaction import SealedBidTransaction
 
-FORMAT_VERSION = 1
+#: 2: Ed25519 keys and signatures as the hex of their raw bytes (1 held
+#: the Schnorr group's integers)
+FORMAT_VERSION = 2
 
 
 def tx_to_dict(tx: SealedBidTransaction) -> Dict[str, Any]:
     return {
         "sender_id": tx.sender_id,
-        "sender_public": hex(tx.sender_public),
+        "sender_public": tx.sender_public.hex(),
         "box": tx.box.to_bytes().hex(),
         "key_commitment": tx.key_commitment.digest.hex(),
-        "signature": [hex(tx.signature[0]), hex(tx.signature[1])],
+        "signature": tx.signature.hex(),
     }
 
 
+def _raw(text: Any, size: int, field: str) -> bytes:
+    """The ``size`` bytes a key or signature field spells in hex; a
+    field off the wire that is anything else is a :class:`LedgerError`."""
+    try:
+        raw = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        raw = b""
+    if len(raw) != size:
+        raise LedgerError(f"{field} is not {size} bytes of hex: {text!r:.40}")
+    return raw
+
+
 @functools.lru_cache(maxsize=256)
-def _public_key(text: str) -> int:
-    return int(text, 16)
+def _shared(raw: bytes) -> bytes:
+    return raw
+
+
+def _public_key(text: Any) -> bytes:
+    return _shared(_raw(text, schnorr.KEY_SIZE, "public key"))
+
+
+def _signature(text: Any) -> bytes:
+    return _raw(text, schnorr.SIGNATURE_SIZE, "signature")
 
 
 def tx_from_dict(data: Dict[str, Any]) -> SealedBidTransaction:
@@ -66,10 +88,7 @@ def tx_from_dict(data: Dict[str, Any]) -> SealedBidTransaction:
         key_commitment=Commitment(
             digest=bytes.fromhex(data["key_commitment"])
         ),
-        signature=(
-            int(data["signature"][0], 16),
-            int(data["signature"][1], 16),
-        ),
+        signature=_signature(data["signature"]),
     )
 
 
@@ -104,8 +123,8 @@ def block_to_dict(
             ],
             "allocation": body.allocation,
             "miner_id": body.miner_id,
-            "miner_public": hex(body.miner_public),
-            "signature": [hex(body.signature[0]), hex(body.signature[1])],
+            "miner_public": body.miner_public.hex(),
+            "signature": body.signature.hex(),
         }
     return out
 
@@ -137,11 +156,8 @@ def block_from_dict(
             ),
             allocation=raw["allocation"],
             miner_id=raw["miner_id"],
-            miner_public=int(raw["miner_public"], 16),
-            signature=(
-                int(raw["signature"][0], 16),
-                int(raw["signature"][1], 16),
-            ),
+            miner_public=_public_key(raw["miner_public"]),
+            signature=_signature(raw["signature"]),
         )
     return Block(preamble=preamble, body=body)
 

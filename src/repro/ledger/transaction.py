@@ -2,7 +2,7 @@
 
 A participant wraps its (already encrypted) bid into a
 :class:`SealedBidTransaction`: the ciphertext, a commitment to the
-temporary key, and a Schnorr signature binding both to the sender.  The
+temporary key, and an Ed25519 signature binding both to the sender.  The
 ledger treats the ciphertext as opaque bytes — the protocol layer defines
 what is inside.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from sys import intern
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.common.errors import SignatureError
 from repro.cryptosim import hashing, schnorr
@@ -24,10 +24,10 @@ class SealedBidTransaction:
     """An encrypted bid plus the metadata needed to verify and open it."""
 
     sender_id: str
-    sender_public: int
+    sender_public: bytes
     box: SealedBox
     key_commitment: Commitment
-    signature: Tuple[int, int]
+    signature: bytes
 
     def signing_payload(self) -> bytes:
         """The bytes the sender signed.
@@ -57,7 +57,7 @@ class SealedBidTransaction:
     def verify_signature(
         self, cache: Optional[schnorr.SignatureCache] = None
     ) -> bool:
-        """Check the Schnorr signature over the sealed payload.
+        """Check the signature over the sealed payload.
 
         A node passes its own ``cache`` so that it verifies the
         transaction once, however often it meets it.
@@ -96,11 +96,9 @@ class SealedBidTransaction:
             sender_public=keypair.public,
             box=box,
             key_commitment=key_commitment,
-            signature=(0, 0),
+            signature=b"",
         )
-        signature = schnorr.sign(
-            keypair.secret, unsigned.signing_payload(), keypair.public
-        )
+        signature = schnorr.sign(keypair.secret, unsigned.signing_payload())
         return cls(
             sender_id=sender_id,
             sender_public=keypair.public,

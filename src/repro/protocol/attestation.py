@@ -14,14 +14,14 @@ attestation service; this module simulates that trust root:
   SGX-demanding match whose provider lacks a valid quote is flagged so
   the client can `deny` it at the contract.
 
-The signature is the repository's Schnorr scheme, so forged or replayed
+The signature is the repository's Ed25519 scheme, so forged or replayed
 quotes fail exactly like forged transactions do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ProtocolError
 from repro.cryptosim import hashing, schnorr
@@ -36,7 +36,7 @@ class Quote:
     provider_id: str
     enclave_measurement: str
     issued_at: float
-    signature: Tuple[int, int]
+    signature: bytes
 
     def signing_payload(self) -> bytes:
         return hashing.hash_concat(
@@ -58,7 +58,7 @@ class AttestationService:
             self.keypair = schnorr.KeyPair.generate(seed=b"attestation-root")
 
     @property
-    def public_key(self) -> int:
+    def public_key(self) -> bytes:
         return self.keypair.public
 
     def issue_quote(
@@ -69,13 +69,9 @@ class AttestationService:
             provider_id=provider_id,
             enclave_measurement=enclave_measurement,
             issued_at=now,
-            signature=(0, 0),
+            signature=b"",
         )
-        signature = schnorr.sign(
-            self.keypair.secret,
-            unsigned.signing_payload(),
-            self.keypair.public,
-        )
+        signature = schnorr.sign(self.keypair.secret, unsigned.signing_payload())
         return Quote(
             provider_id=provider_id,
             enclave_measurement=enclave_measurement,

@@ -10,7 +10,9 @@ first-come binding Namecoin-style systems use.
 
 The exposure protocol consults the registry on submission: a transaction
 whose sender id is bound to a different key is rejected before it ever
-reaches a mempool.
+reaches a mempool.  A key no secret stands behind — one of Ed25519's
+small-order points, or a non-canonical encoding — is refused at
+registration: a signature under it can be computed by anyone.
 """
 
 from __future__ import annotations
@@ -19,20 +21,27 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.common.errors import ProtocolError
+from repro.cryptosim import schnorr
 
 
 @dataclass
 class IdentityRegistry:
     """First-come-first-served id -> public-key bindings."""
 
-    bindings: Dict[str, int] = field(default_factory=dict)
+    bindings: Dict[str, bytes] = field(default_factory=dict)
 
-    def register(self, participant_id: str, public_key: int) -> None:
+    def register(self, participant_id: str, public_key: bytes) -> None:
         """Bind ``participant_id`` to ``public_key``.
 
         Re-registering the same pair is idempotent; claiming a taken id
-        with a different key raises.
+        with a different key, or with a key no secret stands behind,
+        raises.
         """
+        if not schnorr.valid_public_key(public_key):
+            raise ProtocolError(
+                f"id {participant_id!r} claims a key that is not a usable "
+                "Ed25519 public key"
+            )
         existing = self.bindings.get(participant_id)
         if existing is None:
             self.bindings[participant_id] = public_key
@@ -45,13 +54,13 @@ class IdentityRegistry:
     def is_bound(self, participant_id: str) -> bool:
         return participant_id in self.bindings
 
-    def key_of(self, participant_id: str) -> int:
+    def key_of(self, participant_id: str) -> bytes:
         key = self.bindings.get(participant_id)
         if key is None:
             raise ProtocolError(f"id {participant_id!r} is not registered")
         return key
 
-    def verify(self, participant_id: str, public_key: int) -> bool:
+    def verify(self, participant_id: str, public_key: bytes) -> bool:
         """True when ``public_key`` speaks for ``participant_id``.
 
         Unregistered ids verify against nothing — callers should
@@ -59,7 +68,7 @@ class IdentityRegistry:
         """
         return self.bindings.get(participant_id) == public_key
 
-    def check_or_register(self, participant_id: str, public_key: int) -> None:
+    def check_or_register(self, participant_id: str, public_key: bytes) -> None:
         """Register on first contact; reject a key mismatch afterwards."""
         if not self.is_bound(participant_id):
             self.register(participant_id, public_key)

@@ -3,10 +3,12 @@
 import hashlib
 import hmac
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cryptosim import commitments, schnorr, symmetric
+from tests import rfc8032
 
 keys = st.binary(min_size=32, max_size=32)
 payloads = st.binary(min_size=0, max_size=2048)
@@ -111,301 +113,171 @@ class TestSchnorrProperties:
 
 
 # ----------------------------------------------------------------------
-# The textbook formulas ``repro.cryptosim.schnorr`` computed before the
-# comb tables.  They live here only: the oracle the production kernel
-# must agree with bit for bit.
+# The textbook formulas: RFC 8032's Ed25519 in plain Python
+# (``tests/rfc8032.py``), which the OpenSSL binding must agree with bit
+# for bit on every input ``schnorr._components`` lets through.
 # ----------------------------------------------------------------------
-P, Q, G = schnorr.P, schnorr.Q, schnorr.G
-
-
-def _challenge(commitment: int, public: int, message: bytes) -> int:
-    return (
-        schnorr._hash_to_int(
-            b"chal",
-            commitment.to_bytes(160, "big"),
-            public.to_bytes(160, "big"),
-            message,
-        )
-        % Q
-    )
-
-
-def oracle_sign(secret: int, message: bytes):
-    nonce = (
-        schnorr._hash_to_int(b"nonce", secret.to_bytes(160, "big"), message)
-        % (Q - 1)
-        + 1
-    )
-    challenge = _challenge(pow(G, nonce, P), pow(G, secret, P), message)
-    return challenge, (nonce + challenge * secret) % Q
-
-
-def oracle_verify(public: int, message: bytes, signature) -> bool:
-    if not (isinstance(public, int) and 1 < public < P):
-        return False
-    challenge, response = signature
-    if not (0 <= challenge < Q and 0 <= response < Q):
-        return False
-    commitment = (
-        pow(G, response, P) * pow(pow(public, challenge, P), P - 2, P)
-    ) % P
-    return _challenge(commitment, public, message) == challenge
-
-
 seeds = st.binary(min_size=1, max_size=16)
 messages = st.binary(min_size=0, max_size=256)
 bit = st.integers(min_value=0, max_value=10_000)
 
 
+def _flip(data: bytes, position: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[position // 8 % len(data)] ^= 1 << position % 8
+    return bytes(flipped)
+
+
+def _agrees(public, message, signature) -> bool:
+    """``schnorr.verify`` equals the oracle where the screen lets the
+    input through, and is ``False`` where it does not."""
+    verdict = schnorr.verify(public, message, signature)
+    if schnorr._components(public, signature):
+        return verdict == rfc8032.verify(public, message, signature)
+    return verdict is False
+
+
 class TestSchnorrAgainstTextbookFormulas:
+    def test_rfc8032_test_vectors(self):
+        for secret, public, message, signature in rfc8032.VECTORS:
+            secret, public, message, signature = map(
+                bytes.fromhex, (secret, public, message, signature)
+            )
+            assert rfc8032.public_key(secret) == public
+            assert rfc8032.sign(secret, message) == signature
+            assert rfc8032.verify(public, message, signature)
+            assert _public_of(secret) == public
+            assert schnorr.sign(secret, message) == signature
+            assert schnorr.verify(public, message, signature)
+
     @given(seed=seeds, message=messages)
     @settings(max_examples=25, deadline=None)
     def test_sign_bit_identical(self, seed, message):
         keypair = schnorr.KeyPair.generate(seed=seed)
-        assert keypair.public == pow(G, keypair.secret, P)
-        assert schnorr.sign(keypair.secret, message) == oracle_sign(
+        assert keypair.secret == hashlib.sha256(b"keygen" + seed).digest()
+        assert keypair.public == rfc8032.public_key(keypair.secret)
+        assert schnorr.sign(keypair.secret, message) == rfc8032.sign(
             keypair.secret, message
         )
 
     def test_sign_bit_identical_for_full_width_secrets(self):
-        # seeded keys are 256-bit; ``KeyPair.generate()`` draws up to Q-1
-        for secret in (1, Q - 1, Q // 3, (1 << 1022) + 12345):
-            assert schnorr.sign(secret, b"m") == oracle_sign(secret, b"m")
+        # the secret is hashed and clamped, so every 32 bytes is a secret
+        for secret in (bytes(32), b"\xff" * 32, bytes(31) + b"\x01"):
+            assert _public_of(secret) == rfc8032.public_key(secret)
+            assert schnorr.sign(secret, b"m") == rfc8032.sign(secret, b"m")
 
     def test_sign_bit_identical_for_seeded_and_full_width_keys(self):
-        # handed the public key, as every caller signs; a full-width
-        # secret's G^secret and response reach all six G blocks
         pairs = [schnorr.KeyPair.generate(seed=b"seeded-%d" % i) for i in range(3)]
-        pairs += [schnorr.KeyPair(secret=s, public=pow(G, s, P)) for s in (
-            Q - 1, Q // 3, (1 << 1022) + 12345, (1 << 880) - 1, 1 << 880,
-        )]
+        pairs += [schnorr.KeyPair.generate() for _ in range(3)]  # random
         for keypair in pairs:
+            assert keypair.public == rfc8032.public_key(keypair.secret)
             for message in (b"", b"m", bytes(range(256))):
-                signature = schnorr.sign(keypair.secret, message, keypair.public)
-                assert signature == oracle_sign(keypair.secret, message)
+                signature = schnorr.sign(keypair.secret, message)
+                assert signature == rfc8032.sign(keypair.secret, message)
                 assert schnorr.verify(keypair.public, message, signature)
-                assert oracle_verify(keypair.public, message, signature)
-
-    @given(seed=seeds, message=messages)
-    @settings(max_examples=25, deadline=None)
-    def test_sign_bit_identical_when_handed_the_public_key(self, seed, message):
-        keypair = schnorr.KeyPair.generate(seed=seed)
-        assert schnorr.sign(
-            keypair.secret, message, keypair.public
-        ) == oracle_sign(keypair.secret, message)
+                assert rfc8032.verify(keypair.public, message, signature)
 
     @given(seed=seeds, message=st.binary(min_size=1, max_size=64),
            flips=st.tuples(bit, bit, bit, bit))
     @settings(max_examples=25, deadline=None)
     def test_verify_agrees_on_valid_and_bit_flipped(self, seed, message, flips):
         keypair = schnorr.KeyPair.generate(seed=seed)
-        challenge, response = oracle_sign(keypair.secret, message)
-        flipped_message = bytearray(message)
-        flipped_message[flips[0] % len(message)] ^= 1 << (flips[0] % 8)
+        signature = rfc8032.sign(keypair.secret, message)
         cases = [
-            (keypair.public, message, (challenge, response)),
-            (keypair.public, bytes(flipped_message), (challenge, response)),
-            (keypair.public, message, (challenge ^ (1 << flips[1] % 256), response)),
-            (keypair.public, message, (challenge, response ^ (1 << flips[2] % 512))),
-            (keypair.public ^ (1 << flips[3] % 1024), message, (challenge, response)),
+            (keypair.public, message, signature),
+            (keypair.public, _flip(message, flips[0]), signature),
+            (keypair.public, message, _flip(signature, flips[1] % 256)),  # R
+            (keypair.public, message, _flip(signature, 256 + flips[2] % 256)),  # S
+            (_flip(keypair.public, flips[3]), message, signature),
         ]
+        assert all(_agrees(*case) for case in cases)
         verdicts = [schnorr.verify(*case) for case in cases]
-        assert verdicts == [oracle_verify(*case) for case in cases]
-        assert verdicts[0] is True and not any(verdicts[1:4])
+        assert verdicts == [True, False, False, False, False]
 
     @given(seed=seeds, message=messages)
     @settings(max_examples=10, deadline=None)
     def test_verify_agrees_on_out_of_range_inputs(self, seed, message):
         keypair = schnorr.KeyPair.generate(seed=seed)
-        challenge, response = oracle_sign(keypair.secret, message)
-        for signature in (
-            (challenge + Q, response),
-            (challenge, response + Q),
-            (Q, response),
-            (challenge, Q),
-            (-1, response),
-            (challenge, -1),
-            (0, 0),
-        ):
-            assert (
-                schnorr.verify(keypair.public, message, signature)
-                == oracle_verify(keypair.public, message, signature)
-                is False
-            )
-        for public in (0, 1, P, 2 * P, -1):
-            assert (
-                schnorr.verify(public, message, (challenge, response))
-                == oracle_verify(public, message, (challenge, response))
-                is False
-            )
+        signature = rfc8032.sign(keypair.secret, message)
+        commitment, response = signature[:32], int.from_bytes(signature[32:], "little")
+        y = int.from_bytes(keypair.public, "little") & ((1 << 255) - 1)
+        sign_bit = keypair.public[31] & 0x80
+        for wide in (response + rfc8032.L, rfc8032.L, (1 << 256) - 1):
+            # S >= L: the same signature plus a multiple of L, or no scalar
+            bad = commitment + wide.to_bytes(32, "little")
+            assert schnorr.verify(keypair.public, message, bad) is False
+            assert rfc8032.verify(keypair.public, message, bad) is False
+        for noncanonical in range(rfc8032.p, 1 << 255):
+            public = bytearray(noncanonical.to_bytes(32, "little"))
+            public[31] |= sign_bit
+            assert schnorr.verify(bytes(public), message, signature) is False
+            assert rfc8032.verify(bytes(public), message, signature) is False
+        assert y < rfc8032.p  # a real key is canonical
 
-    @given(message=messages, public=st.integers(min_value=2, max_value=P - 1),
-           challenge=st.integers(min_value=0, max_value=Q - 1),
-           response=st.integers(min_value=0, max_value=Q - 1))
+    @given(message=messages, public=st.binary(min_size=32, max_size=32),
+           signature=st.binary(min_size=64, max_size=64))
     @settings(max_examples=25, deadline=None)
     def test_verify_agrees_on_arbitrary_in_range_triples(
-        self, message, public, challenge, response
+        self, message, public, signature
     ):
-        # includes keys outside the order-Q subgroup, where inverting by
-        # the subgroup order would differ from the true inverse
-        assert schnorr.verify(public, message, (challenge, response)) == (
-            oracle_verify(public, message, (challenge, response))
-        )
-
-    def test_fixed_base_power_edges_and_comb_boundaries(self):
-        rows, columns = schnorr._G_ROWS, schnorr._COLUMNS
-        block_bits, blocks = schnorr._G_BLOCK_BITS, schnorr._G_BLOCKS
-        assert block_bits == rows * columns == 176
-        assert blocks * block_bits >= Q.bit_length() > (blocks - 1) * block_bits
-        exponents = {0, 1, Q - 1, Q, Q + 1, 2 * Q + 5}
-        # the first and last column of every row of every block
-        for shift in range(0, blocks * block_bits + 1, columns):
-            exponents.update({
-                (1 << shift) - 1, 1 << shift, (1 << shift) + 1,
-                1 << shift + columns - 1,
-            })
-        for block in range(1, blocks + 1):  # each 176-bit block boundary
-            edge = 1 << block * block_bits
-            exponents.update({edge - 1, edge, edge + 1})
-        for block in range(blocks):
-            base = block * block_bits
-            for column in (0, 1, columns - 1):
-                # every row of the block set in one column: entry 2047
-                exponents.add(
-                    sum(1 << (base + row * columns + column) for row in range(rows))
-                )
-            for row in range(rows):  # a whole row: one entry, every column
-                exponents.add(((1 << columns) - 1) << (base + row * columns))
-            exponents.add(((1 << block_bits) - 1) << base)  # the whole block
-        tables = schnorr._g_tables(Q - 1)
-        assert len(tables) == blocks
-        assert all(len(table) == 1 << rows for table in tables)
-        for exponent in exponents:
-            assert schnorr._g_pow(exponent) == pow(G, exponent, P), exponent
-            if exponent < 1 << blocks * block_bits:
-                # unreduced, so the top rows above Q's width are read too
-                assert schnorr._comb_pow(tables, exponent) == pow(
-                    G, exponent, P
-                ), exponent
-
-    def test_an_exponent_builds_exactly_the_blocks_it_reaches(self):
-        block_bits = schnorr._G_BLOCK_BITS
-        schnorr._g_block.cache_clear()
-        assert schnorr._g_pow(0) == 1
-        assert schnorr._g_block.cache_info().currsize == 0
-        for block in range(schnorr._G_BLOCKS):
-            for exponent in (1 << block * block_bits, (1 << (block + 1) * block_bits) - 1):
-                exponent %= Q  # the top block's last bit lies above Q
-                if exponent.bit_length() <= block * block_bits:
-                    continue
-                assert schnorr._g_pow(exponent) == pow(G, exponent, P)
-                assert schnorr._g_block.cache_info().currsize == block + 1
-        # a seeded key's response (nonce + challenge * secret, 256-bit
-        # terms) reaches 3 of the 6 blocks
-        schnorr._g_block.cache_clear()
-        keypair = schnorr.KeyPair.generate(seed=b"three blocks")
-        signature = schnorr.sign(keypair.secret, b"m", keypair.public)
-        assert schnorr._g_block.cache_info().currsize == 2  # 256-bit nonce
-        assert schnorr.verify(keypair.public, b"m", signature)
-        assert schnorr._g_block.cache_info().currsize == 3
-
-    @given(exponent=st.integers(min_value=0, max_value=Q - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_fixed_base_power_random(self, exponent):
-        assert schnorr._g_pow(exponent) == pow(G, exponent, P)
-
-    @given(public=st.integers(min_value=2, max_value=P - 1),
-           challenge=st.integers(min_value=0, max_value=(1 << 256) - 1),
-           response=st.one_of(
-               st.integers(min_value=0, max_value=Q - 1),
-               st.integers(min_value=0, max_value=(1 << 512) - 1),
-           ))
-    @settings(max_examples=25, deadline=None)
-    def test_single_pass_commitment_equals_two_pows(
-        self, public, challenge, response
-    ):
-        # the value the verdict hashes, for keys in and out of the
-        # subgroup, with the key tables above the G blocks the response
-        # reaches (as verify lays them out) and above all six
-        expected = pow(G, response, P) * pow(pow(public, challenge, P), P - 2, P) % P
-        for g_tables in {schnorr._g_tables(response), schnorr._g_tables(Q - 1)}:
-            assert schnorr._comb_pow(
-                g_tables + schnorr._key_table(public),
-                response | challenge << len(g_tables) * schnorr._G_BLOCK_BITS,
-            ) == expected
-
-    def test_key_table_edges_and_comb_boundaries(self):
-        public = schnorr.KeyPair.generate(seed=b"edges").public
-        tables = schnorr._key_table(public)
-        rows, columns = schnorr._KEY_ROWS, schnorr._COLUMNS
-        table_bits = rows * columns
-        assert len(tables) == schnorr._KEY_BLOCKS == 2
-        assert all(len(table) == 1 << rows for table in tables)
-        assert len(tables) * table_bits == schnorr._CHALLENGE_BITS == 256
-        inverse = pow(public, P - 2, P)
-        challenges = {0, 1, (1 << 256) - 1}
-        # the first and last column of every row of both tables
-        for shift in range(0, 256, columns):
-            challenges.update({
-                (1 << shift) - 1, 1 << shift, (1 << shift) + 1,
-                1 << shift + columns - 1,
-            })
-        for block in range(len(tables)):
-            base = block * table_bits
-            for column in (0, columns - 1):  # every row in one column: 255
-                challenges.add(
-                    sum(1 << (base + row * columns + column) for row in range(rows))
-                )
-            challenges.add(((1 << table_bits) - 1) << base)  # the whole table
-        # across the 128-bit split between the two tables
-        split = 1 << table_bits
-        challenges.update({
-            split - 1, split, split + 1, split | (split >> 1),
-            ((1 << columns) - 1) << (table_bits - columns // 2),
-            (split - 1) << (table_bits // 2),
-        })
-        for challenge in challenges:
-            assert schnorr._comb_pow(tables, challenge) == pow(
-                inverse, challenge, P
-            ), challenge
+        # random bytes: mostly not a point, or a point outside the
+        # prime-order subgroup, never a signature
+        assert _agrees(public, message, signature)
+        assert schnorr.verify(public, message, signature) is False
 
     @given(seed=seeds, message=st.binary(min_size=1, max_size=64),
-           flips=st.tuples(bit, bit, bit), twist=st.integers(2, P - 2))
+           flips=st.tuples(bit, bit, bit))
     @settings(max_examples=15, deadline=None)
-    def test_verify_through_a_cached_table_agrees_on_first_and_second_sight(
-        self, seed, message, flips, twist
+    def test_verify_through_a_cached_key_agrees_on_first_and_second_sight(
+        self, seed, message, flips
     ):
         keypair = schnorr.KeyPair.generate(seed=seed)
-        challenge, response = oracle_sign(keypair.secret, message)
-        flipped_message = bytearray(message)
-        flipped_message[flips[0] % len(message)] ^= 1 << (flips[0] % 8)
-        # almost surely outside the order-Q subgroup (half of Z_P* is)
-        outsider = keypair.public * twist % P
+        signature = rfc8032.sign(keypair.secret, message)
+        outsider = rfc8032.compress(rfc8032.add(  # a key with a torsion part
+            rfc8032.decompress(keypair.public), rfc8032.small_order_points()[1]
+        ))
         cases = [
-            (keypair.public, message, (challenge, response)),
-            (keypair.public, bytes(flipped_message), (challenge, response)),
-            (keypair.public, message, (challenge ^ (1 << flips[1] % 256), response)),
-            (keypair.public, message, (challenge, response ^ (1 << flips[2] % 512))),
-            (keypair.public, message, (0, response)),
-            (keypair.public, message, (challenge, 0)),
-            (keypair.public, message, (0, 0)),
-            (P - 1, message, (challenge, response)),  # order 2
-            (outsider, message, (challenge, response)),
-            (keypair.public, message, (1 << 256, response)),
-            (keypair.public, message, (challenge | 1 << 256, response)),
-            (keypair.public, message, (Q - 1, response)),
+            (keypair.public, message, signature),
+            (keypair.public, _flip(message, flips[0]), signature),
+            (keypair.public, message, _flip(signature, flips[1] % 256)),
+            (keypair.public, message, _flip(signature, 256 + flips[2] % 256)),
+            (keypair.public, message, bytes(64)),
+            (outsider, message, signature),
+            (keypair.public, message, signature[:32] + bytes(32)),
         ]
-        expected = [oracle_verify(*case) for case in cases]
+        expected = [rfc8032.verify(*case) for case in cases]
         assert expected[0] is True and not any(expected[1:])
-        schnorr._key_table.cache_clear()
+        schnorr._public_key.cache_clear()
         first = [schnorr.verify(*case) for case in cases]
-        built = schnorr._key_table.cache_info().misses
+        built = schnorr._public_key.cache_info().misses
         second = [schnorr.verify(*case) for case in cases]
         assert first == expected and second == expected
-        # one table per distinct key, none rebuilt on second sight, and a
-        # challenge no SHA-256 value can equal never reaches the tables
-        assert built == len({keypair.public, P - 1, outsider})
-        assert schnorr._key_table.cache_info().misses == built
+        # one key object per distinct key, none rebuilt on second sight
+        assert built == len({keypair.public, outsider})
+        assert schnorr._public_key.cache_info().misses == built
+
+    @given(seed=seeds, message=messages, flip=bit)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_cryptography_package(self, seed, message, flip):
+        ed25519 = pytest.importorskip(
+            "cryptography.hazmat.primitives.asymmetric.ed25519"
+        )
+        keypair = schnorr.KeyPair.generate(seed=seed)
+        theirs = ed25519.Ed25519PrivateKey.from_private_bytes(keypair.secret)
+        signature = schnorr.sign(keypair.secret, message)
+        assert theirs.sign(message) == signature
+        flipped = _flip(signature, flip)
+        try:
+            theirs.public_key().verify(flipped, message)
+            accepted = True
+        except Exception:
+            accepted = False
+        assert accepted is schnorr.verify(keypair.public, message, flipped) is False
+
+
+def _public_of(secret: bytes) -> bytes:
+    """The public key OpenSSL derives for any 32-byte secret."""
+    return schnorr._raw_public(schnorr._private_key(secret))
 
 
 class TestCommitmentProperties:

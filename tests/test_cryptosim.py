@@ -1,9 +1,12 @@
 """Unit tests for the cryptographic primitives."""
 
+import gc
+
 import pytest
 
 from repro.common.errors import DecryptionError, SignatureError
 from repro.cryptosim import commitments, hashing, schnorr, symmetric
+from tests import rfc8032
 
 
 class TestHashing:
@@ -26,12 +29,25 @@ class TestHashing:
         assert hashing.hash_concat(b"ab", b"c") != hashing.hash_concat(b"a", b"bc")
 
 
-class TestSchnorrGroup:
-    def test_generator_order(self):
-        assert pow(schnorr.G, schnorr.Q, schnorr.P) == 1
+def _encoding(y: int, negative: bool = False) -> bytes:
+    """A 32-byte key spelling ``y`` (and the sign bit naming ``x``)."""
+    return (y | negative << 255).to_bytes(32, "little")
 
-    def test_safe_prime_relation(self):
-        assert schnorr.P == 2 * schnorr.Q + 1
+
+#: every key no secret stands behind, named by its y-coordinate (``-``
+#: sets the sign bit that names x): the eight small-order points — y of
+#: 1 the identity, P-1 order 2, 0 order 4, ±Y8 order 8 — the sign bit
+#: set on x = 0, and the non-canonical spellings y + P < 2^255
+_Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022
+DEGENERATE_KEYS = {
+    name: _encoding(y, name.endswith("-"))
+    for name, y in [
+        ("0", 0), ("0-", 0), ("1", 1), ("1-", 1), ("P-1", rfc8032.p - 1),
+        ("Y8", _Y8), ("Y8-", _Y8), ("P-Y8", rfc8032.p - _Y8),
+        ("P-Y8-", rfc8032.p - _Y8), ("P", rfc8032.p), ("P-", rfc8032.p),
+        ("P+1", rfc8032.p + 1),
+    ]
+}
 
 
 class TestSchnorrSignatures:
@@ -53,10 +69,11 @@ class TestSchnorrSignatures:
 
     def test_tampered_signature_fails(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
-        challenge, response = schnorr.sign(keypair.secret, b"message")
-        assert not schnorr.verify(
-            keypair.public, b"message", (challenge, (response + 1) % schnorr.Q)
-        )
+        signature = schnorr.sign(keypair.secret, b"message")
+        for index in (0, 31, 32, 63):  # both ends of R and of S
+            tampered = bytearray(signature)
+            tampered[index] ^= 1
+            assert not schnorr.verify(keypair.public, b"message", bytes(tampered))
 
     def test_deterministic_signing(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
@@ -74,53 +91,67 @@ class TestSchnorrSignatures:
 
     def test_malformed_signature_rejected(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
-        assert not schnorr.verify(keypair.public, b"m", (0, 0))
+        assert not schnorr.verify(keypair.public, b"m", bytes(64))
         assert not schnorr.verify(keypair.public, b"m", "garbage")  # type: ignore[arg-type]
-        assert not schnorr.verify(keypair.public, b"m", (-1, 5))
+        assert not schnorr.verify(keypair.public, b"m", schnorr.sign(keypair.secret, b"m")[:63])
 
     @pytest.mark.parametrize(
-        "public", [0, 1, schnorr.P, 2 * schnorr.P], ids=["0", "1", "P", "2P"]
+        "public", list(DEGENERATE_KEYS.values()), ids=list(DEGENERATE_KEYS)
     )
     def test_degenerate_public_key_cannot_forge(self, public):
-        # With public in {0, P, 2P} the recomputed commitment is 0 whatever
-        # the response; with public = 1 it is G^response.  Either way the
-        # matching challenge is computable with no secret at all.
-        response = 12345
-        commitment = 0 if public != 1 else pow(schnorr.G, response, schnorr.P)
-        challenge = (
-            schnorr._hash_to_int(
-                b"chal",
-                commitment.to_bytes(160, "big"),
-                public.to_bytes(160, "big"),
-                b"any message",
-            )
-            % schnorr.Q
-        )
-        assert not schnorr.verify(public, b"any message", (challenge, response))
+        # Under a small-order key A the check [S]B = R + [k]A holds for
+        # S = 0 whenever R = -[k]A, a small-order point too: trying the
+        # eight R on a few messages yields a signature that needs no
+        # secret, and RFC 8032 verification accepts it wherever it can
+        # decode the key.
+        forgeries = [
+            (b"any message %d" % attempt, rfc8032.compress(point) + bytes(32))
+            for attempt in range(8)
+            for point in rfc8032.small_order_points()
+        ]
+        if rfc8032.decompress(public) is not None:
+            assert any(rfc8032.verify(public, m, f) for m, f in forgeries)
+        assert not any(schnorr.verify(public, m, f) for m, f in forgeries)
+        assert not schnorr.valid_public_key(public)
 
     def test_out_of_range_public_key_rejected_not_raised(self):
-        signature = schnorr.sign(schnorr.KeyPair.generate(seed=b"k1").secret, b"m")
-        assert not schnorr.verify(-5, b"m", signature)  # no OverflowError escapes
-        assert not schnorr.verify(schnorr.P + 4, b"m", signature)
-        for public in (None, "4", 4.0, b"\x04"):
+        keypair = schnorr.KeyPair.generate(seed=b"k1")
+        signature = schnorr.sign(keypair.secret, b"m")
+        for y in (rfc8032.p + 2, rfc8032.p + 18, (1 << 255) - 1):
+            assert not schnorr.verify(_encoding(y), b"m", signature)
+        for public in (
+            None, keypair.public.hex(), 4, 4.0, bytearray(keypair.public),
+            keypair.public[:31], keypair.public + b"\0", b"",
+        ):
             assert not schnorr.verify(public, b"m", signature)  # type: ignore[arg-type]
 
     @pytest.mark.parametrize(
         "signature",
-        [(1.0, 2.0), ("1", "2"), (None, None), (True, False), (1, 2.0), "ab"],
+        [1.0, "ab" * 64, None, True, "mixed", "ab"],
         ids=["floats", "strings", "nones", "bools", "mixed", "2-char str"],
     )
     def test_non_integer_components_rejected_not_raised(self, signature):
-        # A frame off the wire can carry anything: each of these used to
-        # reach ``pow`` or the range comparison and raise TypeError.
+        # A frame off the wire can carry anything; "mixed" is the right
+        # signature as a (R, S) pair and as a bytearray.
         keypair = schnorr.KeyPair.generate(seed=b"k1")
-        assert not schnorr.verify(keypair.public, b"m", signature)
-        assert not schnorr.SignatureCache().verify(keypair.public, b"m", signature)
+        if signature == "mixed":
+            good = schnorr.sign(keypair.secret, b"m")
+            cases = [(good[:32], good[32:]), bytearray(good), memoryview(good)]
+        else:
+            cases = [signature]
+        for case in cases:
+            assert not schnorr.verify(keypair.public, b"m", case)
+            assert not schnorr.SignatureCache().verify(keypair.public, b"m", case)
+
+    def test_a_secret_of_another_size_is_refused(self):
+        for secret in (b"", bytes(31), bytes(33)):
+            with pytest.raises(SignatureError):
+                schnorr.sign(secret, b"m")
 
     def test_require_valid_raises(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
         with pytest.raises(SignatureError):
-            schnorr.require_valid(keypair.public, b"m", (1, 1))
+            schnorr.require_valid(keypair.public, b"m", bytes(64))
 
 
 class TestSignatureCache:
@@ -137,16 +168,16 @@ class TestSignatureCache:
 
     def test_every_part_of_the_triple_is_in_the_key(self, schnorr_verify_calls):
         cache = schnorr.SignatureCache()
-        public, message, (challenge, response) = self._signed()
-        assert cache.verify(public, message, (challenge, response))
+        public, message, signature = self._signed()
+        assert cache.verify(public, message, signature)
         calls = schnorr_verify_calls
         calls.clear()
         other_public = schnorr.KeyPair.generate(seed=b"k2").public
         tampered = [
-            (other_public, message, (challenge, response)),
-            (public, b"other", (challenge, response)),
-            (public, message, (challenge ^ 1, response)),
-            (public, message, (challenge, response ^ 1)),
+            (other_public, message, signature),
+            (public, b"other", signature),
+            (public, message, _flip(signature, 0)),  # R
+            (public, message, _flip(signature, 32)),  # S
         ]
         for triple in tampered:
             assert not cache.verify(*triple)
@@ -157,21 +188,20 @@ class TestSignatureCache:
         a swapped key or another message under the same honest payload
         misses and goes through verify."""
         cache = schnorr.SignatureCache()
-        public, message, (challenge, response) = self._signed()
-        assert cache.verify(public, message, [challenge, response])
+        public, message, signature = self._signed()
+        assert cache.verify(public, message, signature)
         calls = schnorr_verify_calls
         calls.clear()
-        copy = (int(str(public)), bytes(bytearray(message)))
-        assert copy[0] is not public and copy[1] is not message
-        assert cache.verify(copy[0], copy[1], (challenge, response))
+        copy = tuple(bytes(bytearray(part)) for part in (public, message, signature))
+        assert not any(a is b for a, b in zip(copy, (public, message, signature)))
+        assert cache.verify(*copy)
         assert calls == []
         other = schnorr.KeyPair.generate(seed=b"k2")
-        forged = (challenge, (response + 1) % schnorr.Q)
         honest_elsewhere = schnorr.sign(other.secret, b"other message")
         misses = [
-            (public, message, forged),
-            (other.public, message, (challenge, response)),
-            (public, b"other message", (challenge, response)),
+            (public, message, _flip(signature, 40)),
+            (other.public, message, signature),
+            (public, b"other message", signature),
             (other.public, message, honest_elsewhere),
         ]
         for triple in misses:
@@ -181,8 +211,8 @@ class TestSignatureCache:
     def test_failures_are_never_cached(self, schnorr_verify_calls):
         calls = schnorr_verify_calls
         cache = schnorr.SignatureCache()
-        public, message, (challenge, response) = self._signed()
-        forged = (public, message, (challenge, (response + 1) % schnorr.Q))
+        public, message, signature = self._signed()
+        forged = (public, message, _flip(signature, 33))
         assert not cache.verify(*forged) and not cache.verify(*forged)
         assert len(calls) == 2 and len(cache) == 0
 
@@ -209,7 +239,7 @@ class TestSignatureCache:
         cache.forget(*dropped)
         cache.forget(*dropped)  # forgetting twice, or the unknown, is harmless
         cache.forget(kept[0], b"never seen", kept[2])
-        cache.forget(0, b"malformed", (1.0, None))
+        cache.forget(b"", b"malformed", None)
         assert len(cache) == 1
         calls.clear()
         assert cache.verify(*kept) and calls == []
@@ -233,80 +263,93 @@ class TestSignatureCache:
         assert cache.verify(*triples[2]) and len(calls) == 1 and len(cache) == 3
 
 
-class TestKeyTables:
-    """The per-signer ``Y^(-1)`` tables: pure functions of the key,
-    bounded, and no memory of any verdict."""
+def _flip(data: bytes, index: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[index] ^= 1
+    return bytes(flipped)
+
+
+def _live_key_objects() -> int:
+    return sum(type(o) is schnorr._Key for o in gc.get_objects())
+
+
+class TestKeyObjects:
+    """The ``EVP_PKEY`` each public key and secret becomes: pure
+    functions of the key bytes, bounded, freed on eviction, and no
+    memory of any verdict."""
 
     def _signed(self, seed, message=b"message"):
         keypair = schnorr.KeyPair.generate(seed=seed)
         return keypair.public, message, schnorr.sign(keypair.secret, message)
 
-    def test_table_is_built_once_per_key_and_depends_on_the_key_alone(self):
-        schnorr._key_table.cache_clear()
+    def test_key_object_is_built_once_per_key_and_depends_on_the_key_alone(self):
+        schnorr._public_key.cache_clear()
         public, message, signature = self._signed(b"k1")
         assert schnorr.verify(public, message, signature)
         assert schnorr.verify(public, b"other", schnorr.sign(
             schnorr.KeyPair.generate(seed=b"k1").secret, b"other"
         ))
-        info = schnorr._key_table.cache_info()
+        info = schnorr._public_key.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        low, high = schnorr._key_table(public)
-        P, columns = schnorr.P, schnorr._COLUMNS
-        inverse = pow(public, -1, P)
-        assert len(low) == len(high) == 1 << schnorr._KEY_ROWS == 256
-        assert low[0] == high[0] == 1 and low[1] == inverse
-        # row r weighs inverse^(2^(16 r)); the high table starts at row 8
-        assert low[3] == inverse * pow(inverse, 1 << columns, P) % P
-        assert low[128] == pow(inverse, 1 << 7 * columns, P)
-        assert high[1] == pow(inverse, 1 << 8 * columns, P)
-        assert high[255] == pow(inverse, sum(
-            1 << row * columns for row in range(8, 16)
-        ), P)
+        # the object is the key: OpenSSL hands back the same 32 bytes
+        assert schnorr._raw_public(schnorr._public_key(public)) == public
 
     def test_key_first_seen_with_a_forgery_still_verifies_a_good_signature(self):
-        schnorr._key_table.cache_clear()
-        public, message, (challenge, response) = self._signed(b"k1")
-        forged = (challenge, (response + 1) % schnorr.Q)
+        schnorr._public_key.cache_clear()
+        public, message, signature = self._signed(b"k1")
+        forged = _flip(signature, 32)
         assert not schnorr.verify(public, message, forged)
-        assert schnorr._key_table.cache_info().currsize == 1  # table, no verdict
-        assert schnorr.verify(public, message, (challenge, response))
+        assert schnorr._public_key.cache_info().currsize == 1  # key, no verdict
+        assert schnorr.verify(public, message, signature)
         assert not schnorr.verify(public, message, forged)
-        assert schnorr._key_table.cache_info().misses == 1
+        assert schnorr._public_key.cache_info().misses == 1
 
-    def test_malformed_input_builds_no_table(self):
-        schnorr._key_table.cache_clear()
-        public, message, (challenge, response) = self._signed(b"k1")
-        for key, signature in [
-            (0, (challenge, response)),
-            (schnorr.P, (challenge, response)),
-            (public, (challenge, schnorr.Q)),
-            (public, (1 << 256, response)),  # no SHA-256 value is this wide
-            (public, (schnorr.Q - 1, response)),
+    def test_malformed_input_builds_no_key_object(self):
+        schnorr._public_key.cache_clear()
+        public, message, signature = self._signed(b"k1")
+        s_plus_l = signature[:32] + (
+            int.from_bytes(signature[32:], "little") + rfc8032.L
+        ).to_bytes(32, "little")
+        cases = [(key, signature) for key in DEGENERATE_KEYS.values()] + [
+            (_encoding(rfc8032.p + 2), signature),
+            (public, s_plus_l),  # OpenSSL 3.0 checks S < L itself
+            (public[:31], signature),
+            (public, signature[:63]),
             (public, "garbage"),
-        ]:
-            assert not schnorr.verify(key, message, signature)
-        assert schnorr._key_table.cache_info().currsize == 0
+        ]
+        for key, sig in cases:
+            assert not schnorr.verify(key, message, sig)
+        assert schnorr._public_key.cache_info().currsize == 0
 
     def test_lru_evicts_at_the_bound_and_a_re_seen_key_rebuilds(self):
-        schnorr._key_table.cache_clear()
-        bound = schnorr._MAX_KEY_TABLES
-        assert schnorr._key_table.cache_info().maxsize == bound
+        schnorr._public_key.cache_clear()
+        schnorr._private_key.cache_clear()
+        gc.collect()
+        bound = schnorr._MAX_KEYS
+        assert schnorr._public_key.cache_info().maxsize == bound
+        assert schnorr._private_key.cache_info().maxsize == bound
         first = self._signed(b"evicted")
         assert schnorr.verify(*first)
         kept = self._signed(b"kept")
         assert schnorr.verify(*kept)
         for i in range(bound - 1):
-            assert schnorr.verify(*self._signed(b"filler-%d" % i))
-            if i % 50 == 0:
+            # a forgery builds the signer's key object all the same
+            filler = schnorr.KeyPair.generate(seed=b"filler-%d" % i)
+            assert not schnorr.verify(filler.public, b"m", bytes(64))
+            if i % 500 == 0:
                 assert schnorr.verify(*kept)  # recently used: stays
-        info = schnorr._key_table.cache_info()
+        info = schnorr._public_key.cache_info()
         assert info.currsize == bound and info.misses == bound + 1
+        # evicted objects are freed, not just forgotten: one per cached
+        # public key and secret is alive, nothing more
+        gc.collect()
+        assert _live_key_objects() == bound + bound
         assert schnorr.verify(*kept)
-        assert schnorr._key_table.cache_info().misses == bound + 1
+        assert schnorr._public_key.cache_info().misses == bound + 1
         assert schnorr.verify(*first)  # rebuilt, same verdict
         assert not schnorr.verify(first[0], b"other", first[2])
-        assert schnorr._key_table.cache_info().misses == bound + 2
-        assert schnorr._key_table.cache_info().currsize == bound
+        assert schnorr._public_key.cache_info().misses == bound + 2
+        assert schnorr._public_key.cache_info().currsize == bound
 
 
 class TestSymmetric:

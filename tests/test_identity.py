@@ -3,37 +3,45 @@
 import pytest
 
 from repro.common.errors import ProtocolError
+from repro.cryptosim import schnorr
 from repro.protocol.exposure import ExposureProtocol, Participant
 from repro.protocol.identity import IdentityRegistry
 from repro.ledger.miner import Miner
 from repro.protocol.allocator import DecloudAllocator
+from tests import rfc8032
 from tests.conftest import make_offer, make_request
+
+
+ALICE, MALLORY, UNKNOWN = (
+    schnorr.KeyPair.generate(seed=name).public
+    for name in (b"alice", b"mallory", b"unknown")
+)
 
 
 class TestRegistry:
     def test_first_come_binding(self):
         registry = IdentityRegistry()
-        registry.register("alice", 123)
+        registry.register("alice", ALICE)
         assert registry.is_bound("alice")
-        assert registry.key_of("alice") == 123
+        assert registry.key_of("alice") == ALICE
 
     def test_idempotent_reregistration(self):
         registry = IdentityRegistry()
-        registry.register("alice", 123)
-        registry.register("alice", 123)  # no error
+        registry.register("alice", ALICE)
+        registry.register("alice", ALICE)  # no error
 
     def test_conflicting_claim_rejected(self):
         registry = IdentityRegistry()
-        registry.register("alice", 123)
+        registry.register("alice", ALICE)
         with pytest.raises(ProtocolError):
-            registry.register("alice", 456)
+            registry.register("alice", MALLORY)
 
     def test_verify(self):
         registry = IdentityRegistry()
-        registry.register("alice", 123)
-        assert registry.verify("alice", 123)
-        assert not registry.verify("alice", 456)
-        assert not registry.verify("unknown", 123)
+        registry.register("alice", ALICE)
+        assert registry.verify("alice", ALICE)
+        assert not registry.verify("alice", MALLORY)
+        assert not registry.verify("unknown", ALICE)
 
     def test_key_of_unregistered_raises(self):
         with pytest.raises(ProtocolError):
@@ -41,10 +49,30 @@ class TestRegistry:
 
     def test_check_or_register(self):
         registry = IdentityRegistry()
-        registry.check_or_register("alice", 123)
-        registry.check_or_register("alice", 123)
+        registry.check_or_register("alice", ALICE)
+        registry.check_or_register("alice", ALICE)
         with pytest.raises(ProtocolError):
-            registry.check_or_register("alice", 999)
+            registry.check_or_register("alice", UNKNOWN)
+
+    @pytest.mark.parametrize(
+        "public",
+        [
+            bytes(32),  # order 4
+            (1).to_bytes(32, "little"),  # the identity
+            (rfc8032.p - 1).to_bytes(32, "little"),  # order 2
+            (rfc8032.p + 1).to_bytes(32, "little"),  # the identity, non-canonical
+            ALICE[:31],
+            ALICE.hex(),
+            123,
+        ],
+        ids=["order-4", "identity", "order-2", "noncanonical", "short", "hex", "int"],
+    )
+    def test_key_no_secret_stands_behind_is_refused(self, public):
+        registry = IdentityRegistry()
+        for claim in (registry.register, registry.check_or_register):
+            with pytest.raises(ProtocolError, match="not a usable"):
+                claim("mallory", public)
+        assert not registry.is_bound("mallory")
 
 
 class TestFreshKeys:

@@ -12,6 +12,7 @@ from repro.ledger.chain import Blockchain
 from repro.ledger.mempool import Mempool
 from repro.ledger.miner import make_sealed_bid
 from repro.ledger.transaction import SealedBidTransaction
+from tests import rfc8032
 
 
 def _tx(sender="alice", plaintext=b"bid-data", seed=b"k"):
@@ -246,21 +247,28 @@ class TestMempool:
         assert len(pool) == 0
 
     def test_forged_signature_under_degenerate_key_rejected(self):
-        # public = 0 makes the verifier's commitment 0 for any response,
-        # so this "signature" needs no secret; admission must refuse it.
+        # Under a small-order key (the all-zero key has order 4, the
+        # identity order 1) a small-order R with S = 0 passes RFC 8032's
+        # check for some payloads and needs no secret; admission must
+        # refuse every such "signature".
         tx, _ = _tx()
-        unsigned = dataclasses.replace(tx, sender_id="mallory", sender_public=0)
-        challenge = (
-            schnorr._hash_to_int(
-                b"chal",
-                (0).to_bytes(160, "big"),
-                (0).to_bytes(160, "big"),
-                unsigned.signing_payload(),
+        forged = []
+        for public in (bytes(32), (1).to_bytes(32, "little")):
+            unsigned = dataclasses.replace(
+                tx, sender_id="mallory", sender_public=public
             )
-            % schnorr.Q
+            forged += [
+                dataclasses.replace(
+                    unsigned, signature=rfc8032.compress(point) + bytes(32)
+                )
+                for point in rfc8032.small_order_points()
+            ]
+        assert any(
+            rfc8032.verify(f.sender_public, f.signing_payload(), f.signature)
+            for f in forged
         )
-        forged = dataclasses.replace(unsigned, signature=(challenge, 7))
         pool = Mempool()
-        with pytest.raises(SignatureError):
-            pool.submit(forged)
+        for candidate in forged:
+            with pytest.raises(SignatureError):
+                pool.submit(candidate)
         assert len(pool) == 0

@@ -235,11 +235,12 @@ class TestVerifyOncePerNode:
         ]
 
     def _forgeries(self, tx):
-        challenge, response = tx.signature
         mallory = schnorr.KeyPair.generate(seed=b"mallory")
+        tampered = bytearray(tx.signature)
+        tampered[32] ^= 1  # the low bit of S
         return {
             "tampered signature": dataclasses.replace(
-                tx, signature=(challenge, response ^ 1)
+                tx, signature=bytes(tampered)
             ),
             "another key": dataclasses.replace(tx, sender_public=mallory.public),
         }

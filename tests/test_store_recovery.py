@@ -24,6 +24,7 @@ from repro.protocol.settlement import (
 from repro.sim.chaos import ChaosSpec, run_durable_scenario
 from repro.store import NodeStore, state_digest_of
 from repro.store.wal import encode_envelope, encode_frame
+from tests import rfc8032
 
 
 def sealed_bid(i=0):
@@ -55,6 +56,13 @@ def leader_block(bids):
         leader.accept_transaction(tx)
     preamble = leader.build_preamble()
     return Block(preamble=preamble, body=leader.build_body(preamble, ()))
+
+
+def _flip_last_bit(hex_text):
+    """A hex field with the low bit of its last byte flipped."""
+    raw = bytearray.fromhex(hex_text)
+    raw[-1] ^= 1
+    return raw.hex()
 
 
 def reframe(store, records):
@@ -232,7 +240,7 @@ class TestChainAndMempoolRecovery:
                 False, True, True,
             ]
             tx = transactions[0]
-        tx["signature"][1] = hex(int(tx["signature"][1], 16) ^ 1)
+        tx["signature"] = _flip_last_bit(tx["signature"])
         reframe(store, records)
         with pytest.raises(RecoveryError, match="invalid signature"):
             store.recover(difficulty_bits=4)
@@ -262,8 +270,8 @@ class TestChainAndMempoolRecovery:
         store, _miner = self._mined_store()
         store.snapshot()
         state, last_seq = decode_snapshot(store.snapshots.latest())
-        signature = state["mempool"][0]["signature"]
-        signature[1] = hex(int(signature[1], 16) ^ 1)
+        tx = state["mempool"][0]
+        tx["signature"] = _flip_last_bit(tx["signature"])
         store.snapshots.save(last_seq, encode_snapshot(state, last_seq))
         with pytest.raises(RecoveryError, match="invalid signature"):
             store.recover(difficulty_bits=4)
@@ -298,20 +306,9 @@ class TestChainAndMempoolRecovery:
 
 
 def other_valid_signature(keypair, message):
-    """A second valid signature on ``message``: textbook Schnorr under a
-    nonce the deterministic signer would not pick."""
-    P, Q, G = schnorr.P, schnorr.Q, schnorr.G
-    nonce = 0xDEC10D
-    challenge = (
-        schnorr._hash_to_int(
-            b"chal",
-            pow(G, nonce, P).to_bytes(160, "big"),
-            keypair.public.to_bytes(160, "big"),
-            message,
-        )
-        % Q
-    )
-    signature = challenge, (nonce + challenge * keypair.secret) % Q
+    """A second valid signature on ``message``: RFC 8032's signing
+    equations under a nonce the deterministic signer would not pick."""
+    signature = rfc8032.sign(keypair.secret, message, nonce=0xDEC10D)
     assert signature != schnorr.sign(keypair.secret, message)
     assert schnorr.verify(keypair.public, message, signature)
     return signature
@@ -392,7 +389,7 @@ class TestJournalEachBidOnce:
         miner.commit_block(leader_block([resigned]))
         (entry,) = logged_transactions(store)
         assert "admitted" not in entry
-        assert entry["signature"] == [hex(part) for part in resigned.signature]
+        assert entry["signature"] == resigned.signature.hex()
         recovered = self._assert_recovers_live_state(store)
         assert recovered.chain[0].preamble.transactions == (resigned,)
 
@@ -427,8 +424,12 @@ class TestJournalEachBidOnce:
                 for p in payloads
             )
         )
-        assert store.wal.scan().clean
-        assert store.wal.backend.size() > 2 * size_with_references
+        scan = store.wal.scan()
+        assert scan.clean
+        # every frame stores its payload as it is (no deflated frame), so
+        # the log is larger than the one that refers and deflates
+        assert [frame[10:] for frame in scan.frames] == payloads
+        assert store.wal.backend.size() > size_with_references
         assert store.recover(difficulty_bits=4).state_digest() == live
 
     def test_store_without_a_mempool_embeds_everything(self):
