@@ -101,8 +101,6 @@ def _round(durable: bool):
 
 def test_bench_round_plain(benchmark):
     _sealed_txs()  # build outside the timed region
-    # the warm-up round builds the signers' key objects (a property of the
-    # process, not of the fresh mempool each round verifies into)
     outcome = benchmark.pedantic(
         _round, args=(False,), rounds=3, iterations=1, warmup_rounds=1
     )

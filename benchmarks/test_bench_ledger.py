@@ -8,14 +8,14 @@ payload buffer in :func:`repro.ledger.pow.solve` buys; the speedup test
 pins that win and asserts both loops find the identical nonce.
 
 The signature benches time one Ed25519 ``sign`` and one ``verify`` of a
-sealed-bid sized payload under a key whose OpenSSL key object is already
-built (a node builds each once), and one ``verify`` under a key never
-seen before (key object included); the admission bench is what one
-miner pays to admit a 200-bid block's worth of gossip from known
-signers, every bid arriving twice.  The two plain tests gate what a
-signer costs: a first-sight verification within half a millisecond, and
-admission from 300 signers within 1.2x admission from 8 — no cliff where
-a bounded per-key cache starts to thrash.
+sealed-bid sized payload under one key, and one ``verify`` under a key
+never seen before (libsodium keeps nothing per key, so the two should
+read the same); the admission bench is what one miner pays to admit a
+200-bid block's worth of gossip from known signers, every bid arriving
+twice.  The two plain tests gate what a signer costs: a first-sight
+verification within half a millisecond, and admission from 300 signers
+within 1.2x admission from 8 — no cliff where per-key state starts to
+thrash.
 """
 
 from __future__ import annotations
@@ -110,12 +110,11 @@ def _first_sight_triples(count, tag=b"first-sight"):
 
 
 def test_bench_schnorr_verify_first_sight(benchmark):
-    """A key this process has never verified under: its OpenSSL key
-    object is built, then used once — what a flood of fresh keys costs
-    per bid."""
+    """A key this process has never verified under, used once — what a
+    flood of fresh keys costs per bid (libsodium keeps nothing per key,
+    so this is every verify's cost)."""
     fresh = _first_sight_triples(200)
     keys = len(fresh)
-    schnorr._public_key.cache_clear()
     verdict = benchmark.pedantic(
         schnorr.verify,
         setup=lambda: (fresh.pop(), {}),
@@ -123,23 +122,20 @@ def test_bench_schnorr_verify_first_sight(benchmark):
         iterations=1,
     )
     assert verdict and not fresh
-    assert schnorr._public_key.cache_info().misses == keys
 
 
 FIRST_SIGHT_MAX_S = 0.5e-3
 
 
 def test_first_sight_verify_within_half_a_millisecond():
-    """The median first-sight verification, key object built on the
-    spot, stays under 0.5 ms."""
+    """The median verification under a key never seen before stays
+    under 0.5 ms."""
     fresh = _first_sight_triples(200, b"gate")
-    schnorr._public_key.cache_clear()
     seconds = []
     for triple in fresh:
         start = time.perf_counter()
         assert schnorr.verify(*triple)
         seconds.append(time.perf_counter() - start)
-    assert schnorr._public_key.cache_info().misses == len(fresh)
     median = statistics.median(seconds)
     print(f"\nfirst-sight verify: median {median * 1e3:.3f} ms")
     assert median <= FIRST_SIGHT_MAX_S
@@ -151,8 +147,7 @@ SIGNER_COUNT_MAX_RATIO = 1.2
 def _admission_seconds(signers: int, bids: int = ADMISSION_BIDS, rounds: int = 6):
     """Best of ``rounds`` fresh miners admitting ``bids`` sealed bids
     drawn round-robin from ``signers`` keys, each round's bids new, so
-    every bid is a first verification while the signers recur (the
-    first rounds build the key objects)."""
+    every bid is a first verification while the signers recur."""
     keypairs = [
         schnorr.KeyPair.generate(seed=b"signer-%d-of-%d" % (i, signers))
         for i in range(signers)
@@ -184,8 +179,8 @@ def _admission_seconds(signers: int, bids: int = ADMISSION_BIDS, rounds: int = 6
 
 def test_admission_cost_does_not_depend_on_the_signer_count():
     """200 bids from 300 signers cost no more than 1.2x 200 bids from 8:
-    a per-key cache smaller than the signer population would make every
-    bid pay for building its signer's key."""
+    per-key state bounded below the signer population would make every
+    bid pay for rebuilding its signer's."""
     few = _admission_seconds(8)
     many = _admission_seconds(300)
     print(
@@ -215,8 +210,7 @@ def test_bench_mempool_admission(benchmark):
             miner.mempool.submit(tx)
         return miner
 
-    # the warm-up round builds the 200 signers' key objects, as a node
-    # that has seen these bidders before holds them; verdicts start empty
+    # verdicts start empty: each round is a fresh node's mempool
     miner = benchmark.pedantic(admit, rounds=3, iterations=1, warmup_rounds=1)
     assert len(miner.mempool) == len(miner.signatures) == ADMISSION_BIDS
 

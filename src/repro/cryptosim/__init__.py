@@ -1,7 +1,7 @@
-"""Cryptographic primitives with no dependency beyond the interpreter.
+"""Cryptographic primitives: the interpreter's own, and libsodium's Ed25519.
 
 Everything the two-phase bid exposure protocol needs: SHA-256 hashing
-helpers, Ed25519 signatures (OpenSSL's, through ``ctypes``), a
+helpers, Ed25519 signatures (libsodium's, through ``ctypes``), a
 functional — not production-grade — authenticated stream cipher for
 sealed bids, and hash commitments binding temporary keys to the preamble.
 """

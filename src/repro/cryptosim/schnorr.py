@@ -1,4 +1,4 @@
-"""Ed25519 signatures (RFC 8032) from the interpreter's own OpenSSL.
+"""Ed25519 signatures (RFC 8032) from the system's libsodium.
 
 Participants sign bids and miners sign blocks.  EdDSA is a Schnorr
 signature over the twisted Edwards curve edwards25519: a key is 32
@@ -8,31 +8,24 @@ key or signature fails it.  Signing is deterministic (RFC 8032 derives
 the nonce from the secret and the message), so the ledger simulation
 stays reproducible; seeded keys are ``sha256(b"keygen" + seed)``.
 
-The curve arithmetic is OpenSSL's libcrypto, called through ``ctypes``.
-It is the libcrypto the interpreter has already loaded for ``hashlib``:
-its symbols are resolved through the ``_hashlib`` extension's own
-handle, so importing this module loads no library and no package (CPython
-3.10 and later require OpenSSL 1.1.1 or later, which has every function
-bound here; a missing one is an ``ImportError`` naming it).  Each public
-key and each secret becomes one ``EVP_PKEY`` in a bounded LRU, a pure
-function of the key bytes that holds no verdict, so every node in the
-process shares them.  A node that sees the same signature several times
-per round fronts :func:`verify` with its own :class:`SignatureCache`.
+The curve arithmetic is libsodium's (1.0.18 or later), called through
+``ctypes``; importing this module without it is an ``ImportError``
+naming libsodium.  libsodium takes raw key bytes and keeps no state per
+key, so nothing is cached here and no node's work is shared with
+another's.  A node that sees the same signature several times per round
+fronts :func:`verify` with its own :class:`SignatureCache`.
 
 Keys and signatures arrive off the wire, so :func:`verify` answers
 anything malformed with ``False`` and never raises (see
-:func:`_components`); a rejected signature leaves nothing in OpenSSL's
-error queue for ``hashlib`` or ``ssl`` to trip over.
+:func:`_components`).
 """
 
 from __future__ import annotations
 
-import _hashlib
 import ctypes
-import functools
+import ctypes.util
 import hashlib
 import secrets
-import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -49,105 +42,73 @@ _Y8 = 27073855011448406493182252872256587889368042675753135194637436097503034020
 #: bit names x): 1 the identity, p-1 order 2, 0 order 4, ±Y8 order 8
 _SMALL_ORDER_Y = frozenset({0, 1, _P - 1, _Y8, _P - _Y8})
 _Y_MASK = (1 << 255) - 1
+#: the 32-byte encodings of those points, either sign bit set
+_SMALL_ORDER_ENCODINGS = frozenset(
+    (y | sign << 255).to_bytes(KEY_SIZE, "little")
+    for y in _SMALL_ORDER_Y
+    for sign in (0, 1)
+)
 
-_NID_ED25519 = 1087
-#: public keys and secrets whose ``EVP_PKEY`` is kept (least recently
-#: used goes first); a key object costs a few microseconds to build, so
-#: the bound only caps memory
-_MAX_KEYS = 4096
+#: libsodium 1.0.18's soname, then 1.0.19's and later; tried before
+#: ``find_library``, which may run ``ldconfig`` to answer
+_SONAMES = ("libsodium.so.23", "libsodium.so.26")
+_MISSING = (
+    "Ed25519 signatures need libsodium >= 1.0.18 "
+    "(libsodium23 on Debian/Ubuntu, `brew install libsodium` on macOS)"
+)
 
-_p, _n, _buf, _int = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_int
-#: every libcrypto function used: (return type, argument types)
-_BINDING = {
-    "EVP_PKEY_new_raw_private_key": (_p, [_int, _p, _buf, _n]),
-    "EVP_PKEY_new_raw_public_key": (_p, [_int, _p, _buf, _n]),
-    "EVP_PKEY_get_raw_public_key": (_int, [_p, _buf, ctypes.POINTER(_n)]),
-    "EVP_PKEY_free": (None, [_p]),
-    "EVP_MD_CTX_new": (_p, []),
-    "EVP_MD_CTX_free": (None, [_p]),
-    "EVP_DigestSignInit": (_int, [_p] * 5),
-    "EVP_DigestSign": (_int, [_p, _buf, ctypes.POINTER(_n), _buf, _n]),
-    "EVP_DigestVerifyInit": (_int, [_p] * 5),
-    "EVP_DigestVerify": (_int, [_p, _buf, _n, _buf, _n]),
-    "ERR_clear_error": (None, []),
+_buf, _size = ctypes.c_char_p, ctypes.c_ulonglong
+#: every libsodium function used: argument types (each returns an int)
+_FUNCTIONS = {
+    "sodium_init": [],
+    "crypto_sign_ed25519_seed_keypair": [_buf, _buf, _buf],
+    "crypto_sign_ed25519_detached": [_buf, ctypes.c_void_p, _buf, _size, _buf],
+    "crypto_sign_ed25519_verify_detached": [_buf, _buf, _size, _buf],
 }
 
 
-def _libcrypto() -> ctypes.CDLL:
-    """The libcrypto ``_hashlib`` is linked against, through that
-    extension's own handle, with every function of ``_BINDING`` typed."""
-    lib = ctypes.CDLL(_hashlib.__file__)
-    for name, (restype, argtypes) in _BINDING.items():
+def _open() -> ctypes.CDLL:
+    """libsodium by a known soname, else wherever ``find_library`` finds it."""
+    for name in _SONAMES:
+        try:
+            return ctypes.CDLL(name)
+        except OSError:
+            pass
+    path = ctypes.util.find_library("sodium")
+    if path is not None:
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            pass
+    raise ImportError(_MISSING)
+
+
+def _libsodium() -> ctypes.CDLL:
+    """libsodium, initialised, with every function of ``_FUNCTIONS`` typed."""
+    lib = _open()
+    for name, argtypes in _FUNCTIONS.items():
         try:
             function = getattr(lib, name)
         except AttributeError:
-            raise ImportError(
-                f"libcrypto has no {name}: Ed25519 needs OpenSSL 1.1.1 or later"
-            ) from None
-        function.restype, function.argtypes = restype, argtypes
+            raise ImportError(f"libsodium has no {name}: {_MISSING}") from None
+        function.restype, function.argtypes = ctypes.c_int, argtypes
+    if lib.sodium_init() < 0:
+        raise ImportError(f"libsodium could not initialise: {_MISSING}")
     return lib
 
 
-_lib = _libcrypto()
+_lib = _libsodium()
 
 
-class _Key:
-    """One ``EVP_PKEY``, freed with the last reference to it."""
-
-    __slots__ = ("pointer",)
-
-    def __init__(self, pointer: int) -> None:
-        self.pointer = pointer
-
-    def __del__(self, _free=_lib.EVP_PKEY_free, _exiting=sys.is_finalizing) -> None:
-        if not _exiting():  # at exit OpenSSL may already be torn down
-            _free(self.pointer)
-
-
-def _key(build, raw: bytes) -> Optional[_Key]:
-    # OpenSSL refuses any length but 32, so a short buffer is never overread
-    pointer = build(_NID_ED25519, None, raw, len(raw))
-    if pointer:
-        return _Key(pointer)
-    _lib.ERR_clear_error()
-    return None
-
-
-@functools.lru_cache(maxsize=_MAX_KEYS)
-def _public_key(public: bytes) -> Optional[_Key]:
-    return _key(_lib.EVP_PKEY_new_raw_public_key, public)
-
-
-@functools.lru_cache(maxsize=_MAX_KEYS)
-def _private_key(secret: bytes) -> Optional[_Key]:
-    return _key(_lib.EVP_PKEY_new_raw_private_key, secret)
-
-
-def _raw_public(key: Optional[_Key]) -> bytes:
-    """The 32 bytes of the public key a key object holds."""
+def _signing_key(secret: bytes) -> ctypes.Array:
+    """libsodium's 64-byte signing key for a 32-byte secret: the secret
+    followed by its public key."""
+    if type(secret) is not bytes or len(secret) != KEY_SIZE:
+        raise SignatureError(f"an Ed25519 secret is {KEY_SIZE} bytes")
     public = ctypes.create_string_buffer(KEY_SIZE)
-    size = _n(KEY_SIZE)
-    if key is None or _lib.EVP_PKEY_get_raw_public_key(
-        key.pointer, public, ctypes.byref(size)
-    ) != 1:
-        _lib.ERR_clear_error()
-        raise SignatureError("OpenSSL could not derive an Ed25519 public key")
-    return public.raw
-
-
-def _one_shot(init, call, key: _Key, *args) -> bool:
-    """One ``EVP_DigestSign``/``EVP_DigestVerify`` call in a fresh
-    context; a failure leaves OpenSSL's error queue empty."""
-    context = _lib.EVP_MD_CTX_new()
-    try:
-        done = init(context, None, None, None, key.pointer) == 1 and call(
-            context, *args
-        ) == 1
-    finally:
-        _lib.EVP_MD_CTX_free(context)
-    if not done:
-        _lib.ERR_clear_error()
-    return done
+    expanded = ctypes.create_string_buffer(2 * KEY_SIZE)
+    _lib.crypto_sign_ed25519_seed_keypair(public, expanded, secret)
+    return expanded
 
 
 @dataclass(frozen=True)
@@ -164,19 +125,15 @@ class KeyPair:
             secret = secrets.token_bytes(KEY_SIZE)
         else:
             secret = hashlib.sha256(b"keygen" + seed).digest()
-        return cls(secret=secret, public=_raw_public(_private_key(secret)))
+        return cls(secret=secret, public=_signing_key(secret).raw[KEY_SIZE:])
 
 
 def sign(secret: bytes, message: bytes) -> bytes:
     """The 64-byte Ed25519 signature of ``message`` under ``secret``."""
-    key = _private_key(secret)
     signature = ctypes.create_string_buffer(SIGNATURE_SIZE)
-    size = _n(SIGNATURE_SIZE)
-    if key is None or not _one_shot(
-        _lib.EVP_DigestSignInit, _lib.EVP_DigestSign, key,
-        signature, ctypes.byref(size), message, len(message),
-    ):
-        raise SignatureError("OpenSSL could not sign")
+    _lib.crypto_sign_ed25519_detached(
+        signature, None, message, len(message), _signing_key(secret)
+    )
     return signature.raw
 
 
@@ -198,14 +155,21 @@ def _components(public: object, signature: object) -> bool:
     """True if key and signature are well formed enough to verify.
 
     Anything but 32 and 64 bytes (``bytearray`` and ``str`` are not) is
-    refused, as are the keys :func:`valid_public_key` refuses and a
-    response ``S >= L`` (the same signature plus ``L``), which RFC 8032
-    rejects whatever the OpenSSL release checks.
+    refused, as are the keys :func:`valid_public_key` refuses, a
+    commitment ``R`` of small order, and a response ``S >= L`` (the same
+    signature plus ``L``), which RFC 8032 rejects.  RFC 8032 accepts a
+    small-order ``R`` where the equation holds (a key's owner can build
+    one: ``R`` the identity, ``S = H(R || A || M) * a``) and libsodium
+    refuses it, so the screen is what makes the verdict the same under
+    every Ed25519 library: a consensus rule.  A non-canonical ``R``
+    needs no screen: it can never equal the encoding the check computes,
+    and RFC 8032 rejects it too.
     """
     return (
         valid_public_key(public)
         and type(signature) is bytes
         and len(signature) == SIGNATURE_SIZE
+        and signature[:32] not in _SMALL_ORDER_ENCODINGS
         and int.from_bytes(signature[32:], "little") < _L
     )
 
@@ -216,12 +180,10 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     Malformed or out-of-range keys and signatures verify as ``False``
     (see :func:`_components`).
     """
-    if not _components(public, signature):
-        return False
-    key = _public_key(public)
-    return key is not None and _one_shot(
-        _lib.EVP_DigestVerifyInit, _lib.EVP_DigestVerify, key,
-        signature, SIGNATURE_SIZE, message, len(message),
+    return _components(public, signature) and (
+        _lib.crypto_sign_ed25519_verify_detached(
+            signature, message, len(message), public
+        ) == 0
     )
 
 

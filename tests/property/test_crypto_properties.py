@@ -114,7 +114,7 @@ class TestSchnorrProperties:
 
 # ----------------------------------------------------------------------
 # The textbook formulas: RFC 8032's Ed25519 in plain Python
-# (``tests/rfc8032.py``), which the OpenSSL binding must agree with bit
+# (``tests/rfc8032.py``), which the libsodium binding must agree with bit
 # for bit on every input ``schnorr._components`` lets through.
 # ----------------------------------------------------------------------
 seeds = st.binary(min_size=1, max_size=16)
@@ -212,6 +212,10 @@ class TestSchnorrAgainstTextbookFormulas:
             public[31] |= sign_bit
             assert schnorr.verify(bytes(public), message, signature) is False
             assert rfc8032.verify(bytes(public), message, signature) is False
+            # a non-canonical R passes the screen; the library refuses it
+            bad = noncanonical.to_bytes(32, "little") + signature[32:]
+            assert schnorr.verify(keypair.public, message, bad) is False
+            assert rfc8032.verify(keypair.public, message, bad) is False
         assert y < rfc8032.p  # a real key is canonical
 
     @given(message=messages, public=st.binary(min_size=32, max_size=32),
@@ -228,7 +232,7 @@ class TestSchnorrAgainstTextbookFormulas:
     @given(seed=seeds, message=st.binary(min_size=1, max_size=64),
            flips=st.tuples(bit, bit, bit))
     @settings(max_examples=15, deadline=None)
-    def test_verify_through_a_cached_key_agrees_on_first_and_second_sight(
+    def test_verify_agrees_on_first_and_second_sight_of_a_key(
         self, seed, message, flips
     ):
         keypair = schnorr.KeyPair.generate(seed=seed)
@@ -247,14 +251,26 @@ class TestSchnorrAgainstTextbookFormulas:
         ]
         expected = [rfc8032.verify(*case) for case in cases]
         assert expected[0] is True and not any(expected[1:])
-        schnorr._public_key.cache_clear()
         first = [schnorr.verify(*case) for case in cases]
-        built = schnorr._public_key.cache_info().misses
         second = [schnorr.verify(*case) for case in cases]
         assert first == expected and second == expected
-        # one key object per distinct key, none rebuilt on second sight
-        assert built == len({keypair.public, outsider})
-        assert schnorr._public_key.cache_info().misses == built
+
+    def test_small_order_commitment_is_refused_though_the_oracle_accepts(self):
+        # A key's owner can make the equation hold with R the identity:
+        # S = H(R || A || M) * a gives [S]B = [k]A = R + [k]A.  RFC 8032
+        # (and OpenSSL) accept it, libsodium does not; the screen refuses
+        # it before any library is asked.
+        identity = rfc8032.compress(rfc8032.IDENTITY)
+        for seed in (b"owner", b"other owner"):
+            keypair = schnorr.KeyPair.generate(seed=seed)
+            scalar = rfc8032.expand(keypair.secret)[0]
+            for message in (b"", b"m", bytes(range(256))):
+                k = rfc8032._hash_int(identity + keypair.public + message) % rfc8032.L
+                crafted = identity + (k * scalar % rfc8032.L).to_bytes(32, "little")
+                assert rfc8032.verify(keypair.public, message, crafted)
+                assert schnorr.verify(keypair.public, message, crafted) is False
+                assert not schnorr._components(keypair.public, crafted)
+                assert _agrees(keypair.public, message, crafted)
 
     @given(seed=seeds, message=messages, flip=bit)
     @settings(max_examples=25, deadline=None)
@@ -276,8 +292,8 @@ class TestSchnorrAgainstTextbookFormulas:
 
 
 def _public_of(secret: bytes) -> bytes:
-    """The public key OpenSSL derives for any 32-byte secret."""
-    return schnorr._raw_public(schnorr._private_key(secret))
+    """The public key libsodium derives for any 32-byte secret."""
+    return schnorr._signing_key(secret).raw[schnorr.KEY_SIZE:]
 
 
 class TestCommitmentProperties:

@@ -10,7 +10,8 @@ with.  ``VECTORS`` are section 7.1's test vectors.
 Verification is the RFC's cofactorless check ``[S]B == R + [k]A``.  It
 rejects a non-canonical ``R`` or ``A`` (``y >= p``, or ``x = 0`` with the
 sign bit set) and ``S >= L``; it accepts the small-order keys, which
-``schnorr`` refuses before OpenSSL sees them.
+``schnorr`` refuses before libsodium sees them (and a small-order ``R``,
+which libsodium refuses and RFC 8032 does not).
 """
 
 from __future__ import annotations

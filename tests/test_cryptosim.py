@@ -1,6 +1,9 @@
 """Unit tests for the cryptographic primitives."""
 
-import gc
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -154,6 +157,35 @@ class TestSchnorrSignatures:
             schnorr.require_valid(keypair.public, b"m", bytes(64))
 
 
+#: a process in which no library named like libsodium loads
+_WITHOUT_LIBSODIUM = """
+import ctypes, ctypes.util
+real = ctypes.CDLL
+def refuse(name, *args, **kwargs):
+    if name and "sodium" in str(name):
+        raise OSError(name + ": cannot open shared object file")
+    return real(name, *args, **kwargs)
+ctypes.CDLL = refuse
+ctypes.util.find_library = lambda name: None
+try:
+    import repro.cryptosim
+except ImportError as error:
+    print(error)
+else:
+    print("imported")
+"""
+
+
+def test_import_without_libsodium_is_an_import_error_naming_it():
+    src = pathlib.Path(schnorr.__file__).parents[2]  # the dir holding repro/
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_LIBSODIUM],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert "libsodium >= 1.0.18" in result.stdout, result.stdout
+
+
 class TestSignatureCache:
     def _signed(self, seed=b"k1", message=b"message"):
         keypair = schnorr.KeyPair.generate(seed=seed)
@@ -267,89 +299,6 @@ def _flip(data: bytes, index: int) -> bytes:
     flipped = bytearray(data)
     flipped[index] ^= 1
     return bytes(flipped)
-
-
-def _live_key_objects() -> int:
-    return sum(type(o) is schnorr._Key for o in gc.get_objects())
-
-
-class TestKeyObjects:
-    """The ``EVP_PKEY`` each public key and secret becomes: pure
-    functions of the key bytes, bounded, freed on eviction, and no
-    memory of any verdict."""
-
-    def _signed(self, seed, message=b"message"):
-        keypair = schnorr.KeyPair.generate(seed=seed)
-        return keypair.public, message, schnorr.sign(keypair.secret, message)
-
-    def test_key_object_is_built_once_per_key_and_depends_on_the_key_alone(self):
-        schnorr._public_key.cache_clear()
-        public, message, signature = self._signed(b"k1")
-        assert schnorr.verify(public, message, signature)
-        assert schnorr.verify(public, b"other", schnorr.sign(
-            schnorr.KeyPair.generate(seed=b"k1").secret, b"other"
-        ))
-        info = schnorr._public_key.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        # the object is the key: OpenSSL hands back the same 32 bytes
-        assert schnorr._raw_public(schnorr._public_key(public)) == public
-
-    def test_key_first_seen_with_a_forgery_still_verifies_a_good_signature(self):
-        schnorr._public_key.cache_clear()
-        public, message, signature = self._signed(b"k1")
-        forged = _flip(signature, 32)
-        assert not schnorr.verify(public, message, forged)
-        assert schnorr._public_key.cache_info().currsize == 1  # key, no verdict
-        assert schnorr.verify(public, message, signature)
-        assert not schnorr.verify(public, message, forged)
-        assert schnorr._public_key.cache_info().misses == 1
-
-    def test_malformed_input_builds_no_key_object(self):
-        schnorr._public_key.cache_clear()
-        public, message, signature = self._signed(b"k1")
-        s_plus_l = signature[:32] + (
-            int.from_bytes(signature[32:], "little") + rfc8032.L
-        ).to_bytes(32, "little")
-        cases = [(key, signature) for key in DEGENERATE_KEYS.values()] + [
-            (_encoding(rfc8032.p + 2), signature),
-            (public, s_plus_l),  # OpenSSL 3.0 checks S < L itself
-            (public[:31], signature),
-            (public, signature[:63]),
-            (public, "garbage"),
-        ]
-        for key, sig in cases:
-            assert not schnorr.verify(key, message, sig)
-        assert schnorr._public_key.cache_info().currsize == 0
-
-    def test_lru_evicts_at_the_bound_and_a_re_seen_key_rebuilds(self):
-        schnorr._public_key.cache_clear()
-        schnorr._private_key.cache_clear()
-        gc.collect()
-        bound = schnorr._MAX_KEYS
-        assert schnorr._public_key.cache_info().maxsize == bound
-        assert schnorr._private_key.cache_info().maxsize == bound
-        first = self._signed(b"evicted")
-        assert schnorr.verify(*first)
-        kept = self._signed(b"kept")
-        assert schnorr.verify(*kept)
-        for i in range(bound - 1):
-            # a forgery builds the signer's key object all the same
-            filler = schnorr.KeyPair.generate(seed=b"filler-%d" % i)
-            assert not schnorr.verify(filler.public, b"m", bytes(64))
-            if i % 500 == 0:
-                assert schnorr.verify(*kept)  # recently used: stays
-        info = schnorr._public_key.cache_info()
-        assert info.currsize == bound and info.misses == bound + 1
-        # evicted objects are freed, not just forgotten: one per cached
-        # public key and secret is alive, nothing more
-        gc.collect()
-        assert _live_key_objects() == bound + bound
-        assert schnorr.verify(*kept)
-        assert schnorr._public_key.cache_info().misses == bound + 1
-        assert schnorr.verify(*first)  # rebuilt, same verdict
-        assert not schnorr.verify(first[0], b"other", first[2])
-        assert schnorr._public_key.cache_info().misses == bound + 2
-        assert schnorr._public_key.cache_info().currsize == bound
 
 
 class TestSymmetric:

@@ -31,6 +31,7 @@ from repro.protocol.settlement import (
 from repro.runtime import Runtime
 from repro.sim import chaos
 from repro.store import NodeStore
+from repro.store.snapshot import decode_snapshot
 from repro.workloads.generators import generate_market
 
 
@@ -40,11 +41,20 @@ class LockstepNode:
     Every block submits the same market afresh.  A block's escrows are
     released when the next block commits — its services ran for one
     block — so what the ledger holds is the obligations in flight plus
-    the terminal escrows of the retained window.
+    the terminal escrows of the retained window.  With ``release=False``
+    the node settles as the round workloads of ``perfbench`` do: every
+    escrow stays held.
     """
 
-    def __init__(self, horizon: int, n_requests: int = 4, seed: int = 3):
+    def __init__(
+        self,
+        horizon: int,
+        n_requests: int = 4,
+        seed: int = 3,
+        release: bool = True,
+    ):
         self.horizon = horizon
+        self.release = release
         self.stores = [NodeStore.in_memory(horizon=horizon) for _ in range(3)]
         self.miners = [
             Miner(
@@ -83,7 +93,7 @@ class LockstepNode:
         for bid in self.bids:
             self.protocol.submit(self.participants[self._owner(bid)], bid)
         result = self.protocol.run_round(list(self.participants.values()))
-        for escrow_id in self._in_service:
+        for escrow_id in self._in_service if self.release else ():
             self.settlement.complete(escrow_id)
         self._in_service = list(
             self.settlement.settle_block(
@@ -158,6 +168,25 @@ class TestStructuralTwin:
         recovered = node.stores[0].recover(difficulty_bits=4)
         assert recovered.state_digest() == live
         assert horizon <= len(list(recovered.chain)) <= 2 * horizon
+
+
+class TestHeldEscrows:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 18: settle_block opens an escrow per match "
+        "and no round path ends one, so every roll's snapshot re-encodes "
+        "each escrow ever held",
+    )
+    def test_a_settling_node_rolls_a_snapshot_that_stops_growing(self):
+        node = LockstepNode(horizon=1, release=False)
+        held = []
+        for _ in range(5):
+            node.commit_block()
+            state, _seq = decode_snapshot(node.stores[0].snapshots.latest())
+            held.append(len(state["ledger"]["escrows"]))
+        assert held[-1] > 0  # the market matches: there is something to hold
+        past_window = held[2:]
+        assert max(past_window) <= past_window[0], held
 
 
 class TestParticipantWindow:
