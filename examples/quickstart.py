@@ -95,17 +95,6 @@ def main() -> None:
         names = [r.request_id for r in outcome.unmatched_requests]
         print(f"  unmatched: {names}")
 
-    # Why didn't the unmatched request trade?  Ask the mechanism.
-    if outcome.unmatched_requests:
-        from repro.core import explain_request
-
-        print("\n=== explainability ===")
-        explanation = explain_request(
-            requests, offers, outcome,
-            outcome.unmatched_requests[0].request_id,
-        )
-        print(explanation.render())
-
     # Economic invariants of the mechanism:
     print("\n=== invariants ===")
     for match in outcome.matches:

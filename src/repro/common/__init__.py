@@ -1,4 +1,4 @@
-"""Shared primitives: errors, ids, time model, seeded randomness."""
+"""Shared primitives: errors, time model, seeded randomness."""
 
 from repro.common.errors import (
     AuctionError,
@@ -20,7 +20,6 @@ from repro.common.errors import (
     TimeoutError,
     ValidationError,
 )
-from repro.common.ids import DEFAULT_FACTORY, IdFactory, next_id
 from repro.common.rng import block_evidence_rng, make_generator, spawn_child
 from repro.common.timewindow import TimeWindow
 
@@ -43,9 +42,6 @@ __all__ = [
     "SignatureError",
     "TimeoutError",
     "ValidationError",
-    "IdFactory",
-    "DEFAULT_FACTORY",
-    "next_id",
     "TimeWindow",
     "make_generator",
     "block_evidence_rng",

@@ -2,7 +2,6 @@
 
 from repro.core.audit import AuditReport, audit_outcome
 from repro.core.auction import DecloudAuction
-from repro.core.explain import Explanation, explain_block, explain_request
 from repro.core.cluster_allocation import (
     ClusterAllocation,
     OfferCapacity,
@@ -69,9 +68,6 @@ from repro.core.welfare import (
 __all__ = [
     "AuditReport",
     "audit_outcome",
-    "Explanation",
-    "explain_block",
-    "explain_request",
     "DecloudAuction",
     "AuctionConfig",
     "ShardPlan",

@@ -12,8 +12,6 @@ from repro.ledger.block import (
     BlockPreamble,
     KeyReveal,
 )
-from repro.ledger.challenges import ChallengeGame, GameState
-from repro.ledger.forks import BlockTree
 from repro.ledger.serialization import chain_from_json, chain_to_json
 from repro.ledger.chain import Blockchain
 from repro.ledger.mempool import Mempool
@@ -28,9 +26,6 @@ __all__ = [
     "BlockBody",
     "BlockPreamble",
     "KeyReveal",
-    "ChallengeGame",
-    "GameState",
-    "BlockTree",
     "chain_to_json",
     "chain_from_json",
     "Blockchain",

@@ -1,12 +1,6 @@
 """The DeCloud bidding language: resources, requests, offers, feasibility."""
 
 from repro.market.bids import Offer, Request, decode_bid_payload
-from repro.market.jobs import (
-    CompletionPolicy,
-    Job,
-    ServiceSpec,
-    evaluate_jobs,
-)
 from repro.market.location import (
     GeoLocation,
     NetworkLocation,
@@ -15,7 +9,6 @@ from repro.market.location import (
     pairwise_latency_ms,
 )
 from repro.market.feasibility import (
-    explain_infeasibility,
     feasible_offers,
     is_feasible,
     required_amount,
@@ -36,10 +29,6 @@ __all__ = [
     "Offer",
     "Request",
     "decode_bid_payload",
-    "CompletionPolicy",
-    "Job",
-    "ServiceSpec",
-    "evaluate_jobs",
     "GeoLocation",
     "NetworkLocation",
     "attach_latency_resource",
@@ -50,7 +39,6 @@ __all__ = [
     "temporally_feasible",
     "resource_feasible",
     "required_amount",
-    "explain_infeasibility",
     "CRITICAL_RESOURCES",
     "ResourceVector",
     "common_types",

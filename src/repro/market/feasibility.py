@@ -13,7 +13,7 @@ Encodes the hard constraints of the welfare program (§IV-A):
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.market.bids import Offer, Request
 from repro.market.resources import common_types
@@ -36,14 +36,10 @@ def temporally_feasible(request: Request, offer: Offer) -> bool:
     return offer.window.contains(request.window)
 
 
-def resource_feasible(
-    request: Request, offer: Offer, reason: Optional[List[str]] = None
-) -> bool:
+def resource_feasible(request: Request, offer: Offer) -> bool:
     """Constraint (8) with flexibility discounting."""
     shared = common_types(request.resources, offer.resources)
     if not shared:
-        if reason is not None:
-            reason.append("no common resource types")
         return False
     for key, amount in request.resources.items():
         if amount <= 0:
@@ -51,14 +47,8 @@ def resource_feasible(
         available = offer.resources.get(key, 0.0)
         needed = required_amount(request, key)
         if request.is_strict(key) and key not in offer.resources:
-            if reason is not None:
-                reason.append(f"offer lacks strict resource {key!r}")
             return False
         if key in offer.resources and available < needed:
-            if reason is not None:
-                reason.append(
-                    f"insufficient {key!r}: need {needed}, offer has {available}"
-                )
             return False
     return True
 
@@ -74,15 +64,3 @@ def feasible_offers(request: Request, offers: Iterable[Offer]) -> List[Offer]:
     """Filter ``offers`` down to those that can host ``request``."""
     return [offer for offer in offers if is_feasible(request, offer)]
 
-
-def explain_infeasibility(request: Request, offer: Offer) -> List[str]:
-    """Human-readable reasons a pairing fails (empty list when feasible)."""
-    reasons: List[str] = []
-    if not temporally_feasible(request, offer):
-        reasons.append(
-            f"offer window [{offer.window.start}, {offer.window.end}] does "
-            f"not contain request window "
-            f"[{request.window.start}, {request.window.end}]"
-        )
-    resource_feasible(request, offer, reason=reasons)
-    return reasons

@@ -2,12 +2,6 @@
 reputation."""
 
 from repro.protocol.allocator import DecloudAllocator, decode_round
-from repro.protocol.attestation import (
-    AttestationRegistry,
-    AttestationService,
-    Quote,
-    enforce_attestation,
-)
 from repro.protocol.contracts import (
     Agreement,
     AgreementState,
@@ -35,10 +29,6 @@ from repro.protocol.settlement import (
 __all__ = [
     "DecloudAllocator",
     "decode_round",
-    "AttestationRegistry",
-    "AttestationService",
-    "Quote",
-    "enforce_attestation",
     "Agreement",
     "AgreementState",
     "AllocationContract",

@@ -29,9 +29,6 @@ class AgreementState(enum.Enum):
     SUGGESTED = "suggested"
     AGREED = "agreed"
     DENIED = "denied"
-    #: the suggesting block was orphaned (fork, failed quorum) — the
-    #: suggestion is void and must be neither accepted nor denied
-    VOID = "void"
 
 
 @dataclass
@@ -91,26 +88,6 @@ class AllocationContract:
                 payment=float(entry["payment"]),
                 block_hash=block_hash,
             )
-
-    def void_block(self, block_hash: str) -> List[Agreement]:
-        """Void every still-suggested agreement of an orphaned block.
-
-        Called when a registered block loses its place on the chain (a
-        fork outran it) or its proposal failed quorum after agreements
-        were optimistically loaded.  Voiding carries no reputation
-        penalty — the *network* failed, not the client — and the bids
-        simply resubmit in a later round (paper §III-B denial path).
-        Already-entered (AGREED/DENIED) agreements are left untouched.
-        """
-        voided: List[Agreement] = []
-        for (bhash, _), agreement in self._agreements.items():
-            if bhash != block_hash:
-                continue
-            if agreement.state is AgreementState.SUGGESTED:
-                agreement.state = AgreementState.VOID
-                self.resubmission_queue.append(agreement.offer_id)
-                voided.append(agreement)
-        return voided
 
     def _lookup(self, block_hash: str, request_id: str) -> Agreement:
         agreement = self._agreements.get((block_hash, request_id))

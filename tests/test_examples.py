@@ -17,8 +17,6 @@ FAST_EXAMPLES = [
     "quickstart.py",
     "iot_offloading.py",
     "sealed_bid_ledger.py",
-    "private_enclave_market.py",
-    "challenge_and_settlement.py",
     "edge_federation.py",
     "observability_demo.py",
     "degraded_round_demo.py",

@@ -34,7 +34,6 @@ from repro.faults import (
 from repro.ledger.miner import Miner
 from repro.ledger.network import BroadcastNetwork
 from repro.protocol.allocator import DecloudAllocator, decode_round
-from repro.protocol.contracts import AgreementState, AllocationContract
 from repro.protocol.exposure import ExposureProtocol, Participant
 from repro.protocol.settlement import SettlementProcessor, TokenLedger
 from repro.runtime import (
@@ -477,29 +476,6 @@ class TestDuplicateDeliverySafety:
         assert first == again
         assert len(processor.ledger.escrows) == 1
         assert processor.ledger.total_supply() == 5.0
-
-    def test_void_block_releases_suggestions_without_penalty(self):
-        protocol = _protocol(num_miners=1)
-        participants, _ = _submit_market(protocol)
-        result = protocol.run_round(participants)
-        chain = protocol.miners[0].chain
-        contract = AllocationContract(chain=chain)
-        block_hash = result.block.hash()
-        contract.register_block(
-            block_hash, {m.request.request_id: m.request.client_id
-                         for m in result.outcome.matches}
-        )
-        suggested = contract.agreements(AgreementState.SUGGESTED)
-        assert suggested
-        client = suggested[0].client_id
-        before = contract.reputation.score(client)
-        voided = contract.void_block(block_hash)
-        assert voided
-        assert contract.reputation.score(client) == before  # no penalty
-        assert all(
-            a.state is AgreementState.VOID
-            for a in contract.agreements(AgreementState.VOID)
-        )
 
 
 class TestChaosHarness:

@@ -2,7 +2,6 @@
 
 from repro.common.timewindow import TimeWindow
 from repro.market.feasibility import (
-    explain_infeasibility,
     feasible_offers,
     is_feasible,
     required_amount,
@@ -103,16 +102,3 @@ class TestIsFeasibleAndHelpers:
             make_offer(offer_id="big", resources={"cpu": 8}),
         ]
         assert [o.offer_id for o in feasible_offers(request, offers)] == ["big"]
-
-    def test_explain_infeasibility_lists_reasons(self):
-        request = make_request(
-            resources={"cpu": 32}, window=TimeWindow(0, 48), duration=4
-        )
-        offer = make_offer(resources={"cpu": 4}, window=TimeWindow(0, 10))
-        reasons = explain_infeasibility(request, offer)
-        assert len(reasons) == 2
-        assert any("window" in r for r in reasons)
-        assert any("insufficient" in r for r in reasons)
-
-    def test_explain_feasible_is_empty(self):
-        assert explain_infeasibility(make_request(), make_offer()) == []

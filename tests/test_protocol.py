@@ -235,12 +235,15 @@ class TestContracts:
         agreement = contract.accept("alice", block_hash, "req-0")
         assert agreement.state is AgreementState.AGREED
         assert contract.state_of(block_hash, "req-0") is AgreementState.AGREED
+        assert contract.reputation.score("alice") == 1.0
 
     def test_deny_flow_penalizes_and_queues(self):
         contract, block_hash = self._contract_with_block()
-        contract.deny("alice", block_hash, "req-0")
+        agreement = contract.deny("alice", block_hash, "req-0")
+        assert agreement.state is AgreementState.DENIED
         assert contract.reputation.score("alice") < 1.0
-        assert contract.resubmission_queue  # provider must resubmit
+        # exactly the denied offer is queued: its provider must resubmit
+        assert contract.resubmission_queue == [agreement.offer_id]
 
     def test_double_accept_rejected(self):
         contract, block_hash = self._contract_with_block()
