@@ -149,9 +149,9 @@ def test_enabled_overhead_is_bounded():
 def test_monitored_overhead_within_bound():
     """Median of alternating pairs: enabled obs vs enabled obs + monitors.
 
-    The monitor suite replays the outcome (budget regrouping, IR per
-    match, capacity replay, bucket checks) — all O(matches) work, tiny
-    next to clearing itself.  The paired ratio pins that at
+    The monitor suite audits the outcome (budget regrouping, IR and
+    feasibility per match, capacity sums, bucket checks) — all
+    O(bids) work, tiny next to clearing itself.  The paired ratio pins that at
     <= MONITOR_CEILING (default 1.10, the <=10% requirement).
     """
     requests, offers = _market()

@@ -132,7 +132,7 @@ class AuctionError(ReproError):
 class MonitorViolationError(ReproError):
     """A runtime mechanism monitor found a violated invariant (strict mode).
 
-    Carries the :class:`repro.obs.monitors.Violation` records that
+    Carries the :class:`repro.core.audit.Violation` records that
     triggered it in ``violations``.
     """
 

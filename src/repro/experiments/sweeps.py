@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import AuctionConfig
-from repro.obs import Observability, ObservabilityLike
-from repro.obs.timeseries import TimeSeriesStore
+from repro.obs import ObservabilityLike
 from repro.sim.engine import MarketSimulator
 from repro.sim.metrics import BlockMetrics
 from repro.workloads.divergence import DivergenceScenario, tilt_for_similarity
@@ -54,18 +53,11 @@ def run_size_sweep(
     offers_per_request: float = 0.5,
     config: AuctionConfig | None = None,
     obs: Optional[ObservabilityLike] = None,
-    history: Optional[TimeSeriesStore] = None,
 ) -> List[SizePoint]:
     """Clear one block per (size, seed) with DeCloud and the benchmark.
 
-    Each point's :class:`BlockMetrics` is read back from the metrics
-    registry (``auction_last_*`` gauges): every point clears under an
-    :class:`~repro.obs.Observability`, a fresh one per point unless a
-    shared ``obs`` is passed in.  Registry-derived series are
-    bit-identical to the direct outcome comparison.  An optional
-    ``history`` store accumulates one registry snapshot per point — the
-    cross-run series :mod:`repro.obs.timeseries` drift-checks (e.g.
-    clear-phase latency p95 across sweep points).
+    Each point's :class:`BlockMetrics` compares the two outcomes
+    directly; an optional ``obs`` bundle records every point's rounds.
     """
     config = config or eval_config()
     seeds = list(seeds)
@@ -78,13 +70,7 @@ def run_size_sweep(
                 seed=seed,
             )
             requests, offers = scenario.generate()
-            point_obs = obs if obs is not None else Observability(
-                run_id=f"size-{n_requests}-{seed}"
-            )
-            simulator = MarketSimulator(
-                config=config, seed=seed, obs=point_obs,
-                history=history,
-            )
+            simulator = MarketSimulator(config=config, seed=seed, obs=obs)
             metrics, _, _ = simulator.run_block(requests, offers)
             points.append(
                 SizePoint(
@@ -120,8 +106,8 @@ def run_similarity_sweep(
 
     Scenarios differing only in flexibility sample identical markets
     (paired comparison), mirroring the paper's flexible-vs-inflexible
-    panels.  As in :func:`run_size_sweep`, per-point metrics come off
-    the registry's ``auction_last_*`` gauges.
+    panels.  As in :func:`run_size_sweep`, an optional ``obs`` bundle
+    records every point's rounds.
     """
     config = config or eval_config()
     seeds = list(seeds)
@@ -138,11 +124,8 @@ def run_similarity_sweep(
                     seed=seed,
                 )
                 requests, offers = scenario.generate()
-                point_obs = obs if obs is not None else Observability(
-                    run_id=f"sim-{target}-{flexibility}-{seed}"
-                )
                 simulator = MarketSimulator(
-                    config=config, seed=seed, obs=point_obs
+                    config=config, seed=seed, obs=obs
                 )
                 metrics, _, _ = simulator.run_block(requests, offers)
                 points.append(

@@ -25,9 +25,9 @@ See docs/OBSERVABILITY.md for the metric catalog and trace schema, and
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Union
 
-from repro.obs.monitors import MonitorSuite, Violation
+from repro.obs.monitors import MonitorSuite
 from repro.obs.registry import (
     LabeledRegistry,
     MetricsRegistry,
@@ -36,6 +36,9 @@ from repro.obs.registry import (
     snapshot_diff,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, TraceContext, Tracer
+
+if TYPE_CHECKING:
+    from repro.core.audit import Violation
 
 __all__ = [
     "Observability",
@@ -51,7 +54,6 @@ __all__ = [
     "NULL_TRACER",
     "TraceContext",
     "MonitorSuite",
-    "Violation",
     "snapshot_diff",
 ]
 
@@ -74,8 +76,8 @@ class Observability:
         self.run_id = run_id
         self.registry: MetricsRegistry = MetricsRegistry()
         self.tracer: Tracer = Tracer()
-        #: optional runtime invariant checks (repro.obs.monitors),
-        #: evaluated via :meth:`check_outcome` after every cleared block
+        #: optional repro.obs.monitors.MonitorSuite, auditing every
+        #: cleared block via :meth:`check_outcome`
         self.monitors = monitors
         #: optional repro.obs.flight.FlightRecorder — bound to this
         #: bundle so protocol drivers can frame rounds and dump on abort
@@ -99,12 +101,12 @@ class Observability:
         outcome: Any,
         source: str = "auction",
         round_index: Optional[int] = None,
-    ) -> List[Violation]:
-        """Run the attached monitor suite against one cleared outcome.
+    ) -> List["Violation"]:
+        """Audit one cleared outcome with the attached monitor suite.
 
         Emits one ``monitor.violation`` event plus a
         ``monitor_violations_total{monitor=...}`` increment per finding,
-        bumps ``monitor_checks_total`` per monitor evaluated, triggers a
+        bumps ``monitor_checks_total`` per audit check run, triggers a
         flight-recorder dump when anything fired, and finally escalates
         in strict mode.  No-op without a suite attached.
         """
@@ -112,18 +114,18 @@ class Observability:
         if suite is None:
             return []
         violations = suite.check_outcome(outcome)
-        for monitor in suite.monitors:
-            self.registry.inc("monitor_checks_total", monitor=monitor.name)
+        for check in suite.checks:
+            self.registry.inc("monitor_checks_total", monitor=check)
         for violation in violations:
             self.tracer.event(
                 "monitor.violation",
-                monitor=violation.monitor,
+                monitor=violation.check,
                 source=source,
                 message=violation.message,
                 **dict(violation.details),
             )
             self.registry.inc(
-                "monitor_violations_total", monitor=violation.monitor
+                "monitor_violations_total", monitor=violation.check
             )
         if violations:
             if self.flight is not None:
@@ -166,7 +168,7 @@ class NullObservability:
         outcome: Any,
         source: str = "auction",
         round_index: Optional[int] = None,
-    ) -> List[Violation]:
+    ) -> List["Violation"]:
         return []
 
     def trace_jsonl(self, strip_wall: bool = False) -> str:

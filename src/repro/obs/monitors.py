@@ -1,41 +1,17 @@
 """Runtime mechanism monitors: §IV guarantees checked on every block.
 
 Offline property tests prove the mechanism's economic guarantees on
-sampled markets; these monitors check the *same* invariants continuously
-at runtime, on every outcome the system actually clears — the difference
-between "the mechanism is correct" and "this deployment is behaving".
-A violation means either a mechanism bug or a tampered settlement layer,
-so each one is emitted as a structured alert event plus a counter, and
-(in strict mode) escalated to
+sampled markets; the monitor suite checks the *same* invariants
+continuously at runtime, on every outcome the system actually clears —
+the difference between "the mechanism is correct" and "this deployment
+is behaving".  The invariants themselves are stated once, in
+:func:`repro.core.audit.audit_outcome` (its :data:`~repro.core.audit.CHECKS`
+name every finding); the suite audits each outcome against its own bids
+(matched, reduced and unmatched).  A violation means either a mechanism
+bug or a tampered settlement layer, so
+:meth:`repro.obs.Observability.check_outcome` emits each one as a
+structured alert event plus a counter and, in strict mode, escalates to
 :class:`~repro.common.errors.MonitorViolationError`.
-
-Monitor catalog (all enabled by default):
-
-``budget_balance``
-    Strong budget balance (Thm. 3): what clients pay equals, to exact
-    zero, what providers receive.  Checked as exact float equality
-    between the reported per-provider revenues and an identical
-    regrouping of the match payments (same accumulation order, so clean
-    outcomes compare bit-equal and any skim — even one ulp — shows up;
-    naively comparing two *differently associated* float sums would
-    flag legitimate outcomes on rounding alone).
-``individual_rationality``
-    Per-trader IR on the client side (Thm. 2): no client ever pays more
-    than it bid.  Providers are checked for non-negative revenue; the
-    paper's provider-side IR is defined in normalized (virtual-maximum)
-    units, so the monetary provider check is deliberately one-sided.
-``resource_conservation``
-    Const. (7): replaying the block's matches through a fresh
-    :class:`~repro.core.cluster_allocation.OfferCapacity` must never
-    overdraw a machine's time-weighted capacity.
-``trade_reduction``
-    Structural sanity of the McAfee reduction: the matched, reduced, and
-    unmatched id sets partition the bid population (no participant in
-    two buckets), and reduced participants never trade.
-``price_bounds``
-    Every match trades at a non-negative, finite unit price drawn from
-    the block's cleared price list, and every payment lies within
-    ``[0, bid]``.
 
 The suite is **read-only**: it never mutates the outcome, and its
 checks consume no randomness, so canonical outcomes are identical with
@@ -44,229 +20,18 @@ monitors on or off (the property suite enforces this).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.common.errors import MonitorViolationError
 
-__all__ = [
-    "Violation",
-    "MechanismMonitor",
-    "BudgetBalanceMonitor",
-    "IndividualRationalityMonitor",
-    "ResourceConservationMonitor",
-    "TradeReductionMonitor",
-    "PriceBoundsMonitor",
-    "MonitorSuite",
-    "default_monitors",
-    "violation_total",
-]
+if TYPE_CHECKING:
+    from repro.core.audit import Violation
 
-#: slack for float comparisons that are *not* exact by construction
-EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One violated invariant, ready to serialize into an alert event."""
-
-    monitor: str
-    message: str
-    details: Mapping[str, Any] = field(default_factory=dict)
-
-
-class MechanismMonitor:
-    """Base class: one pluggable invariant check over a cleared outcome."""
-
-    name = "base"
-
-    def check(self, outcome: Any) -> List[Violation]:  # pragma: no cover
-        raise NotImplementedError
-
-    def _violation(self, message: str, **details: Any) -> Violation:
-        return Violation(monitor=self.name, message=message, details=details)
-
-
-class BudgetBalanceMonitor(MechanismMonitor):
-    """Payments in == revenues out, to exact zero (strong BB, Thm. 3)."""
-
-    name = "budget_balance"
-
-    def check(self, outcome: Any) -> List[Violation]:
-        # Regroup the match payments per provider exactly the way the
-        # outcome does (same iteration order, same accumulation), so a
-        # clean settlement compares bit-equal — no epsilon — while any
-        # skim, even one ulp, produces a mismatch.
-        expected: Dict[str, float] = {}
-        for match in outcome.matches:
-            offer_id = match.offer.offer_id
-            expected[offer_id] = expected.get(offer_id, 0.0) + match.payment
-        reported = dict(outcome.revenues())
-        if reported == expected:
-            return []
-        tampered = sorted(
-            offer_id
-            for offer_id in set(expected) | set(reported)
-            if expected.get(offer_id) != reported.get(offer_id)
-        )
-        surplus = math.fsum(expected.values()) - math.fsum(reported.values())
-        return [
-            self._violation(
-                "auctioneer surplus is not exactly zero",
-                offers=tampered,
-                surplus=surplus,
-            )
-        ]
-
-
-class IndividualRationalityMonitor(MechanismMonitor):
-    """No client pays above its bid; no provider revenue is negative."""
-
-    name = "individual_rationality"
-
-    def check(self, outcome: Any) -> List[Violation]:
-        out: List[Violation] = []
-        for match in outcome.matches:
-            bid = match.request.bid
-            if match.payment > bid + EPS:
-                out.append(
-                    self._violation(
-                        "client charged above its bid",
-                        request=match.request.request_id,
-                        payment=match.payment,
-                        bid=bid,
-                    )
-                )
-        for offer_id, revenue in outcome.revenues().items():
-            if revenue < -EPS:
-                out.append(
-                    self._violation(
-                        "provider revenue is negative",
-                        offer=offer_id,
-                        revenue=revenue,
-                    )
-                )
-        return out
-
-
-class ResourceConservationMonitor(MechanismMonitor):
-    """Replay matches against fresh capacity: no machine overdrawn."""
-
-    name = "resource_conservation"
-
-    def check(self, outcome: Any) -> List[Violation]:
-        # Imported lazily: repro.core pulls in repro.obs at import time,
-        # so a module-level import here would be circular.
-        from repro.core.cluster_allocation import OfferCapacity
-
-        capacity = OfferCapacity([m.offer for m in outcome.matches])
-        out: List[Violation] = []
-        # outcome.matches preserves per-offer clearing order, so this
-        # replays exactly the consumption sequence the mechanism ran.
-        for match in outcome.matches:
-            if not capacity.can_host(match.request, match.offer):
-                out.append(
-                    self._violation(
-                        "offer capacity overdrawn (Const. 7)",
-                        offer=match.offer.offer_id,
-                        request=match.request.request_id,
-                    )
-                )
-                continue
-            capacity.consume(match.request, match.offer)
-        return out
-
-
-class TradeReductionMonitor(MechanismMonitor):
-    """Matched / reduced / unmatched buckets must partition the bids."""
-
-    name = "trade_reduction"
-
-    def check(self, outcome: Any) -> List[Violation]:
-        out: List[Violation] = []
-        matched_r = {m.request.request_id for m in outcome.matches}
-        reduced_r = {r.request_id for r in outcome.reduced_requests}
-        unmatched_r = {r.request_id for r in outcome.unmatched_requests}
-        for label, overlap in (
-            ("matched∩reduced", matched_r & reduced_r),
-            ("matched∩unmatched", matched_r & unmatched_r),
-            ("reduced∩unmatched", reduced_r & unmatched_r),
-        ):
-            if overlap:
-                out.append(
-                    self._violation(
-                        f"request buckets overlap ({label})",
-                        ids=sorted(overlap),
-                    )
-                )
-        matched_o = {m.offer.offer_id for m in outcome.matches}
-        reduced_o = {o.offer_id for o in outcome.reduced_offers}
-        unmatched_o = {o.offer_id for o in outcome.unmatched_offers}
-        for label, overlap in (
-            ("matched∩reduced", matched_o & reduced_o),
-            ("matched∩unmatched", matched_o & unmatched_o),
-            ("reduced∩unmatched", reduced_o & unmatched_o),
-        ):
-            if overlap:
-                out.append(
-                    self._violation(
-                        f"offer buckets overlap ({label})",
-                        ids=sorted(overlap),
-                    )
-                )
-        return out
-
-
-class PriceBoundsMonitor(MechanismMonitor):
-    """Payments within [0, bid]; unit prices non-negative, finite, cleared."""
-
-    name = "price_bounds"
-
-    def check(self, outcome: Any) -> List[Violation]:
-        out: List[Violation] = []
-        cleared = set(outcome.prices)
-        for match in outcome.matches:
-            if not math.isfinite(match.payment) or match.payment < -EPS:
-                out.append(
-                    self._violation(
-                        "payment outside [0, bid]",
-                        request=match.request.request_id,
-                        payment=match.payment,
-                    )
-                )
-            if not math.isfinite(match.unit_price) or match.unit_price < 0.0:
-                out.append(
-                    self._violation(
-                        "unit price negative or non-finite",
-                        request=match.request.request_id,
-                        unit_price=match.unit_price,
-                    )
-                )
-            elif cleared and match.unit_price not in cleared:
-                out.append(
-                    self._violation(
-                        "match trades at a price the block never cleared",
-                        request=match.request.request_id,
-                        unit_price=match.unit_price,
-                    )
-                )
-        return out
-
-
-def default_monitors() -> Tuple[MechanismMonitor, ...]:
-    """The full catalog, in evaluation order."""
-    return (
-        BudgetBalanceMonitor(),
-        IndividualRationalityMonitor(),
-        ResourceConservationMonitor(),
-        TradeReductionMonitor(),
-        PriceBoundsMonitor(),
-    )
+__all__ = ["MonitorSuite", "violation_total"]
 
 
 class MonitorSuite:
-    """Evaluates a set of monitors against every cleared outcome.
+    """Audits every cleared outcome and escalates in strict mode.
 
     ``strict=True`` escalates any violation to
     :class:`~repro.common.errors.MonitorViolationError` *after* the
@@ -274,33 +39,39 @@ class MonitorSuite:
     before the process unwinds.
     """
 
-    def __init__(
-        self,
-        monitors: Optional[Sequence[MechanismMonitor]] = None,
-        strict: bool = False,
-    ) -> None:
-        self.monitors: Tuple[MechanismMonitor, ...] = (
-            tuple(monitors) if monitors is not None else default_monitors()
-        )
+    def __init__(self, strict: bool = False) -> None:
         self.strict = strict
         self.checks_run = 0
         self.violations_found = 0
 
-    def check_outcome(self, outcome: Any) -> List[Violation]:
-        """Run every monitor; returns (never raises on) the violations."""
-        out: List[Violation] = []
-        for monitor in self.monitors:
-            self.checks_run += 1
-            out.extend(monitor.check(outcome))
-        self.violations_found += len(out)
-        return out
+    @property
+    def checks(self) -> Sequence[str]:
+        """The names of the checks every outcome goes through."""
+        # Imported lazily: repro.core pulls in repro.obs at import time,
+        # so a module-level import here would be circular.
+        from repro.core.audit import CHECKS
 
-    def escalate(self, violations: Sequence[Violation]) -> None:
+        return CHECKS
+
+    def check_outcome(self, outcome: Any) -> List["Violation"]:
+        """Audit ``outcome``; returns (never raises on) the violations."""
+        from repro.core.audit import audit_outcome
+
+        requests = [m.request for m in outcome.matches]
+        requests += outcome.reduced_requests
+        requests += outcome.unmatched_requests
+        offers = [m.offer for m in outcome.matches]
+        offers += outcome.reduced_offers
+        offers += outcome.unmatched_offers
+        violations = audit_outcome(requests, offers, outcome).violations
+        self.checks_run += len(self.checks)
+        self.violations_found += len(violations)
+        return violations
+
+    def escalate(self, violations: Sequence["Violation"]) -> None:
         """Raise in strict mode once the violations have been emitted."""
         if self.strict and violations:
-            summary = "; ".join(
-                f"{v.monitor}: {v.message}" for v in violations
-            )
+            summary = "; ".join(str(v) for v in violations)
             raise MonitorViolationError(
                 f"{len(violations)} mechanism invariant violation(s): "
                 f"{summary}",

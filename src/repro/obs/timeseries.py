@@ -3,10 +3,7 @@
 A :class:`TimeSeriesStore` appends one compact JSONL row per round (or
 sweep point): the registry snapshot plus caller-supplied metadata.  The
 analysis half turns a history back into per-round value series and runs
-windowed regression / anomaly checks over them — the two canned
-detectors the sweeps use are **latency p95 drift** (per-round phase
-seconds creeping up) and **revenue-per-block drift** (the market quietly
-paying providers less).
+a windowed regression / anomaly check over them.
 
 Usage::
 
@@ -15,14 +12,10 @@ Usage::
 
     rows = TimeSeriesStore.load("history.jsonl")
     report = detect_drift(gauge_series(rows, "auction_last_welfare"))
-    report = latency_p95_drift(rows, phase="clear")
 
-CLI::
-
-    python -m repro.obs.timeseries history.jsonl --list
-    python -m repro.obs.timeseries history.jsonl \\
-        --gauge auction_last_revenues --window 5 --threshold 0.2
-    python -m repro.obs.timeseries history.jsonl --latency clear
+The command-line gate over a history is an SLO file's ``drift`` block
+(:mod:`repro.obs.slo`): ``python -m repro.obs.report --slo
+objectives.json history.jsonl``.
 
 Rows hold *cumulative* registry state; counter and histogram extractors
 therefore diff consecutive rows to recover per-round values, while
@@ -31,12 +24,10 @@ gauges (per-round statements already) are read directly.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
-import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 
 class TimeSeriesStore:
@@ -231,106 +222,3 @@ def detect_drift(
         baseline=baseline, recent=recent,
         relative_change=relative_change, slope=slope, drifting=drifting,
     )
-
-
-def latency_p95_drift(
-    rows: Sequence[Mapping[str, Any]],
-    phase: str = "clear",
-    series: Optional[str] = None,
-    window: int = 5,
-    threshold: float = 0.5,
-) -> DriftReport:
-    """Is the p95 of per-round phase latency creeping up across rounds?"""
-    name = series or f"auction_phase_seconds{{phase={phase}}}"
-    values = latency_series(rows, name)
-    return detect_drift(
-        values, window=window, threshold=threshold,
-        series=name, statistic="p95",
-    )
-
-
-def revenue_drift(
-    rows: Sequence[Mapping[str, Any]],
-    series: str = "auction_last_revenues",
-    window: int = 5,
-    threshold: float = 0.2,
-) -> DriftReport:
-    """Is revenue per block drifting away from its recent baseline?"""
-    return detect_drift(
-        gauge_series(rows, series), window=window, threshold=threshold,
-        series=series,
-    )
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.timeseries",
-        description="Inspect a registry-snapshot history for drift.",
-    )
-    parser.add_argument("history", help="JSONL history (TimeSeriesStore)")
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list available series names and row count",
-    )
-    parser.add_argument("--gauge", help="drift-check this gauge series")
-    parser.add_argument(
-        "--counter", help="drift-check per-row deltas of this counter"
-    )
-    parser.add_argument(
-        "--latency", metavar="PHASE",
-        help="p95 drift of auction_phase_seconds{phase=PHASE}",
-    )
-    parser.add_argument("--window", type=int, default=5)
-    parser.add_argument("--threshold", type=float, default=0.2)
-    args = parser.parse_args(argv)
-
-    rows = TimeSeriesStore.load(args.history)
-    if args.list or not (args.gauge or args.counter or args.latency):
-        names: Dict[str, set] = {
-            "counters": set(), "gauges": set(), "histograms": set()
-        }
-        for row in rows:
-            for section in names:
-                names[section].update(row.get(section, {}))
-        print(f"{len(rows)} rows in {args.history}")
-        for section in ("counters", "gauges", "histograms"):
-            for name in sorted(names[section]):
-                print(f"  {section[:-1]}  {name}")
-        return 0
-
-    reports: List[DriftReport] = []
-    if args.gauge:
-        reports.append(
-            detect_drift(
-                gauge_series(rows, args.gauge),
-                window=args.window, threshold=args.threshold,
-                series=args.gauge,
-            )
-        )
-    if args.counter:
-        reports.append(
-            detect_drift(
-                counter_series(rows, args.counter),
-                window=args.window, threshold=args.threshold,
-                series=args.counter,
-            )
-        )
-    if args.latency:
-        reports.append(
-            latency_p95_drift(
-                rows, phase=args.latency,
-                window=args.window, threshold=args.threshold,
-            )
-        )
-    drifting = False
-    for report in reports:
-        print(report.describe())
-        drifting = drifting or report.drifting
-    return 1 if drifting else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

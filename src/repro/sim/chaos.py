@@ -40,7 +40,6 @@ from repro.ledger.miner import Miner, open_transactions
 from repro.market.bids import Offer, Request
 from repro.obs import Observability, ObservabilityLike
 from repro.obs.monitors import MonitorSuite, violation_total
-from repro.obs.timeseries import TimeSeriesStore
 from repro.protocol.allocator import DecloudAllocator, decode_round
 from repro.protocol.exposure import Participant, RoundResult
 from repro.protocol.settlement import SettlementProcessor, TokenLedger
@@ -256,7 +255,6 @@ def run_chaos_point(
     byzantine: bool = True,
     obs: Optional[ObservabilityLike] = None,
     monitored: bool = False,
-    history: Optional[TimeSeriesStore] = None,
 ) -> ChaosPoint:
     """Run ``spec.rounds`` protocol rounds at one message-drop level.
 
@@ -266,9 +264,7 @@ def run_chaos_point(
     ``monitored=True`` builds a fresh observability bundle with the
     default :class:`~repro.obs.monitors.MonitorSuite` attached (unless an
     explicit ``obs`` is given) and reports the alert count in
-    :attr:`ChaosPoint.monitor_alerts`.  ``history`` appends the
-    registry snapshot after each committed round — the time-series the
-    drift detectors consume.
+    :attr:`ChaosPoint.monitor_alerts`.
     """
     if obs is None and monitored:
         obs = Observability(
@@ -290,15 +286,6 @@ def run_chaos_point(
         integrity_failures=0,
     )
 
-    def on_commit(round_index: int, _result: RoundResult) -> None:
-        if history is not None and obs is not None and obs.enabled:
-            history.append(
-                obs.registry.snapshot(),
-                round=round_index,
-                drop_rate=drop_rate,
-                seed=spec.seed,
-            )
-
     runtime = Runtime(
         miners,
         plan=_fault_plan(
@@ -306,7 +293,6 @@ def run_chaos_point(
         ),
         schedule_seed=f"chaos-sched-{spec.seed}-{drop_rate}",
         obs=obs,
-        on_commit=on_commit,
     )
     report = runtime.run(
         [
@@ -340,7 +326,6 @@ def run_chaos_sweep(
     drop_rates: Sequence[float] = DEFAULT_DROP_RATES,
     byzantine: bool = True,
     monitored: bool = False,
-    history: Optional[TimeSeriesStore] = None,
 ) -> List[ChaosPoint]:
     """Sweep message-drop levels; each point also gets a fault-free baseline.
 
@@ -348,10 +333,9 @@ def run_chaos_sweep(
     (and every Byzantine actor), so ``welfare_retention`` isolates what
     the *faults* cost — not seed-to-seed market variation.
 
-    ``monitored`` / ``history`` are forwarded to every fault-level point
-    (a fresh monitored bundle per level; the shared ``history`` file
-    accumulates each level's rounds); the baseline stays unmonitored so
-    its behaviour matches earlier releases byte for byte.
+    ``monitored`` is forwarded to every fault-level point (a fresh
+    monitored bundle per level); the baseline stays unmonitored so its
+    behaviour matches earlier releases byte for byte.
     """
     baseline_spec = replace(
         spec,
@@ -369,7 +353,6 @@ def run_chaos_sweep(
             drop_rate,
             byzantine=byzantine,
             monitored=monitored,
-            history=history,
         )
         point.baseline_welfare = baseline.welfare
         points.append(point)

@@ -20,13 +20,7 @@ from repro.core.config import AuctionConfig
 from repro.core.outcome import AuctionOutcome
 from repro.market.bids import Offer, Request
 from repro.obs import ObservabilityLike, resolve as resolve_obs
-from repro.obs.timeseries import TimeSeriesStore
-from repro.sim.metrics import (
-    BlockMetrics,
-    RunMetrics,
-    block_metrics_from_registry,
-    compare_outcomes,
-)
+from repro.sim.metrics import BlockMetrics, RunMetrics, compare_outcomes
 
 
 def _evidence_for(seed: int, index: int) -> bytes:
@@ -60,24 +54,16 @@ class MarketSimulator:
     label scopes, and its trace carries the auction's phase spans
     (match / cluster / normalize / assemble / clear) for every block
     the simulator clears — :func:`~repro.obs.trace.span_seconds` reads
-    where rounds spend their time.  When attached, :meth:`run_block` builds its
-    :class:`BlockMetrics` *from the registry* (see
-    :func:`~repro.sim.metrics.block_metrics_from_registry`) — the
-    values are bit-identical to the direct outcome comparison, which
-    the metrics-accuracy suite asserts.  A monitor suite attached to
-    the bundle is evaluated on every DeCloud outcome (the benchmark
-    deliberately breaks the §IV invariants and is skipped).
-
-    ``history`` (optional
-    :class:`~repro.obs.timeseries.TimeSeriesStore`) appends the
-    registry snapshot after every block, building the cross-run JSONL
-    history the drift detectors read.  Requires ``obs``.
+    where rounds spend their time.  A monitor suite attached to the
+    bundle is evaluated on every DeCloud outcome (the benchmark
+    deliberately breaks the §IV invariants and is skipped).  The
+    :class:`BlockMetrics` always come from the outcomes themselves
+    (:func:`~repro.sim.metrics.compare_outcomes`), with or without it.
     """
 
     config: AuctionConfig = field(default_factory=AuctionConfig)
     seed: int = 0
     obs: Optional[ObservabilityLike] = None
-    history: Optional["TimeSeriesStore"] = None
     _block_index: int = 0
 
     def __post_init__(self) -> None:
@@ -95,30 +81,18 @@ class MarketSimulator:
         if evidence is None:
             evidence = _evidence_for(self.seed, self._block_index)
         self._block_index += 1
-        obs = self.obs
-        if obs.enabled:
-            decloud = self._auction.run(
-                requests,
-                offers,
-                evidence=evidence,
-                obs=obs.scoped(mechanism="decloud"),
-            )
-            benchmark = self._benchmark.run(
-                requests, offers, obs=obs.scoped(mechanism="benchmark")
-            )
-            metrics = block_metrics_from_registry(obs.registry)
-            if self.history is not None:
-                self.history.append(
-                    obs.registry.snapshot(),
-                    block=self._block_index - 1,
-                    seed=self.seed,
-                )
-        else:
-            decloud = self._auction.run(requests, offers, evidence=evidence)
-            benchmark = self._benchmark.run(requests, offers)
-            metrics = compare_outcomes(
-                len(requests), len(offers), decloud, benchmark
-            )
+        decloud = self._auction.run(
+            requests,
+            offers,
+            evidence=evidence,
+            obs=self.obs.scoped(mechanism="decloud"),
+        )
+        benchmark = self._benchmark.run(
+            requests, offers, obs=self.obs.scoped(mechanism="benchmark")
+        )
+        metrics = compare_outcomes(
+            len(requests), len(offers), decloud, benchmark
+        )
         return metrics, decloud, benchmark
 
     def run_stream(

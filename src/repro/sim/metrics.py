@@ -109,35 +109,3 @@ class RunMetrics:
 
 def pooled_metrics(blocks: Sequence[BlockMetrics]) -> RunMetrics:
     return RunMetrics(blocks=list(blocks))
-
-
-def block_metrics_from_registry(registry) -> BlockMetrics:
-    """Read the last cleared block's :class:`BlockMetrics` off a registry.
-
-    :class:`~repro.sim.engine.MarketSimulator` clears each mechanism
-    under a ``mechanism=decloud`` / ``mechanism=benchmark`` label scope;
-    the auction stores the round's exact outcome-derived values in
-    ``auction_last_*`` gauges.  Reading the gauges back therefore
-    reproduces :func:`compare_outcomes` bit-for-bit — the fig5
-    experiment series are built this way when observability is on.
-    """
-
-    def dec(name: str, **labels) -> float:
-        return registry.gauge_value(name, mechanism="decloud", **labels)
-
-    def ben(name: str, **labels) -> float:
-        return registry.gauge_value(name, mechanism="benchmark", **labels)
-
-    return BlockMetrics(
-        n_requests=int(dec("auction_last_bids", side="request")),
-        n_offers=int(dec("auction_last_bids", side="offer")),
-        decloud_welfare=dec("auction_last_welfare"),
-        benchmark_welfare=ben("auction_last_welfare"),
-        decloud_trades=int(dec("auction_last_trades")),
-        benchmark_trades=int(ben("auction_last_trades")),
-        reduced_trades=int(dec("auction_last_reduced")),
-        decloud_satisfaction=dec("auction_last_satisfaction"),
-        benchmark_satisfaction=ben("auction_last_satisfaction"),
-        total_payments=dec("auction_last_payments"),
-        total_revenues=dec("auction_last_revenues"),
-    )

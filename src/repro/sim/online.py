@@ -20,7 +20,6 @@ from repro.core.config import AuctionConfig
 from repro.core.outcome import AuctionOutcome
 from repro.market.bids import Offer, Request
 from repro.obs import ObservabilityLike, resolve as resolve_obs
-from repro.obs.timeseries import TimeSeriesStore
 
 
 @dataclass
@@ -81,7 +80,6 @@ class OnlineSimulator:
         block_interval: float = 1.0,
         seed: int = 0,
         obs: Optional[ObservabilityLike] = None,
-        history: Optional[TimeSeriesStore] = None,
     ) -> None:
         if block_interval <= 0:
             raise ValidationError("block_interval must be positive")
@@ -92,9 +90,6 @@ class OnlineSimulator:
         #: counters, and trade-ratio gauges (plus the auction's own
         #: round instrumentation and any attached monitor suite)
         self.obs = resolve_obs(obs)
-        #: optional per-round registry history for the drift detectors
-        #: (latency p95, revenue per block); requires ``obs``
-        self.history = history
         self._auction = DecloudAuction(self.config)
 
     def _evidence(self, round_index: int) -> bytes:
@@ -223,13 +218,6 @@ class OnlineSimulator:
                     queued_offers=len(pending_offers),
                     expired=expired,
                 )
-                if self.history is not None:
-                    self.history.append(
-                        obs.registry.snapshot(),
-                        round=round_index,
-                        time=now,
-                        seed=self.seed,
-                    )
 
             round_index += 1
             now += self.block_interval

@@ -47,7 +47,7 @@ class TestViolationsDetected:
         )
         report = audit_outcome([], [offer], outcome)
         assert not report.ok
-        assert any("unknown request" in v for v in report.violations)
+        assert any("unknown request" in v.message for v in report.violations)
 
     def test_altered_bid_detected(self):
         request, offer = self._base()
@@ -56,14 +56,14 @@ class TestViolationsDetected:
             matches=[Match(request=forged, offer=offer, payment=1.0, unit_price=1.0)],
         )
         report = audit_outcome([request], [offer], outcome)
-        assert any("alters the bid" in v for v in report.violations)
+        assert any("alters the bid" in v.message for v in report.violations)
 
     def test_double_allocation_detected(self):
         request, offer = self._base()
         match = Match(request=request, offer=offer, payment=0.5, unit_price=0.5)
         outcome = AuctionOutcome(matches=[match, match])
         report = audit_outcome([request], [offer], outcome)
-        assert any("Const. 5" in v for v in report.violations)
+        assert any("Const. 5" in v.message for v in report.violations)
 
     def test_overcharge_detected(self):
         request, offer = self._base()
@@ -71,7 +71,7 @@ class TestViolationsDetected:
             matches=[Match(request=request, offer=offer, payment=5.0, unit_price=1.0)],
         )
         report = audit_outcome([request], [offer], outcome)
-        assert any("(IR)" in v for v in report.violations)
+        assert any("(IR)" in v.message for v in report.violations)
 
     def test_infeasible_match_detected(self):
         request = make_request(request_id="r1", resources={"cpu": 64}, bid=9.0)
@@ -80,7 +80,7 @@ class TestViolationsDetected:
             matches=[Match(request=request, offer=offer, payment=0.1, unit_price=0.1)],
         )
         report = audit_outcome([request], [offer], outcome)
-        assert any("infeasible" in v for v in report.violations)
+        assert any("infeasible" in v.message for v in report.violations)
 
     def test_oversubscription_detected(self):
         offer = make_offer(offer_id="o1", resources={"cpu": 4}, bid=0.1)
@@ -100,13 +100,13 @@ class TestViolationsDetected:
         ]
         outcome = AuctionOutcome(matches=matches)
         report = audit_outcome(requests, [offer], outcome)
-        assert any("Const. 7" in v for v in report.violations)
+        assert any("Const. 7" in v.message for v in report.violations)
 
     def test_unaccounted_request_detected(self):
         request, offer = self._base()
         outcome = AuctionOutcome()  # request missing from every bucket
         report = audit_outcome([request], [offer], outcome)
-        assert any("unaccounted" in v for v in report.violations)
+        assert any("unaccounted" in v.message for v in report.violations)
 
     def test_bucket_overlap_detected(self):
         request, offer = self._base()
@@ -115,7 +115,7 @@ class TestViolationsDetected:
             unmatched_requests=[request],
         )
         report = audit_outcome([request], [offer], outcome)
-        assert any("two buckets" in v for v in report.violations)
+        assert any("two buckets" in v.message for v in report.violations)
 
     def test_str_lists_violations(self):
         request, offer = self._base()

@@ -20,7 +20,6 @@ from repro.core.config import AuctionConfig, ShardPlan
 from repro.obs import Observability
 from repro.obs.trace import span_seconds
 from repro.sim.engine import MarketSimulator
-from repro.sim.metrics import block_metrics_from_registry, compare_outcomes
 from repro.workloads.generators import MarketScenario, generate_zone_market
 from tests.differential.conftest import market_from_payload
 
@@ -149,31 +148,6 @@ def test_phase_labels_are_the_round_spans_children(layout, engine):
     for phase, series in recorded.items():
         assert series.count == children[phase]["count"] == 1
         assert series.sum == children[phase]["seconds"]
-
-
-@pytest.mark.parametrize("seed", [0, 7])
-def test_simulator_registry_metrics_equal_direct_comparison(seed):
-    """MarketSimulator with obs == without obs, field for field."""
-    scenario = MarketScenario(
-        n_requests=60, offers_per_request=0.5, seed=seed
-    )
-    requests, offers = scenario.generate()
-    config = AuctionConfig(cluster_breadth=16)
-
-    obs = Observability(f"sim-{seed}")
-    with_obs = MarketSimulator(config=config, seed=seed, obs=obs)
-    metrics_obs, decloud, benchmark = with_obs.run_block(requests, offers)
-
-    plain = MarketSimulator(config=config, seed=seed)
-    metrics_plain, _, _ = plain.run_block(requests, offers)
-
-    assert metrics_obs == metrics_plain
-    # and both equal the direct outcome comparison
-    assert metrics_obs == compare_outcomes(
-        len(requests), len(offers), decloud, benchmark
-    )
-    # reading the registry again reproduces the same BlockMetrics
-    assert block_metrics_from_registry(obs.registry) == metrics_obs
 
 
 def test_mechanism_labels_separate_decloud_from_benchmark():

@@ -21,12 +21,8 @@ from repro.core.auction import DecloudAuction
 from repro.core.config import AuctionConfig
 from repro.obs import Observability
 from repro.obs.flight import FlightRecorder, load_flight
-from repro.obs.monitors import (
-    BudgetBalanceMonitor,
-    MonitorSuite,
-    default_monitors,
-    violation_total,
-)
+from repro.core.audit import CHECKS
+from repro.obs.monitors import MonitorSuite, violation_total
 from repro.workloads.generators import MarketScenario
 from tests.differential.conftest import market_from_payload
 
@@ -74,15 +70,15 @@ class TestGoldenFixturesPassClean:
         )
         suite = MonitorSuite()
         assert suite.check_outcome(outcome) == []
-        assert suite.checks_run == len(default_monitors())
+        assert suite.checks_run == len(CHECKS)
         assert suite.violations_found == 0
 
     def test_integrated_auction_run_checks_every_monitor(self):
         obs = Observability("monitored", monitors=MonitorSuite())
         _clear_market(obs=obs)
-        for monitor in default_monitors():
+        for check in CHECKS:
             assert obs.registry.counter_value(
-                "monitor_checks_total", monitor=monitor.name
+                "monitor_checks_total", monitor=check
             ) == 1.0
         assert violation_total(obs.registry) == 0
 
@@ -99,7 +95,7 @@ class TestCorruptedOutcomeIsCaught:
         assert outcome.num_trades > 0
         corrupted = _SkimmingOutcome(outcome)
         violations = MonitorSuite().check_outcome(corrupted)
-        assert [v.monitor for v in violations] == ["budget_balance"]
+        assert [v.check for v in violations] == ["budget_balance"]
         assert violations[0].details["surplus"] == pytest.approx(0.01)
         assert len(violations[0].details["offers"]) == 1
 
@@ -146,7 +142,7 @@ class TestCorruptedOutcomeIsCaught:
         corrupted = _SkimmingOutcome(_clear_market())
         with pytest.raises(MonitorViolationError) as excinfo:
             obs.check_outcome(corrupted)
-        assert excinfo.value.violations[0].monitor == "budget_balance"
+        assert excinfo.value.violations[0].check == "budget_balance"
         # the alert landed before the raise
         assert violation_total(obs.registry) == 1
 
@@ -163,8 +159,10 @@ class TestMonitorUnits:
         assert outcome.num_trades > 0
         # even a one-ulp-scale skim must fire: fsum is exact
         corrupted = _SkimmingOutcome(outcome, skim=1e-9)
-        assert BudgetBalanceMonitor().check(corrupted)
-        assert BudgetBalanceMonitor().check(outcome) == []
+        assert [v.check for v in MonitorSuite().check_outcome(corrupted)] == [
+            "budget_balance"
+        ]
+        assert MonitorSuite().check_outcome(outcome) == []
 
     def test_violation_total_handles_registries_without_counters(self):
         class Bare:

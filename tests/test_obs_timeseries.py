@@ -12,12 +12,9 @@ from repro.obs.timeseries import (
     counter_series,
     detect_drift,
     gauge_series,
-    latency_p95_drift,
     latency_series,
     least_squares_slope,
-    main as timeseries_main,
     p95,
-    revenue_drift,
 )
 from repro.sim.engine import MarketSimulator
 from repro.workloads.generators import MarketScenario
@@ -129,79 +126,20 @@ class TestDriftDetection:
         assert least_squares_slope([2.0]) == 0.0
 
 
-class TestCannedDetectors:
-    def _history(self, tmp_path, revenues):
-        store = TimeSeriesStore(str(tmp_path / "h.jsonl"))
-        obs = Observability("canned")
-        for i, rev in enumerate(revenues):
-            obs.registry.set("auction_last_revenues", rev)
-            obs.registry.observe(
-                "auction_phase_seconds", 0.01, phase="clear"
-            )
-            store.append(obs.registry.snapshot(), round=i)
-        return TimeSeriesStore.load(store.path)
-
-    def test_revenue_drift_detects_quiet_decline(self, tmp_path):
-        rows = self._history(
-            tmp_path, [10.0] * 5 + [7.0, 6.5, 6.0, 5.5, 5.0]
-        )
-        report = revenue_drift(rows)
-        assert report.drifting
-        assert report.relative_change < -0.2
-
-    def test_latency_p95_drift_stable_on_constant_history(self, tmp_path):
-        rows = self._history(tmp_path, [10.0] * 10)
-        assert not latency_p95_drift(rows, phase="clear").drifting
-
-
 class TestSimulatorWiring:
     def test_market_simulator_appends_one_row_per_block(self, tmp_path):
         store = TimeSeriesStore(str(tmp_path / "sim.jsonl"))
-        simulator = MarketSimulator(
-            obs=Observability("sim"), history=store, seed=1
-        )
-        for _ in range(3):
+        obs = Observability("sim")
+        simulator = MarketSimulator(obs=obs, seed=1)
+        for block in range(3):
             requests, offers = MarketScenario(
                 n_requests=10, seed=1
             ).generate()
             simulator.run_block(requests, offers)
+            store.append(obs.registry.snapshot(), block=block, seed=1)
         rows = TimeSeriesStore.load(store.path)
         assert [row["meta"]["block"] for row in rows] == [0, 1, 2]
         assert gauge_series(
             rows, "auction_last_welfare{mechanism=decloud}"
         )
 
-
-class TestCLI:
-    def _write_history(self, tmp_path):
-        store = TimeSeriesStore(str(tmp_path / "cli.jsonl"))
-        obs = Observability("cli")
-        values = [10.0] * 5 + [7.0, 6.5, 6.0, 5.5, 5.0]
-        for value in values:
-            obs.registry.set("auction_last_revenues", value)
-            obs.registry.inc("auction_trades_total", 2)
-            store.append(obs.registry.snapshot())
-        return store.path
-
-    def test_list_mode(self, tmp_path, capsys):
-        path = self._write_history(tmp_path)
-        assert timeseries_main([path, "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "10 rows" in out
-        assert "auction_last_revenues" in out
-
-    def test_drifting_gauge_exits_nonzero(self, tmp_path, capsys):
-        path = self._write_history(tmp_path)
-        code = timeseries_main(
-            [path, "--gauge", "auction_last_revenues", "--window", "5"]
-        )
-        assert code == 1
-        assert "DRIFT" in capsys.readouterr().out
-
-    def test_stable_counter_exits_zero(self, tmp_path, capsys):
-        path = self._write_history(tmp_path)
-        code = timeseries_main(
-            [path, "--counter", "auction_trades_total", "--window", "5"]
-        )
-        assert code == 0
-        assert "stable" in capsys.readouterr().out

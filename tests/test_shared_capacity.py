@@ -7,6 +7,7 @@ most once — the Const. (5)/(7) story at auction scope rather than
 cluster scope.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -23,6 +24,9 @@ from repro.core.miniauctions import MiniAuction
 from repro.core.normalization import compute_economics
 from repro.core.trade_reduction import clear_mini_auction
 from repro.common.timewindow import TimeWindow
+from repro.obs import Observability
+from repro.obs.monitors import MonitorSuite, violation_total
+from repro.workloads.generators import generate_zone_market
 from tests.conftest import make_offer, make_request
 
 CONFIG = AuctionConfig()
@@ -178,6 +182,19 @@ class TestAdmissionVersusBooking:
             for r, o in matches
         )
         assert committed <= offer.resources["ram"]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2b")
+    def test_the_monitor_sees_no_overdraw_on_a_large_zone_market(self):
+        # Const. 7 is audited on what the matches book, so the monitor
+        # raises one resource_conservation alert per overdrawn resource
+        # (15 on this block) until item 2b books what it admits.
+        requests, offers, _ = generate_zone_market(1500, n_zones=6, seed=4)
+        obs = Observability("zone1500", monitors=MonitorSuite())
+        DecloudAuction(AuctionConfig(engine="vectorized")).run(
+            requests, offers, evidence=hashlib.sha256(b"zone1500 s4").digest(),
+            obs=obs,
+        )
+        assert violation_total(obs.registry) == 0
 
 
 class TestFullAuctionCapacityStress:
