@@ -16,8 +16,9 @@ through an in-memory ``NodeStore``.
 * ``test_durability_overhead_within_bound`` — interleaved best-of
   pairing of the two; the ratio must stay within
   ``DECLOUD_DURABILITY_CEILING`` (default 1.10, the <=10% budget).
-* ``test_bench_wal_append`` — the micro-bench under all of it: framing
-  (deflate + CRC32) + append for a batch of typical records.
+* ``test_bench_wal_append`` — the micro-bench under all of it: encoding
+  (canonical JSON for a control record), framing (CRC32) and append for
+  a batch of typical records.
 * ``test_bench_state_digest_200_blocks`` — the streamed
   ``NodeStore.state_digest()`` over a 200-block chain.
 
@@ -36,7 +37,7 @@ from repro.cryptosim import schnorr
 from repro.ledger.mempool import Mempool
 from repro.ledger.miner import make_sealed_bid
 from repro.protocol.settlement import SettlementProcessor, TokenLedger
-from repro.store import MemoryLogBackend, NodeStore, WriteAheadLog
+from repro.store import MemoryLogBackend, NodeStore, WriteAheadLog, records
 from repro.workloads.generators import generate_market
 
 DURABILITY_N = int(
@@ -119,9 +120,9 @@ def test_durability_overhead_within_bound():
     """Paired interleaved best-of: journaled round vs dark round.
 
     Interleaving and best-of-k make the ratio robust to runner noise;
-    the WAL work is canonical-JSON encoding, zlib level 1 on the larger
-    records and a CRC32 per record, which the signature checks and the
-    clearing itself must dominate.
+    the WAL work is the ledger's binary codec for each admission,
+    canonical JSON for the settlement intent and a CRC32 per record,
+    which the signature checks and the clearing itself must dominate.
     """
     _sealed_txs()
     _round(False)
@@ -152,7 +153,8 @@ def test_durability_overhead_within_bound():
 
 
 def test_bench_wal_append(benchmark):
-    """Micro-bench: frame + CRC + append for a batch of typical records."""
+    """Micro-bench: encode + frame + CRC + append for a batch of typical
+    records."""
     payload = {
         "block_hash": "bench",
         "auto_fund": True,
@@ -171,7 +173,10 @@ def test_bench_wal_append(benchmark):
     def append_batch():
         log = WriteAheadLog(MemoryLogBackend())
         for _ in range(256):
-            log.append("settlement.block", payload)
+            log.append(
+                "settlement.block",
+                records.encode_data("settlement.block", payload),
+            )
         return log
 
     log = benchmark.pedantic(append_batch, rounds=5, iterations=1)

@@ -22,15 +22,20 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: one encoder for every call (``json.dumps`` builds one per call when
+#: given options)
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+)
+
+
 def canonical_json(obj: Any) -> bytes:
     """Deterministic JSON bytes: sorted keys, no whitespace, UTF-8.
 
     ``bytes`` values are not JSON-serializable; callers must hex-encode
     them first (the ledger layer does this in its ``to_payload`` methods).
     """
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
 
 
 def iter_canonical_json_items(items: Iterable[Any]) -> Iterator[bytes]:

@@ -11,10 +11,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.config import AuctionConfig
-from repro.obs import ObservabilityLike
 from repro.sim.engine import MarketSimulator
 from repro.sim.metrics import BlockMetrics
 from repro.workloads.divergence import DivergenceScenario, tilt_for_similarity
@@ -52,12 +51,11 @@ def run_size_sweep(
     seeds: Iterable[int] = range(5),
     offers_per_request: float = 0.5,
     config: AuctionConfig | None = None,
-    obs: Optional[ObservabilityLike] = None,
 ) -> List[SizePoint]:
     """Clear one block per (size, seed) with DeCloud and the benchmark.
 
     Each point's :class:`BlockMetrics` compares the two outcomes
-    directly; an optional ``obs`` bundle records every point's rounds.
+    directly.
     """
     config = config or eval_config()
     seeds = list(seeds)
@@ -70,7 +68,7 @@ def run_size_sweep(
                 seed=seed,
             )
             requests, offers = scenario.generate()
-            simulator = MarketSimulator(config=config, seed=seed, obs=obs)
+            simulator = MarketSimulator(config=config, seed=seed)
             metrics, _, _ = simulator.run_block(requests, offers)
             points.append(
                 SizePoint(
@@ -100,14 +98,12 @@ def run_similarity_sweep(
     n_requests: int = 150,
     n_offers: int = 75,
     config: AuctionConfig | None = None,
-    obs: Optional[ObservabilityLike] = None,
 ) -> List[SimilarityPoint]:
     """Clear one block per (similarity, flexibility, seed).
 
     Scenarios differing only in flexibility sample identical markets
     (paired comparison), mirroring the paper's flexible-vs-inflexible
-    panels.  As in :func:`run_size_sweep`, an optional ``obs`` bundle
-    records every point's rounds.
+    panels.
     """
     config = config or eval_config()
     seeds = list(seeds)
@@ -124,9 +120,7 @@ def run_similarity_sweep(
                     seed=seed,
                 )
                 requests, offers = scenario.generate()
-                simulator = MarketSimulator(
-                    config=config, seed=seed, obs=obs
-                )
+                simulator = MarketSimulator(config=config, seed=seed)
                 metrics, _, _ = simulator.run_block(requests, offers)
                 points.append(
                     SimilarityPoint(

@@ -1,30 +1,31 @@
-"""Chain import/export: a JSON audit format for the ledger.
+"""The ledger's two encodings: a JSON audit document, a binary journal.
 
 Anyone can audit a DeCloud deployment from its chain: every block
 carries the sealed bids, the disclosed keys, and the allocation — enough
-to re-derive and re-verify everything.  This module serializes a
-:class:`~repro.ledger.chain.Blockchain` to a portable JSON document and
-back, preserving hashes bit-for-bit (round-trip is asserted on import).
+to re-derive and re-verify everything.  :func:`chain_to_json` writes a
+:class:`~repro.ledger.chain.Blockchain` as a portable JSON document and
+:func:`chain_from_json` reads it back, preserving hashes bit-for-bit;
+snapshots and the state digest use the same dict forms.
 
-Hashing here leans on the canonical-bytes caches of the ledger value
-objects: ``block.hash()`` reuses the preamble payload, the transactions'
-signed payloads, and the body's canonical allocation JSON, each computed
-at most once per instance (see ``repro.ledger.block`` /
-``repro.ledger.transaction``).  Exporting or verifying a chain therefore
-serializes every allocation once instead of once per hash/signature/
-audit pass.  The outer ``json.dumps(..., sort_keys=True, indent=1)``
-below is the *wire format* and is unchanged.
+A node's write-ahead log (``repro.store``) holds transactions and blocks
+in the binary codec at the end of this module: each field once, raw,
+behind its length where it has no fixed width.  Its decoders return an
+object or raise :class:`LedgerError`.  Both encodings reuse the value
+objects' cached canonical bytes (``repro.ledger.block``), so a block's
+allocation is serialized once whatever hashes, exports or journals it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
+import struct
 from sys import intern
-from typing import Any, Callable, Dict, Iterator
+from typing import Any, Callable, Dict, Iterator, Optional
 
-from repro.common.errors import LedgerError, ReproError
-from repro.cryptosim import hashing, schnorr
+from repro.common.errors import CryptoError, LedgerError, ReproError
+from repro.cryptosim import hashing
 from repro.cryptosim.commitments import Commitment
 from repro.cryptosim.symmetric import SealedBox
 from repro.ledger.block import (
@@ -69,36 +70,22 @@ def _shared(raw: bytes) -> bytes:
     return raw
 
 
-def _public_key(text: Any) -> bytes:
-    return _shared(_raw(text, schnorr.KEY_SIZE, "public key"))
-
-
-def _signature(text: Any) -> bytes:
-    return _raw(text, schnorr.SIGNATURE_SIZE, "signature")
-
-
 def tx_from_dict(data: Dict[str, Any]) -> SealedBidTransaction:
     """A decoded chain names the same few signers block after block:
     their ids and keys (and, below, a reveal's txid, which its
     transaction interns too) are shared, not held once per bid."""
     return SealedBidTransaction(
         sender_id=intern(data["sender_id"]),
-        sender_public=_public_key(data["sender_public"]),
+        sender_public=_shared(_raw(data["sender_public"], 32, "public key")),
         box=SealedBox.from_bytes(bytes.fromhex(data["box"])),
         key_commitment=Commitment(
             digest=bytes.fromhex(data["key_commitment"])
         ),
-        signature=_signature(data["signature"]),
+        signature=_raw(data["signature"], 64, "signature"),
     )
 
 
-def block_to_dict(
-    block: Block,
-    encode_tx: Callable[[SealedBidTransaction], Dict[str, Any]] = tx_to_dict,
-) -> Dict[str, Any]:
-    """``encode_tx`` lets a journal write a transaction it already holds
-    some other way (see ``repro.store.records``); the audit format and
-    every hash use :func:`tx_to_dict`."""
+def block_to_dict(block: Block) -> Dict[str, Any]:
     preamble = block.preamble
     body = block.body
     out: Dict[str, Any] = {
@@ -107,7 +94,7 @@ def block_to_dict(
             "parent_hash": preamble.parent_hash,
             "timestamp": preamble.timestamp,
             "pow_nonce": preamble.pow_nonce,
-            "transactions": [encode_tx(tx) for tx in preamble.transactions],
+            "transactions": [tx_to_dict(tx) for tx in preamble.transactions],
         },
     }
     if body is not None:
@@ -129,15 +116,12 @@ def block_to_dict(
     return out
 
 
-def block_from_dict(
-    data: Dict[str, Any],
-    decode_tx: Callable[[Dict[str, Any]], SealedBidTransaction] = tx_from_dict,
-) -> Block:
+def block_from_dict(data: Dict[str, Any]) -> Block:
     pre = data["preamble"]
     preamble = BlockPreamble(
         height=pre["height"],
         parent_hash=pre["parent_hash"],
-        transactions=tuple(decode_tx(t) for t in pre["transactions"]),
+        transactions=tuple(tx_from_dict(t) for t in pre["transactions"]),
         timestamp=pre["timestamp"],
         pow_nonce=pre["pow_nonce"],
     )
@@ -156,8 +140,8 @@ def block_from_dict(
             ),
             allocation=raw["allocation"],
             miner_id=raw["miner_id"],
-            miner_public=_public_key(raw["miner_public"]),
-            signature=_signature(raw["signature"]),
+            miner_public=_shared(_raw(raw["miner_public"], 32, "public key")),
+            signature=_raw(raw["signature"], 64, "signature"),
         )
     return Block(preamble=preamble, body=body)
 
@@ -267,3 +251,162 @@ def _decode_chain(data: Dict[str, Any], verify: bool) -> Blockchain:
         else:
             chain._blocks.append(block)  # noqa: SLF001 - explicit fast path
     return chain
+
+
+# The journal's binary codec: big-endian; a record's variable-width
+# fields follow the fixed header that holds their lengths.
+#: sender id length, key, signature, key commitment, sealed box length
+_TX = struct.Struct(">H32s64s32sI")
+#: height, parent hash, timestamp (IEEE double), nonce, transaction count
+_PREAMBLE = struct.Struct(">Q32sdQI")
+#: a reveal's sender id, txid, key and blind lengths (u32: a bidder picks
+#: its blind's length, and one reveal must not make a block unjournalable)
+_REVEAL = struct.Struct(">IIII")
+#: allocation JSON length, miner id length, miner key, signature
+_TAIL = struct.Struct(">IH32s64s")
+_U32 = struct.Struct(">I")
+_REFERENCE, _EMBEDDED = b"\x00", b"\x01"
+_HASH = re.compile("[0-9a-f]{64}")
+
+
+def encode_tx(tx: SealedBidTransaction) -> bytes:
+    """:data:`_TX`, then the sender id (UTF-8) and the sealed box."""
+    fixed = (tx.sender_public, tx.signature, tx.key_commitment.digest)
+    if tuple(map(len, fixed)) != (32, 64, 32):
+        raise LedgerError("key, signature or commitment of another width")
+    sender, box = tx.sender_id.encode(), tx.box.to_bytes()
+    try:
+        return _TX.pack(len(sender), *fixed, len(box)) + sender + box
+    except struct.error as exc:
+        raise LedgerError(f"transaction field out of range: {exc}") from None
+
+
+def encode_block(block: Block, held: Callable[[str], Any] = {}.get) -> bytes:
+    """:data:`_PREAMBLE`; per transaction ``0x00`` and its txid where
+    ``held(txid)``, the reader's copy, is *equal* to it (a txid does not
+    commit to the signature), else ``0x01`` and :func:`encode_tx`;
+    ``0x00``, or ``0x01``, the reveal count (u32) and per reveal
+    :data:`_REVEAL` and its fields, then :data:`_TAIL`, the body's cached
+    canonical allocation JSON and the miner id."""
+    pre, body = block.preamble, block.body
+    if not (type(pre.timestamp) is float and _HASH.fullmatch(pre.parent_hash)):
+        raise LedgerError("parent hash or timestamp of another form")
+    try:
+        parts = [_PREAMBLE.pack(
+            pre.height, bytes.fromhex(pre.parent_hash), pre.timestamp,
+            pre.pow_nonce, len(pre.transactions),
+        )]
+        for tx in pre.transactions:
+            txid = tx.txid()
+            copy = held(txid)
+            if copy is tx or copy == tx:
+                parts += (_REFERENCE, bytes.fromhex(txid))
+            else:
+                parts += (_EMBEDDED, encode_tx(tx))
+        if body is None:
+            return b"".join(parts) + b"\x00"
+        if (len(body.miner_public), len(body.signature)) != (32, 64):
+            raise LedgerError("miner key or signature of another width")
+        parts.append(b"\x01" + _U32.pack(len(body.reveals)))
+        for reveal in body.reveals:
+            sender, txid = reveal.sender_id.encode(), reveal.txid.encode()
+            key, blind = reveal.temp_key, reveal.blind
+            head = _REVEAL.pack(len(sender), len(txid), len(key), len(blind))
+            parts += (head, sender, txid, key, blind)
+        allocation, miner = body.allocation_bytes(), body.miner_id.encode()
+        parts += (
+            _TAIL.pack(
+                len(allocation), len(miner), body.miner_public, body.signature
+            ),
+            allocation,
+            miner,
+        )
+    except struct.error as exc:
+        raise LedgerError(f"block field out of range: {exc}") from None
+    return b"".join(parts)
+
+
+class _Reader:
+    """A cursor over codec bytes: reading past their end, or stopping
+    short of it, is a :class:`LedgerError`."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data, self.at = bytes(data), 0
+
+    def take(self, size: int) -> bytes:
+        start, self.at = self.at, self.at + size
+        if self.at > len(self.data):
+            raise LedgerError("codec bytes end inside a field")
+        return self.data[start : self.at]
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
+
+    def text(self, size: int) -> str:
+        try:
+            return intern(self.take(size).decode())
+        except UnicodeDecodeError:
+            raise LedgerError("a codec text field is not UTF-8") from None
+
+    def tx(self) -> SealedBidTransaction:
+        sender, public, signature, digest, size = self.unpack(_TX)
+        sender_id = self.text(sender)
+        try:
+            box = SealedBox.from_bytes(self.take(size))
+        except CryptoError as exc:
+            raise LedgerError(f"undecodable sealed box: {exc}") from None
+        return SealedBidTransaction(
+            sender_id, _shared(public), box, Commitment(digest), signature
+        )
+
+    def end(self, value: Any) -> Any:
+        if self.at != len(self.data):
+            raise LedgerError(f"{len(self.data) - self.at} bytes past the end")
+        return value
+
+
+def decode_tx(data: bytes) -> SealedBidTransaction:
+    reader = _Reader(data)
+    return reader.end(reader.tx())
+
+
+def decode_block(
+    data: bytes, resolve: Optional[Callable[[str], Any]] = None
+) -> Block:
+    """The block :func:`encode_block` wrote; ``resolve`` turns each txid
+    it refers to into its transaction."""
+    reader = _Reader(data)
+    height, parent, timestamp, nonce, count = reader.unpack(_PREAMBLE)
+    transactions = []
+    for _ in range(count):
+        tag = reader.take(1)
+        if tag == _EMBEDDED:
+            transactions.append(reader.tx())
+        elif tag == _REFERENCE and resolve is not None:
+            transactions.append(resolve(reader.take(32).hex()))
+        else:
+            raise LedgerError(f"no transaction to read under tag {tag!r}")
+    preamble = BlockPreamble(
+        height, parent.hex(), tuple(transactions), timestamp, nonce
+    )
+    flag = reader.take(1)
+    if flag == b"\x00":
+        return reader.end(Block(preamble))
+    if flag != b"\x01":
+        raise LedgerError(f"no block body under flag {flag!r}")
+    reveals = []
+    for _ in range(reader.unpack(_U32)[0]):
+        sender, txid, key, blind = reader.unpack(_REVEAL)
+        reveals.append(KeyReveal(
+            reader.text(sender), reader.text(txid), reader.take(key),
+            reader.take(blind),
+        ))
+    size, miner, key, signature = reader.unpack(_TAIL)
+    try:
+        allocation = json.loads(reader.take(size))
+    except (ValueError, RecursionError) as exc:
+        raise LedgerError(f"undecodable allocation: {exc}") from None
+    body = BlockBody(
+        tuple(reveals), allocation, reader.text(miner), _shared(key), signature
+    )
+    return reader.end(Block(preamble, body))

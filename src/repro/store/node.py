@@ -46,7 +46,9 @@ from repro.ledger.serialization import (
     chain_document,
     chain_from_json,
     chain_to_json,
+    decode_tx,
     iter_chain_canonical_json,
+    tx_from_dict,
     tx_to_dict,
 )
 from repro.obs import ObservabilityLike, resolve as resolve_obs
@@ -384,12 +386,13 @@ class NodeStore:
             len(chain) // self.horizon > self._segment[1] // self.horizon
         ):
             self._roll()
-        payload = records.encode_data(record_type, data, self._mempool)
-        seq = self.wal.append(record_type, payload)
+        seq = self.wal.append(
+            record_type, records.encode_data(record_type, data, self._mempool)
+        )
         if record_type == records.ROUND_PHASE:
-            self.last_round_phase = payload
-            if "round" in payload:
-                self.round_phases[payload["round"]] = payload
+            self.last_round_phase = data
+            if "round" in data:
+                self.round_phases[data["round"]] = data
         if self.obs.enabled:
             self.obs.registry.inc(
                 "store_wal_records_total", type=record_type
@@ -554,9 +557,9 @@ class NodeStore:
             pool.signatures = mempool.signatures
             try:
                 for tx_data in state["mempool"]:
-                    mempool.submit(records.decode_tx({"tx": tx_data}))
+                    mempool.submit(tx_from_dict(tx_data))
                 for tx_data in segment["mempool"]:
-                    pool.submit(records.decode_tx({"tx": tx_data}))
+                    pool.submit(tx_from_dict(tx_data))
             except (LedgerError, SignatureError) as exc:
                 raise RecoveryError(
                     f"snapshot mempool failed validation: {exc}"
@@ -642,17 +645,20 @@ class NodeStore:
         round_phases: Optional[Dict[int, Dict[str, Any]]] = None,
     ) -> Optional[Dict[str, Any]]:
         rtype = record["type"]
-        data = record["data"]
+        body = record["data"]
         try:
             if rtype == records.MEMPOOL_ADMIT:
-                mempool.submit(records.decode_tx(data))
-            elif rtype == records.CHAIN_APPEND:
-                block = records.decode_block(data, mempool)
+                mempool.submit(decode_tx(body))
+                return last_round
+            if rtype == records.CHAIN_APPEND:
+                block = records.decode_block(body, mempool)
                 chain.append(block)
                 mempool.remove(
                     [tx.txid() for tx in block.preamble.transactions]
                 )
-            elif rtype == records.SETTLEMENT_BLOCK:
+                return last_round
+            data = json.loads(body)
+            if rtype == records.SETTLEMENT_BLOCK:
                 mapping = apply_settlement_intent(
                     ledger, data["entries"], data["auto_fund"]
                 )
@@ -677,15 +683,15 @@ class NodeStore:
                 if round_phases is not None and "round" in data:
                     round_phases[data["round"]] = dict(data)
                 return dict(data)
-            elif rtype == records.SNAPSHOT_MARK:
-                pass
-            else:
-                raise RecoveryError(
-                    f"unknown record type {rtype!r} at seq {record['seq']}"
-                )
-        except (LedgerError, ContractError, SignatureError) as exc:
+        except (
+            LedgerError, ContractError, SignatureError, KeyError, TypeError,
+            ValueError, AttributeError, RecursionError,
+        ) as exc:
+            # a record whose CRC holds but whose body does not decode, or
+            # does not apply to the state recovered so far
             raise RecoveryError(
-                f"replaying {rtype} record seq {record['seq']} failed: {exc}"
+                f"replaying {rtype} record seq {record['seq']} failed: "
+                f"{type(exc).__name__}: {exc}"
             ) from exc
         return last_round
 

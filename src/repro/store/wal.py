@@ -2,97 +2,69 @@
 
 Every durable state transition in a DeCloud node is journaled here
 *before* it takes effect (see ``repro.store.node``).  The log is a flat
-byte stream of self-delimiting frames::
+byte stream of self-delimiting frames (docs/DURABILITY.md)::
 
     MAGIC (2B) | stored length (4B BE) | crc32(stored) (4B BE) | stored
+    stored = WAL_FORMAT (1B) | record type (1B) | seq (8B BE) | body
 
-The payload is one canonical-JSON *envelope* ``{"seq": n, "type": t,
-"data": {...}}`` — ``seq`` is a monotonically increasing record number
-that survives compaction (snapshots store the last ``seq`` they cover,
-so recovery knows which suffix of the log to replay).  What a frame
-*stores* is that payload as it is, or — from ``DEFLATE_FROM`` bytes up,
-when it comes out shorter — its zlib stream: a node's log is mostly
-hex-encoded ciphertexts, keys and signatures, which deflate to a little
-over half.  A zlib stream begins with the byte ``0x78`` and no JSON text
-does, so a frame says by its first stored byte which of the two it
-holds, and a log written before frames were deflated reads unchanged.
+The type byte indexes :data:`repro.store.records.RECORD_TYPES`; the body
+is what :func:`repro.store.records.encode_data` made of the record.
+``seq`` increases by one per record and survives compaction, so recovery
+lines the log up against a snapshot's ``last_seq``.  A frame whose CRC
+holds but whose format or type byte this code does not know was written
+whole, by another version: it is a :class:`RecoveryError` naming the WAL
+format, never a torn tail (a frame of the canonical-JSON log, format 1,
+stores ``{`` or, deflated, ``x`` first).
 
 A crashed writer can leave a **torn tail**: a final frame whose header
-or payload is incomplete, or whose CRC does not match (the write died
-mid-sector, or the sector was corrupted afterwards).  :meth:`
+or payload is incomplete, or whose CRC does not match.  :meth:`
 WriteAheadLog.scan` finds the longest valid frame prefix and reports the
 damage instead of raising; :meth:`WriteAheadLog.truncate_tail` discards
-the damage so the log can be appended to again.  Nothing after the first
-bad byte is ever trusted — a torn tail can only *lose* the records that
-were being written when the process died, never resurrect or invent
-state (the fuzz suite drives random corruption through this contract).
-
-Two backends ship: :class:`MemoryLogBackend` (deterministic, for tests
-and the crash-matrix differential harness) and :class:`FileLogBackend`
-(a real file with flush-on-append and opt-in fsync, for demos).
+it so the log can be appended to again.  Nothing after the first bad
+byte is ever trusted, so a torn tail can only *lose* the records being
+written when the process died, never resurrect or invent state.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.common.errors import CorruptRecordError, StoreError
+from repro.common.errors import CorruptRecordError, RecoveryError, StoreError
+from repro.store.records import RECORD_TYPES
 
 MAGIC = b"\xd7\xca"
 _HEADER = struct.Struct(">2sII")
 HEADER_SIZE = _HEADER.size  # 10 bytes
+#: 2: the binary envelope above (1 was a canonical-JSON envelope)
+WAL_FORMAT = 2
+_ENVELOPE = struct.Struct(">BBQ")
+_TYPE_CODES = {kind: code for code, kind in enumerate(RECORD_TYPES)}
 
 #: refuse absurd frame lengths up front so a corrupted length field is
 #: diagnosed as corruption instead of a giant allocation
 MAX_RECORD_BYTES = 64 * 1024 * 1024
 
-#: payloads from this size up are stored deflated (a round-phase marker
-#: of 80 bytes would only grow; a sealed bid's 1.4 KB shrinks to 0.8)
-DEFLATE_FROM = 512
-#: first byte of every zlib stream ``zlib.compress`` writes (0x78) —
-#: never the first byte of a JSON text
-_DEFLATED = b"x"
 
-
-def encode_frame(payload: bytes) -> bytes:
-    """Frame ``payload`` with magic, length, and CRC32."""
-    if len(payload) > MAX_RECORD_BYTES:
+def encode_frame(stored: bytes) -> bytes:
+    """Frame ``stored`` with magic, length, and CRC32."""
+    if len(stored) > MAX_RECORD_BYTES:
         raise StoreError(
-            f"record of {len(payload)} bytes exceeds the "
+            f"record of {len(stored)} bytes exceeds the "
             f"{MAX_RECORD_BYTES}-byte frame limit"
         )
-    stored = payload
-    if len(payload) >= DEFLATE_FROM:
-        # level 1: hex has no repeats to search for, only a smaller alphabet
-        deflated = zlib.compress(payload, 1)
-        if len(deflated) < len(payload):
-            stored = deflated
     return _HEADER.pack(MAGIC, len(stored), zlib.crc32(stored)) + stored
 
 
-def _inflate(stored: bytes) -> bytes:
-    """The payload a frame stores (see the module docstring)."""
-    if not stored.startswith(_DEFLATED):
-        return stored
-    inflater = zlib.decompressobj()
-    payload = inflater.decompress(stored, MAX_RECORD_BYTES)
-    if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
-        raise ValueError("not one whole zlib stream within the frame limit")
-    return payload
-
-
-def encode_envelope(seq: int, record_type: str, data: Dict[str, Any]) -> bytes:
-    """Canonical-JSON envelope bytes for one record."""
-    return json.dumps(
-        {"seq": seq, "type": record_type, "data": data},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+def encode_envelope(seq: int, record_type: str, body: bytes) -> bytes:
+    """What a frame stores for one record."""
+    code = _TYPE_CODES.get(record_type)
+    if code is None:
+        raise StoreError(f"unknown WAL record type {record_type!r}")
+    return _ENVELOPE.pack(WAL_FORMAT, code, seq) + body
 
 
 @dataclass
@@ -112,81 +84,55 @@ class ScanResult:
         return self.tail_error is None
 
 
+def _damage(offset: int, reason: str) -> CorruptRecordError:
+    return CorruptRecordError(f"{reason} at offset {offset}", offset, reason)
+
+
 def iter_frames(data) -> Iterator[Tuple[Dict[str, Any], int, int]]:
     """Yield ``(record, start, end)`` for each valid frame of ``data``.
 
-    ``data`` is any bytes-like buffer; nothing but the current frame's
-    payload is copied out of it.  It is held through a ``memoryview``
-    until the iterator finishes or is closed, so a ``bytearray`` that is
-    appended to or truncated meanwhile raises ``BufferError`` instead of
-    moving under the scan.  The first torn or corrupt frame raises
+    ``data`` is any bytes-like buffer, held through a ``memoryview``
+    until the iterator finishes or is closed (so a ``bytearray`` that is
+    appended to or truncated meanwhile raises ``BufferError``); only the
+    current frame is copied out.  The first torn or corrupt frame raises
     :class:`CorruptRecordError`, whose ``offset`` is the byte length of
-    the valid prefix — by design there is no resynchronization: a frame
-    at or after the first bad byte could be a half-written record, so
-    trusting anything beyond it could resurrect state that was never
-    durably committed.
+    the valid prefix.  There is no resynchronization: a frame at or
+    after the first bad byte could be a half-written record.
     """
     with memoryview(data) as view:
-        offset = 0
-        total = len(view)
+        offset, total = 0, len(view)
         while offset < total:
             if total - offset < HEADER_SIZE:
-                raise CorruptRecordError(
-                    f"torn frame header at offset {offset}",
-                    offset=offset,
-                    reason="torn header",
-                )
+                raise _damage(offset, "torn header")
             magic, length, crc = _HEADER.unpack_from(view, offset)
             if magic != MAGIC:
-                raise CorruptRecordError(
-                    f"bad frame magic at offset {offset}",
-                    offset=offset,
-                    reason="bad magic",
-                )
+                raise _damage(offset, "bad magic")
             if length > MAX_RECORD_BYTES:
-                raise CorruptRecordError(
-                    f"implausible frame length {length} at offset {offset}",
-                    offset=offset,
-                    reason="bad length",
-                )
+                raise _damage(offset, "bad length")
             start = offset + HEADER_SIZE
             end = start + length
             if end > total:
-                raise CorruptRecordError(
-                    f"torn frame payload at offset {offset}",
-                    offset=offset,
-                    reason="torn payload",
+                raise _damage(offset, "torn payload")
+            stored = bytes(view[start:end])
+            if zlib.crc32(stored) != crc:
+                raise _damage(offset, "crc mismatch")
+            if length < _ENVELOPE.size:
+                raise _damage(offset, "bad envelope")
+            version, code, seq = _ENVELOPE.unpack_from(stored)
+            if version != WAL_FORMAT or code >= len(RECORD_TYPES):
+                raise RecoveryError(
+                    f"WAL frame at offset {offset} is no record of WAL_FORMAT "
+                    f"{WAL_FORMAT} (format byte {version}, type byte {code}): "
+                    "a log this version does not read"
                 )
-            payload = bytes(view[start:end])
-            if zlib.crc32(payload) != crc:
-                raise CorruptRecordError(
-                    f"CRC mismatch at offset {offset}",
-                    offset=offset,
-                    reason="crc mismatch",
-                )
-            try:
-                envelope = json.loads(_inflate(payload).decode("utf-8"))
-                record = {
-                    "seq": envelope["seq"],
-                    "type": envelope["type"],
-                    "data": envelope["data"],
-                }
-            except (ValueError, KeyError, TypeError, zlib.error):
-                raise CorruptRecordError(
-                    f"undecodable record envelope at offset {offset}",
-                    offset=offset,
-                    reason="bad envelope",
-                ) from None
-            yield record, offset, end
+            kind, body = RECORD_TYPES[code], stored[_ENVELOPE.size :]
+            yield {"seq": seq, "type": kind, "data": body}, offset, end
             offset = end
 
 
 def scan_frames(data) -> ScanResult:
-    """Decode the longest valid frame prefix of ``data``.
-
-    Stops at the first torn or corrupt frame (see :func:`iter_frames`)
-    and reports it via ``tail_error`` instead of raising.
-    """
+    """The longest valid frame prefix of ``data``; the first torn or
+    corrupt frame (see :func:`iter_frames`) becomes ``tail_error``."""
     result = ScanResult(records=[], good_length=0)
     try:
         for record, start, end in iter_frames(data):
@@ -228,21 +174,14 @@ class MemoryLogBackend:
     def size(self) -> int:
         return len(self._data)
 
-    def sync(self) -> None:  # in-memory: nothing to flush
-        pass
-
     def close(self) -> None:
         pass
 
 
 class FileLogBackend:
-    """File-backed log: append + flush per record, opt-in fsync.
-
-    ``fsync=True`` gives real power-loss durability at a heavy per-append
-    cost; the default (``False``) flushes to the OS page cache, which
-    survives process crashes (the failure model the crash matrix tests)
-    but not kernel panics.
-    """
+    """File-backed log: append + flush per record.  The page cache
+    survives a process crash (the crash matrix's failure model);
+    ``fsync=True`` survives power loss, at a heavy cost per append."""
 
     def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
@@ -289,10 +228,6 @@ class FileLogBackend:
         self._handle.flush()
         return os.path.getsize(self.path)
 
-    def sync(self) -> None:
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
     def close(self) -> None:
         self._handle.close()
 
@@ -301,13 +236,10 @@ class FileLogBackend:
 # The log
 # ----------------------------------------------------------------------
 class WriteAheadLog:
-    """Append-only record log over a byte backend.
-
-    ``crash_point`` (a :class:`repro.faults.crash.CrashPoint`) lets the
-    chaos harness kill the "process" deterministically at any record
-    boundary, optionally persisting a torn or corrupted final frame —
-    the write path asks the crash point before completing each append.
-    """
+    """Append-only record log over a byte backend.  A ``crash_point``
+    (:class:`repro.faults.crash.CrashPoint`), asked before each append
+    completes, kills the "process" at a record boundary, optionally
+    leaving a torn or corrupted final frame."""
 
     def __init__(
         self,
@@ -321,25 +253,21 @@ class WriteAheadLog:
         #: appends performed through *this* handle (crash-matrix sizing)
         self.append_count = 0
 
-    # ------------------------------------------------------------------
     @property
     def next_seq(self) -> int:
         return self._next_seq
 
-    def append(self, record_type: str, data: Dict[str, Any]) -> int:
-        """Frame and persist one record; returns its ``seq``.
-
-        Raises :class:`StoreError` if the log still carries an
-        unrecovered torn tail — appending after damage would bury it
-        mid-log where truncation can no longer repair it.
-        """
+    def append(self, record_type: str, body: bytes) -> int:
+        """Frame and persist one record body; returns its ``seq``.  A
+        :class:`StoreError` while the log carries an unrecovered torn
+        tail, which an append would bury where truncation cannot reach."""
         if self._tail_damaged:
             raise StoreError(
                 "write-ahead log has an unrecovered torn tail; call "
                 "truncate_tail() (or recover the store) before appending"
             )
         seq = self._next_seq
-        frame = encode_frame(encode_envelope(seq, record_type, data))
+        frame = encode_frame(encode_envelope(seq, record_type, body))
         if self.crash_point is not None:
             injected = self.crash_point.on_append(frame)
             if injected is not None:
@@ -373,13 +301,9 @@ class WriteAheadLog:
         return result
 
     def replay(self, after_seq: int = -1) -> Iterator[Dict[str, Any]]:
-        """Stream the valid records with ``seq > after_seq`` in order.
-
-        What :meth:`records` returns, decoded one frame at a time from
-        the backend's bytes: recovery never holds the whole log twice.
-        Nothing may append to or truncate the log while the iterator is
-        open; the in-memory backend refuses with ``BufferError``.
-        """
+        """Stream the valid records with ``seq > after_seq`` in order,
+        one frame at a time from the backend's bytes (nothing may append
+        to or truncate the log while the iterator is open)."""
         try:
             for record, _start, _end in iter_frames(self.backend.view()):
                 if record["seq"] > after_seq:
@@ -401,26 +325,21 @@ class WriteAheadLog:
         return dropped
 
     def compact(self, upto_seq: int, start: Optional[int] = None) -> int:
-        """Drop records with ``seq <= upto_seq`` (they live in a snapshot).
-
-        Returns the number of records removed.  Frames are rewritten
-        verbatim, so record bytes (and CRCs) are stable across
-        compaction.  ``start``, when the caller knows it, is the byte
-        offset of the first record kept: then only two records are
-        decoded, not the whole log.
-        """
+        """Drop records with ``seq <= upto_seq`` (they live in a snapshot)
+        and return how many, rewriting the kept frames verbatim.
+        ``start``, when the caller knows it, is the byte offset of the
+        first record kept: then only two records are decoded."""
         if start is not None and self._seq_at(start) == upto_seq + 1:
             head = self._seq_at(0)
             self.backend.replace(bytes(self.backend.view()[start:]))
             return upto_seq + 1 - head
         result = self.scan(strict=True)
-        kept: List[bytes] = []
-        removed = 0
-        for record, frame in zip(result.records, result.frames):
-            if record["seq"] <= upto_seq:
-                removed += 1
-            else:
-                kept.append(frame)
+        kept = [
+            frame
+            for record, frame in zip(result.records, result.frames)
+            if record["seq"] > upto_seq
+        ]
+        removed = len(result.frames) - len(kept)
         if removed:
             self.backend.replace(b"".join(kept))
         return removed

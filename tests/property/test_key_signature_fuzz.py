@@ -1,17 +1,21 @@
 """Typed rejection of hostile public keys and signatures.
 
 Keys and signatures reach a node in transactions, blocks, chain
-documents, snapshots and WAL records.  At every decoder a key or
+documents, snapshots and WAL records.  At every JSON decoder a key or
 signature field that is not the hex of 32 or 64 bytes is a typed
-:class:`ReproError`, never a crash; :func:`schnorr.verify` answers every
-malformed, non-canonical or small-order input with ``False``; and a
-document written in the integer format that preceded Ed25519 is
-refused as a whole.
+:class:`ReproError`, never a crash (the WAL's binary codec holds them
+at those fixed widths; ``tests/property/test_store_properties.py``
+fuzzes it); :func:`schnorr.verify` answers every malformed,
+non-canonical or small-order input with ``False``; and a document or
+log written in the integer format that preceded Ed25519 is refused as
+a whole.
 """
 
 import copy
 import hashlib
 import json
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -35,9 +39,10 @@ from repro.ledger.serialization import (
 )
 from repro.ledger.transaction import SealedBidTransaction
 from repro.store import NodeStore
+from repro.store.wal import MAGIC
 from tests import rfc8032
 from tests.test_ledger_serialization import _chain_with_blocks
-from tests.test_store_recovery import leader_block, new_miner, reframe, sealed_bid
+from tests.test_store_recovery import leader_block, sealed_bid
 
 
 def _old_key() -> str:
@@ -215,20 +220,26 @@ class TestOldFormatDocuments:
 
     @pytest.mark.parametrize("record_type", ["mempool.admit", "chain.append"])
     def test_old_wal_is_a_recovery_error(self, record_type):
-        store = NodeStore.in_memory()
-        miner = new_miner("m0", store)
-        miner.accept_transaction(sealed_bid(1))
-        miner.commit_block(leader_block([sealed_bid(0), sealed_bid(1)]))
-        assert store.recover(difficulty_bits=4).committed_height == 1
-        records = store.wal.records()
-        target = [r for r in records if r["type"] == record_type][-1]
-        if record_type == "mempool.admit":
-            tx = target["data"]["tx"]
-        else:
-            body = target["data"]["block"]["body"]
-            body.update(miner_public=_old_key(), signature=_old_signature())
-            tx = target["data"]["block"]["preamble"]["transactions"][0]
+        # a record of the integer era, in that log's canonical-JSON
+        # envelope: refused as a whole, by the frame's format byte
+        tx = tx_to_dict(sealed_bid(1))
         tx.update(sender_public=_old_key(), signature=_old_signature())
-        reframe(store, records)
-        with pytest.raises(RecoveryError, match="bytes of hex"):
+        data = {"tx": tx}
+        if record_type == "chain.append":
+            block = block_to_dict(leader_block([sealed_bid(1)]))
+            block["preamble"]["transactions"] = [tx]
+            block["body"].update(
+                miner_public=_old_key(), signature=_old_signature()
+            )
+            data = {"block": block, "hash": "0" * 64}
+        payload = json.dumps(
+            {"seq": 0, "type": record_type, "data": data},
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode()
+        header = struct.pack(">2sII", MAGIC, len(payload), zlib.crc32(payload))
+        store = NodeStore.in_memory()
+        store.wal.backend.replace(header + payload)
+        with pytest.raises(RecoveryError, match="WAL_FORMAT"):
             store.recover(difficulty_bits=4)
+        assert store.wal.backend.read() == header + payload

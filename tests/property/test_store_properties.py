@@ -16,19 +16,42 @@ Two contracts, driven by Hypothesis:
 * **A window survives recovery** — over any number of rounds, any
   retention horizon and any crash point, the live node and ``recover()``
   agree on the digest, the height, the tip and every retained block.
+* **Typed decoding behind a valid CRC** — the ledger codec round-trips
+  transactions and blocks byte for byte, and every decoder on the way
+  from WAL bytes to state (``decode_tx``, ``decode_block``,
+  ``iter_frames``, ``NodeStore.recover``) answers truncated, extended,
+  mutated or arbitrary bytes with a valid object or a typed
+  ``ReproError``, nothing else.
 """
 
+import functools
+import struct
+import zlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ledger.block import Block
+from repro.common.errors import LedgerError, ReproError
+from repro.ledger.block import Block, BlockBody, BlockPreamble, KeyReveal
 from repro.ledger.chain import Blockchain
 from repro.ledger.mempool import Mempool
 from repro.ledger.miner import Miner, make_sealed_bid
+from repro.ledger.serialization import (
+    decode_block,
+    decode_tx,
+    encode_block,
+    encode_tx,
+)
+from repro.ledger.transaction import SealedBidTransaction
 from repro.cryptosim import schnorr
+from repro.cryptosim.commitments import Commitment
+from repro.cryptosim.symmetric import SealedBox
 from repro.faults.crash import CrashPoint, SimulatedCrashError
 from repro.protocol.settlement import TokenLedger
 from repro.store import NodeStore, WriteAheadLog, state_digest_of
+from repro.store.records import RECORD_TYPES
+from repro.store.wal import MAGIC, WAL_FORMAT, iter_frames
 
 ACCOUNTS = ("alice", "bob", "carol")
 
@@ -364,3 +387,272 @@ class TestRollOffs:
         assert again.anchor_height == chain.anchor_height
         for height in range(chain.anchor_height, len(chain)):
             assert again[height].hash() == chain[height].hash()
+
+
+# ----------------------------------------------------------------------
+# Typed decoding behind a valid CRC
+# ----------------------------------------------------------------------
+tx_strategy = st.builds(
+    SealedBidTransaction,
+    sender_id=st.text(max_size=12),
+    sender_public=st.binary(min_size=32, max_size=32),
+    box=st.binary(min_size=48, max_size=120).map(SealedBox.from_bytes),
+    key_commitment=st.binary(min_size=32, max_size=32).map(Commitment),
+    signature=st.binary(min_size=64, max_size=64),
+)
+
+json_scalar = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+)
+allocation_strategy = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(
+        json_scalar,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        ),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+
+body_strategy = st.builds(
+    BlockBody,
+    reveals=st.lists(
+        st.builds(
+            KeyReveal,
+            sender_id=st.text(max_size=8),
+            txid=st.text(alphabet="0123456789abcdef", max_size=64),
+            temp_key=st.binary(max_size=40),
+            blind=st.binary(max_size=40),
+        ),
+        max_size=3,
+    ).map(tuple),
+    allocation=allocation_strategy,
+    miner_id=st.text(max_size=8),
+    miner_public=st.binary(min_size=32, max_size=32),
+    signature=st.binary(min_size=64, max_size=64),
+)
+
+#: a block, and per transaction whether the reader holds it already
+referring_block = st.lists(
+    st.tuples(tx_strategy, st.booleans()), max_size=4
+).flatmap(
+    lambda entries: st.tuples(
+        st.builds(
+            Block,
+            preamble=st.builds(
+                BlockPreamble,
+                height=st.integers(min_value=0, max_value=2**64 - 1),
+                parent_hash=st.binary(min_size=32, max_size=32).map(bytes.hex),
+                transactions=st.just(tuple(tx for tx, _ in entries)),
+                timestamp=st.floats(allow_nan=False),
+                pow_nonce=st.integers(min_value=0, max_value=2**64 - 1),
+            ),
+            body=st.one_of(st.none(), body_strategy),
+        ),
+        st.just([tx for tx, held in entries if held]),
+    )
+)
+
+
+def _held(transactions):
+    """The reader's pool: txid -> transaction, as a mempool holds them."""
+    return {tx.txid(): tx for tx in transactions}
+
+
+def _decoded_or_typed(decode, *args):
+    """``decode(*args)``, or None for a typed ``ReproError`` — any other
+    exception escapes and fails the property."""
+    try:
+        return decode(*args)
+    except ReproError:
+        return None
+
+
+def _mutate(data, raw):
+    """``raw`` cut short, extended, or with some bytes flipped."""
+    kind = data.draw(st.sampled_from(["truncate", "extend", "flip"]))
+    if kind == "truncate" and raw:
+        return kind, raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "extend":
+        return kind, raw + data.draw(st.binary(min_size=1, max_size=16))
+    mutated = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 4))):
+        if mutated:
+            mutated[data.draw(st.integers(0, len(mutated) - 1))] ^= data.draw(
+                st.integers(1, 255)
+            )
+    return "flip", bytes(mutated)
+
+
+def _frame(stored):
+    """A frame of ``stored`` whose CRC holds, whatever it stores."""
+    return struct.pack(">2sII", MAGIC, len(stored), zlib.crc32(stored)) + stored
+
+
+@functools.lru_cache(maxsize=None)
+def _journaled_log():
+    """A node's log: admissions, a block that refers to two of its bids
+    and embeds one, and control records."""
+    leader = Miner(
+        miner_id="leader",
+        allocate=lambda plaintexts, evidence: {"bids": len(plaintexts)},
+        difficulty_bits=4,
+    )
+    store = NodeStore.in_memory()
+    node = Miner(
+        miner_id="node",
+        allocate=leader.allocate,
+        difficulty_bits=4,
+        store=store,
+    )
+    bids = [sealed_bid(i) for i in range(3)]
+    for tx in bids:
+        leader.accept_transaction(tx)
+    for tx in bids[1:]:
+        node.accept_transaction(tx)
+    preamble = leader.build_preamble()
+    block = Block(preamble=preamble, body=leader.build_body(preamble, ()))
+    leader.commit_block(block)
+    store.log("round.phase", round=0, phase="commit")
+    node.commit_block(block)
+    ledger = TokenLedger()
+    store.attach(ledger=ledger)
+    ledger.mint("alice", 2.0)
+    ledger.open_escrow("alice", "bob", 1.0)
+    return store.wal.backend.read(), store.state_digest()
+
+
+class TestCodecRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(tx=tx_strategy)
+    def test_transaction(self, tx):
+        raw = encode_tx(tx)
+        decoded = decode_tx(raw)
+        assert decoded == tx
+        assert decoded.txid() == tx.txid()
+        assert encode_tx(decoded) == raw
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=referring_block)
+    def test_block_with_referenced_and_embedded_transactions(self, case):
+        block, held_txs = case
+        held = _held(held_txs)
+        raw = encode_block(block, held.get)
+        decoded = decode_block(raw, held.__getitem__)
+        assert decoded == block
+        assert decoded.hash() == block.hash()
+        assert encode_block(decoded, held.get) == raw
+        assert decode_block(encode_block(block)) == block  # all embedded
+
+    def test_a_reveal_wider_than_a_u16_is_journaled(self):
+        # a bidder picks its blind's length, and nothing checks a reveal's
+        # sender id: neither may make a block unjournalable
+        reveal = KeyReveal("x" * 70_000, "ab" * 32, bytes(32), bytes(70_000))
+        body = BlockBody((reveal,), {}, "m0", bytes(32), bytes(64))
+        block = Block(BlockPreamble(1, "0" * 64, (), 1.5, 7), body)
+        assert decode_block(encode_block(block)) == block
+
+
+class TestCodecFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(tx=tx_strategy, data=st.data())
+    def test_mutated_transaction_bytes(self, tx, data):
+        kind, raw = _mutate(data, encode_tx(tx))
+        if kind != "flip":
+            with pytest.raises(LedgerError):
+                decode_tx(raw)
+            return
+        decoded = _decoded_or_typed(decode_tx, raw)
+        if decoded is not None:
+            assert isinstance(decoded, SealedBidTransaction)
+            assert encode_tx(decoded) == raw
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=referring_block, data=st.data())
+    def test_mutated_block_bytes(self, case, data):
+        block, held_txs = case
+        held = _held(held_txs)
+        kind, raw = _mutate(data, encode_block(block, held.get))
+
+        def resolve(txid):
+            if txid not in held:
+                raise LedgerError(f"no transaction {txid[:12]}")
+            return held[txid]
+
+        if kind != "flip":
+            with pytest.raises(LedgerError):
+                decode_block(raw, resolve)
+            return
+        decoded = _decoded_or_typed(decode_block, raw, resolve)
+        if decoded is not None:
+            assert isinstance(decoded, Block)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, raw):
+        for decoded in (
+            _decoded_or_typed(decode_tx, raw),
+            _decoded_or_typed(decode_block, raw, lambda txid: txid),
+        ):
+            assert decoded is None or isinstance(
+                decoded, (SealedBidTransaction, Block)
+            )
+
+
+#: what a whole frame may store: anything, or an envelope of this format
+#: (a known or unknown type byte, any seq) around any body
+stored_strategy = st.one_of(
+    st.binary(max_size=80),
+    st.builds(
+        lambda code, seq, body: bytes([WAL_FORMAT, code])
+        + seq.to_bytes(8, "big")
+        + body,
+        st.one_of(
+            st.integers(0, len(RECORD_TYPES) - 1), st.integers(0, 255)
+        ),
+        st.integers(0, 2**64 - 1),
+        st.binary(max_size=80),
+    ),
+)
+
+
+class TestValidCrcFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(stored=stored_strategy)
+    def test_arbitrary_frames_after_a_node_log(self, stored):
+        log, _digest = _journaled_log()
+        raw = log + _frame(stored)
+        records = []
+        try:
+            for record, _start, _end in iter_frames(raw):
+                records.append(record)
+        except ReproError:
+            pass
+        assert all(isinstance(r["data"], bytes) for r in records)
+        store = NodeStore.in_memory()
+        store.wal.backend.replace(raw)
+        recovered = _decoded_or_typed(store.recover, 4)
+        if recovered is not None:
+            assert recovered.committed_height == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_record_body_under_a_valid_crc(self, data):
+        log, digest = _journaled_log()
+        frames = [log[start:end] for _r, start, end in iter_frames(log)]
+        index = data.draw(st.integers(0, len(frames) - 1))
+        header, body = frames[index][10:20], frames[index][20:]
+        _kind, mutated = _mutate(data, body)
+        frames[index] = _frame(header + mutated)
+        store = NodeStore.in_memory()
+        store.wal.backend.replace(b"".join(frames))
+        recovered = _decoded_or_typed(store.recover, 4)
+        if recovered is not None and mutated == body:
+            assert recovered.state_digest() == digest

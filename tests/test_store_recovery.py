@@ -14,6 +14,7 @@ from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
 from repro.ledger.mempool import Mempool
 from repro.ledger.miner import Miner, make_sealed_bid
+from repro.ledger.serialization import decode_block, decode_tx, encode_block
 from repro.cryptosim import schnorr
 from repro.protocol.allocator import DecloudAllocator
 from repro.protocol.settlement import (
@@ -23,7 +24,8 @@ from repro.protocol.settlement import (
 )
 from repro.sim.chaos import ChaosSpec, run_durable_scenario
 from repro.store import NodeStore, state_digest_of
-from repro.store.wal import encode_envelope, encode_frame
+from repro.store.records import RECORD_TYPES
+from repro.store.wal import WAL_FORMAT, encode_envelope, encode_frame
 from tests import rfc8032
 
 
@@ -65,6 +67,13 @@ def _flip_last_bit(hex_text):
     return raw.hex()
 
 
+def _with_signature_flipped(body, tx):
+    """Codec bytes ``body`` with ``tx``'s signature bit-flipped in place."""
+    flipped = bytes.fromhex(_flip_last_bit(tx.signature.hex()))
+    assert body.count(tx.signature) == 1
+    return body.replace(tx.signature, flipped)
+
+
 def reframe(store, records):
     """Replace the log with ``records`` re-framed (valid CRCs)."""
     store.wal.backend.replace(
@@ -77,9 +86,11 @@ def reframe(store, records):
 
 
 def logged_transactions(store):
-    """The transaction entries of the newest ``chain.append`` record."""
+    """The transactions of the newest ``chain.append`` record: the txid
+    where it refers to an admission, the transaction where it embeds one."""
     record = [r for r in store.wal.records() if r["type"] == "chain.append"][-1]
-    return record["data"]["block"]["preamble"]["transactions"]
+    block = decode_block(record["data"], resolve=lambda txid: txid)
+    return list(block.preamble.transactions)
 
 
 class TestLedgerRecovery:
@@ -233,14 +244,14 @@ class TestChainAndMempoolRecovery:
         records = store.wal.records()
         target = [r for r in records if r["type"] == record_type][-1]
         if record_type == "mempool.admit":
-            tx = target["data"]["tx"]
+            tx = decode_tx(target["data"])
         else:
-            transactions = target["data"]["block"]["preamble"]["transactions"]
-            assert ["admitted" in entry for entry in transactions] == [
+            transactions = logged_transactions(store)
+            assert [isinstance(entry, str) for entry in transactions] == [
                 False, True, True,
             ]
             tx = transactions[0]
-        tx["signature"] = _flip_last_bit(tx["signature"])
+        target["data"] = _with_signature_flipped(target["data"], tx)
         reframe(store, records)
         with pytest.raises(RecoveryError, match="invalid signature"):
             store.recover(difficulty_bits=4)
@@ -249,9 +260,11 @@ class TestChainAndMempoolRecovery:
         store, _miner = self._committed_store()
         records = store.wal.records()
         block_record = [r for r in records if r["type"] == "chain.append"][-1]
-        entry = block_record["data"]["block"]["preamble"]["transactions"][1]
-        assert set(entry) == {"admitted"}
-        entry["admitted"] = "0" * 64
+        txid = logged_transactions(store)[1]
+        assert isinstance(txid, str)
+        block_record["data"] = block_record["data"].replace(
+            bytes.fromhex(txid), bytes(32)
+        )
         reframe(store, records)
         with pytest.raises(RecoveryError, match="does not hold"):
             store.recover(difficulty_bits=4)
@@ -286,8 +299,12 @@ class TestChainAndMempoolRecovery:
 
     def test_unknown_record_type_raises_recovery_error(self):
         store = NodeStore.in_memory()
-        store.wal.append("no.such.record", {})
-        with pytest.raises(RecoveryError):
+        with pytest.raises(StoreError, match="unknown WAL record type"):
+            store.wal.append("no.such.record", b"{}")
+        # a whole frame (valid CRC) of a type byte this version lacks
+        unknown = bytes([WAL_FORMAT, len(RECORD_TYPES)]) + bytes(8) + b"{}"
+        store.wal.backend.append(encode_frame(unknown))
+        with pytest.raises(RecoveryError, match="type byte 9"):
             store.recover()
 
     def test_torn_tail_truncated_and_counted(self):
@@ -331,9 +348,7 @@ class TestJournalEachBidOnce:
         for tx in bids:
             miner.accept_transaction(tx)
         miner.commit_block(leader_block(bids))
-        assert logged_transactions(store) == [
-            {"admitted": tx.txid()} for tx in bids
-        ]
+        assert logged_transactions(store) == [tx.txid() for tx in bids]
         recovered = self._assert_recovers_live_state(store)
         assert recovered.chain[0].preamble.transactions == tuple(bids)
         assert len(recovered.mempool) == 0
@@ -352,7 +367,7 @@ class TestJournalEachBidOnce:
             r for r in store.wal.records() if r["type"] == "mempool.admit"
         ]
         miner.commit_block(leader_block(bids[:2]))
-        assert all("admitted" in entry for entry in logged_transactions(store))
+        assert all(isinstance(e, str) for e in logged_transactions(store))
         recovered = self._assert_recovers_live_state(store)
         assert recovered.snapshot_used
         assert [tx.txid() for tx in recovered.mempool.peek(9)] == [
@@ -365,7 +380,7 @@ class TestJournalEachBidOnce:
         bids = [sealed_bid(i) for i in range(3)]
         miner.accept_transaction(bids[1])
         miner.commit_block(leader_block(bids))
-        assert ["admitted" in entry for entry in logged_transactions(store)] == [
+        assert [isinstance(e, str) for e in logged_transactions(store)] == [
             False, True, False,
         ]
         self._assert_recovers_live_state(store)
@@ -388,20 +403,13 @@ class TestJournalEachBidOnce:
         miner.accept_transaction(pending)
         miner.commit_block(leader_block([resigned]))
         (entry,) = logged_transactions(store)
-        assert "admitted" not in entry
-        assert entry["signature"] == resigned.signature.hex()
+        assert entry == resigned
         recovered = self._assert_recovers_live_state(store)
         assert recovered.chain[0].preamble.transactions == (resigned,)
 
     def test_log_with_every_transaction_embedded_replays(self):
-        # the shape every log had before references existed: each block
-        # carries its transactions, each frame stores its payload as it is
-        import struct
-        import zlib
-
-        from repro.ledger.serialization import tx_to_dict
-        from repro.store.wal import MAGIC
-
+        # the shape a node with no attached mempool journals: each block
+        # carries its transactions
         store = NodeStore.in_memory()
         miner = new_miner("m0", store)
         bids = [sealed_bid(i) for i in range(3)]
@@ -412,23 +420,9 @@ class TestJournalEachBidOnce:
         size_with_references = store.wal.backend.size()
         records = store.wal.records()
         block_record = [r for r in records if r["type"] == "chain.append"][-1]
-        block_record["data"]["block"]["preamble"]["transactions"] = [
-            tx_to_dict(tx) for tx in bids
-        ]
-        payloads = [
-            encode_envelope(r["seq"], r["type"], r["data"]) for r in records
-        ]
-        store.wal.backend.replace(
-            b"".join(
-                struct.pack(">2sII", MAGIC, len(p), zlib.crc32(p)) + p
-                for p in payloads
-            )
-        )
-        scan = store.wal.scan()
-        assert scan.clean
-        # every frame stores its payload as it is (no deflated frame), so
-        # the log is larger than the one that refers and deflates
-        assert [frame[10:] for frame in scan.frames] == payloads
+        block_record["data"] = encode_block(miner.chain[0])
+        reframe(store, records)
+        assert not any(isinstance(e, str) for e in logged_transactions(store))
         assert store.wal.backend.size() > size_with_references
         assert store.recover(difficulty_bits=4).state_digest() == live
 
@@ -437,7 +431,7 @@ class TestJournalEachBidOnce:
         chain = Blockchain(difficulty_bits=4)
         store.attach(chain=chain)
         chain.append(leader_block([sealed_bid(0)]))
-        assert "admitted" not in logged_transactions(store)[0]
+        assert logged_transactions(store) == [sealed_bid(0)]
         assert store.recover(difficulty_bits=4).chain.tip_hash == chain.tip_hash
 
 
